@@ -10,8 +10,8 @@
 //! value (where the paper quotes one: 17KS = 0.56%, JQQ = 1.12%,
 //! L40 = 1.54%) and so the *error structure* (biased vs. zero-mean,
 //! small-operand behaviour) spans the same qualitative range. The measured
-//! datasheet of every part is in `EXPERIMENTS.md` and regenerable with the
-//! `multipliers_report` binary.
+//! datasheet of every part is regenerated by `repro multipliers_report`
+//! (see the README).
 //!
 //! * [`kernel`] — the [`kernel::MulKernel`] trait: one 8x8
 //!   unsigned multiplication, the plug-in point for the quantized

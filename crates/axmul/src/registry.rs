@@ -7,8 +7,7 @@
 //! reproduce the part's qualitative behaviour in the paper's figures
 //! (clean-accuracy rank at eps = 0; JV3's contrast-reduction fragility;
 //! L40/FTA's biased heavy loss). Measured values for every part are
-//! printed by the `multipliers_report` bench binary and recorded in
-//! `EXPERIMENTS.md`.
+//! printed by `repro multipliers_report` (see the README).
 
 use axcirc::{ApproxCell, ApproxSpec};
 

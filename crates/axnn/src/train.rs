@@ -9,8 +9,8 @@
 //! a fixed left-to-right image order, so the batch gradient — and
 //! therefore the whole [`TrainHistory`] and the trained weights — is
 //! bit-identical to the seed per-image loop for **any** `AXDNN_THREADS`
-//! setting (the seed `par_reduce` summed per-worker partials, which tied
-//! the float accumulation order to the thread count).
+//! setting (the seed summed per-worker partials, which tied the float
+//! accumulation order to the thread count).
 //!
 //! [`fit`] compiles exactly **one** plan per run: an owned-weights plan
 //! ([`Sequential::plan_owned`]) that the optimizer updates in place

@@ -7,10 +7,11 @@
 //!   with the handful of distributions the experiments need. Using our own
 //!   generator (instead of the `rand` crate) guarantees that every dataset,
 //!   weight initialization and attack draw is bit-reproducible across
-//!   platforms and library versions, which is what makes the experiment
-//!   tables in `EXPERIMENTS.md` regenerable.
-//! * [`parallel`] — scoped-thread helpers built on [`std::thread::scope`] for
-//!   embarrassingly parallel loops (per-image evaluation, batch gradients).
+//!   platforms and library versions, which is what makes every figure and
+//!   table the README regenerates reproducible.
+//! * [`parallel`] — [`parallel::par_map_chunks`], the one scoped-thread
+//!   primitive for embarrassingly parallel loops (per-image evaluation,
+//!   batch gradients), sized by [`parallel::num_threads`].
 //! * [`binio`] — a small explicit binary codec (on top of `bytes`) used for
 //!   model-weight artifacts; explicit codecs keep artifacts bit-stable.
 //! * [`time`] — [`time::Deadline`]: latency budgets for the serving engine.

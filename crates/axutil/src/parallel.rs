@@ -1,19 +1,22 @@
-//! Scoped-thread parallel helpers built on [`std::thread::scope`].
+//! The one parallel primitive: [`par_map_chunks`] over
+//! [`std::thread::scope`], sized by [`num_threads`].
 //!
 //! The experiments are embarrassingly parallel over images (robustness
-//! evaluation) and over batch elements (gradient accumulation). These
-//! helpers split index ranges across a small thread pool created per call;
-//! for the workloads in this repository (hundreds of inferences, each
-//! hundreds of microseconds to milliseconds) per-call thread spawn cost is
-//! negligible and keeping no global state preserves determinism.
+//! evaluation) and over batch elements (gradient accumulation).
+//! [`par_map_chunks`] splits an index range into contiguous chunks, one
+//! per worker thread created for the call, and concatenates the chunk
+//! results in index order; for the workloads in this repository
+//! (hundreds of inferences, each hundreds of microseconds to
+//! milliseconds) per-call thread spawn cost is negligible and keeping no
+//! global state preserves determinism.
 //!
 //! # Panic propagation
 //!
-//! These helpers are built on [`std::thread::scope`], which **joins every
-//! spawned worker before the call returns — even when one of them
-//! panics**. A panicking worker closure therefore (a) never deadlocks the
-//! calling thread, (b) never strands a sibling worker (each sibling runs
-//! its chunk to completion and is joined), and (c) re-raises the panic on
+//! [`par_map_chunks`] **joins every spawned worker before the call
+//! returns — even when one of them panics**. A panicking worker closure
+//! therefore (a) never deadlocks the calling thread, (b) never strands a
+//! sibling worker (each sibling runs its chunk to completion and is
+//! joined), and (c) re-raises the first panicking chunk's own payload on
 //! the calling thread once all workers have been joined. Callers that
 //! need fault isolation (the `axserve` batch workers) can rely on
 //! wrapping a call in [`std::panic::catch_unwind`]: after the unwind is
@@ -39,38 +42,20 @@ pub fn num_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Maps `f` over `0..n` in parallel and collects results in index order.
-///
-/// `f` must be `Sync` because multiple workers call it concurrently. The
-/// output order is deterministic (index order) regardless of scheduling.
-///
-/// # Examples
-///
-/// ```
-/// let squares = axutil::parallel::par_map(8, |i| i * i);
-/// assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
-/// ```
-pub fn par_map<T, F>(n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    par_map_chunks(n, |range| range.map(&f).collect())
-}
-
 /// Maps `f` over contiguous index chunks of `0..n` in parallel and
 /// concatenates the per-chunk results in index order.
 ///
-/// Unlike [`par_map`], which calls `f` once per index, each worker calls
-/// `f` exactly once with its whole `Range` — so per-chunk setup (scratch
-/// buffers, plan state) is amortized over the chunk instead of paid per
-/// item. `f` must return exactly `range.len()` results; the batched
-/// inference engine relies on this for ordered output.
+/// Each worker calls `f` exactly once with its whole `Range` — so
+/// per-chunk setup (scratch buffers, plan state) is amortized over the
+/// chunk instead of paid per item. `f` must return exactly
+/// `range.len()` results; the batched inference engine relies on this
+/// for ordered output.
 ///
 /// # Panics
 ///
 /// Panics if `f` returns a different number of results than its range
-/// length.
+/// length, and re-raises the first panicking chunk's payload (in chunk
+/// order) once every worker has been joined.
 ///
 /// # Examples
 ///
@@ -92,127 +77,41 @@ where
         return out;
     }
     let chunk = n.div_ceil(workers);
-    let mut parts: Vec<Option<Vec<T>>> = (0..workers).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for (w, slot) in parts.iter_mut().enumerate() {
-            let f = &f;
-            scope.spawn(move || {
-                let lo = (w * chunk).min(n);
-                let hi = ((w + 1) * chunk).min(n);
-                let out = f(lo..hi);
-                assert_eq!(
-                    out.len(),
-                    hi - lo,
-                    "chunk fn must return range.len() results"
-                );
-                *slot = Some(out);
-            });
-        }
+    let f = &f;
+    // Join every handle inside the scope, in spawn order: a handle joined
+    // by hand hands back its panic payload instead of letting the scope
+    // replace it with a generic "a scoped thread panicked".
+    let parts: Vec<std::thread::Result<Vec<T>>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
+                scope.spawn(move || {
+                    let lo = (w * chunk).min(n);
+                    let hi = ((w + 1) * chunk).min(n);
+                    let out = f(lo..hi);
+                    assert_eq!(
+                        out.len(),
+                        hi - lo,
+                        "chunk fn must return range.len() results"
+                    );
+                    out
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join()).collect()
     });
     let mut out = Vec::with_capacity(n);
-    for part in parts.into_iter().flatten() {
-        out.extend(part);
+    for part in parts {
+        match part {
+            Ok(part) => out.extend(part),
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
     }
     out
-}
-
-/// Splits `items` into `num_threads()` contiguous chunks and runs `f` on
-/// each chunk in parallel. `f` receives the chunk's starting index and the
-/// mutable chunk itself.
-///
-/// # Examples
-///
-/// ```
-/// let mut xs = vec![0usize; 10];
-/// axutil::parallel::par_chunks_mut(&mut xs, |base, chunk| {
-///     for (i, v) in chunk.iter_mut().enumerate() {
-///         *v = base + i;
-///     }
-/// });
-/// assert_eq!(xs, (0..10).collect::<Vec<_>>());
-/// ```
-pub fn par_chunks_mut<T, F>(items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    let n = items.len();
-    if n == 0 {
-        return;
-    }
-    let workers = num_threads().min(n);
-    if workers <= 1 {
-        f(0, items);
-        return;
-    }
-    let chunk = n.div_ceil(workers);
-    std::thread::scope(|scope| {
-        for (w, slice) in items.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            scope.spawn(move || f(w * chunk, slice));
-        }
-    });
-}
-
-/// Reduces `0..n` in parallel: each worker folds its indices into an
-/// accumulator created by `init`, and the per-worker accumulators are
-/// combined left-to-right with `merge` (deterministic order).
-///
-/// # Examples
-///
-/// ```
-/// let total = axutil::parallel::par_reduce(100, || 0u64, |acc, i| acc + i as u64, |a, b| a + b);
-/// assert_eq!(total, 4950);
-/// ```
-pub fn par_reduce<A, I, F, M>(n: usize, init: I, fold: F, merge: M) -> A
-where
-    A: Send,
-    I: Fn() -> A + Sync,
-    F: Fn(A, usize) -> A + Sync,
-    M: Fn(A, A) -> A,
-{
-    let workers = num_threads().min(n.max(1));
-    if workers <= 1 || n <= 1 {
-        return (0..n).fold(init(), &fold);
-    }
-    let chunk = n.div_ceil(workers);
-    let mut parts: Vec<Option<A>> = (0..workers).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for (w, slot) in parts.iter_mut().enumerate() {
-            let init = &init;
-            let fold = &fold;
-            scope.spawn(move || {
-                let lo = w * chunk;
-                let hi = ((w + 1) * chunk).min(n);
-                let mut acc = init();
-                for i in lo..hi {
-                    acc = fold(acc, i);
-                }
-                *slot = Some(acc);
-            });
-        }
-    });
-    let mut iter = parts.into_iter().flatten();
-    let first = iter.next().expect("at least one worker");
-    iter.fold(first, merge)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn par_map_matches_serial() {
-        let par = par_map(1000, |i| i * 3 + 1);
-        let ser: Vec<_> = (0..1000).map(|i| i * 3 + 1).collect();
-        assert_eq!(par, ser);
-    }
-
-    #[test]
-    fn par_map_empty_and_single() {
-        assert!(par_map(0, |i| i).is_empty());
-        assert_eq!(par_map(1, |i| i + 5), vec![5]);
-    }
 
     #[test]
     fn par_map_chunks_matches_serial() {
@@ -240,25 +139,6 @@ mod tests {
             setups.load(Ordering::Relaxed) <= num_threads(),
             "each worker chunk sets up at most once"
         );
-    }
-
-    #[test]
-    fn par_chunks_mut_covers_all() {
-        let mut xs = vec![0u32; 777];
-        par_chunks_mut(&mut xs, |base, chunk| {
-            for (i, v) in chunk.iter_mut().enumerate() {
-                *v = (base + i) as u32;
-            }
-        });
-        for (i, &v) in xs.iter().enumerate() {
-            assert_eq!(v, i as u32);
-        }
-    }
-
-    #[test]
-    fn par_reduce_sums() {
-        let s = par_reduce(12345, || 0u64, |a, i| a + i as u64, |a, b| a + b);
-        assert_eq!(s, 12345u64 * 12344 / 2);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The serving-engine load generator: drives the `axserve` server
-//! through four scenarios and writes `BENCH_serve.json`, validated in CI
-//! by `bench_check`'s `Serve` report spec.
+//! through four scenarios and writes the `serve` row report
+//! (`BENCH_serve.json`), validated in CI by `bench_check`.
 //!
 //! Each scenario injects its failure mode *deterministically* through
 //! [`axserve::FaultHook`] and explicit deadlines, so the counters in the
@@ -17,14 +17,10 @@
 //! * **deadline** — a mix of expired and unbounded budgets: expired
 //!   requests are rejected typed, the rest complete.
 //!
-//! Per scenario the JSON records request-count conservation
-//! (`completed + shed + deadline + poisoned == requests`), throughput,
-//! and P50/P99 client-observed latency. Counters are exact; only the
-//! timings jitter.
-//!
-//! Environment: `AXDNN_LOADGEN_REQUESTS` (default 64) sizes the steady
-//! and overload floods, `AXDNN_LOADGEN_CLIENTS` (default 8) the
-//! concurrent client count.
+//! Per scenario the report records the outcome counters, which conserve
+//! requests (`completed + shed + deadline + poisoned == requests`),
+//! throughput, and P50/P99 client-observed latency. Counters are exact;
+//! only the timings jitter.
 
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -36,14 +32,12 @@ use axserve::{FaultHook, Request, ServeError, Server, ServerConfig};
 use axtensor::Tensor;
 use axutil::rng::Rng;
 use axutil::time::Deadline;
+use bench::check::Report;
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
+/// Requests in the steady and overload floods.
+const REQUESTS: usize = 64;
+/// Concurrent clients (the overload flood uses twice as many).
+const CLIENTS: usize = 8;
 
 /// Client-observed outcome counters plus latency samples (completed
 /// requests only) for one scenario.
@@ -123,9 +117,6 @@ fn drive(server: &Server, requests: Vec<Request>, clients: usize) -> (Outcome, f
 }
 
 fn main() {
-    let n_requests = env_usize("AXDNN_LOADGEN_REQUESTS", 64);
-    let clients = env_usize("AXDNN_LOADGEN_CLIENTS", 8);
-
     // The served model: the quickstart FFNN quantized everywhere, with
     // the paper's L40 LUT hosted next to the exact kernel.
     let data = SynthMnist::generate(&MnistConfig {
@@ -150,11 +141,11 @@ fn main() {
             .model("ffnn", qm())
             .kernel("L40", lut.clone())
             .serve(ServerConfig::default());
-        let requests: Vec<Request> = (0..n_requests)
+        let requests: Vec<Request> = (0..REQUESTS)
             .map(|i| Request::new("ffnn", kernel(i), image(i)))
             .collect();
         let n = requests.len() as u64;
-        let (outcome, elapsed_s) = drive(&server, requests, clients);
+        let (outcome, elapsed_s) = drive(&server, requests, CLIENTS);
         let stats = server.stats();
         eprintln!(
             "[steady: {} completed, mean batch {:.2}, {} batches]",
@@ -183,7 +174,7 @@ fn main() {
                 linger: Duration::ZERO,
                 ..ServerConfig::default()
             });
-        let requests: Vec<Request> = (0..n_requests)
+        let requests: Vec<Request> = (0..REQUESTS)
             .map(|i| {
                 let mut req = Request::new("ffnn", kernel(i), image(i));
                 if i % 8 == 0 {
@@ -194,7 +185,7 @@ fn main() {
             .collect();
         let n = requests.len() as u64;
         // Twice the clients so the flood outruns the single worker.
-        let (outcome, elapsed_s) = drive(&server, requests, clients * 2);
+        let (outcome, elapsed_s) = drive(&server, requests, CLIENTS * 2);
         let stats = server.stats();
         eprintln!(
             "[overload: {} shed of {n}, queue drained to {}]",
@@ -231,7 +222,7 @@ fn main() {
             })
             .collect();
         let n = requests.len() as u64;
-        let (outcome, elapsed_s) = drive(&server, requests, clients);
+        let (outcome, elapsed_s) = drive(&server, requests, CLIENTS);
         let stats = server.stats();
         eprintln!(
             "[poison: {} poisoned, {} panics, {} retries, {} batch-mates completed]",
@@ -262,7 +253,7 @@ fn main() {
             })
             .collect();
         let n = requests.len() as u64;
-        let (outcome, elapsed_s) = drive(&server, requests, clients);
+        let (outcome, elapsed_s) = drive(&server, requests, CLIENTS);
         let stats = server.stats();
         eprintln!(
             "[deadline: {} rejected typed, {} completed]",
@@ -277,48 +268,36 @@ fn main() {
         });
     }
 
-    let mut json = String::from("{\n");
-    json.push_str("  \"bench\": \"serve_loadgen\",\n");
-    json.push_str("  \"model\": \"ffnn-1x28\",\n");
-    json.push_str("  \"kernels\": [\"exact\", \"L40\"],\n");
-    json.push_str(&format!("  \"clients\": {clients},\n"));
-    json.push_str("  \"results\": [\n");
-    let mut text = String::from(
-        "# Serving engine loadgen (FFNN, exact + L40)\n\n\
-         | scenario | requests | completed | shed | deadline | poisoned | retries | req/s | p50 ms | p99 ms |\n\
-         |---|---|---|---|---|---|---|---|---|---|\n",
-    );
-    for (i, row) in rows.iter().enumerate() {
+    let mut report = Report::new("serve");
+    for row in &rows {
         let o = &row.outcome;
-        let (p50, p99) = (row.quantile_ms(0.5), row.quantile_ms(0.99));
-        let tput = row.throughput_per_s();
         assert_eq!(
             o.completed + o.shed + o.deadline + o.poisoned,
             row.requests,
             "{}: a request vanished without a verdict",
             row.scenario
         );
-        json.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"requests\": {}, \"completed\": {}, \
-             \"shed\": {}, \"deadline\": {}, \"poisoned\": {}, \"retries\": {}, \
-             \"throughput_per_s\": {tput:.1}, \"p50_ms\": {p50:.3}, \"p99_ms\": {p99:.3}}}{}\n",
-            row.scenario,
-            row.requests,
-            o.completed,
-            o.shed,
-            o.deadline,
-            o.poisoned,
-            row.retries,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-        text.push_str(&format!(
-            "| {} | {} | {} | {} | {} | {} | {} | {tput:.0} | {p50:.2} | {p99:.2} |\n",
-            row.scenario, row.requests, o.completed, o.shed, o.deadline, o.poisoned, row.retries,
-        ));
+        let counts = [
+            ("requests", row.requests),
+            ("completed", o.completed),
+            ("shed", o.shed),
+            ("deadline", o.deadline),
+            ("poisoned", o.poisoned),
+            ("retries", row.retries),
+        ];
+        for (metric, n) in counts {
+            report.add(row.scenario, metric, n as f64, "count");
+        }
+        report
+            .add(
+                row.scenario,
+                "throughput_per_s",
+                row.throughput_per_s(),
+                "1/s",
+            )
+            .add(row.scenario, "p50_ms", row.quantile_ms(0.5), "ms")
+            .add(row.scenario, "p99_ms", row.quantile_ms(0.99), "ms");
     }
-    json.push_str("  ]\n}\n");
-
-    std::fs::write("BENCH_serve.json", &json).expect("write BENCH_serve.json");
-    eprintln!("[saved BENCH_serve.json]");
-    bench::emit("loadgen", &text);
+    report.add("config", "clients", CLIENTS as f64, "count");
+    report.write();
 }

@@ -1,9 +1,10 @@
-//! Shared harness for the figure/table regeneration binaries.
+//! Shared harness for the figure/table regeneration binaries, plus the
+//! bench reports and their regression gate ([`check`]).
 //!
 //! Every binary reads its configuration from the environment:
 //!
 //! * `AXDNN_PROFILE` — `quick` (default; seconds-to-minutes, small test
-//!   samples) or `full` (the configuration recorded in `EXPERIMENTS.md`).
+//!   samples) or `full` (paper-scale training and samples, minutes).
 //! * `AXDNN_ARTIFACTS` — artifact directory (default `artifacts/`);
 //!   trained weights are cached here and results are written to
 //!   `<artifacts>/results/`.
@@ -15,7 +16,7 @@
 //! ```text
 //! cargo run --release -p bench --bin train_models
 //! for f in fig1 fig4 fig5 fig6 fig7 fig8 table1 table2 multipliers_report; do
-//!     cargo run --release -p bench --bin $f
+//!     cargo run --release -p bench --bin repro -- $f
 //! done
 //! ```
 

@@ -6,8 +6,8 @@
 //! [`run`]. The historical `run_fig4`..`run_fig8` / [`run_table2`]
 //! names survive as thin wrappers that build the matching spec, so
 //! existing callers (quickstart, `bench_report`) compile unchanged.
-//! The `bench` crate's binaries call these and print the results;
-//! `EXPERIMENTS.md` records representative runs.
+//! The `bench` crate's `repro <name>` binary calls these and prints the
+//! results (see the README).
 
 use axattack::suite::AttackId;
 use axdata::Dataset;

@@ -12,7 +12,6 @@ use axdata::Dataset;
 use axmul::MulLut;
 use axnn::Sequential;
 use axquant::QuantModel;
-use axutil::parallel;
 
 use crate::eval::{adversarial_accuracy, craft_adversarial_set};
 
@@ -104,14 +103,14 @@ pub fn quantization_study(
         let mut quant_acc = Vec::with_capacity(eps_grid.len());
         for &eps in eps_grid {
             let advs = craft_adversarial_set(model, attack, data, eps, n_examples, seed);
-            let fl = parallel::par_reduce(
-                advs.len(),
-                || 0usize,
-                |acc, i| acc + usize::from(model.predict(&advs[i].0) == advs[i].1),
-                |a, b| a + b,
-            ) as f32
-                / advs.len().max(1) as f32;
-            // The quantized lane runs on the batched plan engine.
+            // Both lanes run on the batched plan engines.
+            let fl = advs.first().map_or(0.0, |(img, _)| {
+                let correct =
+                    model
+                        .plan(img.dims())
+                        .count_correct(advs.len(), |i| &advs[i].0, |i| advs[i].1);
+                correct as f32 / advs.len() as f32
+            });
             let ql = adversarial_accuracy(qmodel, &exact_lut, &advs);
             float_acc.push(fl);
             quant_acc.push(ql);

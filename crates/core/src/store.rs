@@ -92,8 +92,9 @@ impl StoreConfig {
         }
     }
 
-    /// The full configuration used for `EXPERIMENTS.md` (minutes of
-    /// training on a laptop; reaches the paper-scale baselines).
+    /// The full configuration (`AXDNN_PROFILE=full`, see the README;
+    /// minutes of training on a laptop; reaches the paper-scale
+    /// baselines).
     pub fn full(dir: impl Into<PathBuf>) -> Self {
         StoreConfig {
             dir: dir.into(),
