@@ -56,6 +56,20 @@
 //! which is why no ULP tolerance and no thread-invariance caveat is
 //! needed anywhere. Plans resolve the tier once at compile time from the
 //! `AXDNN_KERNEL` environment variable (see [`FloatKernel::from_env`]).
+//!
+//! # Batched parameter gradients
+//!
+//! [`GradFold`] sums per-image parameter gradients over a minibatch
+//! without materializing one gradient buffer per image: dense layers
+//! record only the two factors of their rank-one per-image gradient, and
+//! the fold adds the images up in image order, bit-identical to the
+//! per-image reference.
+
+use std::sync::Mutex;
+
+use axutil::parallel;
+
+use crate::model::GradBuffer;
 
 /// Extracts conv patches: row `p = oy * ow + ox` of `out` is the
 /// `[in_c * k * k]` receptive field of output position `(oy, ox)`,
@@ -185,6 +199,217 @@ pub fn dense_backward(
         let row = &w[o * in_dim..(o + 1) * in_dim];
         for (d, &wv) in dx[..in_dim].iter_mut().zip(row) {
             *d += wv * gv;
+        }
+    }
+}
+
+/// How one parameterised layer records its per-image gradient for a
+/// [`GradFold`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ParamRecord {
+    /// A dense layer's gradient is rank one per image, so the record
+    /// holds only its factors: the upstream gradient `g` (`out_dim`)
+    /// followed by the layer input `x` (`in_dim`). The parameters are
+    /// `dw` (`out_dim × in_dim`, row-major) followed by `db` (`out_dim`).
+    Dense { out_dim: usize, in_dim: usize },
+    /// A layer whose per-image gradient is itself a sum (a conv layer sums
+    /// over output positions): the record *is* that gradient, `len`
+    /// values laid out like the parameters.
+    Summed { len: usize },
+}
+
+impl ParamRecord {
+    fn record_len(self) -> usize {
+        match self {
+            ParamRecord::Dense { out_dim, in_dim } => out_dim + in_dim,
+            ParamRecord::Summed { len } => len,
+        }
+    }
+
+    fn param_len(self) -> usize {
+        match self {
+            ParamRecord::Dense { out_dim, in_dim } => out_dim * in_dim + out_dim,
+            ParamRecord::Summed { len } => len,
+        }
+    }
+}
+
+/// Parameters per work item of [`GradFold::fold_into`]: fine enough to
+/// balance the fold over threads, coarse enough that per-block overhead
+/// is negligible.
+const FOLD_BLOCK: usize = 4096;
+
+/// The image-ordered rank-n fold behind both batched training entry
+/// points ([`crate::plan::FPlan::loss_and_param_grads_batch`] and
+/// `axquant::qtrain::QTrainPlan::loss_and_param_grads_batch`).
+///
+/// Each image's backward writes one flat *record* (see [`ParamRecord`]);
+/// [`GradFold::fold_into`] then sums the records over images, in image
+/// order, into every parameter of the model: `dw[o][t] = Σ_k g_k[o] ·
+/// x_k[t]` and `db[o] = Σ_k g_k[o]` for dense layers, `Σ_k rec_k` for
+/// summed layers. One [`par_map_chunks`](axutil::parallel::par_map_chunks)
+/// call spans the flat parameter range of all layers, so a batch costs
+/// one fork/join for the fold however many layers the model has.
+///
+/// The fold is **bit-identical** to the per-image reference (each
+/// image's gradient materialized by [`dense_backward`] into a zero buffer,
+/// then summed with `GradBuffer::accumulate`), signed zeros included:
+///
+/// * a dense `dw` element of one image is a single product added to
+///   `+0.0`, and the running sum starts at `+0.0` and can never become
+///   `-0.0` (a float sum is `-0.0` only when both operands are);
+/// * so `acc + p` and the reference `acc + (0 + p)` give the same bits;
+/// * rows with `g_k[o] == 0` are skipped, exactly like the kernels' row
+///   skip — without it `0 · inf` would put a NaN where the reference has
+///   none.
+#[derive(Debug, Clone, Default)]
+pub struct GradFold {
+    /// `(layer, record offset, parameter offset)`, in layer order.
+    layers: Vec<(ParamRecord, usize, usize)>,
+    record_len: usize,
+    param_len: usize,
+}
+
+impl GradFold {
+    /// Lays out the records and parameters of `layers`, in order. The
+    /// parameter order must be the `GradBuffer` order of the model: every
+    /// layer's weight tensor, then its bias tensor.
+    pub fn new(layers: impl IntoIterator<Item = ParamRecord>) -> Self {
+        let mut fold = GradFold::default();
+        for layer in layers {
+            fold.layers.push((layer, fold.record_len, fold.param_len));
+            fold.record_len += layer.record_len();
+            fold.param_len += layer.param_len();
+        }
+        fold
+    }
+
+    /// Number of parameterised layers.
+    pub fn layer_count(&self) -> usize {
+        self.layers.len()
+    }
+
+    /// Length of one image's record.
+    pub fn record_len(&self) -> usize {
+        self.record_len
+    }
+
+    /// Layer `j`'s part of a record: `g` then `x` for a dense layer, the
+    /// per-image `dw` then `db` for a summed layer.
+    pub fn layer_record<'r>(&self, j: usize, record: &'r mut [f32]) -> &'r mut [f32] {
+        let (layer, off, _) = self.layers[j];
+        &mut record[off..off + layer.record_len()]
+    }
+
+    /// A whole batched parameter gradient, in two
+    /// [`par_map_chunks`](axutil::parallel::par_map_chunks) calls: first
+    /// contiguous image chunks, one `scratch()` per chunk, `image(s, i)`
+    /// returning image `i`'s loss and record; then
+    /// [`GradFold::fold_into`] `grads`. Returns the loss summed in image
+    /// order and the folded gradients.
+    pub fn batch<S>(
+        &self,
+        n: usize,
+        scratch: impl Fn() -> S + Sync,
+        image: impl Fn(&mut S, usize) -> (f32, Vec<f32>) + Sync,
+        mut grads: GradBuffer,
+    ) -> (f32, GradBuffer) {
+        let (losses, records): (Vec<f32>, Vec<Vec<f32>>) = parallel::par_map_chunks(n, |range| {
+            let mut s = scratch();
+            range.map(|i| image(&mut s, i)).collect()
+        })
+        .into_iter()
+        .unzip();
+        self.fold_into(&records, &mut grads);
+        (losses.iter().fold(0.0f32, |acc, l| acc + l), grads)
+    }
+
+    /// Sums `records` in image order and writes the result over every
+    /// tensor of `grads`, taken in `GradBuffer` order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tensors of `grads` do not hold exactly this fold's
+    /// parameter count.
+    pub fn fold_into(&self, records: &[Vec<f32>], grads: &mut GradBuffer) {
+        // Cut every tensor into blocks tagged with their flat parameter
+        // offset. Each block is locked by exactly one worker, so the
+        // locks never contend: they only let the workers write straight
+        // into `grads` instead of into per-chunk buffers copied back.
+        let mut blocks = Vec::new();
+        let mut off = 0;
+        for t in grads.layers.iter_mut().flatten() {
+            for dst in t.data_mut().chunks_mut(FOLD_BLOCK) {
+                let len = dst.len();
+                blocks.push(Mutex::new((off, dst)));
+                off += len;
+            }
+        }
+        assert_eq!(off, self.param_len, "gradient layout mismatch");
+        parallel::par_map_chunks(blocks.len(), |range| {
+            range
+                .map(|b| {
+                    let mut block = blocks[b]
+                        .lock()
+                        .expect("a fold block is locked once, by one worker");
+                    let (off, ref mut dst) = *block;
+                    self.fold_range(records, off, dst);
+                })
+                .collect()
+        });
+    }
+
+    /// Writes the folded parameters `off..off + dst.len()` into `dst`.
+    fn fold_range(&self, records: &[Vec<f32>], off: usize, dst: &mut [f32]) {
+        dst.fill(0.0);
+        let range = off..off + dst.len();
+        for &(layer, rec, param) in &self.layers {
+            let lo = range.start.max(param);
+            let hi = range.end.min(param + layer.param_len());
+            if lo >= hi {
+                continue;
+            }
+            let dst = &mut dst[lo - range.start..hi - range.start];
+            // Layer-local parameter indices from here on.
+            let (lo, hi) = (lo - param, hi - param);
+            match layer {
+                ParamRecord::Summed { .. } => {
+                    for r in records {
+                        for (d, &v) in dst.iter_mut().zip(&r[rec + lo..rec + hi]) {
+                            *d += v;
+                        }
+                    }
+                }
+                ParamRecord::Dense { out_dim, in_dim } => {
+                    let (g, x) = (rec, rec + out_dim);
+                    let w_hi = hi.min(out_dim * in_dim);
+                    // Weights, one row segment `o, t0..t1` at a time.
+                    let mut q = lo;
+                    while q < w_hi {
+                        let (o, t0) = (q / in_dim, q % in_dim);
+                        let t1 = in_dim.min(t0 + (w_hi - q));
+                        let seg = &mut dst[q - lo..q - lo + (t1 - t0)];
+                        for r in records {
+                            let gv = r[g + o];
+                            if gv == 0.0 {
+                                continue;
+                            }
+                            for (d, &xv) in seg.iter_mut().zip(&r[x + t0..x + t1]) {
+                                *d += gv * xv;
+                            }
+                        }
+                        q += t1 - t0;
+                    }
+                    // Biases.
+                    for q in lo.max(out_dim * in_dim)..hi {
+                        let o = q - out_dim * in_dim;
+                        let d = &mut dst[q - lo];
+                        for r in records {
+                            *d += r[g + o];
+                        }
+                    }
+                }
+            }
         }
     }
 }

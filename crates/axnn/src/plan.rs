@@ -20,14 +20,18 @@
 //! scratch per chunk — the engine `axattack`'s batched crafting steps on.
 //!
 //! Training rides the same engine through
-//! [`FPlan::loss_and_param_grads_batch`]: a whole minibatch runs on one
-//! plan with one *training* scratch per thread chunk
-//! ([`FPlan::train_scratch`] additionally stores each conv layer's
-//! forward im2col patches so the parameter-gradient backward reuses them
-//! instead of re-extracting), and the per-image gradients are reduced in
-//! a fixed left-to-right image order — the summed [`GradBuffer`] is
-//! bit-identical to the seed per-image [`Sequential::loss_and_grads`]
-//! fold for **any** thread chunking.
+//! [`FPlan::loss_and_param_grads_batch`], in two passes. The image pass
+//! runs a whole minibatch on one plan with one *training* scratch per
+//! thread chunk ([`FPlan::train_scratch`] additionally stores each conv
+//! layer's forward im2col patches so the parameter-gradient backward
+//! reuses them instead of re-extracting); each image leaves a small
+//! record — a dense layer's upstream gradient and input, the two factors
+//! of its rank-one gradient, and a conv layer's own gradient. The fold
+//! pass ([`exec::GradFold`]) then sums the records in image order over
+//! the parameters of all layers, chunked over threads. Each parameter
+//! adds its images in order `k = 0..n` and the fold is exact, so the
+//! summed [`GradBuffer`] is bit-identical to the seed per-image
+//! [`Sequential::loss_and_grads`] fold for **any** thread chunking.
 //!
 //! # Plan caching and in-place weights
 //!
@@ -202,6 +206,12 @@ pub struct FPlan<'m> {
     /// GEMM tier every kernel call dispatches through, resolved once at
     /// compile time ([`exec::FloatKernel::from_env`]).
     kernel: exec::FloatKernel,
+    /// Record and parameter layout of the conv/dense steps, for the
+    /// parameter-gradient backward and its batch fold.
+    fold: exec::GradFold,
+    /// Index of the lowest conv/dense step: a parameter-only backward
+    /// stops there, since nothing reads the gradient below it.
+    first_param: usize,
 }
 
 /// Reusable buffers for executing an [`FPlan`]: the forward tape (one
@@ -391,6 +401,19 @@ impl<'m> FPlan<'m> {
             }
             max_act = max_act.max(dims.iter().product());
         }
+        let fold = exec::GradFold::new(steps.iter().filter_map(|step| match *step {
+            FStep::Conv { out_dims, cols, .. } => Some(exec::ParamRecord::Summed {
+                len: out_dims[0] * (cols + 1),
+            }),
+            FStep::Dense {
+                in_dim, out_dim, ..
+            } => Some(exec::ParamRecord::Dense { out_dim, in_dim }),
+            _ => None,
+        }));
+        let first_param = steps
+            .iter()
+            .position(|step| matches!(step, FStep::Conv { .. } | FStep::Dense { .. }))
+            .unwrap_or(0);
         FPlan {
             steps,
             in_dims: input_dims.to_vec(),
@@ -400,6 +423,8 @@ impl<'m> FPlan<'m> {
             max_act,
             max_patch,
             kernel: exec::FloatKernel::from_env(),
+            fold,
+            first_param,
         }
     }
 
@@ -434,6 +459,8 @@ impl<'m> FPlan<'m> {
             max_act,
             max_patch,
             kernel,
+            fold,
+            first_param,
         } = self;
         let steps = steps
             .into_iter()
@@ -492,6 +519,8 @@ impl<'m> FPlan<'m> {
             max_act,
             max_patch,
             kernel,
+            fold,
+            first_param,
         }
     }
 
@@ -583,7 +612,14 @@ impl<'m> FPlan<'m> {
     /// (`Sequential::input_gradient`) skip it. Results are bit-identical
     /// either way; idempotent and thread-safe.
     pub fn prepare_backward(&self) {
-        for step in &self.steps {
+        self.prepare_backward_from(0);
+    }
+
+    /// [`FPlan::prepare_backward`] for the steps from index `first` up:
+    /// a parameter-only backward never gathers at or below its lowest
+    /// parameterised step, so its table would go unused.
+    fn prepare_backward_from(&self, first: usize) {
+        for step in &self.steps[first.min(self.steps.len())..] {
             if let FStep::Conv {
                 in_dims,
                 k,
@@ -788,13 +824,17 @@ impl<'m> FPlan<'m> {
 
     /// Back-propagates the loss gradient down the tape (the forward pass
     /// must have run). Returns the loss and the ping-pong side holding
-    /// the input gradient; parameter gradients are accumulated into
-    /// `buf` when provided.
+    /// the input gradient.
+    ///
+    /// With a `record` (zeroed, [`exec::GradFold::record_len`] long) the
+    /// pass writes every conv/dense layer's per-image parameter-gradient
+    /// record and stops at the lowest such layer: nothing reads the
+    /// gradient below it, so the returned side is then meaningless.
     fn run_backward(
         &self,
         s: &mut FScratch,
         target: usize,
-        mut buf: Option<&mut GradBuffer>,
+        mut record: Option<&mut [f32]>,
     ) -> (f32, usize) {
         let logits = Tensor::from_vec(self.logits(s).to_vec(), &[self.out_len]);
         let (loss, dlogits) = cross_entropy_with_grad(&logits, target);
@@ -806,6 +846,8 @@ impl<'m> FPlan<'m> {
         } = s;
         let mut side = 0usize;
         grad[side][..self.out_len].copy_from_slice(dlogits.data());
+        // Ordinal of the next conv/dense layer down, for `record`.
+        let mut param = self.fold.layer_count();
         for (i, step) in self.steps.iter().enumerate().rev() {
             let in_len = self.act_lens[i];
             let x = &acts[i];
@@ -826,7 +868,7 @@ impl<'m> FPlan<'m> {
                     ..
                 } => {
                     let g = &gsrc[..out_dims.iter().product::<usize>()];
-                    if let Some(buf) = buf.as_deref_mut() {
+                    if let Some(record) = record.as_deref_mut() {
                         // Parameter grads read the *forward* patches of
                         // this layer's input: straight off the training
                         // scratch's tape when present, recomputed on
@@ -837,15 +879,15 @@ impl<'m> FPlan<'m> {
                         } else {
                             &fwd_patches[i]
                         };
-                        let (wg, bg) = buf.layers[i].split_at_mut(1);
-                        self.kernel.conv_backward_params(
-                            g,
-                            fp,
-                            rows,
-                            cols,
-                            wg[0].data_mut(),
-                            bg[0].data_mut(),
-                        );
+                        param -= 1;
+                        let (dw, db) = self
+                            .fold
+                            .layer_record(param, record)
+                            .split_at_mut(out_dims[0] * cols);
+                        self.kernel.conv_backward_params(g, fp, rows, cols, dw, db);
+                        if i == self.first_param {
+                            break;
+                        }
                     }
                     // The indexed gather and the direct one produce the
                     // same bytes; which runs is purely a cost trade-off
@@ -871,20 +913,22 @@ impl<'m> FPlan<'m> {
                     out_dim,
                     ..
                 } => {
-                    let (dw, db) = match buf.as_deref_mut() {
-                        Some(buf) => {
-                            let (wg, bg) = buf.layers[i].split_at_mut(1);
-                            (Some(wg[0].data_mut()), Some(bg[0].data_mut()))
+                    if let Some(record) = record.as_deref_mut() {
+                        param -= 1;
+                        let (rg, rx) = self.fold.layer_record(param, record).split_at_mut(out_dim);
+                        rg.copy_from_slice(&gsrc[..out_dim]);
+                        rx.copy_from_slice(&x[..in_dim]);
+                        if i == self.first_param {
+                            break;
                         }
-                        None => (None, None),
-                    };
+                    }
                     self.kernel.dense_backward(
                         w.data(),
                         &gsrc[..out_dim],
                         &x[..in_dim],
                         gdst,
-                        dw,
-                        db,
+                        None,
+                        None,
                     );
                 }
                 FStep::AvgPool { k, in_dims, .. } => {
@@ -916,13 +960,23 @@ impl<'m> FPlan<'m> {
         )
     }
 
-    /// Cross-entropy loss and parameter gradients for one example.
-    /// Bit-compatible with the seed [`Sequential::loss_and_grads`] path.
-    pub fn loss_and_grads(&self, s: &mut FScratch, x: &Tensor, target: usize) -> (f32, GradBuffer) {
+    /// Loss and parameter-gradient record of one image (see
+    /// [`exec::GradFold`]).
+    fn loss_and_record(&self, s: &mut FScratch, x: &Tensor, target: usize) -> (f32, Vec<f32>) {
         self.run_forward(s, x);
-        let mut buf = self.zero_grads();
-        let (loss, _) = self.run_backward(s, target, Some(&mut buf));
-        (loss, buf)
+        let mut record = vec![0.0f32; self.fold.record_len()];
+        let (loss, _) = self.run_backward(s, target, Some(&mut record));
+        (loss, record)
+    }
+
+    /// Cross-entropy loss and parameter gradients for one example: the
+    /// batch fold over a batch of one. Bit-compatible with the seed
+    /// [`Sequential::loss_and_grads`] path.
+    pub fn loss_and_grads(&self, s: &mut FScratch, x: &Tensor, target: usize) -> (f32, GradBuffer) {
+        let (loss, record) = self.loss_and_record(s, x, target);
+        let mut grads = self.zero_grads();
+        self.fold.fold_into(&[record], &mut grads);
+        (loss, grads)
     }
 
     fn zero_layer_grads(&self, i: usize) -> Vec<Tensor> {
@@ -979,21 +1033,24 @@ impl<'m> FPlan<'m> {
     /// Summed cross-entropy loss and parameter gradients over a whole
     /// minibatch — the training hot path.
     ///
-    /// The batch is split into contiguous image chunks over threads
-    /// ([`axutil::parallel::par_map_chunks`]); each chunk runs on one
-    /// [`FPlan::train_scratch`] (forward tape and conv patches reused
-    /// across its images). The per-image gradients are then reduced in a
-    /// fixed left-to-right image order into one [`GradBuffer`], so the
-    /// sum — and the summed loss — is **bit-identical** to the seed
-    /// per-image fold
-    /// `for i { loss += l_i; grads.accumulate(&g_i) }` regardless of how
-    /// the work is chunked: chunk results are concatenated in index
-    /// order before the reduction, because a chunk-level pre-sum would
-    /// tie the float accumulation order to the thread count. (When the
-    /// whole batch runs as one chunk the fold happens inline — the
-    /// serial fold *is* the reference order — so each per-image gradient
-    /// is accumulated and freed immediately instead of all `n` being
-    /// buffered until the fold.)
+    /// Two passes, each one [`axutil::parallel::par_map_chunks`] call:
+    ///
+    /// 1. **Images.** Contiguous image chunks run forward and backward on
+    ///    one [`FPlan::train_scratch`] per chunk. Each image leaves a
+    ///    small record instead of a full gradient: a dense layer's
+    ///    upstream gradient `g` and input `x` (its per-image gradient is
+    ///    the outer product `g xᵀ`), a conv layer's own per-image
+    ///    gradient. The backward stops at the lowest conv/dense layer,
+    ///    whose input gradient nobody reads.
+    /// 2. **Fold.** [`exec::GradFold`] sums the records in image order
+    ///    over the flat parameter range of all layers, chunked over
+    ///    threads: `dw[o][t] = Σ_k g_k[o] · x_k[t]`, `db[o] = Σ_k g_k[o]`.
+    ///
+    /// Each parameter is summed over images in order `k = 0..n` whatever
+    /// the chunking, and the fold is exact (see [`exec::GradFold`]), so
+    /// the sum — and the summed loss — is **bit-identical** to the seed
+    /// per-image fold `for i { loss += l_i; grads.accumulate(&g_i) }`
+    /// for any `AXDNN_THREADS`.
     ///
     /// Callers wanting the *mean* divide by `n` afterwards, exactly like
     /// the seed loop ([`crate::train::batch_gradient`] does).
@@ -1014,33 +1071,13 @@ impl<'m> FPlan<'m> {
         G: Fn(usize) -> usize + Sync,
     {
         assert!(n > 0, "loss_and_param_grads_batch needs a non-empty batch");
-        self.prepare_backward();
-        if parallel::num_threads().min(n) <= 1 {
-            // One chunk: fold as we go — this is exactly the reference
-            // image-order reduction, without buffering per-image grads.
-            let mut s = self.train_scratch();
-            let mut loss = 0.0f32;
-            let mut grads = self.zero_grads();
-            for i in 0..n {
-                let (l, g) = self.loss_and_grads(&mut s, image(i), label(i));
-                loss += l;
-                grads.accumulate(&g);
-            }
-            return (loss, grads);
-        }
-        let per_image: Vec<(f32, GradBuffer)> = parallel::par_map_chunks(n, |range| {
-            let mut s = self.train_scratch();
-            range
-                .map(|i| self.loss_and_grads(&mut s, image(i), label(i)))
-                .collect()
-        });
-        let mut loss = 0.0f32;
-        let mut grads = self.zero_grads();
-        for (l, g) in &per_image {
-            loss += l;
-            grads.accumulate(g);
-        }
-        (loss, grads)
+        self.prepare_backward_from(self.first_param + 1);
+        self.fold.batch(
+            n,
+            || self.train_scratch(),
+            |s, i| self.loss_and_record(s, image(i), label(i)),
+            self.zero_grads(),
+        )
     }
 
     /// Zero gradients shaped like the planned model's parameters (the

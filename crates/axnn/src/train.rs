@@ -5,8 +5,9 @@
 //! every minibatch runs through one compiled plan (one training scratch
 //! per thread chunk, forward tape and conv im2col patches reused across
 //! the chunk's images) instead of the seed's per-image
-//! `Sequential::loss_and_grads` calls. Per-image gradients are reduced in
-//! a fixed left-to-right image order, so the batch gradient — and
+//! `Sequential::loss_and_grads` calls. Every parameter sums its
+//! per-image terms in image order (an exact rank-n fold, see
+//! [`crate::exec::GradFold`]), so the batch gradient — and
 //! therefore the whole [`TrainHistory`] and the trained weights — is
 //! bit-identical to the seed per-image loop for **any** `AXDNN_THREADS`
 //! setting (the seed summed per-worker partials, which tied the float

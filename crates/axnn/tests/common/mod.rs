@@ -4,7 +4,7 @@
 //! layer type or geometry case widens every suite at once.
 
 use axnn::layer::{AvgPool2d, Conv2d, Dense, Layer};
-use axnn::model::Sequential;
+use axnn::model::{GradBuffer, Sequential};
 use axtensor::Tensor;
 use axutil::rng::Rng;
 
@@ -68,5 +68,16 @@ pub fn images(n: usize, seed: u64) -> Vec<Tensor> {
             rng.fill_range_f32(t.data_mut(), 0.0, 1.0);
             t
         })
+        .collect()
+}
+
+/// Every gradient value's bit pattern, in buffer order: the suites'
+/// "bit-exact" comparisons. `==` on floats equates `-0.0` with `+0.0`
+/// and never matches NaN; the bits do neither.
+pub fn grad_bits(g: &GradBuffer) -> Vec<u32> {
+    g.layers
+        .iter()
+        .flatten()
+        .flat_map(|t| t.data().iter().map(|v| v.to_bits()))
         .collect()
 }

@@ -16,9 +16,9 @@
 
 use std::sync::Mutex;
 
-use axnn::exec;
+use axnn::exec::{self, GradFold, ParamRecord};
 use axnn::layer::{Conv2d, Dense, Layer};
-use axnn::model::Sequential;
+use axnn::model::{GradBuffer, Sequential};
 use axtensor::Tensor;
 use axutil::rng::Rng;
 use proptest::prelude::*;
@@ -141,6 +141,105 @@ proptest! {
         prop_assert_eq!(&want_dx, &got_dx);
         prop_assert_eq!(&want_dw, &got_dw);
         prop_assert_eq!(&want_db, &got_db);
+    }
+}
+
+/// The shared rank-n fold against the per-image reference it replaces:
+/// each image's dense gradient materialized by `dense_backward` into a
+/// zero buffer, then summed with `GradBuffer::accumulate`, under both
+/// kernel tiers. Compared bit for bit at every thread chunking of the
+/// fold, on inputs chosen to break a sloppy fold: `+0.0` and `-0.0`
+/// gradient rows next to `±inf` inputs (`0 · inf` is NaN unless the row
+/// is skipped) and `-0.0` inputs (one image's `dw` must come out `+0.0`,
+/// not `-0.0`). A summed (conv-style) layer rides along so the flat
+/// parameter range spans two layers.
+#[test]
+fn grad_fold_is_bit_exact_with_per_image_accumulate() {
+    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let prev = std::env::var("AXDNN_THREADS").ok();
+    let (out_dim, in_dim, summed) = (7, 5, 9);
+    let fold = GradFold::new([
+        ParamRecord::Dense { out_dim, in_dim },
+        ParamRecord::Summed { len: summed },
+    ]);
+    let zeros = || GradBuffer {
+        layers: vec![
+            vec![Tensor::zeros(&[out_dim, in_dim]), Tensor::zeros(&[out_dim])],
+            vec![Tensor::zeros(&[summed])],
+        ],
+    };
+    let rng = &mut Rng::seed_from_u64(0x5160);
+    let w = filled(rng, out_dim * in_dim);
+    for n in [1usize, 2, 5] {
+        let images: Vec<(Vec<f32>, Vec<f32>, Vec<f32>)> = (0..n)
+            .map(|k| {
+                let mut g = filled(rng, out_dim);
+                g[1] = 0.0;
+                g[4] = -0.0;
+                let mut x = filled(rng, in_dim);
+                x[0] = -0.0;
+                // One infinity per column over the batch: a NaN in the
+                // result can then only come from `0 * inf`.
+                if k < 2 {
+                    x[2 + k] = if k == 0 {
+                        f32::INFINITY
+                    } else {
+                        f32::NEG_INFINITY
+                    };
+                }
+                let mut conv = filled(rng, summed);
+                conv[3] = -0.0;
+                (g, x, conv)
+            })
+            .collect();
+        let records: Vec<Vec<f32>> = images
+            .iter()
+            .map(|(g, x, conv)| {
+                let mut rec = vec![0.0f32; fold.record_len()];
+                let dense = fold.layer_record(0, &mut rec);
+                dense[..out_dim].copy_from_slice(g);
+                dense[out_dim..].copy_from_slice(x);
+                fold.layer_record(1, &mut rec).copy_from_slice(conv);
+                rec
+            })
+            .collect();
+        for kernel in [exec::FloatKernel::Reference, exec::FloatKernel::Tiled] {
+            let mut want = zeros();
+            for (g, x, conv) in &images {
+                let mut one = zeros();
+                let (dw, db) = one.layers[0].split_at_mut(1);
+                let mut dx = vec![0.0f32; in_dim];
+                kernel.dense_backward(
+                    &w,
+                    g,
+                    x,
+                    &mut dx,
+                    Some(dw[0].data_mut()),
+                    Some(db[0].data_mut()),
+                );
+                one.layers[1][0].data_mut().copy_from_slice(conv);
+                want.accumulate(&one);
+            }
+            assert!(
+                want.layers[0][0].data().iter().all(|v| !v.is_nan()),
+                "the reference skips zero rows, so it has no 0 * inf"
+            );
+            for threads in ["1", "2", "3", "7"] {
+                std::env::set_var("AXDNN_THREADS", threads);
+                let mut got = zeros();
+                fold.fold_into(&records, &mut got);
+                assert_eq!(
+                    common::grad_bits(&got),
+                    common::grad_bits(&want),
+                    "fold diverges (n {n}, kernel {}, {threads} threads)",
+                    kernel.name()
+                );
+            }
+        }
+    }
+    match prev {
+        Some(v) => std::env::set_var("AXDNN_THREADS", v),
+        None => std::env::remove_var("AXDNN_THREADS"),
     }
 }
 

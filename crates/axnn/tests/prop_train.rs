@@ -2,7 +2,8 @@
 //!
 //! `FPlan::loss_and_param_grads_batch` must be a pure performance
 //! optimization: for any model topology, batch size and thread chunking,
-//! the summed loss and [`GradBuffer`] must be *bit-exact* with the seed
+//! the summed loss and [`GradBuffer`] must be *bit-exact* (compared
+//! through `f32::to_bits`, so `-0.0` and `+0.0` differ) with the seed
 //! per-image fold `for i { loss += l_i; grads.accumulate(&g_i) }` over
 //! [`Sequential::loss_and_grads`] calls. On top of that, `train::fit`
 //! must reproduce the exact seed `TrainHistory` — losses, accuracies and
@@ -22,7 +23,7 @@ use axutil::rng::Rng;
 use proptest::prelude::*;
 
 mod common;
-use common::{images, small_model, IN_DIMS};
+use common::{grad_bits, images, small_model, IN_DIMS};
 
 /// Serializes tests that read or write `AXDNN_THREADS`.
 static ENV_LOCK: Mutex<()> = Mutex::new(());
@@ -60,7 +61,7 @@ proptest! {
             std::env::set_var("AXDNN_THREADS", threads);
             let (loss, grads) = model.loss_and_param_grads_batch(&imgs, &labels);
             prop_assert!(
-                loss == want_loss && grads == want,
+                loss.to_bits() == want_loss.to_bits() && grad_bits(&grads) == grad_bits(&want),
                 "batched sum diverges from seed fold (arch {arch}, seed {seed}, \
                  n {n}, threads {threads})"
             );
@@ -248,8 +249,16 @@ fn batch_gradient_is_seed_mean_for_any_chunking() {
     for threads in ["1", "2", "3", "7"] {
         std::env::set_var("AXDNN_THREADS", threads);
         let (loss, grads) = batch_gradient(&model, &data, &indices);
-        assert_eq!(loss, want_loss, "mean loss diverges at {threads} threads");
-        assert_eq!(grads, want, "mean gradient diverges at {threads} threads");
+        assert_eq!(
+            loss.to_bits(),
+            want_loss.to_bits(),
+            "mean loss diverges at {threads} threads"
+        );
+        assert_eq!(
+            grad_bits(&grads),
+            grad_bits(&want),
+            "mean gradient diverges at {threads} threads"
+        );
     }
     match prev {
         Some(v) => std::env::set_var("AXDNN_THREADS", v),

@@ -26,11 +26,14 @@
 //!
 //! # Determinism and thread invariance
 //!
-//! [`QTrainPlan::loss_and_param_grads_batch`] rides the chunked-scratch
-//! machinery ([`axutil::parallel::par_map_chunks`], one training scratch
-//! per chunk) and reduces per-image gradients in a fixed left-to-right
-//! image order, exactly like
-//! [`FPlan::loss_and_param_grads_batch`](axnn::plan::FPlan::loss_and_param_grads_batch).
+//! [`QTrainPlan::loss_and_param_grads_batch`] runs the same two passes
+//! as
+//! [`FPlan::loss_and_param_grads_batch`](axnn::plan::FPlan::loss_and_param_grads_batch):
+//! image chunks with one training scratch each record, per image, the
+//! masked STE gradient and the dequantized input of every dense layer
+//! (and every conv layer's own gradient), then the shared rank-n fold
+//! ([`fexec::GradFold`]) sums the records in image order, bit-identical
+//! to the per-image fold.
 //! Fine-tuned weights and [`FinetuneHistory`] are therefore
 //! **bit-identical for any `AXDNN_THREADS` setting**
 //! (pinned by `axquant/tests/prop_finetune.rs`).
@@ -62,7 +65,7 @@ use axnn::loss::cross_entropy_with_grad;
 use axnn::model::{GradBuffer, Sequential};
 use axnn::optim::Sgd;
 use axtensor::Tensor;
-use axutil::{parallel, AxError};
+use axutil::AxError;
 
 use crate::exec;
 use crate::placement::Placement;
@@ -76,8 +79,6 @@ enum TStep<'m> {
     Conv {
         w: &'m QWeights,
         approx: bool,
-        /// Index of the conv layer in the *shadow* model's layer stack.
-        float_idx: usize,
         in_dims: [usize; 3],
         k: usize,
         stride: usize,
@@ -110,7 +111,6 @@ enum TStep<'m> {
     Dense {
         w: &'m QWeights,
         approx: bool,
-        float_idx: usize,
         in_dim: usize,
         out_dim: usize,
         in_scale: f32,
@@ -155,6 +155,12 @@ pub struct QTrainPlan<'m> {
     /// once at compile time ([`fexec::FloatKernel::from_env`]) — the
     /// same dispatch story as [`axnn::plan::FPlan`].
     kernel: fexec::FloatKernel,
+    /// Record and parameter layout of the conv/dense steps, for the
+    /// batch fold ([`fexec::GradFold`]).
+    fold: fexec::GradFold,
+    /// Index of the lowest conv/dense step, where the backward stops:
+    /// nothing reads the gradient below it.
+    first_param: usize,
 }
 
 /// Reusable buffers for executing a [`QTrainPlan`]: the `u8` forward tape
@@ -179,8 +185,9 @@ pub struct QTrainScratch {
 impl<'m> QTrainPlan<'m> {
     /// Resolves every layer's geometry, reconstructs the per-layer scale
     /// chain, dequantizes (and pre-transposes) the weights for the STE
-    /// backward and maps every quantized layer onto its shadow-model
-    /// layer index.
+    /// backward and checks every quantized layer against its shadow-model
+    /// layer (gradients land in the shadow's layout, parameterised layers
+    /// in order).
     ///
     /// # Panics
     ///
@@ -242,7 +249,6 @@ impl<'m> QTrainPlan<'m> {
                     steps.push(TStep::Conv {
                         w,
                         approx: qm.placement().applies_to_conv(),
-                        float_idx: fi,
                         in_dims: [c, h, wd],
                         k: *k,
                         stride: *stride,
@@ -280,7 +286,6 @@ impl<'m> QTrainPlan<'m> {
                     steps.push(TStep::Dense {
                         w,
                         approx: qm.placement().applies_to_dense(),
-                        float_idx: fi,
                         in_dim: *in_dim,
                         out_dim: *out_dim,
                         in_scale: scale,
@@ -333,6 +338,19 @@ impl<'m> QTrainPlan<'m> {
         }
         assert_eq!(fi, flayers.len(), "shadow model has trailing layers");
         debug_assert!(n_classes > 0, "from_float guarantees a final logits layer");
+        let fold = fexec::GradFold::new(steps.iter().filter_map(|step| match *step {
+            TStep::Conv { out_dims, cols, .. } => Some(fexec::ParamRecord::Summed {
+                len: out_dims[0] * (cols + 1),
+            }),
+            TStep::Dense {
+                in_dim, out_dim, ..
+            } => Some(fexec::ParamRecord::Dense { out_dim, in_dim }),
+            _ => None,
+        }));
+        let first_param = steps
+            .iter()
+            .position(|step| matches!(step, TStep::Conv { .. } | TStep::Dense { .. }))
+            .unwrap_or(0);
         QTrainPlan {
             model: qm,
             steps,
@@ -345,6 +363,8 @@ impl<'m> QTrainPlan<'m> {
             max_patch_f32,
             grads_template: shadow.zero_grads(),
             kernel: fexec::FloatKernel::from_env(),
+            fold,
+            first_param,
         }
     }
 
@@ -481,9 +501,12 @@ impl<'m> QTrainPlan<'m> {
     }
 
     /// Back-propagates the cross-entropy gradient down the `u8` tape with
-    /// the clipped straight-through estimator, accumulating parameter
-    /// gradients into `buf` (shadow-model layout). Returns the loss.
-    fn run_backward(&self, s: &mut QTrainScratch, target: usize, buf: &mut GradBuffer) -> f32 {
+    /// the clipped straight-through estimator, writing every conv/dense
+    /// layer's per-image parameter-gradient record (shadow-model order,
+    /// see [`fexec::GradFold`]) into the zeroed `record`. Stops at the
+    /// lowest conv/dense layer, whose input gradient nobody reads.
+    /// Returns the loss.
+    fn run_backward(&self, s: &mut QTrainScratch, target: usize, record: &mut [f32]) -> f32 {
         let logits = Tensor::from_vec(s.logits.clone(), &[self.n_classes]);
         let (loss, dlogits) = cross_entropy_with_grad(&logits, target);
         let QTrainScratch {
@@ -495,13 +518,14 @@ impl<'m> QTrainPlan<'m> {
         } = s;
         let mut side = 0usize;
         gbuf[side][..self.n_classes].copy_from_slice(dlogits.data());
+        // Ordinal of the next conv/dense layer down.
+        let mut param = self.fold.layer_count();
         for (i, step) in self.steps.iter().enumerate().rev() {
             let in_len = self.act_lens[i];
             let x_codes = &acts[i];
             let (gsrc, gdst) = grad_sides(gbuf, side);
             match *step {
                 TStep::Conv {
-                    float_idx,
                     in_dims,
                     k,
                     stride,
@@ -536,21 +560,27 @@ impl<'m> QTrainPlan<'m> {
                         cols,
                         patch_f32,
                     );
-                    let (wg, bg) = buf.layers[float_idx].split_at_mut(1);
+                    param -= 1;
+                    let (dw, db) = self
+                        .fold
+                        .layer_record(param, record)
+                        .split_at_mut(out_dims[0] * cols);
                     self.kernel.conv_backward_params(
                         &gsrc[..out_len],
                         patch_f32,
                         rows,
                         cols,
-                        wg[0].data_mut(),
-                        bg[0].data_mut(),
+                        dw,
+                        db,
                     );
+                    if i == self.first_param {
+                        break;
+                    }
                     fexec::grad_im2col_indexed(&gsrc[..out_len], gather, patch_f32);
                     self.kernel
                         .conv_backward_dx(wt_deq, patch_f32, bwd_rows, bwd_cols, gdst);
                 }
                 TStep::Dense {
-                    float_idx,
                     in_dim,
                     out_dim,
                     in_scale,
@@ -562,16 +592,16 @@ impl<'m> QTrainPlan<'m> {
                     if !logits {
                         ste_mask(&mut gsrc[..out_dim], &acts[i + 1][..out_dim], qmax_code);
                     }
-                    dequantize(&x_codes[..in_dim], in_scale, &mut deq[..in_dim]);
-                    let (wg, bg) = buf.layers[float_idx].split_at_mut(1);
-                    self.kernel.dense_backward(
-                        w_deq,
-                        &gsrc[..out_dim],
-                        &deq[..in_dim],
-                        gdst,
-                        Some(wg[0].data_mut()),
-                        Some(bg[0].data_mut()),
-                    );
+                    // The record holds the masked gradient and the
+                    // dequantized input, which the input gradient reuses.
+                    param -= 1;
+                    let (rg, rx) = self.fold.layer_record(param, record).split_at_mut(out_dim);
+                    rg.copy_from_slice(&gsrc[..out_dim]);
+                    dequantize(&x_codes[..in_dim], in_scale, rx);
+                    if i == self.first_param {
+                        break;
+                    }
+                    self.kernel.dense_backward(w_deq, rg, rx, gdst, None, None);
                 }
                 TStep::AvgPool {
                     k,
@@ -590,9 +620,23 @@ impl<'m> QTrainPlan<'m> {
         loss
     }
 
+    /// Loss and parameter-gradient record of one image under `kernel`.
+    fn loss_and_record<K: MulKernel + ?Sized>(
+        &self,
+        s: &mut QTrainScratch,
+        x: &Tensor,
+        target: usize,
+        kernel: &K,
+    ) -> (f32, Vec<f32>) {
+        self.run_forward(s, x, kernel);
+        let mut record = vec![0.0f32; self.fold.record_len()];
+        let loss = self.run_backward(s, target, &mut record);
+        (loss, record)
+    }
+
     /// Cross-entropy loss (of the quantized forward under `kernel`) and
-    /// STE parameter gradients for one example, accumulated into a fresh
-    /// shadow-layout [`GradBuffer`].
+    /// STE parameter gradients for one example, in a fresh shadow-layout
+    /// [`GradBuffer`]: the batch fold over a batch of one.
     pub fn loss_and_param_grads<K: MulKernel + ?Sized>(
         &self,
         s: &mut QTrainScratch,
@@ -600,28 +644,31 @@ impl<'m> QTrainPlan<'m> {
         target: usize,
         kernel: &K,
     ) -> (f32, GradBuffer) {
-        self.run_forward(s, x, kernel);
-        let mut buf = self.zero_grads();
-        let loss = self.run_backward(s, target, &mut buf);
-        (loss, buf)
+        let (loss, record) = self.loss_and_record(s, x, target, kernel);
+        let mut grads = self.zero_grads();
+        self.fold.fold_into(&[record], &mut grads);
+        (loss, grads)
     }
 
     /// Summed loss and STE parameter gradients over a whole minibatch —
     /// the fine-tuning hot path.
     ///
-    /// The batch is split into contiguous image chunks over threads
-    /// ([`axutil::parallel::par_map_chunks`]) with one
-    /// [`QTrainPlan::scratch`] per chunk, and per-image gradients are
-    /// reduced in a fixed left-to-right image order (single-chunk runs
-    /// fold inline — the serial fold *is* the reference order), exactly
-    /// like the PR 4 float engine: the sum is **bit-identical** for any
-    /// `AXDNN_THREADS` setting.
+    /// The same two passes as
+    /// [`FPlan::loss_and_param_grads_batch`](axnn::plan::FPlan::loss_and_param_grads_batch),
+    /// each one [`axutil::parallel::par_map_chunks`] call: image chunks
+    /// with one [`QTrainPlan::scratch`] each leave one small record per
+    /// image (a dense layer's masked gradient and dequantized input, a
+    /// conv layer's own gradient), then [`fexec::GradFold`] sums the
+    /// records in image order over the flat parameter range of all
+    /// layers. The sum is **bit-identical** to the per-image
+    /// [`QTrainPlan::loss_and_param_grads`] fold for any `AXDNN_THREADS`
+    /// setting.
     ///
     /// # Panics
     ///
     /// Panics on an empty batch — a zero "gradient" would silently stall
     /// fine-tuning — and when any image does not match the planned shape
-    /// (mixed-shape batches die like the PR 4 entry points).
+    /// (mixed-shape batches die like the float entry points).
     pub fn loss_and_param_grads_batch<'a, K, F, G>(
         &self,
         n: usize,
@@ -644,35 +691,12 @@ impl<'m> QTrainPlan<'m> {
                 "batch image {i} does not match the planned shape"
             );
         }
-        if parallel::num_threads().min(n) <= 1 {
-            // One chunk: fold as we go — per-image gradients materialize
-            // into their own buffer and accumulate in image order, the
-            // reference reduction (summing positions of later images
-            // straight into the running buffer would reorder the float
-            // accumulation).
-            let mut s = self.scratch();
-            let mut loss = 0.0f32;
-            let mut grads = self.zero_grads();
-            for i in 0..n {
-                let (l, g) = self.loss_and_param_grads(&mut s, image(i), label(i), kernel);
-                loss += l;
-                grads.accumulate(&g);
-            }
-            return (loss, grads);
-        }
-        let per_image: Vec<(f32, GradBuffer)> = parallel::par_map_chunks(n, |range| {
-            let mut s = self.scratch();
-            range
-                .map(|i| self.loss_and_param_grads(&mut s, image(i), label(i), kernel))
-                .collect()
-        });
-        let mut loss = 0.0f32;
-        let mut grads = self.zero_grads();
-        for (l, g) in &per_image {
-            loss += l;
-            grads.accumulate(g);
-        }
-        (loss, grads)
+        self.fold.batch(
+            n,
+            || self.scratch(),
+            |s, i| self.loss_and_record(s, image(i), label(i), kernel),
+            self.zero_grads(),
+        )
     }
 }
 

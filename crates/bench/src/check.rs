@@ -578,16 +578,17 @@ const ALL_COMPLETED: Op = SumEq {
 
 /// The whole gate. Speedup floors hold landed scalar-vs-batched and
 /// reference-vs-tiled wins, each set ~25–30% under its measured speedup
-/// to absorb CI-runner jitter; the `ffnn-1x28` train step was already
-/// near parity, so its floor sits below 1. Accuracy rules are exact: the
-/// fine-tuning, fault, universal and moving-target pipelines are
-/// deterministic and thread-invariant, so those values never jitter.
+/// to absorb CI-runner jitter; the `ffnn-1x28` train step holds the
+/// rank-n gradient fold's win over one gradient buffer per image
+/// (measured 3.8–4.5x at `AXDNN_BENCH_IMAGES=4`). Accuracy rules are
+/// exact: the fine-tuning, fault, universal and moving-target pipelines
+/// are deterministic and thread-invariant, so those values never jitter.
 pub const RULES: &[Rule] = &[
     rule(ATTACKS, "FGM-linf", "speedup", AtLeast(0.92)),
     rule(ATTACKS, "BIM-linf", "speedup", AtLeast(1.12)),
     rule(ATTACKS, "PGD-linf", "speedup", AtLeast(1.12)),
     rule(ATTACKS, "PGD-l2", "speedup", AtLeast(1.12)),
-    rule(TRAIN, "ffnn-1x28", "speedup", AtLeast(0.6)),
+    rule(TRAIN, "ffnn-1x28", "speedup", AtLeast(2.8)),
     rule(TRAIN, "lenet5-1x28", "speedup", AtLeast(1.04)),
     rule(GEMM, "lenet5-conv1-6x576x25", "speedup", AtLeast(1.5)),
     rule(GEMM, "lenet5-conv2-16x64x150", "speedup", AtLeast(1.5)),
@@ -776,7 +777,7 @@ mod tests {
         BENCH_attacks.json BIM-linf speedup=1.5
         BENCH_attacks.json PGD-linf speedup=1.5
         BENCH_attacks.json PGD-l2 speedup=1.5
-        BENCH_train.json ffnn-1x28 speedup=1.0
+        BENCH_train.json ffnn-1x28 speedup=3.5
         BENCH_train.json lenet5-1x28 speedup=1.4
         BENCH_gemm.json lenet5-conv1-6x576x25 speedup=1.7
         BENCH_gemm.json lenet5-conv2-16x64x150 speedup=1.9
@@ -879,15 +880,15 @@ mod tests {
 
     #[test]
     fn floors_are_per_row() {
-        // 0.65 clears ffnn's 0.6 floor but not lenet5's 1.04.
-        let mut rows = with(TRAIN, "ffnn-1x28", "speedup", 0.65);
+        // 1.5 clears lenet5's 1.04 floor but not ffnn's 2.8.
+        let mut rows = with(TRAIN, "ffnn-1x28", "speedup", 1.5);
         rows.iter_mut()
             .find(|r| r.workload == "lenet5-1x28")
             .unwrap()
-            .value = 0.65;
+            .value = 1.5;
         let errs = check_rows(TRAIN, &rows);
         assert_eq!(errs.len(), 1, "{errs:?}");
-        assert!(errs[0].contains("lenet5-1x28"), "{errs:?}");
+        assert!(errs[0].contains("ffnn-1x28"), "{errs:?}");
     }
 
     #[test]
