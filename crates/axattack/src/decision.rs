@@ -1,25 +1,22 @@
 //! Decision-based attacks: Contrast Reduction, Repeated Additive Gaussian
 //! and Repeated Additive Uniform noise.
 //!
-//! These attacks never see gradients; RAG/RAU query only the model's
-//! *decision* to pick the first noise draw that flips the label
-//! (Foolbox's "repeated" semantics), and CR is a fixed deterministic
-//! perturbation toward mid-gray.
+//! These attacks never see gradients; RAG/RAU query only their source's
+//! *decision* ([`GradHandle::predict`]) to pick the first noise draw
+//! that flips the label (Foolbox's "repeated" semantics), and CR is a
+//! fixed deterministic perturbation toward mid-gray that never queries
+//! the source at all.
 //!
-//! RAG/RAU override [`Attack::craft_batch`]: a thread chunk compiles one
-//! [`axnn::plan::FPlan`] and scratch and scores every noise draw of the
-//! chunk's images through it, instead of paying a fresh plan per
-//! [`Sequential::predict`] call. Image `i` still draws from its own
-//! derived RNG stream, so the batch is bit-identical to the per-image
-//! [`Attack::craft`] loop for any thread chunking
-//! (`axattack/tests/prop_decision_batch.rs` pins this).
+//! Each attack is one [`Attack::trajectory`]; batching and the per-image
+//! streams come from the trait's provided wrappers. RAG/RAU consume a
+//! *variable* number of draws per image (they stop at the first fooling
+//! sample), which is exactly what per-image streams make chunking-safe.
 
-use axnn::Sequential;
 use axtensor::Tensor;
-use axutil::{parallel, rng::Rng};
+use axutil::rng::Rng;
 
 use crate::norms::{normalized, project_to_ball, Norm};
-use crate::Attack;
+use crate::{Attack, GradHandle};
 
 /// l2 Contrast Reduction: perturbs toward the mid-gray image by `eps`
 /// along the contrast direction (Foolbox `L2ContrastReductionAttack`).
@@ -53,18 +50,14 @@ impl Attack for ContrastReduction {
         "CR-l2".to_owned()
     }
 
-    fn craft(
+    fn trajectory(
         &self,
-        _model: &Sequential,
+        _source: &mut dyn GradHandle,
         x: &Tensor,
         _label: usize,
         eps: f32,
         _rng: &mut Rng,
     ) -> Tensor {
-        assert!(eps >= 0.0);
-        if eps == 0.0 {
-            return x.clone();
-        }
         let target = Tensor::full(x.dims(), self.target_level);
         let dir = target.sub(x);
         let n = dir.l2_norm();
@@ -79,72 +72,26 @@ impl Attack for ContrastReduction {
     }
 }
 
-/// Shared implementation of the repeated additive-noise attacks.
-///
-/// `predict` abstracts the model query: the scalar path queries
-/// [`Sequential::predict`] (fresh plan per call), the batched path a
-/// hoisted plan + scratch — same decisions either way.
+/// The repeated additive-noise trajectory shared by RAG and RAU: up to
+/// `repeats` candidates from `sample`, returning the first one `source`
+/// misclassifies, else the last draw.
 fn repeated_noise(
-    predict: &mut impl FnMut(&Tensor) -> usize,
+    source: &mut dyn GradHandle,
     x: &Tensor,
     label: usize,
-    eps: f32,
     rng: &mut Rng,
     repeats: usize,
     sample: impl Fn(&mut Rng, &Tensor) -> Tensor,
 ) -> Tensor {
-    assert!(eps >= 0.0);
-    if eps == 0.0 {
-        return x.clone();
-    }
     let mut last = x.clone();
     for _ in 0..repeats.max(1) {
         let candidate = sample(rng, x);
-        if predict(&candidate) != label {
+        if source.predict(&candidate) != label {
             return candidate; // first fooling draw wins
         }
         last = candidate;
     }
     last
-}
-
-/// The batched RAG/RAU loop: one compiled [`axnn::plan::FPlan`] shared by
-/// all threads, one scratch per image chunk, every noise draw scored
-/// through it. Image `i` draws from `rng.derive(i)`, so the result is
-/// bit-identical to per-image [`repeated_noise`] over
-/// [`Sequential::predict`] for any chunking ([`axnn::plan::FPlan::predict`]
-/// is bit-compatible with the wrapper).
-fn batch_repeated_noise(
-    model: &Sequential,
-    images: &[Tensor],
-    labels: &[usize],
-    eps: f32,
-    rng: &Rng,
-    repeats: usize,
-    sample: impl Fn(&mut Rng, &Tensor) -> Tensor + Sync,
-) -> Vec<Tensor> {
-    assert_eq!(images.len(), labels.len(), "images/labels length mismatch");
-    if images.is_empty() {
-        return Vec::new();
-    }
-    let plan = model.plan(images[0].dims());
-    parallel::par_map_chunks(images.len(), |range| {
-        let mut scratch = plan.scratch();
-        range
-            .map(|i| {
-                let mut stream = rng.derive(i as u64);
-                repeated_noise(
-                    &mut |t| plan.predict(&mut scratch, t),
-                    &images[i],
-                    labels[i],
-                    eps,
-                    &mut stream,
-                    repeats,
-                    &sample,
-                )
-            })
-            .collect()
-    })
 }
 
 /// Repeated Additive Gaussian noise under an l2 budget.
@@ -178,54 +125,22 @@ impl Attack for RepeatedAdditiveGaussian {
         "RAG-l2".to_owned()
     }
 
-    fn craft(
+    fn trajectory(
         &self,
-        model: &Sequential,
+        source: &mut dyn GradHandle,
         x: &Tensor,
         label: usize,
         eps: f32,
         rng: &mut Rng,
     ) -> Tensor {
-        repeated_noise(
-            &mut |t| model.predict(t),
-            x,
-            label,
-            eps,
-            rng,
-            self.repeats,
-            gaussian_sample(eps),
-        )
-    }
-
-    fn craft_batch(
-        &self,
-        model: &Sequential,
-        images: &[Tensor],
-        labels: &[usize],
-        eps: f32,
-        rng: &Rng,
-    ) -> Vec<Tensor> {
-        batch_repeated_noise(
-            model,
-            images,
-            labels,
-            eps,
-            rng,
-            self.repeats,
-            gaussian_sample(eps),
-        )
-    }
-}
-
-/// The RAG candidate draw: l2-normalized Gaussian noise of length `eps`,
-/// clipped to the pixel box. One definition shared by the scalar and
-/// batched loops, so their bit-identity is structural.
-fn gaussian_sample(eps: f32) -> impl Fn(&mut Rng, &Tensor) -> Tensor + Sync {
-    move |rng, x| {
-        let mut u = Tensor::zeros(x.dims());
-        rng.fill_normal_f32(u.data_mut(), 1.0);
-        let noise = normalized(&u, Norm::L2).scaled(eps);
-        x.add(&noise).clamped(0.0, 1.0)
+        // The candidate: l2-normalized Gaussian noise of length `eps`,
+        // clipped to the pixel box.
+        repeated_noise(source, x, label, rng, self.repeats, |rng, x| {
+            let mut u = Tensor::zeros(x.dims());
+            rng.fill_normal_f32(u.data_mut(), 1.0);
+            let noise = normalized(&u, Norm::L2).scaled(eps);
+            x.add(&noise).clamped(0.0, 1.0)
+        })
     }
 }
 
@@ -255,57 +170,24 @@ impl Attack for RepeatedAdditiveUniform {
         format!("RAU-{}", self.norm)
     }
 
-    fn craft(
+    fn trajectory(
         &self,
-        model: &Sequential,
+        source: &mut dyn GradHandle,
         x: &Tensor,
         label: usize,
         eps: f32,
         rng: &mut Rng,
     ) -> Tensor {
-        repeated_noise(
-            &mut |t| model.predict(t),
-            x,
-            label,
-            eps,
-            rng,
-            self.repeats,
-            uniform_sample(self.norm, eps),
-        )
-    }
-
-    fn craft_batch(
-        &self,
-        model: &Sequential,
-        images: &[Tensor],
-        labels: &[usize],
-        eps: f32,
-        rng: &Rng,
-    ) -> Vec<Tensor> {
-        batch_repeated_noise(
-            model,
-            images,
-            labels,
-            eps,
-            rng,
-            self.repeats,
-            uniform_sample(self.norm, eps),
-        )
-    }
-}
-
-/// The RAU candidate draw under `norm`. One definition shared by the
-/// scalar and batched loops, so their bit-identity is structural.
-fn uniform_sample(norm: Norm, eps: f32) -> impl Fn(&mut Rng, &Tensor) -> Tensor + Sync {
-    move |rng, x| {
-        let mut u = Tensor::zeros(x.dims());
-        rng.fill_range_f32(u.data_mut(), -1.0, 1.0);
-        let noise = match norm {
-            // Uniform in [-eps, eps]^n: linf norm <= eps by construction.
-            Norm::Linf => u.scaled(eps),
-            Norm::L2 => normalized(&u, Norm::L2).scaled(eps),
-        };
-        x.add(&noise).clamped(0.0, 1.0)
+        repeated_noise(source, x, label, rng, self.repeats, |rng, x| {
+            let mut u = Tensor::zeros(x.dims());
+            rng.fill_range_f32(u.data_mut(), -1.0, 1.0);
+            let noise = match self.norm {
+                // Uniform in [-eps, eps]^n: linf norm <= eps by construction.
+                Norm::Linf => u.scaled(eps),
+                Norm::L2 => normalized(&u, Norm::L2).scaled(eps),
+            };
+            x.add(&noise).clamped(0.0, 1.0)
+        })
     }
 }
 
@@ -313,6 +195,7 @@ fn uniform_sample(norm: Norm, eps: f32) -> impl Fn(&mut Rng, &Tensor) -> Tensor 
 mod tests {
     use super::*;
     use axnn::layer::{Dense, Layer};
+    use axnn::Sequential;
 
     fn toy_model(seed: u64) -> Sequential {
         let mut rng = Rng::seed_from_u64(seed);

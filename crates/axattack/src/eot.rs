@@ -1,109 +1,63 @@
 //! Expectation-over-Transformation: the adaptive attacker against a
-//! moving-target kernel ensemble.
+//! moving-target kernel ensemble, as a gradient source.
 //!
 //! A randomized ensemble answers each query through a kernel sampled
 //! from a distribution the attacker knows but cannot pin down per query
 //! (Athalye et al.'s EOT setting). The adaptive response is to ascend
-//! the *expected* loss: at every PGD step, sample `K` kernels from the
-//! disclosed distribution and average the input gradients of their
-//! float surrogates. [`EotAttack::craft_batch_over`] implements exactly
-//! that on the batched gradient engine; the surrogate for kernel `k` is
-//! whatever float model the attacker holds for it (the shared source
-//! model under the paper's threat model, or per-kernel fine-tuned
+//! the *expected* loss: at every step, sample `samples` kernels from the
+//! disclosed distribution and average the input gradients of the
+//! attacker's sources for them. [`Mixture`] is that expectation as a
+//! [`GradSource`], so the EOT attacker is plain
+//! [`Pgd`](crate::gradient::Pgd) crafting on a mixture
+//! ([`Attack::craft_batch_on`](crate::Attack::craft_batch_on)). Member
+//! `k` is whatever source the attacker holds for kernel `k` (the shared
+//! float surrogate under the paper's threat model, or per-kernel
 //! shadows).
 //!
-//! **Degenerate contract.** With one surrogate and one sample per step
-//! the kernel draw selects the only surrogate and the "average" is the
-//! single gradient tensor itself — no sum, no rescale — so the crafted
-//! batch is **bit-identical** to [`Pgd`](crate::gradient::Pgd) at the
-//! same step count and base stream. Image `i` always crafts under the
-//! derived stream `rng.derive(i as u64)` (random start first, then the
-//! per-step kernel draws), making the batch bit-exact with the scalar
-//! [`Attack::craft`] loop for any thread chunking, like every other
-//! attack in this crate.
+//! **Degenerate contract.** With one sample per query the drawn member's
+//! gradient is used as-is — no sum, no rescale — so a mixture whose
+//! positive-weight members all equal one source crafts **bit-identically**
+//! to that source. Draws come from the image's own stream, interleaved
+//! with the attack's own randomness (PGD: random start first, then one
+//! draw per sample per step).
 
-use axnn::plan::{FPlan, FScratch};
-use axnn::Sequential;
 use axtensor::Tensor;
-use axutil::{parallel, rng::Rng};
+use axutil::rng::Rng;
 
-use crate::gradient::{ascend, random_start};
-use crate::norms::Norm;
-use crate::Attack;
+use crate::{GradHandle, GradSource};
 
-/// PGD over the expected loss of a surrogate ensemble.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EotAttack {
-    norm: Norm,
-    steps: usize,
+/// A weighted mixture of gradient sources: each gradient query draws
+/// `samples` members with probability proportional to their weights and
+/// averages their input gradients.
+pub struct Mixture<'a> {
+    members: Vec<&'a dyn GradSource>,
+    weights: Vec<f32>,
+    total: f32,
     samples: usize,
 }
 
-impl EotAttack {
-    /// Creates an EOT attack with the default 10 steps and 1 gradient
-    /// sample per step.
-    pub fn new(norm: Norm) -> Self {
-        EotAttack {
-            norm,
-            steps: 10,
-            samples: 1,
-        }
-    }
-
-    /// Overrides the iteration count.
-    pub fn with_steps(mut self, steps: usize) -> Self {
-        assert!(steps > 0);
-        self.steps = steps;
-        self
-    }
-
-    /// Overrides the number of kernel draws averaged per step.
-    pub fn with_samples(mut self, samples: usize) -> Self {
-        assert!(samples > 0);
-        self.samples = samples;
-        self
-    }
-
-    /// Gradient samples averaged per step.
-    pub fn samples(&self) -> usize {
-        self.samples
-    }
-
-    /// Crafts adversarial examples against a surrogate *ensemble*:
-    /// `surrogates[k]` is the attacker's float model for kernel column
-    /// `k`, sampled with unnormalized probability `weights[k]` (zero
-    /// weights are never drawn). Per image and per step, `samples`
-    /// kernels are drawn from the image's derived stream and their
-    /// input gradients averaged before the shared
-    /// [`ascend`](crate::gradient) update.
-    ///
-    /// With a single surrogate and `samples == 1` this reduces bitwise
-    /// to [`Pgd::craft_batch`](crate::gradient::Pgd) at the same step
-    /// count.
+impl<'a> Mixture<'a> {
+    /// Mixes `members`, member `k` drawn with unnormalized probability
+    /// `weights[k]` (zero weights are never drawn), averaging `samples`
+    /// draws per gradient query.
     ///
     /// # Panics
     ///
-    /// Panics if `surrogates` is empty, disagrees with `weights` in
-    /// length, any weight is negative or non-finite, the total mass is
-    /// zero, `images` and `labels` disagree in length, or `eps` is
-    /// negative.
-    pub fn craft_batch_over(
-        &self,
-        surrogates: &[&Sequential],
-        weights: &[f32],
-        images: &[Tensor],
-        labels: &[usize],
-        eps: f32,
-        rng: &Rng,
-    ) -> Vec<Tensor> {
-        assert!(
-            !surrogates.is_empty(),
-            "EOT requires at least one surrogate"
-        );
+    /// Panics if `members` is empty, disagrees with `weights` in length,
+    /// the members disagree in input shape, any weight is negative or
+    /// non-finite, the total mass is zero, or `samples` is zero.
+    pub fn new(members: Vec<&'a dyn GradSource>, weights: Vec<f32>, samples: usize) -> Self {
+        assert!(!members.is_empty(), "EOT requires at least one surrogate");
         assert_eq!(
-            surrogates.len(),
+            members.len(),
             weights.len(),
             "EOT surrogate/weight arity mismatch"
+        );
+        assert!(
+            members
+                .iter()
+                .all(|m| m.input_dims() == members[0].input_dims()),
+            "EOT surrogates must share one input shape"
         );
         assert!(
             weights.iter().all(|w| w.is_finite() && *w >= 0.0),
@@ -114,158 +68,104 @@ impl EotAttack {
             total > 0.0,
             "EOT weights must carry positive total probability mass"
         );
-        assert_eq!(images.len(), labels.len(), "images/labels length mismatch");
-        assert!(eps >= 0.0, "negative budget");
-        if images.is_empty() || eps == 0.0 {
-            return images.to_vec();
+        assert!(samples > 0, "EOT needs at least one sample per query");
+        Mixture {
+            members,
+            weights,
+            total,
+            samples,
         }
-        let alpha = 2.5 * eps / self.steps as f32;
-        let plans: Vec<FPlan<'_>> = surrogates
-            .iter()
-            .map(|m| m.plan(images[0].dims()))
-            .collect();
-        for plan in &plans {
-            plan.prepare_backward();
-        }
-        parallel::par_map_chunks(images.len(), |range| {
-            let mut scratches: Vec<FScratch> = plans.iter().map(|p| p.scratch()).collect();
-            range
-                .map(|i| {
-                    let mut stream = rng.derive(i as u64);
-                    self.iterate(
-                        &plans,
-                        &mut scratches,
-                        weights,
-                        total,
-                        &images[i],
-                        labels[i],
-                        eps,
-                        alpha,
-                        &mut stream,
-                    )
-                })
-                .collect()
-        })
     }
 
-    /// One image's full EOT trajectory: PGD random start, then `steps`
-    /// ascents along the averaged sampled gradients. All randomness —
-    /// the start and the kernel draws — comes from the image's own
-    /// `rng` stream, in that order.
-    #[allow(clippy::too_many_arguments)]
-    fn iterate(
-        &self,
-        plans: &[FPlan<'_>],
-        scratches: &mut [FScratch],
-        weights: &[f32],
-        total: f32,
-        x: &Tensor,
-        label: usize,
-        eps: f32,
-        alpha: f32,
-        rng: &mut Rng,
-    ) -> Tensor {
-        let mut adv = random_start(x, eps, self.norm, rng);
-        for _ in 0..self.steps {
-            let grad = if self.samples == 1 {
-                // Single draw: the gradient tensor is used as-is, which
-                // is what makes the one-surrogate case bitwise PGD.
-                let k = sample_surrogate(weights, total, rng.next_f32());
-                plans[k].input_gradient(&mut scratches[k], &adv, label).1
-            } else {
-                let mut acc: Option<Tensor> = None;
-                for _ in 0..self.samples {
-                    let k = sample_surrogate(weights, total, rng.next_f32());
-                    let g = plans[k].input_gradient(&mut scratches[k], &adv, label).1;
-                    match acc.as_mut() {
-                        None => acc = Some(g),
-                        Some(a) => a.add_scaled(&g, 1.0),
-                    }
+    /// The member whose cumulative-mass interval contains `u * total`
+    /// (`u` uniform in `[0, 1)`), skipping zero-weight members. Mirrors
+    /// `KernelPolicy::sample` in `axquant` so the attacker draws from the
+    /// same distribution the defender samples.
+    fn draw(&self, u: f32) -> usize {
+        let target = u * self.total;
+        let mut acc = 0.0f32;
+        let mut last = 0;
+        for (k, &w) in self.weights.iter().enumerate() {
+            if w > 0.0 {
+                last = k;
+                acc += w;
+                if target < acc {
+                    return k;
                 }
-                acc.expect("samples > 0").scaled(1.0 / self.samples as f32)
-            };
-            adv = ascend(&adv, x, &grad, alpha, eps, self.norm);
-        }
-        adv
-    }
-}
-
-/// The surrogate index whose cumulative-mass interval contains
-/// `u * total` (`u` uniform in `[0, 1)`), skipping zero-weight columns.
-/// Mirrors `KernelPolicy::sample` in `axquant` so the attacker draws
-/// from the same distribution the defender samples.
-fn sample_surrogate(weights: &[f32], total: f32, u: f32) -> usize {
-    let target = u * total;
-    let mut acc = 0.0f32;
-    let mut last = 0;
-    for (k, &w) in weights.iter().enumerate() {
-        if w > 0.0 {
-            last = k;
-            acc += w;
-            if target < acc {
-                return k;
             }
         }
+        // Round-off can leave `target == total`; the last positive-mass
+        // member absorbs it.
+        last
     }
-    // Round-off can leave `target == total`; the last positive-mass
-    // column absorbs it.
-    last
 }
 
-impl Attack for EotAttack {
-    fn name(&self) -> String {
-        format!("EOT-{}", self.norm)
+impl GradSource for Mixture<'_> {
+    fn input_dims(&self) -> &[usize] {
+        self.members[0].input_dims()
     }
 
-    /// The single-surrogate scalar path: identical to batched crafting
-    /// of a one-image set under the same (already derived) stream.
-    fn craft(
-        &self,
-        model: &Sequential,
-        x: &Tensor,
-        label: usize,
-        eps: f32,
-        rng: &mut Rng,
-    ) -> Tensor {
-        assert!(eps >= 0.0, "negative budget");
-        if eps == 0.0 {
-            return x.clone();
+    fn handle(&self) -> Box<dyn GradHandle + '_> {
+        let handles = self.members.iter().map(|m| m.handle()).collect();
+        Box::new(MixtureHandle {
+            mixture: self,
+            handles,
+        })
+    }
+}
+
+struct MixtureHandle<'h> {
+    mixture: &'h Mixture<'h>,
+    handles: Vec<Box<dyn GradHandle + 'h>>,
+}
+
+impl GradHandle for MixtureHandle<'_> {
+    /// The class carrying the most mixture weight among the members'
+    /// decisions (ties go to the lower class).
+    fn predict(&mut self, x: &Tensor) -> usize {
+        let mut mass: Vec<f32> = Vec::new();
+        for (h, &w) in self.handles.iter_mut().zip(&self.mixture.weights) {
+            if w > 0.0 {
+                let class = h.predict(x);
+                if mass.len() <= class {
+                    mass.resize(class + 1, 0.0);
+                }
+                mass[class] += w;
+            }
         }
-        let alpha = 2.5 * eps / self.steps as f32;
-        let plan = model.plan(x.dims());
-        plan.prepare_backward();
-        let mut scratches = [plan.scratch()];
-        let plans = [plan];
-        self.iterate(
-            &plans,
-            &mut scratches,
-            &[1.0],
-            1.0,
-            x,
-            label,
-            eps,
-            alpha,
-            rng,
-        )
+        let best = mass.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        mass.iter().position(|&m| m == best).expect("positive mass")
     }
 
-    fn craft_batch(
-        &self,
-        model: &Sequential,
-        images: &[Tensor],
-        labels: &[usize],
-        eps: f32,
-        rng: &Rng,
-    ) -> Vec<Tensor> {
-        self.craft_batch_over(&[model], &[1.0], images, labels, eps, rng)
+    fn input_gradient(&mut self, x: &Tensor, label: usize, rng: &mut Rng) -> Tensor {
+        let m = self.mixture;
+        let k = m.draw(rng.next_f32());
+        let mut grad = self.handles[k].input_gradient(x, label, rng);
+        if m.samples == 1 {
+            // A single draw is used as-is, which is what makes the
+            // degenerate mixture bitwise its one source.
+            return grad;
+        }
+        for _ in 1..m.samples {
+            let k = m.draw(rng.next_f32());
+            grad.add_scaled(&self.handles[k].input_gradient(x, label, rng), 1.0);
+        }
+        grad.scaled(1.0 / m.samples as f32)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decision::RepeatedAdditiveUniform;
     use crate::gradient::Pgd;
+    use crate::norms::Norm;
+    use crate::Attack;
     use axnn::layer::{Dense, Layer};
+    use axnn::plan::FPlan;
+    use axnn::Sequential;
+
+    const DIMS: [usize; 3] = [1, 4, 4];
 
     fn toy_model(seed: u64) -> Sequential {
         let mut rng = Rng::seed_from_u64(seed);
@@ -284,53 +184,49 @@ mod tests {
         let mut rng = Rng::seed_from_u64(seed);
         (0..n)
             .map(|_| {
-                let mut t = Tensor::zeros(&[1, 4, 4]);
+                let mut t = Tensor::zeros(&DIMS);
                 rng.fill_range_f32(t.data_mut(), 0.1, 0.9);
                 t
             })
             .collect()
     }
 
+    fn plan(model: &Sequential) -> FPlan<'_> {
+        model.plan(&DIMS)
+    }
+
     #[test]
     fn one_sample_single_surrogate_is_bitwise_pgd() {
         let model = toy_model(3);
+        let source = plan(&model);
         let imgs = toy_images(6, 4);
         let labels: Vec<usize> = (0..imgs.len()).map(|i| i % 3).collect();
         for norm in [Norm::Linf, Norm::L2] {
             let base = Rng::seed_from_u64(0xE07);
-            let eot = EotAttack::new(norm).with_steps(4);
             let pgd = Pgd::new(norm).with_steps(4);
-            assert_eq!(
-                eot.craft_batch_over(&[&model], &[1.0], &imgs, &labels, 0.09, &base),
-                pgd.craft_batch(&model, &imgs, &labels, 0.09, &base),
-                "degenerate EOT ({norm}) must be plain PGD, bit for bit"
-            );
-        }
-    }
-
-    #[test]
-    fn craft_batch_matches_scalar_craft() {
-        let model = toy_model(5);
-        let imgs = toy_images(5, 6);
-        let labels: Vec<usize> = (0..imgs.len()).map(|i| (i * 2) % 3).collect();
-        let base = Rng::seed_from_u64(7);
-        let eot = EotAttack::new(Norm::Linf).with_steps(3).with_samples(2);
-        let batch = eot.craft_batch(&model, &imgs, &labels, 0.1, &base);
-        for (i, (img, &lbl)) in imgs.iter().zip(&labels).enumerate() {
-            let scalar = eot.craft(&model, img, lbl, 0.1, &mut base.derive(i as u64));
-            assert_eq!(batch[i], scalar, "batch image {i} != scalar craft");
+            let plain = pgd.craft_batch(&model, &imgs, &labels, 0.09, &base);
+            // One member, or several copies of it drawn one at a time.
+            for copies in [1, 3] {
+                let mixture = Mixture::new(vec![&source; copies], vec![1.0; copies], 1);
+                assert_eq!(
+                    pgd.craft_batch_on(&mixture, &imgs, &labels, 0.09, &base),
+                    plain,
+                    "degenerate EOT ({norm}, {copies} copies) must be plain PGD, bit for bit"
+                );
+            }
         }
     }
 
     #[test]
     fn multi_surrogate_averaging_respects_the_budget() {
         let models = [toy_model(8), toy_model(9)];
-        let surrogates: Vec<&Sequential> = models.iter().collect();
+        let plans = [plan(&models[0]), plan(&models[1])];
+        let mixture = Mixture::new(vec![&plans[0], &plans[1]], vec![1.0, 2.0], 3);
         let imgs = toy_images(4, 10);
         let labels = vec![0usize, 1, 2, 0];
         let base = Rng::seed_from_u64(11);
-        let eot = EotAttack::new(Norm::Linf).with_steps(5).with_samples(3);
-        let advs = eot.craft_batch_over(&surrogates, &[1.0, 2.0], &imgs, &labels, 0.08, &base);
+        let pgd = Pgd::new(Norm::Linf).with_steps(5);
+        let advs = pgd.craft_batch_on(&mixture, &imgs, &labels, 0.08, &base);
         for (adv, img) in advs.iter().zip(&imgs) {
             assert!(adv.linf_dist(img) <= 0.08 + 1e-5);
             assert!(adv.data().iter().all(|v| (0.0..=1.0).contains(v)));
@@ -343,26 +239,35 @@ mod tests {
         // Weight the second surrogate at zero: the crafted batch must be
         // bitwise what the first surrogate alone produces.
         let models = [toy_model(12), toy_model(13)];
-        let surrogates: Vec<&Sequential> = models.iter().collect();
+        let plans = [plan(&models[0]), plan(&models[1])];
         let imgs = toy_images(4, 14);
         let labels = vec![1usize, 2, 0, 1];
         let base = Rng::seed_from_u64(15);
-        let eot = EotAttack::new(Norm::L2).with_steps(3).with_samples(2);
+        let pgd = Pgd::new(Norm::L2).with_steps(3);
+        let both = Mixture::new(vec![&plans[0], &plans[1]], vec![1.0, 0.0], 2);
+        let first = Mixture::new(vec![&plans[0]], vec![1.0], 2);
         assert_eq!(
-            eot.craft_batch_over(&surrogates, &[1.0, 0.0], &imgs, &labels, 0.1, &base),
-            eot.craft_batch_over(&[&models[0]], &[1.0], &imgs, &labels, 0.1, &base),
+            pgd.craft_batch_on(&both, &imgs, &labels, 0.1, &base),
+            pgd.craft_batch_on(&first, &imgs, &labels, 0.1, &base),
+        );
+        // Decisions ignore the zero-weight member too.
+        let rau = RepeatedAdditiveUniform::new(Norm::Linf).with_repeats(4);
+        assert_eq!(
+            rau.craft_batch_on(&both, &imgs, &labels, 0.3, &base),
+            rau.craft_batch(&models[0], &imgs, &labels, 0.3, &base),
         );
     }
 
     #[test]
     fn eps_zero_returns_clean_images() {
         let model = toy_model(16);
+        let source = plan(&model);
         let imgs = toy_images(3, 17);
         let labels = vec![0usize, 1, 2];
         let base = Rng::seed_from_u64(18);
-        let eot = EotAttack::new(Norm::Linf).with_samples(4);
+        let mixture = Mixture::new(vec![&source], vec![1.0], 4);
         assert_eq!(
-            eot.craft_batch_over(&[&model], &[1.0], &imgs, &labels, 0.0, &base),
+            Pgd::new(Norm::Linf).craft_batch_on(&mixture, &imgs, &labels, 0.0, &base),
             imgs
         );
     }
@@ -370,24 +275,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one surrogate")]
     fn empty_surrogate_set_panics() {
-        let imgs = toy_images(1, 19);
-        let eot = EotAttack::new(Norm::Linf);
-        let _ = eot.craft_batch_over(&[], &[], &imgs, &[0], 0.1, &Rng::seed_from_u64(0));
+        let _ = Mixture::new(vec![], vec![], 1);
     }
 
     #[test]
     #[should_panic(expected = "positive total probability mass")]
     fn zero_mass_weights_panic() {
         let model = toy_model(20);
-        let imgs = toy_images(1, 21);
-        let eot = EotAttack::new(Norm::Linf);
-        let _ = eot.craft_batch_over(
-            &[&model, &model],
-            &[0.0, 0.0],
-            &imgs,
-            &[0],
-            0.1,
-            &Rng::seed_from_u64(0),
-        );
+        let source = plan(&model);
+        let _ = Mixture::new(vec![&source, &source], vec![0.0, 0.0], 1);
     }
 }

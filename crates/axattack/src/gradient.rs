@@ -1,23 +1,20 @@
 //! Gradient-based attacks: FGM, BIM and PGD.
 //!
-//! All three ascend the cross-entropy loss of the *accurate float model*
-//! under an eps-budget in their norm. BIM iterates FGM with per-step
+//! All three ascend the cross-entropy loss of their gradient source under
+//! an eps-budget in their norm. BIM iterates FGM with per-step
 //! projection; PGD additionally starts from a random point inside the
 //! ball (Madry et al.), which is why BIM and PGD behave near-identically
 //! in the paper's figures while FGM is visibly weaker.
 //!
-//! All three override [`Attack::craft_batch`]: a thread chunk compiles
-//! one [`axnn::plan::FPlan`] and scratch, then steps every image of the
-//! chunk together, each under its own derived RNG stream — bit-identical
-//! to the scalar [`Attack::craft`] loop but without the per-call plan,
-//! tape and step-tensor allocations.
+//! Each attack is one [`Attack::trajectory`]; batching, thread chunking
+//! and the per-image streams come from the trait's provided wrappers. Over
+//! a [`Mixture`](crate::Mixture) source PGD is the EOT attacker.
 
-use axnn::Sequential;
 use axtensor::Tensor;
-use axutil::{parallel, rng::Rng};
+use axutil::rng::Rng;
 
 use crate::norms::{ascent_direction, normalized, project_ball, project_to_ball, Norm};
-use crate::Attack;
+use crate::{Attack, GradHandle};
 
 /// Fast Gradient Method (single step).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,46 +34,16 @@ impl Attack for Fgm {
         format!("FGM-{}", self.norm)
     }
 
-    fn craft(
+    fn trajectory(
         &self,
-        model: &Sequential,
+        source: &mut dyn GradHandle,
         x: &Tensor,
         label: usize,
         eps: f32,
-        _rng: &mut Rng,
+        rng: &mut Rng,
     ) -> Tensor {
-        assert!(eps >= 0.0, "negative budget");
-        if eps == 0.0 {
-            return x.clone();
-        }
-        let (_, grad) = model.input_gradient(x, label);
+        let grad = source.input_gradient(x, label, rng);
         ascend(x, x, &grad, eps, eps, self.norm)
-    }
-
-    fn craft_batch(
-        &self,
-        model: &Sequential,
-        images: &[Tensor],
-        labels: &[usize],
-        eps: f32,
-        _rng: &Rng,
-    ) -> Vec<Tensor> {
-        assert_eq!(images.len(), labels.len(), "images/labels length mismatch");
-        assert!(eps >= 0.0, "negative budget");
-        if images.is_empty() || eps == 0.0 {
-            return images.to_vec();
-        }
-        let plan = model.plan(images[0].dims());
-        plan.prepare_backward();
-        parallel::par_map_chunks(images.len(), |range| {
-            let mut scratch = plan.scratch();
-            range
-                .map(|i| {
-                    let (_, grad) = plan.input_gradient(&mut scratch, &images[i], labels[i]);
-                    ascend(&images[i], &images[i], &grad, eps, eps, self.norm)
-                })
-                .collect()
-        })
     }
 }
 
@@ -106,28 +73,15 @@ impl Attack for Bim {
         format!("BIM-{}", self.norm)
     }
 
-    fn craft(
+    fn trajectory(
         &self,
-        model: &Sequential,
+        source: &mut dyn GradHandle,
         x: &Tensor,
         label: usize,
         eps: f32,
-        _rng: &mut Rng,
+        rng: &mut Rng,
     ) -> Tensor {
-        iterate(model, x, label, eps, self.norm, self.steps, None)
-    }
-
-    fn craft_batch(
-        &self,
-        model: &Sequential,
-        images: &[Tensor],
-        labels: &[usize],
-        eps: f32,
-        rng: &Rng,
-    ) -> Vec<Tensor> {
-        batch_iterate(
-            model, images, labels, eps, self.norm, self.steps, false, rng,
-        )
+        iterate(source, x, x.clone(), label, eps, self.norm, self.steps, rng)
     }
 }
 
@@ -158,36 +112,22 @@ impl Attack for Pgd {
         format!("PGD-{}", self.norm)
     }
 
-    fn craft(
+    fn trajectory(
         &self,
-        model: &Sequential,
+        source: &mut dyn GradHandle,
         x: &Tensor,
         label: usize,
         eps: f32,
         rng: &mut Rng,
     ) -> Tensor {
-        iterate(model, x, label, eps, self.norm, self.steps, Some(rng))
-    }
-
-    fn craft_batch(
-        &self,
-        model: &Sequential,
-        images: &[Tensor],
-        labels: &[usize],
-        eps: f32,
-        rng: &Rng,
-    ) -> Vec<Tensor> {
-        batch_iterate(model, images, labels, eps, self.norm, self.steps, true, rng)
+        let start = random_start(x, eps, self.norm, rng);
+        iterate(source, x, start, label, eps, self.norm, self.steps, rng)
     }
 }
 
 /// One gradient-ascent move: `cur + alpha * ascent_direction(grad)`,
 /// projected onto the eps-ball around `origin` and the pixel box.
-///
-/// The single definition of the update rule — scalar and batched
-/// FGM/BIM/PGD all step through here, which is what makes the
-/// batch-vs-scalar bit-identity structural rather than hand-synced.
-pub(crate) fn ascend(
+fn ascend(
     cur: &Tensor,
     origin: &Tensor,
     grad: &Tensor,
@@ -204,9 +144,8 @@ pub(crate) fn ascend(
 /// The PGD initialization: a uniformly random point inside the eps-ball
 /// around `x` (Madry et al.). The noise delta is constrained through the
 /// shared [`project_ball`] — the same geometry the universal crafter's
-/// per-epoch projection uses — then clipped to the pixel box. Shared by
-/// the scalar and batched loops.
-pub(crate) fn random_start(x: &Tensor, eps: f32, norm: Norm, rng: &mut Rng) -> Tensor {
+/// per-epoch projection uses — then clipped to the pixel box.
+fn random_start(x: &Tensor, eps: f32, norm: Norm, rng: &mut Rng) -> Tensor {
     let mut noise = Tensor::zeros(x.dims());
     match norm {
         Norm::Linf => rng.fill_range_f32(noise.data_mut(), -eps, eps),
@@ -220,81 +159,26 @@ pub(crate) fn random_start(x: &Tensor, eps: f32, norm: Norm, rng: &mut Rng) -> T
     x.add(&delta).clamped(0.0, 1.0)
 }
 
-/// Shared BIM/PGD loop. `random_start` enables the PGD initialization.
+/// The BIM/PGD loop: `steps` ascents from `adv` around the origin `x`.
+#[allow(clippy::too_many_arguments)]
 fn iterate(
-    model: &Sequential,
+    source: &mut dyn GradHandle,
     x: &Tensor,
+    mut adv: Tensor,
     label: usize,
     eps: f32,
     norm: Norm,
     steps: usize,
-    random_start: Option<&mut Rng>,
+    rng: &mut Rng,
 ) -> Tensor {
-    assert!(eps >= 0.0, "negative budget");
-    if eps == 0.0 {
-        return x.clone();
-    }
     // Madry et al.'s step-size heuristic keeps the iterate mobile inside
     // the ball without overshooting.
     let alpha = 2.5 * eps / steps as f32;
-    let mut adv = match random_start {
-        Some(rng) => self::random_start(x, eps, norm, rng),
-        None => x.clone(),
-    };
     for _ in 0..steps {
-        let (_, grad) = model.input_gradient(&adv, label);
+        let grad = source.input_gradient(&adv, label, rng);
         adv = ascend(&adv, x, &grad, alpha, eps, norm);
     }
     adv
-}
-
-/// The batched BIM/PGD loop: one compiled plan shared by all threads,
-/// one scratch per image chunk, all images of a chunk stepped together.
-/// Image `i` uses the RNG stream `rng.derive(i)`, so the result is
-/// bit-identical to per-image [`iterate`] calls for any chunking.
-#[allow(clippy::too_many_arguments)]
-fn batch_iterate(
-    model: &Sequential,
-    images: &[Tensor],
-    labels: &[usize],
-    eps: f32,
-    norm: Norm,
-    steps: usize,
-    random_start: bool,
-    rng: &Rng,
-) -> Vec<Tensor> {
-    assert_eq!(images.len(), labels.len(), "images/labels length mismatch");
-    assert!(eps >= 0.0, "negative budget");
-    if images.is_empty() || eps == 0.0 {
-        return images.to_vec();
-    }
-    let alpha = 2.5 * eps / steps as f32;
-    let plan = model.plan(images[0].dims());
-    plan.prepare_backward();
-    parallel::par_map_chunks(images.len(), |range| {
-        let mut scratch = plan.scratch();
-        // Initialize every iterate of the chunk (PGD: random start from
-        // the image's own derived stream), then walk all of them forward
-        // one gradient step at a time.
-        let mut advs: Vec<Tensor> = range
-            .clone()
-            .map(|i| {
-                let x = &images[i];
-                if random_start {
-                    self::random_start(x, eps, norm, &mut rng.derive(i as u64))
-                } else {
-                    x.clone()
-                }
-            })
-            .collect();
-        for _ in 0..steps {
-            for (adv, i) in advs.iter_mut().zip(range.clone()) {
-                let (_, grad) = plan.input_gradient(&mut scratch, adv, labels[i]);
-                *adv = ascend(adv, &images[i], &grad, alpha, eps, norm);
-            }
-        }
-        advs
-    })
 }
 
 #[cfg(test)]
@@ -302,6 +186,7 @@ mod tests {
     use super::*;
     use axnn::layer::{Dense, Layer};
     use axnn::loss::cross_entropy;
+    use axnn::Sequential;
 
     fn toy_model(seed: u64) -> Sequential {
         let mut rng = Rng::seed_from_u64(seed);
@@ -443,27 +328,6 @@ mod tests {
         let mut rng = Rng::seed_from_u64(21);
         let adv = Fgm::new(Norm::L2).craft(&zero, &x, 1, 0.3, &mut rng);
         assert_eq!(adv, x, "flat-loss FGM-l2 must leave the input unchanged");
-    }
-
-    #[test]
-    fn craft_batch_matches_per_image_crafting() {
-        let model = toy_model(22);
-        let images: Vec<Tensor> = (23..29).map(toy_input).collect();
-        let labels = vec![0usize, 1, 2, 0, 1, 2];
-        let base = Rng::seed_from_u64(30);
-        for attack in [
-            &Fgm::new(Norm::Linf) as &dyn Attack,
-            &Fgm::new(Norm::L2),
-            &Bim::new(Norm::Linf),
-            &Pgd::new(Norm::L2),
-            &Pgd::new(Norm::Linf),
-        ] {
-            let batch = attack.craft_batch(&model, &images, &labels, 0.1, &base);
-            for (i, (img, &lbl)) in images.iter().zip(&labels).enumerate() {
-                let scalar = attack.craft(&model, img, lbl, 0.1, &mut base.derive(i as u64));
-                assert_eq!(batch[i], scalar, "{} image {i}", attack.name());
-            }
-        }
     }
 
     #[test]

@@ -17,19 +17,28 @@
 //! budget `eps` in the attack's norm and the result clipped to the valid
 //! pixel range `[0, 1]`. Victim AxDNNs never see the attack internals.
 //!
-//! Whole evaluation sets are crafted in one [`Attack::craft_batch`]
-//! call: per-image RNG streams make the batched result bit-identical to
-//! the per-image [`Attack::craft`] loop for any thread chunking, and the
-//! gradient attacks step all images of a chunk together on one compiled
-//! [`axnn::plan::FPlan`].
+//! **One craft path.** Each attack defines exactly one per-image
+//! trajectory, [`Attack::trajectory`], over a [`GradSource`]: anything
+//! that answers `predict` and `input_gradient` for one input shape. The
+//! float model's compiled [`axnn::plan::FPlan`] is one source; a weighted
+//! [`Mixture`] of sources is another. The trait provides every entry
+//! point on top of that trajectory and runs the budget, length and shape
+//! checks once:
+//!
+//! * [`Attack::craft_batch_on`] crafts a set against any source, chunked
+//!   over threads, image `i` under its own stream `rng.derive(i)`;
+//! * [`Attack::craft_batch`] compiles the model's plan, then crafts on it;
+//! * [`Attack::craft`] is a batch of one under an already-derived stream.
+//!
+//! Per-image streams make a batch bit-identical for any thread chunking.
 //!
 //! Beyond the paper's per-image attacks, [`universal`] crafts a single
 //! *universal* perturbation — one shared delta optimized over a whole
 //! evaluation set (Shafahi et al.) — on the same batched gradient engine,
 //! and [`eot`] is the adaptive attacker against a randomized kernel
-//! ensemble: PGD over the expected loss of the ensemble's surrogate
-//! distribution (Athalye et al.), reducing bitwise to plain PGD in the
-//! single-kernel, single-sample case.
+//! ensemble: [`gradient::Pgd`] over a [`Mixture`] of surrogates ascends
+//! the ensemble's expected loss (Athalye et al.), reducing bitwise to
+//! plain PGD in the single-source, single-sample case.
 //!
 //! # Examples
 //!
@@ -52,24 +61,48 @@ pub mod decision;
 pub mod eot;
 pub mod gradient;
 pub mod norms;
+pub mod source;
 pub mod suite;
 pub mod universal;
 
+use axnn::plan::FPlan;
 use axnn::Sequential;
 use axtensor::Tensor;
 use axutil::{parallel, rng::Rng};
 
-pub use eot::EotAttack;
+pub use eot::Mixture;
 pub use norms::Norm;
+pub use source::{GradHandle, GradSource};
 
-/// An adversarial attack against a float model.
+/// An adversarial attack: one per-image trajectory over a gradient
+/// source, with every crafting entry point provided on top of it.
 pub trait Attack: Sync {
     /// A short display name (e.g. `"PGD-linf"`).
     fn name(&self) -> String;
 
-    /// Crafts an adversarial example for `(x, label)` with perturbation
-    /// budget `eps` (in the attack's norm). The result is always inside
-    /// the valid pixel box `[0, 1]` and within the eps-ball around `x`.
+    /// Crafts one adversarial example for `(x, label)` by querying
+    /// `source`, drawing all randomness from the image's own `rng`.
+    ///
+    /// The provided wrappers call this only with `eps > 0` and with `x`
+    /// in the source's input shape; the result must lie inside the pixel
+    /// box `[0, 1]` and within the eps-ball (in the attack's norm)
+    /// around `x`.
+    fn trajectory(
+        &self,
+        source: &mut dyn GradHandle,
+        x: &Tensor,
+        label: usize,
+        eps: f32,
+        rng: &mut Rng,
+    ) -> Tensor;
+
+    /// Crafts an adversarial example for `(x, label)` against the float
+    /// `model` with perturbation budget `eps`: a batch of one, crafted
+    /// under the already-derived stream `rng`. `eps == 0` returns `x`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `eps` is negative.
     fn craft(
         &self,
         model: &Sequential,
@@ -77,24 +110,22 @@ pub trait Attack: Sync {
         label: usize,
         eps: f32,
         rng: &mut Rng,
-    ) -> Tensor;
+    ) -> Tensor {
+        assert!(eps >= 0.0, "negative budget");
+        if eps == 0.0 {
+            return x.clone();
+        }
+        self.trajectory(&mut *compile(model, x.dims()).handle(), x, label, eps, rng)
+    }
 
-    /// Crafts adversarial examples for a whole evaluation set in one
-    /// batched pass, chunked over threads via
-    /// [`axutil::parallel::par_map_chunks`].
-    ///
-    /// Image `i` is crafted under its own derived RNG stream
-    /// `rng.derive(i as u64)`, so the result is **bit-identical** to the
-    /// per-image loop
-    /// `craft(model, &images[i], labels[i], eps, &mut rng.derive(i as u64))`
-    /// regardless of how the batch is chunked across threads. The
-    /// gradient attacks (FGM/BIM/PGD) override this to step all images
-    /// of a chunk together on one compiled plan and scratch; the default
-    /// implementation crafts per image.
+    /// Crafts adversarial examples for a whole set against the float
+    /// `model`: compiles the model's plan for the batch shape once, then
+    /// [`Attack::craft_batch_on`] it. Image `i` equals
+    /// `craft(model, &images[i], labels[i], eps, &mut rng.derive(i as u64))`.
     ///
     /// # Panics
     ///
-    /// Panics if `images` and `labels` disagree in length.
+    /// As [`Attack::craft_batch_on`].
     fn craft_batch(
         &self,
         model: &Sequential,
@@ -103,14 +134,68 @@ pub trait Attack: Sync {
         eps: f32,
         rng: &Rng,
     ) -> Vec<Tensor> {
-        assert_eq!(images.len(), labels.len(), "images/labels length mismatch");
+        let dims = images.first().map_or(&[][..], |x| x.dims());
+        if images.is_empty() || eps == 0.0 {
+            // Nothing to query: check the batch without compiling.
+            check_batch(images, labels, eps, dims);
+            return images.to_vec();
+        }
+        self.craft_batch_on(&compile(model, dims), images, labels, eps, rng)
+    }
+
+    /// Crafts adversarial examples for a whole set against `source`,
+    /// chunked over threads via [`axutil::parallel::par_map_chunks`] with
+    /// one [`GradSource::handle`] per chunk.
+    ///
+    /// Image `i` runs [`Attack::trajectory`] under its own derived stream
+    /// `rng.derive(i as u64)`, so the result is bit-identical for any
+    /// thread chunking. `eps == 0` returns the images unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `images` and `labels` disagree in length, `eps` is
+    /// negative, or an image does not have the source's input shape.
+    fn craft_batch_on(
+        &self,
+        source: &dyn GradSource,
+        images: &[Tensor],
+        labels: &[usize],
+        eps: f32,
+        rng: &Rng,
+    ) -> Vec<Tensor> {
+        check_batch(images, labels, eps, source.input_dims());
+        if eps == 0.0 {
+            return images.to_vec();
+        }
         parallel::par_map_chunks(images.len(), |range| {
+            let mut handle = source.handle();
             range
                 .map(|i| {
                     let mut stream = rng.derive(i as u64);
-                    self.craft(model, &images[i], labels[i], eps, &mut stream)
+                    self.trajectory(&mut *handle, &images[i], labels[i], eps, &mut stream)
                 })
                 .collect()
         })
+    }
+}
+
+/// The float source for `model` at `dims`: its compiled plan with the
+/// backward tables built, since every trajectory reuses them.
+fn compile<'m>(model: &'m Sequential, dims: &[usize]) -> FPlan<'m> {
+    let plan = model.plan(dims);
+    plan.prepare_backward();
+    plan
+}
+
+/// The checks every batch entry point shares.
+fn check_batch(images: &[Tensor], labels: &[usize], eps: f32, dims: &[usize]) {
+    assert_eq!(images.len(), labels.len(), "images/labels length mismatch");
+    assert!(eps >= 0.0, "negative budget");
+    for (i, x) in images.iter().enumerate() {
+        assert_eq!(
+            x.dims(),
+            dims,
+            "batch image {i} does not have the batch input shape"
+        );
     }
 }

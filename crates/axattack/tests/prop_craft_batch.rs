@@ -1,12 +1,16 @@
-//! Property tests pinning batched crafting to the per-image path.
+//! Property tests pinning every attack's crafting to an independent
+//! seed reference.
 //!
-//! `Attack::craft_batch` must be a pure performance optimization: for
-//! any model, attack, norm and chunking, crafting image `i` in a batch
-//! must be *bit-exact* with the scalar
-//! `craft(model, &images[i], labels[i], eps, &mut rng.derive(i as u64))`
-//! call. PGD's random start makes this the sharpest case: its stream is
-//! derived per image, so the result may not depend on which thread chunk
-//! an image lands in.
+//! Each attack defines one per-image trajectory and `Attack` provides
+//! `craft` and `craft_batch` on top of it, so comparing those two would
+//! compare a path with itself. Instead, the reference below re-implements
+//! every attack the way the seed did: one image at a time, every query
+//! through `Sequential::input_gradient` / `Sequential::predict` (a fresh
+//! plan per call), image `i` under the stream `rng.derive(i as u64)`.
+//! Batched crafting must be *bit-exact* with it for any model, eps and
+//! thread chunking. PGD's random start and RAG/RAU's variable number of
+//! draws per image (they stop at the first fooling sample) are the sharp
+//! cases: the result may not depend on which chunk an image lands in.
 //!
 //! Chunking is controlled through the `AXDNN_THREADS` environment
 //! variable, so every test that crafts batches serializes on [`ENV_LOCK`]
@@ -14,8 +18,10 @@
 
 use std::sync::Mutex;
 
+use axattack::decision::{ContrastReduction, RepeatedAdditiveGaussian, RepeatedAdditiveUniform};
 use axattack::gradient::{Bim, Fgm, Pgd};
-use axattack::norms::Norm;
+use axattack::norms::{ascent_direction, normalized, project_ball, project_to_ball, Norm};
+use axattack::suite::AttackId;
 use axattack::Attack;
 use axnn::layer::{AvgPool2d, Conv2d, Dense, Layer};
 use axnn::model::Sequential;
@@ -27,6 +33,9 @@ use proptest::prelude::*;
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 const IN_DIMS: [usize; 3] = [1, 8, 8];
+
+/// The thread counts every batch is crafted under.
+const THREADS: [&str; 4] = ["1", "2", "3", "7"];
 
 /// A small random model: dense-only, plain conv, or conv+pool.
 fn small_model(arch: usize, seed: u64) -> Sequential {
@@ -74,21 +83,151 @@ fn images(n: usize, seed: u64) -> Vec<Tensor> {
         .collect()
 }
 
-/// The six gradient attack/norm combinations (BIM/PGD with few steps to
-/// keep the property cheap).
-fn gradient_attacks() -> Vec<Box<dyn Attack>> {
-    vec![
-        Box::new(Fgm::new(Norm::Linf)),
-        Box::new(Fgm::new(Norm::L2)),
-        Box::new(Bim::new(Norm::Linf).with_steps(3)),
-        Box::new(Bim::new(Norm::L2).with_steps(3)),
-        Box::new(Pgd::new(Norm::Linf).with_steps(3)),
-        Box::new(Pgd::new(Norm::L2).with_steps(3)),
-    ]
+/// `id` with `steps` iterations (BIM/PGD) or repetitions (RAG/RAU).
+fn attack(id: AttackId, steps: usize) -> Box<dyn Attack> {
+    let norm = id.norm();
+    match id {
+        AttackId::FgmL2 | AttackId::FgmLinf => Box::new(Fgm::new(norm)),
+        AttackId::BimL2 | AttackId::BimLinf => Box::new(Bim::new(norm).with_steps(steps)),
+        AttackId::PgdL2 | AttackId::PgdLinf => Box::new(Pgd::new(norm).with_steps(steps)),
+        AttackId::CrL2 => Box::new(ContrastReduction::new()),
+        AttackId::RagL2 => Box::new(RepeatedAdditiveGaussian::new().with_repeats(steps)),
+        AttackId::RauL2 | AttackId::RauLinf => {
+            Box::new(RepeatedAdditiveUniform::new(norm).with_repeats(steps))
+        }
+    }
 }
 
-/// Compares one attack's batch output with the per-image scalar path.
-fn check_attack(
+/// The seed reference of `attack(id, steps)` on one image.
+fn reference(
+    id: AttackId,
+    steps: usize,
+    model: &Sequential,
+    x: &Tensor,
+    label: usize,
+    eps: f32,
+    rng: &mut Rng,
+) -> Tensor {
+    if eps == 0.0 {
+        return x.clone();
+    }
+    let norm = id.norm();
+    match id {
+        AttackId::FgmL2 | AttackId::FgmLinf => {
+            let (_, grad) = model.input_gradient(x, label);
+            ascend(x, x, &grad, eps, eps, norm)
+        }
+        AttackId::BimL2 | AttackId::BimLinf => {
+            iterate(model, x, x.clone(), label, eps, norm, steps)
+        }
+        AttackId::PgdL2 | AttackId::PgdLinf => {
+            let start = random_start(x, eps, norm, rng);
+            iterate(model, x, start, label, eps, norm, steps)
+        }
+        AttackId::CrL2 => {
+            let dir = Tensor::full(x.dims(), 0.5).sub(x);
+            let n = dir.l2_norm();
+            if n <= 1e-9 {
+                return x.clone();
+            }
+            let mut adv = x.clone();
+            adv.add_scaled(&dir, (eps / n).min(1.0));
+            project_to_ball(&adv, x, eps, Norm::L2)
+        }
+        AttackId::RagL2 => repeated_noise(model, x, label, rng, steps, |rng, x| {
+            let mut u = Tensor::zeros(x.dims());
+            rng.fill_normal_f32(u.data_mut(), 1.0);
+            x.add(&normalized(&u, Norm::L2).scaled(eps))
+                .clamped(0.0, 1.0)
+        }),
+        AttackId::RauL2 | AttackId::RauLinf => {
+            repeated_noise(model, x, label, rng, steps, |rng, x| {
+                let mut u = Tensor::zeros(x.dims());
+                rng.fill_range_f32(u.data_mut(), -1.0, 1.0);
+                let noise = match norm {
+                    Norm::Linf => u.scaled(eps),
+                    Norm::L2 => normalized(&u, Norm::L2).scaled(eps),
+                };
+                x.add(&noise).clamped(0.0, 1.0)
+            })
+        }
+    }
+}
+
+/// The seed gradient-ascent move.
+fn ascend(
+    cur: &Tensor,
+    origin: &Tensor,
+    grad: &Tensor,
+    alpha: f32,
+    eps: f32,
+    norm: Norm,
+) -> Tensor {
+    let mut adv = cur.clone();
+    adv.add_scaled(&ascent_direction(grad, norm), alpha);
+    project_to_ball(&adv, origin, eps, norm)
+}
+
+/// The seed PGD random start.
+fn random_start(x: &Tensor, eps: f32, norm: Norm, rng: &mut Rng) -> Tensor {
+    let mut noise = Tensor::zeros(x.dims());
+    match norm {
+        Norm::Linf => rng.fill_range_f32(noise.data_mut(), -eps, eps),
+        Norm::L2 => {
+            rng.fill_normal_f32(noise.data_mut(), 1.0);
+            let scale = rng.next_f32();
+            noise = normalized(&noise, Norm::L2).scaled(eps * scale);
+        }
+    }
+    x.add(&project_ball(&noise, eps, norm)).clamped(0.0, 1.0)
+}
+
+/// The seed BIM/PGD loop, one fresh plan per gradient step.
+fn iterate(
+    model: &Sequential,
+    x: &Tensor,
+    mut adv: Tensor,
+    label: usize,
+    eps: f32,
+    norm: Norm,
+    steps: usize,
+) -> Tensor {
+    let alpha = 2.5 * eps / steps as f32;
+    for _ in 0..steps {
+        let (_, grad) = model.input_gradient(&adv, label);
+        adv = ascend(&adv, x, &grad, alpha, eps, norm);
+    }
+    adv
+}
+
+/// The seed RAG/RAU loop, one fresh plan per decision.
+fn repeated_noise(
+    model: &Sequential,
+    x: &Tensor,
+    label: usize,
+    rng: &mut Rng,
+    repeats: usize,
+    sample: impl Fn(&mut Rng, &Tensor) -> Tensor,
+) -> Tensor {
+    let mut last = x.clone();
+    for _ in 0..repeats {
+        let candidate = sample(rng, x);
+        if model.predict(&candidate) != label {
+            return candidate;
+        }
+        last = candidate;
+    }
+    last
+}
+
+/// Crafts `imgs` with `attack` under every [`THREADS`] count, and each
+/// image alone through `Attack::craft`, and compares all of it with the
+/// seed reference of `(id, steps)`. Restores `AXDNN_THREADS`; callers
+/// hold [`ENV_LOCK`].
+#[allow(clippy::too_many_arguments)]
+fn check(
+    id: AttackId,
+    steps: usize,
     attack: &dyn Attack,
     model: &Sequential,
     imgs: &[Tensor],
@@ -96,17 +235,49 @@ fn check_attack(
     eps: f32,
     base: &Rng,
 ) -> Result<(), String> {
-    let batch = attack.craft_batch(model, imgs, labels, eps, base);
-    for (i, (img, &lbl)) in imgs.iter().zip(labels).enumerate() {
-        let scalar = attack.craft(model, img, lbl, eps, &mut base.derive(i as u64));
-        if batch[i] != scalar {
-            return Err(format!(
-                "{} eps {eps}: batch image {i} != scalar craft",
-                attack.name()
-            ));
+    let want: Vec<Tensor> = (0..imgs.len())
+        .map(|i| {
+            reference(
+                id,
+                steps,
+                model,
+                &imgs[i],
+                labels[i],
+                eps,
+                &mut base.derive(i as u64),
+            )
+        })
+        .collect();
+    let name = attack.name();
+    for (i, w) in want.iter().enumerate() {
+        let got = attack.craft(model, &imgs[i], labels[i], eps, &mut base.derive(i as u64));
+        if &got != w {
+            return Err(format!("{name} eps {eps}: craft image {i} != reference"));
         }
     }
-    Ok(())
+    let prev = std::env::var("AXDNN_THREADS").ok();
+    let mut result = Ok(());
+    for threads in THREADS {
+        std::env::set_var("AXDNN_THREADS", threads);
+        if attack.craft_batch(model, imgs, labels, eps, base) != want {
+            result = Err(format!(
+                "{name} eps {eps}: batch != reference (threads {threads})"
+            ));
+            break;
+        }
+    }
+    match prev {
+        Some(v) => std::env::set_var("AXDNN_THREADS", v),
+        None => std::env::remove_var("AXDNN_THREADS"),
+    }
+    result
+}
+
+/// The attacks of Table I of the given type.
+fn ids(gradient: bool) -> impl Iterator<Item = AttackId> {
+    AttackId::ALL
+        .into_iter()
+        .filter(move |id| id.is_gradient_based() == gradient)
 }
 
 proptest! {
@@ -123,65 +294,116 @@ proptest! {
         let labels: Vec<usize> = (0..imgs.len()).map(|i| i % 4).collect();
         let eps = eps_step as f32 * 0.05;
         let base = Rng::seed_from_u64(seed ^ 0xBA5E);
-        for attack in gradient_attacks() {
-            if let Err(msg) = check_attack(attack.as_ref(), &model, &imgs, &labels, eps, &base) {
+        for id in ids(true) {
+            let attack = attack(id, 3);
+            if let Err(msg) = check(id, 3, attack.as_ref(), &model, &imgs, &labels, eps, &base) {
+                prop_assert!(false, "{msg} (arch {arch}, seed {seed})");
+            }
+        }
+    }
+
+    #[test]
+    fn decision_craft_batch_is_bit_exact_with_scalar_crafting(
+        seed in proptest::strategy::any::<u64>(),
+        arch in 0usize..3,
+        eps_step in 1u32..=8,
+    ) {
+        let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let model = small_model(arch, seed);
+        let imgs = images(5, seed ^ 0xDEC1);
+        // Label each image with its own prediction so RAG/RAU actually
+        // search (a wrong label makes the first draw "fool" trivially).
+        let labels: Vec<usize> = imgs.iter().map(|x| model.predict(x)).collect();
+        let eps = eps_step as f32 * 0.1;
+        let base = Rng::seed_from_u64(seed ^ 0xBA5E);
+        for id in ids(false) {
+            let attack = attack(id, 3);
+            if let Err(msg) = check(id, 3, attack.as_ref(), &model, &imgs, &labels, eps, &base) {
                 prop_assert!(false, "{msg} (arch {arch}, seed {seed})");
             }
         }
     }
 }
 
-/// Batched crafting must not depend on how the batch is chunked across
-/// worker threads: sweep `AXDNN_THREADS` and require identical output,
-/// including PGD whose randomness is derived per image.
+/// A fixed conv+pool case with more images than the widest chunking.
 #[test]
 fn craft_batch_is_chunking_invariant() {
     let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let prev = std::env::var("AXDNN_THREADS").ok();
     let model = small_model(2, 4242);
     let imgs = images(7, 77);
     let labels: Vec<usize> = (0..imgs.len()).map(|i| (i * 3) % 4).collect();
     let base = Rng::seed_from_u64(9);
-    for attack in gradient_attacks() {
-        let mut reference: Option<Vec<Tensor>> = None;
-        for threads in ["1", "2", "3", "7"] {
-            std::env::set_var("AXDNN_THREADS", threads);
-            let batch = attack.craft_batch(&model, &imgs, &labels, 0.12, &base);
-            match &reference {
-                None => reference = Some(batch),
-                Some(r) => assert_eq!(
-                    r,
-                    &batch,
-                    "{} diverges between chunkings (threads {threads})",
-                    attack.name()
-                ),
-            }
-        }
-        // The single-threaded run equals the scalar path, so by the
-        // equality above every chunking does.
-        std::env::set_var("AXDNN_THREADS", "1");
-        check_attack(attack.as_ref(), &model, &imgs, &labels, 0.12, &base)
-            .unwrap_or_else(|msg| panic!("{msg}"));
-    }
-    match prev {
-        Some(v) => std::env::set_var("AXDNN_THREADS", v),
-        None => std::env::remove_var("AXDNN_THREADS"),
+    for id in ids(true) {
+        check(
+            id,
+            3,
+            attack(id, 3).as_ref(),
+            &model,
+            &imgs,
+            &labels,
+            0.12,
+            &base,
+        )
+        .unwrap_or_else(|msg| panic!("{msg}"));
     }
 }
 
-/// The default (per-image) `craft_batch` of decision attacks must follow
-/// the same per-image stream contract as the gradient overrides.
+/// The decision attacks on a fixed conv case, where RAG/RAU consume a
+/// different number of draws per image.
+#[test]
+fn decision_craft_batch_is_chunking_invariant() {
+    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let model = small_model(1, 1717);
+    let imgs = images(7, 18);
+    let labels: Vec<usize> = imgs.iter().map(|x| model.predict(x)).collect();
+    let base = Rng::seed_from_u64(19);
+    for id in ids(false) {
+        check(
+            id,
+            3,
+            attack(id, 3).as_ref(),
+            &model,
+            &imgs,
+            &labels,
+            0.4,
+            &base,
+        )
+        .unwrap_or_else(|msg| panic!("{msg}"));
+    }
+}
+
+/// All ten attacks as `AttackId::build` makes them (paper defaults,
+/// boxed) follow the same per-image stream contract.
 #[test]
 fn default_craft_batch_uses_per_image_streams() {
     let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    use axattack::suite::AttackId;
     let model = small_model(0, 31);
     let imgs = images(4, 32);
-    let labels = vec![0usize, 1, 2, 3];
+    let labels: Vec<usize> = imgs.iter().map(|x| model.predict(x)).collect();
     let base = Rng::seed_from_u64(33);
-    for id in [AttackId::CrL2, AttackId::RagL2, AttackId::RauLinf] {
-        let attack = id.build();
-        check_attack(attack.as_ref(), &model, &imgs, &labels, 0.2, &base)
-            .unwrap_or_else(|msg| panic!("{msg}"));
+    for id in AttackId::ALL {
+        check(
+            id,
+            10,
+            id.build().as_ref(),
+            &model,
+            &imgs,
+            &labels,
+            0.2,
+            &base,
+        )
+        .unwrap_or_else(|msg| panic!("{msg}"));
     }
+}
+
+/// A batch whose images share a length but not a shape must be refused,
+/// not run through the first image's plan.
+#[test]
+#[should_panic(expected = "does not have the batch input shape")]
+fn mixed_shape_batch_panics() {
+    let model = small_model(1, 5);
+    let mut imgs = images(3, 6);
+    imgs[1] = Tensor::full(&[8, 8, 1], 0.5);
+    let _ =
+        Pgd::new(Norm::Linf).craft_batch(&model, &imgs, &[0, 1, 2], 0.1, &Rng::seed_from_u64(7));
 }

@@ -4,7 +4,8 @@
 //!
 //! 1. `attacks` — adversarial crafting on a LeNet-5-sized model, per-image
 //!    [`axattack::Attack::craft`] calls vs one
-//!    [`axattack::Attack::craft_batch`] pass.
+//!    [`axattack::Attack::craft_batch`] pass, their paired difference
+//!    and the batched rate in images/s.
 //! 2. `train` — the training gradient, the seed per-image
 //!    `Sequential::loss_and_grads` fold vs one
 //!    `FPlan::loss_and_param_grads_batch` pass.
@@ -57,6 +58,8 @@ use bench::check::Report;
 
 /// Timed repetitions per measurement (the median is reported).
 const REPS: usize = 3;
+/// Interleaved per-image/batched timing pairs per attack.
+const PAIRS: usize = 21;
 /// Training images of the fine-tuning part.
 const FT_TRAIN: usize = 400;
 /// Evaluation samples of the fault campaign.
@@ -76,29 +79,34 @@ const MTD_EVAL: usize = 60;
 /// The victim multipliers of parts 5–7.
 const MULTS: [&str; 3] = ["1JFF", "17KS", "L40"];
 
-/// Median of [`REPS`] wall-clock timings of `f`, in milliseconds.
-fn median_ms<T>(mut f: impl FnMut() -> T) -> f64 {
-    let mut times: Vec<f64> = (0..REPS)
-        .map(|_| {
-            let start = Instant::now();
-            std::hint::black_box(f());
-            start.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
+/// Wall-clock time of one call of `f`, in milliseconds.
+fn time_ms<T>(f: impl FnOnce() -> T) -> f64 {
+    let start = Instant::now();
+    std::hint::black_box(f());
+    start.elapsed().as_secs_f64() * 1e3
+}
+
+/// The median of `times`.
+fn median(mut times: Vec<f64>) -> f64 {
     times.sort_by(|a, b| a.total_cmp(b));
     times[times.len() / 2]
 }
 
+/// Median of [`REPS`] wall-clock timings of `f`, in milliseconds.
+fn median_ms<T>(mut f: impl FnMut() -> T) -> f64 {
+    median((0..REPS).map(|_| time_ms(&mut f)).collect())
+}
+
 /// Asserts `scalar` and `batched` agree bit for bit, times both on one
 /// thread and then `batched` at the machine's parallelism, and records
-/// all three plus the one-thread speedup for `workload`. Leaves
-/// `AXDNN_THREADS` unset.
+/// all three for `workload`. Returns the one-thread `(scalar_ms,
+/// batched_ms)`. Leaves `AXDNN_THREADS` unset.
 fn time_batching<T: PartialEq + std::fmt::Debug>(
     report: &mut Report,
     workload: &str,
     mut scalar: impl FnMut() -> T,
     mut batched: impl FnMut() -> T,
-) {
+) -> (f64, f64) {
     assert_eq!(scalar(), batched(), "{workload}: batched path diverged");
     std::env::set_var("AXDNN_THREADS", "1");
     let scalar_ms = median_ms(&mut scalar);
@@ -111,8 +119,30 @@ fn time_batching<T: PartialEq + std::fmt::Debug>(
     report
         .add(workload, "scalar_ms", scalar_ms, "ms")
         .add(workload, "batched_ms", batched_ms, "ms")
-        .add(workload, "speedup", scalar_ms / batched_ms, "x")
         .add(workload, "batched_parallel_ms", batched_parallel_ms, "ms");
+    (scalar_ms, batched_ms)
+}
+
+/// The median of `batched - scalar` over [`PAIRS`] back-to-back pairs
+/// of one-thread timings, alternating which side runs first, in
+/// milliseconds. Load that drifts during the run hits both sides of a
+/// pair alike, so this stays steady where two separate medians do not.
+/// Leaves `AXDNN_THREADS` unset.
+fn paired_delta_ms<T>(mut scalar: impl FnMut() -> T, mut batched: impl FnMut() -> T) -> f64 {
+    std::env::set_var("AXDNN_THREADS", "1");
+    let deltas = (0..PAIRS)
+        .map(|pair| {
+            if pair % 2 == 0 {
+                let s = time_ms(&mut scalar);
+                time_ms(&mut batched) - s
+            } else {
+                let b = time_ms(&mut batched);
+                b - time_ms(&mut scalar)
+            }
+        })
+        .collect();
+    std::env::remove_var("AXDNN_THREADS");
+    median(deltas)
 }
 
 /// Records the run configuration shared by the timed parts.
@@ -182,10 +212,18 @@ fn attacks_report(images: &[Tensor], labels: &[usize]) {
                 .collect::<Vec<Tensor>>()
         };
         let batched = || attack.craft_batch(&model, images, labels, eps, &base);
-        time_batching(&mut report, &attack.name(), scalar, batched);
+        let name = attack.name();
+        let (_, batched_ms) = time_batching(&mut report, &name, scalar, batched);
+        let delta_ms = paired_delta_ms(scalar, batched);
+        let rate = images.len() as f64 * 1e3 / batched_ms;
+        report
+            .add(&name, "batched_minus_scalar_ms", delta_ms, "ms")
+            .add(&name, "images_per_s", rate, "1/s");
     }
     add_config(&mut report, images.len());
-    report.add("config", "eps", eps, "linf");
+    report
+        .add("config", "pairs", PAIRS as f64, "count")
+        .add("config", "eps", eps, "linf");
     report.write();
 }
 
@@ -209,7 +247,8 @@ fn train_report(images: &[Tensor], labels: &[usize]) {
             (loss, grads)
         };
         let batched = || model.loss_and_param_grads_batch(images, labels);
-        time_batching(&mut report, name, scalar, batched);
+        let (scalar_ms, batched_ms) = time_batching(&mut report, name, scalar, batched);
+        report.add(name, "speedup", scalar_ms / batched_ms, "x");
     }
     add_config(&mut report, images.len());
     report.write();
@@ -276,7 +315,14 @@ fn finetune_report() {
         plan.loss_and_param_grads_batch(images.len(), |i| &images[i], |i| labels[i], &lut)
     };
     let mut report = Report::new("finetune");
-    time_batching(&mut report, "finetune_grad_batch", scalar, batched);
+    let (scalar_ms, batched_ms) =
+        time_batching(&mut report, "finetune_grad_batch", scalar, batched);
+    report.add(
+        "finetune_grad_batch",
+        "speedup",
+        scalar_ms / batched_ms,
+        "x",
+    );
 
     let mut shadow = model.clone();
     let (hist, tuned) = finetune(&mut shadow, &train, &calib, &lut, &cfg).expect("finetune lenet5");

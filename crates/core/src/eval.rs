@@ -62,8 +62,8 @@ pub fn paper_eps_grid() -> Vec<f32> {
 }
 
 /// Crafts the adversarial test set for one `(attack, eps)` cell in one
-/// batched [`axattack::Attack::craft_batch`] pass (the gradient attacks
-/// step whole thread chunks on a single compiled plan). Deterministic
+/// batched [`axattack::Attack::craft_batch`] pass (one compiled plan
+/// shared by every thread chunk). Deterministic
 /// given `seed`, and independent of how the batch is chunked across
 /// threads.
 pub fn craft_adversarial_set(

@@ -12,8 +12,8 @@
 //!   ensemble over all of them;
 //! * **attacks** — clean (`eps = 0`), the static PGD-linf set (crafted on
 //!   the float surrogate, as everywhere in this repo), and the adaptive
-//!   [`EotAttack`] set that averages surrogate gradients over the
-//!   ensemble's kernel distribution each step.
+//!   EOT set: [`Pgd`] on a [`Mixture`] that averages surrogate gradients
+//!   over the ensemble's kernel distribution each step.
 //!
 //! Everything rides the existing batched engines and derived-stream RNG,
 //! so the whole report is bit-identical for any `AXDNN_THREADS` setting,
@@ -22,9 +22,10 @@
 //! set with one surrogate and one sample per step is bitwise the static
 //! PGD set.
 
-use axattack::eot::EotAttack;
+use axattack::gradient::Pgd;
 use axattack::norms::Norm;
 use axattack::suite::AttackId;
+use axattack::{Attack, GradSource, Mixture};
 use axdata::Dataset;
 use axmul::MulColumns;
 use axnn::Sequential;
@@ -134,14 +135,18 @@ fn craft_adaptive_set(
     let labels: Vec<usize> = (0..n).map(|i| data.label(i)).collect();
     // Per the threat model the attacker holds one float surrogate; the
     // ensemble's kernels share it, so the EOT expectation runs over
-    // `columns.len()` copies of the same model, uniformly weighted like
+    // `columns.len()` copies of the same plan, uniformly weighted like
     // the defender's policy.
-    let surrogates: Vec<&Sequential> = vec![source; columns.len()];
-    let weights = vec![1.0f32; columns.len()];
+    let plan = source.plan(data.image(0).dims());
+    plan.prepare_backward();
+    let mixture = Mixture::new(
+        vec![&plan as &dyn GradSource; columns.len()],
+        vec![1.0f32; columns.len()],
+        samples,
+    );
     let base = Rng::seed_from_u64(seed).derive((eps.to_bits() as u64) << 20);
-    EotAttack::new(Norm::Linf)
-        .with_samples(samples)
-        .craft_batch_over(&surrogates, &weights, &images, &labels, eps, &base)
+    Pgd::new(Norm::Linf)
+        .craft_batch_on(&mixture, &images, &labels, eps, &base)
         .into_iter()
         .zip(labels)
         .collect()

@@ -22,7 +22,7 @@ const MEMBERS: [&str; 11] = [
 ];
 
 /// The vendored offline shims (see `vendor/README.md`).
-const VENDORED: [&str; 3] = ["vendor/bytes", "vendor/criterion", "vendor/proptest"];
+const VENDORED: [&str; 2] = ["vendor/bytes", "vendor/proptest"];
 
 /// The ten library crates the umbrella package re-exports.
 const UMBRELLA_DEPS: [&str; 10] = [
