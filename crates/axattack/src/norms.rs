@@ -1,8 +1,7 @@
 //! Perturbation norms and ball projections.
 //!
 //! The geometry itself lives in [`axtensor::norms`] so the universal
-//! adversarial trainers in `axnn`/`axquant` (which cannot depend on this
-//! crate) share the exact same [`project_ball`]/[`ascent_direction`]
+//! adversarial trainer in `axquant` (which cannot depend on this crate) share the exact same [`project_ball`]/[`ascent_direction`]
 //! definitions as the attack crafters. This module re-exports it under
 //! the historical `axattack::norms` paths.
 

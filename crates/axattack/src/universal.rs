@@ -8,8 +8,9 @@
 //! the stochastic-gradient variant of Shafahi's crafter: iterated epochs
 //! of batched input gradients at `clip(x + delta)`, an FGSM-style
 //! sign/l2 ascent step on the *summed* gradient, and a per-epoch
-//! projection of the delta onto the eps-ball through the shared
-//! [`project_ball`] geometry.
+//! projection of the delta onto the eps-ball — one shared
+//! [`universal_step`], the same delta step the universal adversarial
+//! trainer in `axquant` takes.
 //!
 //! # Determinism and thread invariance
 //!
@@ -24,7 +25,9 @@ use axnn::Sequential;
 use axtensor::Tensor;
 use axutil::rng::Rng;
 
-use crate::norms::{ascent_direction, normalized, project_ball, Norm};
+use axtensor::norms::universal_step;
+
+use crate::norms::{normalized, project_ball, Norm};
 
 /// Applies a universal delta to one image: `clip(x + delta, 0, 1)`
 /// (re-export of the shared [`axtensor::norms::apply_delta`], under the
@@ -78,11 +81,11 @@ impl UniversalAttack {
     /// Optimizes one shared delta over the whole `(images, labels)` set.
     ///
     /// Per epoch: one batched input-gradient pass at `clip(x + delta)`
-    /// over every image, the per-image gradients summed in image order,
-    /// one `alpha * ascent_direction` step (Madry's `2.5 * eps / epochs`
-    /// step size) and a [`project_ball`] projection. Returns the final
-    /// delta (in delta space — apply it with [`apply`]). A zero budget
-    /// returns the zero delta without touching the model.
+    /// over every image, then one [`universal_step`]: the per-image
+    /// gradients summed in image order, an `alpha` ascent step (Madry's
+    /// `2.5 * eps / epochs` step size) and a ball projection. Returns the
+    /// final delta (in delta space — apply it with [`apply`]). A zero
+    /// budget returns the zero delta without touching the model.
     ///
     /// `rng` is only consumed by the optional random start, so the
     /// default configuration is a pure function of model, data and eps.
@@ -125,12 +128,13 @@ impl UniversalAttack {
             let grads = model.loss_and_input_grads_batch(&perturbed, labels);
             // The summed set gradient, folded in fixed image order on the
             // caller thread — the thread-invariance linchpin.
-            let mut g = Tensor::zeros(&dims);
-            for (_, gi) in &grads {
-                g.add_scaled(gi, 1.0);
-            }
-            delta.add_scaled(&ascent_direction(&g, self.norm), alpha);
-            delta = project_ball(&delta, eps, self.norm);
+            universal_step(
+                &mut delta,
+                grads.iter().map(|(_, g)| g),
+                alpha,
+                eps,
+                self.norm,
+            );
         }
         delta
     }

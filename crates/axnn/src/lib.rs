@@ -58,7 +58,6 @@ pub mod optim;
 pub mod plan;
 pub mod serialize;
 pub mod train;
-pub mod universal;
 pub mod zoo;
 
 pub use layer::Layer;

@@ -37,7 +37,11 @@ fn get_tensor(r: &mut ByteReader<'_>) -> Result<Tensor, AxError> {
     if dims.is_empty() || dims.contains(&0) {
         return Err(AxError::format("tensor with empty shape"));
     }
-    if dims.iter().product::<usize>() != data.len() {
+    let len = dims
+        .iter()
+        .try_fold(1usize, |acc, &d| acc.checked_mul(d))
+        .ok_or_else(|| AxError::format("tensor shape overflows"))?;
+    if len != data.len() {
         return Err(AxError::format("tensor data does not fill shape"));
     }
     Ok(Tensor::from_vec(data, &dims))
@@ -200,6 +204,29 @@ mod tests {
                 model_from_bytes(&bytes[..cut]).is_err(),
                 "cut at {cut} must fail"
             );
+        }
+    }
+
+    /// A conv layer whose weight dims multiply past `usize::MAX`
+    /// (`1 * 2^62 * 2 * 2 = 2^64`) must be rejected as malformed, not wrap
+    /// to an empty tensor that matches its empty data.
+    #[test]
+    fn overflowing_shape_is_rejected() {
+        let mut w = ByteWriter::new();
+        w.put_raw(MAGIC);
+        w.put_str("hostile");
+        w.put_u32(1);
+        w.put_u8(TAG_CONV);
+        w.put_u32(1);
+        w.put_u32(0);
+        w.put_u64_slice(&[1, 1 << 62, 2, 2]);
+        w.put_f32_slice(&[]);
+        w.put_u64_slice(&[1]);
+        w.put_f32_slice(&[0.0]);
+        let bytes = w.into_bytes().to_vec();
+        match model_from_bytes(&bytes) {
+            Err(AxError::Format(msg)) => assert!(msg.contains("overflows"), "{msg}"),
+            other => panic!("expected a format error, got {other:?}"),
         }
     }
 

@@ -27,6 +27,9 @@
 //!   estimator backward over the quantized forward, retraining float
 //!   shadow weights against the chosen multiplier (the retraining
 //!   defense of the paper's Sec. V).
+//! * [`universal`] — the crate's one hardening loop: universal
+//!   adversarial training through the quantized forward, of which
+//!   [`finetune`] is the zero-ball case.
 //! * [`ensemble`] — moving-target defense: [`ensemble::EnsembleModel`]
 //!   answers each query through a kernel sampled per query index by a
 //!   [`ensemble::KernelPolicy`] (deterministic derived-stream draws,

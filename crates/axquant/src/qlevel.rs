@@ -3,8 +3,8 @@
 //! The paper's experiments fix 8-bit fixed point, but Algorithm 1 takes
 //! the quantization level as an input. This module generalizes the
 //! engine's scales to 2..=8-bit weights/activations so the
-//! robustness-vs-precision surface can be explored (see the
-//! `qlevel_sweep` binary). Values always *fit inside* the 8-bit
+//! robustness-vs-precision surface can be explored (see
+//! `repro qlevel_sweep` in the `bench` crate). Values always *fit inside* the 8-bit
 //! multiplier operands — a lower level just leaves high bits unused,
 //! exactly like driving a narrow value onto a wider hardware multiplier.
 

@@ -18,11 +18,14 @@
 //!   strictly inside `(0, act_qmax)` (clipped STE — both the ReLU cut and
 //!   saturation block gradient), and rounding is treated as identity. The
 //!   resulting parameter gradients land in the layout of the float
-//!   *shadow* model, ready for [`Sgd::step_scaled`].
+//!   *shadow* model, ready for
+//!   [`Sgd::step_scaled`](axnn::optim::Sgd::step_scaled).
 //! * [`finetune`] is the driver, in [`axnn::train::fit`] style: per
-//!   epoch it requantizes the shadow weights into a fresh plan
-//!   (activation scales recalibrated on the calibration set), then runs
-//!   SGD + momentum over shuffled minibatches on the batched engine.
+//!   epoch it runs SGD + momentum over shuffled minibatches on the
+//!   batched engine, then requantizes the shadow weights into the next
+//!   epoch's plan (activation scales recalibrated on the calibration
+//!   set). It is the zero-ball entry point of the crate's one hardening
+//!   loop, [`crate::universal::universal_adversarial_fit`].
 //!
 //! # Determinism and thread invariance
 //!
@@ -63,7 +66,6 @@ use axnn::exec as fexec;
 use axnn::layer::Layer;
 use axnn::loss::cross_entropy_with_grad;
 use axnn::model::{GradBuffer, Sequential};
-use axnn::optim::Sgd;
 use axtensor::Tensor;
 use axutil::AxError;
 
@@ -71,6 +73,7 @@ use crate::exec;
 use crate::placement::Placement;
 use crate::qlevel::QLevel;
 use crate::qmodel::{QLayer, QWeights, QuantModel};
+use crate::universal::{universal_adversarial_fit, UniversalFinetuneConfig};
 
 /// One resolved layer of a compiled fine-tuning plan.
 #[derive(Debug)]
@@ -794,13 +797,6 @@ pub struct FinetuneConfig {
     pub level: QLevel,
     /// Sample cap for the per-epoch quantized accuracy.
     pub eval_cap: usize,
-    /// Requantize the shadow weights into a fresh quantized forward
-    /// every `N` batches *within* an epoch. `0` (the default) keeps
-    /// today's per-epoch schedule bitwise: one requantization after the
-    /// epoch's last batch. Smaller values trade requantization cost for
-    /// a fresher linearization — ensemble fine-tuning, where the
-    /// effective forward moves per query, wants `1`.
-    pub requant_every: usize,
     /// Print one line per epoch to stderr when true.
     pub verbose: bool,
 }
@@ -818,7 +814,6 @@ impl Default for FinetuneConfig {
             placement: Placement::ConvOnly,
             level: QLevel::INT8,
             eval_cap: 2000,
-            requant_every: 0,
             verbose: false,
         }
     }
@@ -839,15 +834,14 @@ pub struct FinetuneHistory {
 /// Approximation-aware fine-tuning: retrains the float `shadow` weights
 /// against the quantized/approximate forward under `kernel`.
 ///
-/// Per epoch: the current shadow weights are requantized
-/// ([`QuantModel::from_float_with_level`], activation scales recalibrated
-/// on `calib`) into a fresh [`QTrainPlan`], then SGD + momentum
-/// ([`Sgd::step_scaled`], fused `1/n` mean scaling) runs over shuffled
-/// minibatches on the batched STE engine. The quantized model is rebuilt
-/// after the epoch and its clean accuracy recorded. With
-/// [`FinetuneConfig::requant_every`] `= N > 0` the rebuild additionally
-/// happens every `N` batches within the epoch (a fresher linearization);
-/// the default `0` reproduces the per-epoch schedule bitwise.
+/// This is [`universal_adversarial_fit`] with a zero ball, so the two
+/// share one loop: the shadow is quantized once (the PTQ baseline), then
+/// per epoch SGD + momentum
+/// ([`Sgd::step_scaled`](axnn::optim::Sgd::step_scaled), fused `1/n` mean
+/// scaling) runs over shuffled minibatches on the batched STE engine and
+/// the shadow weights are requantized
+/// ([`QuantModel::from_float_with_level`], activation scales
+/// recalibrated on `calib`) and scored.
 ///
 /// Returns the history plus the **final requantized model** (the victim
 /// the defense ships), so callers evaluate it directly instead of paying
@@ -871,69 +865,13 @@ pub fn finetune<K: MulKernel + ?Sized>(
     kernel: &K,
     cfg: &FinetuneConfig,
 ) -> Result<(FinetuneHistory, QuantModel), AxError> {
-    assert!(!data.is_empty(), "cannot fine-tune on an empty dataset");
-    let in_dims = data.image(0).dims().to_vec();
-    let mut qm = QuantModel::from_float_with_level(shadow, calib, cfg.placement, cfg.level)?;
-    let initial_accuracy = qm.accuracy_with(data, kernel, cfg.eval_cap);
-    let mut opt = Sgd::new(shadow, cfg.lr, cfg.momentum, cfg.weight_decay);
-    let mut history = FinetuneHistory {
-        initial_accuracy,
-        losses: Vec::with_capacity(cfg.epochs),
-        accuracies: Vec::with_capacity(cfg.epochs),
+    let zero_ball = UniversalFinetuneConfig {
+        base: cfg.clone(),
+        eps: 0.0,
+        ..Default::default()
     };
-    for epoch in 0..cfg.epochs {
-        let batches = data.batch_indices(
-            cfg.batch_size,
-            cfg.seed ^ (epoch as u64).wrapping_mul(0x9E37),
-        );
-        let mut loss_acc = 0.0f64;
-        // `requant_every == 0` makes the whole epoch one chunk, so the
-        // single rebuild below lands after the last batch — the original
-        // per-epoch schedule, bit for bit.
-        let chunk_len = if cfg.requant_every == 0 {
-            batches.len().max(1)
-        } else {
-            cfg.requant_every
-        };
-        for chunk in batches.chunks(chunk_len) {
-            {
-                // The plan borrows the chunk's quantized model; the
-                // shadow is only read at compile time, so the optimizer
-                // can mutate it batch by batch while the plan is alive.
-                let plan = QTrainPlan::compile(&qm, shadow, &in_dims);
-                for batch in chunk {
-                    let n = batch.len();
-                    let (loss_sum, grads) = plan.loss_and_param_grads_batch(
-                        n,
-                        |k| data.image(batch[k]),
-                        |k| data.label(batch[k]),
-                        kernel,
-                    );
-                    opt.step_scaled(shadow, &grads, 1.0 / n as f32);
-                    loss_acc += (loss_sum / n as f32) as f64;
-                }
-            }
-            // Requantization of the shadow weights into the plan the
-            // *next* chunk (or epoch) trains against.
-            qm = QuantModel::from_float_with_level(shadow, calib, cfg.placement, cfg.level)?;
-        }
-        let mean_loss = (loss_acc / batches.len() as f64) as f32;
-        let acc = qm.accuracy_with(data, kernel, cfg.eval_cap);
-        history.losses.push(mean_loss);
-        history.accuracies.push(acc);
-        if cfg.verbose {
-            eprintln!(
-                "[finetune {}] epoch {}/{}: loss {:.4}, quantized acc {:.2}%",
-                qm.name(),
-                epoch + 1,
-                cfg.epochs,
-                mean_loss,
-                100.0 * acc
-            );
-        }
-        opt.set_lr((opt.lr() * cfg.lr_decay).max(1e-5));
-    }
-    Ok((history, qm))
+    let (history, qm, _) = universal_adversarial_fit(shadow, data, calib, kernel, &zero_ball)?;
+    Ok((history.base, qm))
 }
 
 #[cfg(test)]
@@ -1103,62 +1041,6 @@ mod tests {
         let again =
             QuantModel::from_float_with_level(&shadow, &calib, cfg.placement, cfg.level).unwrap();
         assert_eq!(tuned, again);
-    }
-
-    /// `requant_every: 0` and "requantize after more batches than the
-    /// epoch has" are the same schedule, so they must agree bitwise —
-    /// the default preserves today's per-epoch behaviour exactly.
-    #[test]
-    fn requant_every_zero_is_bitwise_per_epoch() {
-        let data = {
-            let mut rng = Rng::seed_from_u64(91);
-            let mut imgs = Vec::new();
-            let mut labels = Vec::new();
-            for _ in 0..24 {
-                let label = rng.index(4);
-                let mut t = Tensor::zeros(&[1, 8, 8]);
-                rng.fill_range_f32(t.data_mut(), 0.0, 1.0);
-                t.data_mut()[label * 7] += 1.0;
-                imgs.push(t);
-                labels.push(label);
-            }
-            Dataset::new("tiny", imgs, labels, 4)
-        };
-        let calib: Vec<Tensor> = (0..6).map(|i| data.image(i).clone()).collect();
-        let lut = Registry::standard().build_lut("17KS").unwrap();
-        let base = FinetuneConfig {
-            epochs: 2,
-            batch_size: 8,
-            lr: 0.03,
-            ..Default::default()
-        };
-        let mut shadow_a = small_conv(92);
-        let (hist_a, qm_a) = finetune(&mut shadow_a, &data, &calib, &lut, &base).unwrap();
-        let mut shadow_b = small_conv(92);
-        let cfg_b = FinetuneConfig {
-            requant_every: 1000, // one chunk per epoch, like 0
-            ..base.clone()
-        };
-        let (hist_b, qm_b) = finetune(&mut shadow_b, &data, &calib, &lut, &cfg_b).unwrap();
-        assert_eq!(hist_a, hist_b);
-        assert_eq!(shadow_a, shadow_b);
-        assert_eq!(qm_a, qm_b);
-
-        // A genuinely finer schedule changes the trajectory: each chunk
-        // trains against a fresher linearization.
-        let mut shadow_c = small_conv(92);
-        let cfg_c = FinetuneConfig {
-            requant_every: 1,
-            ..base
-        };
-        let (hist_c, _) = finetune(&mut shadow_c, &data, &calib, &lut, &cfg_c).unwrap();
-        assert_eq!(hist_c.losses.len(), 2);
-        assert!(hist_c.losses.iter().all(|l| l.is_finite()));
-        assert!(hist_c.accuracies.iter().all(|a| (0.0..=1.0).contains(a)));
-        assert_ne!(
-            shadow_c, shadow_a,
-            "per-batch requantization must actually change the linearization"
-        );
     }
 
     #[test]

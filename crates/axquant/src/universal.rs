@@ -1,45 +1,51 @@
-//! Universal adversarial training *through the quantized forward*.
+//! Universal adversarial training *through the quantized forward* —
+//! and, at the zero ball, plain approximation-aware fine-tuning.
 //!
-//! The quantized twin of [`axnn::universal::universal_adversarial_fit`]:
-//! Shafahi's alternating delta/weight updates, layered over the
-//! approximation-aware fine-tuning engine of [`crate::qtrain`] instead of
-//! the float plan. Per minibatch it first ascends the shared delta on the
-//! **float shadow's** input gradients at `clip(x + delta)` (the paper's
-//! threat model — the adversary crafts against the accurate float
-//! surrogate, never the victim AxDNN's internals), then descends the
-//! shadow weights through the [`QTrainPlan`] straight-through estimator
-//! on the batch perturbed by the freshly updated delta. The delta lives
-//! in the shared ball geometry of [`axtensor::norms`], identical to the
-//! `axattack` universal crafter's.
+//! Shafahi et al.'s ("Universal Adversarial Training") alternating
+//! delta/weight updates, layered over the fine-tuning engine of
+//! [`crate::qtrain`]. Per minibatch [`universal_adversarial_fit`] first
+//! ascends the shared delta on the **float shadow's** input gradients at
+//! `clip(x + delta)` (the paper's threat model — the adversary crafts
+//! against the accurate float surrogate, never the victim AxDNN's
+//! internals), then descends the shadow weights through the
+//! [`QTrainPlan`] straight-through estimator on the batch perturbed by
+//! the freshly updated delta. The delta moves by
+//! [`universal_step`], the same step the `axattack` universal crafter
+//! takes, so training and attack share one ball geometry.
+//!
+//! This is the crate's only hardening loop: [`finetune`] is
+//! [`universal_adversarial_fit`] with a zero ball.
 //!
 //! # Determinism and thread invariance
 //!
 //! Both gradient paths fold per-image results in fixed left-to-right
-//! image order (the PR 4 contract): input gradients via
+//! image order: input gradients via
 //! [`axnn::Sequential::loss_and_input_grads_batch`] summed on the caller
 //! thread, STE parameter gradients via
 //! [`QTrainPlan::loss_and_param_grads_batch`]. History, shadow weights,
 //! the returned [`QuantModel`] and the delta are bit-identical for any
-//! `AXDNN_THREADS` setting (pinned by `tests/prop_universal_train.rs`).
+//! `AXDNN_THREADS` setting (pinned against a test-side reference loop by
+//! `tests/prop_universal_train.rs`).
 //!
 //! # The zero ball
 //!
 //! `eps == 0` pins the delta at the zero tensor and skips the ascent pass
-//! entirely, so the weight path executes the same floating-point
-//! operations as [`finetune`](crate::qtrain::finetune): losses,
-//! accuracies, shadow weights and the requantized model are bitwise equal
-//! to a plain `finetune` run with the same base config.
+//! entirely, so each weight step trains on the clean batch: this is the
+//! path [`finetune`] runs.
 
 use axdata::Dataset;
 use axmul::MulKernel;
 use axnn::model::Sequential;
 use axnn::optim::Sgd;
-use axtensor::norms::{apply_delta, ascent_direction, project_ball, Norm};
+use axtensor::norms::{apply_delta, universal_step, Norm};
 use axtensor::Tensor;
 use axutil::AxError;
 
 use crate::qmodel::QuantModel;
-use crate::qtrain::{FinetuneConfig, QTrainPlan};
+use crate::qtrain::{FinetuneConfig, FinetuneHistory, QTrainPlan};
+
+#[cfg(doc)]
+use crate::qtrain::finetune;
 
 /// Hyper-parameters for the quantized [`universal_adversarial_fit`]: a
 /// plain [`FinetuneConfig`] plus the universal-perturbation ball and step
@@ -49,8 +55,7 @@ pub struct UniversalFinetuneConfig {
     /// The underlying fine-tuning schedule (epochs, batches, lr,
     /// placement, level, ...).
     pub base: FinetuneConfig,
-    /// Perturbation budget. `0.0` reduces the run exactly to
-    /// [`finetune`](crate::qtrain::finetune).
+    /// Perturbation budget. `0.0` is plain [`finetune`].
     pub eps: f32,
     /// Ball norm for the delta.
     pub norm: Norm,
@@ -73,15 +78,12 @@ impl Default for UniversalFinetuneConfig {
 /// Per-epoch record of a quantized universal adversarial training run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UniversalFinetuneHistory {
-    /// Quantized clean accuracy (under the fine-tuning kernel) of the
-    /// post-training-quantization baseline, before any update.
-    pub initial_accuracy: f32,
-    /// Mean (perturbed-batch, quantized-forward) training loss per epoch.
-    pub losses: Vec<f32>,
-    /// Quantized clean accuracy after each epoch's requantization.
-    pub accuracies: Vec<f32>,
+    /// The fine-tuning record: PTQ baseline accuracy, then per epoch the
+    /// mean (perturbed-batch, quantized-forward) training loss and the
+    /// quantized clean accuracy after requantization.
+    pub base: FinetuneHistory,
     /// Quantized accuracy under the epoch's final delta, on the same
-    /// capped sample. Equals `accuracies` bitwise when `eps == 0`.
+    /// capped sample. Equals `base.accuracies` bitwise when `eps == 0`.
     pub universal_accuracies: Vec<f32>,
 }
 
@@ -105,17 +107,23 @@ fn universal_accuracy<K: MulKernel + ?Sized>(
 /// Universal adversarial fine-tuning: hardens the quantized/approximate
 /// victim against a universal perturbation by alternating delta-ascent
 /// (on the float shadow) and STE weight-descent (through the quantized
-/// forward under `kernel`), [`finetune`](crate::qtrain::finetune)-style.
+/// forward under `kernel`).
 ///
-/// Per epoch the shadow weights are requantized into a fresh
-/// [`QTrainPlan`]; per minibatch: (1) if `eps > 0`, one batched
-/// float-shadow input-gradient pass at `clip(x + delta)` summed in image
-/// order, an `eps * delta_step` step along [`ascent_direction`] and a
-/// [`project_ball`] projection; (2) one STE weight step
-/// ([`Sgd::step_scaled`]) on the batch perturbed by the updated delta.
+/// The shadow is quantized once up front (the PTQ baseline); then per
+/// epoch the current shadow weights compile into a fresh [`QTrainPlan`]
+/// and, per shuffled minibatch: (1) if `eps > 0`, one batched
+/// float-shadow input-gradient pass at `clip(x + delta)` and one
+/// [`universal_step`] of length `eps * delta_step`; (2) one STE weight
+/// step ([`Sgd::step_scaled`], fused `1/n` mean scaling) on the batch
+/// perturbed by the updated delta. After the epoch the shadow is
+/// requantized ([`QuantModel::from_float_with_level`], activation scales
+/// recalibrated on `calib`) and scored. Within an epoch the quantized
+/// forward is frozen — see [`FinetuneConfig`] for what that means for
+/// the learning rate.
 ///
-/// Returns the history, the **final requantized model** and the final
-/// universal delta (apply it with [`apply_delta`]).
+/// Returns the history, the **final requantized model** (the victim the
+/// defense ships) and the final universal delta (apply it with
+/// [`apply_delta`]).
 ///
 /// # Errors
 ///
@@ -134,28 +142,25 @@ pub fn universal_adversarial_fit<K: MulKernel + ?Sized>(
 ) -> Result<(UniversalFinetuneHistory, QuantModel, Tensor), AxError> {
     assert!(!data.is_empty(), "cannot fine-tune on an empty dataset");
     assert!(cfg.eps >= 0.0, "negative budget");
+    let base = &cfg.base;
     let in_dims = data.image(0).dims().to_vec();
-    let mut qm =
-        QuantModel::from_float_with_level(shadow, calib, cfg.base.placement, cfg.base.level)?;
-    let initial_accuracy = qm.accuracy_with(data, kernel, cfg.base.eval_cap);
-    let mut opt = Sgd::new(
-        shadow,
-        cfg.base.lr,
-        cfg.base.momentum,
-        cfg.base.weight_decay,
-    );
+    let mut qm = QuantModel::from_float_with_level(shadow, calib, base.placement, base.level)?;
+    let initial_accuracy = qm.accuracy_with(data, kernel, base.eval_cap);
+    let mut opt = Sgd::new(shadow, base.lr, base.momentum, base.weight_decay);
     let mut delta = Tensor::zeros(&in_dims);
     let alpha = cfg.eps * cfg.delta_step;
     let mut history = UniversalFinetuneHistory {
-        initial_accuracy,
-        losses: Vec::with_capacity(cfg.base.epochs),
-        accuracies: Vec::with_capacity(cfg.base.epochs),
-        universal_accuracies: Vec::with_capacity(cfg.base.epochs),
+        base: FinetuneHistory {
+            initial_accuracy,
+            losses: Vec::with_capacity(base.epochs),
+            accuracies: Vec::with_capacity(base.epochs),
+        },
+        universal_accuracies: Vec::with_capacity(base.epochs),
     };
-    for epoch in 0..cfg.base.epochs {
+    for epoch in 0..base.epochs {
         let batches = data.batch_indices(
-            cfg.base.batch_size,
-            cfg.base.seed ^ (epoch as u64).wrapping_mul(0x9E37),
+            base.batch_size,
+            base.seed ^ (epoch as u64).wrapping_mul(0x9E37),
         );
         let mut loss_acc = 0.0f64;
         {
@@ -165,25 +170,27 @@ pub fn universal_adversarial_fit<K: MulKernel + ?Sized>(
             let plan = QTrainPlan::compile(&qm, shadow, &in_dims);
             for batch in &batches {
                 let n = batch.len();
+                let perturb = |delta: &Tensor| -> Vec<Tensor> {
+                    batch
+                        .iter()
+                        .map(|&i| apply_delta(data.image(i), delta))
+                        .collect()
+                };
                 if cfg.eps > 0.0 {
                     // Ascent on the float shadow: the adversary's view of
                     // the victim, per the paper's threat model.
-                    let perturbed: Vec<Tensor> = batch
-                        .iter()
-                        .map(|&i| apply_delta(data.image(i), &delta))
-                        .collect();
                     let labels: Vec<usize> = batch.iter().map(|&i| data.label(i)).collect();
-                    let grads = shadow.loss_and_input_grads_batch(&perturbed, &labels);
-                    let mut g = Tensor::zeros(&in_dims);
-                    for (_, gi) in &grads {
-                        g.add_scaled(gi, 1.0);
-                    }
-                    delta.add_scaled(&ascent_direction(&g, cfg.norm), alpha);
-                    delta = project_ball(&delta, cfg.eps, cfg.norm);
+                    let grads = shadow.loss_and_input_grads_batch(&perturb(&delta), &labels);
+                    universal_step(
+                        &mut delta,
+                        grads.iter().map(|(_, g)| g),
+                        alpha,
+                        cfg.eps,
+                        cfg.norm,
+                    );
                 }
-                // Descent: a plain `finetune` STE step on the batch
-                // perturbed by the updated delta. The zero ball trains on
-                // the clean images — op-for-op identical to `finetune`.
+                // Descent: one STE step on the batch perturbed by the
+                // updated delta. The zero ball trains on the clean images.
                 let (loss_sum, grads) = if cfg.eps == 0.0 {
                     plan.loss_and_param_grads_batch(
                         n,
@@ -192,10 +199,7 @@ pub fn universal_adversarial_fit<K: MulKernel + ?Sized>(
                         kernel,
                     )
                 } else {
-                    let perturbed: Vec<Tensor> = batch
-                        .iter()
-                        .map(|&i| apply_delta(data.image(i), &delta))
-                        .collect();
+                    let perturbed = perturb(&delta);
                     plan.loss_and_param_grads_batch(
                         n,
                         |k| &perturbed[k],
@@ -207,29 +211,33 @@ pub fn universal_adversarial_fit<K: MulKernel + ?Sized>(
                 loss_acc += (loss_sum / n as f32) as f64;
             }
         }
-        qm = QuantModel::from_float_with_level(shadow, calib, cfg.base.placement, cfg.base.level)?;
+        qm = QuantModel::from_float_with_level(shadow, calib, base.placement, base.level)?;
         let mean_loss = (loss_acc / batches.len() as f64) as f32;
-        let acc = qm.accuracy_with(data, kernel, cfg.base.eval_cap);
+        let acc = qm.accuracy_with(data, kernel, base.eval_cap);
         let univ_acc = if cfg.eps == 0.0 {
             acc
         } else {
-            universal_accuracy(&qm, data, &delta, kernel, cfg.base.eval_cap)
+            universal_accuracy(&qm, data, &delta, kernel, base.eval_cap)
         };
-        history.losses.push(mean_loss);
-        history.accuracies.push(acc);
+        history.base.losses.push(mean_loss);
+        history.base.accuracies.push(acc);
         history.universal_accuracies.push(univ_acc);
-        if cfg.base.verbose {
+        if base.verbose {
+            let universal = if cfg.eps == 0.0 {
+                String::new()
+            } else {
+                format!(", universal acc {:.2}%", 100.0 * univ_acc)
+            };
             eprintln!(
-                "[universal-finetune {}] epoch {}/{}: loss {:.4}, clean acc {:.2}%, universal acc {:.2}%",
+                "[finetune {}] epoch {}/{}: loss {:.4}, quantized acc {:.2}%{universal}",
                 qm.name(),
                 epoch + 1,
-                cfg.base.epochs,
+                base.epochs,
                 mean_loss,
-                100.0 * acc,
-                100.0 * univ_acc
+                100.0 * acc
             );
         }
-        opt.set_lr((opt.lr() * cfg.base.lr_decay).max(1e-5));
+        opt.set_lr((opt.lr() * base.lr_decay).max(1e-5));
     }
     Ok((history, qm, delta))
 }
@@ -240,6 +248,7 @@ mod tests {
     use crate::qtrain::finetune;
     use axmul::ExactMul;
     use axnn::layer::{Dense, Layer};
+    use axnn::train::{fit, TrainConfig};
     use axutil::rng::Rng;
 
     /// A tiny 4-class dataset in the pixel box with a planted class cue.
@@ -298,10 +307,8 @@ mod tests {
         let (uh, uq, delta) =
             universal_adversarial_fit(&mut universal, &data, &calib, &ExactMul, &cfg).unwrap();
         assert_eq!(delta, Tensor::zeros(&[1, 6, 6]));
-        assert_eq!(uh.initial_accuracy, ph.initial_accuracy);
-        assert_eq!(uh.losses, ph.losses);
-        assert_eq!(uh.accuracies, ph.accuracies);
         assert_eq!(uh.universal_accuracies, ph.accuracies);
+        assert_eq!(uh.base, ph);
         assert_eq!(plain, universal);
         assert_eq!(pq, uq);
     }
@@ -331,8 +338,73 @@ mod tests {
         assert_eq!(m1, m2);
         assert_eq!(q1, q2);
         assert!(d1.linf_norm() <= 0.06);
-        assert_eq!(h1.losses.len(), 2);
+        assert_eq!(h1.base.losses.len(), 2);
         assert_eq!(h1.universal_accuracies.len(), 2);
+    }
+
+    /// A linearly separable 2-class dataset (class centres 0.25 and
+    /// 0.75 per pixel), inside the pixel box.
+    fn boxed_dataset(n: usize, seed: u64) -> Dataset {
+        let mut rng = Rng::seed_from_u64(seed);
+        let mut images = Vec::new();
+        let mut labels = Vec::new();
+        for _ in 0..n {
+            let label = rng.index(2);
+            let centre = if label == 0 { 0.25 } else { 0.75 };
+            let mut t = Tensor::zeros(&[1, 2, 2]);
+            for v in t.data_mut() {
+                *v = (centre + rng.normal_f32() * 0.05).clamp(0.0, 1.0);
+            }
+            images.push(t);
+            labels.push(label);
+        }
+        Dataset::new("boxed", images, labels, 2)
+    }
+
+    #[test]
+    fn hardened_model_resists_the_training_delta() {
+        // Harden a trained float model through the quantized forward: the
+        // requantized victim must classify well under its own training
+        // delta.
+        let data = boxed_dataset(200, 5);
+        let calib = calib_of(&data, 16);
+        let mut rng = Rng::seed_from_u64(6);
+        let mut model = Sequential::new(
+            "boxed-mlp",
+            vec![
+                Layer::Flatten,
+                Layer::Dense(Dense::new(4, 8, &mut rng)),
+                Layer::Relu,
+                Layer::Dense(Dense::new(8, 2, &mut rng)),
+            ],
+        );
+        let fit_cfg = TrainConfig {
+            epochs: 4,
+            batch_size: 16,
+            lr: 0.1,
+            ..Default::default()
+        };
+        fit(&mut model, &data, &fit_cfg);
+        let cfg = UniversalFinetuneConfig {
+            base: FinetuneConfig {
+                epochs: 2,
+                batch_size: 16,
+                placement: crate::Placement::All,
+                eval_cap: 200,
+                ..Default::default()
+            },
+            eps: 0.1,
+            ..Default::default()
+        };
+        let (hist, _, delta) =
+            universal_adversarial_fit(&mut model, &data, &calib, &ExactMul, &cfg).unwrap();
+        let last_univ = *hist.universal_accuracies.last().unwrap();
+        assert!(
+            last_univ > 0.9,
+            "universal accuracy after hardening: {:?}",
+            hist.universal_accuracies
+        );
+        assert!(delta.linf_norm() <= 0.1 + 1e-6);
     }
 
     #[test]

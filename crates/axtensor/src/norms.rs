@@ -1,11 +1,12 @@
 //! Perturbation norms and eps-ball projections.
 //!
 //! The geometry every adversarial budget is defined in, shared by the
-//! attack crafters (`axattack`) and the universal adversarial trainers
-//! (`axnn`/`axquant`): the [`Norm`] enum, unit normalization, the
-//! delta-space ball projection [`project_ball`], the image-space
-//! [`project_to_ball`] (ball projection plus the `[0, 1]` pixel box) and
-//! the ascent direction [`ascent_direction`]. Keeping one definition here
+//! attack crafters (`axattack`) and the universal adversarial trainer
+//! (`axquant`): the [`Norm`] enum, unit normalization, the delta-space
+//! ball projection [`project_ball`], the image-space [`project_to_ball`]
+//! (ball projection plus the `[0, 1]` pixel box), the ascent direction
+//! [`ascent_direction`] and the universal delta step
+//! [`universal_step`]. Keeping one definition here
 //! makes batch-vs-scalar and universal-vs-PGD geometry *structural*
 //! rather than hand-synced across crates.
 
@@ -64,7 +65,8 @@ pub fn normalized(dir: &Tensor, norm: Norm) -> Tensor {
 ///
 /// This is *the* shared ball geometry: PGD's random start, the per-step
 /// projection of the iterated attacks and the universal-perturbation
-/// crafter/trainers all constrain their delta through this one function.
+/// crafter and trainer all constrain their delta through this one
+/// function.
 /// For linf the projection (a coordinate clamp) is exactly idempotent;
 /// for l2 a rescale may leave the norm within one rounding step of `eps`,
 /// so re-projection moves the delta by at most a few ULPs.
@@ -98,10 +100,34 @@ pub fn ascent_direction(grad: &Tensor, norm: Norm) -> Tensor {
     }
 }
 
+/// One ascent step of a universal delta: sums the per-image input
+/// gradients `grads` in iteration order, moves `delta` by `alpha` along
+/// their [`ascent_direction`] and projects it back onto the `eps`-ball
+/// with [`project_ball`].
+///
+/// The universal crafter's epoch and the universal adversarial trainer's
+/// minibatch both step their delta through this one function; feeding
+/// the gradients in image order keeps the sum, and so the delta,
+/// independent of how the gradients were computed in parallel.
+pub fn universal_step<'a>(
+    delta: &mut Tensor,
+    grads: impl IntoIterator<Item = &'a Tensor>,
+    alpha: f32,
+    eps: f32,
+    norm: Norm,
+) {
+    let mut g = Tensor::zeros(delta.dims());
+    for gi in grads {
+        g.add_scaled(gi, 1.0);
+    }
+    delta.add_scaled(&ascent_direction(&g, norm), alpha);
+    *delta = project_ball(delta, eps, norm);
+}
+
 /// Applies a universal delta to one image: `clip(x + delta, 0, 1)`.
 ///
 /// The single definition of "perturbed by a universal delta": the
-/// universal crafter's epoch loop, the adversarial trainers and the
+/// universal crafter's epoch loop, the adversarial trainer and the
 /// robustness sweeps all build their perturbed inputs through this, so
 /// crafting and evaluation see exactly the same pixels. For `x` in
 /// `[0, 1]` and a zero delta this is the bitwise identity.

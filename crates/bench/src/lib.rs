@@ -15,7 +15,8 @@
 //!
 //! ```text
 //! cargo run --release -p bench --bin train_models
-//! for f in fig1 fig4 fig5 fig6 fig7 fig8 table1 table2 multipliers_report; do
+//! for f in fig1 fig4 fig5 fig6 fig7 fig8 table1 table2 multipliers_report \
+//!          clean_accuracy qlevel_sweep ablation_structure; do
 //!     cargo run --release -p bench --bin repro -- $f
 //! done
 //! ```

@@ -24,7 +24,7 @@
 //! * [`universal`] — universal-perturbation robustness: one shared delta
 //!   crafted on the float surrogate, every victim multiplier evaluated
 //!   clean vs. perturbed, before and after universal adversarial
-//!   training.
+//!   training (through the same column loop as [`retrain`]).
 //! * [`mtd`] — moving-target defense: every fixed kernel column plus the
 //!   randomized per-query ensemble, scored clean vs. static PGD vs. the
 //!   adaptive EOT attacker over the disclosed kernel distribution.

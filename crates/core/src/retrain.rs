@@ -11,8 +11,11 @@
 //! never sees the victim's multiplier or its retrained weights.
 //!
 //! Every evaluation rides the batched engines: one crafted set per
-//! attack/eps cell ([`crate::eval::craft_adversarial_set`]) and one
-//! multi-kernel [`axquant::QPlan`] pass per victim column.
+//! attack/eps cell ([`crate::eval::craft_adversarial_set`]), one
+//! multi-kernel [`axquant::QPlan`] pass over every PTQ column and one
+//! single-kernel pass per hardened column. The column loop is shared
+//! with the universal sweep ([`crate::universal`]), which hardens with a
+//! universal ball instead of plain fine-tuning.
 
 use axattack::suite::AttackId;
 use axdata::Dataset;
@@ -124,45 +127,111 @@ pub fn finetuning_sweep(
     test: &Dataset,
     opts: &RetrainOpts,
 ) -> Result<RetrainReport, AxError> {
-    if train.is_empty() || test.is_empty() {
-        return Err(AxError::config("train/test sets must be non-empty"));
-    }
-    let n = opts.n_eval.min(test.len());
-    let calib: Vec<Tensor> = (0..opts.n_calib.min(train.len()))
-        .map(|i| train.image(i).clone())
-        .collect();
-    let clean_set: Vec<(Tensor, usize)> = (0..n)
-        .map(|i| (test.image(i).clone(), test.label(i)))
-        .collect();
-    let advs = craft_adversarial_set(model, opts.attack, test, opts.eps, n, opts.seed);
-
-    // Baseline: one PTQ victim, every multiplier column in one pass.
-    let kernels: Vec<&MulLut> = mults.payloads();
-    let ptq = QuantModel::from_float_with_level(model, &calib, opts.cfg.placement, opts.cfg.level)?;
-    let clean_before = multi_kernel_adversarial_accuracy(&ptq, &kernels, &clean_set);
-    let adv_before = multi_kernel_adversarial_accuracy(&ptq, &kernels, &advs);
-
-    let mut rows = Vec::with_capacity(mults.len());
-    for (col, (name, lut)) in mults.iter().enumerate() {
-        // Fine-tune a fresh shadow through this multiplier's forward;
-        // `finetune` hands back the final requantized victim.
-        let mut shadow = model.clone();
-        let (_, tuned) = finetune(&mut shadow, train, &calib, lut, &opts.cfg)?;
-        let after = multi_kernel_adversarial_accuracy(&tuned, &[lut], &clean_set);
-        let adv_after = multi_kernel_adversarial_accuracy(&tuned, &[lut], &advs);
-        rows.push(RetrainRow {
-            mult: name.to_string(),
-            clean_before: clean_before[col],
-            adv_before: adv_before[col],
-            clean_after: after[0],
-            adv_after: adv_after[0],
-        });
-    }
+    let SweepSets { calib, clean } = sweep_sets(train, test, opts.n_eval, opts.n_calib)?;
+    let advs = craft_adversarial_set(model, opts.attack, test, opts.eps, clean.len(), opts.seed);
+    let columns = harden_columns(
+        model,
+        mults,
+        &calib,
+        &opts.cfg,
+        &clean,
+        &advs,
+        |shadow, lut| Ok(finetune(shadow, train, &calib, lut, &opts.cfg)?.1),
+    )?;
     Ok(RetrainReport {
         attack: opts.attack.name().to_string(),
         eps: opts.eps,
-        rows,
+        rows: columns
+            .into_iter()
+            .map(|c| RetrainRow {
+                mult: c.mult,
+                clean_before: c.clean_before,
+                adv_before: c.attacked_before,
+                clean_after: c.clean_after,
+                adv_after: c.attacked_after,
+            })
+            .collect(),
     })
+}
+
+/// The shared inputs of a hardening sweep.
+pub(crate) struct SweepSets {
+    /// Calibration images: the first `n_calib` training images.
+    pub(crate) calib: Vec<Tensor>,
+    /// Clean evaluation set: the first `n_eval` test examples.
+    pub(crate) clean: Vec<(Tensor, usize)>,
+}
+
+/// Builds the [`SweepSets`] of a hardening sweep.
+///
+/// # Errors
+///
+/// Returns [`AxError::Config`] when either dataset is empty.
+pub(crate) fn sweep_sets(
+    train: &Dataset,
+    test: &Dataset,
+    n_eval: usize,
+    n_calib: usize,
+) -> Result<SweepSets, AxError> {
+    if train.is_empty() || test.is_empty() {
+        return Err(AxError::config("train/test sets must be non-empty"));
+    }
+    Ok(SweepSets {
+        calib: (0..n_calib.min(train.len()))
+            .map(|i| train.image(i).clone())
+            .collect(),
+        clean: (0..n_eval.min(test.len()))
+            .map(|i| (test.image(i).clone(), test.label(i)))
+            .collect(),
+    })
+}
+
+/// One victim column of a hardening sweep: accuracy on the clean and the
+/// attacked set, after post-training quantization and after hardening.
+pub(crate) struct ColumnScores {
+    pub(crate) mult: String,
+    pub(crate) clean_before: f32,
+    pub(crate) attacked_before: f32,
+    pub(crate) clean_after: f32,
+    pub(crate) attacked_after: f32,
+}
+
+/// The column loop both hardening sweeps share. The PTQ baseline scores
+/// every multiplier column in one multi-kernel pass per set; then, per
+/// column, `harden` retrains a fresh clone of `model` through that
+/// column's multiplier and hands back the requantized victim, which is
+/// scored on the same two sets.
+///
+/// # Errors
+///
+/// Returns [`AxError::Config`] when quantization rejects the model
+/// topology, and passes on any error of `harden`.
+pub(crate) fn harden_columns(
+    model: &Sequential,
+    mults: &MulColumns,
+    calib: &[Tensor],
+    cfg: &FinetuneConfig,
+    clean_set: &[(Tensor, usize)],
+    attacked_set: &[(Tensor, usize)],
+    mut harden: impl FnMut(&mut Sequential, &MulLut) -> Result<QuantModel, AxError>,
+) -> Result<Vec<ColumnScores>, AxError> {
+    let kernels: Vec<&MulLut> = mults.payloads();
+    let ptq = QuantModel::from_float_with_level(model, calib, cfg.placement, cfg.level)?;
+    let clean_before = multi_kernel_adversarial_accuracy(&ptq, &kernels, clean_set);
+    let attacked_before = multi_kernel_adversarial_accuracy(&ptq, &kernels, attacked_set);
+    let mut columns = Vec::with_capacity(mults.len());
+    for (col, (name, lut)) in mults.iter().enumerate() {
+        let mut shadow = model.clone();
+        let tuned = harden(&mut shadow, lut)?;
+        columns.push(ColumnScores {
+            mult: name.to_string(),
+            clean_before: clean_before[col],
+            attacked_before: attacked_before[col],
+            clean_after: multi_kernel_adversarial_accuracy(&tuned, &[lut], clean_set)[0],
+            attacked_after: multi_kernel_adversarial_accuracy(&tuned, &[lut], attacked_set)[0],
+        });
+    }
+    Ok(columns)
 }
 
 #[cfg(test)]

@@ -13,25 +13,25 @@
 //! same crafted delta is reused for every victim column, before and
 //! after hardening.
 //!
-//! Every evaluation rides the batched engines — the clean/universal PTQ
+//! The PTQ baseline and the per-column hardening run through the same
+//! column loop as the fine-tuning sweep: the clean/universal PTQ
 //! baselines are one multi-kernel [`axquant::QPlan`] pass each, the
-//! hardened columns one single-kernel pass per multiplier — and every
-//! stage (crafter, trainer, evaluation) is bit-identical for any
+//! hardened columns one single-kernel pass per multiplier. Every stage
+//! (crafter, trainer, evaluation) is bit-identical for any
 //! `AXDNN_THREADS` setting.
 
 use axattack::universal::UniversalAttack;
 use axdata::Dataset;
-use axmul::{MulColumns, MulLut};
+use axmul::MulColumns;
 use axnn::Sequential;
 use axquant::qtrain::FinetuneConfig;
 use axquant::universal::{universal_adversarial_fit, UniversalFinetuneConfig};
-use axquant::QuantModel;
 use axtensor::norms::{apply_delta, Norm};
 use axtensor::Tensor;
 use axutil::rng::Rng;
 use axutil::AxError;
 
-use crate::eval::multi_kernel_adversarial_accuracy;
+use crate::retrain::{harden_columns, sweep_sets, SweepSets};
 
 /// Options for one universal-robustness sweep.
 #[derive(Debug, Clone)]
@@ -147,13 +147,7 @@ pub fn universal_robustness_sweep(
     test: &Dataset,
     opts: &UniversalSweepOpts,
 ) -> Result<(UniversalReport, Tensor), AxError> {
-    if train.is_empty() || test.is_empty() {
-        return Err(AxError::config("train/test sets must be non-empty"));
-    }
-    let n = opts.n_eval.min(test.len());
-    let calib: Vec<Tensor> = (0..opts.n_calib.min(train.len()))
-        .map(|i| train.image(i).clone())
-        .collect();
+    let SweepSets { calib, clean } = sweep_sets(train, test, opts.n_eval, opts.n_calib)?;
 
     // Craft the one shared delta on the float surrogate, over a training
     // sample (the universal perturbation must generalize to the unseen
@@ -165,45 +159,38 @@ pub fn universal_robustness_sweep(
     let delta = UniversalAttack::new(opts.norm)
         .with_epochs(opts.craft_epochs)
         .craft_universal(model, &craft_images, &craft_labels, opts.eps, &mut rng);
-
-    let clean_set: Vec<(Tensor, usize)> = (0..n)
-        .map(|i| (test.image(i).clone(), test.label(i)))
-        .collect();
-    let universal_set: Vec<(Tensor, usize)> = clean_set
+    let universal_set: Vec<(Tensor, usize)> = clean
         .iter()
         .map(|(x, l)| (apply_delta(x, &delta), *l))
         .collect();
 
-    // Baseline: one PTQ victim, every multiplier column in one pass.
-    let kernels: Vec<&MulLut> = mults.payloads();
-    let ptq = QuantModel::from_float_with_level(model, &calib, opts.cfg.placement, opts.cfg.level)?;
-    let clean_before = multi_kernel_adversarial_accuracy(&ptq, &kernels, &clean_set);
-    let universal_before = multi_kernel_adversarial_accuracy(&ptq, &kernels, &universal_set);
-
+    // Each hardened victim is judged against the attacker's crafted
+    // delta; the trainer's own training delta is discarded.
     let ucfg = UniversalFinetuneConfig {
         base: opts.cfg.clone(),
         eps: opts.eps,
         norm: opts.norm,
         delta_step: opts.delta_step,
     };
-    let mut rows = Vec::with_capacity(mults.len());
-    for (col, (name, lut)) in mults.iter().enumerate() {
-        // Harden a fresh shadow through this multiplier's forward; the
-        // trainer hands back the final requantized victim. Its internal
-        // training delta is independent of the evaluation delta — the
-        // victim is always judged against the attacker's crafted one.
-        let mut shadow = model.clone();
-        let (_, tuned, _) = universal_adversarial_fit(&mut shadow, train, &calib, lut, &ucfg)?;
-        let clean_after = multi_kernel_adversarial_accuracy(&tuned, &[lut], &clean_set);
-        let universal_after = multi_kernel_adversarial_accuracy(&tuned, &[lut], &universal_set);
-        rows.push(UniversalRow {
-            mult: name.to_string(),
-            clean_before: clean_before[col],
-            universal_before: universal_before[col],
-            clean_after: clean_after[0],
-            universal_after: universal_after[0],
-        });
-    }
+    let columns = harden_columns(
+        model,
+        mults,
+        &calib,
+        &opts.cfg,
+        &clean,
+        &universal_set,
+        |shadow, lut| Ok(universal_adversarial_fit(shadow, train, &calib, lut, &ucfg)?.1),
+    )?;
+    let rows = columns
+        .into_iter()
+        .map(|c| UniversalRow {
+            mult: c.mult,
+            clean_before: c.clean_before,
+            universal_before: c.attacked_before,
+            clean_after: c.clean_after,
+            universal_after: c.attacked_after,
+        })
+        .collect();
     Ok((
         UniversalReport {
             norm: opts.norm.to_string(),
