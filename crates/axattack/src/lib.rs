@@ -65,7 +65,6 @@ pub mod source;
 pub mod suite;
 pub mod universal;
 
-use axnn::plan::FPlan;
 use axnn::Sequential;
 use axtensor::Tensor;
 use axutil::{parallel, rng::Rng};
@@ -115,7 +114,7 @@ pub trait Attack: Sync {
         if eps == 0.0 {
             return x.clone();
         }
-        self.trajectory(&mut *compile(model, x.dims()).handle(), x, label, eps, rng)
+        self.trajectory(&mut *model.plan(x.dims()).handle(), x, label, eps, rng)
     }
 
     /// Crafts adversarial examples for a whole set against the float
@@ -140,7 +139,7 @@ pub trait Attack: Sync {
             check_batch(images, labels, eps, dims);
             return images.to_vec();
         }
-        self.craft_batch_on(&compile(model, dims), images, labels, eps, rng)
+        self.craft_batch_on(&model.plan(dims), images, labels, eps, rng)
     }
 
     /// Crafts adversarial examples for a whole set against `source`,
@@ -177,14 +176,6 @@ pub trait Attack: Sync {
                 .collect()
         })
     }
-}
-
-/// The float source for `model` at `dims`: its compiled plan with the
-/// backward tables built, since every trajectory reuses them.
-fn compile<'m>(model: &'m Sequential, dims: &[usize]) -> FPlan<'m> {
-    let plan = model.plan(dims);
-    plan.prepare_backward();
-    plan
 }
 
 /// The checks every batch entry point shares.

@@ -62,4 +62,4 @@ pub mod zoo;
 
 pub use layer::Layer;
 pub use model::Sequential;
-pub use plan::{BackwardTables, FPlan, FScratch};
+pub use plan::{FPlan, FScratch};

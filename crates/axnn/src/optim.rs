@@ -103,8 +103,7 @@ impl Sgd {
 
     /// Like [`Sgd::step_scaled`], but writes through an *owned* plan's
     /// parameters in place ([`FPlan::with_params_mut`]) instead of the
-    /// model, so training loops keep one compiled plan for the whole run
-    /// — the plan repacks the conv backward panels after the update.
+    /// model, so training loops keep one compiled plan for the whole run.
     /// The arithmetic (and therefore the result, per parameter element)
     /// is identical to [`Sgd::step_scaled`] on the source model.
     ///

@@ -4,9 +4,8 @@
 //!
 //! An [`FPlan`] is compiled once per `(model, input shape)` pair: every
 //! layer's output geometry, im2col patch footprint and activation length
-//! is resolved up front (conv layers additionally pre-transpose their
-//! weights for the input-gradient GEMM), so running an image does no
-//! shape math and no allocation — all intermediate state, including the
+//! is resolved up front, so running an image does no shape math and no
+//! allocation — all intermediate state, including the
 //! forward tape the backward pass replays, lives in a reusable
 //! [`FScratch`].
 //!
@@ -35,26 +34,20 @@
 //!
 //! # Plan caching and in-place weights
 //!
-//! Compiling a plan is cheap but not free (shape arithmetic plus one
-//! conv-weight transpose per conv layer), so every multi-call driver in
-//! the workspace hoists one plan out of its loop: the attack loops and
-//! batch entry points compile once per crafting run, the sweep drivers
-//! (`core::eval`, `core::algorithm1`) compile once per grid, and
-//! one-shot wrappers ([`Sequential::forward`], [`Sequential::accuracy`])
-//! remain the only fresh-plan-per-call sites — by design, they are the
-//! convenience tier. Training goes one further: a borrowed plan
-//! pre-transposes the *current* weights, which would force a recompile
-//! after every optimizer step, so [`Sequential::plan_owned`] /
-//! [`FPlan::into_owned`] produce a plan that **owns** its parameters and
-//! is updated in place through [`FPlan::with_params_mut`] — the
-//! optimizer writes straight into the plan's tensors and only the
-//! changed conv layers' packed backward panels are re-derived
-//! ([`crate::optim::Sgd::step_plan_scaled`]). [`crate::train::fit`]
-//! compiles exactly one plan per run this way and writes the weights
-//! back with [`FPlan::store_weights_into`] at the end.
-//! [`BackwardTables`] still lets the geometry-only backward gather
-//! tables survive recompiles for callers that *do* rebuild borrowed
-//! plans (e.g. per-epoch requantization in `axquant::qtrain`).
+//! Compiling a plan is cheap (shape arithmetic only), but every
+//! multi-call driver in the workspace still hoists one plan out of its
+//! loop: the attack loops and batch entry points compile once per
+//! crafting run, the sweep drivers (`core::eval`, `core::algorithm1`)
+//! compile once per grid, and one-shot wrappers ([`Sequential::forward`],
+//! [`Sequential::accuracy`]) remain the only fresh-plan-per-call sites —
+//! by design, they are the convenience tier. Training goes one further: a
+//! borrowed plan holds the model's weights immutably, so
+//! [`Sequential::plan_owned`] / [`FPlan::into_owned`] produce a plan that
+//! **owns** its parameters and is updated in place through
+//! [`FPlan::with_params_mut`] — the optimizer writes straight into the
+//! plan's tensors ([`crate::optim::Sgd::step_plan_scaled`]).
+//! [`crate::train::fit`] compiles exactly one plan per run this way and
+//! writes the weights back with [`FPlan::store_weights_into`] at the end.
 //!
 //! ```
 //! use axnn::zoo;
@@ -71,8 +64,6 @@
 //! // Bit-identical to the wrapper (which compiles a fresh plan per call).
 //! assert_eq!(model.input_gradient(&x, 3), (loss, grad));
 //! ```
-
-use std::sync::{Arc, OnceLock};
 
 use axtensor::Tensor;
 use axutil::parallel;
@@ -133,7 +124,8 @@ impl PlanParam<'_> {
 /// One resolved layer of a compiled plan.
 #[derive(Debug)]
 enum FStep<'m> {
-    /// im2col + GEMM forward; transposed-GEMM input gradient.
+    /// im2col + GEMM forward; direct input gradient
+    /// ([`exec::conv_input_grad`]).
     Conv {
         w: PlanParam<'m>,
         b: PlanParam<'m>,
@@ -146,22 +138,6 @@ enum FStep<'m> {
         /// Patch width (`in_c * k * k`) = forward GEMM columns.
         cols: usize,
         out_dims: [usize; 3],
-        /// Weights re-laid as `[in_c, out_c * k * k]` in the flipped
-        /// column order of [`exec::grad_im2col`], computed once at
-        /// compile time for the backward GEMM.
-        wt: Vec<f32>,
-        /// Gather-index table for the backward gradient patches
-        /// ([`exec::build_grad_gather`]), built by
-        /// [`FPlan::prepare_backward`]. Batch entry points build it once
-        /// and amortize it across all images and steps; one-shot wrapper
-        /// calls skip it and use the direct gather instead. `Arc` so the
-        /// geometry-only table outlives the plan via [`BackwardTables`]
-        /// and survives the per-optimizer-step recompiles of training.
-        gather: OnceLock<Arc<Vec<i32>>>,
-        /// Input positions (`h * w`) = backward GEMM rows.
-        bwd_rows: usize,
-        /// Gradient-patch width (`out_c * k * k`) = backward GEMM columns.
-        bwd_cols: usize,
     },
     /// Row GEMM with bias added last.
     Dense {
@@ -184,8 +160,7 @@ enum FStep<'m> {
 /// A compiled float execution plan for one [`Sequential`] and input
 /// shape.
 ///
-/// Cheap to build (shape arithmetic plus one conv-weight transpose per
-/// conv layer); holds references into the model's parameters — or owned
+/// Cheap to build (shape arithmetic only); holds references into the model's parameters — or owned
 /// copies after [`FPlan::into_owned`], which detaches the plan from the
 /// model so optimizers can update it in place. See the
 /// [module docs](self) for the execution model.
@@ -201,7 +176,7 @@ pub struct FPlan<'m> {
     /// Largest activation any step reads or writes (gradient ping-pong
     /// buffers are sized to this).
     max_act: usize,
-    /// Largest forward or backward im2col patch any conv step needs.
+    /// Largest forward im2col patch any conv step needs.
     max_patch: usize,
     /// GEMM tier every kernel call dispatches through, resolved once at
     /// compile time ([`exec::FloatKernel::from_env`]).
@@ -233,36 +208,6 @@ pub struct FScratch {
     fwd_patches: Vec<Vec<f32>>,
 }
 
-/// The geometry of one conv step's backward gather table — the full key
-/// [`exec::build_grad_gather`] is a function of.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct GatherKey {
-    out_dims: [usize; 3],
-    in_hw: [usize; 2],
-    k: usize,
-    stride: usize,
-    pad: usize,
-}
-
-/// Backward gather-index tables lifted out of a compiled [`FPlan`],
-/// re-installable into any later plan with identical conv geometry.
-///
-/// The tables depend only on layer geometry — never on weights — so they
-/// can outlive any particular plan. The float training loop no longer
-/// needs this (its owned plan is updated in place, see
-/// [`FPlan::with_params_mut`]), but callers that genuinely rebuild
-/// borrowed plans — per-epoch requantization in `axquant::qtrain`, or
-/// repeated sweeps over the same geometry — extract the tables once
-/// ([`FPlan::backward_tables`]) and install them into each fresh plan
-/// ([`FPlan::install_backward_tables`]), keeping the recompile down to
-/// shape arithmetic plus the weight transpose. Cloning is cheap (the
-/// tables are shared via [`Arc`]).
-#[derive(Debug, Clone, Default)]
-pub struct BackwardTables {
-    /// One entry per conv step, in step order.
-    entries: Vec<(GatherKey, Arc<Vec<i32>>)>,
-}
-
 impl Sequential {
     /// Compiles a float execution plan for inputs of shape `input_dims`.
     ///
@@ -281,28 +226,6 @@ impl Sequential {
     /// instead of recompiling after every step.
     pub fn plan_owned(&self, input_dims: &[usize]) -> FPlan<'static> {
         FPlan::compile(self, input_dims).into_owned()
-    }
-}
-
-/// Re-lays conv weights (`[out_c, in_c, k, k]` row-major data in `wd`)
-/// as the packed backward panel `[in_c, out_c * k * k]` in the flipped
-/// column order of [`exec::grad_im2col`]:
-/// `wt[c][(o, ky desc, kx desc)] = w[o][c][ky][kx]`. Shared between plan
-/// compilation and the in-place repack after a weight update.
-fn transpose_conv_weights(wd: &[f32], oc: usize, ic: usize, k: usize, wt: &mut [f32]) {
-    let bwd_cols = oc * k * k;
-    debug_assert_eq!(wt.len(), ic * bwd_cols);
-    for ci in 0..ic {
-        let dst = &mut wt[ci * bwd_cols..(ci + 1) * bwd_cols];
-        let mut j = 0;
-        for o in 0..oc {
-            for ky in (0..k).rev() {
-                for kx in (0..k).rev() {
-                    dst[j] = wd[((o * ic + ci) * k + ky) * k + kx];
-                    j += 1;
-                }
-            }
-        }
     }
 }
 
@@ -339,12 +262,7 @@ impl<'m> FPlan<'m> {
                         / stride
                         + 1;
                     let (rows, cols) = (oh * ow, ic * k * k);
-                    let (bwd_rows, bwd_cols) = (h * w, oc * k * k);
-                    // Pre-transpose the weights into grad_im2col's flipped
-                    // column order (the packed backward panel).
-                    let mut wt = vec![0.0f32; ic * bwd_cols];
-                    transpose_conv_weights(c.weight().data(), oc, ic, k, &mut wt);
-                    max_patch = max_patch.max(rows * cols).max(bwd_rows * bwd_cols);
+                    max_patch = max_patch.max(rows * cols);
                     steps.push(FStep::Conv {
                         w: PlanParam::Borrowed(c.weight()),
                         b: PlanParam::Borrowed(c.bias()),
@@ -355,10 +273,6 @@ impl<'m> FPlan<'m> {
                         rows,
                         cols,
                         out_dims: [oc, oh, ow],
-                        wt,
-                        gather: OnceLock::new(),
-                        bwd_rows,
-                        bwd_cols,
                     });
                     dims = vec![oc, oh, ow];
                 }
@@ -475,10 +389,6 @@ impl<'m> FPlan<'m> {
                     rows,
                     cols,
                     out_dims,
-                    wt,
-                    gather,
-                    bwd_rows,
-                    bwd_cols,
                 } => FStep::Conv {
                     w: w.into_owned(),
                     b: b.into_owned(),
@@ -489,10 +399,6 @@ impl<'m> FPlan<'m> {
                     rows,
                     cols,
                     out_dims,
-                    wt,
-                    gather,
-                    bwd_rows,
-                    bwd_cols,
                 },
                 FStep::Dense {
                     w,
@@ -526,46 +432,25 @@ impl<'m> FPlan<'m> {
 
     /// Hands every parameter tensor (one `[weight, bias]` group per
     /// conv/dense step, empty groups for the rest — the exact
-    /// [`GradBuffer`] layout) to `f` for in-place mutation, then
-    /// re-derives the packed backward panels of the conv layers so the
-    /// plan's pre-transposed weights stay consistent with the update.
-    /// Dense layers need no repack (their forward reads the row-major
-    /// weights directly), so a dense-only model's update is pure
-    /// write-through.
+    /// [`GradBuffer`] layout) to `f` for in-place mutation. The plan keeps
+    /// no derived copy of any weight, so the update is pure write-through.
     ///
     /// # Panics
     ///
     /// Panics if the plan borrows its parameters — compile with
     /// [`Sequential::plan_owned`] / [`FPlan::into_owned`] first.
     pub fn with_params_mut<R>(&mut self, f: impl FnOnce(&mut [Vec<&mut Tensor>]) -> R) -> R {
-        let out = {
-            let mut params: Vec<Vec<&mut Tensor>> = self
-                .steps
-                .iter_mut()
-                .map(|step| match step {
-                    FStep::Conv { w, b, .. } | FStep::Dense { w, b, .. } => {
-                        vec![w.owned_mut(), b.owned_mut()]
-                    }
-                    _ => vec![],
-                })
-                .collect();
-            f(&mut params)
-        };
-        self.repack_conv_panels();
-        out
-    }
-
-    /// Recomputes every conv step's packed backward panel from its
-    /// (possibly just-updated) weights.
-    fn repack_conv_panels(&mut self) {
-        for step in &mut self.steps {
-            if let FStep::Conv { w, wt, .. } = step {
-                let &[oc, ic, k, _] = w.dims() else {
-                    unreachable!("conv weights are 4-D");
-                };
-                transpose_conv_weights(w.data(), oc, ic, k, wt);
-            }
-        }
+        let mut params: Vec<Vec<&mut Tensor>> = self
+            .steps
+            .iter_mut()
+            .map(|step| match step {
+                FStep::Conv { w, b, .. } | FStep::Dense { w, b, .. } => {
+                    vec![w.owned_mut(), b.owned_mut()]
+                }
+                _ => vec![],
+            })
+            .collect();
+        f(&mut params)
     }
 
     /// Copies the plan's owned parameters back into `model` — the final
@@ -599,115 +484,6 @@ impl<'m> FPlan<'m> {
                 _ => assert!(params.is_empty(), "model/plan layer mismatch"),
             }
         }
-    }
-
-    /// Pre-builds the backward gather-index tables
-    /// ([`exec::build_grad_gather`]) for every conv layer.
-    ///
-    /// Replaces the per-element stride divisions of the direct gradient
-    /// gather with a table walk. Building a table costs about as much as
-    /// one direct gather, so this pays off whenever a plan runs more
-    /// than a couple of backward passes — the batch entry points and the
-    /// batched attack loops call it up front; one-shot wrapper calls
-    /// (`Sequential::input_gradient`) skip it. Results are bit-identical
-    /// either way; idempotent and thread-safe.
-    pub fn prepare_backward(&self) {
-        self.prepare_backward_from(0);
-    }
-
-    /// [`FPlan::prepare_backward`] for the steps from index `first` up:
-    /// a parameter-only backward never gathers at or below its lowest
-    /// parameterised step, so its table would go unused.
-    fn prepare_backward_from(&self, first: usize) {
-        for step in &self.steps[first.min(self.steps.len())..] {
-            if let FStep::Conv {
-                in_dims,
-                k,
-                stride,
-                pad,
-                out_dims,
-                gather,
-                ..
-            } = step
-            {
-                gather.get_or_init(|| {
-                    Arc::new(exec::build_grad_gather(
-                        *out_dims,
-                        [in_dims[1], in_dims[2]],
-                        *k,
-                        *stride,
-                        *pad,
-                    ))
-                });
-            }
-        }
-    }
-
-    /// Builds (if necessary) and extracts every conv layer's backward
-    /// gather table, keyed by its geometry, for reuse across plan
-    /// recompiles — see [`BackwardTables`].
-    pub fn backward_tables(&self) -> BackwardTables {
-        self.prepare_backward();
-        BackwardTables {
-            entries: self
-                .conv_gather_slots()
-                .map(|(key, gather)| {
-                    let table = gather.get().expect("prepare_backward ran").clone();
-                    (key, table)
-                })
-                .collect(),
-        }
-    }
-
-    /// Installs gather tables extracted from a geometrically identical
-    /// plan (same conv layers, shapes, strides and padding), making
-    /// [`FPlan::prepare_backward`] a no-op. Idempotent; slots that are
-    /// already initialized keep their table (the bytes are equal either
-    /// way).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tables` came from a plan with different conv geometry.
-    pub fn install_backward_tables(&self, tables: &BackwardTables) {
-        let slots: Vec<_> = self.conv_gather_slots().collect();
-        assert_eq!(
-            slots.len(),
-            tables.entries.len(),
-            "conv step count mismatch"
-        );
-        for ((key, gather), (t_key, table)) in slots.into_iter().zip(&tables.entries) {
-            assert_eq!(key, *t_key, "conv geometry mismatch");
-            gather.get_or_init(|| table.clone());
-        }
-    }
-
-    /// Every conv step's gather slot with its geometry key, in step order.
-    fn conv_gather_slots(&self) -> impl Iterator<Item = (GatherKey, &OnceLock<Arc<Vec<i32>>>)> {
-        self.steps.iter().filter_map(|step| {
-            if let FStep::Conv {
-                in_dims,
-                k,
-                stride,
-                pad,
-                out_dims,
-                gather,
-                ..
-            } = step
-            {
-                Some((
-                    GatherKey {
-                        out_dims: *out_dims,
-                        in_hw: [in_dims[1], in_dims[2]],
-                        k: *k,
-                        stride: *stride,
-                        pad: *pad,
-                    },
-                    gather,
-                ))
-            } else {
-                None
-            }
-        })
     }
 
     /// Allocates the scratch buffers (forward tape, im2col patch and
@@ -861,10 +637,7 @@ impl<'m> FPlan<'m> {
                     rows,
                     cols,
                     out_dims,
-                    ref wt,
-                    ref gather,
-                    bwd_rows,
-                    bwd_cols,
+                    ref w,
                     ..
                 } => {
                     let g = &gsrc[..out_dims.iter().product::<usize>()];
@@ -889,23 +662,7 @@ impl<'m> FPlan<'m> {
                             break;
                         }
                     }
-                    // The indexed gather and the direct one produce the
-                    // same bytes; which runs is purely a cost trade-off
-                    // (see `prepare_backward`).
-                    match gather.get() {
-                        Some(table) => exec::grad_im2col_indexed(g, table, patch),
-                        None => exec::grad_im2col(
-                            g,
-                            out_dims,
-                            [in_dims[1], in_dims[2]],
-                            k,
-                            stride,
-                            pad,
-                            patch,
-                        ),
-                    }
-                    self.kernel
-                        .conv_backward_dx(wt, patch, bwd_rows, bwd_cols, gdst);
+                    exec::conv_input_grad(w.data(), g, out_dims, in_dims, k, stride, pad, gdst);
                 }
                 FStep::Dense {
                     ref w,
@@ -1003,7 +760,6 @@ impl<'m> FPlan<'m> {
         F: Fn(usize) -> &'a Tensor + Sync,
         G: Fn(usize) -> usize + Sync,
     {
-        self.prepare_backward();
         parallel::par_map_chunks(n, |range| {
             let mut s = self.scratch();
             range
@@ -1071,7 +827,6 @@ impl<'m> FPlan<'m> {
         G: Fn(usize) -> usize + Sync,
     {
         assert!(n > 0, "loss_and_param_grads_batch needs a non-empty batch");
-        self.prepare_backward_from(self.first_param + 1);
         self.fold.batch(
             n,
             || self.train_scratch(),
@@ -1277,37 +1032,6 @@ mod tests {
                 plan.input_gradient(&mut plain, &x, target),
             );
         }
-    }
-
-    #[test]
-    fn backward_tables_survive_a_recompile() {
-        let mut model = zoo::lenet5(&mut Rng::seed_from_u64(41));
-        let x = rand_image(&[1, 28, 28], 42);
-        let tables = model.plan(&[1, 28, 28]).backward_tables();
-        // Change the weights (as an optimizer step would), recompile, and
-        // install the cached tables: the indexed backward must equal the
-        // direct gather of a table-less plan on the new weights.
-        for layer in model.layers_mut() {
-            for p in layer.params_mut() {
-                p.map_inplace(|v| v * 0.5 + 0.01);
-            }
-        }
-        let plan = model.plan(&[1, 28, 28]);
-        plan.install_backward_tables(&tables);
-        let mut s = plan.train_scratch();
-        let got = plan.loss_and_grads(&mut s, &x, 6);
-        let fresh = model.plan(&[1, 28, 28]);
-        let mut fs = fresh.scratch();
-        assert_eq!(got, fresh.loss_and_grads(&mut fs, &x, 6));
-    }
-
-    #[test]
-    #[should_panic(expected = "geometry mismatch")]
-    fn backward_tables_reject_mismatched_geometry() {
-        let lenet = zoo::lenet5(&mut Rng::seed_from_u64(43));
-        let tables = lenet.plan(&[1, 28, 28]).backward_tables();
-        let other = zoo::lenet5_for(1, 32, &mut Rng::seed_from_u64(44));
-        other.plan(&[1, 32, 32]).install_backward_tables(&tables);
     }
 
     #[test]

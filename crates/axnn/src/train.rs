@@ -16,10 +16,8 @@
 //! [`fit`] compiles exactly **one** plan per run: an owned-weights plan
 //! ([`Sequential::plan_owned`]) that the optimizer updates in place
 //! through [`Sgd::step_plan_scaled`] — the update writes straight into
-//! the plan's parameter tensors and re-derives only the conv layers'
-//! packed backward panels, so there is no per-step recompile at all (and
-//! the backward gather tables, built once by the first batch, trivially
-//! persist). The per-epoch accuracy runs on the same plan; the trained
+//! the plan's parameter tensors, so there is no per-step recompile at
+//! all. The per-epoch accuracy runs on the same plan; the trained
 //! weights are written back to the model once at the end
 //! ([`FPlan::store_weights_into`](crate::plan::FPlan::store_weights_into)).
 //! Every floating-point operation matches the old
@@ -112,8 +110,7 @@ pub fn batch_gradient(model: &Sequential, data: &Dataset, indices: &[usize]) -> 
 /// reduced in example order (see the [module docs](self)).
 ///
 /// The whole run executes on **one** owned-weights plan: the optimizer
-/// updates it in place ([`Sgd::step_plan_scaled`], which repacks only
-/// the conv backward panels), the per-epoch accuracy reads it directly,
+/// updates it in place ([`Sgd::step_plan_scaled`]), the per-epoch accuracy reads it directly,
 /// and the trained weights are written back to `model` once at the end.
 pub fn fit(model: &mut Sequential, data: &Dataset, cfg: &TrainConfig) -> TrainHistory {
     assert!(!data.is_empty(), "cannot train on an empty dataset");

@@ -11,12 +11,17 @@ use axutil::rng::Rng;
 /// The input shape every fixture model accepts.
 pub const IN_DIMS: [usize; 3] = [2, 8, 8];
 
-/// A small random model of one of four shapes that together cover every
-/// engine path: dense-only, conv without padding, conv+pad+avgpool, and
-/// a strided padded conv (the backward gather's hardest case).
+/// How many shapes [`small_model`] builds.
+pub const ARCHS: usize = 5;
+
+/// A small random model of one of [`ARCHS`] shapes that together cover
+/// every engine path: dense-only, conv without padding, conv+pad+avgpool,
+/// a strided padded conv (the input gradient's clamped tap ranges), and
+/// LeNet's shape in miniature, whose flattening conv has a 1×1 output and
+/// back-propagates into the conv below it.
 pub fn small_model(arch: usize, seed: u64) -> Sequential {
     let rng = &mut Rng::seed_from_u64(seed);
-    match arch % 4 {
+    match arch % ARCHS {
         0 => Sequential::new(
             "p-ffnn",
             vec![
@@ -47,13 +52,25 @@ pub fn small_model(arch: usize, seed: u64) -> Sequential {
                 Layer::Dense(Dense::new(2 * 4 * 4, 4, rng)),
             ],
         ),
-        _ => Sequential::new(
+        3 => Sequential::new(
             "p-strided",
             vec![
                 Layer::Conv2d(Conv2d::new(2, 3, 3, 2, 1, rng)),
                 Layer::Relu,
                 Layer::Flatten,
                 Layer::Dense(Dense::new(3 * 4 * 4, 4, rng)),
+            ],
+        ),
+        _ => Sequential::new(
+            "p-lenet",
+            vec![
+                Layer::Conv2d(Conv2d::new(2, 3, 3, 1, 0, rng)),
+                Layer::Relu,
+                Layer::AvgPool(AvgPool2d::new(2)),
+                Layer::Conv2d(Conv2d::new(3, 5, 3, 1, 0, rng)),
+                Layer::Relu,
+                Layer::Flatten,
+                Layer::Dense(Dense::new(5, 4, rng)),
             ],
         ),
     }

@@ -13,7 +13,7 @@ use axtensor::Tensor;
 use proptest::prelude::*;
 
 mod common;
-use common::{grad_bits, images, small_model, IN_DIMS};
+use common::{grad_bits, images, small_model, ARCHS, IN_DIMS};
 
 /// The seed layer-by-layer forward: the reference path.
 fn seed_forward(m: &Sequential, x: &Tensor) -> Tensor {
@@ -41,6 +41,11 @@ fn seed_backward(m: &Sequential, x: &Tensor, target: usize) -> (f32, Tensor, Gra
     (loss, grad, buf)
 }
 
+/// Every value's bit pattern: unlike `==`, tells `-0.0` from `+0.0`.
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
+
 /// Checks one model against the seed paths over a probe set. Returns an
 /// error message on the first mismatch.
 fn check_engine(model: &Sequential, probes: &[Tensor]) -> Result<(), String> {
@@ -50,7 +55,7 @@ fn check_engine(model: &Sequential, probes: &[Tensor]) -> Result<(), String> {
         let target = pi % 4;
         let y = plan.forward(&mut scratch, x);
         let sy = seed_forward(model, x);
-        if y.data() != sy.data() {
+        if bits(&y) != bits(&sy) {
             return Err(format!("forward diverges on {} probe {pi}", model.name()));
         }
         let (loss, grad) = plan.input_gradient(&mut scratch, x, target);
@@ -58,7 +63,7 @@ fn check_engine(model: &Sequential, probes: &[Tensor]) -> Result<(), String> {
         if loss != sl {
             return Err(format!("loss diverges on {} probe {pi}", model.name()));
         }
-        if grad != sg {
+        if grad.dims() != sg.dims() || bits(&grad) != bits(&sg) {
             return Err(format!(
                 "input gradient diverges on {} probe {pi}",
                 model.name()
@@ -88,7 +93,7 @@ proptest! {
     #[test]
     fn fplan_is_bit_exact_with_seed_paths(
         seed in proptest::strategy::any::<u64>(),
-        arch in 0usize..4,
+        arch in 0usize..ARCHS,
     ) {
         let model = small_model(arch, seed);
         let probes = images(3, seed ^ 0xF10A7);
@@ -101,7 +106,7 @@ proptest! {
 /// Every architecture deterministically, for a quick always-on cover.
 #[test]
 fn fplan_matches_seed_on_every_architecture() {
-    for arch in 0..4 {
+    for arch in 0..ARCHS {
         let model = small_model(arch, 1234 + arch as u64);
         let probes = images(2, 99 + arch as u64);
         if let Err(msg) = check_engine(&model, &probes) {

@@ -5,7 +5,9 @@
 //! output elements advance together; every element's addition chain over
 //! the dot-product dimension stays sequential and ascending, so for any
 //! shape (including odd/prime edges that exercise every remainder path)
-//! the two tiers must agree to the last bit. On top of the raw kernels,
+//! the two tiers must agree to the last bit. The direct conv input
+//! gradient, which has no tiers, is pinned to the seed conv backward the
+//! same way. On top of the raw kernels,
 //! a whole compiled plan run under `AXDNN_KERNEL=tiled` must reproduce
 //! the `AXDNN_KERNEL=reference` forward, loss and gradients exactly, for
 //! every conv geometry (k ∈ {1, 3, 5}, stride/pad combinations) and
@@ -62,23 +64,59 @@ proptest! {
         prop_assert_eq!(want, got);
     }
 
-    /// `conv_backward_dx_tiled` == `conv_backward_dx`.
+    /// The direct conv input gradient against the seed
+    /// `Layer::Conv2d::backward`'s `dx`, bit for bit, over every
+    /// `k ∈ {1, 3, 4, 5}`, stride `{1, 2}` and pad `{0, 1, 2}` on two input
+    /// sizes each: the `k × k` input (a 1×1 output at pad 0, the row-sweep
+    /// path) and a random one. Upstream gradients carry `+0.0` and `-0.0`.
     #[test]
-    fn tiled_conv_backward_dx_matches_reference(
+    fn conv_input_grad_matches_seed_backward(
         seed in proptest::strategy::any::<u64>(),
-        ic_i in 0usize..EDGES.len(),
-        rows_i in 0usize..EDGES.len(),
-        cols_i in 0usize..EDGES.len(),
+        ic in 1usize..4,
+        oc in 1usize..9,
+        extra_h in 0usize..5,
+        extra_w in 0usize..5,
     ) {
-        let (in_c, rows, cols) = (EDGES[ic_i], EDGES[rows_i], EDGES[cols_i]);
         let rng = &mut Rng::seed_from_u64(seed);
-        let wt = filled(rng, in_c * cols);
-        let gpatch = filled(rng, rows * cols);
-        let mut want = vec![0.0f32; in_c * rows];
-        let mut got = vec![0.0f32; in_c * rows];
-        exec::conv_backward_dx(&wt, &gpatch, rows, cols, &mut want);
-        exec::conv_backward_dx_tiled(&wt, &gpatch, rows, cols, &mut got);
-        prop_assert_eq!(want, got);
+        for k in [1usize, 3, 4, 5] {
+            for stride in [1usize, 2] {
+                for pad in [0usize, 1, 2] {
+                    let lo = k.saturating_sub(2 * pad).max(1);
+                    for (h, w) in [(k, k), (lo + extra_h, lo + extra_w)] {
+                        let conv = Layer::Conv2d(Conv2d::new(ic, oc, k, stride, pad, rng));
+                        let out = |n: usize| (n + 2 * pad - k) / stride + 1;
+                        let (oh, ow) = (out(h), out(w));
+                        let mut g = filled(rng, oc * oh * ow);
+                        for (i, gv) in g.iter_mut().enumerate() {
+                            match i % 5 {
+                                1 => *gv = 0.0,
+                                3 => *gv = -0.0,
+                                _ => {}
+                            }
+                        }
+                        let want = conv.backward(
+                            &Tensor::zeros(&[ic, h, w]),
+                            &Tensor::from_vec(g.clone(), &[oc, oh, ow]),
+                            None,
+                        );
+                        let mut got = vec![f32::NAN; ic * h * w];
+                        exec::conv_input_grad(
+                            conv.params()[0].data(),
+                            &g,
+                            [oc, oh, ow],
+                            [ic, h, w],
+                            k,
+                            stride,
+                            pad,
+                            &mut got,
+                        );
+                        let same = (want.data().iter().zip(&got))
+                            .all(|(a, b)| a.to_bits() == b.to_bits());
+                        prop_assert!(same, "k {k} stride {stride} pad {pad} input {h}x{w}");
+                    }
+                }
+            }
+        }
     }
 
     /// `conv_backward_params_tiled` == `conv_backward_params`, on
@@ -292,11 +330,11 @@ fn kernel_matrix_is_bit_exact_across_geometries_and_threads() {
     let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let prev_kernel = std::env::var("AXDNN_KERNEL").ok();
     let prev_threads = std::env::var("AXDNN_THREADS").ok();
-    // The five conv geometries plus the four shared fixture shapes
-    // (dense-only, plain/pooled/strided convs).
+    // The five conv geometries plus every shared fixture shape
+    // (dense-only, plain/pooled/strided convs, miniature LeNet).
     let models: Vec<Sequential> = (0..GEOMETRIES.len())
         .map(|geo| geometry_model(geo, 0xBEEF + geo as u64))
-        .chain((0..4).map(|arch| common::small_model(arch, 0xFACE + arch as u64)))
+        .chain((0..common::ARCHS).map(|arch| common::small_model(arch, 0xFACE + arch as u64)))
         .collect();
     for (geo, model) in models.iter().enumerate() {
         let imgs = common::images(5, 0x51EE + geo as u64);

@@ -23,7 +23,7 @@ use axutil::rng::Rng;
 use proptest::prelude::*;
 
 mod common;
-use common::{grad_bits, images, small_model, IN_DIMS};
+use common::{grad_bits, images, small_model, ARCHS, IN_DIMS};
 
 /// Serializes tests that read or write `AXDNN_THREADS`.
 static ENV_LOCK: Mutex<()> = Mutex::new(());
@@ -47,7 +47,7 @@ proptest! {
     #[test]
     fn batched_param_grads_are_bit_exact_with_seed_sum(
         seed in proptest::strategy::any::<u64>(),
-        arch in 0usize..4,
+        arch in 0usize..ARCHS,
         n in 1usize..9,
     ) {
         let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -213,7 +213,7 @@ fn in_place_fit_matches_recompile_per_step_fit() {
         batch_size: 8,
         ..Default::default()
     };
-    for arch in 0..4 {
+    for arch in 0..ARCHS {
         let mut want_model = small_model(arch, 23);
         let want_history = recompile_fit(&mut want_model, &data, &cfg);
         let mut got_model = small_model(arch, 23);

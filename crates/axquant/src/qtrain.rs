@@ -95,19 +95,9 @@ enum TStep<'m> {
         in_scale: f32,
         /// Largest output activation code (`act_qmax` as `u8`).
         qmax_code: u8,
-        /// Dequantized weights (`sign * mag * s_w`) re-laid as
-        /// `[in_c, out_c * k * k]` in the flipped column order of
-        /// [`fexec::grad_im2col`] for the backward GEMM (the parameter
-        /// gradients never read the weights, so only the transpose is
-        /// materialized).
-        wt_deq: Vec<f32>,
-        /// Backward gather table ([`fexec::build_grad_gather`]) — built
-        /// eagerly: a fine-tuning plan lives a whole epoch.
-        gather: Vec<i32>,
-        /// Input positions (`h * w`) = backward GEMM rows.
-        bwd_rows: usize,
-        /// Gradient-patch width (`out_c * k * k`) = backward GEMM cols.
-        bwd_cols: usize,
+        /// Dequantized weights (`sign * mag * s_w`, `[out_c, in_c, k, k]`)
+        /// for the input gradient ([`fexec::conv_input_grad`]).
+        w_deq: Vec<f32>,
     },
     /// Quantized row GEMM; STE dense backward. `logits` layers
     /// dequantize to f32 instead of requantizing (no ReLU/clip mask).
@@ -149,8 +139,7 @@ pub struct QTrainPlan<'m> {
     max_act: usize,
     /// Largest forward `u8` patch any conv step needs.
     max_patch_u8: usize,
-    /// Largest f32 patch (forward-dequantized or gradient) any conv
-    /// backward needs.
+    /// Largest f32 (dequantized forward) patch any conv backward needs.
     max_patch_f32: usize,
     /// Zero gradients in the shadow model's layout, cloned per use.
     grads_template: GradBuffer,
@@ -187,10 +176,9 @@ pub struct QTrainScratch {
 
 impl<'m> QTrainPlan<'m> {
     /// Resolves every layer's geometry, reconstructs the per-layer scale
-    /// chain, dequantizes (and pre-transposes) the weights for the STE
-    /// backward and checks every quantized layer against its shadow-model
-    /// layer (gradients land in the shadow's layout, parameterised layers
-    /// in order).
+    /// chain, dequantizes the weights for the STE backward and checks
+    /// every quantized layer against its shadow-model layer (gradients
+    /// land in the shadow's layout, parameterised layers in order).
     ///
     /// # Panics
     ///
@@ -244,11 +232,6 @@ impl<'m> QTrainPlan<'m> {
                     let oh = (h + 2 * pad - k) / stride + 1;
                     let ow = (wd + 2 * pad - k) / stride + 1;
                     let (rows, cols) = (oh * ow, in_c * k * k);
-                    let (bwd_rows, bwd_cols) = (h * wd, out_c * k * k);
-                    let wt_deq =
-                        transpose_dequantized(&dequantize_weights(w, scale), *out_c, *in_c, *k);
-                    let gather =
-                        fexec::build_grad_gather([*out_c, oh, ow], [h, wd], *k, *stride, *pad);
                     steps.push(TStep::Conv {
                         w,
                         approx: qm.placement().applies_to_conv(),
@@ -261,13 +244,10 @@ impl<'m> QTrainPlan<'m> {
                         out_dims: [*out_c, oh, ow],
                         in_scale: scale,
                         qmax_code: w.act_qmax as u8,
-                        wt_deq,
-                        gather,
-                        bwd_rows,
-                        bwd_cols,
+                        w_deq: dequantize_weights(w, scale),
                     });
                     max_patch_u8 = max_patch_u8.max(rows * cols);
-                    max_patch_f32 = max_patch_f32.max(rows * cols).max(bwd_rows * bwd_cols);
+                    max_patch_f32 = max_patch_f32.max(rows * cols);
                     // Requantizing layer: the output scale closes the chain.
                     scale = w.dequant / w.requant.expect("conv layers requantize");
                     dims = vec![*out_c, oh, ow];
@@ -538,10 +518,7 @@ impl<'m> QTrainPlan<'m> {
                     ref out_dims,
                     in_scale,
                     qmax_code,
-                    ref wt_deq,
-                    ref gather,
-                    bwd_rows,
-                    bwd_cols,
+                    ref w_deq,
                     ..
                 } => {
                     let out_len = out_dims.iter().product::<usize>();
@@ -579,9 +556,16 @@ impl<'m> QTrainPlan<'m> {
                     if i == self.first_param {
                         break;
                     }
-                    fexec::grad_im2col_indexed(&gsrc[..out_len], gather, patch_f32);
-                    self.kernel
-                        .conv_backward_dx(wt_deq, patch_f32, bwd_rows, bwd_cols, gdst);
+                    fexec::conv_input_grad(
+                        w_deq,
+                        &gsrc[..out_len],
+                        *out_dims,
+                        in_dims,
+                        k,
+                        stride,
+                        pad,
+                        gdst,
+                    );
                 }
                 TStep::Dense {
                     in_dim,
@@ -712,28 +696,6 @@ fn dequantize_weights(w: &QWeights, in_scale: f32) -> Vec<f32> {
         .zip(&w.sign)
         .map(|(&m, &sg)| sg as f32 * m as f32 * s_w)
         .collect()
-}
-
-/// Re-lays dequantized conv weights as `[in_c, out_c * k * k]` in the
-/// flipped column order of [`fexec::grad_im2col`] — the same transpose
-/// [`axnn::plan::FPlan`] pre-computes for its backward GEMM.
-fn transpose_dequantized(w_deq: &[f32], out_c: usize, in_c: usize, k: usize) -> Vec<f32> {
-    debug_assert_eq!(w_deq.len(), out_c * in_c * k * k);
-    let bwd_cols = out_c * k * k;
-    let mut wt = vec![0.0f32; in_c * bwd_cols];
-    for ci in 0..in_c {
-        let dst = &mut wt[ci * bwd_cols..(ci + 1) * bwd_cols];
-        let mut j = 0;
-        for o in 0..out_c {
-            for ky in (0..k).rev() {
-                for kx in (0..k).rev() {
-                    dst[j] = w_deq[((o * in_c + ci) * k + ky) * k + kx];
-                    j += 1;
-                }
-            }
-        }
-    }
-    wt
 }
 
 /// Dequantizes activation codes: `out[i] = codes[i] * scale`.

@@ -37,11 +37,16 @@ static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 const IN_DIMS: [usize; 3] = [1, 8, 8];
 
+/// How many shapes [`small_model`] builds.
+const ARCHS: usize = 4;
+
 /// A small random model in the quantizable topology (conv/dense followed
-/// by relu, final dense producing logits).
+/// by relu, final dense producing logits). The two-conv shape is the one
+/// whose STE backward runs a conv input gradient (a strided, padded one):
+/// elsewhere the backward stops at the lowest parameterised layer.
 fn small_model(arch: usize, seed: u64) -> Sequential {
     let rng = &mut Rng::seed_from_u64(seed);
-    match arch % 3 {
+    match arch % ARCHS {
         0 => Sequential::new(
             "ft-ffnn",
             vec![
@@ -60,7 +65,7 @@ fn small_model(arch: usize, seed: u64) -> Sequential {
                 Layer::Dense(Dense::new(3 * 6 * 6, 4, rng)),
             ],
         ),
-        _ => Sequential::new(
+        2 => Sequential::new(
             "ft-convpool",
             vec![
                 Layer::Conv2d(Conv2d::new(1, 2, 3, 1, 1, rng)),
@@ -68,6 +73,18 @@ fn small_model(arch: usize, seed: u64) -> Sequential {
                 Layer::AvgPool(AvgPool2d::new(2)),
                 Layer::Flatten,
                 Layer::Dense(Dense::new(2 * 4 * 4, 4, rng)),
+            ],
+        ),
+        _ => Sequential::new(
+            "ft-twoconv",
+            vec![
+                Layer::Conv2d(Conv2d::new(1, 2, 3, 1, 1, rng)),
+                Layer::Relu,
+                Layer::AvgPool(AvgPool2d::new(2)),
+                Layer::Conv2d(Conv2d::new(2, 3, 3, 2, 1, rng)),
+                Layer::Relu,
+                Layer::Flatten,
+                Layer::Dense(Dense::new(3 * 2 * 2, 4, rng)),
             ],
         ),
     }
@@ -110,7 +127,7 @@ proptest! {
     #[test]
     fn batched_ste_grads_are_bit_exact_with_per_image_fold(
         seed in proptest::strategy::any::<u64>(),
-        arch in 0usize..3,
+        arch in 0usize..ARCHS,
         n in 1usize..7,
     ) {
         let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -164,7 +181,7 @@ fn finetune_is_bit_identical_across_thread_counts() {
         eval_cap: 24,
         ..Default::default()
     };
-    for arch in 0..3 {
+    for arch in 0..ARCHS {
         let mut golden_model = small_model(arch, 100 + arch as u64);
         std::env::set_var("AXDNN_THREADS", "1");
         let (golden_hist, _) = finetune(&mut golden_model, &data, &calib, &lut, &cfg).unwrap();

@@ -14,7 +14,8 @@
 //!    quantized accuracy before vs after, plus the per-image vs batched
 //!    STE gradient step.
 //! 4. `gemm` — [`axnn::exec`]'s scalar reference GEMM loops vs the
-//!    register-tiled micro-kernels on the zoo models' hot shapes.
+//!    register-tiled micro-kernels on the zoo models' hot shapes, plus
+//!    the absolute rate of one LeNet-5 `FPlan::input_gradient`.
 //! 5. `faults` — the stuck-at fault campaign
 //!    ([`axrobust::experiments::run_fault_sweep`]) over three registry
 //!    multipliers, plus the faulted-LUT rebuild rate against its floor.
@@ -345,7 +346,9 @@ fn finetune_report() {
 /// (300×784). The tiled tier keeps every per-element accumulation
 /// chain, so both outputs are asserted bit-identical before timing;
 /// each timing repeats the kernel [`GEMM_ITERS`] times, and the MAC
-/// throughput goes to stderr.
+/// throughput goes to stderr. Then the `lenet5-input-grad` rows: the
+/// median one-thread time of one LeNet-5 `FPlan::input_gradient`, the
+/// crafting hot path, and its rate in in-range MACs per second.
 fn gemm_report() {
     use axnn::exec;
 
@@ -406,6 +409,17 @@ fn gemm_report() {
             .add(name, "tiled_ms", tiled_ms, "ms")
             .add(name, "speedup", reference_ms / tiled_ms, "x");
     }
+    let (us, macs) = input_grad_rate();
+    eprintln!(
+        "[gemm lenet5-input-grad: {us:.1} us, {:.2} GMAC/s]",
+        macs / us / 1e3
+    );
+    report.add("lenet5-input-grad", "us", us, "us").add(
+        "lenet5-input-grad",
+        "macs_per_s",
+        macs / (us / 1e6),
+        "1/s",
+    );
     report.add("config", "reps", REPS as f64, "count").add(
         "config",
         "iters",
@@ -413,6 +427,40 @@ fn gemm_report() {
         "count",
     );
     report.write();
+}
+
+/// Median one-thread wall time of one LeNet-5 `FPlan::input_gradient`
+/// (µs, over [`REPS`] runs of [`GEMM_ITERS`] calls) and the in-range MACs
+/// one call computes: every conv/dense layer's multiply-adds whose input
+/// tap lies inside the input, once forward and once for the input
+/// gradient (563,280 on LeNet-5).
+fn input_grad_rate() -> (f64, f64) {
+    use axnn::Layer;
+
+    let model = zoo::lenet5(&mut Rng::seed_from_u64(61));
+    let mut x = Tensor::zeros(&[1, 28, 28]);
+    Rng::seed_from_u64(62).fill_range_f32(x.data_mut(), 0.0, 1.0);
+    let plan = model.plan(x.dims());
+    let mut s = plan.scratch();
+    let ms = median_ms(|| {
+        for i in 0..GEMM_ITERS {
+            std::hint::black_box(plan.input_gradient(&mut s, &x, i % 10));
+        }
+    });
+    let (inputs, _) = model.forward_trace(&x);
+    let macs: usize = (model.layers().iter().enumerate())
+        .map(|(i, layer)| match layer {
+            Layer::Conv2d(c) => {
+                // Unpadded, so every tap of every output position is in
+                // range: weights times output positions.
+                assert_eq!(c.pad(), 0, "the in-range count assumes unpadded convs");
+                c.weight().len() * inputs[i + 1].dims()[1..].iter().product::<usize>()
+            }
+            Layer::Dense(d) => d.weight().len(),
+            _ => 0,
+        })
+        .sum();
+    (ms * 1e3 / GEMM_ITERS as f64, (2 * macs) as f64)
 }
 
 /// The quickstart smoke victim of parts 5–7: a briefly trained FFNN and

@@ -587,7 +587,9 @@ const ALL_COMPLETED: Op = SumEq {
 /// and reference-vs-tiled wins, each set ~25–30% under its measured
 /// speedup to absorb CI-runner jitter; the attack rows hold batched
 /// crafting at or under per-image crafting (median paired difference) and
-/// record its absolute rate; the `ffnn-1x28` train step holds the
+/// record its absolute rate, as the `lenet5-input-grad` rows record the
+/// one-thread input gradient's time and MAC rate; the `ffnn-1x28` train
+/// step holds the
 /// rank-n gradient fold's win over one gradient buffer per image
 /// (measured 3.8–4.5x at `AXDNN_BENCH_IMAGES=4`). Accuracy rules are
 /// exact: the fine-tuning, fault, universal and moving-target pipelines
@@ -606,6 +608,8 @@ pub const RULES: &[Rule] = &[
     rule(GEMM, "lenet5-conv1-6x576x25", "speedup", AtLeast(1.5)),
     rule(GEMM, "lenet5-conv2-16x64x150", "speedup", AtLeast(1.5)),
     rule(GEMM, "ffnn-dense1-300x784", "speedup", AtLeast(1.4)),
+    rule(GEMM, "lenet5-input-grad", "us", POSITIVE),
+    rule(GEMM, "lenet5-input-grad", "macs_per_s", POSITIVE),
     rule(FINETUNE, "finetune_grad_batch", "speedup", AtLeast(0.8)),
     rule(FINETUNE, "clean_accuracy", "ptq", BELOW_FINETUNED),
     rule(FAULTS, "campaign", "n_faults", AtLeast(1.0)),
@@ -795,6 +799,7 @@ mod tests {
         BENCH_gemm.json lenet5-conv1-6x576x25 speedup=1.7
         BENCH_gemm.json lenet5-conv2-16x64x150 speedup=1.9
         BENCH_gemm.json ffnn-dense1-300x784 speedup=2.1
+        BENCH_gemm.json lenet5-input-grad us=190 macs_per_s=2.9e9
         BENCH_finetune.json finetune_grad_batch speedup=2.0
         BENCH_finetune.json clean_accuracy ptq=0.795 finetuned=0.925
         BENCH_faults.json campaign n_faults=6 seed=64023
@@ -889,6 +894,21 @@ mod tests {
             "lenet5-1x28 speedup = 0.5",
         );
         fails(f, &without(f, "ffnn-1x28"), "ffnn-1x28/speedup missing");
+    }
+
+    #[test]
+    fn input_gradient_rate_rows_are_required() {
+        let f = GEMM;
+        fails(
+            f,
+            &without(f, "lenet5-input-grad"),
+            "lenet5-input-grad/us missing",
+        );
+        fails(
+            f,
+            &with(f, "lenet5-input-grad", "macs_per_s", 0.0),
+            "lenet5-input-grad macs_per_s",
+        );
     }
 
     #[test]

@@ -138,7 +138,6 @@ fn craft_adaptive_set(
     // `columns.len()` copies of the same plan, uniformly weighted like
     // the defender's policy.
     let plan = source.plan(data.image(0).dims());
-    plan.prepare_backward();
     let mixture = Mixture::new(
         vec![&plan as &dyn GradSource; columns.len()],
         vec![1.0f32; columns.len()],
