@@ -25,21 +25,22 @@
 //!   terms in the seed's `(o, oy, ox)` order, visiting only in-range taps;
 //! * the dense backward keeps `matvec_t`'s zero-gradient row skip.
 //!
-//! # Kernel tiers
+//! # Tiled kernels and the scalar reference
 //!
-//! Four GEMM-shaped loops ship in two tiers selected by [`FloatKernel`]
-//! (mirroring `axmul::MulBackend`'s dispatch style); the conv input
-//! gradient is one direct kernel under both:
+//! The four GEMM-shaped loops come in two forms; the conv input gradient
+//! is one direct kernel:
 //!
-//! * [`FloatKernel::Reference`] — the scalar loops above, kept verbatim
-//!   as the bit-exact reference implementation;
-//! * [`FloatKernel::Tiled`] — register-tiled variants
-//!   ([`conv_forward_tiled`], [`dense_forward_tiled`],
-//!   [`dense_backward_tiled`], [`conv_backward_params_tiled`]) that
-//!   process 4×4 output blocks (or 4-row groups) with independent
-//!   accumulators sharing operand loads.
+//! * the register-tiled kernels ([`conv_forward_tiled`],
+//!   [`dense_forward_tiled`], [`dense_backward_tiled`],
+//!   [`conv_backward_params_tiled`]) process 4×4 output blocks (or 4-row
+//!   groups) with independent accumulators sharing operand loads. They
+//!   are the only ones the plans run;
+//! * the scalar loops ([`conv_forward`], [`dense_forward`],
+//!   [`dense_backward`], [`conv_backward_params`]) are kept verbatim as
+//!   the bit-exact reference that the property tests and the `gemm`
+//!   bench suite compare the tiled kernels against.
 //!
-//! The tiled tier is **bit-identical** to the reference, not merely
+//! The tiled kernels are **bit-identical** to the reference, not merely
 //! close: tiling here never reassociates a floating-point sum. Each
 //! output element keeps its own accumulator whose additions run in the
 //! exact reference order — a 4×4 tile is sixteen *independent* sequential
@@ -51,8 +52,7 @@
 //! FP dependency chains instead of one latency-bound chain) and 4× reuse
 //! of every loaded operand, not from vectorizing a single dot product —
 //! which is why no ULP tolerance and no thread-invariance caveat is
-//! needed anywhere. Plans resolve the tier once at compile time from the
-//! `AXDNN_KERNEL` environment variable (see [`FloatKernel::from_env`]).
+//! needed anywhere, and why the plans never need the scalar loops.
 //!
 //! # Batched parameter gradients
 //!
@@ -520,104 +520,6 @@ pub fn conv_backward_params(
             for (d, &a) in wrow.iter_mut().zip(prow) {
                 *d += gv * a;
             }
-        }
-    }
-}
-
-/// Kernel-tier dispatch for the float GEMM family, mirroring
-/// `axmul::MulBackend`: resolved once (usually at plan compile time via
-/// [`FloatKernel::from_env`]) and then dispatched per call without
-/// re-reading the environment.
-///
-/// Both tiers produce **bit-identical** results — see the
-/// [module docs](self) for why tiling does not reassociate any sum — so
-/// the choice is purely a performance A/B switch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FloatKernel {
-    /// The scalar loops ([`conv_forward`], [`dense_forward`], ...):
-    /// one accumulator chain at a time, kept as the reference tier.
-    Reference,
-    /// Register-tiled 4×4 / 4-row variants with independent
-    /// accumulators and shared operand loads. The default.
-    #[default]
-    Tiled,
-}
-
-impl FloatKernel {
-    /// Resolves the tier from the `AXDNN_KERNEL` environment variable:
-    /// `reference` (or `scalar`) selects [`FloatKernel::Reference`];
-    /// anything else — including unset — selects the default
-    /// [`FloatKernel::Tiled`].
-    pub fn from_env() -> Self {
-        match std::env::var("AXDNN_KERNEL") {
-            Ok(v) if v.eq_ignore_ascii_case("reference") || v.eq_ignore_ascii_case("scalar") => {
-                FloatKernel::Reference
-            }
-            _ => FloatKernel::Tiled,
-        }
-    }
-
-    /// Stable lowercase name, for report fields and log lines.
-    pub fn name(self) -> &'static str {
-        match self {
-            FloatKernel::Reference => "reference",
-            FloatKernel::Tiled => "tiled",
-        }
-    }
-
-    /// [`conv_forward`] under this tier.
-    pub fn conv_forward(
-        self,
-        w: &[f32],
-        bias: &[f32],
-        patch: &[f32],
-        rows: usize,
-        cols: usize,
-        out: &mut [f32],
-    ) {
-        match self {
-            FloatKernel::Reference => conv_forward(w, bias, patch, rows, cols, out),
-            FloatKernel::Tiled => conv_forward_tiled(w, bias, patch, rows, cols, out),
-        }
-    }
-
-    /// [`dense_forward`] under this tier.
-    pub fn dense_forward(self, w: &[f32], bias: &[f32], x: &[f32], out: &mut [f32]) {
-        match self {
-            FloatKernel::Reference => dense_forward(w, bias, x, out),
-            FloatKernel::Tiled => dense_forward_tiled(w, bias, x, out),
-        }
-    }
-
-    /// [`dense_backward`] under this tier.
-    pub fn dense_backward(
-        self,
-        w: &[f32],
-        g: &[f32],
-        x: &[f32],
-        dx: &mut [f32],
-        dw: Option<&mut [f32]>,
-        db: Option<&mut [f32]>,
-    ) {
-        match self {
-            FloatKernel::Reference => dense_backward(w, g, x, dx, dw, db),
-            FloatKernel::Tiled => dense_backward_tiled(w, g, x, dx, dw, db),
-        }
-    }
-
-    /// [`conv_backward_params`] under this tier.
-    pub fn conv_backward_params(
-        self,
-        g: &[f32],
-        patch: &[f32],
-        rows: usize,
-        cols: usize,
-        dw: &mut [f32],
-        db: &mut [f32],
-    ) {
-        match self {
-            FloatKernel::Reference => conv_backward_params(g, patch, rows, cols, dw, db),
-            FloatKernel::Tiled => conv_backward_params_tiled(g, patch, rows, cols, dw, db),
         }
     }
 }
@@ -1167,19 +1069,6 @@ mod tests {
         conv_backward_params_tiled(&g, &patch, rows, cols, &mut dw_t, &mut db_t);
         assert_eq!(dw_r, dw_t);
         assert_eq!(db_r, db_t);
-    }
-
-    #[test]
-    fn kernel_dispatch_routes_both_tiers() {
-        let patch = [1.0f32; 4];
-        for kernel in [FloatKernel::Reference, FloatKernel::Tiled] {
-            let mut out = [0.0f32; 1];
-            kernel.conv_forward(&[1.0, 2.0, 3.0, 4.0], &[0.5], &patch, 1, 4, &mut out);
-            assert_eq!(out, [10.5]);
-        }
-        assert_eq!(FloatKernel::default(), FloatKernel::Tiled);
-        assert_eq!(FloatKernel::Reference.name(), "reference");
-        assert_eq!(FloatKernel::Tiled.name(), "tiled");
     }
 
     #[test]

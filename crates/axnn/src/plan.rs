@@ -178,9 +178,6 @@ pub struct FPlan<'m> {
     max_act: usize,
     /// Largest forward im2col patch any conv step needs.
     max_patch: usize,
-    /// GEMM tier every kernel call dispatches through, resolved once at
-    /// compile time ([`exec::FloatKernel::from_env`]).
-    kernel: exec::FloatKernel,
     /// Record and parameter layout of the conv/dense steps, for the
     /// parameter-gradient backward and its batch fold.
     fold: exec::GradFold,
@@ -336,7 +333,6 @@ impl<'m> FPlan<'m> {
             out_len: dims.iter().product(),
             max_act,
             max_patch,
-            kernel: exec::FloatKernel::from_env(),
             fold,
             first_param,
         }
@@ -350,12 +346,6 @@ impl<'m> FPlan<'m> {
     /// Length of the logits vector.
     pub fn out_len(&self) -> usize {
         self.out_len
-    }
-
-    /// The GEMM tier this plan dispatches through (resolved from
-    /// `AXDNN_KERNEL` at compile time).
-    pub fn kernel(&self) -> exec::FloatKernel {
-        self.kernel
     }
 
     /// Clones every borrowed parameter into the plan, detaching it from
@@ -372,7 +362,6 @@ impl<'m> FPlan<'m> {
             out_len,
             max_act,
             max_patch,
-            kernel,
             fold,
             first_param,
         } = self;
@@ -424,7 +413,6 @@ impl<'m> FPlan<'m> {
             out_len,
             max_act,
             max_patch,
-            kernel,
             fold,
             first_param,
         }
@@ -559,8 +547,7 @@ impl<'m> FPlan<'m> {
                         &mut fwd_patches[i]
                     };
                     exec::im2col(src, in_dims, k, stride, pad, rows, cols, pbuf);
-                    self.kernel
-                        .conv_forward(w.data(), b.data(), pbuf, rows, cols, dst);
+                    exec::conv_forward_tiled(w.data(), b.data(), pbuf, rows, cols, dst);
                 }
                 FStep::Dense {
                     ref w,
@@ -568,8 +555,7 @@ impl<'m> FPlan<'m> {
                     in_dim,
                     ..
                 } => {
-                    self.kernel
-                        .dense_forward(w.data(), b.data(), &src[..in_dim], dst);
+                    exec::dense_forward_tiled(w.data(), b.data(), &src[..in_dim], dst);
                 }
                 FStep::AvgPool { k, in_dims, .. } => {
                     exec::avgpool(src, in_dims, k, dst);
@@ -657,7 +643,7 @@ impl<'m> FPlan<'m> {
                             .fold
                             .layer_record(param, record)
                             .split_at_mut(out_dims[0] * cols);
-                        self.kernel.conv_backward_params(g, fp, rows, cols, dw, db);
+                        exec::conv_backward_params_tiled(g, fp, rows, cols, dw, db);
                         if i == self.first_param {
                             break;
                         }
@@ -679,7 +665,7 @@ impl<'m> FPlan<'m> {
                             break;
                         }
                     }
-                    self.kernel.dense_backward(
+                    exec::dense_backward_tiled(
                         w.data(),
                         &gsrc[..out_dim],
                         &x[..in_dim],

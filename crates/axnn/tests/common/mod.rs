@@ -1,5 +1,6 @@
 //! Shared fixtures for the axnn property suites (`prop_fplan`,
-//! `prop_train`): one random-model factory covering every engine path,
+//! `prop_train`, `prop_kernels`): one random-model factory covering every
+//! engine path,
 //! and a matching image generator. Keeping them in one place means a new
 //! layer type or geometry case widens every suite at once.
 
@@ -11,14 +12,25 @@ use axutil::rng::Rng;
 /// The input shape every fixture model accepts.
 pub const IN_DIMS: [usize; 3] = [2, 8, 8];
 
+/// Conv geometries spanning k ∈ {1, 3, 5} with stride/pad combinations,
+/// each on [`IN_DIMS`]: `(k, stride, pad, out_hw)`.
+const GEOMETRIES: [(usize, usize, usize, usize); 5] = [
+    (1, 1, 0, 8),
+    (3, 1, 1, 8),
+    (3, 2, 1, 4),
+    (5, 1, 2, 8),
+    (5, 2, 0, 2),
+];
+
 /// How many shapes [`small_model`] builds.
-pub const ARCHS: usize = 5;
+pub const ARCHS: usize = 5 + GEOMETRIES.len();
 
 /// A small random model of one of [`ARCHS`] shapes that together cover
 /// every engine path: dense-only, conv without padding, conv+pad+avgpool,
-/// a strided padded conv (the input gradient's clamped tap ranges), and
+/// a strided padded conv (the input gradient's clamped tap ranges),
 /// LeNet's shape in miniature, whose flattening conv has a 1×1 output and
-/// back-propagates into the conv below it.
+/// back-propagates into the conv below it, and one conv + relu + dense
+/// head per entry of [`GEOMETRIES`].
 pub fn small_model(arch: usize, seed: u64) -> Sequential {
     let rng = &mut Rng::seed_from_u64(seed);
     match arch % ARCHS {
@@ -61,7 +73,7 @@ pub fn small_model(arch: usize, seed: u64) -> Sequential {
                 Layer::Dense(Dense::new(3 * 4 * 4, 4, rng)),
             ],
         ),
-        _ => Sequential::new(
+        4 => Sequential::new(
             "p-lenet",
             vec![
                 Layer::Conv2d(Conv2d::new(2, 3, 3, 1, 0, rng)),
@@ -73,6 +85,18 @@ pub fn small_model(arch: usize, seed: u64) -> Sequential {
                 Layer::Dense(Dense::new(5, 4, rng)),
             ],
         ),
+        geo => {
+            let (k, stride, pad, out_hw) = GEOMETRIES[geo - 5];
+            Sequential::new(
+                "p-geo",
+                vec![
+                    Layer::Conv2d(Conv2d::new(2, 3, k, stride, pad, rng)),
+                    Layer::Relu,
+                    Layer::Flatten,
+                    Layer::Dense(Dense::new(3 * out_hw * out_hw, 4, rng)),
+                ],
+            )
+        }
     }
 }
 

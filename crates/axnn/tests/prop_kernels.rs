@@ -1,25 +1,24 @@
-//! Property tests pinning the register-tiled GEMM tier to the scalar
+//! Property tests pinning the register-tiled GEMM kernels to the scalar
 //! reference kernels — **bit-exact**, not within tolerance.
 //!
 //! The tiled kernels ([`axnn::exec`]: `*_tiled`) only regroup which
 //! output elements advance together; every element's addition chain over
 //! the dot-product dimension stays sequential and ascending, so for any
 //! shape (including odd/prime edges that exercise every remainder path)
-//! the two tiers must agree to the last bit. The direct conv input
-//! gradient, which has no tiers, is pinned to the seed conv backward the
-//! same way. On top of the raw kernels,
-//! a whole compiled plan run under `AXDNN_KERNEL=tiled` must reproduce
-//! the `AXDNN_KERNEL=reference` forward, loss and gradients exactly, for
-//! every conv geometry (k ∈ {1, 3, 5}, stride/pad combinations) and
-//! every `AXDNN_THREADS` chunking.
+//! the two forms must agree to the last bit. The direct conv input
+//! gradient, which has no tiled form, is pinned to the seed conv
+//! backward the same way. On top of the raw kernels, a whole compiled
+//! plan must reproduce its one-thread forward, loss and gradients
+//! exactly at every `AXDNN_THREADS` chunking, for every fixture model
+//! (the conv geometries k ∈ {1, 3, 5} with stride/pad combinations
+//! included).
 //!
-//! Tests that touch `AXDNN_KERNEL` / `AXDNN_THREADS` serialize on
-//! [`ENV_LOCK`].
+//! Tests that touch `AXDNN_THREADS` serialize on [`ENV_LOCK`].
 
 use std::sync::Mutex;
 
 use axnn::exec::{self, GradFold, ParamRecord};
-use axnn::layer::{Conv2d, Dense, Layer};
+use axnn::layer::{Conv2d, Layer};
 use axnn::model::{GradBuffer, Sequential};
 use axtensor::Tensor;
 use axutil::rng::Rng;
@@ -27,7 +26,7 @@ use proptest::prelude::*;
 
 mod common;
 
-/// Serializes tests that read or write `AXDNN_KERNEL` / `AXDNN_THREADS`.
+/// Serializes tests that read or write `AXDNN_THREADS`.
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 /// Odd and prime edge lengths: every value here leaves a non-trivial
@@ -184,13 +183,13 @@ proptest! {
 
 /// The shared rank-n fold against the per-image reference it replaces:
 /// each image's dense gradient materialized by `dense_backward` into a
-/// zero buffer, then summed with `GradBuffer::accumulate`, under both
-/// kernel tiers. Compared bit for bit at every thread chunking of the
-/// fold, on inputs chosen to break a sloppy fold: `+0.0` and `-0.0`
-/// gradient rows next to `±inf` inputs (`0 · inf` is NaN unless the row
-/// is skipped) and `-0.0` inputs (one image's `dw` must come out `+0.0`,
-/// not `-0.0`). A summed (conv-style) layer rides along so the flat
-/// parameter range spans two layers.
+/// zero buffer, then summed with `GradBuffer::accumulate`. Compared bit
+/// for bit at every thread chunking of the fold, on inputs chosen to
+/// break a sloppy fold: `+0.0` and `-0.0` gradient rows next to `±inf`
+/// inputs (`0 · inf` is NaN unless the row is skipped) and `-0.0` inputs
+/// (one image's `dw` must come out `+0.0`, not `-0.0`). A summed
+/// (conv-style) layer rides along so the flat parameter range spans two
+/// layers.
 #[test]
 fn grad_fold_is_bit_exact_with_per_image_accumulate() {
     let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -241,70 +240,41 @@ fn grad_fold_is_bit_exact_with_per_image_accumulate() {
                 rec
             })
             .collect();
-        for kernel in [exec::FloatKernel::Reference, exec::FloatKernel::Tiled] {
-            let mut want = zeros();
-            for (g, x, conv) in &images {
-                let mut one = zeros();
-                let (dw, db) = one.layers[0].split_at_mut(1);
-                let mut dx = vec![0.0f32; in_dim];
-                kernel.dense_backward(
-                    &w,
-                    g,
-                    x,
-                    &mut dx,
-                    Some(dw[0].data_mut()),
-                    Some(db[0].data_mut()),
-                );
-                one.layers[1][0].data_mut().copy_from_slice(conv);
-                want.accumulate(&one);
-            }
-            assert!(
-                want.layers[0][0].data().iter().all(|v| !v.is_nan()),
-                "the reference skips zero rows, so it has no 0 * inf"
+        let mut want = zeros();
+        for (g, x, conv) in &images {
+            let mut one = zeros();
+            let (dw, db) = one.layers[0].split_at_mut(1);
+            let mut dx = vec![0.0f32; in_dim];
+            exec::dense_backward(
+                &w,
+                g,
+                x,
+                &mut dx,
+                Some(dw[0].data_mut()),
+                Some(db[0].data_mut()),
             );
-            for threads in ["1", "2", "3", "7"] {
-                std::env::set_var("AXDNN_THREADS", threads);
-                let mut got = zeros();
-                fold.fold_into(&records, &mut got);
-                assert_eq!(
-                    common::grad_bits(&got),
-                    common::grad_bits(&want),
-                    "fold diverges (n {n}, kernel {}, {threads} threads)",
-                    kernel.name()
-                );
-            }
+            one.layers[1][0].data_mut().copy_from_slice(conv);
+            want.accumulate(&one);
+        }
+        assert!(
+            want.layers[0][0].data().iter().all(|v| !v.is_nan()),
+            "the reference skips zero rows, so it has no 0 * inf"
+        );
+        for threads in ["1", "2", "3", "7"] {
+            std::env::set_var("AXDNN_THREADS", threads);
+            let mut got = zeros();
+            fold.fold_into(&records, &mut got);
+            assert_eq!(
+                common::grad_bits(&got),
+                common::grad_bits(&want),
+                "fold diverges (n {n}, {threads} threads)"
+            );
         }
     }
     match prev {
         Some(v) => std::env::set_var("AXDNN_THREADS", v),
         None => std::env::remove_var("AXDNN_THREADS"),
     }
-}
-
-/// Conv geometries spanning k ∈ {1, 3, 5} with stride/pad combinations,
-/// all on the shared `common::IN_DIMS` = `[2, 8, 8]` input: `(k, stride,
-/// pad, out_hw)`.
-const GEOMETRIES: [(usize, usize, usize, usize); 5] = [
-    (1, 1, 0, 8),
-    (3, 1, 1, 8),
-    (3, 2, 1, 4),
-    (5, 1, 2, 8),
-    (5, 2, 0, 2),
-];
-
-/// A conv(k, stride, pad) + relu + dense head on the shared input shape.
-fn geometry_model(geo: usize, seed: u64) -> Sequential {
-    let (k, stride, pad, out_hw) = GEOMETRIES[geo % GEOMETRIES.len()];
-    let rng = &mut Rng::seed_from_u64(seed);
-    Sequential::new(
-        "p-geo",
-        vec![
-            Layer::Conv2d(Conv2d::new(2, 3, k, stride, pad, rng)),
-            Layer::Relu,
-            Layer::Flatten,
-            Layer::Dense(Dense::new(3 * out_hw * out_hw, 4, rng)),
-        ],
-    )
 }
 
 /// One forward + one batched gradient under the current env settings.
@@ -322,73 +292,35 @@ fn probe(model: &Sequential, imgs: &[Tensor], labels: &[usize]) -> (Vec<Tensor>,
     (outs, sig)
 }
 
-/// The full `AXDNN_KERNEL` × `AXDNN_THREADS` matrix: for every conv
-/// geometry, the tiled plan must reproduce the reference plan's forward
+/// The `AXDNN_THREADS` sweep: for every fixture model (the conv
+/// geometries included), the plan must reproduce its one-thread forward
 /// outputs and gradient signature bit-for-bit at every thread chunking.
 #[test]
 fn kernel_matrix_is_bit_exact_across_geometries_and_threads() {
     let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let prev_kernel = std::env::var("AXDNN_KERNEL").ok();
     let prev_threads = std::env::var("AXDNN_THREADS").ok();
-    // The five conv geometries plus every shared fixture shape
-    // (dense-only, plain/pooled/strided convs, miniature LeNet).
-    let models: Vec<Sequential> = (0..GEOMETRIES.len())
-        .map(|geo| geometry_model(geo, 0xBEEF + geo as u64))
-        .chain((0..common::ARCHS).map(|arch| common::small_model(arch, 0xFACE + arch as u64)))
-        .collect();
-    for (geo, model) in models.iter().enumerate() {
-        let imgs = common::images(5, 0x51EE + geo as u64);
+    for arch in 0..common::ARCHS {
+        let model = common::small_model(arch, 0xFACE + arch as u64);
+        let imgs = common::images(5, 0x51EE + arch as u64);
         let labels: Vec<usize> = (0..imgs.len()).map(|i| i % 4).collect();
-        std::env::set_var("AXDNN_KERNEL", "reference");
         std::env::set_var("AXDNN_THREADS", "1");
-        let (want_outs, want_sig) = probe(model, &imgs, &labels);
-        for kernel in ["reference", "tiled"] {
-            std::env::set_var("AXDNN_KERNEL", kernel);
-            for threads in ["1", "2", "3", "7"] {
-                std::env::set_var("AXDNN_THREADS", threads);
-                let (outs, sig) = probe(model, &imgs, &labels);
-                assert_eq!(
-                    outs, want_outs,
-                    "forward diverges (geometry {geo}, kernel {kernel}, {threads} threads)"
-                );
-                assert_eq!(
-                    sig.to_bits(),
-                    want_sig.to_bits(),
-                    "gradients diverge (geometry {geo}, kernel {kernel}, {threads} threads)"
-                );
-            }
+        let (want_outs, want_sig) = probe(&model, &imgs, &labels);
+        for threads in ["1", "2", "3", "7"] {
+            std::env::set_var("AXDNN_THREADS", threads);
+            let (outs, sig) = probe(&model, &imgs, &labels);
+            assert_eq!(
+                outs, want_outs,
+                "forward diverges (arch {arch}, {threads} threads)"
+            );
+            assert_eq!(
+                sig.to_bits(),
+                want_sig.to_bits(),
+                "gradients diverge (arch {arch}, {threads} threads)"
+            );
         }
-    }
-    match prev_kernel {
-        Some(v) => std::env::set_var("AXDNN_KERNEL", v),
-        None => std::env::remove_var("AXDNN_KERNEL"),
     }
     match prev_threads {
         Some(v) => std::env::set_var("AXDNN_THREADS", v),
         None => std::env::remove_var("AXDNN_THREADS"),
-    }
-}
-
-/// `AXDNN_KERNEL` parsing: "reference"/"scalar" (any case) select the
-/// reference tier, everything else — including unset — the tiled default.
-#[test]
-fn kernel_env_override_parses() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let prev = std::env::var("AXDNN_KERNEL").ok();
-    for (value, want) in [
-        ("reference", exec::FloatKernel::Reference),
-        ("Scalar", exec::FloatKernel::Reference),
-        ("REFERENCE", exec::FloatKernel::Reference),
-        ("tiled", exec::FloatKernel::Tiled),
-        ("anything-else", exec::FloatKernel::Tiled),
-    ] {
-        std::env::set_var("AXDNN_KERNEL", value);
-        assert_eq!(exec::FloatKernel::from_env(), want, "AXDNN_KERNEL={value}");
-    }
-    std::env::remove_var("AXDNN_KERNEL");
-    assert_eq!(exec::FloatKernel::from_env(), exec::FloatKernel::Tiled);
-    assert_eq!(exec::FloatKernel::default(), exec::FloatKernel::Tiled);
-    if let Some(v) = prev {
-        std::env::set_var("AXDNN_KERNEL", v);
     }
 }

@@ -5,6 +5,14 @@
 //! layer's output geometry, im2col patch size and activation footprint is
 //! resolved up front, so running an image does no shape math and no
 //! allocation — all intermediate state lives in a reusable [`QScratch`].
+//! Flatten layers need no step: activations are flat buffers already.
+//!
+//! The scratch keeps every step's `u8` input codes in an activation
+//! *tape*, one buffer per step and kernel lane. Inference reads each
+//! entry once, but the tape is what lets
+//! [`QTrainPlan`](crate::qtrain::QTrainPlan) run its straight-through
+//! backward over this forward: a one-lane [`QPlan::forward_one`] leaves
+//! behind exactly the codes the backward reads.
 //!
 //! The batch entry points run `N images x M kernels` in one pass. Lanes
 //! (one per kernel) share activation state until the first layer where
@@ -47,7 +55,7 @@ use crate::qmodel::{QLayer, QWeights, QuantModel};
 
 /// One resolved layer of a compiled plan.
 #[derive(Debug)]
-enum Step<'m> {
+pub(crate) enum Step<'m> {
     /// im2col + GEMM + requantize.
     Conv {
         w: &'m QWeights,
@@ -60,7 +68,7 @@ enum Step<'m> {
         rows: usize,
         /// Patch width (`in_c * k * k`) = GEMM columns.
         cols: usize,
-        out_len: usize,
+        out_dims: [usize; 3],
     },
     /// Single-row GEMM + requantize (hidden dense layer).
     Dense {
@@ -91,26 +99,25 @@ enum Step<'m> {
 #[derive(Debug)]
 pub struct QPlan<'m> {
     model: &'m QuantModel,
-    steps: Vec<Step<'m>>,
-    in_len: usize,
+    pub(crate) steps: Vec<Step<'m>>,
+    in_dims: Vec<usize>,
     n_classes: usize,
-    /// Largest activation buffer any step reads or writes.
-    max_act: usize,
     /// Largest im2col patch buffer any conv step needs.
-    max_patch: usize,
+    pub(crate) max_patch: usize,
 }
 
 /// Reusable buffers for executing a [`QPlan`].
 ///
-/// Holds the im2col patch buffer and, per kernel lane, a ping-pong pair
-/// of activation buffers. Build one per thread with
+/// Holds the im2col patch buffer and the activation tape: per step and
+/// kernel lane, the step's `u8` input codes. Build one per thread with
 /// [`QPlan::scratch_for`] and reuse it across images.
 #[derive(Debug)]
 pub struct QScratch {
     lanes: usize,
     patch: Vec<u8>,
-    /// `bufs[side][lane]` — ping-pong activation buffers.
-    bufs: [Vec<Vec<u8>>; 2],
+    /// `tape[i][lane]` — the input codes of step `i`; `tape[i + 1]` holds
+    /// its output codes (empty after the logits step, which writes f32).
+    pub(crate) tape: Vec<Vec<Vec<u8>>>,
 }
 
 impl QuantModel {
@@ -130,8 +137,6 @@ impl<'m> QPlan<'m> {
     /// Resolves every layer's geometry once. See [`QuantModel::plan`].
     pub fn compile(model: &'m QuantModel, input_dims: &[usize]) -> Self {
         let mut dims: Vec<usize> = input_dims.to_vec();
-        let in_len: usize = dims.iter().product();
-        let mut max_act = in_len;
         let mut max_patch = 0;
         let mut n_classes = 0;
         let mut steps = Vec::new();
@@ -161,7 +166,7 @@ impl<'m> QPlan<'m> {
                         pad: *pad,
                         rows,
                         cols,
-                        out_len: out_c * rows,
+                        out_dims: [*out_c, oh, ow],
                     });
                     max_patch = max_patch.max(rows * cols);
                     dims = vec![*out_c, oh, ow];
@@ -206,15 +211,13 @@ impl<'m> QPlan<'m> {
                     dims = vec![dims.iter().product()];
                 }
             }
-            max_act = max_act.max(dims.iter().product());
         }
         debug_assert!(n_classes > 0, "from_float guarantees a final logits layer");
         QPlan {
             model,
             steps,
-            in_len,
+            in_dims: input_dims.to_vec(),
             n_classes,
-            max_act,
             max_patch,
         }
     }
@@ -227,13 +230,20 @@ impl<'m> QPlan<'m> {
     /// Allocates scratch buffers able to run up to `lanes` kernels.
     pub fn scratch_for(&self, lanes: usize) -> QScratch {
         let lanes = lanes.max(1);
+        let in_len = self.in_dims.iter().product();
+        let out_lens = self.steps.iter().map(|step| match *step {
+            Step::Conv { out_dims, .. } => out_dims.iter().product(),
+            Step::Dense { out_dim, .. } => out_dim,
+            Step::DenseLogits { .. } => 0,
+            Step::AvgPool { out_len, .. } => out_len,
+        });
         QScratch {
             lanes,
             patch: vec![0u8; self.max_patch],
-            bufs: [
-                (0..lanes).map(|_| vec![0u8; self.max_act]).collect(),
-                (0..lanes).map(|_| vec![0u8; self.max_act]).collect(),
-            ],
+            tape: std::iter::once(in_len)
+                .chain(out_lens)
+                .map(|len| vec![vec![0u8; len]; lanes])
+                .collect(),
         }
     }
 
@@ -278,21 +288,20 @@ impl<'m> QPlan<'m> {
             "scratch has {} lanes, got {m} kernels",
             scratch.lanes
         );
-        assert_eq!(x.len(), self.in_len, "input does not match planned shape");
+        assert_eq!(
+            x.dims(),
+            &self.in_dims[..],
+            "input does not match the planned shape"
+        );
         let backends: Vec<MulBackend<'_, K>> = kernels.iter().map(|k| MulBackend::of(*k)).collect();
 
-        exec::quantize_input(
-            x.data(),
-            self.model.input_qmax(),
-            &mut scratch.bufs[0][0][..self.in_len],
-        );
-        let mut src = 0usize;
+        exec::quantize_input(x.data(), self.model.input_qmax(), &mut scratch.tape[0][0]);
         // While `shared` only lane 0 holds the (kernel-independent)
         // activations; after the first approximated layer every lane
         // carries its own.
         let mut shared = true;
         let mut logits: Vec<Tensor> = Vec::with_capacity(m);
-        for step in &self.steps {
+        for (i, step) in self.steps.iter().enumerate() {
             let approx = match step {
                 Step::Conv { approx, .. } => *approx,
                 Step::Dense { approx, .. } | Step::DenseLogits { approx, .. } => *approx,
@@ -307,7 +316,8 @@ impl<'m> QPlan<'m> {
                     MulBackend::Exact
                 }
             };
-            let (src_bufs, dst_bufs) = sides(&mut scratch.bufs, src);
+            let (done, rest) = scratch.tape.split_at_mut(i + 1);
+            let (src_bufs, dst_bufs) = (&done[i], &mut rest[0]);
             match *step {
                 Step::Conv {
                     w,
@@ -317,14 +327,12 @@ impl<'m> QPlan<'m> {
                     pad,
                     rows,
                     cols,
-                    out_len,
                     ..
                 } => {
-                    let in_len = in_dims.iter().product();
                     if in_lanes == 1 {
                         // One im2col feeds every kernel lane.
                         exec::im2col(
-                            &src_bufs[0][..in_len],
+                            &src_bufs[0],
                             in_dims,
                             k,
                             stride,
@@ -340,13 +348,13 @@ impl<'m> QPlan<'m> {
                                 &scratch.patch,
                                 rows,
                                 cols,
-                                &mut dst[..out_len],
+                                dst,
                             );
                         }
                     } else {
                         for lane in 0..m {
                             exec::im2col(
-                                &src_bufs[lane][..in_len],
+                                &src_bufs[lane],
                                 in_dims,
                                 k,
                                 stride,
@@ -361,24 +369,22 @@ impl<'m> QPlan<'m> {
                                 &scratch.patch,
                                 rows,
                                 cols,
-                                &mut dst_bufs[lane][..out_len],
+                                &mut dst_bufs[lane],
                             );
                         }
                     }
                 }
-                Step::Dense {
-                    w, in_dim, out_dim, ..
-                } => {
+                Step::Dense { w, in_dim, .. } => {
                     // The activation vector is the single GEMM patch row.
                     for (lane, dst) in dst_bufs.iter_mut().enumerate().take(out_lanes) {
                         let src_lane = if in_lanes == 1 { 0 } else { lane };
                         exec::gemm_requant(
                             backend_for(lane),
                             w,
-                            &src_bufs[src_lane][..in_dim],
+                            &src_bufs[src_lane],
                             1,
                             in_dim,
-                            &mut dst[..out_dim],
+                            dst,
                         );
                     }
                 }
@@ -391,7 +397,7 @@ impl<'m> QPlan<'m> {
                         exec::gemm_logits(
                             backend_for(lane),
                             w,
-                            &src_bufs[src_lane][..in_dim],
+                            &src_bufs[src_lane],
                             1,
                             in_dim,
                             &mut out,
@@ -399,24 +405,13 @@ impl<'m> QPlan<'m> {
                         logits.push(Tensor::from_vec(out, &[out_dim]));
                     }
                 }
-                Step::AvgPool {
-                    k,
-                    in_dims,
-                    out_len,
-                } => {
-                    let in_len = in_dims.iter().product();
+                Step::AvgPool { k, in_dims, .. } => {
                     for lane in 0..in_lanes {
-                        exec::avgpool(
-                            &src_bufs[lane][..in_len],
-                            in_dims,
-                            k,
-                            &mut dst_bufs[lane][..out_len],
-                        );
+                        exec::avgpool(&src_bufs[lane], in_dims, k, &mut dst_bufs[lane]);
                     }
                 }
             }
             shared = shared && out_lanes == 1;
-            src = 1 - src;
         }
         // A fully exact pipeline (e.g. conv-only placement on a dense
         // net) never diverges: every kernel sees identical logits.
@@ -492,16 +487,6 @@ impl<'m> QPlan<'m> {
                 })
                 .collect()
         })
-    }
-}
-
-/// Splits the ping-pong pair into (read side, write side) for `src`.
-fn sides(bufs: &mut [Vec<Vec<u8>>; 2], src: usize) -> (&Vec<Vec<u8>>, &mut Vec<Vec<u8>>) {
-    let (lo, hi) = bufs.split_at_mut(1);
-    if src == 0 {
-        (&lo[0], &mut hi[0])
-    } else {
-        (&hi[0], &mut lo[0])
     }
 }
 
@@ -651,5 +636,16 @@ mod tests {
         let plan = qm.plan(&[1, 28, 28]);
         let mut scratch = plan.scratch_for(1);
         let _ = plan.forward_one(&mut scratch, &Tensor::zeros(&[1, 8, 8]), &ExactMul);
+    }
+
+    #[test]
+    #[should_panic(expected = "planned shape")]
+    fn same_length_wrong_shape_is_rejected() {
+        let model = zoo::lenet5(&mut Rng::seed_from_u64(52));
+        let calib = calib_images(2, &[1, 28, 28], 53);
+        let qm = QuantModel::from_float(&model, &calib, Placement::ConvOnly).unwrap();
+        let plan = qm.plan(&[1, 28, 28]);
+        let mut scratch = plan.scratch_for(1);
+        let _ = plan.forward_one(&mut scratch, &Tensor::zeros(&[28, 1, 28]), &ExactMul);
     }
 }

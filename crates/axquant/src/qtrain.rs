@@ -1,5 +1,5 @@
-//! Approximation-aware fine-tuning: a [`QPlan`](crate::plan::QPlan)-style
-//! backward pass and the retraining driver of the paper's Sec. V.
+//! Approximation-aware fine-tuning: a straight-through backward over the
+//! [`QPlan`] forward and the retraining driver of the paper's Sec. V.
 //!
 //! Post-training quantization ([`QuantModel::from_float`]) opens an
 //! accuracy gap under approximate multipliers; the defensive-approximation
@@ -8,18 +8,18 @@
 //! This module implements that loop:
 //!
 //! * [`QTrainPlan`] compiles a `(QuantModel, shadow model, input shape)`
-//!   triple once per epoch. Its forward pass is the quantized engine —
-//!   the same [`crate::exec`] kernels as [`QPlan`](crate::plan::QPlan),
-//!   running the chosen (exact or LUT) multiplier and recording the `u8`
-//!   activation tape. Its backward pass is a **straight-through
-//!   estimator** (STE): every quantized layer is linearized as its
-//!   dequantized float map `y ≈ relu(W_deq · x_deq + b_deq)`, the fused
-//!   requantize/ReLU passes gradient only where the output code is
-//!   strictly inside `(0, act_qmax)` (clipped STE — both the ReLU cut and
-//!   saturation block gradient), and rounding is treated as identity. The
-//!   resulting parameter gradients land in the layout of the float
-//!   *shadow* model, ready for
-//!   [`Sgd::step_scaled`](axnn::optim::Sgd::step_scaled).
+//!   triple once per epoch. It is a [`QPlan`] plus its backward: the
+//!   forward pass *is* [`QPlan::forward_one`], the very forward that
+//!   answers queries, running the chosen (exact or LUT) multiplier and
+//!   leaving every layer's `u8` input codes on the scratch's activation
+//!   tape. Its backward pass is a **straight-through estimator** (STE):
+//!   every quantized layer is linearized as its dequantized float map
+//!   `y ≈ relu(W_deq · x_deq + b_deq)`, the fused requantize/ReLU passes
+//!   gradient only where the output code is strictly inside
+//!   `(0, act_qmax)` (clipped STE — both the ReLU cut and saturation block
+//!   gradient), and rounding is treated as identity. The resulting
+//!   parameter gradients land in the layout of the float *shadow* model,
+//!   ready for [`Sgd::step_scaled`](axnn::optim::Sgd::step_scaled).
 //! * [`finetune`] is the driver, in [`axnn::train::fit`] style: per
 //!   epoch it runs SGD + momentum over shuffled minibatches on the
 //!   batched engine, then requantizes the shadow weights into the next
@@ -61,7 +61,7 @@
 //! ```
 
 use axdata::Dataset;
-use axmul::{MulBackend, MulKernel};
+use axmul::MulKernel;
 use axnn::exec as fexec;
 use axnn::layer::Layer;
 use axnn::loss::cross_entropy_with_grad;
@@ -69,58 +69,26 @@ use axnn::model::{GradBuffer, Sequential};
 use axtensor::Tensor;
 use axutil::AxError;
 
-use crate::exec;
 use crate::placement::Placement;
+use crate::plan::{QPlan, QScratch, Step};
 use crate::qlevel::QLevel;
 use crate::qmodel::{QLayer, QWeights, QuantModel};
 use crate::universal::{universal_adversarial_fit, UniversalFinetuneConfig};
 
-/// One resolved layer of a compiled fine-tuning plan.
+/// What the STE backward keeps of one conv/dense layer.
 #[derive(Debug)]
-enum TStep<'m> {
-    /// Quantized im2col + GEMM forward; STE conv backward.
-    Conv {
-        w: &'m QWeights,
-        approx: bool,
-        in_dims: [usize; 3],
-        k: usize,
-        stride: usize,
-        pad: usize,
-        /// Output positions (`oh * ow`) = forward GEMM rows.
-        rows: usize,
-        /// Patch width (`in_c * k * k`) = forward GEMM columns.
-        cols: usize,
-        out_dims: [usize; 3],
-        /// Dequantization scale of this layer's *input* codes.
-        in_scale: f32,
-        /// Largest output activation code (`act_qmax` as `u8`).
-        qmax_code: u8,
-        /// Dequantized weights (`sign * mag * s_w`, `[out_c, in_c, k, k]`)
-        /// for the input gradient ([`fexec::conv_input_grad`]).
-        w_deq: Vec<f32>,
-    },
-    /// Quantized row GEMM; STE dense backward. `logits` layers
-    /// dequantize to f32 instead of requantizing (no ReLU/clip mask).
-    Dense {
-        w: &'m QWeights,
-        approx: bool,
-        in_dim: usize,
-        out_dim: usize,
-        in_scale: f32,
-        qmax_code: u8,
-        w_deq: Vec<f32>,
-        logits: bool,
-    },
-    AvgPool {
-        k: usize,
-        in_dims: [usize; 3],
-        out_len: usize,
-    },
-    /// Shape-only; the tape copies through.
-    Flatten,
+struct SteLayer {
+    /// Dequantized weights (`sign * mag * s_w`, in the shadow layer's
+    /// layout) for the input gradient.
+    w_deq: Vec<f32>,
+    /// Dequantization scale of this layer's *input* codes.
+    in_scale: f32,
+    /// Largest output activation code (`act_qmax` as `u8`).
+    qmax_code: u8,
 }
 
-/// A compiled fine-tuning plan for one `(QuantModel, shadow, shape)`.
+/// A compiled fine-tuning plan for one `(QuantModel, shadow, shape)`: a
+/// [`QPlan`] plus what its STE backward needs.
 ///
 /// The quantized model drives the forward; the shadow [`Sequential`] only
 /// fixes the gradient layout (its layer indices and parameter shapes), so
@@ -128,25 +96,12 @@ enum TStep<'m> {
 /// the [module docs](self) for the execution model.
 #[derive(Debug)]
 pub struct QTrainPlan<'m> {
-    model: &'m QuantModel,
-    steps: Vec<TStep<'m>>,
-    in_dims: Vec<usize>,
-    in_len: usize,
-    n_classes: usize,
-    /// Per-step input code lengths; `act_lens[i]` is what step `i` reads.
-    act_lens: Vec<usize>,
-    /// Largest activation any step reads or writes.
-    max_act: usize,
-    /// Largest forward `u8` patch any conv step needs.
-    max_patch_u8: usize,
-    /// Largest f32 (dequantized forward) patch any conv backward needs.
-    max_patch_f32: usize,
+    plan: QPlan<'m>,
+    /// One entry per conv/dense step, in step order (the fold's layer
+    /// order).
+    layers: Vec<SteLayer>,
     /// Zero gradients in the shadow model's layout, cloned per use.
     grads_template: GradBuffer,
-    /// Float GEMM tier the STE backward dispatches through, resolved
-    /// once at compile time ([`fexec::FloatKernel::from_env`]) — the
-    /// same dispatch story as [`axnn::plan::FPlan`].
-    kernel: fexec::FloatKernel,
     /// Record and parameter layout of the conv/dense steps, for the
     /// batch fold ([`fexec::GradFold`]).
     fold: fexec::GradFold,
@@ -155,19 +110,15 @@ pub struct QTrainPlan<'m> {
     first_param: usize,
 }
 
-/// Reusable buffers for executing a [`QTrainPlan`]: the `u8` forward tape
-/// (one buffer per step input) plus the f32 logits, patch buffers for the
-/// quantized forward and the STE backward, a dequantization buffer and a
-/// gradient ping-pong pair. Build one per thread chunk with
-/// [`QTrainPlan::scratch`] and reuse it across images.
+/// Reusable buffers for executing a [`QTrainPlan`]: a one-lane
+/// [`QScratch`], whose tape the backward reads, plus the f32 patch,
+/// dequantization and gradient ping-pong buffers of the STE backward.
+/// Build one per thread chunk with [`QTrainPlan::scratch`] and reuse it
+/// across images.
 #[derive(Debug)]
 pub struct QTrainScratch {
-    /// `acts[i]` holds the `u8` input codes of step `i`.
-    acts: Vec<Vec<u8>>,
-    /// Final logits (dequantized f32).
-    logits: Vec<f32>,
-    patch_u8: Vec<u8>,
-    patch_f32: Vec<f32>,
+    forward: QScratch,
+    patch: Vec<f32>,
     /// Dequantized activation buffer for the backward.
     deq: Vec<f32>,
     /// Gradient ping-pong pair.
@@ -175,10 +126,10 @@ pub struct QTrainScratch {
 }
 
 impl<'m> QTrainPlan<'m> {
-    /// Resolves every layer's geometry, reconstructs the per-layer scale
-    /// chain, dequantizes the weights for the STE backward and checks
-    /// every quantized layer against its shadow-model layer (gradients
-    /// land in the shadow's layout, parameterised layers in order).
+    /// Compiles the [`QPlan`], reconstructs the per-layer scale chain,
+    /// dequantizes the weights for the STE backward and checks every
+    /// quantized layer against its shadow-model layer (gradients land in
+    /// the shadow's layout, parameterised layers in order).
     ///
     /// # Panics
     ///
@@ -187,19 +138,12 @@ impl<'m> QTrainPlan<'m> {
     /// shapes, stride/pad — the shadow must be the model `qm` was
     /// quantized from, up to weight values).
     pub fn compile(qm: &'m QuantModel, shadow: &Sequential, input_dims: &[usize]) -> Self {
+        let plan = QPlan::compile(qm, input_dims);
         let flayers = shadow.layers();
         let mut fi = 0usize;
-        let mut dims: Vec<usize> = input_dims.to_vec();
-        let in_len: usize = dims.iter().product();
         let mut scale = qm.input_scale();
-        let mut max_act = in_len;
-        let mut max_patch_u8 = 0usize;
-        let mut max_patch_f32 = 0usize;
-        let mut n_classes = 0usize;
-        let mut act_lens = Vec::new();
-        let mut steps = Vec::new();
+        let mut layers = Vec::new();
         for ql in qm.qlayers() {
-            act_lens.push(dims.iter().product());
             match ql {
                 QLayer::Conv {
                     w,
@@ -209,10 +153,6 @@ impl<'m> QTrainPlan<'m> {
                     stride,
                     pad,
                 } => {
-                    let [c, h, wd] = dims[..] else {
-                        panic!("conv input must be [C, H, W], got {dims:?}");
-                    };
-                    assert_eq!(c, *in_c, "conv channel mismatch");
                     let Some(Layer::Conv2d(fc)) = flayers.get(fi) else {
                         panic!("shadow layer {fi} is not the conv the quantized model expects");
                     };
@@ -229,33 +169,12 @@ impl<'m> QTrainPlan<'m> {
                         matches!(flayers.get(fi + 1), Some(Layer::Relu)),
                         "shadow conv {fi} is not followed by relu"
                     );
-                    let oh = (h + 2 * pad - k) / stride + 1;
-                    let ow = (wd + 2 * pad - k) / stride + 1;
-                    let (rows, cols) = (oh * ow, in_c * k * k);
-                    steps.push(TStep::Conv {
-                        w,
-                        approx: qm.placement().applies_to_conv(),
-                        in_dims: [c, h, wd],
-                        k: *k,
-                        stride: *stride,
-                        pad: *pad,
-                        rows,
-                        cols,
-                        out_dims: [*out_c, oh, ow],
-                        in_scale: scale,
-                        qmax_code: w.act_qmax as u8,
-                        w_deq: dequantize_weights(w, scale),
-                    });
-                    max_patch_u8 = max_patch_u8.max(rows * cols);
-                    max_patch_f32 = max_patch_f32.max(rows * cols);
+                    layers.push(SteLayer::new(w, scale));
                     // Requantizing layer: the output scale closes the chain.
                     scale = w.dequant / w.requant.expect("conv layers requantize");
-                    dims = vec![*out_c, oh, ow];
                     fi += 2; // skip the fused relu
                 }
                 QLayer::Dense { w, out_dim, in_dim } => {
-                    let flat: usize = dims.iter().product();
-                    assert_eq!(flat, *in_dim, "dense input size mismatch");
                     let Some(Layer::Dense(fd)) = flayers.get(fi) else {
                         panic!("shadow layer {fi} is not the dense the quantized model expects");
                     };
@@ -264,47 +183,24 @@ impl<'m> QTrainPlan<'m> {
                         &[*out_dim, *in_dim],
                         "shadow dense {fi} shape mismatch"
                     );
-                    let w_deq = dequantize_weights(w, scale);
-                    let logits = w.requant.is_none();
-                    steps.push(TStep::Dense {
-                        w,
-                        approx: qm.placement().applies_to_dense(),
-                        in_dim: *in_dim,
-                        out_dim: *out_dim,
-                        in_scale: scale,
-                        qmax_code: w.act_qmax as u8,
-                        w_deq,
-                        logits,
-                    });
-                    if logits {
-                        assert_eq!(fi + 1, flayers.len(), "shadow logits dense is not final");
-                        n_classes = *out_dim;
-                        fi += 1;
-                    } else {
+                    layers.push(SteLayer::new(w, scale));
+                    if let Some(requant) = w.requant {
                         assert!(
                             matches!(flayers.get(fi + 1), Some(Layer::Relu)),
                             "shadow dense {fi} is not followed by relu"
                         );
-                        scale = w.dequant / w.requant.expect("hidden dense requantizes");
+                        scale = w.dequant / requant;
                         fi += 2;
+                    } else {
+                        assert_eq!(fi + 1, flayers.len(), "shadow logits dense is not final");
+                        fi += 1;
                     }
-                    dims = vec![*out_dim];
                 }
                 QLayer::AvgPool { k } => {
-                    let [c, h, wd] = dims[..] else {
-                        panic!("pool input must be [C, H, W], got {dims:?}");
-                    };
                     let Some(Layer::AvgPool(fp)) = flayers.get(fi) else {
                         panic!("shadow layer {fi} is not the avgpool the quantized model expects");
                     };
                     assert_eq!(fp.k(), *k, "shadow pool {fi} window mismatch");
-                    let (oh, ow) = (h / k, wd / k);
-                    steps.push(TStep::AvgPool {
-                        k: *k,
-                        in_dims: [c, h, wd],
-                        out_len: c * oh * ow,
-                    });
-                    dims = vec![c, oh, ow];
                     fi += 1;
                 }
                 QLayer::Flatten => {
@@ -312,40 +208,32 @@ impl<'m> QTrainPlan<'m> {
                         matches!(flayers.get(fi), Some(Layer::Flatten)),
                         "shadow layer {fi} is not the flatten the quantized model expects"
                     );
-                    steps.push(TStep::Flatten);
-                    dims = vec![dims.iter().product()];
                     fi += 1;
                 }
             }
-            max_act = max_act.max(dims.iter().product());
         }
         assert_eq!(fi, flayers.len(), "shadow model has trailing layers");
-        debug_assert!(n_classes > 0, "from_float guarantees a final logits layer");
-        let fold = fexec::GradFold::new(steps.iter().filter_map(|step| match *step {
-            TStep::Conv { out_dims, cols, .. } => Some(fexec::ParamRecord::Summed {
+        let fold = fexec::GradFold::new(plan.steps.iter().filter_map(|step| match *step {
+            Step::Conv { out_dims, cols, .. } => Some(fexec::ParamRecord::Summed {
                 len: out_dims[0] * (cols + 1),
             }),
-            TStep::Dense {
+            Step::Dense {
+                in_dim, out_dim, ..
+            }
+            | Step::DenseLogits {
                 in_dim, out_dim, ..
             } => Some(fexec::ParamRecord::Dense { out_dim, in_dim }),
-            _ => None,
+            Step::AvgPool { .. } => None,
         }));
-        let first_param = steps
+        let first_param = plan
+            .steps
             .iter()
-            .position(|step| matches!(step, TStep::Conv { .. } | TStep::Dense { .. }))
+            .position(|step| !matches!(step, Step::AvgPool { .. }))
             .unwrap_or(0);
         QTrainPlan {
-            model: qm,
-            steps,
-            in_dims: input_dims.to_vec(),
-            in_len,
-            n_classes,
-            act_lens,
-            max_act,
-            max_patch_u8,
-            max_patch_f32,
+            plan,
+            layers,
             grads_template: shadow.zero_grads(),
-            kernel: fexec::FloatKernel::from_env(),
             fold,
             first_param,
         }
@@ -353,7 +241,7 @@ impl<'m> QTrainPlan<'m> {
 
     /// Number of output classes.
     pub fn n_classes(&self) -> usize {
-        self.n_classes
+        self.plan.n_classes()
     }
 
     /// Zero gradients in the shadow model's layout.
@@ -361,205 +249,93 @@ impl<'m> QTrainPlan<'m> {
         self.grads_template.clone()
     }
 
-    /// Allocates the scratch buffers (forward tape, patches, gradient
-    /// ping-pong) this plan needs.
+    /// Allocates the scratch buffers (one-lane forward tape, patch,
+    /// gradient ping-pong) this plan needs.
     pub fn scratch(&self) -> QTrainScratch {
+        let forward = self.plan.scratch_for(1);
+        // Every activation and gradient the backward touches: the tape
+        // entries and the logits gradient.
+        let max_act = forward
+            .tape
+            .iter()
+            .map(|lanes| lanes[0].len())
+            .chain([self.n_classes()])
+            .max()
+            .unwrap_or(0);
         QTrainScratch {
-            acts: self.act_lens.iter().map(|&n| vec![0u8; n]).collect(),
-            logits: vec![0.0f32; self.n_classes],
-            patch_u8: vec![0u8; self.max_patch_u8],
-            patch_f32: vec![0.0f32; self.max_patch_f32],
-            deq: vec![0.0f32; self.max_act],
-            gbuf: [vec![0.0f32; self.max_act], vec![0.0f32; self.max_act]],
+            forward,
+            patch: vec![0.0f32; self.plan.max_patch],
+            deq: vec![0.0f32; max_act],
+            gbuf: [vec![0.0f32; max_act], vec![0.0f32; max_act]],
         }
     }
 
-    /// Runs the quantized forward under `kernel`, recording the `u8`
-    /// activation tape and the f32 logits. Bit-exact with
-    /// [`QuantModel::forward_with`] on the same kernel.
-    fn run_forward<K: MulKernel + ?Sized>(&self, s: &mut QTrainScratch, x: &Tensor, kernel: &K) {
-        assert_eq!(
-            x.dims(),
-            &self.in_dims[..],
-            "input does not match the planned shape"
-        );
-        let backend = MulBackend::of(kernel);
-        exec::quantize_input(
-            x.data(),
-            self.model.input_qmax(),
-            &mut s.acts[0][..self.in_len],
-        );
-        for (i, step) in self.steps.iter().enumerate() {
-            let (head, tail) = s.acts.split_at_mut(i + 1);
-            let src = &head[i];
-            let backend_for = |approx: bool| if approx { backend } else { MulBackend::Exact };
-            match *step {
-                TStep::Conv {
-                    w,
-                    approx,
-                    in_dims,
-                    k,
-                    stride,
-                    pad,
-                    rows,
-                    cols,
-                    ref out_dims,
-                    ..
-                } => {
-                    let in_len = in_dims.iter().product();
-                    let out_len = out_dims.iter().product();
-                    exec::im2col(
-                        &src[..in_len],
-                        in_dims,
-                        k,
-                        stride,
-                        pad,
-                        rows,
-                        cols,
-                        &mut s.patch_u8,
-                    );
-                    exec::gemm_requant(
-                        backend_for(approx),
-                        w,
-                        &s.patch_u8,
-                        rows,
-                        cols,
-                        &mut tail[0][..out_len],
-                    );
-                }
-                TStep::Dense {
-                    w,
-                    approx,
-                    in_dim,
-                    out_dim,
-                    logits,
-                    ..
-                } => {
-                    if logits {
-                        exec::gemm_logits(
-                            backend_for(approx),
-                            w,
-                            &src[..in_dim],
-                            1,
-                            in_dim,
-                            &mut s.logits,
-                        );
-                    } else {
-                        exec::gemm_requant(
-                            backend_for(approx),
-                            w,
-                            &src[..in_dim],
-                            1,
-                            in_dim,
-                            &mut tail[0][..out_dim],
-                        );
-                    }
-                }
-                TStep::AvgPool {
-                    k,
-                    in_dims,
-                    out_len,
-                } => {
-                    let in_len = in_dims.iter().product();
-                    exec::avgpool(&src[..in_len], in_dims, k, &mut tail[0][..out_len]);
-                }
-                TStep::Flatten => {
-                    let n = src.len();
-                    tail[0][..n].copy_from_slice(src);
-                }
-            }
-        }
-    }
-
-    /// The quantized logits for one image (mainly for tests; bit-exact
-    /// with [`QuantModel::forward_with`]).
-    pub fn forward_logits<K: MulKernel + ?Sized>(
+    /// Back-propagates the cross-entropy gradient of `logits` down the
+    /// `u8` tape of the forward that produced them, with the clipped
+    /// straight-through estimator, writing every conv/dense layer's
+    /// per-image parameter-gradient record (shadow-model order, see
+    /// [`fexec::GradFold`]) into the zeroed `record`. Stops at the lowest
+    /// conv/dense layer, whose input gradient nobody reads. Returns the
+    /// loss.
+    fn run_backward(
         &self,
         s: &mut QTrainScratch,
-        x: &Tensor,
-        kernel: &K,
-    ) -> Tensor {
-        self.run_forward(s, x, kernel);
-        Tensor::from_vec(s.logits.clone(), &[self.n_classes])
-    }
-
-    /// Back-propagates the cross-entropy gradient down the `u8` tape with
-    /// the clipped straight-through estimator, writing every conv/dense
-    /// layer's per-image parameter-gradient record (shadow-model order,
-    /// see [`fexec::GradFold`]) into the zeroed `record`. Stops at the
-    /// lowest conv/dense layer, whose input gradient nobody reads.
-    /// Returns the loss.
-    fn run_backward(&self, s: &mut QTrainScratch, target: usize, record: &mut [f32]) -> f32 {
-        let logits = Tensor::from_vec(s.logits.clone(), &[self.n_classes]);
-        let (loss, dlogits) = cross_entropy_with_grad(&logits, target);
+        logits: &Tensor,
+        target: usize,
+        record: &mut [f32],
+    ) -> f32 {
+        let (loss, dlogits) = cross_entropy_with_grad(logits, target);
         let QTrainScratch {
-            acts,
-            patch_f32,
+            forward,
+            patch,
             deq,
             gbuf,
-            ..
         } = s;
         let mut side = 0usize;
-        gbuf[side][..self.n_classes].copy_from_slice(dlogits.data());
+        gbuf[side][..dlogits.len()].copy_from_slice(dlogits.data());
         // Ordinal of the next conv/dense layer down.
         let mut param = self.fold.layer_count();
-        for (i, step) in self.steps.iter().enumerate().rev() {
-            let in_len = self.act_lens[i];
-            let x_codes = &acts[i];
+        for (i, step) in self.plan.steps.iter().enumerate().rev() {
+            // This step's input and output codes (the output is empty
+            // after the logits step).
+            let (x_codes, y_codes) = (&forward.tape[i][0], &forward.tape[i + 1][0]);
             let (gsrc, gdst) = grad_sides(gbuf, side);
             match *step {
-                TStep::Conv {
+                Step::Conv {
                     in_dims,
                     k,
                     stride,
                     pad,
                     rows,
                     cols,
-                    ref out_dims,
-                    in_scale,
-                    qmax_code,
-                    ref w_deq,
+                    out_dims,
                     ..
                 } => {
-                    let out_len = out_dims.iter().product::<usize>();
+                    param -= 1;
+                    let layer = &self.layers[param];
+                    let g = &mut gsrc[..y_codes.len()];
                     // Clipped STE through the fused requantize/ReLU: the
                     // gradient passes only where the output code is
                     // strictly inside (0, qmax) — code 0 is the ReLU cut,
                     // code qmax is saturation.
-                    ste_mask(&mut gsrc[..out_len], &acts[i + 1][..out_len], qmax_code);
+                    ste_mask(g, y_codes, layer.qmax_code);
                     // Parameter gradients read the dequantized forward
                     // input (code * in_scale), re-im2col'd in f32.
-                    dequantize(&x_codes[..in_len], in_scale, &mut deq[..in_len]);
-                    fexec::im2col(
-                        &deq[..in_len],
-                        in_dims,
-                        k,
-                        stride,
-                        pad,
-                        rows,
-                        cols,
-                        patch_f32,
-                    );
-                    param -= 1;
+                    let x = &mut deq[..x_codes.len()];
+                    dequantize(x_codes, layer.in_scale, x);
+                    fexec::im2col(x, in_dims, k, stride, pad, rows, cols, patch);
                     let (dw, db) = self
                         .fold
                         .layer_record(param, record)
                         .split_at_mut(out_dims[0] * cols);
-                    self.kernel.conv_backward_params(
-                        &gsrc[..out_len],
-                        patch_f32,
-                        rows,
-                        cols,
-                        dw,
-                        db,
-                    );
+                    fexec::conv_backward_params_tiled(g, patch, rows, cols, dw, db);
                     if i == self.first_param {
                         break;
                     }
                     fexec::conv_input_grad(
-                        w_deq,
-                        &gsrc[..out_len],
-                        *out_dims,
+                        &layer.w_deq,
+                        g,
+                        out_dims,
                         in_dims,
                         k,
                         stride,
@@ -567,39 +343,29 @@ impl<'m> QTrainPlan<'m> {
                         gdst,
                     );
                 }
-                TStep::Dense {
-                    in_dim,
-                    out_dim,
-                    in_scale,
-                    qmax_code,
-                    ref w_deq,
-                    logits,
-                    ..
-                } => {
-                    if !logits {
-                        ste_mask(&mut gsrc[..out_dim], &acts[i + 1][..out_dim], qmax_code);
+                Step::Dense { out_dim, .. } | Step::DenseLogits { out_dim, .. } => {
+                    param -= 1;
+                    let layer = &self.layers[param];
+                    if let Step::Dense { .. } = step {
+                        ste_mask(&mut gsrc[..out_dim], y_codes, layer.qmax_code);
                     }
                     // The record holds the masked gradient and the
                     // dequantized input, which the input gradient reuses.
-                    param -= 1;
                     let (rg, rx) = self.fold.layer_record(param, record).split_at_mut(out_dim);
                     rg.copy_from_slice(&gsrc[..out_dim]);
-                    dequantize(&x_codes[..in_dim], in_scale, rx);
+                    dequantize(x_codes, layer.in_scale, rx);
                     if i == self.first_param {
                         break;
                     }
-                    self.kernel.dense_backward(w_deq, rg, rx, gdst, None, None);
+                    fexec::dense_backward_tiled(&layer.w_deq, rg, rx, gdst, None, None);
                 }
-                TStep::AvgPool {
+                Step::AvgPool {
                     k,
                     in_dims,
                     out_len,
                 } => {
                     // STE treats the rounded integer mean as the exact mean.
                     fexec::avgpool_backward(&gsrc[..out_len], in_dims, k, gdst);
-                }
-                TStep::Flatten => {
-                    gdst[..in_len].copy_from_slice(&gsrc[..in_len]);
                 }
             }
             side = 1 - side;
@@ -615,15 +381,19 @@ impl<'m> QTrainPlan<'m> {
         target: usize,
         kernel: &K,
     ) -> (f32, Vec<f32>) {
-        self.run_forward(s, x, kernel);
+        let logits = self.plan.forward_one(&mut s.forward, x, kernel);
         let mut record = vec![0.0f32; self.fold.record_len()];
-        let loss = self.run_backward(s, target, &mut record);
+        let loss = self.run_backward(s, &logits, target, &mut record);
         (loss, record)
     }
 
     /// Cross-entropy loss (of the quantized forward under `kernel`) and
     /// STE parameter gradients for one example, in a fresh shadow-layout
     /// [`GradBuffer`]: the batch fold over a batch of one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` does not match the planned shape.
     pub fn loss_and_param_grads<K: MulKernel + ?Sized>(
         &self,
         s: &mut QTrainScratch,
@@ -655,7 +425,8 @@ impl<'m> QTrainPlan<'m> {
     ///
     /// Panics on an empty batch — a zero "gradient" would silently stall
     /// fine-tuning — and when any image does not match the planned shape
-    /// (mixed-shape batches die like the float entry points).
+    /// ([`QPlan::forward_one`]'s check, whose message the chunk workers
+    /// pass on).
     pub fn loss_and_param_grads_batch<'a, K, F, G>(
         &self,
         n: usize,
@@ -669,15 +440,6 @@ impl<'m> QTrainPlan<'m> {
         G: Fn(usize) -> usize + Sync,
     {
         assert!(n > 0, "loss_and_param_grads_batch needs a non-empty batch");
-        // Validate every shape on the caller thread, so a mixed-shape
-        // batch dies with this message instead of a worker-thread panic.
-        for i in 0..n {
-            assert_eq!(
-                image(i).dims(),
-                &self.in_dims[..],
-                "batch image {i} does not match the planned shape"
-            );
-        }
         self.fold.batch(
             n,
             || self.scratch(),
@@ -687,15 +449,23 @@ impl<'m> QTrainPlan<'m> {
     }
 }
 
-/// Dequantizes one layer's weights into the float layout:
-/// `w_deq = sign * mag * s_w` with `s_w = dequant / in_scale`.
-fn dequantize_weights(w: &QWeights, in_scale: f32) -> Vec<f32> {
-    let s_w = w.dequant / in_scale;
-    w.mag
-        .iter()
-        .zip(&w.sign)
-        .map(|(&m, &sg)| sg as f32 * m as f32 * s_w)
-        .collect()
+impl SteLayer {
+    /// The STE view of a layer whose input codes dequantize by
+    /// `in_scale`: `w_deq = sign * mag * s_w` with
+    /// `s_w = dequant / in_scale`.
+    fn new(w: &QWeights, in_scale: f32) -> Self {
+        let s_w = w.dequant / in_scale;
+        SteLayer {
+            w_deq: w
+                .mag
+                .iter()
+                .zip(&w.sign)
+                .map(|(&m, &sg)| sg as f32 * m as f32 * s_w)
+                .collect(),
+            in_scale,
+            qmax_code: w.act_qmax as u8,
+        }
+    }
 }
 
 /// Dequantizes activation codes: `out[i] = codes[i] * scale`.
@@ -839,7 +609,7 @@ pub fn finetune<K: MulKernel + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use axmul::{ExactMul, MulLut, Registry};
+    use axmul::{ExactMul, Registry};
     use axnn::layer::{AvgPool2d, Conv2d, Dense};
     use axnn::zoo;
     use axutil::rng::Rng;
@@ -870,43 +640,6 @@ mod tests {
                 Layer::Dense(Dense::new(6, 4, rng)),
             ],
         )
-    }
-
-    #[test]
-    fn forward_tape_is_bit_exact_with_qplan() {
-        let model = zoo::lenet5(&mut Rng::seed_from_u64(3));
-        let calib = calib_images(4, &[1, 28, 28], 4);
-        let qm = QuantModel::from_float(&model, &calib, Placement::ConvOnly).unwrap();
-        let plan = QTrainPlan::compile(&qm, &model, &[1, 28, 28]);
-        let mut s = plan.scratch();
-        let approx = Registry::standard().build_lut("L40").unwrap();
-        let exact = MulLut::exact();
-        for img in calib_images(3, &[1, 28, 28], 5) {
-            assert_eq!(
-                plan.forward_logits(&mut s, &img, &exact),
-                qm.forward_with(&img, &exact)
-            );
-            assert_eq!(
-                plan.forward_logits(&mut s, &img, &approx),
-                qm.forward_with(&img, &approx)
-            );
-        }
-    }
-
-    #[test]
-    fn forward_tape_matches_on_pool_and_pad_topology() {
-        let model = small_conv(7);
-        let calib = calib_images(4, &[1, 8, 8], 8);
-        let qm = QuantModel::from_float(&model, &calib, Placement::All).unwrap();
-        let plan = QTrainPlan::compile(&qm, &model, &[1, 8, 8]);
-        let mut s = plan.scratch();
-        let approx = Registry::standard().build_lut("17KS").unwrap();
-        for img in &calib {
-            assert_eq!(
-                plan.forward_logits(&mut s, img, &approx),
-                qm.forward_with(img, &approx)
-            );
-        }
     }
 
     #[test]

@@ -8,6 +8,8 @@
 //!    the grouped batched passes are a pure optimization.
 //! 3. Predictions are identical across `AXDNN_THREADS` {1, 2, 3, 7}:
 //!    kernel choice is keyed by query index, never by chunking.
+//! 4. A batch whose images disagree in shape panics, even when the
+//!    lengths agree.
 
 use std::sync::Mutex;
 
@@ -120,4 +122,15 @@ fn mismatched_policy_arity_panics() {
     let qm = victim();
     let cols = MulColumns::from_registry(&Registry::standard(), &["1JFF", "L40"]);
     let _ = EnsembleModel::new(&qm, &cols, KernelPolicy::uniform(3, 0));
+}
+
+#[test]
+#[should_panic(expected = "planned shape")]
+fn mixed_shape_batch_panics() {
+    let qm = victim();
+    let cols = MulColumns::from_registry(&Registry::standard(), &["L40"]);
+    let ensemble = EnsembleModel::new(&qm, &cols, KernelPolicy::uniform(1, 0x5A4));
+    let mut imgs = images(2, 9);
+    imgs.push(Tensor::zeros(&[28, 1, 28])); // same length, different shape
+    let _ = ensemble.predict_batch(imgs.len(), |i| &imgs[i]);
 }

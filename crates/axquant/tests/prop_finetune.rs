@@ -1,6 +1,6 @@
 //! Property tests pinning the approximation-aware fine-tuning engine.
 //!
-//! Three contracts:
+//! Four contracts:
 //!
 //! 1. **Thread invariance** — [`finetune`] histories and the final
 //!    shadow weights are *bit-identical* across `AXDNN_THREADS`
@@ -15,6 +15,9 @@
 //!    the per-image fold bit-for-bit (compared through `f32::to_bits`)
 //!    for any topology/batch size, and
 //!    empty or mixed-shape batches panic like the PR 4 entry points.
+//! 4. **One forward** — the loss the STE backward differentiates is the
+//!    cross-entropy of the inference engine's logits
+//!    ([`QuantModel::forward_with`]), bit for bit.
 //!
 //! Chunking is controlled through the `AXDNN_THREADS` environment
 //! variable, so every test that sweeps it serializes on [`ENV_LOCK`].
@@ -22,8 +25,9 @@
 use std::sync::Mutex;
 
 use axdata::Dataset;
-use axmul::{ExactMul, Registry};
+use axmul::{ExactMul, MulKernel, Registry};
 use axnn::layer::{AvgPool2d, Conv2d, Dense, Layer};
+use axnn::loss::cross_entropy_with_grad;
 use axnn::model::{GradBuffer, Sequential};
 use axnn::train::{fit, TrainConfig};
 use axquant::qtrain::{finetune, FinetuneConfig, QTrainPlan};
@@ -161,6 +165,36 @@ proptest! {
         match prev {
             Some(v) => std::env::set_var("AXDNN_THREADS", v),
             None => std::env::remove_var("AXDNN_THREADS"),
+        }
+    }
+}
+
+/// The training forward is the inference forward: on every fixture
+/// (the two-conv shape included) and under the exact and an approximate
+/// multiplier, the STE loss equals the cross-entropy of
+/// `QuantModel::forward_with`'s logits, bit for bit.
+#[test]
+fn training_loss_is_the_inference_forward_loss() {
+    let data = tiny_dataset(6, 0xF0E);
+    let calib = calib_of(&data, 4);
+    let l40 = Registry::standard().build_lut("L40").unwrap();
+    let kernels: [&dyn MulKernel; 2] = [&ExactMul, &l40];
+    for arch in 0..ARCHS {
+        let model = small_model(arch, 0x1F0 + arch as u64);
+        let qm = QuantModel::from_float(&model, &calib, Placement::All).unwrap();
+        let plan = QTrainPlan::compile(&qm, &model, &IN_DIMS);
+        let mut s = plan.scratch();
+        for (ki, &kernel) in kernels.iter().enumerate() {
+            for i in 0..data.len() {
+                let (x, y) = (data.image(i), data.label(i));
+                let (loss, _) = plan.loss_and_param_grads(&mut s, x, y, kernel);
+                let (want, _) = cross_entropy_with_grad(&qm.forward_with(x, kernel), y);
+                assert_eq!(
+                    loss.to_bits(),
+                    want.to_bits(),
+                    "STE loss is not the inference loss (arch {arch}, kernel {ki}, image {i})"
+                );
+            }
         }
     }
 }

@@ -12,11 +12,10 @@
 //!
 //! Those guarantees survived `fit`'s move to in-place plan weights: the
 //! whole run now updates one owned plan (no per-step recompile) and the
-//! register-tiled GEMM tier is bit-identical to the scalar reference
-//! for **either** `AXDNN_KERNEL` setting, so `.axm` artifacts trained
-//! before and after the kernel work — and under any kernel/thread
-//! combination — carry the same bits (pinned by
-//! `axnn/tests/prop_train.rs` and `prop_kernels.rs`).
+//! register-tiled GEMM kernels it runs are bit-identical to the scalar
+//! reference loops, so `.axm` artifacts trained before and after the
+//! kernel work — and under any thread count — carry the same bits
+//! (pinned by `axnn/tests/prop_train.rs` and `prop_kernels.rs`).
 
 use std::cell::OnceCell;
 use std::path::PathBuf;
