@@ -31,10 +31,15 @@
 //! is one direct kernel:
 //!
 //! * the register-tiled kernels ([`conv_forward_tiled`],
-//!   [`dense_forward_tiled`], [`dense_backward_tiled`],
+//!   [`dense_forward_rows`], [`dense_backward_tiled`],
 //!   [`conv_backward_params_tiled`]) process 4×4 output blocks (or 4-row
 //!   groups) with independent accumulators sharing operand loads. They
-//!   are the only ones the plans run;
+//!   are the only ones the plans run. Conv forward and
+//!   [`dense_forward_rows`] share one tile kernel: a conv's tile is
+//!   (output channel, patch row), a dense layer's is (image, output
+//!   neuron) over a block of up to four images, so the plans' batch paths
+//!   load every dense weight once per block. A one-image call is a block
+//!   of one;
 //! * the scalar loops ([`conv_forward`], [`dense_forward`],
 //!   [`dense_backward`], [`conv_backward_params`]) are kept verbatim as
 //!   the bit-exact reference that the property tests and the `gemm`
@@ -71,44 +76,56 @@ use crate::model::GradBuffer;
 
 /// Extracts conv patches: row `p = oy * ow + ox` of `out` is the
 /// `[in_c * k * k]` receptive field of output position `(oy, ox)`,
-/// zero-filled where the window overhangs the (zero-)padded input.
+/// zero-filled (`T::default()`) where the window overhangs the
+/// (zero-)padded input. Generic over the element so the float plans and
+/// the quantized engine's `u8` codes share one extraction.
+///
+/// The in-range window columns are clamped once per output position, so
+/// a window row inside the input is a plain copy of its input row
+/// segment, with no per-element bounds test.
 #[allow(clippy::too_many_arguments)]
-pub fn im2col(
-    x: &[f32],
+pub fn im2col<T: Copy + Default>(
+    x: &[T],
     dims: [usize; 3],
     k: usize,
     stride: usize,
     pad: usize,
     rows: usize,
     cols: usize,
-    out: &mut [f32],
+    out: &mut [T],
 ) {
     let [c, h, w] = dims;
     debug_assert_eq!(x.len(), c * h * w);
-    debug_assert!(out.len() >= rows * cols);
+    debug_assert_eq!(cols, c * k * k);
     let ow = (w + 2 * pad - k) / stride + 1;
-    for p in 0..rows {
+    let zero = T::default();
+    for (p, dst) in out[..rows * cols].chunks_exact_mut(cols).enumerate() {
         let (oy, ox) = (p / ow, p % ow);
-        let dst = &mut out[p * cols..(p + 1) * cols];
-        let mut j = 0;
-        for ci in 0..c {
-            let base = ci * h * w;
-            for ky in 0..k {
-                let iy = (oy * stride + ky) as isize - pad as isize;
-                if iy < 0 || iy >= h as isize {
-                    dst[j..j + k].fill(0.0);
-                    j += k;
+        // Window column `kx` reads input column `x0 + kx - pad`, inside
+        // the input for `lo <= kx < hi`.
+        let x0 = ox * stride;
+        let lo = pad.saturating_sub(x0).min(k);
+        let hi = (w + pad).saturating_sub(x0).clamp(lo, k);
+        for (ci, window) in dst.chunks_exact_mut(k * k).enumerate() {
+            for (ky, seg) in window.chunks_exact_mut(k).enumerate() {
+                let iy = (oy * stride + ky).wrapping_sub(pad);
+                if iy >= h {
+                    seg.fill(zero);
                     continue;
                 }
-                let row = base + iy as usize * w;
-                for kx in 0..k {
-                    let ix = (ox * stride + kx) as isize - pad as isize;
-                    dst[j] = if ix < 0 || ix >= w as isize {
-                        0.0
-                    } else {
-                        x[row + ix as usize]
-                    };
-                    j += 1;
+                let row = (ci * h + iy) * w;
+                if lo == 0 && hi == k {
+                    for (d, &v) in seg.iter_mut().zip(&x[row + x0 - pad..][..k]) {
+                        *d = v;
+                    }
+                } else {
+                    for (kx, d) in seg.iter_mut().enumerate() {
+                        *d = if (lo..hi).contains(&kx) {
+                            x[row + x0 + kx - pad]
+                        } else {
+                            zero
+                        };
+                    }
                 }
             }
         }
@@ -301,23 +318,18 @@ impl GradFold {
 
     /// A whole batched parameter gradient, in two
     /// [`par_map_chunks`](axutil::parallel::par_map_chunks) calls: first
-    /// contiguous image chunks, one `scratch()` per chunk, `image(s, i)`
-    /// returning image `i`'s loss and record; then
+    /// contiguous image chunks, `chunk(range)` returning the loss and
+    /// record of every image in `range`, in order; then
     /// [`GradFold::fold_into`] `grads`. Returns the loss summed in image
     /// order and the folded gradients.
-    pub fn batch<S>(
+    pub fn batch(
         &self,
         n: usize,
-        scratch: impl Fn() -> S + Sync,
-        image: impl Fn(&mut S, usize) -> (f32, Vec<f32>) + Sync,
+        chunk: impl Fn(Range<usize>) -> Vec<(f32, Vec<f32>)> + Sync,
         mut grads: GradBuffer,
     ) -> (f32, GradBuffer) {
-        let (losses, records): (Vec<f32>, Vec<Vec<f32>>) = parallel::par_map_chunks(n, |range| {
-            let mut s = scratch();
-            range.map(|i| image(&mut s, i)).collect()
-        })
-        .into_iter()
-        .unzip();
+        let (losses, records): (Vec<f32>, Vec<Vec<f32>>) =
+            parallel::par_map_chunks(n, chunk).into_iter().unzip();
         self.fold_into(&records, &mut grads);
         (losses.iter().fold(0.0f32, |acc, l| acc + l), grads)
     }
@@ -528,10 +540,13 @@ pub fn conv_backward_params(
 /// accumulators, row groups are `TILE` rows.
 const TILE: usize = 4;
 
-/// Register-tiled kernel behind [`conv_forward_tiled`]:
-/// `out[i * n + j] = init_i + a[i] · b[j]` over the `m` rows of `a` and
-/// `n` rows of `b` (both `k` wide, row-major), seeded with
-/// `bias[i]`.
+/// Images per block of [`crate::plan::FPlan`]'s batch paths: one tile of
+/// image rows for [`dense_forward_rows`].
+pub(crate) const BLOCK: usize = TILE;
+
+/// Register-tiled kernel behind [`conv_forward_tiled`] and
+/// [`dense_forward_rows`]: `out[i * n + j] = seed(i) + a[i] · b[j]` over
+/// the `m` rows of `a` and `n` rows of `b` (both `k` wide, row-major).
 ///
 /// Full 4×4 blocks advance sixteen independent accumulators per `t`
 /// step, sharing four `a` and four `b` loads; a leftover *pair* of rows
@@ -542,7 +557,7 @@ const TILE: usize = 4;
 /// sequential and ascending — identical to the reference.
 fn gemm_nt_tiled(
     a: &[f32],
-    bias: &[f32],
+    seed: impl Fn(usize) -> f32,
     b: &[f32],
     m: usize,
     n: usize,
@@ -557,7 +572,7 @@ fn gemm_nt_tiled(
         let mut j = 0;
         while j + TILE <= n {
             let br: [&[f32]; TILE] = core::array::from_fn(|c| &b[(j + c) * k..(j + c) * k + k]);
-            let mut acc: [[f32; TILE]; TILE] = core::array::from_fn(|r| [bias[i + r]; TILE]);
+            let mut acc: [[f32; TILE]; TILE] = core::array::from_fn(|r| [seed(i + r); TILE]);
             for t in 0..k {
                 let av: [f32; TILE] = core::array::from_fn(|r| ar[r][t]);
                 let bv: [f32; TILE] = core::array::from_fn(|c| br[c][t]);
@@ -576,7 +591,7 @@ fn gemm_nt_tiled(
         }
         while j < n {
             let brow = &b[j * k..j * k + k];
-            let mut acc: [f32; TILE] = core::array::from_fn(|r| bias[i + r]);
+            let mut acc: [f32; TILE] = core::array::from_fn(|r| seed(i + r));
             for (t, &bt) in brow.iter().enumerate() {
                 for r in 0..TILE {
                     acc[r] += ar[r][t] * bt;
@@ -594,7 +609,7 @@ fn gemm_nt_tiled(
         let mut j = 0;
         while j + TILE <= n {
             let br: [&[f32]; TILE] = core::array::from_fn(|c| &b[(j + c) * k..(j + c) * k + k]);
-            let mut acc: [[f32; TILE]; 2] = core::array::from_fn(|r| [bias[i + r]; TILE]);
+            let mut acc: [[f32; TILE]; 2] = core::array::from_fn(|r| [seed(i + r); TILE]);
             for t in 0..k {
                 let av = [ar[0][t], ar[1][t]];
                 let bv: [f32; TILE] = core::array::from_fn(|c| br[c][t]);
@@ -613,7 +628,7 @@ fn gemm_nt_tiled(
         }
         while j < n {
             let brow = &b[j * k..j * k + k];
-            let mut acc = [bias[i], bias[i + 1]];
+            let mut acc = [seed(i), seed(i + 1)];
             for (t, &bt) in brow.iter().enumerate() {
                 acc[0] += ar[0][t] * bt;
                 acc[1] += ar[1][t] * bt;
@@ -626,7 +641,7 @@ fn gemm_nt_tiled(
     }
     while i < m {
         let arow = &a[i * k..i * k + k];
-        let seed = bias[i];
+        let seed = seed(i);
         let mut j = 0;
         while j + TILE <= n {
             let br: [&[f32]; TILE] = core::array::from_fn(|c| &b[(j + c) * k..(j + c) * k + k]);
@@ -666,38 +681,26 @@ pub fn conv_forward_tiled(
 ) {
     let out_c = bias.len();
     debug_assert_eq!(w.len(), out_c * cols);
-    gemm_nt_tiled(w, bias, patch, out_c, rows, cols, out);
+    gemm_nt_tiled(w, |o| bias[o], patch, out_c, rows, cols, out);
 }
 
-/// Register-tiled [`dense_forward`]: 4-row output groups share every
-/// `x[t]` load across four independent dot-product chains; the bias is
-/// still added last. Bit-identical to the reference.
-pub fn dense_forward_tiled(w: &[f32], bias: &[f32], x: &[f32], out: &mut [f32]) {
-    let (out_dim, in_dim) = (bias.len(), x.len());
-    debug_assert_eq!(w.len(), out_dim * in_dim);
-    let mut o = 0;
-    while o + TILE <= out_dim {
-        let wr: [&[f32]; TILE] =
-            core::array::from_fn(|r| &w[(o + r) * in_dim..(o + r) * in_dim + in_dim]);
-        let mut acc = [0.0f32; TILE];
-        for (t, &xv) in x.iter().enumerate() {
-            for r in 0..TILE {
-                acc[r] += wr[r][t] * xv;
-            }
+/// Dense forward of a block of images, `x` holding them back to back and
+/// `out` receiving their outputs the same way: the images are one side of
+/// the tile kernel behind [`conv_forward_tiled`] and the weight rows the
+/// other, so 4×4 tiles of (image, output) share every `x` and `w` load. Accumulators
+/// start at zero and the bias is added last, per image exactly
+/// [`dense_forward`]'s order, so one image or many, the result is
+/// bit-identical to the reference.
+pub fn dense_forward_rows(w: &[f32], bias: &[f32], x: &[f32], out: &mut [f32]) {
+    let out_dim = bias.len();
+    let in_dim = w.len() / out_dim;
+    let images = x.len() / in_dim;
+    debug_assert_eq!(x.len(), images * in_dim);
+    gemm_nt_tiled(x, |_| 0.0, w, images, out_dim, in_dim, out);
+    for y in out[..images * out_dim].chunks_exact_mut(out_dim) {
+        for (v, &b) in y.iter_mut().zip(bias) {
+            *v += b;
         }
-        for r in 0..TILE {
-            out[o + r] = acc[r] + bias[o + r];
-        }
-        o += TILE;
-    }
-    while o < out_dim {
-        let wrow = &w[o * in_dim..(o + 1) * in_dim];
-        let mut acc = 0.0f32;
-        for (&wv, &xv) in wrow.iter().zip(x) {
-            acc += wv * xv;
-        }
-        out[o] = acc + bias[o];
-        o += 1;
     }
 }
 
@@ -1040,7 +1043,7 @@ mod tests {
         let mut reference = vec![0.0f32; out_dim];
         let mut tiled = vec![0.0f32; out_dim];
         dense_forward(&w, &bias, &x, &mut reference);
-        dense_forward_tiled(&w, &bias, &x, &mut tiled);
+        dense_forward_rows(&w, &bias, &x, &mut tiled);
         assert_eq!(reference, tiled);
 
         // Backward with zeroed gradient rows so the skip-grouping runs.

@@ -187,8 +187,8 @@ impl Sequential {
 
     /// Summed cross-entropy loss and parameter gradients over a whole
     /// minibatch, on the batched engine: one compiled plan, threads work
-    /// contiguous image chunks with one training scratch each, then one
-    /// rank-n fold sums the per-image records in image order. The sum is
+    /// contiguous image chunks with one scratch each, one forward per
+    /// block of images, then one rank-n fold sums the per-image records in image order. The sum is
     /// bit-identical to the per-image [`Sequential::loss_and_grads`] fold
     /// for any thread chunking (see
     /// [`crate::plan::FPlan::loss_and_param_grads_batch`]).

@@ -13,17 +13,23 @@
 //! [`Sequential::loss_and_grads`] are thin wrappers over this engine and
 //! remain bit-compatible with the seed layer-by-layer path (see
 //! [`crate::exec`] for the accumulation-order argument). The batch entry
-//! points ([`FPlan::input_gradient_batch_indexed`] and the
+//! points ([`FPlan::input_gradient_batch_indexed`], [`FPlan::count_correct`],
+//! [`FPlan::loss_and_param_grads_batch`] and the
 //! [`Sequential::input_gradient_batch`] family) run `N` images per pass,
 //! chunked over threads via [`axutil::parallel::par_map_chunks`] with one
-//! scratch per chunk — the engine `axattack`'s batched crafting steps on.
+//! scratch per chunk. Each chunk runs in blocks of up to four images: the
+//! scratch's tape holds a block, the forward runs once per block with
+//! the images as the rows of every dense layer's GEMM
+//! ([`exec::dense_forward_rows`]), and the backward runs per image on its
+//! slice of the tape. The one-image entry points ([`FPlan::forward`],
+//! [`FPlan::input_gradient`], the per-image attack handles) are blocks
+//! of one.
 //!
 //! Training rides the same engine through
 //! [`FPlan::loss_and_param_grads_batch`], in two passes. The image pass
-//! runs a whole minibatch on one plan with one *training* scratch per
-//! thread chunk ([`FPlan::train_scratch`] additionally stores each conv
-//! layer's forward im2col patches so the parameter-gradient backward
-//! reuses them instead of re-extracting); each image leaves a small
+//! runs a whole minibatch on one plan with one scratch per thread chunk
+//! (each conv layer's parameter gradient re-extracts its im2col patches
+//! from the tape); each image leaves a small
 //! record — a dense layer's upstream gradient and input, the two factors
 //! of its rank-one gradient, and a conv layer's own gradient. The fold
 //! pass ([`exec::GradFold`]) then sums the records in image order over
@@ -65,6 +71,9 @@
 //! assert_eq!(model.input_gradient(&x, 3), (loss, grad));
 //! ```
 
+use std::ops::Range;
+
+use axtensor::tensor::argmax;
 use axtensor::Tensor;
 use axutil::parallel;
 
@@ -169,8 +178,8 @@ pub struct FPlan<'m> {
     steps: Vec<FStep<'m>>,
     in_dims: Vec<usize>,
     in_len: usize,
-    /// Per-step input activation lengths; `act_lens[i]` is what layer `i`
-    /// reads, and the final logits buffer is tracked separately.
+    /// Per-image activation lengths: `act_lens[i]` is what step `i`
+    /// reads, and the last entry is the logits length.
     act_lens: Vec<usize>,
     out_len: usize,
     /// Largest activation any step reads or writes (gradient ping-pong
@@ -187,22 +196,17 @@ pub struct FPlan<'m> {
 }
 
 /// Reusable buffers for executing an [`FPlan`]: the forward tape (one
-/// activation buffer per layer input plus the logits), the shared im2col
-/// patch buffer and a gradient ping-pong pair. Build one per thread with
-/// [`FPlan::scratch`] (or [`FPlan::train_scratch`] for parameter-gradient
-/// loops) and reuse it across images and attack steps.
+/// activation buffer per layer input plus the logits, each holding a
+/// block of images), the im2col patch buffer and a gradient ping-pong
+/// pair. Build one per thread with [`FPlan::scratch`] and reuse it across
+/// images and attack steps.
 #[derive(Debug)]
 pub struct FScratch {
-    /// `acts[i]` is the input to step `i`; `acts.last()` holds the logits.
+    /// `acts[i]` is the input to step `i`, image after image;
+    /// `acts.last()` holds the logits.
     acts: Vec<Vec<f32>>,
     patch: Vec<f32>,
     grad: [Vec<f32>; 2],
-    /// Per-step forward im2col patches (empty for non-conv steps, and
-    /// empty overall for a plain [`FPlan::scratch`]). When present, the
-    /// forward pass writes each conv layer's patches here and the
-    /// parameter-gradient backward reads them back instead of re-running
-    /// `im2col` — identical bytes, one extraction instead of two.
-    fwd_patches: Vec<Vec<f32>>,
 }
 
 impl Sequential {
@@ -312,6 +316,7 @@ impl<'m> FPlan<'m> {
             }
             max_act = max_act.max(dims.iter().product());
         }
+        act_lens.push(dims.iter().product());
         let fold = exec::GradFold::new(steps.iter().filter_map(|step| match *step {
             FStep::Conv { out_dims, cols, .. } => Some(exec::ParamRecord::Summed {
                 len: out_dims[0] * (cols + 1),
@@ -474,58 +479,44 @@ impl<'m> FPlan<'m> {
         }
     }
 
-    /// Allocates the scratch buffers (forward tape, im2col patch and
-    /// gradient ping-pong) this plan needs.
+    /// Allocates the scratch buffers (a block of images' forward tape,
+    /// one image's im2col patch and gradient ping-pong) this plan needs.
     pub fn scratch(&self) -> FScratch {
-        let mut acts: Vec<Vec<f32>> = self.act_lens.iter().map(|&n| vec![0.0f32; n]).collect();
-        acts.push(vec![0.0f32; self.out_len]);
         FScratch {
-            acts,
+            acts: (self.act_lens.iter())
+                .map(|&n| vec![0.0f32; exec::BLOCK * n])
+                .collect(),
             patch: vec![0.0f32; self.max_patch],
             grad: [vec![0.0f32; self.max_act], vec![0.0f32; self.max_act]],
-            fwd_patches: Vec::new(),
         }
     }
 
-    /// Like [`FPlan::scratch`], plus one forward-patch buffer per conv
-    /// layer: the forward pass stores every conv layer's im2col patches
-    /// so the parameter-gradient backward reuses them instead of
-    /// re-extracting. Identical results either way — the stored buffer
-    /// holds exactly the bytes the recomputation would produce — at the
-    /// cost of the summed conv patch footprint, so use this for training
-    /// loops and [`FPlan::scratch`] for input-gradient work.
-    pub fn train_scratch(&self) -> FScratch {
-        let mut s = self.scratch();
-        s.fwd_patches = self
-            .steps
-            .iter()
-            .map(|step| match step {
-                FStep::Conv { rows, cols, .. } => vec![0.0f32; rows * cols],
-                _ => Vec::new(),
-            })
-            .collect();
-        s
-    }
-
-    /// Runs the forward pass, recording every layer input in the tape.
-    /// Leaves the logits in the tape's final buffer.
-    fn run_forward(&self, s: &mut FScratch, x: &Tensor) {
-        assert_eq!(
-            x.len(),
-            self.in_len,
-            "input does not match the planned shape"
-        );
-        let FScratch {
-            acts,
-            patch,
-            fwd_patches,
-            ..
-        } = s;
-        acts[0][..self.in_len].copy_from_slice(x.data());
+    /// Runs the forward pass of images `block` (at most [`exec::BLOCK`]),
+    /// recording every layer input in the tape, image after image. Leaves
+    /// the logits in the tape's final buffer. Dense layers see the
+    /// block's images as GEMM rows ([`exec::dense_forward_rows`]).
+    fn run_forward<'a, F>(&self, s: &mut FScratch, block: Range<usize>, image: &F)
+    where
+        F: Fn(usize) -> &'a Tensor,
+    {
+        let nb = block.len();
+        debug_assert!((1..=exec::BLOCK).contains(&nb));
+        let FScratch { acts, patch, .. } = s;
+        for (x_b, i) in acts[0].chunks_exact_mut(self.in_len).zip(block) {
+            let x = image(i);
+            assert_eq!(
+                x.dims(),
+                &self.in_dims[..],
+                "input does not match the planned shape"
+            );
+            x_b.copy_from_slice(x.data());
+        }
         for (i, step) in self.steps.iter().enumerate() {
             let (head, tail) = acts.split_at_mut(i + 1);
-            let src = &head[i];
-            let dst = &mut tail[0];
+            let (in_len, out_len) = (self.act_lens[i], self.act_lens[i + 1]);
+            let src = &head[i][..nb * in_len];
+            let dst = &mut tail[0][..nb * out_len];
+            let images = src.chunks_exact(in_len).zip(dst.chunks_exact_mut(out_len));
             match *step {
                 FStep::Conv {
                     ref w,
@@ -538,27 +529,18 @@ impl<'m> FPlan<'m> {
                     cols,
                     ..
                 } => {
-                    // Training scratches keep this layer's patches for the
-                    // parameter-gradient backward; plain scratches share
-                    // one buffer across layers.
-                    let pbuf: &mut Vec<f32> = if fwd_patches.is_empty() {
-                        patch
-                    } else {
-                        &mut fwd_patches[i]
-                    };
-                    exec::im2col(src, in_dims, k, stride, pad, rows, cols, pbuf);
-                    exec::conv_forward_tiled(w.data(), b.data(), pbuf, rows, cols, dst);
+                    for (x, y) in images {
+                        exec::im2col(x, in_dims, k, stride, pad, rows, cols, patch);
+                        exec::conv_forward_tiled(w.data(), b.data(), patch, rows, cols, y);
+                    }
                 }
-                FStep::Dense {
-                    ref w,
-                    ref b,
-                    in_dim,
-                    ..
-                } => {
-                    exec::dense_forward_tiled(w.data(), b.data(), &src[..in_dim], dst);
+                FStep::Dense { ref w, ref b, .. } => {
+                    exec::dense_forward_rows(w.data(), b.data(), src, dst);
                 }
                 FStep::AvgPool { k, in_dims, .. } => {
-                    exec::avgpool(src, in_dims, k, dst);
+                    for (x, y) in images {
+                        exec::avgpool(x, in_dims, k, y);
+                    }
                 }
                 FStep::Relu { .. } => exec::relu(src, dst),
                 FStep::Flatten => dst.copy_from_slice(src),
@@ -566,27 +548,52 @@ impl<'m> FPlan<'m> {
         }
     }
 
-    /// The logits slice after [`FPlan::run_forward`].
-    fn logits<'s>(&self, s: &'s FScratch) -> &'s [f32] {
-        s.acts.last().expect("tape holds the logits")
+    /// Image `b`'s logits after [`FPlan::run_forward`].
+    fn logits<'s>(&self, s: &'s FScratch, b: usize) -> &'s [f32] {
+        let logits = s.acts.last().expect("tape holds the logits");
+        &logits[b * self.out_len..(b + 1) * self.out_len]
+    }
+
+    /// Runs images `range` block by block on `s`: one forward per block,
+    /// then `per_image(s, b, i)` for every image `i` of the block, `b`
+    /// being its slot in the block.
+    fn map_range<'a, F, R>(
+        &self,
+        s: &mut FScratch,
+        range: Range<usize>,
+        image: &F,
+        mut per_image: impl FnMut(&mut FScratch, usize, usize) -> R,
+    ) -> Vec<R>
+    where
+        F: Fn(usize) -> &'a Tensor,
+    {
+        let mut out = Vec::with_capacity(range.len());
+        for start in range.clone().step_by(exec::BLOCK) {
+            let block = start..range.end.min(start + exec::BLOCK);
+            self.run_forward(s, block.clone(), image);
+            for (b, i) in block.enumerate() {
+                out.push(per_image(s, b, i));
+            }
+        }
+        out
     }
 
     /// Runs one image forward, returning logits. Bit-compatible with the
     /// seed layer-by-layer path (see the [module docs](self)).
     pub fn forward(&self, s: &mut FScratch, x: &Tensor) -> Tensor {
-        self.run_forward(s, x);
-        Tensor::from_vec(self.logits(s).to_vec(), &[self.out_len])
+        self.run_forward(s, 0..1, &|_| x);
+        Tensor::from_vec(self.logits(s, 0).to_vec(), &[self.out_len])
     }
 
     /// The predicted class for one image.
     pub fn predict(&self, s: &mut FScratch, x: &Tensor) -> usize {
-        self.run_forward(s, x);
-        argmax(self.logits(s))
+        self.run_forward(s, 0..1, &|_| x);
+        argmax(self.logits(s, 0))
     }
 
-    /// Back-propagates the loss gradient down the tape (the forward pass
-    /// must have run). Returns the loss and the ping-pong side holding
-    /// the input gradient.
+    /// Back-propagates image `b`'s loss gradient down its slice of the
+    /// tape (the block forward must have run). Returns the loss and the
+    /// ping-pong side holding the input gradient.
     ///
     /// With a `record` (zeroed, [`exec::GradFold::record_len`] long) the
     /// pass writes every conv/dense layer's per-image parameter-gradient
@@ -595,24 +602,20 @@ impl<'m> FPlan<'m> {
     fn run_backward(
         &self,
         s: &mut FScratch,
+        b: usize,
         target: usize,
         mut record: Option<&mut [f32]>,
     ) -> (f32, usize) {
-        let logits = Tensor::from_vec(self.logits(s).to_vec(), &[self.out_len]);
+        let logits = Tensor::from_vec(self.logits(s, b).to_vec(), &[self.out_len]);
         let (loss, dlogits) = cross_entropy_with_grad(&logits, target);
-        let FScratch {
-            acts,
-            patch,
-            grad,
-            fwd_patches,
-        } = s;
+        let FScratch { acts, patch, grad } = s;
         let mut side = 0usize;
         grad[side][..self.out_len].copy_from_slice(dlogits.data());
         // Ordinal of the next conv/dense layer down, for `record`.
         let mut param = self.fold.layer_count();
         for (i, step) in self.steps.iter().enumerate().rev() {
             let in_len = self.act_lens[i];
-            let x = &acts[i];
+            let x = &acts[i][b * in_len..(b + 1) * in_len];
             let (gsrc, gdst) = grad_sides(grad, side);
             match *step {
                 FStep::Conv {
@@ -628,22 +631,15 @@ impl<'m> FPlan<'m> {
                 } => {
                     let g = &gsrc[..out_dims.iter().product::<usize>()];
                     if let Some(record) = record.as_deref_mut() {
-                        // Parameter grads read the *forward* patches of
-                        // this layer's input: straight off the training
-                        // scratch's tape when present, recomputed on
-                        // demand otherwise (same bytes either way).
-                        let fp: &[f32] = if fwd_patches.is_empty() {
-                            exec::im2col(&x[..in_len], in_dims, k, stride, pad, rows, cols, patch);
-                            patch
-                        } else {
-                            &fwd_patches[i]
-                        };
+                        // Parameter grads read the forward patches of
+                        // this layer's input, re-extracted from the tape.
+                        exec::im2col(x, in_dims, k, stride, pad, rows, cols, patch);
                         param -= 1;
                         let (dw, db) = self
                             .fold
                             .layer_record(param, record)
                             .split_at_mut(out_dims[0] * cols);
-                        exec::conv_backward_params_tiled(g, fp, rows, cols, dw, db);
+                        exec::conv_backward_params_tiled(g, patch, rows, cols, dw, db);
                         if i == self.first_param {
                             break;
                         }
@@ -660,7 +656,7 @@ impl<'m> FPlan<'m> {
                         param -= 1;
                         let (rg, rx) = self.fold.layer_record(param, record).split_at_mut(out_dim);
                         rg.copy_from_slice(&gsrc[..out_dim]);
-                        rx.copy_from_slice(&x[..in_dim]);
+                        rx.copy_from_slice(x);
                         if i == self.first_param {
                             break;
                         }
@@ -691,32 +687,35 @@ impl<'m> FPlan<'m> {
         (loss, side)
     }
 
+    /// Image `b`'s loss and input gradient after a block forward.
+    fn block_input_gradient(&self, s: &mut FScratch, b: usize, target: usize) -> (f32, Tensor) {
+        let (loss, side) = self.run_backward(s, b, target, None);
+        let grad = s.grad[side][..self.in_len].to_vec();
+        (loss, Tensor::from_vec(grad, &self.in_dims))
+    }
+
+    /// Image `b`'s loss and parameter-gradient record (see
+    /// [`exec::GradFold`]) after a block forward.
+    fn block_record(&self, s: &mut FScratch, b: usize, target: usize) -> (f32, Vec<f32>) {
+        let mut record = vec![0.0f32; self.fold.record_len()];
+        let (loss, _) = self.run_backward(s, b, target, Some(&mut record));
+        (loss, record)
+    }
+
     /// Cross-entropy loss and the gradient with respect to the input —
     /// the quantity gradient-based adversarial attacks ascend.
     /// Bit-compatible with the seed [`Sequential::input_gradient`] path.
     pub fn input_gradient(&self, s: &mut FScratch, x: &Tensor, target: usize) -> (f32, Tensor) {
-        self.run_forward(s, x);
-        let (loss, side) = self.run_backward(s, target, None);
-        (
-            loss,
-            Tensor::from_vec(s.grad[side][..self.in_len].to_vec(), x.dims()),
-        )
-    }
-
-    /// Loss and parameter-gradient record of one image (see
-    /// [`exec::GradFold`]).
-    fn loss_and_record(&self, s: &mut FScratch, x: &Tensor, target: usize) -> (f32, Vec<f32>) {
-        self.run_forward(s, x);
-        let mut record = vec![0.0f32; self.fold.record_len()];
-        let (loss, _) = self.run_backward(s, target, Some(&mut record));
-        (loss, record)
+        self.run_forward(s, 0..1, &|_| x);
+        self.block_input_gradient(s, 0, target)
     }
 
     /// Cross-entropy loss and parameter gradients for one example: the
     /// batch fold over a batch of one. Bit-compatible with the seed
     /// [`Sequential::loss_and_grads`] path.
     pub fn loss_and_grads(&self, s: &mut FScratch, x: &Tensor, target: usize) -> (f32, GradBuffer) {
-        let (loss, record) = self.loss_and_record(s, x, target);
+        self.run_forward(s, 0..1, &|_| x);
+        let (loss, record) = self.block_record(s, 0, target);
         let mut grads = self.zero_grads();
         self.fold.fold_into(&[record], &mut grads);
         (loss, grads)
@@ -732,7 +731,8 @@ impl<'m> FPlan<'m> {
     }
 
     /// Input gradients for `n` images in parallel image chunks with one
-    /// scratch per chunk. `image(i)` / `label(i)` supply the examples;
+    /// scratch per chunk, one forward per block of images and one
+    /// backward per image. `image(i)` / `label(i)` supply the examples;
     /// returns one `(loss, gradient)` pair per image, in index order and
     /// bit-identical to per-image [`FPlan::input_gradient`] calls
     /// regardless of how the work is chunked.
@@ -747,15 +747,15 @@ impl<'m> FPlan<'m> {
         G: Fn(usize) -> usize + Sync,
     {
         parallel::par_map_chunks(n, |range| {
-            let mut s = self.scratch();
-            range
-                .map(|i| self.input_gradient(&mut s, image(i), label(i)))
-                .collect()
+            self.map_range(&mut self.scratch(), range, &image, |s, b, i| {
+                self.block_input_gradient(s, b, label(i))
+            })
         })
     }
 
     /// Correct-prediction count over `n` examples in parallel image
-    /// chunks with one scratch per chunk — the shared core behind
+    /// chunks with one scratch per chunk, one forward per block of images
+    /// — the shared core behind
     /// [`Sequential::accuracy`] and [`crate::train::eval_on`].
     pub fn count_correct<'a, F, G>(&self, n: usize, image: F, label: G) -> usize
     where
@@ -763,10 +763,9 @@ impl<'m> FPlan<'m> {
         G: Fn(usize) -> usize + Sync,
     {
         parallel::par_map_chunks(n, |range| {
-            let mut s = self.scratch();
-            range
-                .map(|i| usize::from(self.predict(&mut s, image(i)) == label(i)))
-                .collect()
+            self.map_range(&mut self.scratch(), range, &image, |s, b, i| {
+                usize::from(argmax(self.logits(s, b)) == label(i))
+            })
         })
         .into_iter()
         .sum()
@@ -777,8 +776,9 @@ impl<'m> FPlan<'m> {
     ///
     /// Two passes, each one [`axutil::parallel::par_map_chunks`] call:
     ///
-    /// 1. **Images.** Contiguous image chunks run forward and backward on
-    ///    one [`FPlan::train_scratch`] per chunk. Each image leaves a
+    /// 1. **Images.** Contiguous image chunks run on one
+    ///    [`FPlan::scratch`] per chunk, one forward per block of images
+    ///    and one backward per image. Each image leaves a
     ///    small record instead of a full gradient: a dense layer's
     ///    upstream gradient `g` and input `x` (its per-image gradient is
     ///    the outer product `g xᵀ`), a conv layer's own per-image
@@ -815,8 +815,11 @@ impl<'m> FPlan<'m> {
         assert!(n > 0, "loss_and_param_grads_batch needs a non-empty batch");
         self.fold.batch(
             n,
-            || self.train_scratch(),
-            |s, i| self.loss_and_record(s, image(i), label(i)),
+            |range| {
+                self.map_range(&mut self.scratch(), range, &image, |s, b, i| {
+                    self.block_record(s, b, label(i))
+                })
+            },
             self.zero_grads(),
         )
     }
@@ -840,18 +843,6 @@ fn grad_sides(grad: &mut [Vec<f32>; 2], side: usize) -> (&Vec<f32>, &mut Vec<f32
     } else {
         (&hi[0], &mut lo[0])
     }
-}
-
-fn argmax(xs: &[f32]) -> usize {
-    let mut best = 0;
-    let mut best_v = f32::NEG_INFINITY;
-    for (i, &v) in xs.iter().enumerate() {
-        if v > best_v {
-            best_v = v;
-            best = i;
-        }
-    }
-    best
 }
 
 #[cfg(test)]
@@ -1001,23 +992,24 @@ mod tests {
     }
 
     #[test]
-    fn train_scratch_matches_plain_scratch_bit_for_bit() {
-        let model = zoo::lenet5(&mut Rng::seed_from_u64(40));
+    #[should_panic(expected = "planned shape")]
+    fn same_length_wrong_shape_is_rejected() {
+        let model = zoo::lenet5(&mut Rng::seed_from_u64(2));
         let plan = model.plan(&[1, 28, 28]);
-        let mut plain = plan.scratch();
-        let mut train = plan.train_scratch();
-        for seed in 0..3 {
-            let x = rand_image(&[1, 28, 28], 50 + seed);
-            let target = seed as usize % 10;
-            assert_eq!(
-                plan.loss_and_grads(&mut train, &x, target),
-                plan.loss_and_grads(&mut plain, &x, target),
-            );
-            assert_eq!(
-                plan.input_gradient(&mut train, &x, target),
-                plan.input_gradient(&mut plain, &x, target),
-            );
-        }
+        let mut s = plan.scratch();
+        let _ = plan.forward(&mut s, &Tensor::zeros(&[28, 1, 28]));
+    }
+
+    #[test]
+    #[should_panic(expected = "planned shape")]
+    fn mixed_shape_set_is_rejected_by_count_correct() {
+        // The odd image sits in the middle of the first block: every
+        // image of a block is checked, not just its first.
+        let model = zoo::lenet5(&mut Rng::seed_from_u64(3));
+        let plan = model.plan(&[1, 28, 28]);
+        let mut images: Vec<Tensor> = (0..5).map(|i| rand_image(&[1, 28, 28], i)).collect();
+        images[2] = Tensor::zeros(&[28, 28, 1]);
+        let _ = plan.count_correct(images.len(), |i| &images[i], |_| 0);
     }
 
     #[test]

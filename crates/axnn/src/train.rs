@@ -2,10 +2,9 @@
 //!
 //! [`fit`] and [`batch_gradient`] are thin wrappers over
 //! [`FPlan::loss_and_param_grads_batch`](crate::plan::FPlan::loss_and_param_grads_batch):
-//! every minibatch runs through one compiled plan (one training scratch
-//! per thread chunk, forward tape and conv im2col patches reused across
-//! the chunk's images) instead of the seed's per-image
-//! `Sequential::loss_and_grads` calls. Every parameter sums its
+//! every minibatch runs through one compiled plan (one scratch per
+//! thread chunk, one forward per block of images) instead of the seed's
+//! per-image `Sequential::loss_and_grads` calls. Every parameter sums its
 //! per-image terms in image order (an exact rank-n fold, see
 //! [`crate::exec::GradFold`]), so the batch gradient — and
 //! therefore the whole [`TrainHistory`] and the trained weights — is
@@ -80,7 +79,7 @@ pub struct TrainHistory {
 /// Thin wrapper over
 /// [`FPlan::loss_and_param_grads_batch`](crate::plan::FPlan::loss_and_param_grads_batch):
 /// one compiled plan, threads work contiguous example chunks with one
-/// training scratch each, and the mean is bit-identical to the seed
+/// scratch each, and the mean is bit-identical to the seed
 /// per-example fold for any thread chunking.
 ///
 /// # Panics

@@ -7,6 +7,8 @@
 //! kept as the reference implementation), and the batched gradient entry
 //! points must be bit-exact with per-image calls.
 
+use std::sync::Mutex;
+
 use axnn::loss::cross_entropy_with_grad;
 use axnn::model::{GradBuffer, Sequential};
 use axtensor::Tensor;
@@ -14,6 +16,13 @@ use proptest::prelude::*;
 
 mod common;
 use common::{grad_bits, images, small_model, ARCHS, IN_DIMS};
+
+/// Serializes tests that read or write `AXDNN_THREADS`.
+static ENV_LOCK: Mutex<()> = Mutex::new(());
+
+/// Batch sizes around the plan's 4-image blocks: partial blocks, one
+/// full block, and one and two full blocks with a remainder.
+const BATCH_SIZES: [usize; 7] = [1, 2, 3, 4, 5, 7, 9];
 
 /// The seed layer-by-layer forward: the reference path.
 fn seed_forward(m: &Sequential, x: &Tensor) -> Tensor {
@@ -112,5 +121,61 @@ fn fplan_matches_seed_on_every_architecture() {
         if let Err(msg) = check_engine(&model, &probes) {
             panic!("{msg} (arch {arch})");
         }
+    }
+}
+
+/// The block paths against one image per call, for every batch size in
+/// [`BATCH_SIZES`] and every `AXDNN_THREADS` chunking: `count_correct`
+/// counts every image right under labels set to the one-image
+/// predictions, `input_gradient_batch_indexed` returns every image's
+/// `input_gradient` bit for bit, and `loss_and_param_grads_batch` is the
+/// fold of per-image `loss_and_grads`. On the FFNN and on two conv
+/// shapes, whose parameter gradients re-extract patches from the tape.
+#[test]
+fn image_blocks_match_one_image_calls_at_every_boundary() {
+    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let prev = std::env::var("AXDNN_THREADS").ok();
+    for arch in [0, 2, 4] {
+        let model = small_model(arch, 0xB10C + arch as u64);
+        let plan = model.plan(&IN_DIMS);
+        let mut s = plan.scratch();
+        let probes = images(9, 0xB10C);
+        let preds: Vec<usize> = probes.iter().map(|x| plan.predict(&mut s, x)).collect();
+        let labels: Vec<usize> = (0..probes.len()).map(|i| i % 4).collect();
+        let mut sum = (0.0f32, model.zero_grads());
+        let mut want_grads = Vec::new();
+        let mut want_folds = Vec::new();
+        for (x, &lbl) in probes.iter().zip(&labels) {
+            let (loss, grad) = plan.input_gradient(&mut s, x, lbl);
+            want_grads.push((loss.to_bits(), bits(&grad)));
+            let (l, g) = plan.loss_and_grads(&mut s, x, lbl);
+            sum.0 += l;
+            sum.1.accumulate(&g);
+            want_folds.push((sum.0.to_bits(), grad_bits(&sum.1)));
+        }
+        for threads in ["1", "2", "3", "7"] {
+            std::env::set_var("AXDNN_THREADS", threads);
+            for n in BATCH_SIZES {
+                let at = format!("{} n {n} threads {threads}", model.name());
+                let correct = plan.count_correct(n, |i| &probes[i], |i| preds[i]);
+                assert_eq!(correct, n, "count_correct: {at}");
+                let grads = plan.input_gradient_batch_indexed(n, |i| &probes[i], |i| labels[i]);
+                let got: Vec<(u32, Vec<u32>)> = (grads.iter())
+                    .map(|(l, g)| (l.to_bits(), bits(g)))
+                    .collect();
+                assert_eq!(got, want_grads[..n], "input gradients: {at}");
+                let (loss, fold) =
+                    plan.loss_and_param_grads_batch(n, |i| &probes[i], |i| labels[i]);
+                assert_eq!(
+                    (loss.to_bits(), grad_bits(&fold)),
+                    want_folds[n - 1],
+                    "parameter gradients: {at}"
+                );
+            }
+        }
+    }
+    match prev {
+        Some(v) => std::env::set_var("AXDNN_THREADS", v),
+        None => std::env::remove_var("AXDNN_THREADS"),
     }
 }

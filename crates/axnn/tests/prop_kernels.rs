@@ -1,8 +1,9 @@
 //! Property tests pinning the register-tiled GEMM kernels to the scalar
 //! reference kernels — **bit-exact**, not within tolerance.
 //!
-//! The tiled kernels ([`axnn::exec`]: `*_tiled`) only regroup which
-//! output elements advance together; every element's addition chain over
+//! The tiled kernels ([`axnn::exec`]: `*_tiled`, `dense_forward_rows`)
+//! only regroup which output elements advance together; every element's
+//! addition chain over
 //! the dot-product dimension stays sequential and ascending, so for any
 //! shape (including odd/prime edges that exercise every remainder path)
 //! the two forms must agree to the last bit. The direct conv input
@@ -61,6 +62,42 @@ proptest! {
         exec::conv_forward(&w, &bias, &patch, rows, cols, &mut want);
         exec::conv_forward_tiled(&w, &bias, &patch, rows, cols, &mut got);
         prop_assert_eq!(want, got);
+    }
+
+    /// `im2col` against a per-element reference over every
+    /// `k ∈ {1, 2, 3, 5}`, stride `{1, 2}` and pad `{0, 1, 2, 3}` (pads
+    /// wider than the window included), on a random input size.
+    #[test]
+    fn im2col_matches_per_element_reference(
+        seed in proptest::strategy::any::<u64>(),
+        c in 1usize..4,
+        extra_h in 0usize..5,
+        extra_w in 0usize..5,
+    ) {
+        let rng = &mut Rng::seed_from_u64(seed);
+        for k in [1usize, 2, 3, 5] {
+            for stride in [1usize, 2] {
+                for pad in [0usize, 1, 2, 3] {
+                    let lo = k.saturating_sub(2 * pad).max(1);
+                    let (h, w) = (lo + extra_h, lo + extra_w);
+                    let x = filled(rng, c * h * w);
+                    let (oh, ow) = ((h + 2 * pad - k) / stride + 1, (w + 2 * pad - k) / stride + 1);
+                    let (rows, cols) = (oh * ow, c * k * k);
+                    let mut want = Vec::with_capacity(rows * cols);
+                    for p in 0..rows {
+                        for (ci, ky, kx) in (0..c).flat_map(|ci| (0..k).flat_map(move |ky| (0..k).map(move |kx| (ci, ky, kx)))) {
+                            let iy = ((p / ow) * stride + ky) as isize - pad as isize;
+                            let ix = ((p % ow) * stride + kx) as isize - pad as isize;
+                            let inside = (0..h as isize).contains(&iy) && (0..w as isize).contains(&ix);
+                            want.push(if inside { x[(ci * h + iy as usize) * w + ix as usize] } else { 0.0 });
+                        }
+                    }
+                    let mut got = vec![f32::NAN; rows * cols];
+                    exec::im2col(&x, [c, h, w], k, stride, pad, rows, cols, &mut got);
+                    prop_assert!(want == got, "k {k} stride {stride} pad {pad} input {h}x{w}");
+                }
+            }
+        }
     }
 
     /// The direct conv input gradient against the seed
@@ -141,14 +178,16 @@ proptest! {
         prop_assert_eq!(&want_db, &got_db);
     }
 
-    /// `dense_forward_tiled` == `dense_forward` and
-    /// `dense_backward_tiled` == `dense_backward`, including the
-    /// zero-gradient row skip (every third gradient forced to `0.0`).
+    /// `dense_forward_rows` == `dense_forward`, for one image and for a
+    /// block of `images` images as GEMM rows, and `dense_backward_tiled`
+    /// == `dense_backward`, including the zero-gradient row skip (every
+    /// third gradient forced to `0.0`).
     #[test]
     fn tiled_dense_pair_matches_reference(
         seed in proptest::strategy::any::<u64>(),
         out_i in 0usize..EDGES.len(),
         in_i in 0usize..EDGES.len(),
+        images in 2usize..6,
     ) {
         let (out_dim, in_dim) = (EDGES[out_i], EDGES[in_i]);
         let rng = &mut Rng::seed_from_u64(seed);
@@ -158,8 +197,16 @@ proptest! {
         let mut want = vec![0.0f32; out_dim];
         let mut got = vec![0.0f32; out_dim];
         exec::dense_forward(&w, &bias, &x, &mut want);
-        exec::dense_forward_tiled(&w, &bias, &x, &mut got);
-        prop_assert_eq!(want, got);
+        exec::dense_forward_rows(&w, &bias, &x, &mut got);
+        prop_assert_eq!(&want, &got);
+
+        let xs = filled(rng, images * in_dim);
+        let mut block = vec![f32::NAN; images * out_dim];
+        exec::dense_forward_rows(&w, &bias, &xs, &mut block);
+        for (x, got) in xs.chunks_exact(in_dim).zip(block.chunks_exact(out_dim)) {
+            exec::dense_forward(&w, &bias, x, &mut want);
+            prop_assert_eq!(&want[..], got);
+        }
 
         let mut g = filled(rng, out_dim);
         for (o, gv) in g.iter_mut().enumerate() {

@@ -28,6 +28,10 @@ use common::{grad_bits, images, small_model, ARCHS, IN_DIMS};
 /// Serializes tests that read or write `AXDNN_THREADS`.
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
+/// Batch sizes around the plan's 4-image blocks: partial blocks, one
+/// full block, and one and two full blocks with a remainder.
+const BATCH_SIZES: [usize; 7] = [1, 2, 3, 4, 5, 7, 9];
+
 /// The seed reference: fold per-image `Sequential::loss_and_grads` in
 /// image order, starting from zero — the accumulation the batched engine
 /// must replay bit-for-bit.
@@ -44,27 +48,35 @@ fn seed_grad_sum(model: &Sequential, imgs: &[Tensor], labels: &[usize]) -> (f32,
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
+    /// For every batch size in [`BATCH_SIZES`] and every thread chunking,
+    /// the batched sum is the seed fold of its first `n` images.
     #[test]
     fn batched_param_grads_are_bit_exact_with_seed_sum(
         seed in proptest::strategy::any::<u64>(),
         arch in 0usize..ARCHS,
-        n in 1usize..9,
     ) {
         let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let prev = std::env::var("AXDNN_THREADS").ok();
         let model = small_model(arch, seed);
-        let imgs = images(n, seed ^ 0x7A17);
-        let labels: Vec<usize> = (0..n).map(|i| (i * 3) % 4).collect();
+        let imgs = images(9, seed ^ 0x7A17);
+        let labels: Vec<usize> = (0..imgs.len()).map(|i| (i * 3) % 4).collect();
         std::env::set_var("AXDNN_THREADS", "1");
-        let (want_loss, want) = seed_grad_sum(&model, &imgs, &labels);
+        let want: Vec<(u32, Vec<u32>)> = (1..=imgs.len())
+            .map(|n| {
+                let (loss, grads) = seed_grad_sum(&model, &imgs[..n], &labels[..n]);
+                (loss.to_bits(), grad_bits(&grads))
+            })
+            .collect();
         for threads in ["1", "2", "3", "7"] {
             std::env::set_var("AXDNN_THREADS", threads);
-            let (loss, grads) = model.loss_and_param_grads_batch(&imgs, &labels);
-            prop_assert!(
-                loss.to_bits() == want_loss.to_bits() && grad_bits(&grads) == grad_bits(&want),
-                "batched sum diverges from seed fold (arch {arch}, seed {seed}, \
-                 n {n}, threads {threads})"
-            );
+            for n in BATCH_SIZES {
+                let (loss, grads) = model.loss_and_param_grads_batch(&imgs[..n], &labels[..n]);
+                prop_assert!(
+                    (loss.to_bits(), grad_bits(&grads)) == want[n - 1],
+                    "batched sum diverges from seed fold (arch {arch}, seed {seed}, \
+                     n {n}, threads {threads})"
+                );
+            }
         }
         match prev {
             Some(v) => std::env::set_var("AXDNN_THREADS", v),

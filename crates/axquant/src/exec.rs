@@ -1,10 +1,12 @@
 //! Execution kernels for compiled quantized inference.
 //!
 //! These are the hot loops behind [`crate::plan::QPlan`]: input
-//! quantization, `im2col` patch extraction, the sign/magnitude LUT-GEMM
-//! that lowers both conv and dense layers to one inner dot-product shape,
-//! and average pooling. Everything works on flat `u8` scratch slices so
-//! the plan can reuse buffers across images and kernels.
+//! quantization, the sign/magnitude LUT-GEMM that lowers both conv and
+//! dense layers to one inner dot-product shape, and average pooling.
+//! Patch extraction is the float engine's generic
+//! [`im2col`](axnn::exec::im2col) over `u8` codes. Everything works on
+//! flat `u8` scratch slices so the plan can reuse buffers across images
+//! and kernels.
 //!
 //! The GEMM dispatches on [`MulBackend`] *once per layer*, so the inner
 //! loop monomorphizes: the exact kernel compiles to a plain `a * b`, a
@@ -33,83 +35,58 @@ pub(crate) fn quantize_input(x: &[f32], qmax: f32, out: &mut [u8]) {
     }
 }
 
-/// Extracts conv patches: row `p = oy * ow + ox` of `out` is the
-/// `[in_c * k * k]` receptive field of output position `(oy, ox)`,
-/// zero-filled where the window overhangs the (zero-)padded input.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn im2col(
-    x: &[u8],
-    dims: [usize; 3],
-    k: usize,
-    stride: usize,
-    pad: usize,
-    rows: usize,
-    cols: usize,
-    out: &mut [u8],
-) {
-    let [c, h, w] = dims;
-    debug_assert_eq!(x.len(), c * h * w);
-    let ow = (w + 2 * pad - k) / stride + 1;
-    for p in 0..rows {
-        let (oy, ox) = (p / ow, p % ow);
-        let dst = &mut out[p * cols..(p + 1) * cols];
-        let mut j = 0;
-        for ci in 0..c {
-            let base = ci * h * w;
-            for ky in 0..k {
-                let iy = (oy * stride + ky) as isize - pad as isize;
-                if iy < 0 || iy >= h as isize {
-                    dst[j..j + k].fill(0);
-                    j += k;
-                    continue;
-                }
-                let row = base + iy as usize * w;
-                for kx in 0..k {
-                    let ix = (ox * stride + kx) as isize - pad as isize;
-                    dst[j] = if ix < 0 || ix >= w as isize {
-                        0
-                    } else {
-                        x[row + ix as usize]
-                    };
-                    j += 1;
-                }
-            }
-        }
-    }
-}
+/// Rows per register block of [`gemm_core`], and images per block of the
+/// plan's batch paths: a block of dense-layer inputs is one row block.
+pub(crate) const BLOCK: usize = 4;
 
-/// The shared inner loop: `out_c x cols` sign/magnitude weights against
-/// `rows x cols` patches, accumulating in i32 and handing each finished
-/// accumulator to `sink(o * rows + p, acc)`.
+/// The shared inner loop, over a GEMM of shape `[images, rows, cols]`:
+/// `out_c x cols` sign/magnitude weights against `images * rows` patch
+/// rows, accumulating in i32 and handing each
+/// finished accumulator to `sink(b * out_c * rows + o * rows + q, acc)`.
+/// Patch row `b * rows + q` is row `q` of image `b`, so every image's
+/// outputs land in its own `[out_c, rows]` slab.
 ///
 /// `mul` is a concrete closure per [`MulBackend`] variant, so each call
 /// site monomorphizes to a branch-free dot product.
 ///
-/// The patch is processed in blocks of four rows with unrolled,
+/// The patch is processed in blocks of [`BLOCK`] rows with unrolled,
 /// independent accumulators: each weight magnitude/sign pair is loaded
 /// once per block instead of once per row, and the four i32 chains give
-/// the backend's multiplier loop instruction-level parallelism. Integer
-/// accumulation is associative, so the blocking is bit-identical to the
-/// plain row-at-a-time loop (kept below as the remainder path), and the
-/// `sink` call order — `o` ascending, then `p` ascending — is unchanged.
+/// the backend's multiplier loop instruction-level parallelism. A block
+/// may span images: a dense layer (`rows = 1`) sees a block of images as
+/// one row block. Integer accumulation is associative, so the blocking is
+/// bit-identical to the plain row-at-a-time loop (kept below as the
+/// remainder path).
 fn gemm_core<F: Fn(u8, u8) -> u16, S: FnMut(usize, i32)>(
     w: &QWeights,
     patch: &[u8],
-    rows: usize,
-    cols: usize,
+    [images, rows, cols]: [usize; 3],
     mul: F,
     mut sink: S,
 ) {
-    const BLOCK: usize = 4;
     let out_c = w.bias_q.len();
-    debug_assert!(patch.len() >= rows * cols);
+    let (total, out_len) = (images * rows, out_c * rows);
+    debug_assert!(patch.len() >= total * cols);
     debug_assert_eq!(w.mag.len(), out_c * cols);
     for o in 0..out_c {
         let mags = &w.mag[o * cols..(o + 1) * cols];
         let signs = &w.sign[o * cols..(o + 1) * cols];
         let bias = w.bias_q[o];
+        // Destination of the next patch row: advances by one within an
+        // image and jumps to the next image's slab after its last row.
+        let (mut dst, mut q) = (o * rows, 0);
+        let mut next = || {
+            let d = dst;
+            dst += 1;
+            q += 1;
+            if q == rows {
+                q = 0;
+                dst += out_len - rows;
+            }
+            d
+        };
         let mut p = 0;
-        while p + BLOCK <= rows {
+        while p + BLOCK <= total {
             let pr: [&[u8]; BLOCK] =
                 core::array::from_fn(|r| &patch[(p + r) * cols..(p + r + 1) * cols]);
             let mut acc = [bias; BLOCK];
@@ -119,77 +96,72 @@ fn gemm_core<F: Fn(u8, u8) -> u16, S: FnMut(usize, i32)>(
                     *a += s * mul(mg, row[j]) as i32;
                 }
             }
-            for (r, &a) in acc.iter().enumerate() {
-                sink(o * rows + p + r, a);
+            for &a in &acc {
+                sink(next(), a);
             }
             p += BLOCK;
         }
-        while p < rows {
+        while p < total {
             let prow = &patch[p * cols..(p + 1) * cols];
             let mut acc = bias;
             for ((&mg, &sg), &a) in mags.iter().zip(signs).zip(prow) {
                 acc += sg as i32 * mul(mg, a) as i32;
             }
-            sink(o * rows + p, acc);
+            sink(next(), acc);
             p += 1;
         }
     }
 }
 
 macro_rules! dispatch_gemm {
-    ($backend:expr, $w:expr, $patch:expr, $rows:expr, $cols:expr, $sink:expr) => {
+    ($backend:expr, $w:expr, $patch:expr, $shape:expr, $sink:expr) => {
         match $backend {
-            MulBackend::Exact => {
-                gemm_core($w, $patch, $rows, $cols, |a, b| a as u16 * b as u16, $sink)
-            }
+            MulBackend::Exact => gemm_core($w, $patch, $shape, |a, b| a as u16 * b as u16, $sink),
             MulBackend::Table(t) => gemm_core(
                 $w,
                 $patch,
-                $rows,
-                $cols,
+                $shape,
                 // Operands are u8, so the index is always < 2^16 and the
                 // table (checked in `MulBackend::of`) has 2^16 entries.
                 |a, b| unsafe { *t.get_unchecked(((a as usize) << 8) | b as usize) },
                 $sink,
             ),
-            MulBackend::Generic(k) => {
-                gemm_core($w, $patch, $rows, $cols, |a, b| k.mul(a, b), $sink)
-            }
+            MulBackend::Generic(k) => gemm_core($w, $patch, $shape, |a, b| k.mul(a, b), $sink),
         }
     };
 }
 
-/// GEMM for a requantizing layer (conv or hidden dense): accumulators are
-/// rescaled, ReLU-clamped and written as `u8` activation codes.
+/// GEMM of shape `[images, rows, cols]` (see [`gemm_core`]) for a
+/// requantizing layer (conv or hidden dense): accumulators are rescaled,
+/// ReLU-clamped and written as `u8` activation codes, image after image.
 pub(crate) fn gemm_requant<K: MulKernel + ?Sized>(
     backend: MulBackend<'_, K>,
     w: &QWeights,
     patch: &[u8],
-    rows: usize,
-    cols: usize,
+    shape: [usize; 3],
     out: &mut [u8],
 ) {
     let m = w
         .requant
         .expect("requantizing layers carry a requant scale");
     let qmax = w.act_qmax;
-    dispatch_gemm!(backend, w, patch, rows, cols, |i, acc: i32| {
+    dispatch_gemm!(backend, w, patch, shape, |i, acc: i32| {
         // Fused ReLU: clamp below at 0 during requantization.
         out[i] = (acc as f32 * m).round().clamp(0.0, qmax) as u8
     });
 }
 
-/// GEMM for the final logits layer: accumulators are dequantized to f32.
+/// GEMM of shape `[images, rows, cols]` for the final logits layer:
+/// accumulators are dequantized to f32, image after image.
 pub(crate) fn gemm_logits<K: MulKernel + ?Sized>(
     backend: MulBackend<'_, K>,
     w: &QWeights,
     patch: &[u8],
-    rows: usize,
-    cols: usize,
+    shape: [usize; 3],
     out: &mut [f32],
 ) {
     debug_assert!(w.requant.is_none(), "logits layer does not requantize");
-    dispatch_gemm!(backend, w, patch, rows, cols, |i, acc: i32| {
+    dispatch_gemm!(backend, w, patch, shape, |i, acc: i32| {
         out[i] = acc as f32 * w.dequant
     });
 }
@@ -221,6 +193,7 @@ pub(crate) fn avgpool(x: &[u8], dims: [usize; 3], k: usize, out: &mut [u8]) {
 mod tests {
     use super::*;
     use axmul::{ExactMul, MulLut};
+    use axnn::exec::im2col;
 
     fn qweights(signs: Vec<i8>, mags: Vec<u8>, bias: Vec<i32>, requant: Option<f32>) -> QWeights {
         QWeights {
@@ -272,8 +245,7 @@ mod tests {
             MulBackend::<ExactMul>::of(&ExactMul),
             &w,
             &patch,
-            2,
-            2,
+            [1, 2, 2],
             &mut out,
         );
         // p0: 10 + 12 - 10 = 12 -> 6; p1: 10 + 0 - 14 = -4 -> relu 0.
@@ -289,8 +261,7 @@ mod tests {
             MulBackend::<ExactMul>::of(&ExactMul),
             &w,
             &patch,
-            1,
-            1,
+            [1, 1, 1],
             &mut out,
         );
         assert_eq!(out, [19.0]);
@@ -313,15 +284,45 @@ mod tests {
             MulBackend::<ExactMul>::of(&ExactMul),
             &w,
             &patch,
-            2,
-            3,
+            [1, 2, 3],
             &mut a,
         );
-        gemm_requant(MulBackend::of(&lut), &w, &patch, 2, 3, &mut b);
+        gemm_requant(MulBackend::of(&lut), &w, &patch, [1, 2, 3], &mut b);
         // Force the generic path for the same LUT.
-        gemm_requant(MulBackend::Generic(&lut), &w, &patch, 2, 3, &mut c);
+        gemm_requant(MulBackend::Generic(&lut), &w, &patch, [1, 2, 3], &mut c);
         assert_eq!(a, b);
         assert_eq!(a, c);
+    }
+
+    #[test]
+    fn image_block_matches_one_image_calls() {
+        // Three outputs over 3 rows x 2 cols per image: five images span
+        // one full row block, edges inside it and the remainder path.
+        let w = qweights(
+            vec![1, -1, 1, -1, 1, 1],
+            vec![5, 9, 200, 3, 17, 64],
+            vec![7, -3, 100],
+            Some(0.125),
+        );
+        let (images, rows, cols, out_c) = (5, 3, 2, 3);
+        let patch: Vec<u8> = (0..images * rows * cols)
+            .map(|i| (i * 37 % 251) as u8)
+            .collect();
+        let lut = MulLut::exact();
+        let mut block = vec![0u8; images * out_c * rows];
+        gemm_requant(
+            MulBackend::of(&lut),
+            &w,
+            &patch,
+            [images, rows, cols],
+            &mut block,
+        );
+        for b in 0..images {
+            let mut one = vec![0u8; out_c * rows];
+            let p = &patch[b * rows * cols..(b + 1) * rows * cols];
+            gemm_requant(MulBackend::of(&lut), &w, p, [1, rows, cols], &mut one);
+            assert_eq!(one[..], block[b * out_c * rows..(b + 1) * out_c * rows]);
+        }
     }
 
     #[test]

@@ -18,9 +18,9 @@
 //!   are resolved once, im2col patch and activation scratch is reused
 //!   across images, and the batch API evaluates `N images x M kernels`
 //!   in one pass, sharing work until the kernels diverge.
-//! * [`exec`] — the hot loops: im2col and the sign/magnitude LUT-GEMM
-//!   that conv and dense layers lower to, monomorphized per
-//!   [`MulBackend`](axmul::kernel::MulBackend).
+//! * [`exec`] — the hot loops: the sign/magnitude LUT-GEMM that conv
+//!   and dense layers lower to (over `axnn`'s generic im2col patches),
+//!   monomorphized per [`MulBackend`](axmul::kernel::MulBackend).
 //! * [`placement`] — where approximation applies (conv layers only, as in
 //!   the paper, or everywhere).
 //! * [`qtrain`] — approximation-aware fine-tuning: a straight-through

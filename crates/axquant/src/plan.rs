@@ -8,11 +8,12 @@
 //! Flatten layers need no step: activations are flat buffers already.
 //!
 //! The scratch keeps every step's `u8` input codes in an activation
-//! *tape*, one buffer per step and kernel lane. Inference reads each
-//! entry once, but the tape is what lets
-//! [`QTrainPlan`](crate::qtrain::QTrainPlan) run its straight-through
-//! backward over this forward: a one-lane [`QPlan::forward_one`] leaves
-//! behind exactly the codes the backward reads.
+//! *tape*, one buffer per step and kernel lane, each holding a *block* of
+//! up to four images back to back. Inference reads each entry once, but
+//! the tape is what lets [`QTrainPlan`](crate::qtrain::QTrainPlan) run
+//! its straight-through backward over this forward: a one-lane block
+//! forward leaves behind exactly the codes the backward reads, image by
+//! image.
 //!
 //! The batch entry points run `N images x M kernels` in one pass. Lanes
 //! (one per kernel) share activation state until the first layer where
@@ -20,7 +21,12 @@
 //! first conv layer's im2col patches — the largest in the network — are
 //! computed once and reused by every kernel. Work is split across threads
 //! in contiguous image chunks ([`axutil::parallel::par_map_chunks`]) with
-//! one scratch per chunk, not per image.
+//! one scratch per chunk, not per image, and each chunk runs block by
+//! block ([`QPlan::predict_range`]): im2col writes the block's patches
+//! back to back and every layer's GEMM sees the block's images as extra
+//! rows, so a dense layer reads each weight's magnitude, sign and LUT
+//! row once per block. [`QPlan::forward_one`] and [`QPlan::forward_multi`]
+//! are blocks of one: there is one quantized forward.
 //!
 //! ```
 //! use axmul::{ExactMul, MulLut};
@@ -46,7 +52,11 @@
 //! # }
 //! ```
 
+use std::ops::Range;
+
 use axmul::{MulBackend, MulKernel};
+use axnn::exec as fexec;
+use axtensor::tensor::argmax;
 use axtensor::Tensor;
 use axutil::parallel;
 
@@ -108,16 +118,34 @@ pub struct QPlan<'m> {
 
 /// Reusable buffers for executing a [`QPlan`].
 ///
-/// Holds the im2col patch buffer and the activation tape: per step and
-/// kernel lane, the step's `u8` input codes. Build one per thread with
-/// [`QPlan::scratch_for`] and reuse it across images.
+/// Holds the im2col patch buffer, the activation tape — per step and
+/// kernel lane, the step's `u8` input codes for one block of images —
+/// and every lane's logits for the block. Build one per thread with
+/// [`QPlan::scratch_for`] and reuse it across blocks.
 #[derive(Debug)]
 pub struct QScratch {
     lanes: usize,
+    /// One block's im2col patches, image after image.
     patch: Vec<u8>,
-    /// `tape[i][lane]` — the input codes of step `i`; `tape[i + 1]` holds
-    /// its output codes (empty after the logits step, which writes f32).
-    pub(crate) tape: Vec<Vec<Vec<u8>>>,
+    /// `tape[i][lane]` — the input codes of step `i`, image after image;
+    /// `tape[i + 1]` holds its output codes (empty after the logits step,
+    /// which writes `logits`).
+    tape: Vec<Vec<Vec<u8>>>,
+    /// `logits[lane]` — the block's logits, image after image.
+    logits: Vec<Vec<f32>>,
+}
+
+impl QScratch {
+    /// Image `b`'s input codes of step `i` on lane 0.
+    pub(crate) fn codes(&self, i: usize, b: usize) -> &[u8] {
+        let len = self.tape[i][0].len() / exec::BLOCK;
+        &self.tape[i][0][b * len..(b + 1) * len]
+    }
+
+    /// Image `b`'s logits on lane 0.
+    pub(crate) fn logits(&self, b: usize, n_classes: usize) -> &[f32] {
+        &self.logits[0][b * n_classes..(b + 1) * n_classes]
+    }
 }
 
 impl QuantModel {
@@ -227,10 +255,11 @@ impl<'m> QPlan<'m> {
         self.n_classes
     }
 
-    /// Allocates scratch buffers able to run up to `lanes` kernels.
+    /// Allocates scratch buffers able to run up to `lanes` kernels over
+    /// a block of images.
     pub fn scratch_for(&self, lanes: usize) -> QScratch {
         let lanes = lanes.max(1);
-        let in_len = self.in_dims.iter().product();
+        let in_len: usize = self.in_dims.iter().product();
         let out_lens = self.steps.iter().map(|step| match *step {
             Step::Conv { out_dims, .. } => out_dims.iter().product(),
             Step::Dense { out_dim, .. } => out_dim,
@@ -239,15 +268,17 @@ impl<'m> QPlan<'m> {
         });
         QScratch {
             lanes,
-            patch: vec![0u8; self.max_patch],
+            patch: vec![0u8; exec::BLOCK * self.max_patch],
             tape: std::iter::once(in_len)
                 .chain(out_lens)
-                .map(|len| vec![vec![0u8; len]; lanes])
+                .map(|len| vec![vec![0u8; exec::BLOCK * len]; lanes])
                 .collect(),
+            logits: vec![vec![0f32; exec::BLOCK * self.n_classes]; lanes],
         }
     }
 
-    /// Runs one image through one kernel, reusing `scratch`.
+    /// Runs one image through one kernel, reusing `scratch`: a block of
+    /// one.
     ///
     /// Bit-exact with [`QuantModel::forward_with`] (which is a thin
     /// wrapper over this).
@@ -269,7 +300,8 @@ impl<'m> QPlan<'m> {
 
     /// Runs one image through `M` kernels, sharing activations (and the
     /// first approximated layer's im2col patches) up to the point where
-    /// the kernels diverge. Returns one logits tensor per kernel.
+    /// the kernels diverge: a block of one. Returns one logits tensor per
+    /// kernel.
     ///
     /// # Panics
     ///
@@ -281,26 +313,66 @@ impl<'m> QPlan<'m> {
         x: &Tensor,
         kernels: &[&K],
     ) -> Vec<Tensor> {
-        let m = kernels.len();
+        let nc = self.n_classes;
+        self.map_range(scratch, 0..1, &|_| x, kernels, |logits| {
+            Tensor::from_vec(logits.to_vec(), &[nc])
+        })
+        .pop()
+        .expect("one image, one row")
+    }
+
+    /// Runs images `block` (at most [`exec::BLOCK`] of them) through
+    /// `kernels`, leaving every lane's logits in `scratch.logits`. Returns
+    /// the number of logits lanes: one when the pipeline never diverged
+    /// (e.g. conv-only placement on a dense net), `kernels.len()`
+    /// otherwise.
+    ///
+    /// Each layer runs once per lane for the whole block: im2col writes
+    /// the block's patches back to back, and the GEMM sees the block's
+    /// images as extra rows.
+    pub(crate) fn run_block<'a, K, F>(
+        &self,
+        scratch: &mut QScratch,
+        block: Range<usize>,
+        image: &F,
+        kernels: &[&K],
+    ) -> usize
+    where
+        K: MulKernel + ?Sized,
+        F: Fn(usize) -> &'a Tensor,
+    {
+        let (m, nb) = (kernels.len(), block.len());
         assert!(m >= 1, "need at least one kernel");
         assert!(
             m <= scratch.lanes,
             "scratch has {} lanes, got {m} kernels",
             scratch.lanes
         );
-        assert_eq!(
-            x.dims(),
-            &self.in_dims[..],
-            "input does not match the planned shape"
-        );
+        debug_assert!((1..=exec::BLOCK).contains(&nb));
+        let QScratch {
+            patch,
+            tape,
+            logits,
+            ..
+        } = scratch;
+        let in_len: usize = self.in_dims.iter().product();
+        for (b, i) in block.enumerate() {
+            let x = image(i);
+            assert_eq!(
+                x.dims(),
+                &self.in_dims[..],
+                "input does not match the planned shape"
+            );
+            let codes = &mut tape[0][0][b * in_len..(b + 1) * in_len];
+            exec::quantize_input(x.data(), self.model.input_qmax(), codes);
+        }
         let backends: Vec<MulBackend<'_, K>> = kernels.iter().map(|k| MulBackend::of(*k)).collect();
 
-        exec::quantize_input(x.data(), self.model.input_qmax(), &mut scratch.tape[0][0]);
         // While `shared` only lane 0 holds the (kernel-independent)
         // activations; after the first approximated layer every lane
         // carries its own.
         let mut shared = true;
-        let mut logits: Vec<Tensor> = Vec::with_capacity(m);
+        let mut logit_lanes = 1;
         for (i, step) in self.steps.iter().enumerate() {
             let approx = match step {
                 Step::Conv { approx, .. } => *approx,
@@ -316,7 +388,7 @@ impl<'m> QPlan<'m> {
                     MulBackend::Exact
                 }
             };
-            let (done, rest) = scratch.tape.split_at_mut(i + 1);
+            let (done, rest) = tape.split_at_mut(i + 1);
             let (src_bufs, dst_bufs) = (&done[i], &mut rest[0]);
             match *step {
                 Step::Conv {
@@ -329,97 +401,96 @@ impl<'m> QPlan<'m> {
                     cols,
                     ..
                 } => {
+                    let len: usize = in_dims.iter().product();
+                    let im2col_block = |src: &[u8], patch: &mut [u8]| {
+                        for (x, p) in src
+                            .chunks_exact(len)
+                            .zip(patch.chunks_exact_mut(rows * cols))
+                            .take(nb)
+                        {
+                            fexec::im2col(x, in_dims, k, stride, pad, rows, cols, p);
+                        }
+                    };
                     if in_lanes == 1 {
                         // One im2col feeds every kernel lane.
-                        exec::im2col(
-                            &src_bufs[0],
-                            in_dims,
-                            k,
-                            stride,
-                            pad,
-                            rows,
-                            cols,
-                            &mut scratch.patch,
-                        );
+                        im2col_block(&src_bufs[0], patch);
                         for (lane, dst) in dst_bufs.iter_mut().enumerate().take(out_lanes) {
-                            exec::gemm_requant(
-                                backend_for(lane),
-                                w,
-                                &scratch.patch,
-                                rows,
-                                cols,
-                                dst,
-                            );
+                            exec::gemm_requant(backend_for(lane), w, patch, [nb, rows, cols], dst);
                         }
                     } else {
                         for lane in 0..m {
-                            exec::im2col(
-                                &src_bufs[lane],
-                                in_dims,
-                                k,
-                                stride,
-                                pad,
-                                rows,
-                                cols,
-                                &mut scratch.patch,
-                            );
-                            exec::gemm_requant(
-                                backend_for(lane),
-                                w,
-                                &scratch.patch,
-                                rows,
-                                cols,
-                                &mut dst_bufs[lane],
-                            );
+                            im2col_block(&src_bufs[lane], patch);
+                            let dst = &mut dst_bufs[lane];
+                            exec::gemm_requant(backend_for(lane), w, patch, [nb, rows, cols], dst);
                         }
                     }
                 }
                 Step::Dense { w, in_dim, .. } => {
-                    // The activation vector is the single GEMM patch row.
+                    // Each image's activation vector is one GEMM patch row.
                     for (lane, dst) in dst_bufs.iter_mut().enumerate().take(out_lanes) {
-                        let src_lane = if in_lanes == 1 { 0 } else { lane };
-                        exec::gemm_requant(
-                            backend_for(lane),
-                            w,
-                            &src_bufs[src_lane],
-                            1,
-                            in_dim,
-                            dst,
-                        );
+                        let src = &src_bufs[if in_lanes == 1 { 0 } else { lane }];
+                        exec::gemm_requant(backend_for(lane), w, src, [nb, 1, in_dim], dst);
                     }
                 }
-                Step::DenseLogits {
-                    w, in_dim, out_dim, ..
+                Step::DenseLogits { w, in_dim, .. } => {
+                    for (lane, out) in logits.iter_mut().enumerate().take(out_lanes) {
+                        let src = &src_bufs[if in_lanes == 1 { 0 } else { lane }];
+                        exec::gemm_logits(backend_for(lane), w, src, [nb, 1, in_dim], out);
+                    }
+                    logit_lanes = out_lanes;
+                }
+                Step::AvgPool {
+                    k,
+                    in_dims,
+                    out_len,
                 } => {
-                    for lane in 0..out_lanes {
-                        let src_lane = if in_lanes == 1 { 0 } else { lane };
-                        let mut out = vec![0f32; out_dim];
-                        exec::gemm_logits(
-                            backend_for(lane),
-                            w,
-                            &src_bufs[src_lane],
-                            1,
-                            in_dim,
-                            &mut out,
-                        );
-                        logits.push(Tensor::from_vec(out, &[out_dim]));
-                    }
-                }
-                Step::AvgPool { k, in_dims, .. } => {
-                    for lane in 0..in_lanes {
-                        exec::avgpool(&src_bufs[lane], in_dims, k, &mut dst_bufs[lane]);
+                    let len: usize = in_dims.iter().product();
+                    for (src, dst) in src_bufs.iter().zip(dst_bufs.iter_mut()).take(in_lanes) {
+                        for (x, y) in src
+                            .chunks_exact(len)
+                            .zip(dst.chunks_exact_mut(out_len))
+                            .take(nb)
+                        {
+                            exec::avgpool(x, in_dims, k, y);
+                        }
                     }
                 }
             }
             shared = shared && out_lanes == 1;
         }
-        // A fully exact pipeline (e.g. conv-only placement on a dense
-        // net) never diverges: every kernel sees identical logits.
-        while logits.len() < m {
-            let first = logits[0].clone();
-            logits.push(first);
+        logit_lanes
+    }
+
+    /// Runs images `range` block by block on `scratch`, mapping every
+    /// image's logits under every kernel through `f`: `[image][kernel]`.
+    /// A fully exact pipeline never diverges, so every kernel then sees
+    /// the shared lane's logits.
+    fn map_range<'a, K, F, R>(
+        &self,
+        scratch: &mut QScratch,
+        range: Range<usize>,
+        image: &F,
+        kernels: &[&K],
+        f: impl Fn(&[f32]) -> R,
+    ) -> Vec<Vec<R>>
+    where
+        K: MulKernel + ?Sized,
+        F: Fn(usize) -> &'a Tensor,
+    {
+        let nc = self.n_classes;
+        let mut out = Vec::with_capacity(range.len());
+        for start in range.clone().step_by(exec::BLOCK) {
+            let block = start..range.end.min(start + exec::BLOCK);
+            let lanes = self.run_block(scratch, block.clone(), image, kernels);
+            for b in 0..block.len() {
+                out.push(
+                    (0..kernels.len())
+                        .map(|lane| f(&scratch.logits[lane.min(lanes - 1)][b * nc..(b + 1) * nc]))
+                        .collect(),
+                );
+            }
         }
-        logits
+        out
     }
 
     /// Runs `N` images through `M` kernels in parallel image chunks with
@@ -446,11 +517,12 @@ impl<'m> QPlan<'m> {
         F: Fn(usize) -> &'a Tensor + Sync,
     {
         assert!(!kernels.is_empty(), "need at least one kernel");
+        let nc = self.n_classes;
         parallel::par_map_chunks(n, |range| {
             let mut scratch = self.scratch_for(kernels.len());
-            range
-                .map(|i| self.forward_multi(&mut scratch, image(i), kernels))
-                .collect()
+            self.map_range(&mut scratch, range, &image, kernels, |logits| {
+                Tensor::from_vec(logits.to_vec(), &[nc])
+            })
         })
     }
 
@@ -478,15 +550,31 @@ impl<'m> QPlan<'m> {
         assert!(!kernels.is_empty(), "need at least one kernel");
         parallel::par_map_chunks(n, |range| {
             let mut scratch = self.scratch_for(kernels.len());
-            range
-                .map(|i| {
-                    self.forward_multi(&mut scratch, image(i), kernels)
-                        .iter()
-                        .map(Tensor::argmax)
-                        .collect()
-                })
-                .collect()
+            self.predict_range(&mut scratch, range, &image, kernels)
         })
+    }
+
+    /// The per-chunk runner of [`QPlan::predict_batch_indexed`]: predicted
+    /// classes for images `range` under `kernels`, `[image][kernel]`, run
+    /// block by block on the caller's `scratch` (which needs at least
+    /// `kernels.len()` lanes).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `kernels` is empty or exceeds the scratch lane count, or
+    /// an image does not match the planned shape.
+    pub fn predict_range<'a, K, F>(
+        &self,
+        scratch: &mut QScratch,
+        range: Range<usize>,
+        image: &F,
+        kernels: &[&K],
+    ) -> Vec<Vec<usize>>
+    where
+        K: MulKernel + ?Sized,
+        F: Fn(usize) -> &'a Tensor,
+    {
+        self.map_range(scratch, range, image, kernels, argmax)
     }
 }
 

@@ -9,10 +9,12 @@
 //!
 //! * [`QTrainPlan`] compiles a `(QuantModel, shadow model, input shape)`
 //!   triple once per epoch. It is a [`QPlan`] plus its backward: the
-//!   forward pass *is* [`QPlan::forward_one`], the very forward that
-//!   answers queries, running the chosen (exact or LUT) multiplier and
-//!   leaving every layer's `u8` input codes on the scratch's activation
-//!   tape. Its backward pass is a **straight-through estimator** (STE):
+//!   forward pass *is* the [`QPlan`] block forward behind
+//!   [`QPlan::forward_one`], the very forward that answers queries,
+//!   running the chosen (exact or LUT) multiplier once per block of
+//!   images and leaving every layer's `u8` input codes on the scratch's
+//!   activation tape. Its backward pass, run per image on its slice of
+//!   the tape, is a **straight-through estimator** (STE):
 //!   every quantized layer is linearized as its dequantized float map
 //!   `y ≈ relu(W_deq · x_deq + b_deq)`, the fused requantize/ReLU passes
 //!   gradient only where the output code is strictly inside
@@ -32,11 +34,11 @@
 //! [`QTrainPlan::loss_and_param_grads_batch`] runs the same two passes
 //! as
 //! [`FPlan::loss_and_param_grads_batch`](axnn::plan::FPlan::loss_and_param_grads_batch):
-//! image chunks with one training scratch each record, per image, the
-//! masked STE gradient and the dequantized input of every dense layer
-//! (and every conv layer's own gradient), then the shared rank-n fold
-//! ([`fexec::GradFold`]) sums the records in image order, bit-identical
-//! to the per-image fold.
+//! image chunks with one scratch each run one forward per block of
+//! images and record, per image, the masked STE gradient and the
+//! dequantized input of every dense layer (and every conv layer's own
+//! gradient), then the shared rank-n fold ([`fexec::GradFold`]) sums the
+//! records in image order, bit-identical to the per-image fold.
 //! Fine-tuned weights and [`FinetuneHistory`] are therefore
 //! **bit-identical for any `AXDNN_THREADS` setting**
 //! (pinned by `axquant/tests/prop_finetune.rs`).
@@ -60,6 +62,8 @@
 //! # }
 //! ```
 
+use std::ops::Range;
+
 use axdata::Dataset;
 use axmul::MulKernel;
 use axnn::exec as fexec;
@@ -69,6 +73,7 @@ use axnn::model::{GradBuffer, Sequential};
 use axtensor::Tensor;
 use axutil::AxError;
 
+use crate::exec::BLOCK;
 use crate::placement::Placement;
 use crate::plan::{QPlan, QScratch, Step};
 use crate::qlevel::QLevel;
@@ -111,10 +116,10 @@ pub struct QTrainPlan<'m> {
 }
 
 /// Reusable buffers for executing a [`QTrainPlan`]: a one-lane
-/// [`QScratch`], whose tape the backward reads, plus the f32 patch,
-/// dequantization and gradient ping-pong buffers of the STE backward.
-/// Build one per thread chunk with [`QTrainPlan::scratch`] and reuse it
-/// across images.
+/// [`QScratch`], whose block tape the backward reads, plus one image's
+/// f32 patch, dequantization and gradient ping-pong buffers for the STE
+/// backward. Build one per thread chunk with [`QTrainPlan::scratch`] and
+/// reuse it across blocks.
 #[derive(Debug)]
 pub struct QTrainScratch {
     forward: QScratch,
@@ -253,12 +258,10 @@ impl<'m> QTrainPlan<'m> {
     /// gradient ping-pong) this plan needs.
     pub fn scratch(&self) -> QTrainScratch {
         let forward = self.plan.scratch_for(1);
-        // Every activation and gradient the backward touches: the tape
-        // entries and the logits gradient.
-        let max_act = forward
-            .tape
-            .iter()
-            .map(|lanes| lanes[0].len())
+        // Every activation and gradient the backward touches: one image's
+        // tape entries and the logits gradient.
+        let max_act = (0..=self.plan.steps.len())
+            .map(|i| forward.codes(i, 0).len())
             .chain([self.n_classes()])
             .max()
             .unwrap_or(0);
@@ -270,21 +273,23 @@ impl<'m> QTrainPlan<'m> {
         }
     }
 
-    /// Back-propagates the cross-entropy gradient of `logits` down the
-    /// `u8` tape of the forward that produced them, with the clipped
-    /// straight-through estimator, writing every conv/dense layer's
-    /// per-image parameter-gradient record (shadow-model order, see
-    /// [`fexec::GradFold`]) into the zeroed `record`. Stops at the lowest
-    /// conv/dense layer, whose input gradient nobody reads. Returns the
-    /// loss.
+    /// Back-propagates the cross-entropy gradient of image `b`'s logits
+    /// down its slice of the `u8` tape of the block forward that produced
+    /// them, with the clipped straight-through estimator, writing every
+    /// conv/dense layer's per-image parameter-gradient record
+    /// (shadow-model order, see [`fexec::GradFold`]) into the zeroed
+    /// `record`. Stops at the lowest conv/dense layer, whose input
+    /// gradient nobody reads. Returns the loss.
     fn run_backward(
         &self,
         s: &mut QTrainScratch,
-        logits: &Tensor,
+        b: usize,
         target: usize,
         record: &mut [f32],
     ) -> f32 {
-        let (loss, dlogits) = cross_entropy_with_grad(logits, target);
+        let nc = self.n_classes();
+        let logits = Tensor::from_vec(s.forward.logits(b, nc).to_vec(), &[nc]);
+        let (loss, dlogits) = cross_entropy_with_grad(&logits, target);
         let QTrainScratch {
             forward,
             patch,
@@ -298,7 +303,7 @@ impl<'m> QTrainPlan<'m> {
         for (i, step) in self.plan.steps.iter().enumerate().rev() {
             // This step's input and output codes (the output is empty
             // after the logits step).
-            let (x_codes, y_codes) = (&forward.tape[i][0], &forward.tape[i + 1][0]);
+            let (x_codes, y_codes) = (forward.codes(i, b), forward.codes(i + 1, b));
             let (gsrc, gdst) = grad_sides(gbuf, side);
             match *step {
                 Step::Conv {
@@ -373,18 +378,34 @@ impl<'m> QTrainPlan<'m> {
         loss
     }
 
-    /// Loss and parameter-gradient record of one image under `kernel`.
-    fn loss_and_record<K: MulKernel + ?Sized>(
+    /// Losses and parameter-gradient records of images `range` under
+    /// `kernel`: one quantized forward per block, then the STE backward
+    /// per image on its slice of the tape.
+    fn records<'a, K, F, G>(
         &self,
         s: &mut QTrainScratch,
-        x: &Tensor,
-        target: usize,
+        range: Range<usize>,
+        image: &F,
+        label: &G,
         kernel: &K,
-    ) -> (f32, Vec<f32>) {
-        let logits = self.plan.forward_one(&mut s.forward, x, kernel);
-        let mut record = vec![0.0f32; self.fold.record_len()];
-        let loss = self.run_backward(s, &logits, target, &mut record);
-        (loss, record)
+    ) -> Vec<(f32, Vec<f32>)>
+    where
+        K: MulKernel + ?Sized,
+        F: Fn(usize) -> &'a Tensor,
+        G: Fn(usize) -> usize,
+    {
+        let mut out = Vec::with_capacity(range.len());
+        for start in range.clone().step_by(BLOCK) {
+            let block = start..range.end.min(start + BLOCK);
+            self.plan
+                .run_block(&mut s.forward, block.clone(), image, &[kernel]);
+            for (b, i) in block.enumerate() {
+                let mut record = vec![0.0f32; self.fold.record_len()];
+                let loss = self.run_backward(s, b, label(i), &mut record);
+                out.push((loss, record));
+            }
+        }
+        out
     }
 
     /// Cross-entropy loss (of the quantized forward under `kernel`) and
@@ -401,7 +422,10 @@ impl<'m> QTrainPlan<'m> {
         target: usize,
         kernel: &K,
     ) -> (f32, GradBuffer) {
-        let (loss, record) = self.loss_and_record(s, x, target, kernel);
+        let (loss, record) = self
+            .records(s, 0..1, &|_| x, &|_| target, kernel)
+            .pop()
+            .expect("one image, one record");
         let mut grads = self.zero_grads();
         self.fold.fold_into(&[record], &mut grads);
         (loss, grads)
@@ -413,8 +437,9 @@ impl<'m> QTrainPlan<'m> {
     /// The same two passes as
     /// [`FPlan::loss_and_param_grads_batch`](axnn::plan::FPlan::loss_and_param_grads_batch),
     /// each one [`axutil::parallel::par_map_chunks`] call: image chunks
-    /// with one [`QTrainPlan::scratch`] each leave one small record per
-    /// image (a dense layer's masked gradient and dequantized input, a
+    /// with one [`QTrainPlan::scratch`] each run one quantized forward per
+    /// block of images and one STE backward per image, leaving one small
+    /// record per image (a dense layer's masked gradient and dequantized input, a
     /// conv layer's own gradient), then [`fexec::GradFold`] sums the
     /// records in image order over the flat parameter range of all
     /// layers. The sum is **bit-identical** to the per-image
@@ -425,8 +450,8 @@ impl<'m> QTrainPlan<'m> {
     ///
     /// Panics on an empty batch — a zero "gradient" would silently stall
     /// fine-tuning — and when any image does not match the planned shape
-    /// ([`QPlan::forward_one`]'s check, whose message the chunk workers
-    /// pass on).
+    /// (the block forward's "planned shape" check, whose message the
+    /// chunk workers pass on).
     pub fn loss_and_param_grads_batch<'a, K, F, G>(
         &self,
         n: usize,
@@ -442,8 +467,7 @@ impl<'m> QTrainPlan<'m> {
         assert!(n > 0, "loss_and_param_grads_batch needs a non-empty batch");
         self.fold.batch(
             n,
-            || self.scratch(),
-            |s, i| self.loss_and_record(s, image(i), label(i), kernel),
+            |range| self.records(&mut self.scratch(), range, &image, &label, kernel),
             self.zero_grads(),
         )
     }

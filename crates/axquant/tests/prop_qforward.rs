@@ -205,3 +205,89 @@ fn batch_engine_is_bit_exact_on_every_placement_and_qlevel() {
         }
     }
 }
+
+/// Batch sizes around the engine's 4-image blocks: one block of one, of
+/// two and three, one full block, a full block plus one, plus three and
+/// two full blocks plus one.
+const BATCH_SIZES: [usize; 7] = [1, 2, 3, 4, 5, 7, 9];
+
+/// Every logit's bit pattern, row by row.
+fn logit_bits(rows: &[Vec<Tensor>]) -> Vec<Vec<Vec<u32>>> {
+    rows.iter()
+        .map(|row| {
+            row.iter()
+                .map(|t| t.data().iter().map(|v| v.to_bits()).collect())
+                .collect()
+        })
+        .collect()
+}
+
+/// The block paths against one image per call: for every batch size
+/// across the 4-image block boundaries and every `AXDNN_THREADS`
+/// chunking, each `[image][kernel]` logit of `forward_batch_with` is
+/// `forward_one`'s bit for bit, and `predict_batch_with` is its argmax.
+/// Two zoo models with two approximate kernels each: LeNet-5 under
+/// `ConvOnly` (the lanes diverge at the first conv) and the FFNN under
+/// `Placement::All` (they diverge at the first dense layer).
+#[test]
+fn image_blocks_match_one_image_forwards_at_every_boundary() {
+    use axnn::zoo;
+
+    let l40 = axmul::Registry::standard().build_lut("L40").unwrap();
+    let biased = biased_lut();
+    let kernels = [&l40, &biased];
+    let mut rng = Rng::seed_from_u64(0xB10C);
+    let lenet = zoo::lenet5(&mut rng);
+    let ffnn = zoo::ffnn(&mut rng);
+    let dims = [1usize, 28, 28];
+    let images: Vec<Tensor> = (0..9)
+        .map(|_| {
+            let mut t = Tensor::zeros(&dims);
+            rng.fill_range_f32(t.data_mut(), 0.0, 1.0);
+            t
+        })
+        .collect();
+    let calib = &images[..4];
+
+    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let prev = std::env::var("AXDNN_THREADS").ok();
+    for (model, placement) in [(&lenet, Placement::ConvOnly), (&ffnn, Placement::All)] {
+        let qm = QuantModel::from_float(model, calib, placement).expect("supported topology");
+        let plan = qm.plan(&dims);
+        let mut scratch = plan.scratch_for(1);
+        let want: Vec<Vec<Tensor>> = (images.iter())
+            .map(|x| {
+                (kernels.iter())
+                    .map(|&k| plan.forward_one(&mut scratch, x, k))
+                    .collect()
+            })
+            .collect();
+        assert_ne!(want[0][0], want[0][1], "the kernels must diverge");
+        for threads in ["1", "2", "3", "7"] {
+            std::env::set_var("AXDNN_THREADS", threads);
+            for n in BATCH_SIZES {
+                let got = plan.forward_batch_with(&images[..n], &kernels);
+                assert_eq!(
+                    logit_bits(&got),
+                    logit_bits(&want[..n]),
+                    "{} logits: n {n}, threads {threads}",
+                    qm.name()
+                );
+                let preds = plan.predict_batch_with(&images[..n], &kernels);
+                let want_preds: Vec<Vec<usize>> = (want[..n].iter())
+                    .map(|row| row.iter().map(Tensor::argmax).collect())
+                    .collect();
+                assert_eq!(
+                    preds,
+                    want_preds,
+                    "{} predictions: n {n}, threads {threads}",
+                    qm.name()
+                );
+            }
+        }
+    }
+    match prev {
+        Some(v) => std::env::set_var("AXDNN_THREADS", v),
+        None => std::env::remove_var("AXDNN_THREADS"),
+    }
+}

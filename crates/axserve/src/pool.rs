@@ -11,7 +11,8 @@
 //!   arithmetic over a handful of layers, documented cheap, and borrows
 //!   the model, so caching it would only buy a self-referential struct;
 //! * the **scratch** ([`QScratch`]) is the real allocation (im2col patch
-//!   plus per-lane ping-pong activation buffers) and *is* pooled: a
+//!   plus the per-lane activation tape of one image block) and *is*
+//!   pooled: a
 //!   checked-in scratch is reused by the next caller with the same key
 //!   instead of reallocated.
 //!
@@ -152,8 +153,8 @@ impl<M: std::borrow::Borrow<QuantModel>> PlanPool<M> {
 
     /// Batched multi-kernel prediction through the pool: the pooled
     /// equivalent of [`QPlan::predict_batch_indexed`], splitting images
-    /// over threads in contiguous chunks with one pooled scratch per
-    /// chunk. Returns `[image][kernel]` predicted classes, bit-identical
+    /// over threads in contiguous chunks, each run by
+    /// [`QPlan::predict_range`] on one pooled scratch. Returns `[image][kernel]` predicted classes, bit-identical
     /// to the offline plan API for any thread count.
     ///
     /// # Panics
@@ -175,14 +176,7 @@ impl<M: std::borrow::Borrow<QuantModel>> PlanPool<M> {
         assert!(!kernels.is_empty(), "need at least one kernel");
         parallel::par_map_chunks(n, |range| {
             self.with_plan(id, shape, kernels.len(), |plan, scratch| {
-                range
-                    .map(|i| {
-                        plan.forward_multi(scratch, image(i), kernels)
-                            .iter()
-                            .map(Tensor::argmax)
-                            .collect()
-                    })
-                    .collect()
+                plan.predict_range(scratch, range, &image, kernels)
             })
         })
     }

@@ -192,15 +192,7 @@ impl Tensor {
     ///
     /// Panics if the tensor is empty (cannot happen via public API).
     pub fn argmax(&self) -> usize {
-        let mut best = 0;
-        let mut best_v = f32::NEG_INFINITY;
-        for (i, &v) in self.data.iter().enumerate() {
-            if v > best_v {
-                best_v = v;
-                best = i;
-            }
-        }
-        best
+        argmax(&self.data)
     }
 
     /// Dot product with another tensor of identical shape.
@@ -296,6 +288,20 @@ impl Tensor {
         }
         Tensor::from_vec(out, &[cols])
     }
+}
+
+/// Index of the largest value of `xs`, first occurrence on ties (`0`
+/// for an empty or all-NaN slice): [`Tensor::argmax`] over a raw slice.
+pub fn argmax(xs: &[f32]) -> usize {
+    let mut best = 0;
+    let mut best_v = f32::NEG_INFINITY;
+    for (i, &v) in xs.iter().enumerate() {
+        if v > best_v {
+            best_v = v;
+            best = i;
+        }
+    }
+    best
 }
 
 #[cfg(test)]

@@ -14,8 +14,9 @@
 //!    quantized accuracy before vs after, plus the per-image vs batched
 //!    STE gradient step.
 //! 4. `gemm` — [`axnn::exec`]'s scalar reference GEMM loops vs the
-//!    register-tiled micro-kernels on the zoo models' hot shapes, plus
-//!    the absolute rate of one LeNet-5 `FPlan::input_gradient`.
+//!    register-tiled micro-kernels on the zoo models' hot shapes, the
+//!    LUT dense rate of one image per call vs a 4-image block, plus the
+//!    absolute rate of one LeNet-5 `FPlan::input_gradient`.
 //! 5. `faults` — the stuck-at fault campaign
 //!    ([`axrobust::experiments::run_fault_sweep`]) over three registry
 //!    multipliers, plus the faulted-LUT rebuild rate against its floor.
@@ -343,12 +344,15 @@ fn finetune_report() {
 
 /// Part 4: the raw GEMM kernel tiers on LeNet-5's conv1 (6×576×25) and
 /// conv2 (16×64×150) im2col products and the FFNN's first dense layer
-/// (300×784). The tiled tier keeps every per-element accumulation
+/// (300×784, one image through `dense_forward_rows`, the call a block of
+/// one runs). The tiled tier keeps every per-element accumulation
 /// chain, so both outputs are asserted bit-identical before timing;
 /// each timing repeats the kernel [`GEMM_ITERS`] times, and the MAC
-/// throughput goes to stderr. Then the `lenet5-input-grad` rows: the
-/// median one-thread time of one LeNet-5 `FPlan::input_gradient`, the
-/// crafting hot path, and its rate in in-range MACs per second.
+/// throughput goes to stderr. Then the `ffnn-dense1-300x784-lut` rows:
+/// the same layer's LUT-GEMM rate, one image per call against a 4-image
+/// block. Then the `lenet5-input-grad` rows: the median one-thread time
+/// of one LeNet-5 `FPlan::input_gradient`, the crafting hot path, and
+/// its rate in in-range MACs per second.
 fn gemm_report() {
     use axnn::exec;
 
@@ -375,7 +379,7 @@ fn gemm_report() {
             _ => exec::conv_forward(&w, &bias, &x, rows, cols, out),
         };
         let tiled = |out: &mut [f32]| match rows {
-            1 => exec::dense_forward_tiled(&w, &bias, &x, out),
+            1 => exec::dense_forward_rows(&w, &bias, &x, out),
             _ => exec::conv_forward_tiled(&w, &bias, &x, rows, cols, out),
         };
         let mut want = vec![0.0f32; oc * rows];
@@ -409,6 +413,20 @@ fn gemm_report() {
             .add(name, "tiled_ms", tiled_ms, "ms")
             .add(name, "speedup", reference_ms / tiled_ms, "x");
     }
+    let (one_image, block) = lut_dense_rates();
+    eprintln!(
+        "[gemm ffnn-dense1-300x784-lut: one image {:.2} GMAC/s, 4-image block {:.2} GMAC/s]",
+        one_image / 1e9,
+        block / 1e9
+    );
+    report
+        .add(
+            "ffnn-dense1-300x784-lut",
+            "one_image_macs_per_s",
+            one_image,
+            "1/s",
+        )
+        .add("ffnn-dense1-300x784-lut", "block_macs_per_s", block, "1/s");
     let (us, macs) = input_grad_rate();
     eprintln!(
         "[gemm lenet5-input-grad: {us:.1} us, {:.2} GMAC/s]",
@@ -427,6 +445,58 @@ fn gemm_report() {
         "count",
     );
     report.write();
+}
+
+/// One-thread LUT-GEMM rates (MAC/s) of a 784→300 dense layer through
+/// the `L40` LUT: four images as four one-image calls, then as one
+/// 4-image block, both through `QPlan::predict_range` (which runs on the
+/// calling thread). The two predictions are asserted equal first.
+fn lut_dense_rates() -> (f64, f64) {
+    use axnn::layer::{Dense, Layer};
+
+    let mut rng = Rng::seed_from_u64(63);
+    let model = Sequential::new(
+        "dense1",
+        vec![Layer::Flatten, Layer::Dense(Dense::new(784, 300, &mut rng))],
+    );
+    let images: Vec<Tensor> = (0..4)
+        .map(|_| {
+            let mut x = Tensor::zeros(&[1, 28, 28]);
+            rng.fill_range_f32(x.data_mut(), 0.0, 1.0);
+            x
+        })
+        .collect();
+    let qm = QuantModel::from_float(&model, &images, Placement::All).expect("quantize dense1");
+    let lut = Registry::standard()
+        .build_lut("L40")
+        .expect("registry kernel");
+    let plan = qm.plan(&[1, 28, 28]);
+    let mut s = plan.scratch_for(1);
+    let image = |i: usize| &images[i];
+    let mut one_image = || -> Vec<Vec<usize>> {
+        (0..images.len())
+            .flat_map(|i| plan.predict_range(&mut s, i..i + 1, &image, &[&lut]))
+            .collect()
+    };
+    let want = one_image();
+    let one_image_ms = median_ms(|| {
+        for _ in 0..GEMM_ITERS {
+            std::hint::black_box(one_image());
+        }
+    });
+    let mut block = || plan.predict_range(&mut s, 0..images.len(), &image, &[&lut]);
+    assert_eq!(
+        block(),
+        want,
+        "dense1: the block diverged from one-image calls"
+    );
+    let block_ms = median_ms(|| {
+        for _ in 0..GEMM_ITERS {
+            std::hint::black_box(block());
+        }
+    });
+    let macs = (images.len() * 784 * 300 * GEMM_ITERS) as f64;
+    (macs / (one_image_ms / 1e3), macs / (block_ms / 1e3))
 }
 
 /// Median one-thread wall time of one LeNet-5 `FPlan::input_gradient`

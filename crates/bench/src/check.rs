@@ -575,6 +575,12 @@ const ADAPTIVE_LE_STATIC: Op = LeMetric {
 /// Read on the median of interleaved per-pair differences; the slack
 /// (ms) absorbs timer jitter on the 4-image CI run.
 const BATCH_NEVER_LOSES: Op = AtMost(0.05);
+/// A block of images through the LUT GEMM is never slower per MAC than
+/// the same images one call each.
+const BLOCK_NEVER_LOSES: Op = LeMetric {
+    other: "block_macs_per_s",
+    slack: 0.0,
+};
 /// The attack rows' paired batched-minus-per-image time.
 const BATCH_DELTA: &str = "batched_minus_scalar_ms";
 /// The `steady` scenario completes every request.
@@ -608,6 +614,12 @@ pub const RULES: &[Rule] = &[
     rule(GEMM, "lenet5-conv1-6x576x25", "speedup", AtLeast(1.5)),
     rule(GEMM, "lenet5-conv2-16x64x150", "speedup", AtLeast(1.5)),
     rule(GEMM, "ffnn-dense1-300x784", "speedup", AtLeast(1.4)),
+    rule(
+        GEMM,
+        "ffnn-dense1-300x784-lut",
+        "one_image_macs_per_s",
+        BLOCK_NEVER_LOSES,
+    ),
     rule(GEMM, "lenet5-input-grad", "us", POSITIVE),
     rule(GEMM, "lenet5-input-grad", "macs_per_s", POSITIVE),
     rule(FINETUNE, "finetune_grad_batch", "speedup", AtLeast(0.8)),
@@ -799,6 +811,7 @@ mod tests {
         BENCH_gemm.json lenet5-conv1-6x576x25 speedup=1.7
         BENCH_gemm.json lenet5-conv2-16x64x150 speedup=1.9
         BENCH_gemm.json ffnn-dense1-300x784 speedup=2.1
+        BENCH_gemm.json ffnn-dense1-300x784-lut one_image_macs_per_s=1.0e9 block_macs_per_s=1.4e9
         BENCH_gemm.json lenet5-input-grad us=190 macs_per_s=2.9e9
         BENCH_finetune.json finetune_grad_batch speedup=2.0
         BENCH_finetune.json clean_accuracy ptq=0.795 finetuned=0.925
@@ -909,6 +922,20 @@ mod tests {
             &with(f, "lenet5-input-grad", "macs_per_s", 0.0),
             "lenet5-input-grad macs_per_s",
         );
+    }
+
+    #[test]
+    fn lut_block_must_not_lose_to_one_image_calls() {
+        let f = GEMM;
+        let w = "ffnn-dense1-300x784-lut";
+        // Equal rates pass; a slower block fails.
+        assert!(check_rows(f, &with(f, w, "block_macs_per_s", 1.0e9)).is_empty());
+        fails(
+            f,
+            &with(f, w, "block_macs_per_s", 0.9e9),
+            "ffnn-dense1-300x784-lut one_image_macs_per_s",
+        );
+        fails(f, &without(f, w), "one_image_macs_per_s missing");
     }
 
     #[test]
