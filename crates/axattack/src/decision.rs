@@ -7,16 +7,32 @@
 //! fixed deterministic perturbation toward mid-gray that never queries
 //! the source at all.
 //!
-//! Each attack is one [`Attack::trajectory`]; batching and the per-image
-//! streams come from the trait's provided wrappers. RAG/RAU consume a
-//! *variable* number of draws per image (they stop at the first fooling
-//! sample), which is exactly what per-image streams make chunking-safe.
+//! Each attack is one [`Attack::trajectory`], which maps its per-image
+//! body over the block; batching and the per-image streams come from
+//! the trait's provided wrappers. RAG/RAU consume a *variable* number of
+//! draws per image (they stop at the first fooling sample), which is
+//! exactly what per-image streams make chunking-safe.
 
 use axtensor::Tensor;
 use axutil::rng::Rng;
 
 use crate::norms::{normalized, project_to_ball, Norm};
 use crate::{Attack, GradHandle};
+
+/// Runs `body(source, x, label, rng)` for every image of a block, in
+/// order: the block trajectory of an attack whose queries stay per
+/// image.
+fn per_image(
+    source: &mut dyn GradHandle,
+    xs: &[Tensor],
+    labels: &[usize],
+    rngs: &mut [Rng],
+    mut body: impl FnMut(&mut dyn GradHandle, &Tensor, usize, &mut Rng) -> Tensor,
+) -> Vec<Tensor> {
+    (xs.iter().zip(labels).zip(rngs))
+        .map(|((x, &label), rng)| body(&mut *source, x, label, rng))
+        .collect()
+}
 
 /// l2 Contrast Reduction: perturbs toward the mid-gray image by `eps`
 /// along the contrast direction (Foolbox `L2ContrastReductionAttack`).
@@ -53,22 +69,27 @@ impl Attack for ContrastReduction {
     fn trajectory(
         &self,
         _source: &mut dyn GradHandle,
-        x: &Tensor,
-        _label: usize,
+        xs: &[Tensor],
+        _labels: &[usize],
         eps: f32,
-        _rng: &mut Rng,
-    ) -> Tensor {
-        let target = Tensor::full(x.dims(), self.target_level);
-        let dir = target.sub(x);
-        let n = dir.l2_norm();
-        if n <= 1e-9 {
-            return x.clone();
-        }
-        // Step of l2-length eps toward gray, never overshooting the target.
-        let step = (eps / n).min(1.0);
-        let mut adv = x.clone();
-        adv.add_scaled(&dir, step);
-        project_to_ball(&adv, x, eps, Norm::L2)
+        _rngs: &mut [Rng],
+    ) -> Vec<Tensor> {
+        (xs.iter())
+            .map(|x| {
+                let target = Tensor::full(x.dims(), self.target_level);
+                let dir = target.sub(x);
+                let n = dir.l2_norm();
+                if n <= 1e-9 {
+                    return x.clone();
+                }
+                // Step of l2-length eps toward gray, never overshooting
+                // the target.
+                let step = (eps / n).min(1.0);
+                let mut adv = x.clone();
+                adv.add_scaled(&dir, step);
+                project_to_ball(&adv, x, eps, Norm::L2)
+            })
+            .collect()
     }
 }
 
@@ -128,18 +149,20 @@ impl Attack for RepeatedAdditiveGaussian {
     fn trajectory(
         &self,
         source: &mut dyn GradHandle,
-        x: &Tensor,
-        label: usize,
+        xs: &[Tensor],
+        labels: &[usize],
         eps: f32,
-        rng: &mut Rng,
-    ) -> Tensor {
-        // The candidate: l2-normalized Gaussian noise of length `eps`,
-        // clipped to the pixel box.
-        repeated_noise(source, x, label, rng, self.repeats, |rng, x| {
-            let mut u = Tensor::zeros(x.dims());
-            rng.fill_normal_f32(u.data_mut(), 1.0);
-            let noise = normalized(&u, Norm::L2).scaled(eps);
-            x.add(&noise).clamped(0.0, 1.0)
+        rngs: &mut [Rng],
+    ) -> Vec<Tensor> {
+        per_image(source, xs, labels, rngs, |source, x, label, rng| {
+            // The candidate: l2-normalized Gaussian noise of length
+            // `eps`, clipped to the pixel box.
+            repeated_noise(source, x, label, rng, self.repeats, |rng, x| {
+                let mut u = Tensor::zeros(x.dims());
+                rng.fill_normal_f32(u.data_mut(), 1.0);
+                let noise = normalized(&u, Norm::L2).scaled(eps);
+                x.add(&noise).clamped(0.0, 1.0)
+            })
         })
     }
 }
@@ -173,20 +196,23 @@ impl Attack for RepeatedAdditiveUniform {
     fn trajectory(
         &self,
         source: &mut dyn GradHandle,
-        x: &Tensor,
-        label: usize,
+        xs: &[Tensor],
+        labels: &[usize],
         eps: f32,
-        rng: &mut Rng,
-    ) -> Tensor {
-        repeated_noise(source, x, label, rng, self.repeats, |rng, x| {
-            let mut u = Tensor::zeros(x.dims());
-            rng.fill_range_f32(u.data_mut(), -1.0, 1.0);
-            let noise = match self.norm {
-                // Uniform in [-eps, eps]^n: linf norm <= eps by construction.
-                Norm::Linf => u.scaled(eps),
-                Norm::L2 => normalized(&u, Norm::L2).scaled(eps),
-            };
-            x.add(&noise).clamped(0.0, 1.0)
+        rngs: &mut [Rng],
+    ) -> Vec<Tensor> {
+        per_image(source, xs, labels, rngs, |source, x, label, rng| {
+            repeated_noise(source, x, label, rng, self.repeats, |rng, x| {
+                let mut u = Tensor::zeros(x.dims());
+                rng.fill_range_f32(u.data_mut(), -1.0, 1.0);
+                let noise = match self.norm {
+                    // Uniform in [-eps, eps]^n: linf norm <= eps by
+                    // construction.
+                    Norm::Linf => u.scaled(eps),
+                    Norm::L2 => normalized(&u, Norm::L2).scaled(eps),
+                };
+                x.add(&noise).clamped(0.0, 1.0)
+            })
         })
     }
 }

@@ -6,14 +6,19 @@
 //! ball (Madry et al.), which is why BIM and PGD behave near-identically
 //! in the paper's figures while FGM is visibly weaker.
 //!
-//! Each attack is one [`Attack::trajectory`]; batching, thread chunking
-//! and the per-image streams come from the trait's provided wrappers. Over
-//! a [`Mixture`](crate::Mixture) source PGD is the EOT attacker.
+//! Each attack is one [`Attack::trajectory`] that steps its block of
+//! images in lockstep: every step is one
+//! [`GradHandle::input_gradient_block`] query for the whole block, and
+//! image `i` draws from its own stream in the same order as it would
+//! alone. Batching, thread chunking and the per-image streams come from
+//! the trait's provided wrappers. Over a [`Mixture`](crate::Mixture)
+//! source PGD is the EOT attacker.
 
 use axtensor::Tensor;
 use axutil::rng::Rng;
 
-use crate::norms::{ascent_direction, normalized, project_ball, project_to_ball, Norm};
+use crate::norms::{ascent_direction, project_to_ball, Norm};
+use crate::universal::random_delta;
 use crate::{Attack, GradHandle};
 
 /// Fast Gradient Method (single step).
@@ -37,13 +42,15 @@ impl Attack for Fgm {
     fn trajectory(
         &self,
         source: &mut dyn GradHandle,
-        x: &Tensor,
-        label: usize,
+        xs: &[Tensor],
+        labels: &[usize],
         eps: f32,
-        rng: &mut Rng,
-    ) -> Tensor {
-        let grad = source.input_gradient(x, label, rng);
-        ascend(x, x, &grad, eps, eps, self.norm)
+        rngs: &mut [Rng],
+    ) -> Vec<Tensor> {
+        let grads = source.input_gradient_block(xs, labels, rngs);
+        (xs.iter().zip(&grads))
+            .map(|(x, grad)| ascend(x, x, grad, eps, eps, self.norm))
+            .collect()
     }
 }
 
@@ -76,17 +83,20 @@ impl Attack for Bim {
     fn trajectory(
         &self,
         source: &mut dyn GradHandle,
-        x: &Tensor,
-        label: usize,
+        xs: &[Tensor],
+        labels: &[usize],
         eps: f32,
-        rng: &mut Rng,
-    ) -> Tensor {
-        iterate(source, x, x.clone(), label, eps, self.norm, self.steps, rng)
+        rngs: &mut [Rng],
+    ) -> Vec<Tensor> {
+        let start = xs.to_vec();
+        iterate(source, xs, start, labels, eps, self.norm, self.steps, rngs)
     }
 }
 
-/// Projected Gradient Descent: BIM with a uniformly random start inside
-/// the eps-ball.
+/// Projected Gradient Descent: BIM from a random start inside the
+/// eps-ball. The start is uniform in the ball under linf; under l2 it
+/// has a uniform direction and a uniform radius `eps · u`, which is not
+/// uniform in the ball (that would take `eps · u^(1/d)`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pgd {
     norm: Norm,
@@ -115,13 +125,15 @@ impl Attack for Pgd {
     fn trajectory(
         &self,
         source: &mut dyn GradHandle,
-        x: &Tensor,
-        label: usize,
+        xs: &[Tensor],
+        labels: &[usize],
         eps: f32,
-        rng: &mut Rng,
-    ) -> Tensor {
-        let start = random_start(x, eps, self.norm, rng);
-        iterate(source, x, start, label, eps, self.norm, self.steps, rng)
+        rngs: &mut [Rng],
+    ) -> Vec<Tensor> {
+        let start = (xs.iter().zip(rngs.iter_mut()))
+            .map(|(x, rng)| random_start(x, eps, self.norm, rng))
+            .collect();
+        iterate(source, xs, start, labels, eps, self.norm, self.steps, rngs)
     }
 }
 
@@ -141,44 +153,38 @@ fn ascend(
     project_to_ball(&adv, origin, eps, norm)
 }
 
-/// The PGD initialization: a uniformly random point inside the eps-ball
-/// around `x` (Madry et al.). The noise delta is constrained through the
-/// shared [`project_ball`] — the same geometry the universal crafter's
-/// per-epoch projection uses — then clipped to the pixel box.
+/// The PGD initialization: a random point inside the eps-ball around `x`
+/// (Madry et al.), the universal crafter's [`random_delta`] added to `x`
+/// and clipped to the pixel box. Under l2 the point is *not* uniform in
+/// the ball: its radius is uniform (see [`random_delta`]).
 fn random_start(x: &Tensor, eps: f32, norm: Norm, rng: &mut Rng) -> Tensor {
-    let mut noise = Tensor::zeros(x.dims());
-    match norm {
-        Norm::Linf => rng.fill_range_f32(noise.data_mut(), -eps, eps),
-        Norm::L2 => {
-            rng.fill_normal_f32(noise.data_mut(), 1.0);
-            let scale = rng.next_f32();
-            noise = normalized(&noise, Norm::L2).scaled(eps * scale);
-        }
-    }
-    let delta = project_ball(&noise, eps, norm);
-    x.add(&delta).clamped(0.0, 1.0)
+    x.add(&random_delta(x.dims(), eps, norm, rng))
+        .clamped(0.0, 1.0)
 }
 
-/// The BIM/PGD loop: `steps` ascents from `adv` around the origin `x`.
+/// The BIM/PGD loop: `steps` lockstep ascents of the block's iterates
+/// `advs` around their origins `xs`, one block gradient query per step.
 #[allow(clippy::too_many_arguments)]
 fn iterate(
     source: &mut dyn GradHandle,
-    x: &Tensor,
-    mut adv: Tensor,
-    label: usize,
+    xs: &[Tensor],
+    mut advs: Vec<Tensor>,
+    labels: &[usize],
     eps: f32,
     norm: Norm,
     steps: usize,
-    rng: &mut Rng,
-) -> Tensor {
+    rngs: &mut [Rng],
+) -> Vec<Tensor> {
     // Madry et al.'s step-size heuristic keeps the iterate mobile inside
     // the ball without overshooting.
     let alpha = 2.5 * eps / steps as f32;
     for _ in 0..steps {
-        let grad = source.input_gradient(&adv, label, rng);
-        adv = ascend(&adv, x, &grad, alpha, eps, norm);
+        let grads = source.input_gradient_block(&advs, labels, rngs);
+        advs = (advs.iter().zip(xs).zip(&grads))
+            .map(|((adv, x), grad)| ascend(adv, x, grad, alpha, eps, norm))
+            .collect();
     }
-    adv
+    advs
 }
 
 #[cfg(test)]

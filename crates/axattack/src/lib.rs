@@ -17,20 +17,27 @@
 //! budget `eps` in the attack's norm and the result clipped to the valid
 //! pixel range `[0, 1]`. Victim AxDNNs never see the attack internals.
 //!
-//! **One craft path.** Each attack defines exactly one per-image
-//! trajectory, [`Attack::trajectory`], over a [`GradSource`]: anything
-//! that answers `predict` and `input_gradient` for one input shape. The
-//! float model's compiled [`axnn::plan::FPlan`] is one source; a weighted
-//! [`Mixture`] of sources is another. The trait provides every entry
-//! point on top of that trajectory and runs the budget, length and shape
+//! **One craft path.** Each attack defines exactly one block trajectory,
+//! [`Attack::trajectory`], over a [`GradSource`]: anything that answers
+//! `predict` and `input_gradient` for one input shape. The float model's
+//! compiled [`axnn::plan::FPlan`] is one source; a weighted [`Mixture`]
+//! of sources is another. A trajectory crafts a block of up to
+//! [`BLOCK`] images: FGM, BIM and PGD step them in lockstep, so each
+//! step is one [`GradHandle::input_gradient_block`] query (one block
+//! forward and backward on a plan); the decision attacks run their
+//! per-image body over the block. The trait provides every entry point
+//! on top of that trajectory and runs the budget, length and shape
 //! checks once:
 //!
 //! * [`Attack::craft_batch_on`] crafts a set against any source, chunked
-//!   over threads, image `i` under its own stream `rng.derive(i)`;
+//!   over threads and walked in blocks, image `i` under its own stream
+//!   `rng.derive(i)`;
 //! * [`Attack::craft_batch`] compiles the model's plan, then crafts on it;
-//! * [`Attack::craft`] is a batch of one under an already-derived stream.
+//! * [`Attack::craft`] is a block of one under an already-derived stream.
 //!
-//! Per-image streams make a batch bit-identical for any thread chunking.
+//! Each image draws only from its own stream, in the same order whatever
+//! block it lands in, so a batch is bit-identical for any thread
+//! chunking and to per-image [`Attack::craft`] calls.
 //!
 //! Beyond the paper's per-image attacks, [`universal`] crafts a single
 //! *universal* perturbation — one shared delta optimized over a whole
@@ -65,6 +72,7 @@ pub mod source;
 pub mod suite;
 pub mod universal;
 
+use axnn::exec::BLOCK;
 use axnn::Sequential;
 use axtensor::Tensor;
 use axutil::{parallel, rng::Rng};
@@ -73,30 +81,33 @@ pub use eot::Mixture;
 pub use norms::Norm;
 pub use source::{GradHandle, GradSource};
 
-/// An adversarial attack: one per-image trajectory over a gradient
-/// source, with every crafting entry point provided on top of it.
+/// An adversarial attack: one block trajectory over a gradient source,
+/// with every crafting entry point provided on top of it.
 pub trait Attack: Sync {
     /// A short display name (e.g. `"PGD-linf"`).
     fn name(&self) -> String;
 
-    /// Crafts one adversarial example for `(x, label)` by querying
-    /// `source`, drawing all randomness from the image's own `rng`.
+    /// Crafts one adversarial example for each `(xs[i], labels[i])` of a
+    /// block by querying `source`, image `i` drawing all its randomness
+    /// from its own `rngs[i]`. Image `i`'s result may depend only on
+    /// its own inputs and stream, never on the rest of the block.
     ///
-    /// The provided wrappers call this only with `eps > 0` and with `x`
-    /// in the source's input shape; the result must lie inside the pixel
-    /// box `[0, 1]` and within the eps-ball (in the attack's norm)
-    /// around `x`.
+    /// The provided wrappers call this only with `eps > 0`, with
+    /// `1..=`[`BLOCK`] images in the source's input shape and as many
+    /// labels and streams; every result must lie inside the pixel box
+    /// `[0, 1]` and within the eps-ball (in the attack's norm) around its
+    /// image.
     fn trajectory(
         &self,
         source: &mut dyn GradHandle,
-        x: &Tensor,
-        label: usize,
+        xs: &[Tensor],
+        labels: &[usize],
         eps: f32,
-        rng: &mut Rng,
-    ) -> Tensor;
+        rngs: &mut [Rng],
+    ) -> Vec<Tensor>;
 
     /// Crafts an adversarial example for `(x, label)` against the float
-    /// `model` with perturbation budget `eps`: a batch of one, crafted
+    /// `model` with perturbation budget `eps`: a block of one, crafted
     /// under the already-derived stream `rng`. `eps == 0` returns `x`.
     ///
     /// # Panics
@@ -114,7 +125,15 @@ pub trait Attack: Sync {
         if eps == 0.0 {
             return x.clone();
         }
-        self.trajectory(&mut *model.plan(x.dims()).handle(), x, label, eps, rng)
+        let plan = model.plan(x.dims());
+        let mut adv = self.trajectory(
+            &mut *plan.handle(),
+            std::slice::from_ref(x),
+            &[label],
+            eps,
+            std::slice::from_mut(rng),
+        );
+        adv.pop().expect("a block of one crafts one image")
     }
 
     /// Crafts adversarial examples for a whole set against the float
@@ -144,7 +163,8 @@ pub trait Attack: Sync {
 
     /// Crafts adversarial examples for a whole set against `source`,
     /// chunked over threads via [`axutil::parallel::par_map_chunks`] with
-    /// one [`GradSource::handle`] per chunk.
+    /// one [`GradSource::handle`] per chunk, each chunk walked in blocks
+    /// of up to [`BLOCK`] images.
     ///
     /// Image `i` runs [`Attack::trajectory`] under its own derived stream
     /// `rng.derive(i as u64)`, so the result is bit-identical for any
@@ -168,12 +188,19 @@ pub trait Attack: Sync {
         }
         parallel::par_map_chunks(images.len(), |range| {
             let mut handle = source.handle();
-            range
-                .map(|i| {
-                    let mut stream = rng.derive(i as u64);
-                    self.trajectory(&mut *handle, &images[i], labels[i], eps, &mut stream)
-                })
-                .collect()
+            let mut out = Vec::with_capacity(range.len());
+            for start in range.clone().step_by(BLOCK) {
+                let block = start..range.end.min(start + BLOCK);
+                let mut streams: Vec<Rng> = block.clone().map(|i| rng.derive(i as u64)).collect();
+                out.extend(self.trajectory(
+                    &mut *handle,
+                    &images[block.clone()],
+                    &labels[block],
+                    eps,
+                    &mut streams,
+                ));
+            }
+            out
         })
     }
 }

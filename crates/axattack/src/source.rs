@@ -3,8 +3,10 @@
 //! A [`GradSource`] is compiled for one input shape and shared by every
 //! thread of a batch; each thread chunk takes its own [`GradHandle`]
 //! (scratch buffers, per-member handles) and runs its images' trajectories
-//! through it. The float model's compiled [`FPlan`] is the paper's
-//! surrogate source; [`crate::Mixture`] weights several sources into one.
+//! through it, a block of images at a time. The float model's compiled
+//! [`FPlan`] is the paper's surrogate source, answering a block's
+//! gradient query in one block forward and backward; [`crate::Mixture`]
+//! weights several sources into one.
 
 use axnn::plan::{FPlan, FScratch};
 use axtensor::Tensor;
@@ -28,6 +30,21 @@ pub trait GradHandle {
     /// respect to `x`. A randomized source draws from the image's own
     /// `rng`; a deterministic one leaves it untouched.
     fn input_gradient(&mut self, x: &Tensor, label: usize, rng: &mut Rng) -> Tensor;
+
+    /// [`GradHandle::input_gradient`] for a block of images in lockstep:
+    /// image `i` is queried at `(xs[i], labels[i])` under its own
+    /// `rngs[i]`, and must get exactly its one-image answer. The provided
+    /// default loops over the images; a source that batches overrides it.
+    fn input_gradient_block(
+        &mut self,
+        xs: &[Tensor],
+        labels: &[usize],
+        rngs: &mut [Rng],
+    ) -> Vec<Tensor> {
+        (xs.iter().zip(labels).zip(rngs))
+            .map(|((x, &label), rng)| self.input_gradient(x, label, rng))
+            .collect()
+    }
 }
 
 impl GradSource for FPlan<'_> {
@@ -47,5 +64,17 @@ impl GradHandle for (&FPlan<'_>, FScratch) {
 
     fn input_gradient(&mut self, x: &Tensor, label: usize, _rng: &mut Rng) -> Tensor {
         self.0.input_gradient(&mut self.1, x, label).1
+    }
+
+    /// One [`FPlan::input_gradient_block`] query: a block forward and
+    /// one backward walk.
+    fn input_gradient_block(
+        &mut self,
+        xs: &[Tensor],
+        labels: &[usize],
+        _rngs: &mut [Rng],
+    ) -> Vec<Tensor> {
+        let grads = self.0.input_gradient_block(&mut self.1, xs, labels);
+        grads.into_iter().map(|(_, g)| g).collect()
     }
 }

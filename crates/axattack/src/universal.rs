@@ -153,9 +153,14 @@ pub fn craft_universal(
     UniversalAttack::new(norm).craft_universal(model, images, labels, eps, rng)
 }
 
-/// A uniformly random delta inside the eps-ball, drawn exactly like PGD's
-/// random start and constrained through the shared [`project_ball`].
-fn random_delta(dims: &[usize], eps: f32, norm: Norm, rng: &mut Rng) -> Tensor {
+/// A random delta inside the eps-ball, PGD's random start: constrained
+/// through the shared [`project_ball`]. Under linf every coordinate is
+/// uniform in `[-eps, eps]`, so the delta is uniform in the ball. Under
+/// l2 the direction is uniform (a normalized Gaussian) but the radius is
+/// `eps · u` for `u` uniform in `[0, 1)`, not the `eps · u^(1/d)` of a
+/// uniform point in the `d`-dimensional ball, so the delta sits nearer
+/// the centre.
+pub(crate) fn random_delta(dims: &[usize], eps: f32, norm: Norm, rng: &mut Rng) -> Tensor {
     let mut noise = Tensor::zeros(dims);
     match norm {
         Norm::Linf => rng.fill_range_f32(noise.data_mut(), -eps, eps),

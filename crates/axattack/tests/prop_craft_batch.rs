@@ -1,16 +1,17 @@
 //! Property tests pinning every attack's crafting to an independent
 //! seed reference.
 //!
-//! Each attack defines one per-image trajectory and `Attack` provides
-//! `craft` and `craft_batch` on top of it, so comparing those two would
-//! compare a path with itself. Instead, the reference below re-implements
-//! every attack the way the seed did: one image at a time, every query
-//! through `Sequential::input_gradient` / `Sequential::predict` (a fresh
-//! plan per call), image `i` under the stream `rng.derive(i as u64)`.
-//! Batched crafting must be *bit-exact* with it for any model, eps and
-//! thread chunking. PGD's random start and RAG/RAU's variable number of
-//! draws per image (they stop at the first fooling sample) are the sharp
-//! cases: the result may not depend on which chunk an image lands in.
+//! Each attack defines one block trajectory and `Attack` provides `craft`
+//! and `craft_batch` on top of it, so comparing those two would compare
+//! a path with itself. Instead, the reference below re-implements every
+//! attack the way the seed did: one image at a time, every query through
+//! `Sequential::input_gradient` / `Sequential::predict` (a fresh plan per
+//! call), image `i` under the stream `rng.derive(i as u64)`. Batched
+//! crafting must be *bit-exact* with it for any model, eps, thread
+//! chunking and block boundary. PGD's random start and RAG/RAU's variable
+//! number of draws per image (they stop at the first fooling sample) are
+//! the sharp cases: the result may not depend on which chunk or block an
+//! image lands in.
 //!
 //! Chunking is controlled through the `AXDNN_THREADS` environment
 //! variable, so every test that crafts batches serializes on [`ENV_LOCK`]
@@ -22,7 +23,7 @@ use axattack::decision::{ContrastReduction, RepeatedAdditiveGaussian, RepeatedAd
 use axattack::gradient::{Bim, Fgm, Pgd};
 use axattack::norms::{ascent_direction, normalized, project_ball, project_to_ball, Norm};
 use axattack::suite::AttackId;
-use axattack::Attack;
+use axattack::{Attack, Mixture};
 use axnn::layer::{AvgPool2d, Conv2d, Dense, Layer};
 use axnn::model::Sequential;
 use axtensor::Tensor;
@@ -36,6 +37,14 @@ const IN_DIMS: [usize; 3] = [1, 8, 8];
 
 /// The thread counts every batch is crafted under.
 const THREADS: [&str; 4] = ["1", "2", "3", "7"];
+
+/// Set sizes around the 4-image blocks: partial blocks, one full block,
+/// and one and two full blocks with a remainder.
+const BATCH_SIZES: [usize; 7] = [1, 2, 3, 4, 5, 7, 9];
+
+/// A seed gradient query: the input gradient at `(x, label)`, drawing any
+/// randomness from the image's own stream.
+type Gradient<'a> = dyn Fn(&Tensor, usize, &mut Rng) -> Tensor + 'a;
 
 /// A small random model: dense-only, plain conv, or conv+pool.
 fn small_model(arch: usize, seed: u64) -> Sequential {
@@ -113,16 +122,14 @@ fn reference(
     }
     let norm = id.norm();
     match id {
-        AttackId::FgmL2 | AttackId::FgmLinf => {
-            let (_, grad) = model.input_gradient(x, label);
-            ascend(x, x, &grad, eps, eps, norm)
-        }
-        AttackId::BimL2 | AttackId::BimLinf => {
-            iterate(model, x, x.clone(), label, eps, norm, steps)
-        }
-        AttackId::PgdL2 | AttackId::PgdLinf => {
-            let start = random_start(x, eps, norm, rng);
-            iterate(model, x, start, label, eps, norm, steps)
+        AttackId::FgmL2
+        | AttackId::FgmLinf
+        | AttackId::BimL2
+        | AttackId::BimLinf
+        | AttackId::PgdL2
+        | AttackId::PgdLinf => {
+            let gradient = |x: &Tensor, label, _: &mut Rng| model.input_gradient(x, label).1;
+            gradient_reference(id, steps, &gradient, x, label, eps, rng)
         }
         AttackId::CrL2 => {
             let dir = Tensor::full(x.dims(), 0.5).sub(x);
@@ -154,6 +161,34 @@ fn reference(
     }
 }
 
+/// The seed FGM/BIM/PGD on one image (`eps > 0`), every gradient
+/// through `gradient`.
+fn gradient_reference(
+    id: AttackId,
+    steps: usize,
+    gradient: &Gradient,
+    x: &Tensor,
+    label: usize,
+    eps: f32,
+    rng: &mut Rng,
+) -> Tensor {
+    let norm = id.norm();
+    match id {
+        AttackId::FgmL2 | AttackId::FgmLinf => {
+            let grad = gradient(x, label, rng);
+            ascend(x, x, &grad, eps, eps, norm)
+        }
+        AttackId::BimL2 | AttackId::BimLinf => {
+            iterate(gradient, x, x.clone(), label, eps, norm, steps, rng)
+        }
+        AttackId::PgdL2 | AttackId::PgdLinf => {
+            let start = random_start(x, eps, norm, rng);
+            iterate(gradient, x, start, label, eps, norm, steps, rng)
+        }
+        _ => unreachable!("{} is not a gradient attack", id.name()),
+    }
+}
+
 /// The seed gradient-ascent move.
 fn ascend(
     cur: &Tensor,
@@ -182,19 +217,21 @@ fn random_start(x: &Tensor, eps: f32, norm: Norm, rng: &mut Rng) -> Tensor {
     x.add(&project_ball(&noise, eps, norm)).clamped(0.0, 1.0)
 }
 
-/// The seed BIM/PGD loop, one fresh plan per gradient step.
+/// The seed BIM/PGD loop, one gradient query per step.
+#[allow(clippy::too_many_arguments)]
 fn iterate(
-    model: &Sequential,
+    gradient: &Gradient,
     x: &Tensor,
     mut adv: Tensor,
     label: usize,
     eps: f32,
     norm: Norm,
     steps: usize,
+    rng: &mut Rng,
 ) -> Tensor {
     let alpha = 2.5 * eps / steps as f32;
     for _ in 0..steps {
-        let (_, grad) = model.input_gradient(&adv, label);
+        let grad = gradient(&adv, label, rng);
         adv = ascend(&adv, x, &grad, alpha, eps, norm);
     }
     adv
@@ -255,17 +292,26 @@ fn check(
             return Err(format!("{name} eps {eps}: craft image {i} != reference"));
         }
     }
-    let prev = std::env::var("AXDNN_THREADS").ok();
-    let mut result = Ok(());
-    for threads in THREADS {
-        std::env::set_var("AXDNN_THREADS", threads);
+    under_threads(|threads| {
         if attack.craft_batch(model, imgs, labels, eps, base) != want {
-            result = Err(format!(
+            return Err(format!(
                 "{name} eps {eps}: batch != reference (threads {threads})"
             ));
-            break;
         }
-    }
+        Ok(())
+    })
+}
+
+/// Runs `f(threads)` under every [`THREADS`] count, stopping at the
+/// first error, then restores `AXDNN_THREADS`; callers hold
+/// [`ENV_LOCK`].
+fn under_threads(f: impl FnMut(&str) -> Result<(), String>) -> Result<(), String> {
+    let prev = std::env::var("AXDNN_THREADS").ok();
+    let mut f = f;
+    let result = THREADS.into_iter().try_for_each(|threads| {
+        std::env::set_var("AXDNN_THREADS", threads);
+        f(threads)
+    });
     match prev {
         Some(v) => std::env::set_var("AXDNN_THREADS", v),
         None => std::env::remove_var("AXDNN_THREADS"),
@@ -392,6 +438,74 @@ fn default_craft_batch_uses_per_image_streams() {
             0.2,
             &base,
         )
+        .unwrap_or_else(|msg| panic!("{msg}"));
+    }
+}
+
+/// Every attack on the conv and conv+pool models at every set size in
+/// [`BATCH_SIZES`]: a set that ends mid-block, or a thread chunk holding
+/// a partial block, must still craft each image exactly like the seed.
+#[test]
+fn craft_batch_is_bit_exact_at_block_boundaries() {
+    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    for arch in [1, 2] {
+        let model = small_model(arch, 0xB10C + arch as u64);
+        let imgs = images(9, 0xB10C);
+        // The model's own predictions keep RAG/RAU searching.
+        let labels: Vec<usize> = imgs.iter().map(|x| model.predict(x)).collect();
+        let base = Rng::seed_from_u64(0xB10C);
+        for n in BATCH_SIZES {
+            for id in AttackId::ALL {
+                let attack = attack(id, 3);
+                let (imgs, labels) = (&imgs[..n], &labels[..n]);
+                check(id, 3, attack.as_ref(), &model, imgs, labels, 0.15, &base)
+                    .unwrap_or_else(|msg| panic!("{msg} (arch {arch}, n {n})"));
+            }
+        }
+    }
+}
+
+/// The gradient attacks on a 2-sample [`Mixture`] of a conv and a
+/// conv+pool model weighted 1:2, at every set size and thread count,
+/// against the seed loop: each sample draws its member from the image's
+/// stream (`u · 3 < 1` picks the first), and the two gradients are
+/// summed and halved. The mixture's handle keeps `GradHandle`'s provided
+/// per-image `input_gradient_block`, which this pins.
+#[test]
+fn mixture_craft_batch_is_bit_exact_at_block_boundaries() {
+    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let models = [small_model(1, 61), small_model(2, 62)];
+    let plans = [models[0].plan(&IN_DIMS), models[1].plan(&IN_DIMS)];
+    let mixture = Mixture::new(vec![&plans[0], &plans[1]], vec![1.0, 2.0], 2);
+    let gradient = |x: &Tensor, label, rng: &mut Rng| {
+        let pick = |rng: &mut Rng| &models[usize::from(rng.next_f32() * 3.0 >= 1.0)];
+        let mut grad = pick(rng).input_gradient(x, label).1;
+        grad.add_scaled(&pick(rng).input_gradient(x, label).1, 1.0);
+        grad.scaled(0.5)
+    };
+    let imgs = images(9, 63);
+    let labels: Vec<usize> = (0..imgs.len()).map(|i| i % 4).collect();
+    let base = Rng::seed_from_u64(64);
+    for id in ids(true) {
+        let attack = attack(id, 3);
+        let want: Vec<Tensor> = (0..imgs.len())
+            .map(|i| {
+                let rng = &mut base.derive(i as u64);
+                gradient_reference(id, 3, &gradient, &imgs[i], labels[i], 0.1, rng)
+            })
+            .collect();
+        under_threads(|threads| {
+            for n in BATCH_SIZES {
+                let got = attack.craft_batch_on(&mixture, &imgs[..n], &labels[..n], 0.1, &base);
+                if got != want[..n] {
+                    return Err(format!(
+                        "{}: mixture batch != reference (n {n}, threads {threads})",
+                        attack.name()
+                    ));
+                }
+            }
+            Ok(())
+        })
         .unwrap_or_else(|msg| panic!("{msg}"));
     }
 }

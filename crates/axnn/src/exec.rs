@@ -7,6 +7,25 @@
 //! flat `f32` scratch slices so the plan can reuse buffers across images
 //! and attack steps.
 //!
+//! # Blocks of images
+//!
+//! The plans run up to [`BLOCK`] images at a time. Between layers a
+//! block sits image after image; a kernel that gains from seeing the
+//! whole block takes it in its own layout:
+//!
+//! * dense layers, and a conv whose window covers its whole input
+//!   ([`conv_covers_input`], LeNet-5's flattening conv), make the images
+//!   the rows of one GEMM ([`dense_forward_rows`], [`conv_forward_rows`]),
+//!   read straight off the block with no patch buffer;
+//! * [`conv_input_grad`] takes a block *interleaved*, the images the
+//!   innermost axis, so its innermost `(ox, image)` axpy is `BLOCK` times
+//!   wider than one image's `ox` run: 32 wide on LeNet-5's conv2 instead
+//!   of 8. The covering conv is the exception: its one-image `Wᵀ g`
+//!   sweep is already as wide as its input, so the plans run it one
+//!   image at a time rather than pay for the interleave.
+//!
+//! One image is always a block of one, in the plain layout.
+//!
 //! # Bit-compatibility with the layer-by-layer path
 //!
 //! The seed engine ([`crate::layer::Layer::forward`] /
@@ -424,22 +443,37 @@ impl GradFold {
     }
 }
 
-/// Conv input gradient: scatters every upstream gradient `g[o, oy, ox]`
-/// through the forward-layout weights `w` (`[oc, ic, k, k]`) onto the
-/// input positions its taps land on, writing `dx` (`[ic, h, w]`).
+/// Whether a conv's single window covers its whole input: pad 0 and a
+/// `k × k` input, so its one output position's patch *is* the input.
+pub fn conv_covers_input(in_dims: [usize; 3], k: usize, pad: usize) -> bool {
+    pad == 0 && k == in_dims[1] && k == in_dims[2]
+}
+
+/// Conv input gradient over a block of `nb` images: scatters every
+/// upstream gradient `g[o, oy, ox]` through the forward-layout weights
+/// `w` (`[oc, ic, k, k]`) onto the input positions its taps land on,
+/// writing `dx` (`[ic, h, w]`).
 ///
-/// Only in-range taps are visited: for each `(o, c, ky, kx)` the output
-/// rows and columns whose tap lands inside the input are clamped once
-/// (`tap_range`), so padded and strided geometry costs no per-element
-/// test, and the innermost loop is an `ox` axpy the compiler vectorizes
-/// (contiguous in `dx` at stride 1). A conv whose 1×1 output covers its
-/// whole input is one `Wᵀ g` row sweep.
+/// The block's images are the innermost axis of both `g`
+/// (`[oc, oh, ow, nb]`) and `dx` (`[ic, h, w, nb]`), so one image is a
+/// block of one in the plain layout. Only in-range taps are visited: for
+/// each `(o, c, ky, kx)` the output rows and columns whose tap lands
+/// inside the input are clamped once (`tap_range`), so padded and
+/// strided geometry costs no per-element test, and the innermost loop is
+/// an `(ox, image)` axpy the compiler vectorizes (contiguous in `dx` at
+/// stride 1): `nb` times wider than one image's `ox` run, which is what
+/// makes a block pay for its interleave on a small feature map. A conv
+/// whose window covers its whole input ([`conv_covers_input`]) is one
+/// `Wᵀ g` row sweep per image; the plans run it one image at a time,
+/// since its sweep is already wide and interleaving would only add
+/// copies.
 ///
-/// Bit-identical to the seed `Conv2d::backward`, signed zeros included:
-/// every `dx` element starts at `+0.0` and adds its terms `g · w` in
-/// ascending `(o, oy, ox)` order — the loop runs `o → c → ky desc →
-/// kx desc → oy → ox`, and for one input position `ky` descending is
-/// `oy` ascending (likewise `kx` and `ox`).
+/// Bit-identical to the seed `Conv2d::backward` for every image, signed
+/// zeros included: every `dx` element starts at `+0.0` and adds its
+/// terms `g · w` in ascending `(o, oy, ox)` order — the loop runs
+/// `o → c → ky desc → kx desc → oy → ox → image`, and for one input
+/// position `ky` descending is `oy` ascending (likewise `kx` and `ox`).
+/// The images never share an accumulator.
 #[allow(clippy::too_many_arguments)]
 pub fn conv_input_grad(
     w: &[f32],
@@ -449,16 +483,18 @@ pub fn conv_input_grad(
     k: usize,
     stride: usize,
     pad: usize,
+    nb: usize,
     dx: &mut [f32],
 ) {
     let [oc, oh, ow] = g_dims;
     let [ic, h, wd] = in_dims;
     let taps = ic * k * k;
+    debug_assert!(nb > 0);
     debug_assert_eq!(w.len(), oc * taps);
-    debug_assert_eq!(g.len(), oc * oh * ow);
-    let dx = &mut dx[..ic * h * wd];
+    debug_assert_eq!(g.len(), oc * oh * ow * nb);
+    let dx = &mut dx[..ic * h * wd * nb];
     dx.fill(0.0);
-    if pad == 0 && k == h && k == wd {
+    if nb == 1 && conv_covers_input(in_dims, k, pad) {
         for (wrow, &gv) in w.chunks_exact(taps).zip(g) {
             for (d, &wv) in dx.iter_mut().zip(wrow) {
                 *d += gv * wv;
@@ -466,8 +502,8 @@ pub fn conv_input_grad(
         }
         return;
     }
-    for (o, g_o) in g.chunks_exact(oh * ow).enumerate() {
-        for (c, dx_c) in dx.chunks_exact_mut(h * wd).enumerate() {
+    for (o, g_o) in g.chunks_exact(oh * ow * nb).enumerate() {
+        for (c, dx_c) in dx.chunks_exact_mut(h * wd * nb).enumerate() {
             let w_oc = &w[(o * ic + c) * k * k..][..k * k];
             for ky in (0..k).rev() {
                 let ys = tap_range(ky, stride, pad, h, oh);
@@ -480,20 +516,30 @@ pub fn conv_input_grad(
                     let ix0 = xs.start * stride + kx - pad;
                     for oy in ys.clone() {
                         let iy = oy * stride + ky - pad;
-                        let grow = &g_o[oy * ow + xs.start..oy * ow + xs.end];
-                        let drow = &mut dx_c[iy * wd + ix0..];
+                        let grow = &g_o[(oy * ow + xs.start) * nb..(oy * ow + xs.end) * nb];
+                        let drow = &mut dx_c[(iy * wd + ix0) * nb..];
                         if stride == 1 {
                             for (d, &gv) in drow.iter_mut().zip(grow) {
                                 *d += gv * wv;
                             }
                         } else {
-                            for (d, &gv) in drow.iter_mut().step_by(stride).zip(grow) {
-                                *d += gv * wv;
-                            }
+                            strided_axpy(drow, grow, stride, nb, wv);
                         }
                     }
                 }
             }
+        }
+    }
+}
+
+/// `d[j * stride * nb + b] += g[j * nb + b] · wv`: a strided conv's
+/// `(ox, image)` run. Kept out of line so the stride-1 loop nest around
+/// it stays small enough to optimize as the one-image loop it was.
+#[inline(never)]
+fn strided_axpy(d: &mut [f32], g: &[f32], stride: usize, nb: usize, wv: f32) {
+    for (j, g_x) in g.chunks_exact(nb).enumerate() {
+        for (d, &gv) in d[j * stride * nb..][..nb].iter_mut().zip(g_x) {
+            *d += gv * wv;
         }
     }
 }
@@ -540,13 +586,15 @@ pub fn conv_backward_params(
 /// accumulators, row groups are `TILE` rows.
 const TILE: usize = 4;
 
-/// Images per block of [`crate::plan::FPlan`]'s batch paths: one tile of
-/// image rows for [`dense_forward_rows`].
-pub(crate) const BLOCK: usize = TILE;
+/// Images per block of [`crate::plan::FPlan`]'s batch paths and block
+/// queries: one tile of image rows for [`dense_forward_rows`], and the
+/// width of a block [`conv_input_grad`].
+pub const BLOCK: usize = TILE;
 
-/// Register-tiled kernel behind [`conv_forward_tiled`] and
-/// [`dense_forward_rows`]: `out[i * n + j] = seed(i) + a[i] · b[j]` over
-/// the `m` rows of `a` and `n` rows of `b` (both `k` wide, row-major).
+/// Register-tiled kernel behind [`conv_forward_tiled`],
+/// [`conv_forward_rows`] and [`dense_forward_rows`]:
+/// `out[i * n + j] = seed(i, j) + a[i] · b[j]` over the `m` rows of `a`
+/// and `n` rows of `b` (both `k` wide, row-major).
 ///
 /// Full 4×4 blocks advance sixteen independent accumulators per `t`
 /// step, sharing four `a` and four `b` loads; a leftover *pair* of rows
@@ -557,7 +605,7 @@ pub(crate) const BLOCK: usize = TILE;
 /// sequential and ascending — identical to the reference.
 fn gemm_nt_tiled(
     a: &[f32],
-    seed: impl Fn(usize) -> f32,
+    seed: impl Fn(usize, usize) -> f32,
     b: &[f32],
     m: usize,
     n: usize,
@@ -572,7 +620,8 @@ fn gemm_nt_tiled(
         let mut j = 0;
         while j + TILE <= n {
             let br: [&[f32]; TILE] = core::array::from_fn(|c| &b[(j + c) * k..(j + c) * k + k]);
-            let mut acc: [[f32; TILE]; TILE] = core::array::from_fn(|r| [seed(i + r); TILE]);
+            let mut acc: [[f32; TILE]; TILE] =
+                core::array::from_fn(|r| core::array::from_fn(|c| seed(i + r, j + c)));
             for t in 0..k {
                 let av: [f32; TILE] = core::array::from_fn(|r| ar[r][t]);
                 let bv: [f32; TILE] = core::array::from_fn(|c| br[c][t]);
@@ -591,7 +640,7 @@ fn gemm_nt_tiled(
         }
         while j < n {
             let brow = &b[j * k..j * k + k];
-            let mut acc: [f32; TILE] = core::array::from_fn(|r| seed(i + r));
+            let mut acc: [f32; TILE] = core::array::from_fn(|r| seed(i + r, j));
             for (t, &bt) in brow.iter().enumerate() {
                 for r in 0..TILE {
                     acc[r] += ar[r][t] * bt;
@@ -609,7 +658,8 @@ fn gemm_nt_tiled(
         let mut j = 0;
         while j + TILE <= n {
             let br: [&[f32]; TILE] = core::array::from_fn(|c| &b[(j + c) * k..(j + c) * k + k]);
-            let mut acc: [[f32; TILE]; 2] = core::array::from_fn(|r| [seed(i + r); TILE]);
+            let mut acc: [[f32; TILE]; 2] =
+                core::array::from_fn(|r| core::array::from_fn(|c| seed(i + r, j + c)));
             for t in 0..k {
                 let av = [ar[0][t], ar[1][t]];
                 let bv: [f32; TILE] = core::array::from_fn(|c| br[c][t]);
@@ -628,7 +678,7 @@ fn gemm_nt_tiled(
         }
         while j < n {
             let brow = &b[j * k..j * k + k];
-            let mut acc = [seed(i), seed(i + 1)];
+            let mut acc = [seed(i, j), seed(i + 1, j)];
             for (t, &bt) in brow.iter().enumerate() {
                 acc[0] += ar[0][t] * bt;
                 acc[1] += ar[1][t] * bt;
@@ -641,11 +691,10 @@ fn gemm_nt_tiled(
     }
     while i < m {
         let arow = &a[i * k..i * k + k];
-        let seed = seed(i);
         let mut j = 0;
         while j + TILE <= n {
             let br: [&[f32]; TILE] = core::array::from_fn(|c| &b[(j + c) * k..(j + c) * k + k]);
-            let mut acc = [seed; TILE];
+            let mut acc: [f32; TILE] = core::array::from_fn(|c| seed(i, j + c));
             for (t, &at) in arow.iter().enumerate() {
                 for c in 0..TILE {
                     acc[c] += at * br[c][t];
@@ -658,7 +707,7 @@ fn gemm_nt_tiled(
         }
         while j < n {
             let brow = &b[j * k..j * k + k];
-            let mut acc = seed;
+            let mut acc = seed(i, j);
             for (&wv, &xv) in arow.iter().zip(brow) {
                 acc += wv * xv;
             }
@@ -681,7 +730,22 @@ pub fn conv_forward_tiled(
 ) {
     let out_c = bias.len();
     debug_assert_eq!(w.len(), out_c * cols);
-    gemm_nt_tiled(w, |o| bias[o], patch, out_c, rows, cols, out);
+    gemm_nt_tiled(w, |o, _| bias[o], patch, out_c, rows, cols, out);
+}
+
+/// The forward of a conv whose window covers its whole input
+/// ([`conv_covers_input`]) over a block of images, `x` holding them back
+/// to back and `out` receiving their `[oc, 1, 1]` outputs the same way.
+/// Each image's one patch row *is* the image, so the images are the GEMM
+/// rows, read straight off the input with no im2col. Accumulators start
+/// at the bias and add their products in patch order, per image exactly
+/// [`conv_forward`]'s, so the result is bit-identical to it.
+pub fn conv_forward_rows(w: &[f32], bias: &[f32], x: &[f32], out: &mut [f32]) {
+    let out_c = bias.len();
+    let cols = w.len() / out_c;
+    let images = x.len() / cols;
+    debug_assert_eq!(x.len(), images * cols);
+    gemm_nt_tiled(x, |_, o| bias[o], w, images, out_c, cols, out);
 }
 
 /// Dense forward of a block of images, `x` holding them back to back and
@@ -696,7 +760,7 @@ pub fn dense_forward_rows(w: &[f32], bias: &[f32], x: &[f32], out: &mut [f32]) {
     let in_dim = w.len() / out_dim;
     let images = x.len() / in_dim;
     debug_assert_eq!(x.len(), images * in_dim);
-    gemm_nt_tiled(x, |_| 0.0, w, images, out_dim, in_dim, out);
+    gemm_nt_tiled(x, |_, _| 0.0, w, images, out_dim, in_dim, out);
     for y in out[..images * out_dim].chunks_exact_mut(out_dim) {
         for (v, &b) in y.iter_mut().zip(bias) {
             *v += b;
@@ -981,7 +1045,7 @@ mod tests {
         // 1 channel, 3x3 input, k=2, s=1: a 2x2 gradient.
         let (g, w) = ([1.0f32, 2.0, 3.0, 4.0], [1.0f32, 10.0, 100.0, 1000.0]);
         let mut dx = [f32::NAN; 9];
-        conv_input_grad(&w, &g, [1, 2, 2], [1, 3, 3], 2, 1, 0, &mut dx);
+        conv_input_grad(&w, &g, [1, 2, 2], [1, 3, 3], 2, 1, 0, 1, &mut dx);
         // Corner (0, 0) sees only output (0, 0) through tap (0, 0); the
         // centre sees all four outputs, each through a different tap.
         assert_eq!(
@@ -991,7 +1055,7 @@ mod tests {
         // A 1x1 output covering the input is the row sweep `Wᵀ g`.
         let mut dx = [f32::NAN; 4];
         let w = [1.0f32, 2.0, 3.0, 4.0, 10.0, 20.0, 30.0, 40.0];
-        conv_input_grad(&w, &[1.0, -1.0], [2, 1, 1], [1, 2, 2], 2, 1, 0, &mut dx);
+        conv_input_grad(&w, &[1.0, -1.0], [2, 1, 1], [1, 2, 2], 2, 1, 0, 1, &mut dx);
         assert_eq!(dx, [-9.0, -18.0, -27.0, -36.0]);
     }
 

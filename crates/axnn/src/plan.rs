@@ -20,10 +20,13 @@
 //! scratch per chunk. Each chunk runs in blocks of up to four images: the
 //! scratch's tape holds a block, the forward runs once per block with
 //! the images as the rows of every dense layer's GEMM
-//! ([`exec::dense_forward_rows`]), and the backward runs per image on its
-//! slice of the tape. The one-image entry points ([`FPlan::forward`],
-//! [`FPlan::input_gradient`], the per-image attack handles) are blocks
-//! of one.
+//! ([`exec::dense_forward_rows`]) and of a conv covering its whole input
+//! ([`exec::conv_forward_rows`]), and the backward walks the block down
+//! the tape once, interleaving the images only inside a conv's input
+//! gradient ([`exec::conv_input_grad`]). [`FPlan::input_gradient_block`]
+//! answers an attack's lockstep query the same way on a caller's
+//! scratch. The one-image entry points ([`FPlan::forward`],
+//! [`FPlan::input_gradient`]) are blocks of one.
 //!
 //! Training rides the same engine through
 //! [`FPlan::loss_and_param_grads_batch`], in two passes. The image pass
@@ -187,6 +190,9 @@ pub struct FPlan<'m> {
     max_act: usize,
     /// Largest forward im2col patch any conv step needs.
     max_patch: usize,
+    /// Largest input of a conv whose input gradient interleaves a block
+    /// (every conv but a covering one, see [`exec::conv_covers_input`]).
+    max_interleaved: usize,
     /// Record and parameter layout of the conv/dense steps, for the
     /// parameter-gradient backward and its batch fold.
     fold: exec::GradFold,
@@ -196,10 +202,11 @@ pub struct FPlan<'m> {
 }
 
 /// Reusable buffers for executing an [`FPlan`]: the forward tape (one
-/// activation buffer per layer input plus the logits, each holding a
-/// block of images), the im2col patch buffer and a gradient ping-pong
-/// pair. Build one per thread with [`FPlan::scratch`] and reuse it across
-/// images and attack steps.
+/// activation buffer per layer input plus the logits), a gradient
+/// ping-pong pair, each holding a block of images, one image's im2col
+/// patch, and the interleaved block a conv input gradient writes. Build
+/// one per thread with [`FPlan::scratch`] and reuse it across images and
+/// attack steps.
 #[derive(Debug)]
 pub struct FScratch {
     /// `acts[i]` is the input to step `i`, image after image;
@@ -207,6 +214,7 @@ pub struct FScratch {
     acts: Vec<Vec<f32>>,
     patch: Vec<f32>,
     grad: [Vec<f32>; 2],
+    interleaved: Vec<f32>,
 }
 
 impl Sequential {
@@ -237,6 +245,7 @@ impl<'m> FPlan<'m> {
         let in_len: usize = dims.iter().product();
         let mut max_act = in_len;
         let mut max_patch = 0usize;
+        let mut max_interleaved = 0usize;
         let mut act_lens = Vec::with_capacity(model.layers().len());
         let mut steps = Vec::with_capacity(model.layers().len());
         for layer in model.layers() {
@@ -263,7 +272,10 @@ impl<'m> FPlan<'m> {
                         / stride
                         + 1;
                     let (rows, cols) = (oh * ow, ic * k * k);
-                    max_patch = max_patch.max(rows * cols);
+                    if !exec::conv_covers_input([ic, h, w], k, pad) {
+                        max_patch = max_patch.max(rows * cols);
+                        max_interleaved = max_interleaved.max(ic * h * w);
+                    }
                     steps.push(FStep::Conv {
                         w: PlanParam::Borrowed(c.weight()),
                         b: PlanParam::Borrowed(c.bias()),
@@ -338,6 +350,7 @@ impl<'m> FPlan<'m> {
             out_len: dims.iter().product(),
             max_act,
             max_patch,
+            max_interleaved,
             fold,
             first_param,
         }
@@ -367,6 +380,7 @@ impl<'m> FPlan<'m> {
             out_len,
             max_act,
             max_patch,
+            max_interleaved,
             fold,
             first_param,
         } = self;
@@ -418,6 +432,7 @@ impl<'m> FPlan<'m> {
             out_len,
             max_act,
             max_patch,
+            max_interleaved,
             fold,
             first_param,
         }
@@ -479,22 +494,25 @@ impl<'m> FPlan<'m> {
         }
     }
 
-    /// Allocates the scratch buffers (a block of images' forward tape,
-    /// one image's im2col patch and gradient ping-pong) this plan needs.
+    /// Allocates the scratch buffers (a block of images' forward tape and
+    /// gradient ping-pong, one image's im2col patch, one interleaved conv
+    /// input gradient block) this plan needs.
     pub fn scratch(&self) -> FScratch {
+        let block = |n: usize| vec![0.0f32; exec::BLOCK * n];
         FScratch {
-            acts: (self.act_lens.iter())
-                .map(|&n| vec![0.0f32; exec::BLOCK * n])
-                .collect(),
+            acts: self.act_lens.iter().map(|&n| block(n)).collect(),
             patch: vec![0.0f32; self.max_patch],
-            grad: [vec![0.0f32; self.max_act], vec![0.0f32; self.max_act]],
+            grad: [block(self.max_act), block(self.max_act)],
+            interleaved: block(self.max_interleaved),
         }
     }
 
     /// Runs the forward pass of images `block` (at most [`exec::BLOCK`]),
     /// recording every layer input in the tape, image after image. Leaves
-    /// the logits in the tape's final buffer. Dense layers see the
-    /// block's images as GEMM rows ([`exec::dense_forward_rows`]).
+    /// the logits in the tape's final buffer. Dense layers and a conv
+    /// covering its whole input see the block's images as GEMM rows
+    /// ([`exec::dense_forward_rows`], [`exec::conv_forward_rows`]); every
+    /// other conv runs one im2col patch per image.
     fn run_forward<'a, F>(&self, s: &mut FScratch, block: Range<usize>, image: &F)
     where
         F: Fn(usize) -> &'a Tensor,
@@ -529,9 +547,13 @@ impl<'m> FPlan<'m> {
                     cols,
                     ..
                 } => {
-                    for (x, y) in images {
-                        exec::im2col(x, in_dims, k, stride, pad, rows, cols, patch);
-                        exec::conv_forward_tiled(w.data(), b.data(), patch, rows, cols, y);
+                    if exec::conv_covers_input(in_dims, k, pad) {
+                        exec::conv_forward_rows(w.data(), b.data(), src, dst);
+                    } else {
+                        for (x, y) in images {
+                            exec::im2col(x, in_dims, k, stride, pad, rows, cols, patch);
+                            exec::conv_forward_tiled(w.data(), b.data(), patch, rows, cols, y);
+                        }
                     }
                 }
                 FStep::Dense { ref w, ref b, .. } => {
@@ -555,14 +577,14 @@ impl<'m> FPlan<'m> {
     }
 
     /// Runs images `range` block by block on `s`: one forward per block,
-    /// then `per_image(s, b, i)` for every image `i` of the block, `b`
-    /// being its slot in the block.
-    fn map_range<'a, F, R>(
+    /// then `per_block(s, block)`, whose results (one per image of the
+    /// block, in order) are concatenated.
+    fn map_blocks<'a, F, R>(
         &self,
         s: &mut FScratch,
         range: Range<usize>,
         image: &F,
-        mut per_image: impl FnMut(&mut FScratch, usize, usize) -> R,
+        mut per_block: impl FnMut(&mut FScratch, Range<usize>) -> Vec<R>,
     ) -> Vec<R>
     where
         F: Fn(usize) -> &'a Tensor,
@@ -571,9 +593,7 @@ impl<'m> FPlan<'m> {
         for start in range.clone().step_by(exec::BLOCK) {
             let block = start..range.end.min(start + exec::BLOCK);
             self.run_forward(s, block.clone(), image);
-            for (b, i) in block.enumerate() {
-                out.push(per_image(s, b, i));
-            }
+            out.extend(per_block(s, block));
         }
         out
     }
@@ -591,32 +611,51 @@ impl<'m> FPlan<'m> {
         argmax(self.logits(s, 0))
     }
 
-    /// Back-propagates image `b`'s loss gradient down its slice of the
-    /// tape (the block forward must have run). Returns the loss and the
-    /// ping-pong side holding the input gradient.
+    /// Back-propagates the loss gradients of the block's images (the
+    /// block forward must have run; image `b` of the block is scored
+    /// against `targets[b]`) down the tape in one walk. Between layers
+    /// the gradients sit image after image like the tape; only a conv's
+    /// input gradient interleaves the block, into one
+    /// [`exec::conv_input_grad`] call with the images innermost (a
+    /// covering conv, or a block of one, runs image by image). Returns
+    /// the per-image losses and the ping-pong side holding the block's
+    /// input gradients.
     ///
-    /// With a `record` (zeroed, [`exec::GradFold::record_len`] long) the
-    /// pass writes every conv/dense layer's per-image parameter-gradient
-    /// record and stops at the lowest such layer: nothing reads the
-    /// gradient below it, so the returned side is then meaningless.
+    /// With `records` (one zeroed [`exec::GradFold::record_len`] record
+    /// per image) the walk writes every conv/dense layer's per-image
+    /// parameter-gradient record and stops at the lowest such layer:
+    /// nothing reads the gradient below it, so the returned side is then
+    /// meaningless.
     fn run_backward(
         &self,
         s: &mut FScratch,
-        b: usize,
-        target: usize,
-        mut record: Option<&mut [f32]>,
-    ) -> (f32, usize) {
-        let logits = Tensor::from_vec(self.logits(s, b).to_vec(), &[self.out_len]);
-        let (loss, dlogits) = cross_entropy_with_grad(&logits, target);
-        let FScratch { acts, patch, grad } = s;
+        targets: &[usize],
+        mut records: Option<&mut [Vec<f32>]>,
+    ) -> (Vec<f32>, usize) {
+        let nb = targets.len();
+        debug_assert!((1..=exec::BLOCK).contains(&nb));
+        let mut losses = Vec::with_capacity(nb);
+        for (b, &target) in targets.iter().enumerate() {
+            let logits = Tensor::from_vec(self.logits(s, b).to_vec(), &[self.out_len]);
+            let (loss, dlogits) = cross_entropy_with_grad(&logits, target);
+            s.grad[0][b * self.out_len..][..self.out_len].copy_from_slice(dlogits.data());
+            losses.push(loss);
+        }
         let mut side = 0usize;
-        grad[side][..self.out_len].copy_from_slice(dlogits.data());
-        // Ordinal of the next conv/dense layer down, for `record`.
+        let FScratch {
+            acts,
+            patch,
+            grad,
+            interleaved,
+        } = s;
+        // Ordinal of the next conv/dense layer down, for `records`.
         let mut param = self.fold.layer_count();
         for (i, step) in self.steps.iter().enumerate().rev() {
-            let in_len = self.act_lens[i];
-            let x = &acts[i][b * in_len..(b + 1) * in_len];
+            let (in_len, out_len) = (self.act_lens[i], self.act_lens[i + 1]);
+            let xs = &acts[i][..nb * in_len];
             let (gsrc, gdst) = grad_sides(grad, side);
+            let gs = &gsrc[..nb * out_len];
+            let images = xs.chunks_exact(in_len).zip(gs.chunks_exact(out_len));
             match *step {
                 FStep::Conv {
                     in_dims,
@@ -629,22 +668,52 @@ impl<'m> FPlan<'m> {
                     ref w,
                     ..
                 } => {
-                    let g = &gsrc[..out_dims.iter().product::<usize>()];
-                    if let Some(record) = record.as_deref_mut() {
-                        // Parameter grads read the forward patches of
-                        // this layer's input, re-extracted from the tape.
-                        exec::im2col(x, in_dims, k, stride, pad, rows, cols, patch);
+                    let covers = exec::conv_covers_input(in_dims, k, pad);
+                    if let Some(records) = records.as_deref_mut() {
                         param -= 1;
-                        let (dw, db) = self
-                            .fold
-                            .layer_record(param, record)
-                            .split_at_mut(out_dims[0] * cols);
-                        exec::conv_backward_params_tiled(g, patch, rows, cols, dw, db);
+                        for ((x, g), record) in images.zip(records.iter_mut()) {
+                            // Parameter grads read the forward patches of
+                            // this layer's input, re-extracted from the
+                            // tape (a covering conv's patch is its input).
+                            let patch = if covers {
+                                x
+                            } else {
+                                exec::im2col(x, in_dims, k, stride, pad, rows, cols, patch);
+                                &patch[..]
+                            };
+                            let (dw, db) = self
+                                .fold
+                                .layer_record(param, record)
+                                .split_at_mut(out_dims[0] * cols);
+                            exec::conv_backward_params_tiled(g, patch, rows, cols, dw, db);
+                        }
                         if i == self.first_param {
                             break;
                         }
                     }
-                    exec::conv_input_grad(w.data(), g, out_dims, in_dims, k, stride, pad, gdst);
+                    let w = w.data();
+                    if covers || nb == 1 {
+                        for (g, dx) in gs.chunks_exact(out_len).zip(gdst.chunks_exact_mut(in_len)) {
+                            exec::conv_input_grad(w, g, out_dims, in_dims, k, stride, pad, 1, dx);
+                        }
+                    } else {
+                        // `gdst` is free until the end: it holds the
+                        // interleaved upstream block for the kernel.
+                        interleave(gs, out_len, nb, gdst);
+                        let dx = &mut interleaved[..nb * in_len];
+                        exec::conv_input_grad(
+                            w,
+                            &gdst[..nb * out_len],
+                            out_dims,
+                            in_dims,
+                            k,
+                            stride,
+                            pad,
+                            nb,
+                            dx,
+                        );
+                        deinterleave(dx, in_len, nb, gdst);
+                    }
                 }
                 FStep::Dense {
                     ref w,
@@ -652,62 +721,82 @@ impl<'m> FPlan<'m> {
                     out_dim,
                     ..
                 } => {
-                    if let Some(record) = record.as_deref_mut() {
+                    if let Some(records) = records.as_deref_mut() {
                         param -= 1;
-                        let (rg, rx) = self.fold.layer_record(param, record).split_at_mut(out_dim);
-                        rg.copy_from_slice(&gsrc[..out_dim]);
-                        rx.copy_from_slice(x);
+                        for ((x, g), record) in images.clone().zip(records.iter_mut()) {
+                            let (rg, rx) =
+                                self.fold.layer_record(param, record).split_at_mut(out_dim);
+                            rg.copy_from_slice(g);
+                            rx.copy_from_slice(x);
+                        }
                         if i == self.first_param {
                             break;
                         }
                     }
-                    exec::dense_backward_tiled(
-                        w.data(),
-                        &gsrc[..out_dim],
-                        &x[..in_dim],
-                        gdst,
-                        None,
-                        None,
-                    );
+                    for ((x, g), dx) in images.zip(gdst.chunks_exact_mut(in_dim)) {
+                        exec::dense_backward_tiled(w.data(), g, x, dx, None, None);
+                    }
                 }
                 FStep::AvgPool { k, in_dims, .. } => {
-                    let [c, h, w] = in_dims;
-                    let out_len = c * (h / k) * (w / k);
-                    exec::avgpool_backward(&gsrc[..out_len], in_dims, k, gdst);
+                    for (g, dx) in gs.chunks_exact(out_len).zip(gdst.chunks_exact_mut(in_len)) {
+                        exec::avgpool_backward(g, in_dims, k, dx);
+                    }
                 }
-                FStep::Relu { len } => {
-                    exec::relu_backward(&x[..len], &gsrc[..len], gdst);
-                }
-                FStep::Flatten => {
-                    gdst[..in_len].copy_from_slice(&gsrc[..in_len]);
-                }
+                FStep::Relu { .. } => exec::relu_backward(xs, gs, &mut gdst[..nb * in_len]),
+                FStep::Flatten => gdst[..nb * in_len].copy_from_slice(gs),
             }
             side = 1 - side;
         }
-        (loss, side)
+        (losses, side)
     }
 
-    /// Image `b`'s loss and input gradient after a block forward.
-    fn block_input_gradient(&self, s: &mut FScratch, b: usize, target: usize) -> (f32, Tensor) {
-        let (loss, side) = self.run_backward(s, b, target, None);
-        let grad = s.grad[side][..self.in_len].to_vec();
-        (loss, Tensor::from_vec(grad, &self.in_dims))
+    /// The block's losses and input gradients after a block forward, image
+    /// `b` scored against `targets[b]`.
+    fn block_input_gradients(&self, s: &mut FScratch, targets: &[usize]) -> Vec<(f32, Tensor)> {
+        let (losses, side) = self.run_backward(s, targets, None);
+        let grads = s.grad[side].chunks_exact(self.in_len);
+        (losses.into_iter().zip(grads))
+            .map(|(loss, g)| (loss, Tensor::from_vec(g.to_vec(), &self.in_dims)))
+            .collect()
     }
 
-    /// Image `b`'s loss and parameter-gradient record (see
+    /// The block's losses and parameter-gradient records (see
     /// [`exec::GradFold`]) after a block forward.
-    fn block_record(&self, s: &mut FScratch, b: usize, target: usize) -> (f32, Vec<f32>) {
-        let mut record = vec![0.0f32; self.fold.record_len()];
-        let (loss, _) = self.run_backward(s, b, target, Some(&mut record));
-        (loss, record)
+    fn block_records(&self, s: &mut FScratch, targets: &[usize]) -> Vec<(f32, Vec<f32>)> {
+        let mut records = vec![vec![0.0f32; self.fold.record_len()]; targets.len()];
+        let (losses, _) = self.run_backward(s, targets, Some(&mut records));
+        losses.into_iter().zip(records).collect()
     }
 
     /// Cross-entropy loss and the gradient with respect to the input —
-    /// the quantity gradient-based adversarial attacks ascend.
-    /// Bit-compatible with the seed [`Sequential::input_gradient`] path.
+    /// the quantity gradient-based adversarial attacks ascend: a block
+    /// of one. Bit-compatible with the seed [`Sequential::input_gradient`]
+    /// path.
     pub fn input_gradient(&self, s: &mut FScratch, x: &Tensor, target: usize) -> (f32, Tensor) {
-        self.run_forward(s, 0..1, &|_| x);
-        self.block_input_gradient(s, 0, target)
+        let mut out = self.input_gradient_block(s, std::slice::from_ref(x), &[target]);
+        out.pop().expect("a block of one has one gradient")
+    }
+
+    /// Losses and input gradients of every `xs[i]` against `targets[i]`
+    /// on one scratch, in blocks of up to [`exec::BLOCK`] images: one
+    /// forward and one backward walk per block. The query an attack
+    /// handle answers for its images in lockstep; image `i` is
+    /// bit-identical to `input_gradient(s, &xs[i], targets[i])`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xs` and `targets` disagree in length, or an image does
+    /// not have the planned shape.
+    pub fn input_gradient_block(
+        &self,
+        s: &mut FScratch,
+        xs: &[Tensor],
+        targets: &[usize],
+    ) -> Vec<(f32, Tensor)> {
+        assert_eq!(xs.len(), targets.len(), "images/targets length mismatch");
+        self.map_blocks(s, 0..xs.len(), &|i| &xs[i], |s, block| {
+            self.block_input_gradients(s, &targets[block])
+        })
     }
 
     /// Cross-entropy loss and parameter gradients for one example: the
@@ -715,7 +804,7 @@ impl<'m> FPlan<'m> {
     /// [`Sequential::loss_and_grads`] path.
     pub fn loss_and_grads(&self, s: &mut FScratch, x: &Tensor, target: usize) -> (f32, GradBuffer) {
         self.run_forward(s, 0..1, &|_| x);
-        let (loss, record) = self.block_record(s, 0, target);
+        let (loss, record) = self.block_records(s, &[target]).remove(0);
         let mut grads = self.zero_grads();
         self.fold.fold_into(&[record], &mut grads);
         (loss, grads)
@@ -731,8 +820,8 @@ impl<'m> FPlan<'m> {
     }
 
     /// Input gradients for `n` images in parallel image chunks with one
-    /// scratch per chunk, one forward per block of images and one
-    /// backward per image. `image(i)` / `label(i)` supply the examples;
+    /// scratch per chunk, one forward and one backward walk per block of
+    /// images. `image(i)` / `label(i)` supply the examples;
     /// returns one `(loss, gradient)` pair per image, in index order and
     /// bit-identical to per-image [`FPlan::input_gradient`] calls
     /// regardless of how the work is chunked.
@@ -747,8 +836,8 @@ impl<'m> FPlan<'m> {
         G: Fn(usize) -> usize + Sync,
     {
         parallel::par_map_chunks(n, |range| {
-            self.map_range(&mut self.scratch(), range, &image, |s, b, i| {
-                self.block_input_gradient(s, b, label(i))
+            self.map_blocks(&mut self.scratch(), range, &image, |s, block| {
+                self.block_input_gradients(s, &block.map(&label).collect::<Vec<_>>())
             })
         })
     }
@@ -763,8 +852,10 @@ impl<'m> FPlan<'m> {
         G: Fn(usize) -> usize + Sync,
     {
         parallel::par_map_chunks(n, |range| {
-            self.map_range(&mut self.scratch(), range, &image, |s, b, i| {
-                usize::from(argmax(self.logits(s, b)) == label(i))
+            self.map_blocks(&mut self.scratch(), range, &image, |s, block| {
+                (block.enumerate())
+                    .map(|(b, i)| usize::from(argmax(self.logits(s, b)) == label(i)))
+                    .collect()
             })
         })
         .into_iter()
@@ -777,8 +868,8 @@ impl<'m> FPlan<'m> {
     /// Two passes, each one [`axutil::parallel::par_map_chunks`] call:
     ///
     /// 1. **Images.** Contiguous image chunks run on one
-    ///    [`FPlan::scratch`] per chunk, one forward per block of images
-    ///    and one backward per image. Each image leaves a
+    ///    [`FPlan::scratch`] per chunk, one forward and one backward walk
+    ///    per block of images. Each image leaves a
     ///    small record instead of a full gradient: a dense layer's
     ///    upstream gradient `g` and input `x` (its per-image gradient is
     ///    the outer product `g xᵀ`), a conv layer's own per-image
@@ -816,8 +907,8 @@ impl<'m> FPlan<'m> {
         self.fold.batch(
             n,
             |range| {
-                self.map_range(&mut self.scratch(), range, &image, |s, b, i| {
-                    self.block_record(s, b, label(i))
+                self.map_blocks(&mut self.scratch(), range, &image, |s, block| {
+                    self.block_records(s, &block.map(&label).collect::<Vec<_>>())
                 })
             },
             self.zero_grads(),
@@ -831,6 +922,26 @@ impl<'m> FPlan<'m> {
             layers: (0..self.steps.len())
                 .map(|i| self.zero_layer_grads(i))
                 .collect(),
+        }
+    }
+}
+
+/// Interleaves `nb` images of `len` values each, held back to back in
+/// `src`, so that the images are the innermost axis of `dst`:
+/// `dst[t * nb + b] = src[b * len + t]`.
+fn interleave(src: &[f32], len: usize, nb: usize, dst: &mut [f32]) {
+    for (t, d) in dst[..len * nb].chunks_exact_mut(nb).enumerate() {
+        for (b, v) in d.iter_mut().enumerate() {
+            *v = src[b * len + t];
+        }
+    }
+}
+
+/// The inverse of [`interleave`]: `dst[b * len + t] = src[t * nb + b]`.
+fn deinterleave(src: &[f32], len: usize, nb: usize, dst: &mut [f32]) {
+    for (t, s) in src[..len * nb].chunks_exact(nb).enumerate() {
+        for (b, &v) in s.iter().enumerate() {
+            dst[b * len + t] = v;
         }
     }
 }

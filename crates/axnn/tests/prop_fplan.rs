@@ -127,15 +127,18 @@ fn fplan_matches_seed_on_every_architecture() {
 /// The block paths against one image per call, for every batch size in
 /// [`BATCH_SIZES`] and every `AXDNN_THREADS` chunking: `count_correct`
 /// counts every image right under labels set to the one-image
-/// predictions, `input_gradient_batch_indexed` returns every image's
-/// `input_gradient` bit for bit, and `loss_and_param_grads_batch` is the
-/// fold of per-image `loss_and_grads`. On the FFNN and on two conv
-/// shapes, whose parameter gradients re-extract patches from the tape.
+/// predictions, `input_gradient_batch_indexed` and the one-scratch
+/// `input_gradient_block` return every image's `input_gradient` bit for
+/// bit, and `loss_and_param_grads_batch` is the fold of per-image
+/// `loss_and_grads`. On the FFNN and on three conv shapes, whose block
+/// backward interleaves the images inside every non-covering conv's
+/// input gradient: padded conv+pool, strided, and LeNet's shape, whose
+/// covering conv runs image by image above a block conv.
 #[test]
 fn image_blocks_match_one_image_calls_at_every_boundary() {
     let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let prev = std::env::var("AXDNN_THREADS").ok();
-    for arch in [0, 2, 4] {
+    for arch in [0, 2, 3, 4] {
         let model = small_model(arch, 0xB10C + arch as u64);
         let plan = model.plan(&IN_DIMS);
         let mut s = plan.scratch();
@@ -164,6 +167,11 @@ fn image_blocks_match_one_image_calls_at_every_boundary() {
                     .map(|(l, g)| (l.to_bits(), bits(g)))
                     .collect();
                 assert_eq!(got, want_grads[..n], "input gradients: {at}");
+                let block = plan.input_gradient_block(&mut s, &probes[..n], &labels[..n]);
+                let got: Vec<(u32, Vec<u32>)> = (block.iter())
+                    .map(|(l, g)| (l.to_bits(), bits(g)))
+                    .collect();
+                assert_eq!(got, want_grads[..n], "input_gradient_block: {at}");
                 let (loss, fold) =
                     plan.loss_and_param_grads_batch(n, |i| &probes[i], |i| labels[i]);
                 assert_eq!(

@@ -8,11 +8,11 @@
 //! shape (including odd/prime edges that exercise every remainder path)
 //! the two forms must agree to the last bit. The direct conv input
 //! gradient, which has no tiled form, is pinned to the seed conv
-//! backward the same way. On top of the raw kernels, a whole compiled
-//! plan must reproduce its one-thread forward, loss and gradients
-//! exactly at every `AXDNN_THREADS` chunking, for every fixture model
-//! (the conv geometries k ∈ {1, 3, 5} with stride/pad combinations
-//! included).
+//! backward the same way, at every block width. On top of the raw
+//! kernels, a whole compiled plan must reproduce its one-thread forward,
+//! loss and gradients exactly at every `AXDNN_THREADS` chunking, for
+//! every fixture model (the conv geometries k ∈ {1, 3, 5} with
+//! stride/pad combinations included).
 //!
 //! Tests that touch `AXDNN_THREADS` serialize on [`ENV_LOCK`].
 
@@ -103,8 +103,11 @@ proptest! {
     /// The direct conv input gradient against the seed
     /// `Layer::Conv2d::backward`'s `dx`, bit for bit, over every
     /// `k ∈ {1, 3, 4, 5}`, stride `{1, 2}` and pad `{0, 1, 2}` on two input
-    /// sizes each: the `k × k` input (a 1×1 output at pad 0, the row-sweep
-    /// path) and a random one. Upstream gradients carry `+0.0` and `-0.0`.
+    /// sizes each: the `k × k` input (a 1×1 output at pad 0, the covering
+    /// case) and a random one, at every block width 1–4. A block call
+    /// takes its images interleaved (images innermost) and must give each
+    /// image exactly its one-image gradient. Upstream gradients carry
+    /// `+0.0` and `-0.0`.
     #[test]
     fn conv_input_grad_matches_seed_backward(
         seed in proptest::strategy::any::<u64>(),
@@ -122,33 +125,53 @@ proptest! {
                         let conv = Layer::Conv2d(Conv2d::new(ic, oc, k, stride, pad, rng));
                         let out = |n: usize| (n + 2 * pad - k) / stride + 1;
                         let (oh, ow) = (out(h), out(w));
-                        let mut g = filled(rng, oc * oh * ow);
-                        for (i, gv) in g.iter_mut().enumerate() {
+                        let (g_len, dx_len) = (oc * oh * ow, ic * h * w);
+                        let mut gs = filled(rng, 4 * g_len);
+                        for (i, gv) in gs.iter_mut().enumerate() {
                             match i % 5 {
                                 1 => *gv = 0.0,
                                 3 => *gv = -0.0,
                                 _ => {}
                             }
                         }
-                        let want = conv.backward(
-                            &Tensor::zeros(&[ic, h, w]),
-                            &Tensor::from_vec(g.clone(), &[oc, oh, ow]),
-                            None,
-                        );
-                        let mut got = vec![f32::NAN; ic * h * w];
-                        exec::conv_input_grad(
-                            conv.params()[0].data(),
-                            &g,
-                            [oc, oh, ow],
-                            [ic, h, w],
-                            k,
-                            stride,
-                            pad,
-                            &mut got,
-                        );
-                        let same = (want.data().iter().zip(&got))
-                            .all(|(a, b)| a.to_bits() == b.to_bits());
-                        prop_assert!(same, "k {k} stride {stride} pad {pad} input {h}x{w}");
+                        let want: Vec<Vec<u32>> = (gs.chunks_exact(g_len))
+                            .map(|g| {
+                                let dx = conv.backward(
+                                    &Tensor::zeros(&[ic, h, w]),
+                                    &Tensor::from_vec(g.to_vec(), &[oc, oh, ow]),
+                                    None,
+                                );
+                                dx.data().iter().map(|v| v.to_bits()).collect()
+                            })
+                            .collect();
+                        for nb in 1..=4usize {
+                            let mut g = vec![0.0f32; nb * g_len];
+                            for (t, v) in g.iter_mut().enumerate() {
+                                *v = gs[(t % nb) * g_len + t / nb];
+                            }
+                            let mut got = vec![f32::NAN; nb * dx_len];
+                            exec::conv_input_grad(
+                                conv.params()[0].data(),
+                                &g,
+                                [oc, oh, ow],
+                                [ic, h, w],
+                                k,
+                                stride,
+                                pad,
+                                nb,
+                                &mut got,
+                            );
+                            for (b, want) in want[..nb].iter().enumerate() {
+                                let got: Vec<u32> = (0..dx_len)
+                                    .map(|t| got[t * nb + b].to_bits())
+                                    .collect();
+                                prop_assert!(
+                                    &got == want,
+                                    "k {k} stride {stride} pad {pad} input {h}x{w} \
+                                     block {nb} image {b}"
+                                );
+                            }
+                        }
                     }
                 }
             }

@@ -345,6 +345,7 @@ impl<'m> QTrainPlan<'m> {
                         k,
                         stride,
                         pad,
+                        1,
                         gdst,
                     );
                 }

@@ -16,7 +16,8 @@
 //! 4. `gemm` — [`axnn::exec`]'s scalar reference GEMM loops vs the
 //!    register-tiled micro-kernels on the zoo models' hot shapes, the
 //!    LUT dense rate of one image per call vs a 4-image block, plus the
-//!    absolute rate of one LeNet-5 `FPlan::input_gradient`.
+//!    absolute rate of LeNet-5's input gradient, one image per call and
+//!    one 4-image block.
 //! 5. `faults` — the stuck-at fault campaign
 //!    ([`axrobust::experiments::run_fault_sweep`]) over three registry
 //!    multipliers, plus the faulted-LUT rebuild rate against its floor.
@@ -351,8 +352,10 @@ fn finetune_report() {
 /// throughput goes to stderr. Then the `ffnn-dense1-300x784-lut` rows:
 /// the same layer's LUT-GEMM rate, one image per call against a 4-image
 /// block. Then the `lenet5-input-grad` rows: the median one-thread time
-/// of one LeNet-5 `FPlan::input_gradient`, the crafting hot path, and
-/// its rate in in-range MACs per second.
+/// per image of LeNet-5's input gradient, the crafting hot path, and its
+/// rate in in-range MACs per second, once as one `FPlan::input_gradient`
+/// call per image (`us`, `macs_per_s`) and once as one 4-image block
+/// (`block_us`, `block_macs_per_s`), the query a crafting block makes.
 fn gemm_report() {
     use axnn::exec;
 
@@ -427,17 +430,23 @@ fn gemm_report() {
             "1/s",
         )
         .add("ffnn-dense1-300x784-lut", "block_macs_per_s", block, "1/s");
-    let (us, macs) = input_grad_rate();
+    let (us, block_us, macs) = input_grad_rates();
     eprintln!(
-        "[gemm lenet5-input-grad: {us:.1} us, {:.2} GMAC/s]",
-        macs / us / 1e3
+        "[gemm lenet5-input-grad: one image {us:.1} us, {:.2} GMAC/s; \
+         4-image block {block_us:.1} us per image, {:.2} GMAC/s]",
+        macs / us / 1e3,
+        macs / block_us / 1e3
     );
-    report.add("lenet5-input-grad", "us", us, "us").add(
-        "lenet5-input-grad",
-        "macs_per_s",
-        macs / (us / 1e6),
-        "1/s",
-    );
+    report
+        .add("lenet5-input-grad", "us", us, "us")
+        .add("lenet5-input-grad", "macs_per_s", macs / (us / 1e6), "1/s")
+        .add("lenet5-input-grad", "block_us", block_us, "us")
+        .add(
+            "lenet5-input-grad",
+            "block_macs_per_s",
+            macs / (block_us / 1e6),
+            "1/s",
+        );
     report.add("config", "reps", REPS as f64, "count").add(
         "config",
         "iters",
@@ -499,25 +508,51 @@ fn lut_dense_rates() -> (f64, f64) {
     (macs / (one_image_ms / 1e3), macs / (block_ms / 1e3))
 }
 
-/// Median one-thread wall time of one LeNet-5 `FPlan::input_gradient`
-/// (µs, over [`REPS`] runs of [`GEMM_ITERS`] calls) and the in-range MACs
-/// one call computes: every conv/dense layer's multiply-adds whose input
-/// tap lies inside the input, once forward and once for the input
-/// gradient (563,280 on LeNet-5).
-fn input_grad_rate() -> (f64, f64) {
+/// Median one-thread wall times per image of LeNet-5's input gradient
+/// (µs, over [`REPS`] runs of [`GEMM_ITERS`] images): one
+/// `FPlan::input_gradient` call per image, then one 4-image
+/// `FPlan::input_gradient_batch_indexed` per block, asserted equal to
+/// the one-image calls first. Also returns the in-range MACs one image
+/// computes: every conv/dense layer's multiply-adds whose input tap lies
+/// inside the input, once forward and once for the input gradient
+/// (563,280 on LeNet-5).
+fn input_grad_rates() -> (f64, f64, f64) {
     use axnn::Layer;
 
     let model = zoo::lenet5(&mut Rng::seed_from_u64(61));
-    let mut x = Tensor::zeros(&[1, 28, 28]);
-    Rng::seed_from_u64(62).fill_range_f32(x.data_mut(), 0.0, 1.0);
+    let mut rng = Rng::seed_from_u64(62);
+    let block: Vec<Tensor> = (0..axnn::exec::BLOCK)
+        .map(|_| {
+            let mut x = Tensor::zeros(&[1, 28, 28]);
+            rng.fill_range_f32(x.data_mut(), 0.0, 1.0);
+            x
+        })
+        .collect();
+    let x = &block[0];
     let plan = model.plan(x.dims());
     let mut s = plan.scratch();
     let ms = median_ms(|| {
         for i in 0..GEMM_ITERS {
-            std::hint::black_box(plan.input_gradient(&mut s, &x, i % 10));
+            std::hint::black_box(plan.input_gradient(&mut s, x, i % 10));
         }
     });
-    let (inputs, _) = model.forward_trace(&x);
+    let want: Vec<(f32, Tensor)> = (block.iter().enumerate())
+        .map(|(i, x)| plan.input_gradient(&mut s, x, i))
+        .collect();
+    std::env::set_var("AXDNN_THREADS", "1");
+    let run_block = || plan.input_gradient_batch_indexed(block.len(), |i| &block[i], |i| i);
+    assert_eq!(
+        run_block(),
+        want,
+        "lenet5: the input gradient block diverged from one-image calls"
+    );
+    let block_ms = median_ms(|| {
+        for _ in 0..GEMM_ITERS / block.len() {
+            std::hint::black_box(run_block());
+        }
+    });
+    std::env::remove_var("AXDNN_THREADS");
+    let (inputs, _) = model.forward_trace(x);
     let macs: usize = (model.layers().iter().enumerate())
         .map(|(i, layer)| match layer {
             Layer::Conv2d(c) => {
@@ -530,7 +565,8 @@ fn input_grad_rate() -> (f64, f64) {
             _ => 0,
         })
         .sum();
-    (ms * 1e3 / GEMM_ITERS as f64, (2 * macs) as f64)
+    let per_image_us = |ms: f64| ms * 1e3 / GEMM_ITERS as f64;
+    (per_image_us(ms), per_image_us(block_ms), (2 * macs) as f64)
 }
 
 /// The quickstart smoke victim of parts 5–7: a briefly trained FFNN and

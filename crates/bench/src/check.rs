@@ -570,14 +570,25 @@ const ADAPTIVE_LE_STATIC: Op = LeMetric {
     other: "static_adv",
     slack: 1e-6,
 };
-/// Batched crafting never loses to one `craft` call per image: both run
-/// the same per-image trajectory, and the batch compiles its plan once.
-/// Read on the median of interleaved per-pair differences; the slack
-/// (ms) absorbs timer jitter on the 4-image CI run.
-const BATCH_NEVER_LOSES: Op = AtMost(0.05);
+/// Batched crafting beats one `craft` call per image by a margin: the
+/// batch steps its 4-image block in lockstep, one block forward and
+/// backward per step where per-image crafting runs four one-image
+/// passes. Read on the median of interleaved per-pair differences (ms)
+/// on the 4-image CI run. Six runs on a shared 2-vCPU host measured
+/// −0.29 to −0.44 ms for FGM and −1.8 to −3.8 ms for BIM/PGD; blocks of
+/// one (the per-image work, a plan compiled once) read −0.02 to −0.05,
+/// so this ceiling fails a batch that stops blocking.
+const BATCH_NEVER_LOSES: Op = AtMost(-0.1);
 /// A block of images through the LUT GEMM is never slower per MAC than
 /// the same images one call each.
 const BLOCK_NEVER_LOSES: Op = LeMetric {
+    other: "block_macs_per_s",
+    slack: 0.0,
+};
+/// LeNet-5's input gradient over a 4-image block is never slower per MAC
+/// than one image per call: the block shares one backward walk and widens
+/// conv2's input-gradient axpy fourfold.
+const INPUT_GRAD_BLOCK_NEVER_LOSES: Op = LeMetric {
     other: "block_macs_per_s",
     slack: 0.0,
 };
@@ -594,10 +605,11 @@ const ALL_COMPLETED: Op = SumEq {
 /// speedup to absorb CI-runner jitter; the attack rows hold batched
 /// crafting at or under per-image crafting (median paired difference) and
 /// record its absolute rate, as the `lenet5-input-grad` rows record the
-/// one-thread input gradient's time and MAC rate; the `ffnn-1x28` train
-/// step holds the
-/// rank-n gradient fold's win over one gradient buffer per image
-/// (measured 3.8–4.5x at `AXDNN_BENCH_IMAGES=4`). Accuracy rules are
+/// one-thread input gradient's time and MAC rate, one image per call and
+/// as a 4-image block, the block never the slower per MAC; the
+/// `ffnn-1x28` train step holds the rank-n gradient fold's win over one
+/// gradient buffer per image (measured 3.8–4.5x at
+/// `AXDNN_BENCH_IMAGES=4`). Accuracy rules are
 /// exact: the fine-tuning, fault, universal and moving-target pipelines
 /// are deterministic and thread-invariant, so those values never jitter.
 pub const RULES: &[Rule] = &[
@@ -622,6 +634,12 @@ pub const RULES: &[Rule] = &[
     ),
     rule(GEMM, "lenet5-input-grad", "us", POSITIVE),
     rule(GEMM, "lenet5-input-grad", "macs_per_s", POSITIVE),
+    rule(
+        GEMM,
+        "lenet5-input-grad",
+        "macs_per_s",
+        INPUT_GRAD_BLOCK_NEVER_LOSES,
+    ),
     rule(FINETUNE, "finetune_grad_batch", "speedup", AtLeast(0.8)),
     rule(FINETUNE, "clean_accuracy", "ptq", BELOW_FINETUNED),
     rule(FAULTS, "campaign", "n_faults", AtLeast(1.0)),
@@ -812,7 +830,7 @@ mod tests {
         BENCH_gemm.json lenet5-conv2-16x64x150 speedup=1.9
         BENCH_gemm.json ffnn-dense1-300x784 speedup=2.1
         BENCH_gemm.json ffnn-dense1-300x784-lut one_image_macs_per_s=1.0e9 block_macs_per_s=1.4e9
-        BENCH_gemm.json lenet5-input-grad us=190 macs_per_s=2.9e9
+        BENCH_gemm.json lenet5-input-grad us=190 macs_per_s=2.9e9 block_us=140 block_macs_per_s=4.0e9
         BENCH_finetune.json finetune_grad_batch speedup=2.0
         BENCH_finetune.json clean_accuracy ptq=0.795 finetuned=0.925
         BENCH_faults.json campaign n_faults=6 seed=64023
@@ -925,6 +943,19 @@ mod tests {
     }
 
     #[test]
+    fn input_gradient_block_must_not_lose_to_one_image_calls() {
+        let f = GEMM;
+        let w = "lenet5-input-grad";
+        // Equal rates pass; a slower block fails.
+        assert!(check_rows(f, &with(f, w, "block_macs_per_s", 2.9e9)).is_empty());
+        fails(
+            f,
+            &with(f, w, "block_macs_per_s", 2.8e9),
+            "lenet5-input-grad macs_per_s",
+        );
+    }
+
+    #[test]
     fn lut_block_must_not_lose_to_one_image_calls() {
         let f = GEMM;
         let w = "ffnn-dense1-300x784-lut";
@@ -941,12 +972,12 @@ mod tests {
     #[test]
     fn batched_crafting_must_not_lose_to_per_image_crafting() {
         let f = ATTACKS;
-        // Within the slack passes; past it fails.
-        assert!(check_rows(f, &with(f, "PGD-l2", BATCH_DELTA, 0.05)).is_empty());
+        // A margin of 0.1 ms passes; the blocks-of-one reading fails.
+        assert!(check_rows(f, &with(f, "PGD-l2", BATCH_DELTA, -0.1)).is_empty());
         fails(
             f,
-            &with(f, "PGD-l2", BATCH_DELTA, 0.06),
-            "PGD-l2 batched_minus_scalar_ms = 0.06",
+            &with(f, "PGD-l2", BATCH_DELTA, -0.04),
+            "PGD-l2 batched_minus_scalar_ms = -0.04",
         );
         fails(
             f,
