@@ -287,7 +287,8 @@ mod tests {
     fn fgm_moves_along_gradient_sign() {
         let model = toy_model(13);
         let x = toy_input(14);
-        let (_, g) = model.input_gradient(&x, 2);
+        let plan = model.plan(x.dims());
+        let (_, g) = plan.input_gradient(&mut plan.scratch(), &x, 2);
         let mut rng = Rng::seed_from_u64(15);
         let adv = Fgm::new(Norm::Linf).craft(&model, &x, 2, 0.05, &mut rng);
         let delta = adv.sub(&x);

@@ -12,10 +12,11 @@
 //! | Repeated Additive Uniform (RAU) | decision | l2, linf |
 //!
 //! All attacks follow the paper's threat model: they are crafted against
-//! the *accurate float model* (gradients and decisions come from
-//! [`axnn::Sequential`]), with the perturbation bounded by an explicit
-//! budget `eps` in the attack's norm and the result clipped to the valid
-//! pixel range `[0, 1]`. Victim AxDNNs never see the attack internals.
+//! the *accurate float model* (gradients and decisions come from its
+//! compiled [`axnn::plan::FPlan`], a [`GradSource`]), with the
+//! perturbation bounded by an explicit budget `eps` in the attack's norm
+//! and the result clipped to the valid pixel range `[0, 1]`. Victim
+//! AxDNNs never see the attack internals.
 //!
 //! **One craft path.** Each attack defines exactly one block trajectory,
 //! [`Attack::trajectory`], over a [`GradSource`]: anything that answers
@@ -41,7 +42,8 @@
 //!
 //! Beyond the paper's per-image attacks, [`universal`] crafts a single
 //! *universal* perturbation — one shared delta optimized over a whole
-//! evaluation set (Shafahi et al.) — on the same batched gradient engine,
+//! evaluation set (Shafahi et al.) — on any [`GradSource`], through the
+//! same chunked block walk as [`Attack::craft_batch_on`],
 //! and [`eot`] is the adaptive attacker against a randomized kernel
 //! ensemble: [`gradient::Pgd`] over a [`Mixture`] of surrogates ascends
 //! the ensemble's expected loss (Athalye et al.), reducing bitwise to
@@ -71,6 +73,8 @@ pub mod norms;
 pub mod source;
 pub mod suite;
 pub mod universal;
+
+use std::ops::Range;
 
 use axnn::exec::BLOCK;
 use axnn::Sequential;
@@ -186,23 +190,37 @@ pub trait Attack: Sync {
         if eps == 0.0 {
             return images.to_vec();
         }
-        parallel::par_map_chunks(images.len(), |range| {
-            let mut handle = source.handle();
-            let mut out = Vec::with_capacity(range.len());
-            for start in range.clone().step_by(BLOCK) {
-                let block = start..range.end.min(start + BLOCK);
-                let mut streams: Vec<Rng> = block.clone().map(|i| rng.derive(i as u64)).collect();
-                out.extend(self.trajectory(
-                    &mut *handle,
-                    &images[block.clone()],
-                    &labels[block],
-                    eps,
-                    &mut streams,
-                ));
-            }
-            out
+        map_source_blocks(source, images.len(), |handle, block| {
+            let mut streams: Vec<Rng> = block.clone().map(|i| rng.derive(i as u64)).collect();
+            self.trajectory(
+                handle,
+                &images[block.clone()],
+                &labels[block],
+                eps,
+                &mut streams,
+            )
         })
     }
+}
+
+/// Runs `per_block` over images `0..n` of `source`, chunked over threads
+/// via [`axutil::parallel::par_map_chunks`] with one
+/// [`GradSource::handle`] per chunk, each chunk walked in blocks of up to
+/// [`BLOCK`] images. `per_block` returns one result per image of its
+/// block; the results come back in image order.
+pub(crate) fn map_source_blocks<T: Send>(
+    source: &dyn GradSource,
+    n: usize,
+    per_block: impl Fn(&mut dyn GradHandle, Range<usize>) -> Vec<T> + Sync,
+) -> Vec<T> {
+    parallel::par_map_chunks(n, |range| {
+        let mut handle = source.handle();
+        let mut out = Vec::with_capacity(range.len());
+        for start in range.clone().step_by(BLOCK) {
+            out.extend(per_block(&mut *handle, start..range.end.min(start + BLOCK)));
+        }
+        out
+    })
 }
 
 /// The checks every batch entry point shares.

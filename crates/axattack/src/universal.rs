@@ -12,22 +12,28 @@
 //! [`universal_step`], the same delta step the universal adversarial
 //! trainer in `axquant` takes.
 //!
+//! The crafter queries any [`GradSource`]: the float surrogate's
+//! compiled plan under the paper's threat model, or a [`crate::Mixture`]
+//! of sources.
+//!
 //! # Determinism and thread invariance
 //!
-//! Each epoch's gradients come from one
-//! [`Sequential::loss_and_input_grads_batch`] call (per-image results are
-//! chunk-independent by the PR 4 contract) and are folded into the summed
-//! gradient **in fixed left-to-right image order on the caller thread**,
-//! so the crafted delta is bit-identical for any `AXDNN_THREADS` setting
-//! (pinned by `tests/prop_universal.rs`).
+//! Each epoch's gradients come from the source's handles, chunked over
+//! threads and walked in blocks like [`crate::Attack::craft_batch_on`]
+//! (per-image answers do not depend on the chunking), and are folded
+//! into the summed gradient **in fixed left-to-right image order on the
+//! caller thread**. Image `i` of epoch `e` queries under its own stream
+//! `rng.derive(e).derive(i)`, drawn after the random start, so a
+//! randomized source stays thread-invariant too. The crafted delta is
+//! bit-identical for any `AXDNN_THREADS` setting (pinned by
+//! `tests/prop_universal.rs`).
 
-use axnn::Sequential;
+use axtensor::norms::universal_step;
 use axtensor::Tensor;
 use axutil::rng::Rng;
 
-use axtensor::norms::universal_step;
-
 use crate::norms::{normalized, project_ball, Norm};
+use crate::{map_source_blocks, GradSource};
 
 /// Applies a universal delta to one image: `clip(x + delta, 0, 1)`
 /// (re-export of the shared [`axtensor::norms::apply_delta`], under the
@@ -78,27 +84,30 @@ impl UniversalAttack {
         self.norm
     }
 
-    /// Optimizes one shared delta over the whole `(images, labels)` set.
+    /// Optimizes one shared delta over the whole `(images, labels)` set,
+    /// querying `source`.
     ///
-    /// Per epoch: one batched input-gradient pass at `clip(x + delta)`
-    /// over every image, then one [`universal_step`]: the per-image
-    /// gradients summed in image order, an `alpha` ascent step (Madry's
-    /// `2.5 * eps / epochs` step size) and a ball projection. Returns the
-    /// final delta (in delta space — apply it with [`apply`]). A zero
-    /// budget returns the zero delta without touching the model.
+    /// Per epoch: one input-gradient pass at `clip(x + delta)` over every
+    /// image, then one [`universal_step`]: the per-image gradients summed
+    /// in image order, an `alpha` ascent step (Madry's `2.5 * eps /
+    /// epochs` step size) and a ball projection. Returns the final delta
+    /// (in delta space — apply it with [`apply`]). A zero budget returns
+    /// the zero delta without querying the source.
     ///
-    /// `rng` is only consumed by the optional random start, so the
-    /// default configuration is a pure function of model, data and eps.
+    /// `rng` seeds the optional random start, then the per-image streams
+    /// a randomized source draws from. A deterministic source with the
+    /// default zero start makes the delta a pure function of source, data
+    /// and eps.
     ///
     /// # Panics
     ///
     /// Panics on an empty dataset (a "universal" perturbation for nothing
     /// is meaningless and would silently return zeros), a length
-    /// mismatch, a negative budget, or images that do not share one
-    /// shape.
+    /// mismatch, a negative budget, or an image that does not have the
+    /// source's input shape.
     pub fn craft_universal(
         &self,
-        model: &Sequential,
+        source: &dyn GradSource,
         images: &[Tensor],
         labels: &[usize],
         eps: f32,
@@ -110,47 +119,50 @@ impl UniversalAttack {
         );
         assert_eq!(images.len(), labels.len(), "images/labels length mismatch");
         assert!(eps >= 0.0, "negative budget");
-        let dims = images[0].dims().to_vec();
-        for (i, img) in images.iter().enumerate().skip(1) {
-            assert_eq!(img.dims(), &dims[..], "image {i} does not share one shape");
+        let dims = source.input_dims();
+        for (i, img) in images.iter().enumerate() {
+            assert_eq!(
+                img.dims(),
+                dims,
+                "image {i} does not share one shape with the source"
+            );
         }
         if eps == 0.0 {
-            return Tensor::zeros(&dims);
+            return Tensor::zeros(dims);
         }
         let mut delta = if self.random_start {
-            random_delta(&dims, eps, self.norm, rng)
+            random_delta(dims, eps, self.norm, rng)
         } else {
-            Tensor::zeros(&dims)
+            Tensor::zeros(dims)
         };
         let alpha = 2.5 * eps / self.epochs as f32;
-        for _ in 0..self.epochs {
+        for epoch in 0..self.epochs {
             let perturbed: Vec<Tensor> = images.iter().map(|x| apply(x, &delta)).collect();
-            let grads = model.loss_and_input_grads_batch(&perturbed, labels);
+            let streams = rng.derive(epoch as u64);
+            let grads = map_source_blocks(source, images.len(), |handle, block| {
+                let mut rngs: Vec<Rng> = block.clone().map(|i| streams.derive(i as u64)).collect();
+                handle.input_gradient_block(&perturbed[block.clone()], &labels[block], &mut rngs)
+            });
             // The summed set gradient, folded in fixed image order on the
             // caller thread — the thread-invariance linchpin.
-            universal_step(
-                &mut delta,
-                grads.iter().map(|(_, g)| g),
-                alpha,
-                eps,
-                self.norm,
-            );
+            universal_step(&mut delta, grads.iter(), alpha, eps, self.norm);
         }
         delta
     }
 }
 
-/// Crafts a universal delta with the default configuration (10 epochs,
-/// zero start) under `norm`. See [`UniversalAttack::craft_universal`].
+/// Crafts a universal delta on `source` with the default configuration
+/// (10 epochs, zero start) under `norm`. See
+/// [`UniversalAttack::craft_universal`].
 pub fn craft_universal(
-    model: &Sequential,
+    source: &dyn GradSource,
     images: &[Tensor],
     labels: &[usize],
     eps: f32,
     norm: Norm,
     rng: &mut Rng,
 ) -> Tensor {
-    UniversalAttack::new(norm).craft_universal(model, images, labels, eps, rng)
+    UniversalAttack::new(norm).craft_universal(source, images, labels, eps, rng)
 }
 
 /// A random delta inside the eps-ball, PGD's random start: constrained
@@ -178,6 +190,9 @@ mod tests {
     use super::*;
     use axnn::layer::{Dense, Layer};
     use axnn::loss::cross_entropy;
+    use axnn::Sequential;
+
+    const DIMS: [usize; 3] = [1, 4, 4];
 
     fn toy_model(seed: u64) -> Sequential {
         let mut rng = Rng::seed_from_u64(seed);
@@ -196,7 +211,7 @@ mod tests {
         let mut rng = Rng::seed_from_u64(seed);
         (0..n)
             .map(|_| {
-                let mut t = Tensor::zeros(&[1, 4, 4]);
+                let mut t = Tensor::zeros(&DIMS);
                 rng.fill_range_f32(t.data_mut(), 0.2, 0.8);
                 t
             })
@@ -208,9 +223,10 @@ mod tests {
         let model = toy_model(1);
         let images = toy_images(5, 2);
         let labels = vec![0usize, 1, 2, 0, 1];
+        let plan = model.plan(&DIMS);
         for (norm, eps) in [(Norm::Linf, 0.1f32), (Norm::L2, 0.5)] {
             let mut rng = Rng::seed_from_u64(3);
-            let delta = craft_universal(&model, &images, &labels, eps, norm, &mut rng);
+            let delta = craft_universal(&plan, &images, &labels, eps, norm, &mut rng);
             let n = match norm {
                 Norm::Linf => delta.linf_norm(),
                 Norm::L2 => delta.l2_norm(),
@@ -225,8 +241,9 @@ mod tests {
         let images = toy_images(3, 5);
         let labels = vec![0usize, 1, 2];
         let mut rng = Rng::seed_from_u64(6);
-        let delta = craft_universal(&model, &images, &labels, 0.0, Norm::Linf, &mut rng);
-        assert_eq!(delta, Tensor::zeros(&[1, 4, 4]));
+        let plan = model.plan(&DIMS);
+        let delta = craft_universal(&plan, &images, &labels, 0.0, Norm::Linf, &mut rng);
+        assert_eq!(delta, Tensor::zeros(&DIMS));
     }
 
     #[test]
@@ -235,7 +252,8 @@ mod tests {
         let images = toy_images(6, 8);
         let labels: Vec<usize> = images.iter().map(|x| model.predict(x)).collect();
         let mut rng = Rng::seed_from_u64(9);
-        let delta = craft_universal(&model, &images, &labels, 0.15, Norm::Linf, &mut rng);
+        let plan = model.plan(&DIMS);
+        let delta = craft_universal(&plan, &images, &labels, 0.15, Norm::Linf, &mut rng);
         let mean = |imgs: &[Tensor]| -> f32 {
             imgs.iter()
                 .zip(&labels)
@@ -257,8 +275,9 @@ mod tests {
         let model = toy_model(10);
         let images = toy_images(4, 11);
         let labels = vec![0usize, 1, 2, 0];
+        let plan = model.plan(&DIMS);
         let a = craft_universal(
-            &model,
+            &plan,
             &images,
             &labels,
             0.1,
@@ -266,7 +285,7 @@ mod tests {
             &mut Rng::seed_from_u64(1),
         );
         let b = craft_universal(
-            &model,
+            &plan,
             &images,
             &labels,
             0.1,
@@ -284,8 +303,9 @@ mod tests {
         let attack = UniversalAttack::new(Norm::Linf)
             .with_epochs(3)
             .with_random_start(true);
-        let a = attack.craft_universal(&model, &images, &labels, 0.1, &mut Rng::seed_from_u64(5));
-        let b = attack.craft_universal(&model, &images, &labels, 0.1, &mut Rng::seed_from_u64(5));
+        let plan = model.plan(&DIMS);
+        let a = attack.craft_universal(&plan, &images, &labels, 0.1, &mut Rng::seed_from_u64(5));
+        let b = attack.craft_universal(&plan, &images, &labels, 0.1, &mut Rng::seed_from_u64(5));
         assert_eq!(a, b);
         assert!(a.linf_norm() <= 0.1);
     }
@@ -294,16 +314,18 @@ mod tests {
     #[should_panic(expected = "non-empty dataset")]
     fn empty_dataset_panics() {
         let model = toy_model(14);
+        let plan = model.plan(&DIMS);
         let mut rng = Rng::seed_from_u64(15);
-        let _ = craft_universal(&model, &[], &[], 0.1, Norm::Linf, &mut rng);
+        let _ = craft_universal(&plan, &[], &[], 0.1, Norm::Linf, &mut rng);
     }
 
     #[test]
     #[should_panic(expected = "does not share one shape")]
     fn mixed_shape_images_panic() {
         let model = toy_model(16);
-        let images = vec![Tensor::zeros(&[1, 4, 4]), Tensor::zeros(&[16])];
+        let images = vec![Tensor::zeros(&DIMS), Tensor::zeros(&[16])];
         let mut rng = Rng::seed_from_u64(17);
-        let _ = craft_universal(&model, &images, &[0, 1], 0.1, Norm::Linf, &mut rng);
+        let plan = model.plan(&DIMS);
+        let _ = craft_universal(&plan, &images, &[0, 1], 0.1, Norm::Linf, &mut rng);
     }
 }

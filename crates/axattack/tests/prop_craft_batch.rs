@@ -4,9 +4,10 @@
 //! Each attack defines one block trajectory and `Attack` provides `craft`
 //! and `craft_batch` on top of it, so comparing those two would compare
 //! a path with itself. Instead, the reference below re-implements every
-//! attack the way the seed did: one image at a time, every query through
-//! `Sequential::input_gradient` / `Sequential::predict` (a fresh plan per
-//! call), image `i` under the stream `rng.derive(i as u64)`. Batched
+//! attack the way the seed did: one image at a time, every gradient
+//! through the seed layer loop (`axnn::reference::backward`) and every
+//! decision through `Sequential::predict` (a fresh plan per call), image
+//! `i` under the stream `rng.derive(i as u64)`. Batched
 //! crafting must be *bit-exact* with it for any model, eps, thread
 //! chunking and block boundary. PGD's random start and RAG/RAU's variable
 //! number of draws per image (they stop at the first fooling sample) are
@@ -17,26 +18,19 @@
 //! variable, so every test that crafts batches serializes on [`ENV_LOCK`]
 //! to keep the sweep race-free within this test binary.
 
-use std::sync::Mutex;
-
 use axattack::decision::{ContrastReduction, RepeatedAdditiveGaussian, RepeatedAdditiveUniform};
 use axattack::gradient::{Bim, Fgm, Pgd};
 use axattack::norms::{ascent_direction, normalized, project_ball, project_to_ball, Norm};
 use axattack::suite::AttackId;
 use axattack::{Attack, Mixture};
-use axnn::layer::{AvgPool2d, Conv2d, Dense, Layer};
 use axnn::model::Sequential;
+use axnn::reference;
 use axtensor::Tensor;
 use axutil::rng::Rng;
 use proptest::prelude::*;
 
-/// Serializes tests that read or write `AXDNN_THREADS`.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-const IN_DIMS: [usize; 3] = [1, 8, 8];
-
-/// The thread counts every batch is crafted under.
-const THREADS: [&str; 4] = ["1", "2", "3", "7"];
+mod common;
+use common::{images, small_model, under_threads, ENV_LOCK, IN_DIMS};
 
 /// Set sizes around the 4-image blocks: partial blocks, one full block,
 /// and one and two full blocks with a remainder.
@@ -45,52 +39,6 @@ const BATCH_SIZES: [usize; 7] = [1, 2, 3, 4, 5, 7, 9];
 /// A seed gradient query: the input gradient at `(x, label)`, drawing any
 /// randomness from the image's own stream.
 type Gradient<'a> = dyn Fn(&Tensor, usize, &mut Rng) -> Tensor + 'a;
-
-/// A small random model: dense-only, plain conv, or conv+pool.
-fn small_model(arch: usize, seed: u64) -> Sequential {
-    let rng = &mut Rng::seed_from_u64(seed);
-    match arch % 3 {
-        0 => Sequential::new(
-            "c-ffnn",
-            vec![
-                Layer::Flatten,
-                Layer::Dense(Dense::new(64, 12, rng)),
-                Layer::Relu,
-                Layer::Dense(Dense::new(12, 4, rng)),
-            ],
-        ),
-        1 => Sequential::new(
-            "c-conv",
-            vec![
-                Layer::Conv2d(Conv2d::new(1, 3, 3, 1, 0, rng)),
-                Layer::Relu,
-                Layer::Flatten,
-                Layer::Dense(Dense::new(3 * 6 * 6, 4, rng)),
-            ],
-        ),
-        _ => Sequential::new(
-            "c-convpool",
-            vec![
-                Layer::Conv2d(Conv2d::new(1, 2, 3, 1, 1, rng)),
-                Layer::Relu,
-                Layer::AvgPool(AvgPool2d::new(2)),
-                Layer::Flatten,
-                Layer::Dense(Dense::new(2 * 4 * 4, 4, rng)),
-            ],
-        ),
-    }
-}
-
-fn images(n: usize, seed: u64) -> Vec<Tensor> {
-    let mut rng = Rng::seed_from_u64(seed);
-    (0..n)
-        .map(|_| {
-            let mut t = Tensor::zeros(&IN_DIMS);
-            rng.fill_range_f32(t.data_mut(), 0.1, 0.9);
-            t
-        })
-        .collect()
-}
 
 /// `id` with `steps` iterations (BIM/PGD) or repetitions (RAG/RAU).
 fn attack(id: AttackId, steps: usize) -> Box<dyn Attack> {
@@ -128,7 +76,8 @@ fn reference(
         | AttackId::BimLinf
         | AttackId::PgdL2
         | AttackId::PgdLinf => {
-            let gradient = |x: &Tensor, label, _: &mut Rng| model.input_gradient(x, label).1;
+            let gradient =
+                |x: &Tensor, label, _: &mut Rng| reference::backward(model, x, label, None).1;
             gradient_reference(id, steps, &gradient, x, label, eps, rng)
         }
         AttackId::CrL2 => {
@@ -302,23 +251,6 @@ fn check(
     })
 }
 
-/// Runs `f(threads)` under every [`THREADS`] count, stopping at the
-/// first error, then restores `AXDNN_THREADS`; callers hold
-/// [`ENV_LOCK`].
-fn under_threads(f: impl FnMut(&str) -> Result<(), String>) -> Result<(), String> {
-    let prev = std::env::var("AXDNN_THREADS").ok();
-    let mut f = f;
-    let result = THREADS.into_iter().try_for_each(|threads| {
-        std::env::set_var("AXDNN_THREADS", threads);
-        f(threads)
-    });
-    match prev {
-        Some(v) => std::env::set_var("AXDNN_THREADS", v),
-        None => std::env::remove_var("AXDNN_THREADS"),
-    }
-    result
-}
-
 /// The attacks of Table I of the given type.
 fn ids(gradient: bool) -> impl Iterator<Item = AttackId> {
     AttackId::ALL
@@ -479,8 +411,8 @@ fn mixture_craft_batch_is_bit_exact_at_block_boundaries() {
     let mixture = Mixture::new(vec![&plans[0], &plans[1]], vec![1.0, 2.0], 2);
     let gradient = |x: &Tensor, label, rng: &mut Rng| {
         let pick = |rng: &mut Rng| &models[usize::from(rng.next_f32() * 3.0 >= 1.0)];
-        let mut grad = pick(rng).input_gradient(x, label).1;
-        grad.add_scaled(&pick(rng).input_gradient(x, label).1, 1.0);
+        let mut grad = reference::backward(pick(rng), x, label, None).1;
+        grad.add_scaled(&reference::backward(pick(rng), x, label, None).1, 1.0);
         grad.scaled(0.5)
     };
     let imgs = images(9, 63);

@@ -3,120 +3,96 @@
 //! Four contracts:
 //!
 //! 1. **Thread invariance** — `craft_universal` is bit-identical for any
-//!    `AXDNN_THREADS` setting (the epoch gradients come from one batched
-//!    pass folded in fixed image order on the caller thread).
+//!    `AXDNN_THREADS` setting (the epoch gradients come from per-chunk
+//!    source handles, folded in fixed image order on the caller thread),
+//!    on a plan and on a randomized 2-sample [`Mixture`]; a 1-member,
+//!    1-sample mixture crafts bitwise the plain plan's delta.
 //! 2. **Ball exactness** — the returned delta respects the eps budget and
 //!    is a fixed point of [`project_ball`] (bitwise for linf, to rounding
 //!    for l2).
 //! 3. **Degenerate differential** — on a single image, one crafting epoch
-//!    is exactly one batched-gradient ascent step, reproducible from the
-//!    public gradient API and the shared geometry helpers.
+//!    is exactly one gradient ascent step, reproducible from the seed
+//!    layer loop (`axnn::reference`) and the shared geometry helpers.
 //! 4. **Empty dataset panics** — a "universal" perturbation over nothing
 //!    is rejected loudly.
 //!
 //! Chunking is controlled through the `AXDNN_THREADS` environment
 //! variable, so thread-sweeping tests serialize on [`ENV_LOCK`].
 
-use std::sync::Mutex;
-
 use axattack::norms::{ascent_direction, project_ball, Norm};
 use axattack::universal::{apply, craft_universal, UniversalAttack};
-use axnn::layer::{AvgPool2d, Conv2d, Dense, Layer};
-use axnn::model::Sequential;
+use axattack::{GradSource, Mixture};
+use axnn::reference;
 use axtensor::Tensor;
 use axutil::rng::Rng;
 use proptest::prelude::*;
 
-/// Serializes tests that read or write `AXDNN_THREADS`.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
+mod common;
+use common::{images, small_model, under_threads, ENV_LOCK, IN_DIMS};
 
-const IN_DIMS: [usize; 3] = [1, 8, 8];
-
-/// A small random model: dense-only, plain conv, or conv+pool.
-fn small_model(arch: usize, seed: u64) -> Sequential {
-    let rng = &mut Rng::seed_from_u64(seed);
-    match arch % 3 {
-        0 => Sequential::new(
-            "u-ffnn",
-            vec![
-                Layer::Flatten,
-                Layer::Dense(Dense::new(64, 12, rng)),
-                Layer::Relu,
-                Layer::Dense(Dense::new(12, 4, rng)),
-            ],
-        ),
-        1 => Sequential::new(
-            "u-conv",
-            vec![
-                Layer::Conv2d(Conv2d::new(1, 3, 3, 1, 0, rng)),
-                Layer::Relu,
-                Layer::Flatten,
-                Layer::Dense(Dense::new(3 * 6 * 6, 4, rng)),
-            ],
-        ),
-        _ => Sequential::new(
-            "u-convpool",
-            vec![
-                Layer::Conv2d(Conv2d::new(1, 2, 3, 1, 1, rng)),
-                Layer::Relu,
-                Layer::AvgPool(AvgPool2d::new(2)),
-                Layer::Flatten,
-                Layer::Dense(Dense::new(2 * 4 * 4, 4, rng)),
-            ],
-        ),
-    }
-}
-
-fn images(n: usize, seed: u64) -> Vec<Tensor> {
-    let mut rng = Rng::seed_from_u64(seed);
-    (0..n)
-        .map(|_| {
-            let mut t = Tensor::zeros(&IN_DIMS);
-            rng.fill_range_f32(t.data_mut(), 0.1, 0.9);
-            t
-        })
-        .collect()
+/// `attack`'s delta on `source`, required bit-identical under every
+/// `AXDNN_THREADS` chunking; callers hold [`ENV_LOCK`].
+fn craft_under_threads(
+    attack: &UniversalAttack,
+    source: &dyn GradSource,
+    imgs: &[Tensor],
+    labels: &[usize],
+    at: &str,
+) -> Tensor {
+    let craft = || attack.craft_universal(source, imgs, labels, 0.12, &mut Rng::seed_from_u64(5));
+    let want = craft();
+    under_threads(|threads| match craft() == want {
+        true => Ok(()),
+        false => Err(format!("delta diverges at {threads} threads ({at})")),
+    })
+    .unwrap_or_else(|msg| panic!("{msg}"));
+    want
 }
 
 /// Crafting must not depend on how the per-epoch gradient batch is
 /// chunked across worker threads: sweep `AXDNN_THREADS` over every model
-/// family and both norms and require bit-identical deltas.
+/// family and both norms and require bit-identical deltas. A 1-member,
+/// 1-sample mixture of the plan uses its one draw as-is, so it crafts
+/// bitwise the plain plan's delta.
 #[test]
 fn craft_universal_is_chunking_invariant() {
     let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let prev = std::env::var("AXDNN_THREADS").ok();
     for arch in 0..3usize {
         let model = small_model(arch, 900 + arch as u64);
+        let plan = model.plan(&IN_DIMS);
         let imgs = images(7, 910 + arch as u64);
         let labels: Vec<usize> = (0..imgs.len()).map(|i| (i * 3) % 4).collect();
         for norm in [Norm::Linf, Norm::L2] {
             let attack = UniversalAttack::new(norm)
                 .with_epochs(4)
                 .with_random_start(true);
-            let mut reference: Option<Tensor> = None;
-            for threads in ["1", "2", "3", "7"] {
-                std::env::set_var("AXDNN_THREADS", threads);
-                let delta = attack.craft_universal(
-                    &model,
-                    &imgs,
-                    &labels,
-                    0.12,
-                    &mut Rng::seed_from_u64(5),
-                );
-                match &reference {
-                    None => reference = Some(delta),
-                    Some(r) => assert_eq!(
-                        r, &delta,
-                        "universal {norm} delta diverges between chunkings \
-                         (arch {arch}, threads {threads})"
-                    ),
-                }
-            }
+            let at = format!("{norm}, arch {arch}");
+            let delta = craft_under_threads(&attack, &plan, &imgs, &labels, &at);
+            let one = Mixture::new(vec![&plan], vec![1.0], 1);
+            let rng = &mut Rng::seed_from_u64(5);
+            let got = attack.craft_universal(&one, &imgs, &labels, 0.12, rng);
+            assert_eq!(got, delta, "degenerate mixture ({at})");
         }
     }
-    match prev {
-        Some(v) => std::env::set_var("AXDNN_THREADS", v),
-        None => std::env::remove_var("AXDNN_THREADS"),
+}
+
+/// A randomized source stays thread-invariant: a 2-sample mixture of a
+/// conv and a conv+pool model weighted 1:2 draws its members from each
+/// image's own per-epoch stream, so the delta is bit-identical under
+/// every chunking — and does depend on the seed.
+#[test]
+fn mixture_delta_is_chunking_invariant() {
+    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let models = [small_model(1, 931), small_model(2, 932)];
+    let plans = [models[0].plan(&IN_DIMS), models[1].plan(&IN_DIMS)];
+    let mixture = Mixture::new(vec![&plans[0], &plans[1]], vec![1.0, 2.0], 2);
+    let imgs = images(9, 933);
+    let labels: Vec<usize> = (0..imgs.len()).map(|i| i % 4).collect();
+    for norm in [Norm::Linf, Norm::L2] {
+        let attack = UniversalAttack::new(norm).with_epochs(4);
+        let a = craft_under_threads(&attack, &mixture, &imgs, &labels, &format!("{norm}"));
+        let b = attack.craft_universal(&mixture, &imgs, &labels, 0.12, &mut Rng::seed_from_u64(7));
+        assert_ne!(a, b, "{norm}: the mixture's draws must follow the stream");
     }
 }
 
@@ -140,7 +116,7 @@ proptest! {
         let eps = eps_step as f32 * 0.04;
         for norm in [Norm::Linf, Norm::L2] {
             let delta = UniversalAttack::new(norm).with_epochs(3).craft_universal(
-                &model, &imgs, &labels, eps, &mut Rng::seed_from_u64(seed ^ 0xBA11),
+                &model.plan(&IN_DIMS), &imgs, &labels, eps, &mut Rng::seed_from_u64(seed ^ 0xBA11),
             );
             let reprojected = project_ball(&delta, eps, norm);
             match norm {
@@ -164,8 +140,8 @@ proptest! {
     }
 
     /// On a single image the universal crafter degenerates to plain
-    /// batched-gradient ascent: one epoch with the zero start is exactly
-    /// one `loss_and_input_grads_batch` call, one
+    /// gradient ascent: one epoch with the zero start is exactly one
+    /// seed input gradient (`reference::backward`), one
     /// `alpha * ascent_direction` step (`alpha = 2.5 * eps / epochs`) and
     /// one projection — reproducible bit-for-bit from public APIs.
     #[test]
@@ -180,18 +156,17 @@ proptest! {
         let eps = 0.1f32;
         let epochs = 3usize;
         let crafted = UniversalAttack::new(Norm::Linf).with_epochs(epochs).craft_universal(
-            &model, std::slice::from_ref(&image), &[label], eps,
+            &model.plan(&IN_DIMS), std::slice::from_ref(&image), &[label], eps,
             &mut Rng::seed_from_u64(0),
         );
-        // Reference: the same ascent written out against the public
-        // gradient API and the shared geometry helpers.
+        // Reference: the same ascent written out against the seed layer
+        // loop and the shared geometry helpers.
         let alpha = 2.5 * eps / epochs as f32;
         let mut delta = Tensor::zeros(image.dims());
         for _ in 0..epochs {
-            let perturbed = vec![apply(&image, &delta)];
-            let grads = model.loss_and_input_grads_batch(&perturbed, &[label]);
+            let (_, grad) = reference::backward(&model, &apply(&image, &delta), label, None);
             let mut g = Tensor::zeros(image.dims());
-            g.add_scaled(&grads[0].1, 1.0);
+            g.add_scaled(&grad, 1.0);
             delta.add_scaled(&ascent_direction(&g, Norm::Linf), alpha);
             delta = project_ball(&delta, eps, Norm::Linf);
         }
@@ -205,7 +180,7 @@ proptest! {
 fn empty_dataset_is_rejected() {
     let model = small_model(0, 1);
     let _ = craft_universal(
-        &model,
+        &model.plan(&IN_DIMS),
         &[],
         &[],
         0.1,

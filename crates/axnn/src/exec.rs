@@ -28,10 +28,9 @@
 //!
 //! # Bit-compatibility with the layer-by-layer path
 //!
-//! The seed engine ([`crate::layer::Layer::forward`] /
-//! [`crate::layer::Layer::backward`]) is kept as the reference
-//! implementation, and every kernel here reproduces its floating-point
-//! accumulation order exactly:
+//! The seed engine (the per-layer loops of `axnn::reference`) is kept as
+//! the reference implementation, and every kernel here reproduces its
+//! floating-point accumulation order exactly:
 //!
 //! * conv forward accumulators start at the bias and add products in
 //!   `(channel, ky, kx)` order; padded positions become `0` patch entries

@@ -1,10 +1,11 @@
-//! Network layers with forward and backward passes.
+//! Network layers: parameters and geometry.
 //!
-//! Layers operate on single examples (`[C, H, W]` feature maps or `[N]`
-//! vectors). Batch parallelism happens one level up, in the trainer and
-//! the evaluators, which keeps every layer implementation a plain loop
-//! that is easy to verify against finite differences (see the gradient
-//! checks in this module's tests).
+//! A [`Layer`] describes one step of a model (`[C, H, W]` feature maps or
+//! `[N]` vectors per image) and owns its weights; it does not run.
+//! Execution, batched over blocks of images, is the compiled
+//! [`FPlan`](crate::plan::FPlan). The seed per-image loops the plan
+//! replaced live in `axnn::reference`, and this module's tests check
+//! their gradients against finite differences.
 
 use axtensor::Tensor;
 use axutil::rng::Rng;
@@ -75,132 +76,6 @@ impl Conv2d {
     pub fn pad(&self) -> usize {
         self.pad
     }
-
-    fn out_hw(&self, h: usize, w: usize) -> (usize, usize) {
-        let k = self.weight.dims()[2];
-        let oh = (h + 2 * self.pad)
-            .checked_sub(k)
-            .expect("kernel larger than input")
-            / self.stride
-            + 1;
-        let ow = (w + 2 * self.pad)
-            .checked_sub(k)
-            .expect("kernel larger than input")
-            / self.stride
-            + 1;
-        (oh, ow)
-    }
-
-    fn forward(&self, x: &Tensor) -> Tensor {
-        let [ic, h, w] = *x.dims() else {
-            panic!("conv input must be [C, H, W], got {}", x.shape())
-        };
-        let [oc, wic, kh, kw] = *self.weight.dims() else {
-            unreachable!()
-        };
-        assert_eq!(ic, wic, "conv channel mismatch");
-        let (oh, ow) = self.out_hw(h, w);
-        let mut out = vec![0.0f32; oc * oh * ow];
-        let xd = x.data();
-        let wd = self.weight.data();
-        let bd = self.bias.data();
-        let (s, p) = (self.stride as isize, self.pad as isize);
-        for o in 0..oc {
-            let w_base = o * ic * kh * kw;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut acc = bd[o];
-                    for c in 0..ic {
-                        let x_base = c * h * w;
-                        let wc_base = w_base + c * kh * kw;
-                        for ky in 0..kh {
-                            let iy = oy as isize * s + ky as isize - p;
-                            if iy < 0 || iy >= h as isize {
-                                continue;
-                            }
-                            let x_row = x_base + iy as usize * w;
-                            let w_row = wc_base + ky * kw;
-                            for kx in 0..kw {
-                                let ix = ox as isize * s + kx as isize - p;
-                                if ix < 0 || ix >= w as isize {
-                                    continue;
-                                }
-                                acc += wd[w_row + kx] * xd[x_row + ix as usize];
-                            }
-                        }
-                    }
-                    out[(o * oh + oy) * ow + ox] = acc;
-                }
-            }
-        }
-        Tensor::from_vec(out, &[oc, oh, ow])
-    }
-
-    fn backward(
-        &self,
-        x: &Tensor,
-        grad_out: &Tensor,
-        param_grads: Option<&mut [Tensor]>,
-    ) -> Tensor {
-        let [ic, h, w] = *x.dims() else {
-            unreachable!()
-        };
-        let [oc, _, kh, kw] = *self.weight.dims() else {
-            unreachable!()
-        };
-        let [goc, oh, ow] = *grad_out.dims() else {
-            panic!("conv grad must be [C, H, W]")
-        };
-        assert_eq!(goc, oc, "grad channel mismatch");
-        let mut dx = vec![0.0f32; ic * h * w];
-        let xd = x.data();
-        let wd = self.weight.data();
-        let gd = grad_out.data();
-        let (s, p) = (self.stride as isize, self.pad as isize);
-        // Borrow the two gradient buffers up front, if requested.
-        let (mut dw, mut db): (Option<&mut [f32]>, Option<&mut [f32]>) = match param_grads {
-            Some(slice) => {
-                let (wg, bg) = slice.split_at_mut(1);
-                (Some(wg[0].data_mut()), Some(bg[0].data_mut()))
-            }
-            None => (None, None),
-        };
-        for o in 0..oc {
-            let w_base = o * ic * kh * kw;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let g = gd[(o * oh + oy) * ow + ox];
-                    if let Some(db) = db.as_deref_mut() {
-                        db[o] += g;
-                    }
-                    for c in 0..ic {
-                        let x_base = c * h * w;
-                        let wc_base = w_base + c * kh * kw;
-                        for ky in 0..kh {
-                            let iy = oy as isize * s + ky as isize - p;
-                            if iy < 0 || iy >= h as isize {
-                                continue;
-                            }
-                            let x_row = x_base + iy as usize * w;
-                            let w_row = wc_base + ky * kw;
-                            for kx in 0..kw {
-                                let ix = ox as isize * s + kx as isize - p;
-                                if ix < 0 || ix >= w as isize {
-                                    continue;
-                                }
-                                let ix = ix as usize;
-                                if let Some(dw) = dw.as_deref_mut() {
-                                    dw[w_row + kx] += g * xd[x_row + ix];
-                                }
-                                dx[x_row + ix] += g * wd[w_row + kx];
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        Tensor::from_vec(dx, &[ic, h, w])
-    }
 }
 
 /// A fully connected layer (`[in] -> [out]`).
@@ -236,43 +111,6 @@ impl Dense {
     pub fn bias(&self) -> &Tensor {
         &self.bias
     }
-
-    fn forward(&self, x: &Tensor) -> Tensor {
-        let mut y = self.weight.matvec(&x.reshaped(&[x.len()]));
-        for (v, &b) in y.data_mut().iter_mut().zip(self.bias.data()) {
-            *v += b;
-        }
-        y
-    }
-
-    fn backward(
-        &self,
-        x: &Tensor,
-        grad_out: &Tensor,
-        param_grads: Option<&mut [Tensor]>,
-    ) -> Tensor {
-        let xin = x.reshaped(&[x.len()]);
-        if let Some(slice) = param_grads {
-            let (wg, bg) = slice.split_at_mut(1);
-            let (out_dim, in_dim) = (self.weight.dims()[0], self.weight.dims()[1]);
-            let dw = wg[0].data_mut();
-            for o in 0..out_dim {
-                let g = grad_out.data()[o];
-                if g == 0.0 {
-                    continue;
-                }
-                let row = &mut dw[o * in_dim..(o + 1) * in_dim];
-                for (d, &xv) in row.iter_mut().zip(xin.data()) {
-                    *d += g * xv;
-                }
-            }
-            for (d, &g) in bg[0].data_mut().iter_mut().zip(grad_out.data()) {
-                *d += g;
-            }
-        }
-        let dx = self.weight.matvec_t(grad_out);
-        dx.reshaped(x.dims())
-    }
 }
 
 /// Non-overlapping average pooling with a square window.
@@ -295,59 +133,6 @@ impl AvgPool2d {
     /// The window size.
     pub fn k(&self) -> usize {
         self.k
-    }
-
-    fn forward(&self, x: &Tensor) -> Tensor {
-        let [c, h, w] = *x.dims() else {
-            panic!("pool input must be [C, H, W]")
-        };
-        let k = self.k;
-        assert!(
-            h % k == 0 && w % k == 0,
-            "pool window {k} does not tile {h}x{w}"
-        );
-        let (oh, ow) = (h / k, w / k);
-        let inv = 1.0 / (k * k) as f32;
-        let mut out = vec![0.0f32; c * oh * ow];
-        let xd = x.data();
-        for ch in 0..c {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut acc = 0.0;
-                    for dy in 0..k {
-                        let row = (ch * h + oy * k + dy) * w + ox * k;
-                        for dx in 0..k {
-                            acc += xd[row + dx];
-                        }
-                    }
-                    out[(ch * oh + oy) * ow + ox] = acc * inv;
-                }
-            }
-        }
-        Tensor::from_vec(out, &[c, oh, ow])
-    }
-
-    fn backward(&self, x: &Tensor, grad_out: &Tensor) -> Tensor {
-        let [c, h, w] = *x.dims() else { unreachable!() };
-        let k = self.k;
-        let (oh, ow) = (h / k, w / k);
-        let inv = 1.0 / (k * k) as f32;
-        let mut dx = vec![0.0f32; c * h * w];
-        let gd = grad_out.data();
-        for ch in 0..c {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let g = gd[(ch * oh + oy) * ow + ox] * inv;
-                    for dy in 0..k {
-                        let row = (ch * h + oy * k + dy) * w + ox * k;
-                        for dx_i in 0..k {
-                            dx[row + dx_i] += g;
-                        }
-                    }
-                }
-            }
-        }
-        Tensor::from_vec(dx, &[c, h, w])
     }
 }
 
@@ -375,36 +160,6 @@ impl Layer {
             Layer::AvgPool(_) => "avgpool",
             Layer::Relu => "relu",
             Layer::Flatten => "flatten",
-        }
-    }
-
-    /// Runs the layer forward.
-    pub fn forward(&self, x: &Tensor) -> Tensor {
-        match self {
-            Layer::Conv2d(c) => c.forward(x),
-            Layer::Dense(d) => d.forward(x),
-            Layer::AvgPool(p) => p.forward(x),
-            Layer::Relu => x.map(|v| v.max(0.0)),
-            Layer::Flatten => x.reshaped(&[x.len()]),
-        }
-    }
-
-    /// Back-propagates `grad_out` through the layer evaluated at input
-    /// `x`, optionally accumulating parameter gradients into
-    /// `param_grads` (same layout as [`Layer::params`]). Returns the
-    /// gradient with respect to `x`.
-    pub fn backward(
-        &self,
-        x: &Tensor,
-        grad_out: &Tensor,
-        param_grads: Option<&mut [Tensor]>,
-    ) -> Tensor {
-        match self {
-            Layer::Conv2d(c) => c.backward(x, grad_out, param_grads),
-            Layer::Dense(d) => d.backward(x, grad_out, param_grads),
-            Layer::AvgPool(p) => p.backward(x, grad_out),
-            Layer::Relu => x.zip_with(grad_out, |xv, g| if xv > 0.0 { g } else { 0.0 }),
-            Layer::Flatten => grad_out.reshaped(x.dims()),
         }
     }
 
@@ -438,6 +193,7 @@ impl Layer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{layer_backward as backward, layer_forward as forward};
 
     /// Central-difference gradient check of `layer` at input `x`,
     /// comparing both input gradients and parameter gradients.
@@ -446,19 +202,19 @@ mod tests {
         // Scalar objective: weighted sum of outputs with fixed weights so
         // the objective is sensitive to every output.
         let weights: Vec<f32> = {
-            let y = layer.forward(x);
+            let y = forward(layer, x);
             (0..y.len())
                 .map(|i| ((i % 7) as f32 - 3.0) / 3.0 + 0.1)
                 .collect()
         };
         let objective = |l: &Layer, xx: &Tensor| -> f32 {
-            let y = l.forward(xx);
+            let y = forward(l, xx);
             y.data().iter().zip(&weights).map(|(&v, &w)| v * w).sum()
         };
-        let y = layer.forward(x);
+        let y = forward(layer, x);
         let grad_out = Tensor::from_vec(weights.clone(), y.dims());
         let mut pgrads = layer.zero_param_grads();
-        let dx = layer.backward(x, &grad_out, Some(&mut pgrads));
+        let dx = backward(layer, x, &grad_out, Some(&mut pgrads));
 
         // Input gradient check.
         for i in (0..x.len()).step_by((x.len() / 17).max(1)) {
@@ -505,7 +261,7 @@ mod tests {
     fn conv_output_shape_no_pad() {
         let mut rng = Rng::seed_from_u64(0);
         let conv = Conv2d::new(1, 6, 5, 1, 0, &mut rng);
-        let y = Layer::Conv2d(conv).forward(&Tensor::zeros(&[1, 28, 28]));
+        let y = forward(&Layer::Conv2d(conv), &Tensor::zeros(&[1, 28, 28]));
         assert_eq!(y.dims(), &[6, 24, 24]);
     }
 
@@ -513,7 +269,7 @@ mod tests {
     fn conv_output_shape_with_pad() {
         let mut rng = Rng::seed_from_u64(0);
         let conv = Conv2d::new(3, 8, 3, 1, 1, &mut rng);
-        let y = Layer::Conv2d(conv).forward(&Tensor::zeros(&[3, 32, 32]));
+        let y = forward(&Layer::Conv2d(conv), &Tensor::zeros(&[3, 32, 32]));
         assert_eq!(y.dims(), &[8, 32, 32]);
     }
 
@@ -523,7 +279,7 @@ mod tests {
         let w = Tensor::from_vec(vec![1.0], &[1, 1, 1, 1]);
         let conv = Conv2d::from_parts(w, Tensor::zeros(&[1]), 1, 0);
         let x = random_tensor(&[1, 5, 5], 1);
-        let y = Layer::Conv2d(conv).forward(&x);
+        let y = forward(&Layer::Conv2d(conv), &x);
         assert_eq!(y.data(), x.data());
     }
 
@@ -533,7 +289,7 @@ mod tests {
         let w = Tensor::from_vec(vec![1.0; 4], &[1, 1, 2, 2]);
         let conv = Conv2d::from_parts(w, Tensor::from_vec(vec![0.5], &[1]), 1, 0);
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 2, 2]);
-        let y = Layer::Conv2d(conv).forward(&x);
+        let y = forward(&Layer::Conv2d(conv), &x);
         assert_eq!(y.dims(), &[1, 1, 1]);
         assert_eq!(y.data()[0], 10.5);
     }
@@ -557,7 +313,7 @@ mod tests {
         let w = Tensor::from_vec(vec![1.0, 2.0, -1.0, 0.5], &[2, 2]);
         let b = Tensor::from_vec(vec![0.1, -0.1], &[2]);
         let d = Dense::from_parts(w, b);
-        let y = Layer::Dense(d).forward(&Tensor::from_vec(vec![3.0, 4.0], &[2]));
+        let y = forward(&Layer::Dense(d), &Tensor::from_vec(vec![3.0, 4.0], &[2]));
         assert!((y.data()[0] - (3.0 + 8.0 + 0.1)).abs() < 1e-6);
         assert!((y.data()[1] - (-3.0 + 2.0 - 0.1)).abs() < 1e-6);
     }
@@ -573,7 +329,7 @@ mod tests {
     fn avgpool_forward_and_backward() {
         let pool = Layer::AvgPool(AvgPool2d::new(2));
         let x = Tensor::from_vec((0..16).map(|v| v as f32).collect(), &[1, 4, 4]);
-        let y = pool.forward(&x);
+        let y = forward(&pool, &x);
         assert_eq!(y.dims(), &[1, 2, 2]);
         assert_eq!(y.data()[0], (0.0 + 1.0 + 4.0 + 5.0) / 4.0);
         grad_check(&pool, &random_tensor(&[2, 4, 4], 5));
@@ -588,7 +344,7 @@ mod tests {
     #[test]
     fn relu_zeroes_negatives() {
         let x = Tensor::from_vec(vec![-1.0, 0.0, 2.0], &[3]);
-        assert_eq!(Layer::Relu.forward(&x).data(), &[0.0, 0.0, 2.0]);
+        assert_eq!(forward(&Layer::Relu, &x).data(), &[0.0, 0.0, 2.0]);
     }
 
     #[test]
@@ -605,6 +361,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "does not tile")]
     fn pool_rejects_non_tiling_input() {
-        let _ = Layer::AvgPool(AvgPool2d::new(3)).forward(&Tensor::zeros(&[1, 4, 4]));
+        let _ = forward(
+            &Layer::AvgPool(AvgPool2d::new(3)),
+            &Tensor::zeros(&[1, 4, 4]),
+        );
     }
 }

@@ -4,15 +4,17 @@
 //! paper, with everything the robustness pipeline needs:
 //!
 //! * [`layer`] — convolution, dense, average-pooling, ReLU and flatten
-//!   layers with forward *and* backward passes (parameter gradients and
-//!   input gradients — the latter power the gradient-based attacks).
-//! * [`plan`] / [`exec`] — the compiled float engine: an
-//!   [`plan::FPlan`] resolves layer geometry once per `(model, input
-//!   shape)` pair and replays im2col-GEMM kernels over reusable scratch,
-//!   with batched input-gradient entry points that the batched attack
-//!   crafting in `axattack` builds on. [`model::Sequential`]'s
-//!   `forward`/`input_gradient`/`loss_and_grads` are thin bit-compatible
-//!   wrappers over it.
+//!   layers: parameters and geometry, with no execution of their own.
+//! * [`plan`] / [`exec`] — the one float executor: an [`plan::FPlan`]
+//!   resolves layer geometry once per `(model, input shape)` pair and
+//!   replays im2col-GEMM kernels over reusable scratch, in blocks of
+//!   images. It answers every forward, parameter gradient, input
+//!   gradient (the quantity the attacks in `axattack` ascend) and the
+//!   max-abs calibration that `axquant` quantizes with.
+//!   [`model::Sequential`]'s `forward`/`loss_and_grads`/`accuracy` are
+//!   one-call wrappers over it. The seed layer-by-layer loop it replaced
+//!   is kept, hidden, as `axnn::reference`: the path the proptests pin
+//!   the engine to, bit for bit.
 //! * [`loss`] — numerically stable softmax cross-entropy.
 //! * [`model`] — [`model::Sequential`] composition, prediction
 //!   and accuracy evaluation.
@@ -56,6 +58,8 @@ pub mod loss;
 pub mod model;
 pub mod optim;
 pub mod plan;
+#[doc(hidden)]
+pub mod reference;
 pub mod serialize;
 pub mod train;
 pub mod zoo;

@@ -1,4 +1,6 @@
-//! Sequential model composition.
+//! Sequential model composition: the layer stack, its parameter
+//! gradients, and one-call conveniences over the compiled engine
+//! ([`crate::plan::FPlan`]), which each compile a fresh plan.
 
 use axdata::Dataset;
 use axtensor::Tensor;
@@ -105,18 +107,6 @@ impl Sequential {
         plan.forward(&mut scratch, x)
     }
 
-    /// Forward pass that records every layer input (needed by backward).
-    /// Returns `(per_layer_inputs, logits)`.
-    pub fn forward_trace(&self, x: &Tensor) -> (Vec<Tensor>, Tensor) {
-        let mut inputs = Vec::with_capacity(self.layers.len());
-        let mut cur = x.clone();
-        for layer in &self.layers {
-            inputs.push(cur.clone());
-            cur = layer.forward(&cur);
-        }
-        (inputs, cur)
-    }
-
     /// The predicted class for one input.
     pub fn predict(&self, x: &Tensor) -> usize {
         self.forward(x).argmax()
@@ -139,52 +129,6 @@ impl Sequential {
         plan.loss_and_grads(&mut scratch, x, target)
     }
 
-    /// Cross-entropy loss and the gradient with respect to the *input* —
-    /// the quantity gradient-based adversarial attacks ascend.
-    ///
-    /// Thin wrapper over the compiled engine ([`crate::plan::FPlan`]);
-    /// bit-compatible with the seed layer-by-layer loop.
-    pub fn input_gradient(&self, x: &Tensor, target: usize) -> (f32, Tensor) {
-        let plan = self.plan(x.dims());
-        let mut scratch = plan.scratch();
-        plan.input_gradient(&mut scratch, x, target)
-    }
-
-    /// Input gradients for a whole batch of examples in one pass, chunked
-    /// over threads with one compiled plan and one scratch per chunk.
-    ///
-    /// Returns one gradient per image, in order, bit-identical to
-    /// per-image [`Sequential::input_gradient`] calls regardless of how
-    /// the batch is chunked.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `images` and `labels` disagree in length or the images
-    /// do not share one shape.
-    pub fn input_gradient_batch(&self, images: &[Tensor], labels: &[usize]) -> Vec<Tensor> {
-        self.loss_and_input_grads_batch(images, labels)
-            .into_iter()
-            .map(|(_, g)| g)
-            .collect()
-    }
-
-    /// Like [`Sequential::input_gradient_batch`], but also returns each
-    /// example's cross-entropy loss (used by loss-landscape sweeps and
-    /// gradient-aggregating universal-perturbation workloads).
-    pub fn loss_and_input_grads_batch(
-        &self,
-        images: &[Tensor],
-        labels: &[usize],
-    ) -> Vec<(f32, Tensor)> {
-        assert_eq!(images.len(), labels.len(), "images/labels length mismatch");
-        if images.is_empty() {
-            return Vec::new();
-        }
-        assert_uniform_shape(images);
-        let plan = self.plan(images[0].dims());
-        plan.input_gradient_batch_indexed(images.len(), |i| &images[i], |i| labels[i])
-    }
-
     /// Summed cross-entropy loss and parameter gradients over a whole
     /// minibatch, on the batched engine: one compiled plan, threads work
     /// contiguous image chunks with one scratch each, one forward per
@@ -195,8 +139,8 @@ impl Sequential {
     ///
     /// # Panics
     ///
-    /// Panics on an empty batch, a length mismatch, or images that do not
-    /// share one shape.
+    /// Panics on an empty batch, a length mismatch, or an image whose
+    /// shape differs from the first one's (the plan checks every image).
     pub fn loss_and_param_grads_batch(
         &self,
         images: &[Tensor],
@@ -207,7 +151,6 @@ impl Sequential {
             !images.is_empty(),
             "loss_and_param_grads_batch needs a non-empty batch"
         );
-        assert_uniform_shape(images);
         let plan = self.plan(images[0].dims());
         plan.loss_and_param_grads_batch(images.len(), |i| &images[i], |i| labels[i])
     }
@@ -254,22 +197,6 @@ impl Sequential {
     }
 }
 
-/// Asserts every image shares the first image's shape. The batch entry
-/// points compile one plan from `images[0]` and the plan only checks
-/// flattened lengths, so a same-length/different-shape image would
-/// otherwise silently run under image 0's geometry instead of panicking
-/// like the per-image path.
-fn assert_uniform_shape(images: &[Tensor]) {
-    let dims = images[0].dims();
-    for (i, img) in images.iter().enumerate().skip(1) {
-        assert_eq!(
-            img.dims(),
-            dims,
-            "batch image {i} does not share the batch shape"
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,7 +227,7 @@ mod tests {
         let x = random_input(1);
         let y = m.forward(&x);
         assert_eq!(y.len(), 3);
-        let (inputs, y2) = m.forward_trace(&x);
+        let (inputs, y2) = crate::reference::forward_trace(&m, &x);
         assert_eq!(inputs.len(), 3);
         assert_eq!(y, y2);
         assert_eq!(inputs[0], x);
@@ -310,7 +237,8 @@ mod tests {
     fn input_gradient_matches_finite_difference() {
         let m = tiny_model(2);
         let x = random_input(3);
-        let (_, dx) = m.input_gradient(&x, 1);
+        let plan = m.plan(x.dims());
+        let (_, dx) = plan.input_gradient(&mut plan.scratch(), &x, 1);
         let eps = 1e-3;
         for i in 0..x.len() {
             let mut xp = x.clone();
@@ -380,7 +308,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "batch shape")]
+    #[should_panic(expected = "planned shape")]
     fn mixed_shape_batch_is_rejected() {
         let m = tiny_model(11);
         // Same flattened length, different shape: must panic instead of

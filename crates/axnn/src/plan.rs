@@ -9,16 +9,18 @@
 //! forward tape the backward pass replays, lives in a reusable
 //! [`FScratch`].
 //!
-//! [`Sequential::forward`], [`Sequential::input_gradient`] and
-//! [`Sequential::loss_and_grads`] are thin wrappers over this engine and
-//! remain bit-compatible with the seed layer-by-layer path (see
-//! [`crate::exec`] for the accumulation-order argument). The batch entry
-//! points ([`FPlan::input_gradient_batch_indexed`], [`FPlan::count_correct`],
-//! [`FPlan::loss_and_param_grads_batch`] and the
-//! [`Sequential::input_gradient_batch`] family) run `N` images per pass,
-//! chunked over threads via [`axutil::parallel::par_map_chunks`] with one
-//! scratch per chunk. Each chunk runs in blocks of up to four images: the
-//! scratch's tape holds a block, the forward runs once per block with
+//! It is the one float executor: every forward, gradient and
+//! calibration pass in the workspace runs here, bit-compatible with the
+//! seed layer-by-layer loop that `axnn::reference` keeps for the tests
+//! (see [`crate::exec`] for the accumulation-order argument). The batch
+//! entry points ([`FPlan::input_gradient_batch_indexed`],
+//! [`FPlan::count_correct`], [`FPlan::loss_and_param_grads_batch`]) run
+//! `N` images per pass, chunked over threads via
+//! [`axutil::parallel::par_map_chunks`] with one scratch per chunk;
+//! [`FPlan::layer_max_abs`], the calibration pass of post-training
+//! quantization, walks its images on the caller's thread. Each chunk
+//! runs in blocks of up to four images: the scratch's tape holds a
+//! block, the forward runs once per block with
 //! the images as the rows of every dense layer's GEMM
 //! ([`exec::dense_forward_rows`]) and of a conv covering its whole input
 //! ([`exec::conv_forward_rows`]), and the backward walks the block down
@@ -46,10 +48,14 @@
 //! Compiling a plan is cheap (shape arithmetic only), but every
 //! multi-call driver in the workspace still hoists one plan out of its
 //! loop: the attack loops and batch entry points compile once per
-//! crafting run, the sweep drivers (`core::eval`, `core::algorithm1`)
-//! compile once per grid, and one-shot wrappers ([`Sequential::forward`],
-//! [`Sequential::accuracy`]) remain the only fresh-plan-per-call sites —
-//! by design, they are the convenience tier. Training goes one further: a
+//! crafting run, and the sweep drivers (`core::eval`, `core::algorithm1`)
+//! compile once per grid. A fresh plan per call is left only where a
+//! call is the whole job: the one-call conveniences on [`Sequential`]
+//! (`forward`, `predict`, `loss_and_grads`, `loss_and_param_grads_batch`,
+//! `accuracy`), one-image crafting (`axattack`'s `Attack::craft`),
+//! calibration (once per `axquant::QuantModel::from_float`), and the
+//! quantized trainer's delta ascent, whose float shadow changes every
+//! batch. Training goes one further: a
 //! borrowed plan holds the model's weights immutably, so
 //! [`Sequential::plan_owned`] / [`FPlan::into_owned`] produce a plan that
 //! **owns** its parameters and is updated in place through
@@ -70,8 +76,9 @@
 //! let (loss, grad) = plan.input_gradient(&mut scratch, &x, 3);
 //! assert_eq!(grad.dims(), &[1, 28, 28]);
 //! assert!(loss > 0.0);
-//! // Bit-identical to the wrapper (which compiles a fresh plan per call).
-//! assert_eq!(model.input_gradient(&x, 3), (loss, grad));
+//! // A block query answers each image exactly as a one-image call does.
+//! let block = plan.input_gradient_block(&mut scratch, &[x.clone(), x], &[3, 3]);
+//! assert_eq!(block, vec![(loss, grad.clone()), (loss, grad)]);
 //! ```
 
 use std::ops::Range;
@@ -611,6 +618,29 @@ impl<'m> FPlan<'m> {
         argmax(self.logits(s, 0))
     }
 
+    /// Entry `i` is the largest absolute value of step `i`'s output over
+    /// images `0..n`: the max-abs calibration of post-training
+    /// quantization. Runs the images in blocks on one scratch on the
+    /// caller's thread; a maximum folded like [`Tensor::max_abs`] does
+    /// not depend on the order it sees the values in.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an image does not have the planned shape.
+    pub fn layer_max_abs<'a>(&self, n: usize, image: impl Fn(usize) -> &'a Tensor) -> Vec<f32> {
+        let mut s = self.scratch();
+        let mut max = vec![0.0f32; self.steps.len()];
+        for start in (0..n).step_by(exec::BLOCK) {
+            let block = start..n.min(start + exec::BLOCK);
+            let nb = block.len();
+            self.run_forward(&mut s, block, &image);
+            for ((m, act), &len) in max.iter_mut().zip(&s.acts[1..]).zip(&self.act_lens[1..]) {
+                *m = act[..nb * len].iter().fold(*m, |m, &v| m.max(v.abs()));
+            }
+        }
+        max
+    }
+
     /// Back-propagates the loss gradients of the block's images (the
     /// block forward must have run; image `b` of the block is scored
     /// against `targets[b]`) down the tape in one walk. Between layers
@@ -770,8 +800,7 @@ impl<'m> FPlan<'m> {
 
     /// Cross-entropy loss and the gradient with respect to the input —
     /// the quantity gradient-based adversarial attacks ascend: a block
-    /// of one. Bit-compatible with the seed [`Sequential::input_gradient`]
-    /// path.
+    /// of one. Bit-compatible with the seed layer-by-layer path.
     pub fn input_gradient(&self, s: &mut FScratch, x: &Tensor, target: usize) -> (f32, Tensor) {
         let mut out = self.input_gradient_block(s, std::slice::from_ref(x), &[target]);
         out.pop().expect("a block of one has one gradient")
@@ -959,32 +988,13 @@ fn grad_sides(grad: &mut [Vec<f32>; 2], side: usize) -> (&Vec<f32>, &mut Vec<f32
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::zoo;
+    use crate::{reference, zoo};
     use axutil::rng::Rng;
 
     fn rand_image(dims: &[usize], seed: u64) -> Tensor {
         let mut t = Tensor::zeros(dims);
         Rng::seed_from_u64(seed).fill_range_f32(t.data_mut(), 0.0, 1.0);
         t
-    }
-
-    /// The seed layer-by-layer forward, kept as the reference path.
-    fn seed_forward(m: &Sequential, x: &Tensor) -> Tensor {
-        let mut cur = x.clone();
-        for layer in m.layers() {
-            cur = layer.forward(&cur);
-        }
-        cur
-    }
-
-    /// The seed layer-by-layer input gradient, kept as the reference path.
-    fn seed_input_gradient(m: &Sequential, x: &Tensor, target: usize) -> (f32, Tensor) {
-        let (inputs, logits) = m.forward_trace(x);
-        let (loss, mut grad) = cross_entropy_with_grad(&logits, target);
-        for (i, layer) in m.layers().iter().enumerate().rev() {
-            grad = layer.backward(&inputs[i], &grad, None);
-        }
-        (loss, grad)
     }
 
     #[test]
@@ -995,9 +1005,9 @@ mod tests {
         for seed in 0..4 {
             let x = rand_image(&[1, 28, 28], seed);
             let y = plan.forward(&mut s, &x);
-            assert_eq!(y.data(), seed_forward(&model, &x).reshaped(&[10]).data());
+            assert_eq!(y, reference::forward(&model, &x));
             let (loss, grad) = plan.input_gradient(&mut s, &x, seed as usize % 10);
-            let (sl, sg) = seed_input_gradient(&model, &x, seed as usize % 10);
+            let (sl, sg) = reference::backward(&model, &x, seed as usize % 10, None);
             assert_eq!(loss, sl);
             assert_eq!(grad, sg);
         }
@@ -1011,10 +1021,10 @@ mod tests {
         let x = rand_image(&[3, 32, 32], 9);
         assert_eq!(
             plan.forward(&mut s, &x).data(),
-            seed_forward(&model, &x).data()
+            reference::forward(&model, &x).data()
         );
         let (_, grad) = plan.input_gradient(&mut s, &x, 7);
-        let (_, sg) = seed_input_gradient(&model, &x, 7);
+        let (_, sg) = reference::backward(&model, &x, 7, None);
         assert_eq!(grad, sg);
     }
 
@@ -1035,7 +1045,7 @@ mod tests {
         let mut s = plan.scratch();
         let x = rand_image(&[2, 7, 7], 11);
         let (loss, grad) = plan.input_gradient(&mut s, &x, 2);
-        let (sl, sg) = seed_input_gradient(&model, &x, 2);
+        let (sl, sg) = reference::backward(&model, &x, 2, None);
         assert_eq!(loss, sl);
         assert_eq!(grad, sg);
     }
@@ -1061,19 +1071,8 @@ mod tests {
         let mut s = plan.scratch();
         let x = rand_image(&[1, 28, 28], 22);
         let (loss, buf) = plan.loss_and_grads(&mut s, &x, 4);
-        // Seed reference: forward_trace + Layer::backward with param grads.
-        let (inputs, logits) = model.forward_trace(&x);
-        let (sl, mut grad) = cross_entropy_with_grad(&logits, 4);
         let mut sbuf = model.zero_grads();
-        for (i, layer) in model.layers().iter().enumerate().rev() {
-            let pg = &mut sbuf.layers[i];
-            let slice = if pg.is_empty() {
-                None
-            } else {
-                Some(pg.as_mut_slice())
-            };
-            grad = layer.backward(&inputs[i], &grad, slice);
-        }
+        let (sl, _) = reference::backward(&model, &x, 4, Some(&mut sbuf));
         assert_eq!(loss, sl);
         assert_eq!(buf, sbuf);
     }
@@ -1083,13 +1082,11 @@ mod tests {
         let model = zoo::ffnn(&mut Rng::seed_from_u64(31));
         let images: Vec<Tensor> = (0..7).map(|i| rand_image(&[1, 28, 28], 40 + i)).collect();
         let labels: Vec<usize> = (0..7).map(|i| (i as usize * 3) % 10).collect();
-        let batch = model.input_gradient_batch(&images, &labels);
+        let plan = model.plan(&[1, 28, 28]);
+        let mut s = plan.scratch();
+        let batch = plan.input_gradient_batch_indexed(images.len(), |i| &images[i], |i| labels[i]);
         for (i, (img, &lbl)) in images.iter().zip(&labels).enumerate() {
-            assert_eq!(batch[i], model.input_gradient(img, lbl).1, "image {i}");
-        }
-        let with_loss = model.loss_and_input_grads_batch(&images, &labels);
-        for (i, (img, &lbl)) in images.iter().zip(&labels).enumerate() {
-            assert_eq!(with_loss[i], model.input_gradient(img, lbl), "image {i}");
+            assert_eq!(batch[i], plan.input_gradient(&mut s, img, lbl), "image {i}");
         }
     }
 

@@ -3,14 +3,15 @@
 //! The plan/exec engine must be a pure performance optimization: for any
 //! model topology, `FPlan::forward`, `FPlan::input_gradient` and
 //! `FPlan::loss_and_grads` must be *bit-exact* with the seed
-//! layer-by-layer loops (`Layer::forward` / `Layer::backward`, which are
-//! kept as the reference implementation), and the batched gradient entry
-//! points must be bit-exact with per-image calls.
+//! layer-by-layer loop (`axnn::reference`), and the batched entry points
+//! must be bit-exact with per-image calls. (The calibration pass,
+//! `FPlan::layer_max_abs`, is pinned to the seed trace where it is used,
+//! in `axquant::qmodel`'s tests.)
 
 use std::sync::Mutex;
 
-use axnn::loss::cross_entropy_with_grad;
-use axnn::model::{GradBuffer, Sequential};
+use axnn::model::Sequential;
+use axnn::reference;
 use axtensor::Tensor;
 use proptest::prelude::*;
 
@@ -24,32 +25,6 @@ static ENV_LOCK: Mutex<()> = Mutex::new(());
 /// full block, and one and two full blocks with a remainder.
 const BATCH_SIZES: [usize; 7] = [1, 2, 3, 4, 5, 7, 9];
 
-/// The seed layer-by-layer forward: the reference path.
-fn seed_forward(m: &Sequential, x: &Tensor) -> Tensor {
-    let mut cur = x.clone();
-    for layer in m.layers() {
-        cur = layer.forward(&cur);
-    }
-    cur
-}
-
-/// The seed layer-by-layer backward, optionally with parameter grads.
-fn seed_backward(m: &Sequential, x: &Tensor, target: usize) -> (f32, Tensor, GradBuffer) {
-    let (inputs, logits) = m.forward_trace(x);
-    let (loss, mut grad) = cross_entropy_with_grad(&logits, target);
-    let mut buf = m.zero_grads();
-    for (i, layer) in m.layers().iter().enumerate().rev() {
-        let pg = &mut buf.layers[i];
-        let slice = if pg.is_empty() {
-            None
-        } else {
-            Some(pg.as_mut_slice())
-        };
-        grad = layer.backward(&inputs[i], &grad, slice);
-    }
-    (loss, grad, buf)
-}
-
 /// Every value's bit pattern: unlike `==`, tells `-0.0` from `+0.0`.
 fn bits(t: &Tensor) -> Vec<u32> {
     t.data().iter().map(|v| v.to_bits()).collect()
@@ -60,15 +35,17 @@ fn bits(t: &Tensor) -> Vec<u32> {
 fn check_engine(model: &Sequential, probes: &[Tensor]) -> Result<(), String> {
     let plan = model.plan(&IN_DIMS);
     let mut scratch = plan.scratch();
+    let batch = plan.input_gradient_batch_indexed(probes.len(), |i| &probes[i], |i| i % 4);
     for (pi, x) in probes.iter().enumerate() {
         let target = pi % 4;
         let y = plan.forward(&mut scratch, x);
-        let sy = seed_forward(model, x);
+        let sy = reference::forward(model, x);
         if bits(&y) != bits(&sy) {
             return Err(format!("forward diverges on {} probe {pi}", model.name()));
         }
         let (loss, grad) = plan.input_gradient(&mut scratch, x, target);
-        let (sl, sg, sbuf) = seed_backward(model, x, target);
+        let mut sbuf = model.zero_grads();
+        let (sl, sg) = reference::backward(model, x, target, Some(&mut sbuf));
         if loss != sl {
             return Err(format!("loss diverges on {} probe {pi}", model.name()));
         }
@@ -78,20 +55,18 @@ fn check_engine(model: &Sequential, probes: &[Tensor]) -> Result<(), String> {
                 model.name()
             ));
         }
+        if (batch[pi].0.to_bits(), bits(&batch[pi].1)) != (loss.to_bits(), bits(&grad)) {
+            return Err(format!(
+                "batch gradient diverges on {} probe {pi}",
+                model.name()
+            ));
+        }
         let (_, buf) = plan.loss_and_grads(&mut scratch, x, target);
         if grad_bits(&buf) != grad_bits(&sbuf) {
             return Err(format!(
                 "parameter gradients diverge on {} probe {pi}",
                 model.name()
             ));
-        }
-    }
-    // Batch entry points against per-image wrapper calls.
-    let labels: Vec<usize> = (0..probes.len()).map(|i| i % 4).collect();
-    let batch = model.loss_and_input_grads_batch(probes, &labels);
-    for (i, (x, &lbl)) in probes.iter().zip(&labels).enumerate() {
-        if batch[i] != model.input_gradient(x, lbl) {
-            return Err(format!("batch gradient diverges on image {i}"));
         }
     }
     Ok(())
@@ -130,15 +105,15 @@ fn fplan_matches_seed_on_every_architecture() {
 /// predictions, `input_gradient_batch_indexed` and the one-scratch
 /// `input_gradient_block` return every image's `input_gradient` bit for
 /// bit, and `loss_and_param_grads_batch` is the fold of per-image
-/// `loss_and_grads`. On the FFNN and on three conv shapes, whose block
-/// backward interleaves the images inside every non-covering conv's
-/// input gradient: padded conv+pool, strided, and LeNet's shape, whose
-/// covering conv runs image by image above a block conv.
+/// `loss_and_grads`. On every fixture shape: the conv ones interleave
+/// the block inside every non-covering conv's input gradient, and
+/// LeNet's shape runs its covering conv image by image above a block
+/// conv.
 #[test]
 fn image_blocks_match_one_image_calls_at_every_boundary() {
     let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let prev = std::env::var("AXDNN_THREADS").ok();
-    for arch in [0, 2, 3, 4] {
+    for arch in 0..ARCHS {
         let model = small_model(arch, 0xB10C + arch as u64);
         let plan = model.plan(&IN_DIMS);
         let mut s = plan.scratch();

@@ -21,6 +21,7 @@ use std::sync::Mutex;
 use axnn::exec::{self, GradFold, ParamRecord};
 use axnn::layer::{Conv2d, Layer};
 use axnn::model::{GradBuffer, Sequential};
+use axnn::reference;
 use axtensor::Tensor;
 use axutil::rng::Rng;
 use proptest::prelude::*;
@@ -100,8 +101,8 @@ proptest! {
         }
     }
 
-    /// The direct conv input gradient against the seed
-    /// `Layer::Conv2d::backward`'s `dx`, bit for bit, over every
+    /// The direct conv input gradient against the seed conv backward's
+    /// `dx` (`reference::layer_backward`), bit for bit, over every
     /// `k ∈ {1, 3, 4, 5}`, stride `{1, 2}` and pad `{0, 1, 2}` on two input
     /// sizes each: the `k × k` input (a 1×1 output at pad 0, the covering
     /// case) and a random one, at every block width 1–4. A block call
@@ -136,7 +137,8 @@ proptest! {
                         }
                         let want: Vec<Vec<u32>> = (gs.chunks_exact(g_len))
                             .map(|g| {
-                                let dx = conv.backward(
+                                let dx = reference::layer_backward(
+                                    &conv,
                                     &Tensor::zeros(&[ic, h, w]),
                                     &Tensor::from_vec(g.to_vec(), &[oc, oh, ow]),
                                     None,

@@ -10,7 +10,6 @@ use axdata::Dataset;
 use axmul::kernel::MulKernel;
 use axnn::layer::Layer;
 use axnn::model::Sequential;
-use axtensor::stats::MaxAbs;
 use axtensor::Tensor;
 use axutil::AxError;
 
@@ -121,8 +120,9 @@ impl QuantModel {
     ///
     /// # Errors
     ///
-    /// Returns [`AxError::Config`] for unsupported topologies and when
-    /// `calib` is empty.
+    /// Returns [`AxError::Config`] for unsupported topologies, when
+    /// `calib` is empty, and when a calibration image's dims differ from
+    /// the first one's.
     pub fn from_float(
         model: &Sequential,
         calib: &[Tensor],
@@ -146,21 +146,27 @@ impl QuantModel {
         if calib.is_empty() {
             return Err(AxError::config("calibration set is empty"));
         }
-        let layers = model.layers();
-        // Calibrate: record, for every layer output index, the max-abs
-        // activation over the calibration set.
-        let mut out_max: Vec<MaxAbs> = vec![MaxAbs::new(); layers.len()];
-        for img in calib {
-            let (inputs, logits) = model.forward_trace(img);
-            for (i, m) in out_max.iter_mut().enumerate() {
-                if i + 1 < layers.len() {
-                    m.update(&inputs[i + 1]);
-                } else {
-                    m.update(&logits);
-                }
-            }
+        let dims = calib[0].dims();
+        if let Some(i) = calib.iter().position(|x| x.dims() != dims) {
+            return Err(AxError::config(format!(
+                "calibration image {i} has dims {:?}, not image 0's {dims:?}",
+                calib[i].dims()
+            )));
         }
+        // Calibrate: every layer output's max-abs activation over the set.
+        let out_max = model.plan(dims).layer_max_abs(calib.len(), |i| &calib[i]);
+        Self::from_out_max(model, &out_max, placement, level)
+    }
 
+    /// Quantizes `model` given `out_max[i]`, the calibrated max-abs of
+    /// layer `i`'s output.
+    fn from_out_max(
+        model: &Sequential,
+        out_max: &[f32],
+        placement: Placement,
+        level: QLevel,
+    ) -> Result<Self, AxError> {
+        let layers = model.layers();
         let input_qmax = level.act_qmax() as f32;
         let input_scale = 1.0 / input_qmax;
         let mut qlayers = Vec::new();
@@ -175,7 +181,7 @@ impl QuantModel {
                             "conv at layer {i} is not followed by relu"
                         )));
                     }
-                    let post_relu_max = out_max[i + 1].value();
+                    let post_relu_max = out_max[i + 1];
                     let out_scale = level.act_params(post_relu_max).scale();
                     let dims = c.weight().dims();
                     qlayers.push(QLayer::Conv {
@@ -206,7 +212,7 @@ impl QuantModel {
                         });
                         i += 1;
                     } else {
-                        let post_relu_max = out_max[i + 1].value();
+                        let post_relu_max = out_max[i + 1];
                         let out_scale = level.act_params(post_relu_max).scale();
                         qlayers.push(QLayer::Dense {
                             w: QWeights::build(
@@ -337,5 +343,77 @@ impl QuantModel {
             .filter(|(i, p)| p[0] == data.label(*i))
             .count();
         correct as f32 / n as f32
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use axnn::layer::{AvgPool2d, Conv2d, Dense};
+    use axnn::{reference, zoo};
+    use axutil::rng::Rng;
+
+    /// Nine random calibration images of shape `dims` in `[0, 1]`.
+    fn images(dims: &[usize], rng: &mut Rng) -> Vec<Tensor> {
+        let mut t = Tensor::zeros(dims);
+        let mut next = || {
+            rng.fill_range_f32(t.data_mut(), 0.0, 1.0);
+            t.clone()
+        };
+        (0..9).map(|_| next()).collect()
+    }
+
+    /// Calibration on the plan is the seed trace's: `FPlan::layer_max_abs`
+    /// equals the running max-abs of every layer output
+    /// `reference::forward_trace` records, through `to_bits`, and the
+    /// quantized model equals one built from those reference scales. On
+    /// the FFNN, LeNet-5, a padded conv + pool stack and a strided conv,
+    /// at every set size from 1 to 9 (partial, full and several blocks).
+    #[test]
+    fn calibration_matches_the_seed_trace() {
+        let rng = &mut Rng::seed_from_u64(0x0CA1);
+        let padded = Sequential::new(
+            "padded",
+            vec![
+                Layer::Conv2d(Conv2d::new(2, 3, 3, 1, 1, rng)),
+                Layer::Relu,
+                Layer::AvgPool(AvgPool2d::new(2)),
+                Layer::Conv2d(Conv2d::new(3, 2, 3, 1, 1, rng)),
+                Layer::Relu,
+                Layer::Flatten,
+                Layer::Dense(Dense::new(2 * 4 * 4, 4, rng)),
+            ],
+        );
+        let strided = Sequential::new(
+            "strided",
+            vec![
+                Layer::Conv2d(Conv2d::new(2, 3, 3, 2, 1, rng)),
+                Layer::Relu,
+                Layer::Flatten,
+                Layer::Dense(Dense::new(3 * 4 * 4, 4, rng)),
+            ],
+        );
+        let cases = [
+            (zoo::ffnn(rng), images(&[1, 28, 28], rng)),
+            (zoo::lenet5(rng), images(&[1, 28, 28], rng)),
+            (padded, images(&[2, 8, 8], rng)),
+            (strided, images(&[2, 8, 8], rng)),
+        ];
+        for (model, calib) in &cases {
+            let plan = model.plan(calib[0].dims());
+            let mut out_max = vec![0.0f32; model.layers().len()];
+            for n in 1..=calib.len() {
+                let (inputs, logits) = reference::forward_trace(model, &calib[n - 1]);
+                for (m, out) in out_max.iter_mut().zip(inputs[1..].iter().chain([&logits])) {
+                    *m = m.max(out.max_abs());
+                }
+                let bits = |v: &[f32]| v.iter().map(|m| m.to_bits()).collect::<Vec<_>>();
+                let got = plan.layer_max_abs(n, |i| &calib[i]);
+                assert_eq!(bits(&got), bits(&out_max), "{} n {n}", model.name());
+                let want = QuantModel::from_out_max(model, &out_max, Placement::All, QLevel::INT8);
+                let got = QuantModel::from_float(model, &calib[..n], Placement::All);
+                assert_eq!(got.unwrap(), want.unwrap(), "{} n {n}", model.name());
+            }
+        }
     }
 }

@@ -610,7 +610,8 @@ pub struct FinetuneHistory {
 /// # Errors
 ///
 /// Returns [`AxError::Config`] when quantization rejects the model
-/// topology or `calib` is empty.
+/// topology, `calib` is empty, or a calibration image's dims differ from
+/// the first one's (see [`QuantModel::from_float`]).
 ///
 /// # Panics
 ///

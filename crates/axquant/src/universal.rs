@@ -19,9 +19,10 @@
 //! # Determinism and thread invariance
 //!
 //! Both gradient paths fold per-image results in fixed left-to-right
-//! image order: input gradients via
-//! [`axnn::Sequential::loss_and_input_grads_batch`] summed on the caller
-//! thread, STE parameter gradients via
+//! image order: input gradients from the float shadow's plan
+//! ([`axnn::FPlan::input_gradient_batch_indexed`], compiled per batch
+//! since the shadow moves every step) summed on the caller thread, STE
+//! parameter gradients via
 //! [`QTrainPlan::loss_and_param_grads_batch`]. History, shadow weights,
 //! the returned [`QuantModel`] and the delta are bit-identical for any
 //! `AXDNN_THREADS` setting (pinned against a test-side reference loop by
@@ -128,7 +129,8 @@ fn universal_accuracy<K: MulKernel + ?Sized>(
 /// # Errors
 ///
 /// Returns [`AxError::Config`] when quantization rejects the model
-/// topology or `calib` is empty.
+/// topology, `calib` is empty, or a calibration image's dims differ from
+/// the first one's (see [`QuantModel::from_float`]).
 ///
 /// # Panics
 ///
@@ -179,8 +181,12 @@ pub fn universal_adversarial_fit<K: MulKernel + ?Sized>(
                 if cfg.eps > 0.0 {
                     // Ascent on the float shadow: the adversary's view of
                     // the victim, per the paper's threat model.
-                    let labels: Vec<usize> = batch.iter().map(|&i| data.label(i)).collect();
-                    let grads = shadow.loss_and_input_grads_batch(&perturb(&delta), &labels);
+                    let perturbed = perturb(&delta);
+                    let grads = shadow.plan(&in_dims).input_gradient_batch_indexed(
+                        n,
+                        |k| &perturbed[k],
+                        |k| data.label(batch[k]),
+                    );
                     universal_step(
                         &mut delta,
                         grads.iter().map(|(_, g)| g),

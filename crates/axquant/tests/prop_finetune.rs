@@ -22,13 +22,10 @@
 //! Chunking is controlled through the `AXDNN_THREADS` environment
 //! variable, so every test that sweeps it serializes on [`ENV_LOCK`].
 
-use std::sync::Mutex;
-
 use axdata::Dataset;
 use axmul::{ExactMul, MulKernel, Registry};
-use axnn::layer::{AvgPool2d, Conv2d, Dense, Layer};
 use axnn::loss::cross_entropy_with_grad;
-use axnn::model::{GradBuffer, Sequential};
+use axnn::model::GradBuffer;
 use axnn::train::{fit, TrainConfig};
 use axquant::qtrain::{finetune, FinetuneConfig, QTrainPlan};
 use axquant::{Placement, QuantModel};
@@ -36,63 +33,8 @@ use axtensor::Tensor;
 use axutil::rng::Rng;
 use proptest::prelude::*;
 
-/// Serializes tests that read or write `AXDNN_THREADS`.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-const IN_DIMS: [usize; 3] = [1, 8, 8];
-
-/// How many shapes [`small_model`] builds.
-const ARCHS: usize = 4;
-
-/// A small random model in the quantizable topology (conv/dense followed
-/// by relu, final dense producing logits). The two-conv shape is the one
-/// whose STE backward runs a conv input gradient (a strided, padded one):
-/// elsewhere the backward stops at the lowest parameterised layer.
-fn small_model(arch: usize, seed: u64) -> Sequential {
-    let rng = &mut Rng::seed_from_u64(seed);
-    match arch % ARCHS {
-        0 => Sequential::new(
-            "ft-ffnn",
-            vec![
-                Layer::Flatten,
-                Layer::Dense(Dense::new(64, 12, rng)),
-                Layer::Relu,
-                Layer::Dense(Dense::new(12, 4, rng)),
-            ],
-        ),
-        1 => Sequential::new(
-            "ft-conv",
-            vec![
-                Layer::Conv2d(Conv2d::new(1, 3, 3, 1, 0, rng)),
-                Layer::Relu,
-                Layer::Flatten,
-                Layer::Dense(Dense::new(3 * 6 * 6, 4, rng)),
-            ],
-        ),
-        2 => Sequential::new(
-            "ft-convpool",
-            vec![
-                Layer::Conv2d(Conv2d::new(1, 2, 3, 1, 1, rng)),
-                Layer::Relu,
-                Layer::AvgPool(AvgPool2d::new(2)),
-                Layer::Flatten,
-                Layer::Dense(Dense::new(2 * 4 * 4, 4, rng)),
-            ],
-        ),
-        _ => Sequential::new(
-            "ft-twoconv",
-            vec![
-                Layer::Conv2d(Conv2d::new(1, 2, 3, 1, 1, rng)),
-                Layer::Relu,
-                Layer::AvgPool(AvgPool2d::new(2)),
-                Layer::Conv2d(Conv2d::new(2, 3, 3, 2, 1, rng)),
-                Layer::Relu,
-                Layer::Flatten,
-                Layer::Dense(Dense::new(3 * 2 * 2, 4, rng)),
-            ],
-        ),
-    }
-}
+mod common;
+use common::{calib_of, small_model, ARCHS, ENV_LOCK, IN_DIMS};
 
 /// A learnable 4-class dataset in the fine-tuning input shape.
 fn tiny_dataset(n: usize, seed: u64) -> Dataset {
@@ -117,12 +59,6 @@ fn grad_bits(g: &GradBuffer) -> Vec<u32> {
         .iter()
         .flatten()
         .flat_map(|t| t.data().iter().map(|v| v.to_bits()))
-        .collect()
-}
-
-fn calib_of(data: &Dataset, n: usize) -> Vec<Tensor> {
-    (0..n.min(data.len()))
-        .map(|i| data.image(i).clone())
         .collect()
 }
 

@@ -6,7 +6,7 @@
 //! from public pieces only: quantization
 //! ([`QuantModel::from_float_with_level`]), the STE parameter gradient
 //! ([`QTrainPlan::loss_and_param_grads_batch`]), the float input gradient
-//! ([`Sequential::loss_and_input_grads_batch`]), [`Sgd::step_scaled`] and
+//! ([`axnn::FPlan::input_gradient_batch_indexed`]), [`Sgd::step_scaled`] and
 //! the ball geometry of [`axtensor::norms`].
 //!
 //! Three contracts:
@@ -25,11 +25,8 @@
 //! Chunking is controlled through the `AXDNN_THREADS` environment
 //! variable, so every test that sweeps it serializes on [`ENV_LOCK`].
 
-use std::sync::Mutex;
-
 use axdata::Dataset;
 use axmul::{ExactMul, MulKernel, Registry};
-use axnn::layer::{AvgPool2d, Conv2d, Dense, Layer};
 use axnn::model::Sequential;
 use axnn::optim::Sgd;
 use axnn::serialize::model_to_bytes;
@@ -40,45 +37,8 @@ use axtensor::norms::{apply_delta, ascent_direction, project_ball, Norm};
 use axtensor::Tensor;
 use axutil::rng::Rng;
 
-/// Serializes tests that read or write `AXDNN_THREADS`.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-const IN_DIMS: [usize; 3] = [1, 8, 8];
-
-/// A small random model in the quantizable topology.
-fn small_model(arch: usize, seed: u64) -> Sequential {
-    let rng = &mut Rng::seed_from_u64(seed);
-    match arch % 3 {
-        0 => Sequential::new(
-            "ut-ffnn",
-            vec![
-                Layer::Flatten,
-                Layer::Dense(Dense::new(64, 12, rng)),
-                Layer::Relu,
-                Layer::Dense(Dense::new(12, 4, rng)),
-            ],
-        ),
-        1 => Sequential::new(
-            "ut-conv",
-            vec![
-                Layer::Conv2d(Conv2d::new(1, 3, 3, 1, 0, rng)),
-                Layer::Relu,
-                Layer::Flatten,
-                Layer::Dense(Dense::new(3 * 6 * 6, 4, rng)),
-            ],
-        ),
-        _ => Sequential::new(
-            "ut-convpool",
-            vec![
-                Layer::Conv2d(Conv2d::new(1, 2, 3, 1, 1, rng)),
-                Layer::Relu,
-                Layer::AvgPool(AvgPool2d::new(2)),
-                Layer::Flatten,
-                Layer::Dense(Dense::new(2 * 4 * 4, 4, rng)),
-            ],
-        ),
-    }
-}
+mod common;
+use common::{calib_of, small_model, ARCHS, ENV_LOCK, IN_DIMS};
 
 /// A learnable 4-class dataset inside the pixel box `[0, 1]`.
 fn tiny_dataset(n: usize, seed: u64) -> Dataset {
@@ -94,12 +54,6 @@ fn tiny_dataset(n: usize, seed: u64) -> Dataset {
         labels.push(label);
     }
     Dataset::new("ut-tiny", imgs, labels, 4)
-}
-
-fn calib_of(data: &Dataset, n: usize) -> Vec<Tensor> {
-    (0..n.min(data.len()))
-        .map(|i| data.image(i).clone())
-        .collect()
 }
 
 fn quick_cfg(eps: f32) -> UniversalFinetuneConfig {
@@ -212,7 +166,13 @@ fn reference_fit<K: MulKernel + ?Sized>(
                     .map(|&i| apply_delta(data.image(i), &delta))
                     .collect();
                 let mut g = Tensor::zeros(&IN_DIMS);
-                for (_, gi) in shadow.loss_and_input_grads_batch(&perturbed, &labels) {
+                let plan = shadow.plan(&IN_DIMS);
+                let grads = plan.input_gradient_batch_indexed(
+                    batch.len(),
+                    |k| &perturbed[k],
+                    |k| labels[k],
+                );
+                for (_, gi) in grads {
                     g.add_scaled(&gi, 1.0);
                 }
                 delta.add_scaled(&ascent_direction(&g, cfg.norm), cfg.eps * cfg.delta_step);
@@ -273,7 +233,7 @@ fn universal_fit_is_bit_identical_across_thread_counts() {
     let calib = calib_of(&data, 6);
     let lut = Registry::standard().build_lut("L40").unwrap();
     let cfg = quick_cfg(0.06);
-    for arch in 0..3 {
+    for arch in 0..ARCHS {
         let seed = 200 + arch as u64;
         let want = reference_fit(&mut small_model(arch, seed), &data, &calib, &lut, &cfg);
         assert!(want.delta.iter().any(|&b| f32::from_bits(b) != 0.0));
@@ -298,7 +258,7 @@ fn zero_ball_matches_the_reference_finetune() {
     let calib = calib_of(&data, 5);
     let lut = Registry::standard().build_lut("17KS").unwrap();
     let cfg = quick_cfg(0.0);
-    for arch in 0..3 {
+    for arch in 0..ARCHS {
         let seed = 300 + arch as u64;
         let want = reference_fit(&mut small_model(arch, seed), &data, &calib, &lut, &cfg);
         assert_eq!(want.delta, bits(Tensor::zeros(&IN_DIMS).data()));

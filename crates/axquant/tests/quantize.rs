@@ -11,6 +11,7 @@ use axnn::zoo;
 use axquant::{Placement, QLevel, QuantModel};
 use axtensor::Tensor;
 use axutil::rng::Rng;
+use axutil::AxError;
 
 fn calib_images(n: usize, dims: &[usize], seed: u64) -> Vec<Tensor> {
     let mut rng = Rng::seed_from_u64(seed);
@@ -138,4 +139,16 @@ fn accuracy_with_rejects_empty_sample() {
     let qm = QuantModel::from_float(&model, &calib, Placement::ConvOnly).unwrap();
     // max_n == 0 used to silently return 0.0; now it must panic.
     let _ = qm.accuracy_with(&data, &ExactMul, 0);
+}
+
+#[test]
+fn calibration_images_of_another_shape_are_rejected() {
+    let model = zoo::ffnn(&mut Rng::seed_from_u64(30));
+    let mut calib = calib_images(1, &[1, 28, 28], 31);
+    calib.push(calib[0].reshaped(&[784]));
+    let err = QuantModel::from_float(&model, &calib, Placement::All).unwrap_err();
+    assert!(
+        matches!(err, AxError::Config(_)) && err.to_string().contains("image 1"),
+        "{err}"
+    );
 }

@@ -7,7 +7,7 @@
 //!
 //! The design is deliberately small: the networks in this reproduction are
 //! LeNet-scale, so clarity and determinism beat generality. Convolution
-//! loops live next to the layers in `axnn`, not here.
+//! kernels live in `axnn::exec`, not here.
 //!
 //! # Examples
 //!

@@ -1,46 +1,4 @@
-//! Small statistics helpers used by calibration and reporting.
-
-use crate::tensor::Tensor;
-
-/// Running maximum-absolute-value tracker, used to calibrate activation
-/// quantization scales over a calibration set.
-///
-/// # Examples
-///
-/// ```
-/// use axtensor::{stats::MaxAbs, Tensor};
-///
-/// let mut m = MaxAbs::new();
-/// m.update(&Tensor::from_vec(vec![0.5, -2.0], &[2]));
-/// m.update(&Tensor::from_vec(vec![1.0, 1.5], &[2]));
-/// assert_eq!(m.value(), 2.0);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct MaxAbs {
-    max: f32,
-}
-
-impl MaxAbs {
-    /// Creates a tracker at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Folds a tensor's values into the running maximum.
-    pub fn update(&mut self, t: &Tensor) {
-        self.max = self.max.max(t.max_abs());
-    }
-
-    /// Folds a scalar into the running maximum.
-    pub fn update_scalar(&mut self, v: f32) {
-        self.max = self.max.max(v.abs());
-    }
-
-    /// The observed maximum absolute value.
-    pub fn value(&self) -> f32 {
-        self.max
-    }
-}
+//! Small statistics helpers used by reporting.
 
 /// Mean and (population) standard deviation of a slice.
 pub fn mean_std(xs: &[f32]) -> (f32, f32) {
@@ -126,15 +84,6 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn maxabs_tracks_envelope() {
-        let mut m = MaxAbs::new();
-        assert_eq!(m.value(), 0.0);
-        m.update_scalar(-3.0);
-        m.update_scalar(2.0);
-        assert_eq!(m.value(), 3.0);
-    }
 
     #[test]
     fn mean_std_of_constant_is_zero_std() {

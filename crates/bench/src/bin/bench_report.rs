@@ -552,7 +552,7 @@ fn input_grad_rates() -> (f64, f64, f64) {
         }
     });
     std::env::remove_var("AXDNN_THREADS");
-    let (inputs, _) = model.forward_trace(x);
+    let (inputs, _) = axnn::reference::forward_trace(&model, x);
     let macs: usize = (model.layers().iter().enumerate())
         .map(|(i, layer)| match layer {
             Layer::Conv2d(c) => {

@@ -158,7 +158,13 @@ pub fn universal_robustness_sweep(
     let mut rng = Rng::seed_from_u64(opts.seed).derive((opts.eps.to_bits() as u64) << 20);
     let delta = UniversalAttack::new(opts.norm)
         .with_epochs(opts.craft_epochs)
-        .craft_universal(model, &craft_images, &craft_labels, opts.eps, &mut rng);
+        .craft_universal(
+            &model.plan(train.image(0).dims()),
+            &craft_images,
+            &craft_labels,
+            opts.eps,
+            &mut rng,
+        );
     let universal_set: Vec<(Tensor, usize)> = clean
         .iter()
         .map(|(x, l)| (apply_delta(x, &delta), *l))
