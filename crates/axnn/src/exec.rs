@@ -45,23 +45,20 @@
 //!
 //! # Tiled kernels and the scalar reference
 //!
-//! The four GEMM-shaped loops come in two forms; the conv input gradient
-//! is one direct kernel:
-//!
-//! * the register-tiled kernels ([`conv_forward_tiled`],
-//!   [`dense_forward_rows`], [`dense_backward_tiled`],
-//!   [`conv_backward_params_tiled`]) process 4×4 output blocks (or 4-row
-//!   groups) with independent accumulators sharing operand loads. They
-//!   are the only ones the plans run. Conv forward and
-//!   [`dense_forward_rows`] share one tile kernel: a conv's tile is
-//!   (output channel, patch row), a dense layer's is (image, output
-//!   neuron) over a block of up to four images, so the plans' batch paths
-//!   load every dense weight once per block. A one-image call is a block
-//!   of one;
-//! * the scalar loops ([`conv_forward`], [`dense_forward`],
-//!   [`dense_backward`], [`conv_backward_params`]) are kept verbatim as
-//!   the bit-exact reference that the property tests and the `gemm`
-//!   bench suite compare the tiled kernels against.
+//! Every kernel here is one the plans run. The four GEMM-shaped loops
+//! are register-tiled ([`conv_forward_tiled`], [`dense_forward_rows`],
+//! [`dense_backward_tiled`], [`conv_backward_params_tiled`]): they
+//! process 4×4 output blocks (or 4-row groups) with independent
+//! accumulators sharing operand loads. Conv forward and
+//! [`dense_forward_rows`] share one tile kernel: a conv's tile is
+//! (output channel, patch row), a dense layer's is (image, output
+//! neuron) over a block of up to four images, so the plans' batch paths
+//! load every dense weight once per block. A one-image call is a block
+//! of one. The conv input gradient is one direct kernel. The scalar
+//! loops the tiled kernels are pinned to (`conv_forward`,
+//! `dense_forward`, `dense_backward`, `conv_backward_params`) live in
+//! `axnn::reference`, with the seed layer loops; the property tests and
+//! the `gemm` bench suite compare the tiled kernels against them.
 //!
 //! The tiled kernels are **bit-identical** to the reference, not merely
 //! close: tiling here never reassociates a floating-point sum. Each
@@ -150,92 +147,6 @@ pub fn im2col<T: Copy + Default>(
     }
 }
 
-/// Conv forward GEMM: `out[o * rows + p] = bias[o] + w[o] · patch[p]`.
-///
-/// Accumulators start at the bias — the seed conv's summation order.
-pub fn conv_forward(
-    w: &[f32],
-    bias: &[f32],
-    patch: &[f32],
-    rows: usize,
-    cols: usize,
-    out: &mut [f32],
-) {
-    let out_c = bias.len();
-    debug_assert_eq!(w.len(), out_c * cols);
-    debug_assert!(patch.len() >= rows * cols);
-    for o in 0..out_c {
-        let wrow = &w[o * cols..(o + 1) * cols];
-        let b = bias[o];
-        for p in 0..rows {
-            let prow = &patch[p * cols..(p + 1) * cols];
-            let mut acc = b;
-            for (&wv, &a) in wrow.iter().zip(prow) {
-                acc += wv * a;
-            }
-            out[o * rows + p] = acc;
-        }
-    }
-}
-
-/// Dense forward: `out = W x + b` with the dot product accumulated first
-/// and the bias added last — the seed dense's (`matvec` + bias) order.
-pub fn dense_forward(w: &[f32], bias: &[f32], x: &[f32], out: &mut [f32]) {
-    let (out_dim, in_dim) = (bias.len(), x.len());
-    debug_assert_eq!(w.len(), out_dim * in_dim);
-    for o in 0..out_dim {
-        let wrow = &w[o * in_dim..(o + 1) * in_dim];
-        let mut acc = 0.0f32;
-        for (&wv, &xv) in wrow.iter().zip(x) {
-            acc += wv * xv;
-        }
-        out[o] = acc + bias[o];
-    }
-}
-
-/// Dense backward: writes `dx = Wᵀ g` (mirroring `matvec_t`, including
-/// its zero-gradient row skip) and, when requested, accumulates `dw` and
-/// `db` in the seed order.
-pub fn dense_backward(
-    w: &[f32],
-    g: &[f32],
-    x: &[f32],
-    dx: &mut [f32],
-    dw: Option<&mut [f32]>,
-    db: Option<&mut [f32]>,
-) {
-    let (out_dim, in_dim) = (g.len(), x.len());
-    debug_assert_eq!(w.len(), out_dim * in_dim);
-    if let Some(dw) = dw {
-        for o in 0..out_dim {
-            let gv = g[o];
-            if gv == 0.0 {
-                continue;
-            }
-            let row = &mut dw[o * in_dim..(o + 1) * in_dim];
-            for (d, &xv) in row.iter_mut().zip(x) {
-                *d += gv * xv;
-            }
-        }
-    }
-    if let Some(db) = db {
-        for (d, &gv) in db.iter_mut().zip(g) {
-            *d += gv;
-        }
-    }
-    dx[..in_dim].fill(0.0);
-    for o in 0..out_dim {
-        let gv = g[o];
-        if gv == 0.0 {
-            continue;
-        }
-        let row = &w[o * in_dim..(o + 1) * in_dim];
-        for (d, &wv) in dx[..in_dim].iter_mut().zip(row) {
-            *d += wv * gv;
-        }
-    }
-}
-
 /// How one parameterised layer records its per-image gradient for a
 /// [`GradFold`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -285,8 +196,9 @@ const FOLD_BLOCK: usize = 4096;
 /// one fork/join for the fold however many layers the model has.
 ///
 /// The fold is **bit-identical** to the per-image reference (each
-/// image's gradient materialized by [`dense_backward`] into a zero buffer,
-/// then summed with `GradBuffer::accumulate`), signed zeros included:
+/// image's gradient materialized by the scalar `dense_backward` into a
+/// zero buffer, then summed with `GradBuffer::accumulate`), signed zeros
+/// included:
 ///
 /// * a dense `dw` element of one image is a single product added to
 ///   `+0.0`, and the running sum starts at `+0.0` and can never become
@@ -554,33 +466,6 @@ fn tap_range(t: usize, stride: usize, pad: usize, n_in: usize, n_out: usize) -> 
     lo..hi.max(lo)
 }
 
-/// Accumulates conv parameter gradients from the forward im2col patches:
-/// `dw[o][j] += Σ_p g[o, p] * patch[p, j]` (the seed's `o, p, j` loop
-/// order) and `db[o] += Σ_p g[o, p]`.
-pub fn conv_backward_params(
-    g: &[f32],
-    patch: &[f32],
-    rows: usize,
-    cols: usize,
-    dw: &mut [f32],
-    db: &mut [f32],
-) {
-    let out_c = db.len();
-    debug_assert_eq!(dw.len(), out_c * cols);
-    debug_assert!(patch.len() >= rows * cols);
-    for o in 0..out_c {
-        let wrow = &mut dw[o * cols..(o + 1) * cols];
-        for p in 0..rows {
-            let gv = g[o * rows + p];
-            db[o] += gv;
-            let prow = &patch[p * cols..(p + 1) * cols];
-            for (d, &a) in wrow.iter_mut().zip(prow) {
-                *d += gv * a;
-            }
-        }
-    }
-}
-
 /// Register-tile edge length: output blocks are `TILE × TILE`
 /// accumulators, row groups are `TILE` rows.
 const TILE: usize = 4;
@@ -717,7 +602,7 @@ fn gemm_nt_tiled(
     }
 }
 
-/// Register-tiled [`conv_forward`]: 4×4 `(out_channel, position)` blocks,
+/// Register-tiled scalar `conv_forward`: 4×4 `(out_channel, position)` blocks,
 /// accumulators seeded with the bias. Bit-identical to the reference.
 pub fn conv_forward_tiled(
     w: &[f32],
@@ -738,7 +623,7 @@ pub fn conv_forward_tiled(
 /// Each image's one patch row *is* the image, so the images are the GEMM
 /// rows, read straight off the input with no im2col. Accumulators start
 /// at the bias and add their products in patch order, per image exactly
-/// [`conv_forward`]'s, so the result is bit-identical to it.
+/// the scalar `conv_forward`'s, so the result is bit-identical to it.
 pub fn conv_forward_rows(w: &[f32], bias: &[f32], x: &[f32], out: &mut [f32]) {
     let out_c = bias.len();
     let cols = w.len() / out_c;
@@ -752,7 +637,7 @@ pub fn conv_forward_rows(w: &[f32], bias: &[f32], x: &[f32], out: &mut [f32]) {
 /// the tile kernel behind [`conv_forward_tiled`] and the weight rows the
 /// other, so 4×4 tiles of (image, output) share every `x` and `w` load. Accumulators
 /// start at zero and the bias is added last, per image exactly
-/// [`dense_forward`]'s order, so one image or many, the result is
+/// the scalar `dense_forward`'s order, so one image or many, the result is
 /// bit-identical to the reference.
 pub fn dense_forward_rows(w: &[f32], bias: &[f32], x: &[f32], out: &mut [f32]) {
     let out_dim = bias.len();
@@ -786,7 +671,7 @@ fn rows4_mut(
     (r0, r1, r2, r3)
 }
 
-/// Register-tiled [`dense_backward`]: the zero-gradient row skip is
+/// Register-tiled scalar `dense_backward`: the zero-gradient row skip is
 /// applied first (exactly like the reference), then the surviving rows
 /// are processed in fused ascending groups of four that share every
 /// `x[t]` / `dx[t]` access. Each `dw`/`dx` element still receives its
@@ -873,7 +758,7 @@ pub fn dense_backward_tiled(
     }
 }
 
-/// Register-tiled [`conv_backward_params`]: four `dw` rows advance
+/// Register-tiled scalar `conv_backward_params`: four `dw` rows advance
 /// together so each im2col patch row is loaded once per group instead of
 /// once per output channel. Every `dw[o][j]` and `db[o]` chain still
 /// accumulates over positions `p` in ascending order — bit-identical to
@@ -988,6 +873,7 @@ pub fn avgpool_backward(g: &[f32], in_dims: [usize; 3], k: usize, dx: &mut [f32]
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{conv_backward_params, conv_forward, dense_backward, dense_forward};
 
     #[test]
     fn im2col_identity_for_1x1_kernel() {

@@ -46,9 +46,17 @@ impl Conv2d {
     }
 
     /// Builds from explicit parameters (deserialization, tests).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `weight` is a 4-D `[out_c, in_c, k, k]` tensor with a
+    /// square kernel, `bias` has `out_c` entries and `stride >= 1` — the
+    /// checks [`crate::serialize::model_from_bytes`] makes on its input.
     pub fn from_parts(weight: Tensor, bias: Tensor, stride: usize, pad: usize) -> Self {
         assert_eq!(weight.shape().rank(), 4, "conv weight must be 4-D");
         assert_eq!(bias.len(), weight.dims()[0], "bias/out_c mismatch");
+        assert_eq!(weight.dims()[2], weight.dims()[3], "square kernels only");
+        assert!(stride >= 1, "conv stride must be at least 1");
         Conv2d {
             weight,
             bias,

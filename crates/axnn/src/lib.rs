@@ -10,21 +10,24 @@
 //!   replays im2col-GEMM kernels over reusable scratch, in blocks of
 //!   images. It answers every forward, parameter gradient, input
 //!   gradient (the quantity the attacks in `axattack` ascend) and the
-//!   max-abs calibration that `axquant` quantizes with.
+//!   max-abs calibration that `axquant` quantizes with. Every plan
+//!   borrows its model's weights; the model is the one weight store.
 //!   [`model::Sequential`]'s `forward`/`loss_and_grads`/`accuracy` are
-//!   one-call wrappers over it. The seed layer-by-layer loop it replaced
-//!   is kept, hidden, as `axnn::reference`: the path the proptests pin
-//!   the engine to, bit for bit.
+//!   one-call wrappers over it. The seed layer-by-layer loop it replaced,
+//!   and the scalar GEMM loops the tiled kernels are pinned to, are kept,
+//!   hidden, as `axnn::reference`: the path the proptests pin the engine
+//!   to, bit for bit.
 //! * [`loss`] — numerically stable softmax cross-entropy.
 //! * [`model`] — [`model::Sequential`] composition, prediction
 //!   and accuracy evaluation.
 //! * [`init`] / [`optim`] / [`train`] — He initialization, SGD with
 //!   momentum and a deterministic mini-batch training loop riding the
 //!   batched engine: every minibatch runs through
-//!   [`plan::FPlan::loss_and_param_grads_batch`] (one plan, one training
-//!   scratch per thread chunk), with per-example gradients reduced in a
-//!   fixed order so trained weights are bit-identical for any
-//!   `AXDNN_THREADS` setting.
+//!   [`plan::FPlan::loss_and_param_grads_batch`] (a plan compiled for the
+//!   batch, one training scratch per thread chunk), with per-example
+//!   gradients reduced in a fixed order so trained weights are
+//!   bit-identical for any `AXDNN_THREADS` setting, and
+//!   [`optim::Sgd::step_scaled`] updates the model in place.
 //! * [`zoo`] — the paper's architectures: LeNet-5, a 5-conv/3-pool/2-FC
 //!   AlexNet-mini, and the motivational-study FFNN.
 //! * [`serialize`] — explicit binary weight artifacts (see

@@ -155,16 +155,6 @@ impl Sequential {
         plan.loss_and_param_grads_batch(images.len(), |i| &images[i], |i| labels[i])
     }
 
-    /// Applies a gradient step: `param -= lr * grad` (plain SGD; momentum
-    /// lives in [`crate::optim::Sgd`]).
-    pub fn apply_grads(&mut self, grads: &GradBuffer, lr: f32) {
-        for (layer, g) in self.layers.iter_mut().zip(&grads.layers) {
-            for (p, gt) in layer.params_mut().into_iter().zip(g) {
-                p.add_scaled(gt, -lr);
-            }
-        }
-    }
-
     /// Classification accuracy over (up to `max_n` examples of) a dataset,
     /// evaluated on the batched plan engine: one compiled plan, threads
     /// work contiguous image chunks with one scratch each instead of
@@ -284,7 +274,7 @@ mod tests {
         let mut m = tiny_model(6);
         let x = random_input(7);
         let (l0, g) = m.loss_and_grads(&x, 2);
-        m.apply_grads(&g, 0.1);
+        crate::optim::Sgd::new(&m, 0.1, 0.0, 0.0).step(&mut m, &g);
         let (l1, _) = m.loss_and_grads(&x, 2);
         assert!(l1 < l0, "loss must drop: {l0} -> {l1}");
     }

@@ -1,9 +1,13 @@
 //! Stochastic gradient descent with momentum.
+//!
+//! [`Sgd::step_scaled`] is the one parameter update in the workspace: it
+//! writes straight into a [`Sequential`]'s weights. Float training
+//! (`train::fit`) and the quantized trainers (which step their float
+//! shadow) all go through it.
 
 use axtensor::Tensor;
 
 use crate::model::{GradBuffer, Sequential};
-use crate::plan::FPlan;
 
 /// SGD with classical momentum and optional weight decay.
 ///
@@ -100,41 +104,6 @@ impl Sgd {
             }
         }
     }
-
-    /// Like [`Sgd::step_scaled`], but writes through an *owned* plan's
-    /// parameters in place ([`FPlan::with_params_mut`]) instead of the
-    /// model, so training loops keep one compiled plan for the whole run.
-    /// The arithmetic (and therefore the result, per parameter element)
-    /// is identical to [`Sgd::step_scaled`] on the source model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grads` layout does not match the plan, or if the plan
-    /// borrows its parameters ([`Sequential::plan_owned`] makes one that
-    /// does not).
-    pub fn step_plan_scaled(&mut self, plan: &mut FPlan<'_>, grads: &GradBuffer, scale: f32) {
-        assert_eq!(grads.layers.len(), self.velocity.len(), "layout mismatch");
-        let lr = self.lr;
-        let m = self.momentum;
-        let wd = self.weight_decay;
-        let velocity = &mut self.velocity;
-        plan.with_params_mut(|params| {
-            assert_eq!(params.len(), grads.layers.len(), "layout mismatch");
-            for ((layer_p, layer_v), layer_g) in params
-                .iter_mut()
-                .zip(velocity.iter_mut())
-                .zip(&grads.layers)
-            {
-                assert_eq!(layer_p.len(), layer_g.len(), "param count mismatch");
-                for ((p, v), g) in layer_p.iter_mut().zip(layer_v.iter_mut()).zip(layer_g) {
-                    for ((pv, vv), &gv) in p.data_mut().iter_mut().zip(v.data_mut()).zip(g.data()) {
-                        *vv = m * *vv + gv * scale + wd * *pv;
-                        *pv -= lr * *vv;
-                    }
-                }
-            }
-        });
-    }
 }
 
 #[cfg(test)]
@@ -215,23 +184,6 @@ mod tests {
     fn zero_lr_rejected() {
         let (model, _) = setup();
         let _ = Sgd::new(&model, 0.0, 0.0, 0.0);
-    }
-
-    #[test]
-    fn step_plan_scaled_matches_model_step() {
-        let (model, x) = setup();
-        let (_, grads) = model.loss_and_grads(&x, 1);
-        // Path A: classic in-model step.
-        let mut ma = model.clone();
-        let mut oa = Sgd::new(&ma, 0.05, 0.9, 1e-4);
-        oa.step_scaled(&mut ma, &grads, 0.25);
-        // Path B: in-place step on an owned plan, then write-back.
-        let mut plan = model.plan_owned(&[4]);
-        let mut ob = Sgd::new(&model, 0.05, 0.9, 1e-4);
-        ob.step_plan_scaled(&mut plan, &grads, 0.25);
-        let mut mb = model.clone();
-        plan.store_weights_into(&mut mb);
-        assert_eq!(ma, mb, "in-place plan update must be bit-identical");
     }
 
     #[test]

@@ -43,26 +43,22 @@
 //! summed [`GradBuffer`] is bit-identical to the seed per-image
 //! [`Sequential::loss_and_grads`] fold for **any** thread chunking.
 //!
-//! # Plan caching and in-place weights
+//! # Every plan borrows
 //!
-//! Compiling a plan is cheap (shape arithmetic only), but every
-//! multi-call driver in the workspace still hoists one plan out of its
-//! loop: the attack loops and batch entry points compile once per
+//! A plan holds references into its model's parameters and keeps no
+//! derived copy of any weight, so compiling one is shape arithmetic only.
+//! Every multi-call driver in the workspace still hoists one plan out of
+//! its loop: the attack loops and batch entry points compile once per
 //! crafting run, and the sweep drivers (`core::eval`, `core::algorithm1`)
 //! compile once per grid. A fresh plan per call is left only where a
 //! call is the whole job: the one-call conveniences on [`Sequential`]
 //! (`forward`, `predict`, `loss_and_grads`, `loss_and_param_grads_batch`,
 //! `accuracy`), one-image crafting (`axattack`'s `Attack::craft`),
 //! calibration (once per `axquant::QuantModel::from_float`), and the
-//! quantized trainer's delta ascent, whose float shadow changes every
-//! batch. Training goes one further: a
-//! borrowed plan holds the model's weights immutably, so
-//! [`Sequential::plan_owned`] / [`FPlan::into_owned`] produce a plan that
-//! **owns** its parameters and is updated in place through
-//! [`FPlan::with_params_mut`] — the optimizer writes straight into the
-//! plan's tensors ([`crate::optim::Sgd::step_plan_scaled`]).
-//! [`crate::train::fit`] compiles exactly one plan per run this way and
-//! writes the weights back with [`FPlan::store_weights_into`] at the end.
+//! loops whose weights change every batch. [`crate::train::fit`]
+//! compiles one plan per minibatch and drops it before the optimizer
+//! steps the model, like the quantized trainer's delta ascent on its
+//! float shadow.
 //!
 //! ```
 //! use axnn::zoo;
@@ -92,62 +88,14 @@ use crate::layer::Layer;
 use crate::loss::cross_entropy_with_grad;
 use crate::model::{GradBuffer, Sequential};
 
-/// A plan-held parameter tensor: borrowed from the compiled model (the
-/// zero-copy default) or owned by the plan itself so an optimizer can
-/// update it in place ([`FPlan::with_params_mut`]) without recompiling.
-#[derive(Debug)]
-enum PlanParam<'m> {
-    Borrowed(&'m Tensor),
-    Owned(Tensor),
-}
-
-impl PlanParam<'_> {
-    fn data(&self) -> &[f32] {
-        self.tensor().data()
-    }
-
-    fn dims(&self) -> &[usize] {
-        self.tensor().dims()
-    }
-
-    fn tensor(&self) -> &Tensor {
-        match self {
-            PlanParam::Borrowed(t) => t,
-            PlanParam::Owned(t) => t,
-        }
-    }
-
-    /// The owned tensor, for in-place updates.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a borrowed parameter — in-place updates require an
-    /// owned plan ([`FPlan::into_owned`]).
-    fn owned_mut(&mut self) -> &mut Tensor {
-        match self {
-            PlanParam::Borrowed(_) => {
-                panic!("plan borrows its parameters; compile an owned plan for in-place updates")
-            }
-            PlanParam::Owned(t) => t,
-        }
-    }
-
-    fn into_owned(self) -> PlanParam<'static> {
-        match self {
-            PlanParam::Borrowed(t) => PlanParam::Owned(t.clone()),
-            PlanParam::Owned(t) => PlanParam::Owned(t),
-        }
-    }
-}
-
 /// One resolved layer of a compiled plan.
 #[derive(Debug)]
 enum FStep<'m> {
     /// im2col + GEMM forward; direct input gradient
     /// ([`exec::conv_input_grad`]).
     Conv {
-        w: PlanParam<'m>,
-        b: PlanParam<'m>,
+        w: &'m Tensor,
+        b: &'m Tensor,
         in_dims: [usize; 3],
         k: usize,
         stride: usize,
@@ -160,8 +108,8 @@ enum FStep<'m> {
     },
     /// Row GEMM with bias added last.
     Dense {
-        w: PlanParam<'m>,
-        b: PlanParam<'m>,
+        w: &'m Tensor,
+        b: &'m Tensor,
         in_dim: usize,
         out_dim: usize,
     },
@@ -169,9 +117,8 @@ enum FStep<'m> {
         k: usize,
         in_dims: [usize; 3],
     },
-    Relu {
-        len: usize,
-    },
+    /// Elementwise on flat buffers.
+    Relu,
     /// Shape-only on flat buffers.
     Flatten,
 }
@@ -179,10 +126,9 @@ enum FStep<'m> {
 /// A compiled float execution plan for one [`Sequential`] and input
 /// shape.
 ///
-/// Cheap to build (shape arithmetic only); holds references into the model's parameters — or owned
-/// copies after [`FPlan::into_owned`], which detaches the plan from the
-/// model so optimizers can update it in place. See the
-/// [module docs](self) for the execution model.
+/// Cheap to build (shape arithmetic only); holds references into the
+/// model's parameters. See the [module docs](self) for the execution
+/// model.
 #[derive(Debug)]
 pub struct FPlan<'m> {
     steps: Vec<FStep<'m>>,
@@ -235,14 +181,6 @@ impl Sequential {
     pub fn plan(&self, input_dims: &[usize]) -> FPlan<'_> {
         FPlan::compile(self, input_dims)
     }
-
-    /// Like [`Sequential::plan`], but the returned plan owns a copy of
-    /// every parameter tensor, detaching it from the model's lifetime so
-    /// an optimizer can update it in place ([`FPlan::with_params_mut`])
-    /// instead of recompiling after every step.
-    pub fn plan_owned(&self, input_dims: &[usize]) -> FPlan<'static> {
-        FPlan::compile(self, input_dims).into_owned()
-    }
 }
 
 impl<'m> FPlan<'m> {
@@ -284,8 +222,8 @@ impl<'m> FPlan<'m> {
                         max_interleaved = max_interleaved.max(ic * h * w);
                     }
                     steps.push(FStep::Conv {
-                        w: PlanParam::Borrowed(c.weight()),
-                        b: PlanParam::Borrowed(c.bias()),
+                        w: c.weight(),
+                        b: c.bias(),
                         in_dims: [ic, h, w],
                         k,
                         stride,
@@ -303,8 +241,8 @@ impl<'m> FPlan<'m> {
                     };
                     assert_eq!(flat, in_dim, "dense input size mismatch");
                     steps.push(FStep::Dense {
-                        w: PlanParam::Borrowed(d.weight()),
-                        b: PlanParam::Borrowed(d.bias()),
+                        w: d.weight(),
+                        b: d.bias(),
                         in_dim,
                         out_dim,
                     });
@@ -323,11 +261,7 @@ impl<'m> FPlan<'m> {
                     });
                     dims = vec![c, oh, ow];
                 }
-                Layer::Relu => {
-                    steps.push(FStep::Relu {
-                        len: dims.iter().product(),
-                    });
-                }
+                Layer::Relu => steps.push(FStep::Relu),
                 Layer::Flatten => {
                     steps.push(FStep::Flatten);
                     dims = vec![dims.iter().product()];
@@ -373,134 +307,6 @@ impl<'m> FPlan<'m> {
         self.out_len
     }
 
-    /// Clones every borrowed parameter into the plan, detaching it from
-    /// the model's lifetime. The owned plan can then be updated in place
-    /// with [`FPlan::with_params_mut`] and written back with
-    /// [`FPlan::store_weights_into`]. Already-owned parameters move as
-    /// is, so the call is idempotent.
-    pub fn into_owned(self) -> FPlan<'static> {
-        let FPlan {
-            steps,
-            in_dims,
-            in_len,
-            act_lens,
-            out_len,
-            max_act,
-            max_patch,
-            max_interleaved,
-            fold,
-            first_param,
-        } = self;
-        let steps = steps
-            .into_iter()
-            .map(|step| match step {
-                FStep::Conv {
-                    w,
-                    b,
-                    in_dims,
-                    k,
-                    stride,
-                    pad,
-                    rows,
-                    cols,
-                    out_dims,
-                } => FStep::Conv {
-                    w: w.into_owned(),
-                    b: b.into_owned(),
-                    in_dims,
-                    k,
-                    stride,
-                    pad,
-                    rows,
-                    cols,
-                    out_dims,
-                },
-                FStep::Dense {
-                    w,
-                    b,
-                    in_dim,
-                    out_dim,
-                } => FStep::Dense {
-                    w: w.into_owned(),
-                    b: b.into_owned(),
-                    in_dim,
-                    out_dim,
-                },
-                FStep::AvgPool { k, in_dims } => FStep::AvgPool { k, in_dims },
-                FStep::Relu { len } => FStep::Relu { len },
-                FStep::Flatten => FStep::Flatten,
-            })
-            .collect();
-        FPlan {
-            steps,
-            in_dims,
-            in_len,
-            act_lens,
-            out_len,
-            max_act,
-            max_patch,
-            max_interleaved,
-            fold,
-            first_param,
-        }
-    }
-
-    /// Hands every parameter tensor (one `[weight, bias]` group per
-    /// conv/dense step, empty groups for the rest — the exact
-    /// [`GradBuffer`] layout) to `f` for in-place mutation. The plan keeps
-    /// no derived copy of any weight, so the update is pure write-through.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan borrows its parameters — compile with
-    /// [`Sequential::plan_owned`] / [`FPlan::into_owned`] first.
-    pub fn with_params_mut<R>(&mut self, f: impl FnOnce(&mut [Vec<&mut Tensor>]) -> R) -> R {
-        let mut params: Vec<Vec<&mut Tensor>> = self
-            .steps
-            .iter_mut()
-            .map(|step| match step {
-                FStep::Conv { w, b, .. } | FStep::Dense { w, b, .. } => {
-                    vec![w.owned_mut(), b.owned_mut()]
-                }
-                _ => vec![],
-            })
-            .collect();
-        f(&mut params)
-    }
-
-    /// Copies the plan's owned parameters back into `model` — the final
-    /// write-back after an in-place training run. `model` must be the
-    /// model the plan was compiled from (layer kinds and parameter
-    /// shapes are checked).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a borrowed plan, or when `model`'s structure does not
-    /// match the plan's.
-    pub fn store_weights_into(&self, model: &mut Sequential) {
-        let layers = model.layers_mut();
-        assert_eq!(layers.len(), self.steps.len(), "model/plan layer mismatch");
-        for (layer, step) in layers.iter_mut().zip(&self.steps) {
-            let mut params = layer.params_mut();
-            match step {
-                FStep::Conv { w, b, .. } | FStep::Dense { w, b, .. } => {
-                    assert_eq!(params.len(), 2, "model/plan layer mismatch");
-                    for (dst, src) in params.iter_mut().zip([w, b]) {
-                        let src = match src {
-                            PlanParam::Owned(t) => t,
-                            PlanParam::Borrowed(_) => {
-                                panic!("plan borrows its parameters; nothing to write back")
-                            }
-                        };
-                        assert_eq!(dst.dims(), src.dims(), "model/plan shape mismatch");
-                        dst.data_mut().copy_from_slice(src.data());
-                    }
-                }
-                _ => assert!(params.is_empty(), "model/plan layer mismatch"),
-            }
-        }
-    }
-
     /// Allocates the scratch buffers (a block of images' forward tape and
     /// gradient ping-pong, one image's im2col patch, one interleaved conv
     /// input gradient block) this plan needs.
@@ -544,8 +350,8 @@ impl<'m> FPlan<'m> {
             let images = src.chunks_exact(in_len).zip(dst.chunks_exact_mut(out_len));
             match *step {
                 FStep::Conv {
-                    ref w,
-                    ref b,
+                    w,
+                    b,
                     in_dims,
                     k,
                     stride,
@@ -563,7 +369,7 @@ impl<'m> FPlan<'m> {
                         }
                     }
                 }
-                FStep::Dense { ref w, ref b, .. } => {
+                FStep::Dense { w, b, .. } => {
                     exec::dense_forward_rows(w.data(), b.data(), src, dst);
                 }
                 FStep::AvgPool { k, in_dims, .. } => {
@@ -571,7 +377,7 @@ impl<'m> FPlan<'m> {
                         exec::avgpool(x, in_dims, k, y);
                     }
                 }
-                FStep::Relu { .. } => exec::relu(src, dst),
+                FStep::Relu => exec::relu(src, dst),
                 FStep::Flatten => dst.copy_from_slice(src),
             }
         }
@@ -695,7 +501,7 @@ impl<'m> FPlan<'m> {
                     rows,
                     cols,
                     out_dims,
-                    ref w,
+                    w,
                     ..
                 } => {
                     let covers = exec::conv_covers_input(in_dims, k, pad);
@@ -746,10 +552,7 @@ impl<'m> FPlan<'m> {
                     }
                 }
                 FStep::Dense {
-                    ref w,
-                    in_dim,
-                    out_dim,
-                    ..
+                    w, in_dim, out_dim, ..
                 } => {
                     if let Some(records) = records.as_deref_mut() {
                         param -= 1;
@@ -772,7 +575,7 @@ impl<'m> FPlan<'m> {
                         exec::avgpool_backward(g, in_dims, k, dx);
                     }
                 }
-                FStep::Relu { .. } => exec::relu_backward(xs, gs, &mut gdst[..nb * in_len]),
+                FStep::Relu => exec::relu_backward(xs, gs, &mut gdst[..nb * in_len]),
                 FStep::Flatten => gdst[..nb * in_len].copy_from_slice(gs),
             }
             side = 1 - side;
@@ -873,8 +676,7 @@ impl<'m> FPlan<'m> {
 
     /// Correct-prediction count over `n` examples in parallel image
     /// chunks with one scratch per chunk, one forward per block of images
-    /// — the shared core behind
-    /// [`Sequential::accuracy`] and [`crate::train::eval_on`].
+    /// — the core behind [`Sequential::accuracy`].
     pub fn count_correct<'a, F, G>(&self, n: usize, image: F, label: G) -> usize
     where
         F: Fn(usize) -> &'a Tensor + Sync,
@@ -914,8 +716,9 @@ impl<'m> FPlan<'m> {
     /// per-image fold `for i { loss += l_i; grads.accumulate(&g_i) }`
     /// for any `AXDNN_THREADS`.
     ///
-    /// Callers wanting the *mean* divide by `n` afterwards, exactly like
-    /// the seed loop ([`crate::train::batch_gradient`] does).
+    /// Callers wanting the *mean* scale by `1 / n` afterwards, exactly
+    /// like the seed loop ([`crate::train::fit`] folds the scale into
+    /// [`crate::optim::Sgd::step_scaled`]).
     ///
     /// # Panics
     ///

@@ -1,5 +1,5 @@
-//! The seed layer-by-layer float path, kept as the reference the
-//! compiled engine is tested against.
+//! The seed layer-by-layer float path and the scalar GEMM loops, kept as
+//! the reference the compiled engine is tested against.
 //!
 //! Every production caller runs [`crate::plan::FPlan`]. This module is
 //! the plain loop it replaced: one image at a time, a fresh [`Tensor`]
@@ -7,6 +7,13 @@
 //! against finite differences (the gradient checks in [`crate::layer`]'s
 //! tests). The proptests of `axnn`, `axquant` and `axattack` pin the
 //! engine to it bit for bit.
+//!
+//! The scalar GEMM loops ([`conv_forward`], [`dense_forward`],
+//! [`dense_backward`], [`conv_backward_params`]) work on the same flat
+//! slices as the register-tiled kernels of [`crate::exec`], in the seed
+//! layers' accumulation order. `exec`'s tests and `prop_kernels` pin the
+//! tiled kernels to them bit for bit, and the `gemm` bench suite times
+//! them as its `reference_ms` rows.
 
 use axtensor::Tensor;
 
@@ -23,8 +30,8 @@ use crate::model::{GradBuffer, Sequential};
 /// tile the input).
 pub fn layer_forward(layer: &Layer, x: &Tensor) -> Tensor {
     match layer {
-        Layer::Conv2d(conv) => conv_forward(conv, x),
-        Layer::Dense(d) => dense_forward(d, x),
+        Layer::Conv2d(conv) => conv_layer_forward(conv, x),
+        Layer::Dense(d) => dense_layer_forward(d, x),
         Layer::AvgPool(p) => avgpool_forward(p, x),
         Layer::Relu => x.map(|v| v.max(0.0)),
         Layer::Flatten => x.reshaped(&[x.len()]),
@@ -42,8 +49,8 @@ pub fn layer_backward(
     param_grads: Option<&mut [Tensor]>,
 ) -> Tensor {
     match layer {
-        Layer::Conv2d(conv) => conv_backward(conv, x, grad_out, param_grads),
-        Layer::Dense(d) => dense_backward(d, x, grad_out, param_grads),
+        Layer::Conv2d(conv) => conv_layer_backward(conv, x, grad_out, param_grads),
+        Layer::Dense(d) => dense_layer_backward(d, x, grad_out, param_grads),
         Layer::AvgPool(p) => avgpool_backward(p, x, grad_out),
         Layer::Relu => x.zip_with(grad_out, |xv, g| if xv > 0.0 { g } else { 0.0 }),
         Layer::Flatten => grad_out.reshaped(x.dims()),
@@ -106,7 +113,7 @@ fn conv_out_hw(conv: &Conv2d, h: usize, w: usize) -> (usize, usize) {
     (oh, ow)
 }
 
-fn conv_forward(conv: &Conv2d, x: &Tensor) -> Tensor {
+fn conv_layer_forward(conv: &Conv2d, x: &Tensor) -> Tensor {
     let [ic, h, w] = *x.dims() else {
         panic!("conv input must be [C, H, W], got {}", x.shape())
     };
@@ -151,7 +158,7 @@ fn conv_forward(conv: &Conv2d, x: &Tensor) -> Tensor {
     Tensor::from_vec(out, &[oc, oh, ow])
 }
 
-fn conv_backward(
+fn conv_layer_backward(
     conv: &Conv2d,
     x: &Tensor,
     grad_out: &Tensor,
@@ -217,7 +224,7 @@ fn conv_backward(
     Tensor::from_vec(dx, &[ic, h, w])
 }
 
-fn dense_forward(d: &Dense, x: &Tensor) -> Tensor {
+fn dense_layer_forward(d: &Dense, x: &Tensor) -> Tensor {
     let mut y = d.weight().matvec(&x.reshaped(&[x.len()]));
     for (v, &b) in y.data_mut().iter_mut().zip(d.bias().data()) {
         *v += b;
@@ -225,7 +232,7 @@ fn dense_forward(d: &Dense, x: &Tensor) -> Tensor {
     y
 }
 
-fn dense_backward(
+fn dense_layer_backward(
     d: &Dense,
     x: &Tensor,
     grad_out: &Tensor,
@@ -305,4 +312,117 @@ fn avgpool_backward(p: &AvgPool2d, x: &Tensor, grad_out: &Tensor) -> Tensor {
         }
     }
     Tensor::from_vec(dx, &[c, h, w])
+}
+
+/// Conv forward GEMM: `out[o * rows + p] = bias[o] + w[o] · patch[p]`.
+///
+/// Accumulators start at the bias — the seed conv's summation order.
+pub fn conv_forward(
+    w: &[f32],
+    bias: &[f32],
+    patch: &[f32],
+    rows: usize,
+    cols: usize,
+    out: &mut [f32],
+) {
+    let out_c = bias.len();
+    debug_assert_eq!(w.len(), out_c * cols);
+    debug_assert!(patch.len() >= rows * cols);
+    for o in 0..out_c {
+        let wrow = &w[o * cols..(o + 1) * cols];
+        let b = bias[o];
+        for p in 0..rows {
+            let prow = &patch[p * cols..(p + 1) * cols];
+            let mut acc = b;
+            for (&wv, &a) in wrow.iter().zip(prow) {
+                acc += wv * a;
+            }
+            out[o * rows + p] = acc;
+        }
+    }
+}
+
+/// Dense forward: `out = W x + b` with the dot product accumulated first
+/// and the bias added last — the seed dense's (`matvec` + bias) order.
+pub fn dense_forward(w: &[f32], bias: &[f32], x: &[f32], out: &mut [f32]) {
+    let (out_dim, in_dim) = (bias.len(), x.len());
+    debug_assert_eq!(w.len(), out_dim * in_dim);
+    for o in 0..out_dim {
+        let wrow = &w[o * in_dim..(o + 1) * in_dim];
+        let mut acc = 0.0f32;
+        for (&wv, &xv) in wrow.iter().zip(x) {
+            acc += wv * xv;
+        }
+        out[o] = acc + bias[o];
+    }
+}
+
+/// Dense backward: writes `dx = Wᵀ g` (mirroring `matvec_t`, including
+/// its zero-gradient row skip) and, when requested, accumulates `dw` and
+/// `db` in the seed order.
+pub fn dense_backward(
+    w: &[f32],
+    g: &[f32],
+    x: &[f32],
+    dx: &mut [f32],
+    dw: Option<&mut [f32]>,
+    db: Option<&mut [f32]>,
+) {
+    let (out_dim, in_dim) = (g.len(), x.len());
+    debug_assert_eq!(w.len(), out_dim * in_dim);
+    if let Some(dw) = dw {
+        for o in 0..out_dim {
+            let gv = g[o];
+            if gv == 0.0 {
+                continue;
+            }
+            let row = &mut dw[o * in_dim..(o + 1) * in_dim];
+            for (d, &xv) in row.iter_mut().zip(x) {
+                *d += gv * xv;
+            }
+        }
+    }
+    if let Some(db) = db {
+        for (d, &gv) in db.iter_mut().zip(g) {
+            *d += gv;
+        }
+    }
+    dx[..in_dim].fill(0.0);
+    for o in 0..out_dim {
+        let gv = g[o];
+        if gv == 0.0 {
+            continue;
+        }
+        let row = &w[o * in_dim..(o + 1) * in_dim];
+        for (d, &wv) in dx[..in_dim].iter_mut().zip(row) {
+            *d += wv * gv;
+        }
+    }
+}
+
+/// Accumulates conv parameter gradients from the forward im2col patches:
+/// `dw[o][j] += Σ_p g[o, p] * patch[p, j]` (the seed's `o, p, j` loop
+/// order) and `db[o] += Σ_p g[o, p]`.
+pub fn conv_backward_params(
+    g: &[f32],
+    patch: &[f32],
+    rows: usize,
+    cols: usize,
+    dw: &mut [f32],
+    db: &mut [f32],
+) {
+    let out_c = db.len();
+    debug_assert_eq!(dw.len(), out_c * cols);
+    debug_assert!(patch.len() >= rows * cols);
+    for o in 0..out_c {
+        let wrow = &mut dw[o * cols..(o + 1) * cols];
+        for p in 0..rows {
+            let gv = g[o * rows + p];
+            db[o] += gv;
+            let prow = &patch[p * cols..(p + 1) * cols];
+            for (d, &a) in wrow.iter_mut().zip(prow) {
+                *d += gv * a;
+            }
+        }
+    }
 }

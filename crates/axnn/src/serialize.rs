@@ -82,8 +82,9 @@ pub fn model_to_bytes(model: &Sequential) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Returns [`AxError::Format`] on bad magic, truncation or inconsistent
-/// tensors.
+/// Returns [`AxError::Format`] on bad magic, truncation, inconsistent
+/// tensors, or a conv layer the engines cannot run (a zero stride or a
+/// non-square kernel).
 pub fn model_from_bytes(bytes: &[u8]) -> Result<Sequential, AxError> {
     let mut r = ByteReader::new(bytes);
     let mut magic = [0u8; 4];
@@ -109,6 +110,9 @@ pub fn model_from_bytes(bytes: &[u8]) -> Result<Sequential, AxError> {
                 let bias = get_tensor(&mut r)?;
                 if weight.shape().rank() != 4 || bias.len() != weight.dims()[0] || stride == 0 {
                     return Err(AxError::format("inconsistent conv layer"));
+                }
+                if weight.dims()[2] != weight.dims()[3] {
+                    return Err(AxError::format("non-square conv kernel"));
                 }
                 Layer::Conv2d(Conv2d::from_parts(weight, bias, stride, pad))
             }
@@ -226,6 +230,27 @@ mod tests {
         let bytes = w.into_bytes().to_vec();
         match model_from_bytes(&bytes) {
             Err(AxError::Format(msg)) => assert!(msg.contains("overflows"), "{msg}"),
+            other => panic!("expected a format error, got {other:?}"),
+        }
+    }
+
+    /// A `[1, 1, 3, 2]` conv kernel is well-formed bytes but no engine
+    /// runs it, so the loader must refuse it rather than hand back a
+    /// model whose first forward panics.
+    #[test]
+    fn non_square_conv_kernel_is_rejected() {
+        let mut w = ByteWriter::new();
+        w.put_raw(MAGIC);
+        w.put_str("oblong");
+        w.put_u32(1);
+        w.put_u8(TAG_CONV);
+        w.put_u32(1);
+        w.put_u32(0);
+        put_tensor(&mut w, &Tensor::zeros(&[1, 1, 3, 2]));
+        put_tensor(&mut w, &Tensor::zeros(&[1]));
+        let bytes = w.into_bytes().to_vec();
+        match model_from_bytes(&bytes) {
+            Err(AxError::Format(msg)) => assert!(msg.contains("non-square"), "{msg}"),
             other => panic!("expected a format error, got {other:?}"),
         }
     }

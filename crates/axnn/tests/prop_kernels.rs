@@ -60,7 +60,7 @@ proptest! {
         let patch = filled(rng, rows * cols);
         let mut want = vec![0.0f32; oc * rows];
         let mut got = vec![0.0f32; oc * rows];
-        exec::conv_forward(&w, &bias, &patch, rows, cols, &mut want);
+        reference::conv_forward(&w, &bias, &patch, rows, cols, &mut want);
         exec::conv_forward_tiled(&w, &bias, &patch, rows, cols, &mut got);
         prop_assert_eq!(want, got);
     }
@@ -197,7 +197,7 @@ proptest! {
         let mut want_db = filled(rng, oc);
         let mut got_dw = want_dw.clone();
         let mut got_db = want_db.clone();
-        exec::conv_backward_params(&g, &patch, rows, cols, &mut want_dw, &mut want_db);
+        reference::conv_backward_params(&g, &patch, rows, cols, &mut want_dw, &mut want_db);
         exec::conv_backward_params_tiled(&g, &patch, rows, cols, &mut got_dw, &mut got_db);
         prop_assert_eq!(&want_dw, &got_dw);
         prop_assert_eq!(&want_db, &got_db);
@@ -221,7 +221,7 @@ proptest! {
         let x = filled(rng, in_dim);
         let mut want = vec![0.0f32; out_dim];
         let mut got = vec![0.0f32; out_dim];
-        exec::dense_forward(&w, &bias, &x, &mut want);
+        reference::dense_forward(&w, &bias, &x, &mut want);
         exec::dense_forward_rows(&w, &bias, &x, &mut got);
         prop_assert_eq!(&want, &got);
 
@@ -229,7 +229,7 @@ proptest! {
         let mut block = vec![f32::NAN; images * out_dim];
         exec::dense_forward_rows(&w, &bias, &xs, &mut block);
         for (x, got) in xs.chunks_exact(in_dim).zip(block.chunks_exact(out_dim)) {
-            exec::dense_forward(&w, &bias, x, &mut want);
+            reference::dense_forward(&w, &bias, x, &mut want);
             prop_assert_eq!(&want[..], got);
         }
 
@@ -245,7 +245,7 @@ proptest! {
         let mut got_dx = vec![0.0f32; in_dim];
         let mut got_dw = want_dw.clone();
         let mut got_db = want_db.clone();
-        exec::dense_backward(&w, &g, &x, &mut want_dx, Some(&mut want_dw), Some(&mut want_db));
+        reference::dense_backward(&w, &g, &x, &mut want_dx, Some(&mut want_dw), Some(&mut want_db));
         exec::dense_backward_tiled(&w, &g, &x, &mut got_dx, Some(&mut got_dw), Some(&mut got_db));
         prop_assert_eq!(&want_dx, &got_dx);
         prop_assert_eq!(&want_dw, &got_dw);
@@ -317,7 +317,7 @@ fn grad_fold_is_bit_exact_with_per_image_accumulate() {
             let mut one = zeros();
             let (dw, db) = one.layers[0].split_at_mut(1);
             let mut dx = vec![0.0f32; in_dim];
-            exec::dense_backward(
+            reference::dense_backward(
                 &w,
                 g,
                 x,

@@ -17,7 +17,7 @@ use std::sync::Mutex;
 use axdata::Dataset;
 use axnn::model::{GradBuffer, Sequential};
 use axnn::optim::Sgd;
-use axnn::train::{batch_gradient, fit, TrainConfig, TrainHistory};
+use axnn::train::{fit, TrainConfig, TrainHistory};
 use axtensor::Tensor;
 use axutil::rng::Rng;
 use proptest::prelude::*;
@@ -140,7 +140,8 @@ fn seed_fit(model: &mut Sequential, data: &Dataset, cfg: &TrainConfig) -> TrainH
 }
 
 /// `fit` must reproduce the exact seed history — losses, accuracies and
-/// final weights bit-for-bit — and do so for every thread chunking.
+/// final weights bit-for-bit — on every fixture shape and for every
+/// thread chunking.
 #[test]
 fn fit_reproduces_seed_history_bit_for_bit() {
     let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -151,126 +152,22 @@ fn fit_reproduces_seed_history_bit_for_bit() {
         batch_size: 8,
         ..Default::default()
     };
-    let mut reference = small_model(2, 5);
-    let golden = seed_fit(&mut reference, &data, &cfg);
-    for threads in ["1", "2", "3", "7"] {
-        std::env::set_var("AXDNN_THREADS", threads);
-        let mut model = small_model(2, 5);
-        let history = fit(&mut model, &data, &cfg);
-        assert_eq!(
-            history, golden,
-            "TrainHistory diverges from the seed loop at {threads} threads"
-        );
-        assert_eq!(
-            model, reference,
-            "trained weights diverge from the seed loop at {threads} threads"
-        );
-    }
-    match prev {
-        Some(v) => std::env::set_var("AXDNN_THREADS", v),
-        None => std::env::remove_var("AXDNN_THREADS"),
-    }
-}
-
-/// The recompile-per-step loop the in-place engine replaced: a fresh
-/// plan per batch (`model.plan`), `Sgd::step_scaled` writing into the
-/// *model*, and the per-epoch accuracy from `Sequential::accuracy` — the
-/// exact shape `fit` had before `Sequential::plan_owned` /
-/// `Sgd::step_plan_scaled` landed.
-fn recompile_fit(model: &mut Sequential, data: &Dataset, cfg: &TrainConfig) -> TrainHistory {
-    let in_dims = data.image(0).dims().to_vec();
-    let mut opt = Sgd::new(model, cfg.lr, cfg.momentum, cfg.weight_decay);
-    let mut history = TrainHistory {
-        losses: Vec::new(),
-        accuracies: Vec::new(),
-    };
-    for epoch in 0..cfg.epochs {
-        let batches = data.batch_indices(
-            cfg.batch_size,
-            cfg.seed ^ (epoch as u64).wrapping_mul(0x9E37),
-        );
-        let mut loss_acc = 0.0f64;
-        for batch in &batches {
-            let n = batch.len();
-            let plan = model.plan(&in_dims);
-            let (loss_sum, grads) = plan.loss_and_param_grads_batch(
-                n,
-                |k| data.image(batch[k]),
-                |k| data.label(batch[k]),
-            );
-            drop(plan);
-            opt.step_scaled(model, &grads, 1.0 / n as f32);
-            loss_acc += (loss_sum / n as f32) as f64;
-        }
-        history
-            .losses
-            .push((loss_acc / batches.len() as f64) as f32);
-        history.accuracies.push(model.accuracy(data, 2000));
-        opt.set_lr((opt.lr() * cfg.lr_decay).max(1e-5));
-    }
-    history
-}
-
-/// The in-place owned-plan `fit` must be bit-identical — history *and*
-/// final weights — to the recompile-per-step loop it replaced, for every
-/// model shape in the fixture set.
-#[test]
-fn in_place_fit_matches_recompile_per_step_fit() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let prev = std::env::var("AXDNN_THREADS").ok();
-    std::env::set_var("AXDNN_THREADS", "2");
-    let data = tiny_dataset(30, 17);
-    let cfg = TrainConfig {
-        epochs: 2,
-        batch_size: 8,
-        ..Default::default()
-    };
     for arch in 0..ARCHS {
-        let mut want_model = small_model(arch, 23);
-        let want_history = recompile_fit(&mut want_model, &data, &cfg);
-        let mut got_model = small_model(arch, 23);
-        let got_history = fit(&mut got_model, &data, &cfg);
-        assert_eq!(
-            got_history, want_history,
-            "in-place history diverges from the recompiling loop (arch {arch})"
-        );
-        assert_eq!(
-            got_model, want_model,
-            "in-place weights diverge from the recompiling loop (arch {arch})"
-        );
-    }
-    match prev {
-        Some(v) => std::env::set_var("AXDNN_THREADS", v),
-        None => std::env::remove_var("AXDNN_THREADS"),
-    }
-}
-
-/// `batch_gradient` is the mean of the seed fold — and thread-invariant.
-#[test]
-fn batch_gradient_is_seed_mean_for_any_chunking() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let prev = std::env::var("AXDNN_THREADS").ok();
-    let data = tiny_dataset(9, 21);
-    let model = small_model(3, 22);
-    let indices: Vec<usize> = (0..9).collect();
-    let imgs: Vec<Tensor> = indices.iter().map(|&i| data.image(i).clone()).collect();
-    let labels: Vec<usize> = indices.iter().map(|&i| data.label(i)).collect();
-    let (loss_sum, mut want) = seed_grad_sum(&model, &imgs, &labels);
-    want.scale(1.0 / 9.0);
-    let want_loss = loss_sum / 9.0;
-    for threads in ["1", "2", "3", "7"] {
-        std::env::set_var("AXDNN_THREADS", threads);
-        let (loss, grads) = batch_gradient(&model, &data, &indices);
-        assert_eq!(
-            loss.to_bits(),
-            want_loss.to_bits(),
-            "mean loss diverges at {threads} threads"
-        );
-        assert_eq!(
-            grad_bits(&grads),
-            grad_bits(&want),
-            "mean gradient diverges at {threads} threads"
-        );
+        let mut reference = small_model(arch, 5);
+        let golden = seed_fit(&mut reference, &data, &cfg);
+        for threads in ["1", "2", "3", "7"] {
+            std::env::set_var("AXDNN_THREADS", threads);
+            let mut model = small_model(arch, 5);
+            let history = fit(&mut model, &data, &cfg);
+            assert_eq!(
+                history, golden,
+                "TrainHistory diverges from the seed loop (arch {arch}, {threads} threads)"
+            );
+            assert_eq!(
+                model, reference,
+                "trained weights diverge from the seed loop (arch {arch}, {threads} threads)"
+            );
+        }
     }
     match prev {
         Some(v) => std::env::set_var("AXDNN_THREADS", v),

@@ -13,9 +13,9 @@
 //!    fine-tuned through it ([`axquant::qtrain::finetune`]): clean
 //!    quantized accuracy before vs after, plus the per-image vs batched
 //!    STE gradient step.
-//! 4. `gemm` — [`axnn::exec`]'s scalar reference GEMM loops vs the
-//!    register-tiled micro-kernels on the zoo models' hot shapes, the
-//!    LUT dense rate of one image per call vs a 4-image block, plus the
+//! 4. `gemm` — the scalar reference GEMM loops (`axnn::reference`) vs
+//!    [`axnn::exec`]'s register-tiled micro-kernels on the zoo models'
+//!    hot shapes, the LUT dense rate of one image per call vs a 4-image block, plus the
 //!    absolute rate of LeNet-5's input gradient, one image per call and
 //!    one 4-image block.
 //! 5. `faults` — the stuck-at fault campaign
@@ -357,7 +357,7 @@ fn finetune_report() {
 /// call per image (`us`, `macs_per_s`) and once as one 4-image block
 /// (`block_us`, `block_macs_per_s`), the query a crafting block makes.
 fn gemm_report() {
-    use axnn::exec;
+    use axnn::{exec, reference};
 
     let mut rng = Rng::seed_from_u64(60);
     let mut fill = |n: usize| {
@@ -378,8 +378,8 @@ fn gemm_report() {
         let bias = fill(oc);
         let x = fill(rows * cols);
         let reference = |out: &mut [f32]| match rows {
-            1 => exec::dense_forward(&w, &bias, &x, out),
-            _ => exec::conv_forward(&w, &bias, &x, rows, cols, out),
+            1 => reference::dense_forward(&w, &bias, &x, out),
+            _ => reference::conv_forward(&w, &bias, &x, rows, cols, out),
         };
         let tiled = |out: &mut [f32]| match rows {
             1 => exec::dense_forward_rows(&w, &bias, &x, out),

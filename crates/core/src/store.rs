@@ -10,8 +10,8 @@
 //! any experiment — on any machine parallelism — loads instead of
 //! retraining.
 //!
-//! Those guarantees survived `fit`'s move to in-place plan weights: the
-//! whole run now updates one owned plan (no per-step recompile) and the
+//! Those guarantees hold across the engine work: `fit` steps the model
+//! itself between minibatches, each on a freshly compiled plan, and the
 //! register-tiled GEMM kernels it runs are bit-identical to the scalar
 //! reference loops, so `.axm` artifacts trained before and after the
 //! kernel work — and under any thread count — carry the same bits
