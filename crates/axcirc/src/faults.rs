@@ -3,11 +3,13 @@
 //! A manufactured accelerator can mis-multiply even when its *design* is
 //! the intended (exact or approximate) circuit: a fabrication defect ties
 //! one wire permanently to logic 0 or 1. The classic single stuck-at
-//! model covers exactly that, and the 64-lane netlist simulator makes it
-//! cheap: a [`Fault`] forces one node's word to all-zeros or all-ones
-//! inside the existing topologically-ordered forward pass, so every
-//! fanout sees the defective value and a full 2^16-point faulted
-//! characterization of an 8x8 multiplier still costs only 1024 passes.
+//! model covers exactly that, and the bit-parallel netlist simulator
+//! makes it cheap: a [`Fault`] forces one node's words to all-zeros or
+//! all-ones inside the existing topologically-ordered forward pass, so
+//! every fanout sees the defective value. A full 2^16-point faulted
+//! characterization of an 8x8 multiplier runs the fault-free exhaustive
+//! sweep (16 words of 64 vectors per node dispatch, 64 passes over the
+//! nodes; see [`crate::netlist`]) with the forced words applied.
 //!
 //! The module provides
 //!
@@ -44,7 +46,7 @@
 
 use std::fmt;
 
-use crate::netlist::{exhaustive_batch_words, Netlist, Node, NodeId};
+use crate::netlist::{lane_word, Netlist, Node, NodeId};
 
 /// The polarity of a stuck-at fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -315,35 +317,17 @@ impl Netlist {
     }
 
     /// The faulted twin of [`exhaustive`](Netlist::exhaustive): the packed
-    /// output for every input vector with `faults` injected.
+    /// output for every input vector with `faults` injected. It is the
+    /// same 16-word sweep with each faulted node's words forced, so an
+    /// empty set replays the fault-free table bit for bit.
     ///
     /// # Panics
     ///
     /// Same limits as [`exhaustive`](Netlist::exhaustive), plus the
     /// fault-range check.
     pub fn exhaustive_with_faults(&self, faults: &FaultSet) -> Vec<u64> {
-        assert!(self.num_inputs() <= 16, "exhaustive limited to 16 inputs");
-        assert!(self.outputs().len() <= 64);
         faults.check_against(self);
-        let forced = faults.forced_words();
-        let total = 1usize << self.num_inputs();
-        let mut table = vec![0u64; total];
-        let batches = total.div_ceil(64);
-        let mut scratch = Vec::new();
-        let mut words = vec![0u64; self.num_inputs()];
-        for batch in 0..batches {
-            exhaustive_batch_words(&mut words, batch);
-            self.eval_words_into_forced(&words, &mut scratch, &forced);
-            let lanes = (total - batch * 64).min(64);
-            for lane in 0..lanes {
-                let mut v = 0u64;
-                for (k, o) in self.outputs().iter().enumerate() {
-                    v |= (scratch[o.index()] >> lane & 1) << k;
-                }
-                table[batch * 64 + lane] = v;
-            }
-        }
-        table
+        self.exhaustive_forced(&faults.forced_words())
     }
 
     /// [`exhaustive_with_faults`](Netlist::exhaustive_with_faults)
@@ -426,7 +410,9 @@ impl Netlist {
         let mut faulty: Vec<u64> = Vec::new();
         let mut words = vec![0u64; self.num_inputs()];
         for batch in 0..batches {
-            exhaustive_batch_words(&mut words, batch);
+            for (k, w) in words.iter_mut().enumerate() {
+                *w = lane_word(k, batch);
+            }
             self.eval_words_into(&words, &mut clean);
             let lanes = (total - batch * 64).min(64);
             let mask = if lanes == 64 {

@@ -7,8 +7,9 @@
 //!
 //! * [`netlist`] — a compact combinational netlist IR with a 64-way
 //!   bit-parallel simulator (one `u64` word simulates 64 input vectors at
-//!   once), which makes exhaustive 2^16-point characterization of an 8x8
-//!   multiplier essentially free.
+//!   once). Its exhaustive sweep evaluates each node over 16 such words
+//!   per dispatch, so a 2^16-point characterization of an 8x8 multiplier
+//!   takes 64 passes over the nodes.
 //! * [`cells`] — exact and approximate adder cells. The approximate cells
 //!   are behavioral models in the spirit of the approximate mirror-adder
 //!   literature; each documents its full truth table and error pattern.

@@ -7,8 +7,15 @@
 //! forward pass.
 //!
 //! Simulation is *bit-parallel*: each node is evaluated on a `u64` word
-//! carrying 64 independent input vectors. Exhaustive evaluation of a
-//! 16-input circuit therefore needs only 1024 passes.
+//! carrying 64 independent input vectors. The exhaustive evaluators
+//! ([`Netlist::exhaustive`], [`Netlist::signal_probabilities`] and the
+//! faulted tables of [`crate::faults`]) share one sweep that evaluates
+//! each node over a run of 16 such words per dispatch, node-major, so a
+//! 16-input circuit's 1024 batches of 64 vectors take 64 passes over the
+//! nodes. Table entries are then assembled eight at a time: each output's
+//! byte of eight lanes is spread through a 256-entry table into bit 0 of
+//! eight entry bytes. [`Netlist::eval_words`] is the one-word case of the
+//! same forward pass.
 
 use std::fmt;
 
@@ -23,17 +30,75 @@ pub(crate) const LANE: [u64; 6] = [
     0xFFFF_FFFF_0000_0000,
 ];
 
-/// Fills `words` with the exhaustive-batch input pattern: the low 6
-/// inputs take the [`LANE`] patterns, the rest the bits of `batch`.
-pub(crate) fn exhaustive_batch_words(words: &mut [u64], batch: usize) {
-    for (k, w) in words.iter_mut().enumerate() {
-        *w = if k < 6 {
-            LANE[k]
-        } else if (batch >> (k - 6)) & 1 == 1 {
-            u64::MAX
-        } else {
-            0
-        };
+/// The exhaustive-batch word of primary input `k` in 64-lane batch
+/// `batch`: the low 6 inputs take the [`LANE`] patterns, the rest the
+/// bits of `batch`.
+pub(crate) fn lane_word(k: usize, batch: usize) -> u64 {
+    if k < 6 {
+        LANE[k]
+    } else if (batch >> (k - 6)) & 1 == 1 {
+        u64::MAX
+    } else {
+        0
+    }
+}
+
+/// Batch words each node is evaluated over per dispatch of the
+/// exhaustive sweep: 16 x 64 = 1024 input vectors.
+const SWEEP: usize = 16;
+
+/// `SPREAD[x]` moves bit `i` of byte `x` to bit `8 i`: one output's byte
+/// of eight lanes becomes bit 0 of eight table-entry bytes.
+static SPREAD: [u64; 256] = spread_table();
+
+const fn spread_table() -> [u64; 256] {
+    let mut t = [0u64; 256];
+    let mut x = 0;
+    while x < 256 {
+        let mut i = 0;
+        while i < 8 {
+            t[x] |= ((x as u64 >> i) & 1) << (8 * i);
+            i += 1;
+        }
+        x += 1;
+    }
+    t
+}
+
+/// Node `a`'s `W` words in a node-major buffer of `W` words per node.
+#[inline(always)]
+fn words<const W: usize>(vals: &[u64], a: NodeId) -> &[u64; W] {
+    vals[a.index() * W..][..W]
+        .try_into()
+        .expect("W words per node")
+}
+
+#[inline(always)]
+fn zip2<const W: usize>(dst: &mut [u64; W], x: &[u64; W], y: &[u64; W], f: fn(u64, u64) -> u64) {
+    for ((d, &x), &y) in dst.iter_mut().zip(x).zip(y) {
+        *d = f(x, y);
+    }
+}
+
+/// Evaluates one gate over `W` words from the words of the earlier nodes
+/// in `vals` (node-major, `W` per node). Inputs and constants are
+/// sources: their words are the caller's to set, so they are left as
+/// they are.
+#[inline(always)]
+fn eval_gate<const W: usize>(node: Node, vals: &[u64], dst: &mut [u64; W]) {
+    match node {
+        Node::Input(_) | Node::Const(_) => {}
+        Node::Not(a) => {
+            for (d, &x) in dst.iter_mut().zip(words::<W>(vals, a)) {
+                *d = !x;
+            }
+        }
+        Node::And(a, b) => zip2(dst, words(vals, a), words(vals, b), |x, y| x & y),
+        Node::Or(a, b) => zip2(dst, words(vals, a), words(vals, b), |x, y| x | y),
+        Node::Xor(a, b) => zip2(dst, words(vals, a), words(vals, b), |x, y| x ^ y),
+        Node::Nand(a, b) => zip2(dst, words(vals, a), words(vals, b), |x, y| !(x & y)),
+        Node::Nor(a, b) => zip2(dst, words(vals, a), words(vals, b), |x, y| !(x | y)),
+        Node::Xnor(a, b) => zip2(dst, words(vals, a), words(vals, b), |x, y| !(x ^ y)),
     }
 }
 
@@ -284,11 +349,9 @@ impl Netlist {
         self.eval_words_into_forced(input_words, scratch, &[]);
     }
 
-    /// The word-parallel forward pass with forced node values: after a
-    /// node is evaluated, its word is overwritten by the matching entry of
-    /// `forced` (sorted by node index), so every fanout sees the forced
-    /// value. This is how stuck-at faults enter the simulator — see
-    /// [`crate::faults`] for the public API.
+    /// The one-word forward pass with forced node values (see
+    /// [`forward`](Self::forward)); stuck-at faults enter the simulator
+    /// here — see [`crate::faults`] for the public API.
     pub(crate) fn eval_words_into_forced(
         &self,
         input_words: &[u64],
@@ -302,30 +365,34 @@ impl Netlist {
             self.num_inputs
         );
         scratch.resize(self.nodes.len(), 0);
+        self.forward(|k| [input_words[k]], forced, scratch);
+    }
+
+    /// The forward pass, `W` words per node: node `i`'s words are
+    /// `vals[i * W..(i + 1) * W]` and primary input `k`'s come from
+    /// `input(k)`. After a node is evaluated, its words are overwritten by
+    /// the matching entry of `forced` (sorted by node index), so every
+    /// fanout sees the forced value.
+    fn forward<const W: usize>(
+        &self,
+        input: impl Fn(usize) -> [u64; W],
+        forced: &[(usize, u64)],
+        vals: &mut [u64],
+    ) {
+        debug_assert_eq!(vals.len(), self.nodes.len() * W);
         let mut cursor = 0usize;
-        for (i, node) in self.nodes.iter().enumerate() {
-            let mut v = match *node {
-                Node::Input(b) => input_words[b as usize],
-                Node::Const(v) => {
-                    if v {
-                        u64::MAX
-                    } else {
-                        0
-                    }
-                }
-                Node::Not(a) => !scratch[a.index()],
-                Node::And(a, b) => scratch[a.index()] & scratch[b.index()],
-                Node::Or(a, b) => scratch[a.index()] | scratch[b.index()],
-                Node::Xor(a, b) => scratch[a.index()] ^ scratch[b.index()],
-                Node::Nand(a, b) => !(scratch[a.index()] & scratch[b.index()]),
-                Node::Nor(a, b) => !(scratch[a.index()] | scratch[b.index()]),
-                Node::Xnor(a, b) => !(scratch[a.index()] ^ scratch[b.index()]),
-            };
+        for (i, &node) in self.nodes.iter().enumerate() {
+            let (done, rest) = vals.split_at_mut(i * W);
+            let dst: &mut [u64; W] = (&mut rest[..W]).try_into().expect("W words per node");
+            match node {
+                Node::Input(b) => *dst = input(b as usize),
+                Node::Const(v) => *dst = [if v { u64::MAX } else { 0 }; W],
+                gate => eval_gate(gate, done, dst),
+            }
             if cursor < forced.len() && forced[cursor].0 == i {
-                v = forced[cursor].1;
+                *dst = [forced[cursor].1; W];
                 cursor += 1;
             }
-            scratch[i] = v;
         }
     }
 
@@ -335,18 +402,60 @@ impl Netlist {
     /// replays the suffix of the topological order after forcing one node.
     pub(crate) fn recompute_gates_from(&self, scratch: &mut [u64], from: usize) {
         for i in from..self.nodes.len() {
-            let v = match self.nodes[i] {
-                Node::Input(_) | Node::Const(_) => continue,
-                Node::Not(a) => !scratch[a.index()],
-                Node::And(a, b) => scratch[a.index()] & scratch[b.index()],
-                Node::Or(a, b) => scratch[a.index()] | scratch[b.index()],
-                Node::Xor(a, b) => scratch[a.index()] ^ scratch[b.index()],
-                Node::Nand(a, b) => !(scratch[a.index()] & scratch[b.index()]),
-                Node::Nor(a, b) => !(scratch[a.index()] | scratch[b.index()]),
-                Node::Xnor(a, b) => !(scratch[a.index()] ^ scratch[b.index()]),
-            };
-            scratch[i] = v;
+            let (done, rest) = scratch.split_at_mut(i);
+            eval_gate::<1>(
+                self.nodes[i],
+                done,
+                (&mut rest[..1]).try_into().expect("one word"),
+            );
         }
+    }
+
+    /// The exhaustive sweep behind every table and count: runs all
+    /// `2^num_inputs` input vectors through [`forward`](Self::forward) in
+    /// chunks of `SWEEP` 64-lane batches and hands `visit` each chunk's
+    /// first batch, its number of batches and the node-major words (node
+    /// `i`'s batch `first + j` is `vals[i * SWEEP + j]`). Callers check
+    /// the 16-input limit.
+    fn sweep(&self, forced: &[(usize, u64)], mut visit: impl FnMut(usize, usize, &[u64])) {
+        let batches = (1usize << self.num_inputs).div_ceil(64);
+        let mut vals = vec![0u64; self.nodes.len() * SWEEP];
+        for first in (0..batches).step_by(SWEEP) {
+            let input = |k| std::array::from_fn(|j| lane_word(k, first + j));
+            self.forward::<SWEEP>(input, forced, &mut vals);
+            visit(first, SWEEP.min(batches - first), &vals);
+        }
+    }
+
+    /// The exhaustive table with `forced` node values (see
+    /// [`forward`](Self::forward)): [`exhaustive`](Self::exhaustive) and
+    /// [`exhaustive_with_faults`](Self::exhaustive_with_faults).
+    pub(crate) fn exhaustive_forced(&self, forced: &[(usize, u64)]) -> Vec<u64> {
+        assert!(self.num_inputs <= 16, "exhaustive limited to 16 inputs");
+        assert!(self.outputs.len() <= 64);
+        let total = 1usize << self.num_inputs;
+        let mut table = vec![0u64; total.div_ceil(64) * 64];
+        self.sweep(forced, |first, n, vals| {
+            for (g, group) in self.outputs.chunks(8).enumerate() {
+                for j in 0..n {
+                    let base = (first + j) * 64;
+                    for (p, entries) in table[base..base + 64].chunks_exact_mut(8).enumerate() {
+                        // Output `8g + k`'s bits of lanes `8p..8p + 8`,
+                        // spread to bit `k` of each lane's byte.
+                        let mut spread = 0u64;
+                        for (k, o) in group.iter().enumerate() {
+                            let byte = (vals[o.index() * SWEEP + j] >> (8 * p)) as u8;
+                            spread |= SPREAD[byte as usize] << k;
+                        }
+                        for (e, b) in entries.iter_mut().zip(spread.to_le_bytes()) {
+                            *e |= (b as u64) << (8 * g);
+                        }
+                    }
+                }
+            }
+        });
+        table.truncate(total);
+        table
     }
 
     /// Evaluates a single input vector given as packed bits (input `k` =
@@ -375,33 +484,15 @@ impl Netlist {
 
     /// Exhaustively evaluates the circuit over all `2^num_inputs` input
     /// vectors and returns the packed output value for each (indexed by the
-    /// input vector's integer value).
+    /// input vector's integer value), through the 16-word sweep of the
+    /// [module docs](self).
     ///
     /// # Panics
     ///
     /// Panics if there are more than 16 primary inputs (the table would
     /// exceed 64Ki entries) or more than 64 outputs.
     pub fn exhaustive(&self) -> Vec<u64> {
-        assert!(self.num_inputs <= 16, "exhaustive limited to 16 inputs");
-        assert!(self.outputs.len() <= 64);
-        let total = 1usize << self.num_inputs;
-        let mut table = vec![0u64; total];
-        let batches = total.div_ceil(64);
-        let mut scratch = Vec::new();
-        let mut words = vec![0u64; self.num_inputs];
-        for batch in 0..batches {
-            exhaustive_batch_words(&mut words, batch);
-            self.eval_words_into(&words, &mut scratch);
-            let lanes = (total - batch * 64).min(64);
-            for lane in 0..lanes {
-                let mut v = 0u64;
-                for (k, o) in self.outputs.iter().enumerate() {
-                    v |= (scratch[o.index()] >> lane & 1) << k;
-                }
-                table[batch * 64 + lane] = v;
-            }
-        }
-        table
+        self.exhaustive_forced(&[])
     }
 
     /// Exhaustive table narrowed to `u16` outputs (≤ 16 output bits).
@@ -415,27 +506,30 @@ impl Netlist {
     }
 
     /// Per-node signal probabilities (fraction of exhaustive input vectors
-    /// for which the node is logic 1). Used by the switching-power proxy.
+    /// for which the node is logic 1), counted over the same sweep as
+    /// [`exhaustive`](Self::exhaustive). Used by the switching-power proxy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are more than 16 primary inputs.
     pub fn signal_probabilities(&self) -> Vec<f64> {
-        assert!(self.num_inputs <= 16);
+        assert!(self.num_inputs <= 16, "exhaustive limited to 16 inputs");
         let total = 1usize << self.num_inputs;
-        let batches = total.div_ceil(64);
+        // Below 64 vectors the one batch has unused high lanes.
+        let mask = if total >= 64 {
+            u64::MAX
+        } else {
+            (1u64 << total) - 1
+        };
         let mut ones = vec![0u64; self.nodes.len()];
-        let mut scratch = Vec::new();
-        let mut words = vec![0u64; self.num_inputs];
-        for batch in 0..batches {
-            exhaustive_batch_words(&mut words, batch);
-            self.eval_words_into(&words, &mut scratch);
-            let lanes = (total - batch * 64).min(64);
-            let mask = if lanes == 64 {
-                u64::MAX
-            } else {
-                (1u64 << lanes) - 1
-            };
-            for (o, s) in ones.iter_mut().zip(scratch.iter()) {
-                *o += (s & mask).count_ones() as u64;
+        self.sweep(&[], |_, n, vals| {
+            for (o, node) in ones.iter_mut().zip(vals.chunks_exact(SWEEP)) {
+                *o += node[..n]
+                    .iter()
+                    .map(|w| (w & mask).count_ones() as u64)
+                    .sum::<u64>();
             }
-        }
+        });
         ones.into_iter().map(|c| c as f64 / total as f64).collect()
     }
 }

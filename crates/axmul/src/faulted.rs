@@ -3,8 +3,13 @@
 //! A [`FaultedMul`] is a registry multiplier with a
 //! [`FaultSet`] injected at the netlist layer
 //! and the resulting defective behaviour flattened into the usual
-//! 64Ki-entry LUT. Because the fault forcing happens during exhaustive
-//! characterization, the kernel drops straight into the existing
+//! 64Ki-entry LUT. Characterization is the netlist's one exhaustive
+//! sweep (16 words of 64 input vectors per node dispatch; see
+//! [`axcirc::netlist`]) with the faulted nodes' words forced, the same
+//! sweep that builds a fault-free [`MulLut`](crate::lut::MulLut), so a
+//! rebuild costs about as much as one registry LUT build. Because the
+//! fault forcing happens during exhaustive characterization, the kernel
+//! drops straight into the existing
 //! [`MulBackend::Table`](crate::kernel::MulBackend) dispatch — the hot
 //! GEMM loops are untouched, and the same mechanism will scale to
 //! 12/16-bit multipliers later since nothing fault-specific lives in the
@@ -123,6 +128,31 @@ mod tests {
         assert_eq!(fk.table(), clean.table());
         assert_eq!(fk.name(), "L40");
         assert!(fk.faults().is_empty());
+    }
+
+    /// Every LeNet-5 column's table, fault-free and with one sampled
+    /// gate fault, entry for entry against one per-vector
+    /// `eval_bits_with_faults` call (the netlist reads `b` on inputs
+    /// 8..16, so vector `(b << 8) | a` is table entry `(a << 8) | b`).
+    #[test]
+    fn lenet_tables_match_per_vector_evaluation() {
+        let reg = Registry::standard();
+        for (m, name) in Registry::lenet_set().into_iter().enumerate() {
+            let nl = reg.find(name).expect("registered").build_netlist();
+            let gate = nl.node_id(nl.len() - 1 - 7 * m);
+            let faults = FaultSet::single(Fault::new(gate, StuckAt::One));
+            let lut = MulLut::from_netlist(name, &nl);
+            let faulted = FaultedMul::from_netlist(name, &nl, faults.clone());
+            for a in 0..=255u8 {
+                for b in 0..=255u8 {
+                    let v = (b as u64) << 8 | a as u64;
+                    let want = nl.eval_bits_with_faults(v, &FaultSet::empty()) as u16;
+                    assert_eq!(lut.mul(a, b), want, "{name} {a} x {b}");
+                    let want = nl.eval_bits_with_faults(v, &faults) as u16;
+                    assert_eq!(faulted.mul(a, b), want, "{name}+{faults} {a} x {b}");
+                }
+            }
+        }
     }
 
     #[test]

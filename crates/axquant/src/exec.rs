@@ -27,11 +27,25 @@ use axmul::{MulBackend, MulKernel};
 
 use crate::qmodel::QWeights;
 
+/// Rounds `y` half away from zero to an activation code in `[0, qmax]`
+/// (`qmax` a whole number ≤ 255): the value of
+/// `y.round().clamp(0.0, qmax) as u8`, without the out-of-line `roundf`
+/// call that form compiles to on baseline x86-64. After the clamp
+/// `y >= 0`, so the cast truncates to `floor(y)` and `y - floor(y)` is
+/// exact; ties round up, as `round` does. NaN still maps to 0 and ±inf
+/// to the bounds.
+#[inline(always)]
+pub(crate) fn round_code(y: f32, qmax: f32) -> u8 {
+    let y = y.clamp(0.0, qmax);
+    let t = y as u32;
+    (t + u32::from(y - t as f32 >= 0.5)) as u8
+}
+
 /// Quantizes a float image in `[0, 1]` to `u8` activation codes.
 pub(crate) fn quantize_input(x: &[f32], qmax: f32, out: &mut [u8]) {
     debug_assert_eq!(x.len(), out.len());
     for (o, &v) in out.iter_mut().zip(x) {
-        *o = (v * qmax).round().clamp(0.0, qmax) as u8;
+        *o = round_code(v * qmax, qmax);
     }
 }
 
@@ -147,7 +161,7 @@ pub(crate) fn gemm_requant<K: MulKernel + ?Sized>(
     let qmax = w.act_qmax;
     dispatch_gemm!(backend, w, patch, shape, |i, acc: i32| {
         // Fused ReLU: clamp below at 0 during requantization.
-        out[i] = (acc as f32 * m).round().clamp(0.0, qmax) as u8
+        out[i] = round_code(acc as f32 * m, qmax)
     });
 }
 
@@ -198,11 +212,50 @@ mod tests {
     fn qweights(signs: Vec<i8>, mags: Vec<u8>, bias: Vec<i32>, requant: Option<f32>) -> QWeights {
         QWeights {
             sign: signs,
+            max_mag: mags.iter().copied().max().unwrap_or(0),
             mag: mags,
             bias_q: bias,
             requant,
             dequant: 1.0,
             act_qmax: 255.0,
+        }
+    }
+
+    /// `round_code` against the `round().clamp()` form it replaces, on
+    /// every tie `k + 0.5` and its two neighbouring floats, negatives,
+    /// values above `qmax`, ±inf, NaN and a dense sweep, at the 4- and
+    /// 8-bit code ranges.
+    #[test]
+    fn round_code_matches_round_then_clamp() {
+        let reference = |y: f32, qmax: f32| y.round().clamp(0.0, qmax) as u8;
+        let mut probes = vec![
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -0.0,
+            0.0,
+            f32::MIN_POSITIVE,
+            f32::MAX,
+            f32::MIN,
+        ];
+        for k in 0..=300 {
+            let tie = k as f32 + 0.5;
+            probes.extend([
+                tie,
+                f32::from_bits(tie.to_bits() - 1),
+                f32::from_bits(tie.to_bits() + 1),
+            ]);
+            probes.extend([-tie, -(k as f32), k as f32]);
+        }
+        probes.extend((0..=600_000).map(|i| i as f32 * 0.000_5 - 20.0));
+        for qmax in [15.0f32, 255.0] {
+            for &y in &probes {
+                assert_eq!(
+                    round_code(y, qmax),
+                    reference(y, qmax),
+                    "y = {y:e}, qmax = {qmax}"
+                );
+            }
         }
     }
 

@@ -28,6 +28,19 @@
 //! row once per block. [`QPlan::forward_one`] and [`QPlan::forward_multi`]
 //! are blocks of one: there is one quantized forward.
 //!
+//! The batch entry points ([`QPlan::forward_batch_indexed`],
+//! [`QPlan::predict_batch_indexed`] and their slice wrappers) also run
+//! each *distinct* kernel once. Weight magnitudes index LUT rows, so the
+//! engine reads only rows `0..=max |w|` of a table (128 of 256 at INT8,
+//! with `max |w|` taken over the approximated layers when the plan is
+//! compiled). Tables equal on those rows give bit-identical logits, and
+//! so do two builtin exact kernels: each such group runs as one lane and
+//! its column is copied back to every member. Kernels behind a plain
+//! trait call (`Generic` backends) always run. A stuck-at fault campaign,
+//! whose sampled faults can leave the read rows intact, scores fewer
+//! columns this way; [`QPlan::predict_range`], the per-chunk runner a
+//! server drives, runs every kernel it is given.
+//!
 //! ```
 //! use axmul::{ExactMul, MulLut};
 //! use axnn::zoo;
@@ -114,6 +127,10 @@ pub struct QPlan<'m> {
     n_classes: usize,
     /// Largest im2col patch buffer any conv step needs.
     pub(crate) max_patch: usize,
+    /// Largest weight magnitude of the approximated steps (`None` when
+    /// no step is approximated): kernels are read on LUT rows
+    /// `0..=max_mag` only.
+    max_mag: Option<u8>,
 }
 
 /// Reusable buffers for executing a [`QPlan`].
@@ -167,6 +184,7 @@ impl<'m> QPlan<'m> {
         let mut dims: Vec<usize> = input_dims.to_vec();
         let mut max_patch = 0;
         let mut n_classes = 0;
+        let mut max_mag = None;
         let mut steps = Vec::new();
         for ql in model.qlayers() {
             match ql {
@@ -185,9 +203,13 @@ impl<'m> QPlan<'m> {
                     let oh = (h + 2 * pad - k) / stride + 1;
                     let ow = (wd + 2 * pad - k) / stride + 1;
                     let (rows, cols) = (oh * ow, in_c * k * k);
+                    let approx = model.placement().applies_to_conv();
+                    if approx {
+                        max_mag = max_mag.max(Some(w.max_mag));
+                    }
                     steps.push(Step::Conv {
                         w,
-                        approx: model.placement().applies_to_conv(),
+                        approx,
                         in_dims: [c, h, wd],
                         k: *k,
                         stride: *stride,
@@ -219,6 +241,9 @@ impl<'m> QPlan<'m> {
                         });
                         n_classes = *out_dim;
                     }
+                    if approx {
+                        max_mag = max_mag.max(Some(w.max_mag));
+                    }
                     dims = vec![*out_dim];
                 }
                 QLayer::AvgPool { k } => {
@@ -247,6 +272,7 @@ impl<'m> QPlan<'m> {
             in_dims: input_dims.to_vec(),
             n_classes,
             max_patch,
+            max_mag,
         }
     }
 
@@ -516,13 +542,9 @@ impl<'m> QPlan<'m> {
         K: MulKernel + ?Sized,
         F: Fn(usize) -> &'a Tensor + Sync,
     {
-        assert!(!kernels.is_empty(), "need at least one kernel");
         let nc = self.n_classes;
-        parallel::par_map_chunks(n, |range| {
-            let mut scratch = self.scratch_for(kernels.len());
-            self.map_range(&mut scratch, range, &image, kernels, |logits| {
-                Tensor::from_vec(logits.to_vec(), &[nc])
-            })
+        self.map_distinct(n, image, kernels, |logits| {
+            Tensor::from_vec(logits.to_vec(), &[nc])
         })
     }
 
@@ -547,17 +569,80 @@ impl<'m> QPlan<'m> {
         K: MulKernel + ?Sized,
         F: Fn(usize) -> &'a Tensor + Sync,
     {
-        assert!(!kernels.is_empty(), "need at least one kernel");
-        parallel::par_map_chunks(n, |range| {
-            let mut scratch = self.scratch_for(kernels.len());
-            self.predict_range(&mut scratch, range, &image, kernels)
-        })
+        self.map_distinct(n, image, kernels, argmax)
     }
 
-    /// The per-chunk runner of [`QPlan::predict_batch_indexed`]: predicted
-    /// classes for images `range` under `kernels`, `[image][kernel]`, run
-    /// block by block on the caller's `scratch` (which needs at least
-    /// `kernels.len()` lanes).
+    /// The batch runner behind [`QPlan::forward_batch_indexed`] and
+    /// [`QPlan::predict_batch_indexed`]: runs images `0..n` in parallel
+    /// image chunks, one scratch per chunk, under the distinct kernels
+    /// only (see [`QPlan::distinct_kernels`]), and copies each distinct
+    /// column back to every kernel that shares it: `[image][kernel]`.
+    fn map_distinct<'a, K, F, R>(
+        &self,
+        n: usize,
+        image: F,
+        kernels: &[&K],
+        f: impl Fn(&[f32]) -> R + Sync,
+    ) -> Vec<Vec<R>>
+    where
+        K: MulKernel + ?Sized,
+        F: Fn(usize) -> &'a Tensor + Sync,
+        R: Clone + Send,
+    {
+        assert!(!kernels.is_empty(), "need at least one kernel");
+        let (distinct, column) = self.distinct_kernels(kernels);
+        let rows = parallel::par_map_chunks(n, |range| {
+            let mut scratch = self.scratch_for(distinct.len());
+            self.map_range(&mut scratch, range, &image, &distinct, &f)
+        });
+        if distinct.len() == kernels.len() {
+            return rows;
+        }
+        rows.into_iter()
+            .map(|row| column.iter().map(|&c| row[c].clone()).collect())
+            .collect()
+    }
+
+    /// Groups `kernels` by what the engine can tell apart: kernel `i` maps
+    /// to the first kernel with the same [`MulBackend`] — both `Exact`, or
+    /// both tables equal on the LUT rows `0..=max_mag` that the plan's
+    /// approximated weights read. `Generic` kernels are never merged, and
+    /// a plan with no approximated step keeps every kernel (its pipeline
+    /// never diverges anyway). Returns the distinct kernels in first-seen
+    /// order and, per kernel, the index of its distinct column.
+    fn distinct_kernels<'k, K: MulKernel + ?Sized>(
+        &self,
+        kernels: &[&'k K],
+    ) -> (Vec<&'k K>, Vec<usize>) {
+        let max_mag = match self.max_mag {
+            Some(m) if kernels.len() > 1 => m,
+            _ => return (kernels.to_vec(), (0..kernels.len()).collect()),
+        };
+        let entries = (max_mag as usize + 1) << 8;
+        let backends: Vec<MulBackend<'_, K>> = kernels.iter().map(|k| MulBackend::of(*k)).collect();
+        let same = |a: usize, b: usize| match (backends[a], backends[b]) {
+            (MulBackend::Exact, MulBackend::Exact) => true,
+            (MulBackend::Table(s), MulBackend::Table(t)) => s[..entries] == t[..entries],
+            _ => false,
+        };
+        let mut firsts: Vec<usize> = Vec::new();
+        let column = (0..kernels.len())
+            .map(|i| {
+                firsts.iter().position(|&d| same(d, i)).unwrap_or_else(|| {
+                    firsts.push(i);
+                    firsts.len() - 1
+                })
+            })
+            .collect();
+        (firsts.iter().map(|&i| kernels[i]).collect(), column)
+    }
+
+    /// Predicted classes for images `range` under `kernels`,
+    /// `[image][kernel]`, run block by block on the caller's `scratch`
+    /// (which needs at least `kernels.len()` lanes): the per-chunk runner
+    /// a caller with its own threads uses (e.g. `axserve`'s plan pool).
+    /// Every kernel runs as given; only the batch entry points collapse
+    /// duplicate columns.
     ///
     /// # Panics
     ///
@@ -713,6 +798,49 @@ mod tests {
             assert_eq!(first, again, "scratch reuse must not leak state");
             assert_ne!(first, other);
         }
+    }
+
+    /// Which columns merge: equal tables (also when they differ only in
+    /// rows above every weight magnitude) and `Exact` with `Exact`; an
+    /// exact table stays apart from `ExactMul`, a `Generic` kernel from
+    /// everything, and a table that differs in a read row from the first.
+    #[test]
+    fn distinct_kernels_merge_what_the_engine_cannot_tell_apart() {
+        struct Opaque;
+        impl MulKernel for Opaque {
+            fn mul(&self, a: u8, b: u8) -> u16 {
+                a as u16 * b as u16
+            }
+            fn name(&self) -> &str {
+                "opaque"
+            }
+        }
+        let model = zoo::lenet5(&mut Rng::seed_from_u64(60));
+        let calib = calib_images(2, &[1, 28, 28], 61);
+        let qm = QuantModel::from_float(&model, &calib, Placement::ConvOnly).unwrap();
+        let plan = qm.plan(&[1, 28, 28]);
+        let max_mag = plan.max_mag.expect("conv steps are approximated");
+        assert!(max_mag <= 127);
+        let l40 = Registry::standard().build_lut("L40").unwrap();
+        let above = MulLut::from_fn("above", |a, b| l40.mul(a, b) ^ u16::from(a > max_mag));
+        let at = MulLut::from_fn("at", |a, b| l40.mul(a, b) ^ u16::from(a == max_mag));
+        let exact_lut = MulLut::exact();
+        let kernels: [&dyn MulKernel; 9] = [
+            &l40, &ExactMul, &l40, &above, &exact_lut, &ExactMul, &Opaque, &Opaque, &at,
+        ];
+        let (distinct, column) = plan.distinct_kernels(&kernels);
+        assert_eq!(column, [0, 1, 0, 0, 2, 1, 3, 4, 5]);
+        let names: Vec<&str> = distinct.iter().map(|k| k.name()).collect();
+        assert_eq!(
+            names,
+            ["mul8u_L40", "exact", "exact-lut", "opaque", "opaque", "at"]
+        );
+        // One kernel, or a plan with no approximated step, keeps every kernel.
+        assert_eq!(plan.distinct_kernels(&kernels[..1]).1, [0]);
+        let ffnn = zoo::ffnn(&mut Rng::seed_from_u64(62));
+        let qf = QuantModel::from_float(&ffnn, &calib, Placement::ConvOnly).unwrap();
+        let (d, c) = qf.plan(&[1, 28, 28]).distinct_kernels(&[&l40, &l40]);
+        assert_eq!((d.len(), c), (2, vec![0, 1]));
     }
 
     #[test]

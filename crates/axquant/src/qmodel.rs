@@ -24,6 +24,8 @@ use crate::qlevel::QLevel;
 pub(crate) struct QWeights {
     pub(crate) sign: Vec<i8>, // +1 or -1
     pub(crate) mag: Vec<u8>,  // |w| quantized, <= 127
+    /// The largest entry of `mag`: the last LUT row the layer reads.
+    pub(crate) max_mag: u8,
     pub(crate) bias_q: Vec<i32>,
     /// requant multiplier `s_w * s_in / s_out`; `None` for the final layer
     /// (output dequantized to f32 instead).
@@ -59,6 +61,7 @@ impl QWeights {
             .collect();
         QWeights {
             sign,
+            max_mag: mag.iter().copied().max().unwrap_or(0),
             mag,
             bias_q,
             requant: out_scale.map(|s| prod_scale / s),

@@ -8,7 +8,7 @@
 
 use std::sync::Mutex;
 
-use axmul::{ExactMul, FaultedMul, MulLut};
+use axmul::{ExactMul, FaultedMul, MulKernel, MulLut};
 use axnn::layer::{AvgPool2d, Conv2d, Dense, Layer};
 use axnn::model::Sequential;
 use axquant::{Placement, QLevel, QuantModel};
@@ -283,6 +283,90 @@ fn image_blocks_match_one_image_forwards_at_every_boundary() {
                     "{} predictions: n {n}, threads {threads}",
                     qm.name()
                 );
+            }
+        }
+    }
+    match prev {
+        Some(v) => std::env::set_var("AXDNN_THREADS", v),
+        None => std::env::remove_var("AXDNN_THREADS"),
+    }
+}
+
+/// A table kernel behind a plain trait call: the engine sees a
+/// `Generic` backend.
+struct Opaque<'a>(&'a MulLut);
+
+impl MulKernel for Opaque<'_> {
+    fn mul(&self, a: u8, b: u8) -> u16 {
+        self.0.mul(a, b)
+    }
+
+    fn name(&self) -> &str {
+        "opaque"
+    }
+}
+
+/// Duplicate columns run once and are copied back, so every
+/// `[image][kernel]` entry of the batch paths still equals one
+/// single-kernel run of that column, under every `AXDNN_THREADS`
+/// chunking. The columns: a LUT, the same LUT again, a LUT that differs
+/// from it only in rows >= 128 (no INT8 weight magnitude reads them),
+/// `ExactMul` next to an exact `MulLut` and a second `ExactMul`, the
+/// first LUT behind a `Generic` trait call, and a LUT that differs from
+/// the first in row 1.
+#[test]
+fn duplicate_columns_match_single_kernel_runs() {
+    let biased = biased_lut();
+    let high_rows = MulLut::from_fn("biased-high", |a, b| {
+        let v = biased.mul(a, b);
+        if a >= 128 {
+            !v
+        } else {
+            v
+        }
+    });
+    let row1 = MulLut::from_fn("biased-row1", |a, b| biased.mul(a, b) ^ u16::from(a == 1));
+    let exact_lut = MulLut::exact();
+    let opaque = Opaque(&biased);
+    let kernels: [&dyn MulKernel; 8] = [
+        &biased, &biased, &high_rows, &ExactMul, &exact_lut, &ExactMul, &opaque, &row1,
+    ];
+    let calib = images(4, 90);
+    let probes = images(9, 91);
+
+    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let prev = std::env::var("AXDNN_THREADS").ok();
+    for (arch, placement) in [
+        (1, Placement::ConvOnly),
+        (2, Placement::All),
+        (0, Placement::All),
+    ] {
+        let qm = QuantModel::from_float(&small_model(arch, 92), &calib, placement)
+            .expect("supported topology");
+        let plan = qm.plan(&IN_DIMS);
+        let mut scratch = plan.scratch_for(1);
+        let want: Vec<Vec<Tensor>> = (probes.iter())
+            .map(|x| {
+                (kernels.iter())
+                    .map(|&k| plan.forward_one(&mut scratch, x, k))
+                    .collect()
+            })
+            .collect();
+        for threads in ["1", "2", "3", "7"] {
+            std::env::set_var("AXDNN_THREADS", threads);
+            for n in [1, 5, 9] {
+                let got = plan.forward_batch_with(&probes[..n], &kernels);
+                assert_eq!(
+                    logit_bits(&got),
+                    logit_bits(&want[..n]),
+                    "{} logits: n {n}, threads {threads}",
+                    qm.name()
+                );
+                let preds = plan.predict_batch_with(&probes[..n], &kernels);
+                let want_preds: Vec<Vec<usize>> = (want[..n].iter())
+                    .map(|row| row.iter().map(Tensor::argmax).collect())
+                    .collect();
+                assert_eq!(preds, want_preds, "{}: n {n}, threads {threads}", qm.name());
             }
         }
     }

@@ -5,10 +5,15 @@
 //! assumes fault-free gates. Real accelerators do not get that luxury,
 //! so this module sweeps a single stuck-at fault campaign across each
 //! multiplier: for every (multiplier, fault) cell the faulted netlist is
-//! re-characterized into a [`FaultedMul`] LUT and the victim's clean and
+//! re-characterized into a [`FaultedMul`] LUT (one exhaustive sweep of
+//! the netlist with the fault forced) and the victim's clean and
 //! adversarial accuracy are measured against the fault-free baseline —
 //! all on the same crafted adversarial sets, mirroring
-//! [`crate::eval::robustness_grid`].
+//! [`crate::eval::robustness_grid`]. A fault that leaves the LUT rows the
+//! victim's weight magnitudes read unchanged gives a column that the
+//! batched engine cannot tell from the one it duplicates, so it runs
+//! once with it (see [`axquant::plan`]); its accuracies are the same
+//! numbers either way.
 //!
 //! Everything is deterministic: fault sites are drawn from
 //! [`axutil::rng`] streams derived per (seed, multiplier, draw), and the
