@@ -10,7 +10,9 @@
 //! one group runs as a single plan/scratch pass on one worker. A group
 //! flushes when it reaches `max_batch` (full flush, returned by
 //! [`Pending::admit`]) or when its oldest member has waited `linger`
-//! ([`Pending::take_due`]) — the classic size-or-age policy. Coalescing
+//! ([`Pending::take_due`]) — the classic size-or-age policy — or, while
+//! some worker is idle, at once, oldest group first
+//! ([`Pending::take_oldest`]). Coalescing
 //! never changes results: per-image execution is independent, so batched
 //! responses stay bit-identical to unbatched ones (pinned by the
 //! determinism proptests).
@@ -162,16 +164,19 @@ impl Pending {
         due
     }
 
+    /// Removes and returns the group whose oldest member has waited
+    /// longest (`None` when nothing is pending).
+    pub fn take_oldest(&mut self) -> Option<Batch> {
+        let pos = (0..self.groups.len()).min_by_key(|&i| self.groups[i].since)?;
+        let g = self.groups.swap_remove(pos);
+        self.total -= g.jobs.len();
+        Some(g.into_batch())
+    }
+
     /// The earliest instant at which some group becomes due under
     /// `linger` (`None` when nothing is pending).
     pub fn next_due(&self, linger: Duration) -> Option<Instant> {
         self.groups.iter().map(|g| g.since + linger).min()
-    }
-
-    /// Flushes everything (shutdown drain).
-    pub fn flush_all(&mut self) -> Vec<Batch> {
-        self.total = 0;
-        self.groups.drain(..).map(Group::into_batch).collect()
     }
 }
 
@@ -205,7 +210,7 @@ mod tests {
         assert!(p.admit(job(0, 0, &[8]), now).is_none());
         assert_eq!(p.total(), 4);
         // Four distinct groups: nothing coalesced across keys.
-        assert_eq!(p.flush_all().len(), 4);
+        assert_eq!(std::iter::from_fn(|| p.take_oldest()).count(), 4);
         assert!(p.is_empty());
     }
 
@@ -256,6 +261,21 @@ mod tests {
         let due = p.take_due(t0 + linger, linger);
         assert_eq!(due.len(), 1);
         assert_eq!(due[0].jobs.len(), 2);
+    }
+
+    #[test]
+    fn take_oldest_goes_by_the_oldest_member() {
+        let mut p = Pending::new(8);
+        let t0 = Instant::now();
+        p.admit(job(0, 1, &[4]), t0 + Duration::from_millis(2));
+        p.admit(job(0, 0, &[4]), t0);
+        p.admit(job(0, 2, &[4]), t0 + Duration::from_millis(1));
+        p.admit(job(0, 1, &[4]), t0 + Duration::from_millis(3));
+        let order: Vec<(usize, usize)> = std::iter::from_fn(|| p.take_oldest())
+            .map(|b| (b.kernel, b.jobs.len()))
+            .collect();
+        assert_eq!(order, vec![(0, 1), (2, 1), (1, 2)]);
+        assert!(p.is_empty());
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! The crate turns the offline
 //! [`QPlan`](axquant::QPlan)/[`QScratch`](axquant::QScratch) engine into
 //! an online service built on `std::thread` + `std::sync::mpsc` only: a
-//! [`Server`] owns a worker pool and a dynamic micro-batcher that
+//! [`Server`] owns a worker pool and a dynamic micro-batcher that hands
+//! requests to idle workers at once and, while every worker is busy,
 //! coalesces concurrent [`predict`](Server::predict) calls into single
 //! batched passes over a shared plan/scratch [`PlanPool`].
 //!

@@ -4,12 +4,22 @@
 //!
 //! ```text
 //! clients ──try_send──▶ bounded admission queue ──▶ batcher thread ──▶ worker pool
-//!    ▲                      (backpressure:             (coalesces          (N threads,
-//!    │                       full ⇒ Overloaded)         by model/kernel/    catch_unwind
-//!    └────── Response / typed ServeError ◀──────────────shape, size-or-     + bisection)
+//!    ▲                      (backpressure:             (groups by          (N threads,
+//!    │                       full ⇒ Overloaded)         model/kernel/       catch_unwind
+//!    └────── Response / typed ServeError ◀──────────────shape; idle worker  + bisection)
+//!                                                       ⇒ dispatch now,
+//!                                                       else size-or-
 //!                                                       linger flush)
 //! ```
 //!
+//! * **Work-conserving batching** — while some worker has no batch, the
+//!   batcher dispatches pending groups at once, oldest first: holding a
+//!   request back only pays off when it can join others, and that needs
+//!   every worker busy. Only then do groups coalesce, flushing at
+//!   [`ServerConfig::max_batch`] requests or after
+//!   [`ServerConfig::linger`]. So a lone request on a quiet server is
+//!   answered without waiting, and an overloaded one still amortizes
+//!   plan setup over full batches.
 //! * **Deadlines** — every [`Request`] may carry a [`Deadline`] budget.
 //!   Expired requests are rejected with
 //!   [`ServeError::DeadlineExceeded`] at admission, at batch formation,
@@ -48,7 +58,7 @@
 //! plan/scratch setup. Pinned by `tests/prop_serve.rs`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -105,9 +115,13 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Bounded admission-queue capacity (the backpressure edge).
     pub queue_capacity: usize,
-    /// A batch flushes as soon as it reaches this many requests.
+    /// A batch flushes as soon as it reaches this many requests, whether
+    /// or not a worker is free (it then waits in the worker channel).
     pub max_batch: usize,
-    /// ... or once its oldest request has waited this long.
+    /// The longest a request waits to coalesce while every worker is
+    /// busy: a group flushes once its oldest request has waited this
+    /// long. While some worker is idle nothing waits; pending groups are
+    /// dispatched at once.
     pub linger: Duration,
     /// Re-executions allowed per request after panics (bisection hops
     /// count toward this bound).
@@ -164,6 +178,10 @@ struct Inner {
     /// Server-wide moving-target query counter: each ensemble submission
     /// takes the next index, which keys its [`KernelPolicy`] draw.
     ensemble_queries: AtomicU64,
+    /// Batches sent to the worker channel and not yet finished (queued
+    /// or executing). Below `config.workers`, some worker has nothing
+    /// to do.
+    batches_out: AtomicUsize,
 }
 
 impl Inner {
@@ -339,6 +357,7 @@ impl ServerBuilder {
             stats: StatsInner::default(),
             degrade: Mutex::new(DegradeState::default()),
             ensemble_queries: AtomicU64::new(0),
+            batches_out: AtomicUsize::new(0),
         });
         let (tx, rx) = bounded::<Job>(config.queue_capacity);
         let depth = tx.depth_gauge();
@@ -558,8 +577,9 @@ fn batcher_loop(
     let mut disconnected = false;
     while !disconnected {
         let mut ready: Vec<Batch> = Vec::new();
-        // 1. Get at least one job: block when idle, otherwise wait only
-        //    until the oldest pending group's linger expires.
+        // 1. Get at least one job: block when nothing is pending,
+        //    otherwise (every worker was busy) wait only until the oldest
+        //    pending group's linger expires.
         let first = if pending.is_empty() {
             match rx.recv() {
                 Ok(job) => Some(job),
@@ -597,22 +617,42 @@ fn batcher_loop(
                 }
             }
         }
-        // 3. Flush aged groups and dispatch. The bounded send blocks
-        //    when every worker is busy — that stall is the backpressure
-        //    path, not a bug.
+        // 3. Dispatch full and aged groups, then, while some worker has
+        //    no batch, the oldest pending groups: waiting to coalesce
+        //    pays off only when every worker is busy. A worker that goes
+        //    idle while the batcher sleeps in step 1 is noticed at the
+        //    next arrival or at the next linger expiry, so no request
+        //    waits longer than `linger` for it. The bounded send blocks
+        //    when the worker channel is full — that stall is the
+        //    backpressure path, not a bug.
         ready.extend(pending.take_due(Instant::now(), linger));
         for batch in ready {
-            if work_tx.send(batch).is_err() {
+            if !dispatch(inner, work_tx, batch) {
+                return;
+            }
+        }
+        while inner.batches_out.load(Ordering::Relaxed) < inner.config.workers {
+            let Some(batch) = pending.take_oldest() else {
+                break;
+            };
+            if !dispatch(inner, work_tx, batch) {
                 return;
             }
         }
     }
     // Shutdown drain: answer everything still pending.
-    for batch in pending.flush_all() {
-        if work_tx.send(batch).is_err() {
+    while let Some(batch) = pending.take_oldest() {
+        if !dispatch(inner, work_tx, batch) {
             return;
         }
     }
+}
+
+/// Hands `batch` to the worker pool, blocking while the channel is full.
+/// Returns `false` once every worker is gone.
+fn dispatch(inner: &Inner, work_tx: &mpsc::SyncSender<Batch>, batch: Batch) -> bool {
+    inner.batches_out.fetch_add(1, Ordering::Relaxed);
+    work_tx.send(batch).is_ok()
 }
 
 fn worker_loop(inner: &Inner, work_rx: &Mutex<mpsc::Receiver<Batch>>) {
@@ -633,6 +673,7 @@ fn worker_loop(inner: &Inner, work_rx: &Mutex<mpsc::Receiver<Batch>>) {
                     jobs,
                 } = batch;
                 execute_isolated(inner, model, kernel, degraded, &shape, jobs);
+                inner.batches_out.fetch_sub(1, Ordering::Relaxed);
             }
             Err(_) => return,
         }

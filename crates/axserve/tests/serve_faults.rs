@@ -5,7 +5,7 @@
 //! no flaky "hope the race happens" timing; a stalled worker is a worker
 //! we *told* to stall.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use axmul::{ExactMul, MulLut};
 use axnn::layer::{Dense, Layer};
@@ -368,6 +368,74 @@ fn dropping_the_server_drains_queued_requests() {
     drop(server);
     for handle in handles {
         assert!(handle.wait().is_ok(), "queued request lost in shutdown");
+    }
+}
+
+#[test]
+fn idle_server_answers_a_lone_request_without_lingering() {
+    // A linger far longer than any forward pass: only the idle-worker
+    // rule can answer these requests quickly.
+    let server = Server::builder()
+        .model("m", qmodel(25))
+        .serve(ServerConfig {
+            linger: Duration::from_secs(1),
+            ..ServerConfig::default()
+        });
+    for (i, img) in images(3, 26).into_iter().enumerate() {
+        let t0 = Instant::now();
+        let resp = server
+            .predict(Request::new("m", "exact", img))
+            .expect("healthy request");
+        let waited = t0.elapsed();
+        assert_eq!(resp.batch_size, 1, "request {i}");
+        assert!(
+            waited < Duration::from_millis(250),
+            "request {i}: an idle server held a lone request for {waited:?}"
+        );
+    }
+}
+
+#[test]
+fn requests_coalesce_while_every_worker_is_busy() {
+    let qm = qmodel(27);
+    let imgs = images(4, 28);
+    let want = qm.plan(&IN_DIMS).forward_batch_with(&imgs, &[&ExactMul]);
+    let server = Server::builder()
+        .model("m", qm)
+        .kernel("biased", biased_lut())
+        .serve(ServerConfig {
+            workers: 1,
+            max_batch: imgs.len(),
+            linger: Duration::from_secs(1),
+            ..ServerConfig::default()
+        });
+    // The stall runs under another kernel, so it is its own group and
+    // goes to the idle worker alone. The requests behind it arrive one
+    // by one, find the only worker busy, and wait to fill one batch.
+    let stalled = server
+        .submit(
+            Request::new("m", "biased", images(1, 29).remove(0))
+                .with_hook(FaultHook::Stall(Duration::from_millis(200))),
+        )
+        .expect("admitted");
+    let handles: Vec<_> = imgs
+        .iter()
+        .map(|img| {
+            std::thread::sleep(Duration::from_millis(5));
+            server
+                .submit(Request::new("m", "exact", img.clone()))
+                .expect("admitted")
+        })
+        .collect();
+    assert_eq!(stalled.wait().expect("stalled request").batch_size, 1);
+    for (i, handle) in handles.into_iter().enumerate() {
+        let resp = handle.wait().expect("healthy request");
+        assert_eq!(
+            resp.batch_size,
+            imgs.len(),
+            "request {i} ran outside the batch"
+        );
+        assert_eq!(resp.logits, want[i][0], "request {i}: serve != offline");
     }
 }
 

@@ -69,10 +69,15 @@ const FT_TRAIN: usize = 400;
 const FAULT_EVAL: usize = 60;
 /// Single faults sampled per multiplier.
 const FAULTS: usize = 6;
+/// Timed repetitions of the faulted-LUT rebuild batch; the fastest one
+/// is reported, since a shared host only ever slows a run down.
+const REBUILD_REPS: usize = 15;
 /// Faulted-LUT rebuilds per second the campaign must sustain. Set from
 /// eight runs on a shared 2-vCPU host: the 16-word sweep read 965-1923
-/// rebuilds/s (the floor is half the slowest), the one-word-per-dispatch
-/// simulator it replaced 243-343/s, which fails it.
+/// rebuilds/s as a median of three (the floor is half the slowest), and
+/// 1224-2065/s in six later runs as the best of [`REBUILD_REPS`]; the
+/// one-word-per-dispatch simulator it replaced read 243-343/s, which
+/// fails it.
 const MIN_LUT_REBUILD: f64 = 480.0;
 /// Kernel calls per timed GEMM measurement.
 const GEMM_ITERS: usize = 200;
@@ -607,8 +612,9 @@ fn quantize_all(model: &Sequential, train: &Dataset) -> QuantModel {
 
 /// Part 5: the stuck-at fault campaign. The only timed quantity, the
 /// faulted-LUT rebuild rate (faulted netlist → 64Ki table, the per-fault
-/// cost every campaign cell pays), is compared against
-/// [`MIN_LUT_REBUILD`] here and recorded as a `0`/`1` verdict.
+/// cost every campaign cell pays, the best of [`REBUILD_REPS`] timings),
+/// is compared against [`MIN_LUT_REBUILD`] here and recorded as a `0`/`1`
+/// verdict.
 fn faults_report() {
     let (model, train, test) = smoke_ffnn();
     let qm = quantize_all(&model, &train);
@@ -624,11 +630,15 @@ fn faults_report() {
         .expect("registered")
         .build_netlist();
     let fault_sets = sample_single_faults(&nl, FAULTS, opts.seed, 1);
-    let rebuild_ms = median_ms(|| {
-        for fs in &fault_sets {
-            std::hint::black_box(axmul::FaultedMul::from_netlist("17KS", &nl, fs.clone()));
-        }
-    });
+    let rebuild_ms = (0..REBUILD_REPS)
+        .map(|_| {
+            time_ms(|| {
+                for fs in &fault_sets {
+                    std::hint::black_box(axmul::FaultedMul::from_netlist("17KS", &nl, fs.clone()));
+                }
+            })
+        })
+        .fold(f64::INFINITY, f64::min);
     let per_s = fault_sets.len() as f64 / (rebuild_ms / 1e3);
     let meets_floor = per_s >= MIN_LUT_REBUILD;
     eprintln!(

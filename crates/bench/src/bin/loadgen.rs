@@ -11,9 +11,10 @@
 //! * **overload** — one worker clogged by stall hooks behind a tiny
 //!   admission queue: the flood sheds with `Overloaded` while every
 //!   admitted request still completes;
-//! * **poison** — one panic-hook request inside coalesced batches: the
-//!   batch is bisected until the offender fails alone as `Poisoned`,
-//!   batch-mates complete;
+//! * **poison** — one panic-hook request inside coalesced batches: stall
+//!   hooks occupy both workers first, so the requests behind them
+//!   coalesce; the poisoned batch is bisected until the offender fails
+//!   alone as `Poisoned`, and batch-mates complete;
 //! * **deadline** — a mix of expired and unbounded budgets: expired
 //!   requests are rejected typed, the rest complete.
 //!
@@ -47,14 +48,18 @@ struct Outcome {
     shed: u64,
     deadline: u64,
     poisoned: u64,
+    /// Completed requests that were re-executed: batch-mates split off a
+    /// panicking batch.
+    bisected: u64,
     latencies_ms: Vec<f64>,
 }
 
 impl Outcome {
     fn absorb(&mut self, result: &Result<axserve::Response, ServeError>, elapsed_ms: f64) {
         match result {
-            Ok(_) => {
+            Ok(resp) => {
                 self.completed += 1;
+                self.bisected += u64::from(resp.retries > 0);
                 self.latencies_ms.push(elapsed_ms);
             }
             Err(ServeError::Overloaded { .. }) => self.shed += 1,
@@ -204,14 +209,29 @@ fn main() {
     {
         let server = Server::builder()
             .model("ffnn", qm())
+            .model("occupier", qm())
             .kernel("L40", lut.clone())
             .serve(ServerConfig {
                 workers: 2,
                 max_batch: 4,
-                linger: Duration::from_millis(2),
+                linger: Duration::from_millis(50),
                 retry_backoff: Duration::ZERO,
                 ..ServerConfig::default()
             });
+        // An idle worker takes a request at once, so batches form only
+        // while both are busy: one stall per kernel holds them while the
+        // first eight requests arrive and fill one exact and one L40
+        // batch. The stalls name their own model, so they never share a
+        // group with the scenario's requests, and being older they are
+        // dispatched first. They are not part of the scenario's counts.
+        let occupiers: Vec<_> = ["exact", "L40"]
+            .into_iter()
+            .map(|k| {
+                let req = Request::new("occupier", k, image(0))
+                    .with_hook(FaultHook::Stall(Duration::from_millis(150)));
+                server.submit(req).expect("occupier admitted")
+            })
+            .collect();
         let requests: Vec<Request> = (0..16)
             .map(|i| {
                 let mut req = Request::new("ffnn", kernel(i), image(i));
@@ -223,10 +243,17 @@ fn main() {
             .collect();
         let n = requests.len() as u64;
         let (outcome, elapsed_s) = drive(&server, requests, CLIENTS);
+        for occupier in occupiers {
+            occupier.wait().expect("occupier completes");
+        }
         let stats = server.stats();
         eprintln!(
-            "[poison: {} poisoned, {} panics, {} retries, {} batch-mates completed]",
-            outcome.poisoned, stats.panics, stats.retries, outcome.completed
+            "[poison: {} poisoned, {} panics, {} retries, {} completed, {} of them bisected]",
+            outcome.poisoned, stats.panics, stats.retries, outcome.completed, outcome.bisected
+        );
+        assert!(
+            outcome.bisected > 0,
+            "poison: the poisoned request ran alone, so no batch was bisected"
         );
         rows.push(Row {
             scenario: "poison",

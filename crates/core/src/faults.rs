@@ -27,6 +27,7 @@ use axdata::Dataset;
 use axmul::{FaultedMul, NetColumns};
 use axnn::Sequential;
 use axquant::QuantModel;
+use axutil::parallel::par_map_chunks;
 use axutil::rng::Rng;
 use axutil::AxError;
 
@@ -212,7 +213,9 @@ pub fn sample_single_faults(
 /// Sweeps a single stuck-at fault campaign across every multiplier.
 ///
 /// Per multiplier the fault-free baseline plus all `n_faults` defective
-/// LUTs are evaluated as columns of one batched multi-kernel pass on the
+/// LUTs are built across threads (each table is one exhaustive sweep, so
+/// the result does not depend on `AXDNN_THREADS`) and evaluated as
+/// columns of one batched multi-kernel pass on the
 /// same crafted clean (`eps = 0`) and adversarial sets, so the deltas
 /// are attributable to the faults alone. `mults` is a [`NetColumns`]
 /// set, non-empty by construction.
@@ -238,12 +241,18 @@ pub fn fault_robustness_sweep(
     let mut rows = Vec::with_capacity(mults.len());
     for (mi, (name, nl)) in mults.iter().enumerate() {
         let fault_sets = sample_single_faults(nl, opts.n_faults, opts.seed, mi as u64);
-        let mut kernels = vec![FaultedMul::from_netlist(name, nl, FaultSet::empty())];
-        kernels.extend(
-            fault_sets
-                .iter()
-                .map(|fs| FaultedMul::from_netlist(name, nl, fs.clone())),
-        );
+        // Column 0 is the fault-free multiplier, then one per fault set.
+        let kernels = par_map_chunks(fault_sets.len() + 1, |range| {
+            range
+                .map(|i| {
+                    let faults = match i {
+                        0 => FaultSet::empty(),
+                        _ => fault_sets[i - 1].clone(),
+                    };
+                    FaultedMul::from_netlist(name, nl, faults)
+                })
+                .collect()
+        });
         let refs: Vec<&FaultedMul> = kernels.iter().collect();
         let clean_acc = multi_kernel_adversarial_accuracy(victim, &refs, &clean_set);
         let adv_acc = multi_kernel_adversarial_accuracy(victim, &refs, &adv_set);
