@@ -34,30 +34,18 @@ fn per_image(
         .collect()
 }
 
+/// The gray level Contrast Reduction contracts toward.
+const CR_TARGET_LEVEL: f32 = 0.5;
+
 /// l2 Contrast Reduction: perturbs toward the mid-gray image by `eps`
 /// along the contrast direction (Foolbox `L2ContrastReductionAttack`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ContrastReduction {
-    target_level: f32,
-}
-
-impl Default for ContrastReduction {
-    fn default() -> Self {
-        ContrastReduction { target_level: 0.5 }
-    }
-}
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct ContrastReduction;
 
 impl ContrastReduction {
     /// Creates the attack targeting mid-gray (0.5).
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Overrides the gray level the image contracts toward.
-    pub fn with_target_level(mut self, level: f32) -> Self {
-        assert!((0.0..=1.0).contains(&level));
-        self.target_level = level;
-        self
+        ContrastReduction
     }
 }
 
@@ -76,7 +64,7 @@ impl Attack for ContrastReduction {
     ) -> Vec<Tensor> {
         (xs.iter())
             .map(|x| {
-                let target = Tensor::full(x.dims(), self.target_level);
+                let target = Tensor::full(x.dims(), CR_TARGET_LEVEL);
                 let dir = target.sub(x);
                 let n = dir.l2_norm();
                 if n <= 1e-9 {

@@ -85,7 +85,6 @@
 pub mod adders;
 pub mod analysis;
 pub mod cells;
-pub mod export;
 pub mod faults;
 pub mod multiplier;
 pub mod netlist;

@@ -99,7 +99,7 @@ fn stripes(angle: f32, freq: f32, phase: f32) -> Canvas {
 
 impl SynthCifar {
     /// Renders one example of `class` with the given per-example RNG.
-    pub fn render_class(class: usize, cfg: &CifarConfig, rng: &mut Rng) -> Tensor {
+    fn render_class(class: usize, cfg: &CifarConfig, rng: &mut Rng) -> Tensor {
         let mut mask = Canvas::new(SIZE, SIZE);
         match class {
             // 0: vertical gradient field (sky-like).

@@ -53,14 +53,6 @@ impl<K: MulKernel> SignedMul<K> {
         let mb = (b as i16).unsigned_abs() as u8;
         self.kernel.mul_signed_mag(neg, ma, mb)
     }
-
-    /// Multiplies a signed weight against an unsigned activation — the
-    /// exact MAC shape of the quantized conv/dense layers.
-    #[inline]
-    pub fn mul_i8_u8(&self, w: i8, a: u8) -> i32 {
-        let mw = (w as i16).unsigned_abs() as u8;
-        self.kernel.mul_signed_mag(w < 0, mw, a)
-    }
 }
 
 #[cfg(test)]
@@ -75,16 +67,6 @@ mod tests {
         for a in i8::MIN..=i8::MAX {
             for b in i8::MIN..=i8::MAX {
                 assert_eq!(smul.mul_i8(a, b), a as i32 * b as i32, "{a}*{b}");
-            }
-        }
-    }
-
-    #[test]
-    fn mixed_signed_unsigned_matches_native() {
-        let smul = SignedMul::new(ExactMul);
-        for w in i8::MIN..=i8::MAX {
-            for a in [0u8, 1, 17, 100, 200, 255] {
-                assert_eq!(smul.mul_i8_u8(w, a), w as i32 * a as i32);
             }
         }
     }
@@ -112,6 +94,5 @@ mod tests {
     fn i8_min_magnitude_handled() {
         let smul = SignedMul::new(ExactMul);
         assert_eq!(smul.mul_i8(i8::MIN, i8::MIN), 16384);
-        assert_eq!(smul.mul_i8_u8(i8::MIN, 255), -128 * 255);
     }
 }

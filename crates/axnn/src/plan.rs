@@ -49,8 +49,8 @@
 //! derived copy of any weight, so compiling one is shape arithmetic only.
 //! Every multi-call driver in the workspace still hoists one plan out of
 //! its loop: the attack loops and batch entry points compile once per
-//! crafting run, and the sweep drivers (`core::eval`, `core::algorithm1`)
-//! compile once per grid. A fresh plan per call is left only where a
+//! crafting run, and the sweep driver `core::eval` compiles once per
+//! grid. A fresh plan per call is left only where a
 //! call is the whole job: the one-call conveniences on [`Sequential`]
 //! (`forward`, `predict`, `loss_and_grads`, `loss_and_param_grads_batch`,
 //! `accuracy`), one-image crafting (`axattack`'s `Attack::craft`),

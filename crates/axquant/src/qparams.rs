@@ -1,7 +1,5 @@
 //! Symmetric quantization parameters and calibration.
 
-use axtensor::Tensor;
-
 /// A symmetric quantization scale: `real = q * scale`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuantParams {
@@ -40,32 +38,21 @@ impl QuantParams {
         (v / self.scale).round().clamp(-127.0, 127.0) as i8
     }
 
-    /// Quantizes one value to u8 (round-to-nearest, saturating).
-    #[inline]
-    pub fn quantize_u8(&self, v: f32) -> u8 {
-        (v / self.scale).round().clamp(0.0, 255.0) as u8
-    }
-
     /// Dequantizes an integer back to real.
     #[inline]
     pub fn dequantize(&self, q: i32) -> f32 {
         q as f32 * self.scale
-    }
-
-    /// Quantizes a tensor to i8s.
-    pub fn quantize_tensor_i8(&self, t: &Tensor) -> Vec<i8> {
-        t.data().iter().map(|&v| self.quantize_i8(v)).collect()
-    }
-
-    /// Quantizes a tensor to u8s.
-    pub fn quantize_tensor_u8(&self, t: &Tensor) -> Vec<u8> {
-        t.data().iter().map(|&v| self.quantize_u8(v)).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::round_code;
+    use crate::qmodel::QLayer;
+    use crate::{Placement, QuantModel};
+    use axnn::layer::Layer;
+    use axtensor::Tensor;
 
     #[test]
     fn weight_roundtrip_error_is_within_half_lsb() {
@@ -79,11 +66,13 @@ mod tests {
 
     #[test]
     fn activation_clamps_to_range() {
+        // The engine codes an activation `v` as `round_code(v / scale)`.
         let p = QuantParams::for_activations(1.0);
-        assert_eq!(p.quantize_u8(-0.5), 0);
-        assert_eq!(p.quantize_u8(2.0), 255);
-        assert_eq!(p.quantize_u8(1.0), 255);
-        assert_eq!(p.quantize_u8(0.0), 0);
+        let code = |v: f32| round_code(v / p.scale(), 255.0);
+        assert_eq!(code(-0.5), 0);
+        assert_eq!(code(2.0), 255);
+        assert_eq!(code(1.0), 255);
+        assert_eq!(code(0.0), 0);
     }
 
     #[test]
@@ -97,14 +86,35 @@ mod tests {
     fn zero_max_gives_tiny_but_valid_scale() {
         let p = QuantParams::for_activations(0.0);
         assert!(p.scale() > 0.0);
-        assert_eq!(p.quantize_u8(0.0), 0);
+        assert_eq!(round_code(0.0 / p.scale(), 255.0), 0);
     }
 
     #[test]
     fn tensor_quantization_matches_scalar() {
-        let p = QuantParams::for_weights(1.0);
-        let t = Tensor::from_vec(vec![-1.0, 0.0, 0.5, 1.0], &[4]);
-        assert_eq!(p.quantize_tensor_i8(&t), vec![-127, 0, 64, 127]);
+        // `QuantModel` codes each weight tensor in one pass; every code
+        // must equal `quantize_i8` of its element at the tensor's scale.
+        let model = axnn::zoo::ffnn(&mut axutil::rng::Rng::seed_from_u64(3));
+        let calib = [Tensor::full(&[1, 28, 28], 0.5)];
+        let q = QuantModel::from_float(&model, &calib, Placement::All).unwrap();
+        let dense = model.layers().iter().filter_map(|l| match l {
+            Layer::Dense(d) => Some(d.weight()),
+            _ => None,
+        });
+        let coded = q.qlayers().iter().filter_map(|l| match l {
+            QLayer::Dense { w, .. } => Some(w),
+            _ => None,
+        });
+        let mut layers = 0;
+        for (weight, w) in dense.zip(coded) {
+            let p = QuantParams::for_weights(weight.max_abs());
+            let scalar: Vec<i8> = weight.data().iter().map(|&v| p.quantize_i8(v)).collect();
+            let codes: Vec<i8> = (w.sign.iter().zip(&w.mag))
+                .map(|(&s, &m)| s * m as i8)
+                .collect();
+            assert_eq!(codes, scalar);
+            layers += 1;
+        }
+        assert_eq!(layers, 3);
     }
 
     #[test]

@@ -266,20 +266,26 @@ fn panicking_request_is_isolated_from_its_batch_mates() {
     let want = plan.forward_batch_with(&imgs, &[&ExactMul]);
     drop(plan);
 
-    let server = Server::builder().model("m", qm).serve(ServerConfig {
-        workers: 1,
-        max_batch: 4,
-        // Long linger so the four requests below coalesce into ONE batch
-        // via the full-flush path while the worker is stalled.
-        linger: Duration::from_millis(50),
-        max_retries: 2,
-        retry_backoff: Duration::ZERO,
-        ..ServerConfig::default()
-    });
+    let server = Server::builder()
+        .model("m", qm)
+        .kernel("biased", biased_lut())
+        .serve(ServerConfig {
+            workers: 1,
+            max_batch: 4,
+            // Long linger so the four requests below coalesce into ONE batch
+            // via the full-flush path while the worker is stalled.
+            linger: Duration::from_millis(50),
+            max_retries: 2,
+            retry_backoff: Duration::ZERO,
+            ..ServerConfig::default()
+        });
+    // The stall runs under another kernel, so it is its own group and
+    // goes to the idle worker alone; the four requests behind it find
+    // the only worker busy and wait to fill one batch.
     let warm = images(1, 15).remove(0);
     let stalled = server
         .submit(
-            Request::new("m", "exact", warm)
+            Request::new("m", "biased", warm)
                 .with_hook(FaultHook::Stall(Duration::from_millis(100))),
         )
         .expect("admitted");
@@ -294,7 +300,7 @@ fn panicking_request_is_isolated_from_its_batch_mates() {
             server.submit(req).expect("admitted")
         })
         .collect();
-    assert!(stalled.wait().is_ok());
+    assert_eq!(stalled.wait().expect("stalled request").batch_size, 1);
     for (i, handle) in handles.into_iter().enumerate() {
         match handle.wait() {
             Ok(resp) => {
@@ -311,10 +317,13 @@ fn panicking_request_is_isolated_from_its_batch_mates() {
             Err(other) => panic!("request {i}: unexpected error {other}"),
         }
     }
+    // One batch of four bisects as 4 -> {0,1} + {2,3} -> {2} + {3}: the
+    // batch, {2,3} and {2} panic, and the halves re-run 2 + 2 + 1 + 1
+    // requests. A batch of three or two would count 5 or 3 retries.
     let stats = server.stats();
     assert_eq!(stats.poisoned, 1);
-    assert!(stats.panics >= 2, "initial batch + bisected halves panic");
-    assert!(stats.retries >= 2, "bisection re-executions are counted");
+    assert_eq!(stats.panics, 3);
+    assert_eq!(stats.retries, 6);
     assert_eq!(stats.in_flight, 0);
 }
 

@@ -81,11 +81,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns its data.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Reads one element.
     pub fn get(&self, idx: &[usize]) -> f32 {
         self.data[self.shape.offset(idx)]
@@ -219,11 +214,6 @@ impl Tensor {
         self.max_abs()
     }
 
-    /// `l0` "norm": number of nonzero elements.
-    pub fn l0_count(&self) -> usize {
-        self.data.iter().filter(|&&x| x != 0.0).count()
-    }
-
     /// `lp` distance to another tensor: `l2` of the difference.
     pub fn l2_dist(&self, other: &Tensor) -> f32 {
         assert_eq!(self.shape, other.shape, "l2_dist shape mismatch");
@@ -331,7 +321,6 @@ mod tests {
         t.set(&[0, 0, 0], -1.0);
         assert_eq!(t.get(&[2, 3, 4]), 9.0);
         assert_eq!(t.get(&[0, 0, 0]), -1.0);
-        assert_eq!(t.l0_count(), 2);
     }
 
     #[test]

@@ -88,12 +88,6 @@ impl Rng {
         result
     }
 
-    /// Returns a uniform `u32`.
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Returns a uniform `f64` in `[0, 1)` with 53 bits of precision.
     #[inline]
     pub fn next_f64(&mut self) -> f64 {
@@ -169,12 +163,6 @@ impl Rng {
     #[inline]
     pub fn normal_f32(&mut self) -> f32 {
         self.normal_f64() as f32
-    }
-
-    /// Samples a normal variate with the given mean and standard deviation.
-    #[inline]
-    pub fn normal_with(&mut self, mean: f32, std_dev: f32) -> f32 {
-        mean + std_dev * self.normal_f32()
     }
 
     /// Shuffles a slice in place (Fisher-Yates).

@@ -1,13 +1,10 @@
-//! Experiment drivers behind one data-driven entry point.
+//! Per-figure experiment drivers.
 //!
-//! Every figure or table of the paper is described by an
-//! [`ExperimentSpec`] — which models, which multiplier columns
-//! ([`MultSet`]), which attacks, which [`Task`] — and executed by
-//! [`run`]. The historical `run_fig4`..`run_fig8` / [`run_table2`]
-//! names survive as thin wrappers that build the matching spec, so
-//! existing callers (quickstart, `bench_report`) compile unchanged.
-//! The `bench` crate's `repro <name>` binary calls these and prints the
-//! results (see the README).
+//! Each `run_figN` / [`run_table2`] fixes one figure's or table's models,
+//! multiplier columns and attacks, in the paper's panel order, and runs
+//! them through [`robustness_grid`], [`quantization_study`] or
+//! [`transferability`]. The `bench` crate's `repro <name>` binary calls
+//! these and prints the results (see the README).
 
 use axattack::suite::AttackId;
 use axdata::Dataset;
@@ -86,187 +83,7 @@ pub fn cifar_mult_columns(reg: &Registry) -> MulColumns {
     MulColumns::from_registry(reg, &Registry::alexnet_set())
 }
 
-/// Which multiplier columns an [`ExperimentSpec`] evaluates.
-#[derive(Debug, Clone, PartialEq)]
-pub enum MultSet {
-    /// The paper's M1..M9 LeNet/MNIST set ([`mnist_mult_columns`]).
-    Mnist,
-    /// The paper's M1..M8 AlexNet/CIFAR set ([`cifar_mult_columns`]).
-    Cifar,
-    /// Explicit registry names; the first is the accurate baseline.
-    Named(Vec<String>),
-}
-
-impl MultSet {
-    /// Resolves the set into named LUT columns.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a name in [`MultSet::Named`] is not registered or the
-    /// list is empty.
-    pub fn columns(&self, reg: &Registry) -> MulColumns {
-        match self {
-            MultSet::Mnist => mnist_mult_columns(reg),
-            MultSet::Cifar => cifar_mult_columns(reg),
-            MultSet::Named(names) => {
-                let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-                MulColumns::from_registry(reg, &refs)
-            }
-        }
-    }
-}
-
-/// The models and data an [`ExperimentSpec`] runs on.
-#[derive(Debug)]
-pub enum ModelInputs<'a> {
-    /// One float source, its quantized victim and an evaluation set —
-    /// the shape of every heatmap figure and the quantization study.
-    Single {
-        /// The trained accurate float model (attack surrogate).
-        source: &'a Sequential,
-        /// The quantized victim evaluated under each multiplier column.
-        victim: &'a QuantModel,
-        /// The evaluation dataset.
-        data: &'a Dataset,
-    },
-    /// The four-model transferability setting of Table II.
-    Transfer(&'a Table2Models<'a>),
-}
-
-/// What an [`ExperimentSpec`] computes.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Task {
-    /// One [`RobustnessGrid`] per attack (the heatmap figures).
-    Heatmaps,
-    /// Quantized vs. non-quantized accurate model (Fig 8).
-    QuantStudy,
-    /// The Table II transferability study at the given budget. The
-    /// spec's [`MultSet`] must resolve to at least two columns:
-    /// column 0 is the MNIST victims' LUT, column 1 the CIFAR one.
-    Transfer {
-        /// Perturbation budget of the crafted sets.
-        eps: f32,
-    },
-}
-
-/// A declarative experiment: models × multiplier columns × attacks ×
-/// task. Built by the `run_fig*` wrappers, or by hand for custom
-/// sweeps.
-#[derive(Debug)]
-pub struct ExperimentSpec<'a> {
-    /// Display name (figure/table label).
-    pub name: &'static str,
-    /// The models and data to run on.
-    pub model: ModelInputs<'a>,
-    /// The multiplier columns to evaluate.
-    pub mult_set: MultSet,
-    /// The attacks to craft, in panel order.
-    pub attacks: Vec<AttackId>,
-    /// What to compute.
-    pub task: Task,
-}
-
-/// What [`run`] produced — one variant per [`Task`].
-#[derive(Debug)]
-pub enum ExperimentResult {
-    /// One grid per attack of the spec.
-    Grids(Vec<RobustnessGrid>),
-    /// The quantization study.
-    Study(QuantStudy),
-    /// `(mnist_table, cifar_table)`.
-    Transfer(Box<(TransferTable, TransferTable)>),
-}
-
-impl ExperimentResult {
-    /// The heatmap grids, if this was a [`Task::Heatmaps`] run.
-    pub fn into_grids(self) -> Option<Vec<RobustnessGrid>> {
-        match self {
-            ExperimentResult::Grids(g) => Some(g),
-            _ => None,
-        }
-    }
-
-    /// The quantization study, if this was a [`Task::QuantStudy`] run.
-    pub fn into_study(self) -> Option<QuantStudy> {
-        match self {
-            ExperimentResult::Study(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The transfer tables, if this was a [`Task::Transfer`] run.
-    pub fn into_transfer(self) -> Option<(TransferTable, TransferTable)> {
-        match self {
-            ExperimentResult::Transfer(t) => Some(*t),
-            _ => None,
-        }
-    }
-}
-
-/// Executes a declarative [`ExperimentSpec`].
-///
-/// # Errors
-///
-/// Returns [`AxError::Config`] when the task and model inputs do not
-/// fit together ([`Task::Transfer`] needs [`ModelInputs::Transfer`] and
-/// at least two multiplier columns; the other tasks need
-/// [`ModelInputs::Single`]) or when a stage propagates a quantization
-/// failure.
-pub fn run(spec: &ExperimentSpec<'_>, opts: &FigureOpts) -> Result<ExperimentResult, AxError> {
-    let reg = Registry::standard();
-    match (&spec.task, &spec.model) {
-        (
-            Task::Heatmaps,
-            ModelInputs::Single {
-                source,
-                victim,
-                data,
-            },
-        ) => Ok(ExperimentResult::Grids(heatmaps(
-            source,
-            victim,
-            &spec.mult_set.columns(&reg),
-            &spec.attacks,
-            data,
-            opts,
-        ))),
-        (
-            Task::QuantStudy,
-            ModelInputs::Single {
-                source,
-                victim,
-                data,
-            },
-        ) => Ok(ExperimentResult::Study(quantization_study(
-            source,
-            victim,
-            &spec.attacks,
-            data,
-            &opts.eps_grid,
-            opts.n_eval,
-            opts.seed,
-        ))),
-        (Task::Transfer { eps }, ModelInputs::Transfer(models)) => {
-            let columns = spec.mult_set.columns(&reg);
-            if columns.len() < 2 {
-                return Err(AxError::config(
-                    "transfer experiments need a MNIST and a CIFAR victim column",
-                ));
-            }
-            let attack = *spec
-                .attacks
-                .first()
-                .ok_or_else(|| AxError::config("transfer experiments need the crafting attack"))?;
-            Ok(ExperimentResult::Transfer(Box::new(transfer_tables(
-                models, &columns, attack, *eps, opts,
-            )?)))
-        }
-        _ => Err(AxError::config(
-            "experiment task does not fit the provided model inputs",
-        )),
-    }
-}
-
+/// One [`robustness_grid`] per attack, in the given panel order.
 fn heatmaps(
     source: &Sequential,
     victim: &QuantModel,
@@ -281,27 +98,6 @@ fn heatmaps(
         .collect()
 }
 
-/// Builds the spec behind one LeNet-5/MNIST heatmap figure.
-fn mnist_heatmap_spec<'a>(
-    name: &'static str,
-    lenet: &'a Sequential,
-    victim: &'a QuantModel,
-    data: &'a Dataset,
-    attacks: Vec<AttackId>,
-) -> ExperimentSpec<'a> {
-    ExperimentSpec {
-        name,
-        model: ModelInputs::Single {
-            source: lenet,
-            victim,
-            data,
-        },
-        mult_set: MultSet::Mnist,
-        attacks,
-        task: Task::Heatmaps,
-    }
-}
-
 /// Fig 4: LeNet-5/MNIST under (a) BIM-linf (b) BIM-l2 (c) FGM-linf
 /// (d) FGM-l2.
 pub fn run_fig4(
@@ -310,22 +106,19 @@ pub fn run_fig4(
     data: &Dataset,
     opts: &FigureOpts,
 ) -> Vec<RobustnessGrid> {
-    let spec = mnist_heatmap_spec(
-        "fig4",
+    heatmaps(
         lenet,
         victim,
-        data,
-        vec![
+        &mnist_mult_columns(&Registry::standard()),
+        &[
             AttackId::BimLinf,
             AttackId::BimL2,
             AttackId::FgmLinf,
             AttackId::FgmL2,
         ],
-    );
-    run(&spec, opts)
-        .expect("heatmap specs are well-formed")
-        .into_grids()
-        .expect("heatmap task returns grids")
+        data,
+        opts,
+    )
 }
 
 /// Fig 5: LeNet-5/MNIST under (a) PGD-l2 (b) PGD-linf (c) RAU-l2
@@ -336,22 +129,19 @@ pub fn run_fig5(
     data: &Dataset,
     opts: &FigureOpts,
 ) -> Vec<RobustnessGrid> {
-    let spec = mnist_heatmap_spec(
-        "fig5",
+    heatmaps(
         lenet,
         victim,
-        data,
-        vec![
+        &mnist_mult_columns(&Registry::standard()),
+        &[
             AttackId::PgdL2,
             AttackId::PgdLinf,
             AttackId::RauL2,
             AttackId::RauLinf,
         ],
-    );
-    run(&spec, opts)
-        .expect("heatmap specs are well-formed")
-        .into_grids()
-        .expect("heatmap task returns grids")
+        data,
+        opts,
+    )
 }
 
 /// Fig 6: LeNet-5/MNIST under (a) CR-l2 (b) RAG-l2.
@@ -361,17 +151,14 @@ pub fn run_fig6(
     data: &Dataset,
     opts: &FigureOpts,
 ) -> Vec<RobustnessGrid> {
-    let spec = mnist_heatmap_spec(
-        "fig6",
+    heatmaps(
         lenet,
         victim,
+        &mnist_mult_columns(&Registry::standard()),
+        &[AttackId::CrL2, AttackId::RagL2],
         data,
-        vec![AttackId::CrL2, AttackId::RagL2],
-    );
-    run(&spec, opts)
-        .expect("heatmap specs are well-formed")
-        .into_grids()
-        .expect("heatmap task returns grids")
+        opts,
+    )
 }
 
 /// Fig 7: AlexNet/CIFAR-10 under (a) CR-l2 (b) RAG-l2 (c) RAU-l2
@@ -382,26 +169,19 @@ pub fn run_fig7(
     data: &Dataset,
     opts: &FigureOpts,
 ) -> Vec<RobustnessGrid> {
-    let spec = ExperimentSpec {
-        name: "fig7",
-        model: ModelInputs::Single {
-            source: alexnet,
-            victim,
-            data,
-        },
-        mult_set: MultSet::Cifar,
-        attacks: vec![
+    heatmaps(
+        alexnet,
+        victim,
+        &cifar_mult_columns(&Registry::standard()),
+        &[
             AttackId::CrL2,
             AttackId::RagL2,
             AttackId::RauL2,
             AttackId::RauLinf,
         ],
-        task: Task::Heatmaps,
-    };
-    run(&spec, opts)
-        .expect("heatmap specs are well-formed")
-        .into_grids()
-        .expect("heatmap task returns grids")
+        data,
+        opts,
+    )
 }
 
 /// Robustness under stuck-at faults: a sampled single-fault campaign per
@@ -472,21 +252,15 @@ pub fn run_fig8(
     data: &Dataset,
     opts: &FigureOpts,
 ) -> QuantStudy {
-    let spec = ExperimentSpec {
-        name: "fig8",
-        model: ModelInputs::Single {
-            source: lenet,
-            victim,
-            data,
-        },
-        mult_set: MultSet::Mnist,
-        attacks: AttackId::ALL.to_vec(),
-        task: Task::QuantStudy,
-    };
-    run(&spec, opts)
-        .expect("quant-study specs are well-formed")
-        .into_study()
-        .expect("quant-study task returns a study")
+    quantization_study(
+        lenet,
+        victim,
+        &AttackId::ALL,
+        data,
+        &opts.eps_grid,
+        opts.n_eval,
+        opts.seed,
+    )
 }
 
 /// Fig 1: the motivational case study. Four panels, each comparing the
@@ -578,16 +352,8 @@ pub fn run_table2(
     models: &Table2Models<'_>,
     opts: &FigureOpts,
 ) -> Result<(TransferTable, TransferTable), AxError> {
-    let spec = ExperimentSpec {
-        name: "table2",
-        model: ModelInputs::Transfer(models),
-        mult_set: MultSet::Named(vec!["17KS".to_string(), "QJD".to_string()]),
-        attacks: vec![AttackId::BimLinf],
-        task: Task::Transfer { eps: 0.05 },
-    };
-    Ok(run(&spec, opts)?
-        .into_transfer()
-        .expect("transfer task returns tables"))
+    let columns = MulColumns::from_registry(&Registry::standard(), &["17KS", "QJD"]);
+    transfer_tables(models, &columns, AttackId::BimLinf, 0.05, opts)
 }
 
 /// The Table II engine: column 0 of `columns` is the MNIST victims'
@@ -698,41 +464,10 @@ mod tests {
         assert_eq!(mnist_mult_columns(&reg).len(), 9);
         assert_eq!(cifar_mult_columns(&reg).len(), 8);
         assert_eq!(mnist_mult_columns(&reg).name(0), "1JFF");
-        assert_eq!(MultSet::Mnist.columns(&reg), mnist_mult_columns(&reg));
-        assert_eq!(
-            MultSet::Named(vec!["1JFF".to_string(), "L40".to_string()])
-                .columns(&reg)
-                .names(),
-            vec!["1JFF".to_string(), "L40".to_string()]
-        );
     }
 
     #[test]
-    fn mismatched_spec_combinations_are_config_errors() {
-        let train = SynthMnist::generate(&MnistConfig {
-            n: 60,
-            seed: 66,
-            ..Default::default()
-        });
-        let ffnn = zoo::ffnn(&mut Rng::seed_from_u64(7));
-        let q = quantize_victim(&ffnn, &train, Placement::All).unwrap();
-        // A transfer task on single-model inputs cannot run.
-        let spec = ExperimentSpec {
-            name: "bad",
-            model: ModelInputs::Single {
-                source: &ffnn,
-                victim: &q,
-                data: &train,
-            },
-            mult_set: MultSet::Mnist,
-            attacks: vec![AttackId::BimLinf],
-            task: Task::Transfer { eps: 0.05 },
-        };
-        assert!(run(&spec, &FigureOpts::quick()).is_err());
-    }
-
-    #[test]
-    fn run_matches_the_direct_heatmap_path() {
+    fn figure_drivers_run_the_paper_panels_in_order() {
         let train = SynthMnist::generate(&MnistConfig {
             n: 200,
             seed: 67,
@@ -745,34 +480,44 @@ mod tests {
             seed: 8,
             eps_grid: vec![0.0, 0.1],
         };
-        let spec = ExperimentSpec {
-            name: "custom",
-            model: ModelInputs::Single {
-                source: &ffnn,
-                victim: &q,
-                data: &train,
-            },
-            mult_set: MultSet::Named(vec!["1JFF".to_string(), "L40".to_string()]),
-            attacks: vec![AttackId::FgmLinf],
-            task: Task::Heatmaps,
-        };
-        let grids = run(&spec, &opts).unwrap().into_grids().unwrap();
-        let reg = Registry::standard();
-        let cols = MulColumns::from_registry(&reg, &["1JFF", "L40"]);
-        let direct = robustness_grid(
-            &ffnn,
-            &q,
-            &cols,
-            AttackId::FgmLinf,
-            &train,
-            &EvalOpts {
-                eps_grid: opts.eps_grid.clone(),
-                n_examples: opts.n_eval,
-                seed: opts.seed,
-            },
-        );
-        assert_eq!(grids.len(), 1);
-        assert_eq!(grids[0], direct, "the spec path is a pure re-plumbing");
+        let cols = mnist_mult_columns(&Registry::standard());
+        type Driver = fn(&Sequential, &QuantModel, &Dataset, &FigureOpts) -> Vec<RobustnessGrid>;
+        let figures: [(Driver, &[AttackId]); 3] = [
+            (
+                run_fig4,
+                &[
+                    AttackId::BimLinf,
+                    AttackId::BimL2,
+                    AttackId::FgmLinf,
+                    AttackId::FgmL2,
+                ],
+            ),
+            (
+                run_fig5,
+                &[
+                    AttackId::PgdL2,
+                    AttackId::PgdLinf,
+                    AttackId::RauL2,
+                    AttackId::RauLinf,
+                ],
+            ),
+            (run_fig6, &[AttackId::CrL2, AttackId::RagL2]),
+        ];
+        for (driver, panels) in figures {
+            let grids = driver(&ffnn, &q, &train, &opts);
+            assert_eq!(grids.len(), panels.len());
+            for (grid, &attack) in grids.iter().zip(panels) {
+                assert_eq!(grid.attack(), attack.name());
+                let direct = robustness_grid(&ffnn, &q, &cols, attack, &train, &opts.eval_opts());
+                assert_eq!(*grid, direct, "{} panel", attack.name());
+            }
+        }
+
+        let study = run_fig8(&ffnn, &q, &train, &opts);
+        let attacks: Vec<&str> = study.pairs.iter().map(|p| p.attack.as_str()).collect();
+        let all: Vec<&str> = AttackId::ALL.iter().map(|a| a.name()).collect();
+        assert_eq!(attacks, all);
+        assert_eq!(study.eps, opts.eps_grid);
     }
 
     #[test]

@@ -5,26 +5,21 @@
 //! Fig 3 / Algorithm 1 and the per-figure experiment drivers:
 //!
 //! * [`threat`] — the threat model of §II (adversary knowledge scenarios).
-//! * [`eval`] — the robustness-evaluation engine: craft adversarial
+//! * [`eval`] — the robustness-evaluation engine and the one
+//!   implementation of the paper's Algorithm 1: craft adversarial
 //!   examples on the accurate float model, evaluate every quantized
 //!   accurate/approximate victim on them, report percentage robustness
 //!   per perturbation budget.
-//! * [`algorithm1`] — a line-by-line transcription of the paper's
-//!   Algorithm 1, implemented on top of the same primitives (and tested
-//!   to agree with [`eval`]).
 //! * [`grid`] — robustness grids (the heatmaps of Figs 4-7) with
 //!   Markdown/CSV renderers.
 //! * [`transfer`] — the transferability study (Table II).
-//! * [`retrain`] — the fine-tuning defense study (Sec. V): clean and
-//!   adversarial accuracy before vs. after approximation-aware
-//!   retraining, per victim multiplier.
 //! * [`faults`] — robustness under stuck-at hardware faults: sampled
 //!   single-fault campaigns per multiplier, re-characterized into
 //!   defective LUTs and measured against the fault-free baseline.
 //! * [`universal`] — universal-perturbation robustness: one shared delta
 //!   crafted on the float surrogate, every victim multiplier evaluated
 //!   clean vs. perturbed, before and after universal adversarial
-//!   training (through the same column loop as [`retrain`]).
+//!   training through each victim's multiplier.
 //! * [`mtd`] — moving-target defense: every fixed kernel column plus the
 //!   randomized per-query ensemble, scored clean vs. static PGD vs. the
 //!   adaptive EOT attacker over the disclosed kernel distribution.
@@ -64,14 +59,12 @@
 
 #![deny(rustdoc::broken_intra_doc_links)]
 
-pub mod algorithm1;
 pub mod eval;
 pub mod experiments;
 pub mod faults;
 pub mod grid;
 pub mod mtd;
 pub mod quantstudy;
-pub mod retrain;
 pub mod store;
 pub mod threat;
 pub mod transfer;

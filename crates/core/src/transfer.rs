@@ -49,7 +49,7 @@ pub struct TransferCell {
 
 impl TransferCell {
     /// Renders as the paper's `X/Y` (percent before / after).
-    pub fn as_paper_entry(&self) -> String {
+    fn as_paper_entry(&self) -> String {
         format!("{:.0}/{:.0}", 100.0 * self.before, 100.0 * self.after)
     }
 }

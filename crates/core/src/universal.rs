@@ -1,8 +1,7 @@
 //! Universal-perturbation robustness across the multiplier grid, before
 //! vs. after universal adversarial training.
 //!
-//! The universal extension of [`retrain`](crate::retrain): a **single**
-//! shared delta is crafted on the accurate float model
+//! A **single** shared delta is crafted on the accurate float model
 //! ([`axattack::universal::UniversalAttack`], Shafahi-style epochs over a
 //! crafting sample of the training set), then every quantized victim
 //! multiplier is evaluated on the clean and the delta-perturbed test
@@ -13,25 +12,24 @@
 //! same crafted delta is reused for every victim column, before and
 //! after hardening.
 //!
-//! The PTQ baseline and the per-column hardening run through the same
-//! column loop as the fine-tuning sweep: the clean/universal PTQ
-//! baselines are one multi-kernel [`axquant::QPlan`] pass each, the
-//! hardened columns one single-kernel pass per multiplier. Every stage
-//! (crafter, trainer, evaluation) is bit-identical for any
-//! `AXDNN_THREADS` setting.
+//! The clean/universal PTQ baselines are one multi-kernel
+//! [`axquant::QPlan`] pass each, the hardened columns one single-kernel
+//! pass per multiplier. Every stage (crafter, trainer, evaluation) is
+//! bit-identical for any `AXDNN_THREADS` setting.
 
 use axattack::universal::UniversalAttack;
 use axdata::Dataset;
-use axmul::MulColumns;
+use axmul::{MulColumns, MulLut};
 use axnn::Sequential;
 use axquant::qtrain::FinetuneConfig;
 use axquant::universal::{universal_adversarial_fit, UniversalFinetuneConfig};
+use axquant::QuantModel;
 use axtensor::norms::{apply_delta, Norm};
 use axtensor::Tensor;
 use axutil::rng::Rng;
 use axutil::AxError;
 
-use crate::retrain::{harden_columns, sweep_sets, SweepSets};
+use crate::eval::multi_kernel_adversarial_accuracy;
 
 /// Options for one universal-robustness sweep.
 #[derive(Debug, Clone)]
@@ -147,7 +145,15 @@ pub fn universal_robustness_sweep(
     test: &Dataset,
     opts: &UniversalSweepOpts,
 ) -> Result<(UniversalReport, Tensor), AxError> {
-    let SweepSets { calib, clean } = sweep_sets(train, test, opts.n_eval, opts.n_calib)?;
+    if train.is_empty() || test.is_empty() {
+        return Err(AxError::config("train/test sets must be non-empty"));
+    }
+    let calib: Vec<Tensor> = (0..opts.n_calib.min(train.len()))
+        .map(|i| train.image(i).clone())
+        .collect();
+    let clean: Vec<(Tensor, usize)> = (0..opts.n_eval.min(test.len()))
+        .map(|i| (test.image(i).clone(), test.label(i)))
+        .collect();
 
     // Craft the one shared delta on the float surrogate, over a training
     // sample (the universal perturbation must generalize to the unseen
@@ -170,33 +176,32 @@ pub fn universal_robustness_sweep(
         .map(|(x, l)| (apply_delta(x, &delta), *l))
         .collect();
 
-    // Each hardened victim is judged against the attacker's crafted
-    // delta; the trainer's own training delta is discarded.
+    let kernels: Vec<&MulLut> = mults.payloads();
+    let ptq = QuantModel::from_float_with_level(model, &calib, opts.cfg.placement, opts.cfg.level)?;
+    let clean_before = multi_kernel_adversarial_accuracy(&ptq, &kernels, &clean);
+    let universal_before = multi_kernel_adversarial_accuracy(&ptq, &kernels, &universal_set);
+
+    // Each column hardens a fresh clone of `model` through its own
+    // multiplier. The hardened victim is judged against the attacker's
+    // crafted delta; the trainer's own training delta is discarded.
     let ucfg = UniversalFinetuneConfig {
         base: opts.cfg.clone(),
         eps: opts.eps,
         norm: opts.norm,
         delta_step: opts.delta_step,
     };
-    let columns = harden_columns(
-        model,
-        mults,
-        &calib,
-        &opts.cfg,
-        &clean,
-        &universal_set,
-        |shadow, lut| Ok(universal_adversarial_fit(shadow, train, &calib, lut, &ucfg)?.1),
-    )?;
-    let rows = columns
-        .into_iter()
-        .map(|c| UniversalRow {
-            mult: c.mult,
-            clean_before: c.clean_before,
-            universal_before: c.attacked_before,
-            clean_after: c.clean_after,
-            universal_after: c.attacked_after,
-        })
-        .collect();
+    let mut rows = Vec::with_capacity(mults.len());
+    for (col, (name, lut)) in mults.iter().enumerate() {
+        let mut shadow = model.clone();
+        let (_, tuned, _) = universal_adversarial_fit(&mut shadow, train, &calib, lut, &ucfg)?;
+        rows.push(UniversalRow {
+            mult: name.to_string(),
+            clean_before: clean_before[col],
+            universal_before: universal_before[col],
+            clean_after: multi_kernel_adversarial_accuracy(&tuned, &[lut], &clean)[0],
+            universal_after: multi_kernel_adversarial_accuracy(&tuned, &[lut], &universal_set)[0],
+        });
+    }
     Ok((
         UniversalReport {
             norm: opts.norm.to_string(),

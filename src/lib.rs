@@ -15,7 +15,7 @@
 //! | [`nn`] | float training & inference (LeNet-5, AlexNet-mini, FFNN) with input gradients |
 //! | [`quant`] | int8 fixed-point inference with pluggable multiplier kernels |
 //! | [`attack`] | the ten Foolbox-style attacks (FGM/BIM/PGD/CR/RAG/RAU) |
-//! | [`robust`] | the paper's methodology: Algorithm 1, robustness grids, transferability, quantization study |
+//! | [`robust`] | the paper's methodology: Algorithm 1 (`eval::robustness_grid`), robustness grids, transferability, quantization study |
 //! | [`serve`] | fault-tolerant batched inference serving: deadlines, backpressure, panic isolation, degradation |
 //! | [`util`] | deterministic PRNG, parallel helpers, binary codec |
 //!
