@@ -330,18 +330,28 @@ impl Netlist {
         self.exhaustive_forced(&faults.forced_words())
     }
 
-    /// [`exhaustive_with_faults`](Netlist::exhaustive_with_faults)
-    /// narrowed to `u16` outputs — the faulted multiplier table.
+    /// The faulted table of a 16-input netlist with its two input bytes
+    /// swapped: entry `(lo << 8) | hi` holds the narrowed output for low
+    /// byte `lo` (inputs 0..8) and high byte `hi` (inputs 8..16). For a
+    /// multiplier with operand `a` on the low inputs this is the
+    /// `(a << 8) | b` layout of `axmul`'s tables, written in one pass from
+    /// the sweep with no intermediate table.
     ///
     /// # Panics
     ///
-    /// Panics if the netlist has more than 16 outputs.
-    pub fn exhaustive_u16_with_faults(&self, faults: &FaultSet) -> Vec<u16> {
+    /// Panics if the netlist does not have 16 inputs and at most 16
+    /// outputs, or on the fault-range check.
+    pub fn exhaustive_u16_swapped_with_faults(&self, faults: &FaultSet) -> Vec<u16> {
+        assert_eq!(self.num_inputs(), 16, "expected 16 inputs");
         assert!(self.outputs().len() <= 16, "outputs do not fit in u16");
-        self.exhaustive_with_faults(faults)
-            .into_iter()
-            .map(|v| v as u16)
-            .collect()
+        faults.check_against(self);
+        let mut table = vec![0u16; 1 << 16];
+        self.exhaustive_entries(&faults.forced_words(), |v, run| {
+            for (v, &e) in (v..).zip(run) {
+                table[(v as u16).swap_bytes() as usize] = e as u16;
+            }
+        });
+        table
     }
 
     /// The single stuck-at fault universe: both polarities at every node

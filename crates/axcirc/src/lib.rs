@@ -73,11 +73,13 @@
 //! // Tie the product's most significant bit high.
 //! let msb = exact.outputs()[15];
 //! let faults = FaultSet::single(Fault::new(msb, StuckAt::One));
-//! let faulty = exact.exhaustive_u16_with_faults(&faults);
-//! assert_eq!(faulty[(3 << 8) | 2], (2 * 3) | (1 << 15));
+//! // Indexed (a << 8) | b, the operands' order in `axmul`'s tables.
+//! let faulty = exact.exhaustive_u16_swapped_with_faults(&faults);
+//! assert_eq!(faulty[(2 << 8) | 3], (2 * 3) | (1 << 15));
 //! // The empty fault set replays the fault-free table bit for bit.
-//! let clean = exact.exhaustive_u16_with_faults(&FaultSet::empty());
-//! assert_eq!(clean, exact.exhaustive_u16());
+//! let clean = exact.exhaustive_u16_swapped_with_faults(&FaultSet::empty());
+//! let table = exact.exhaustive_u16(); // indexed (b << 8) | a
+//! assert!((0..1usize << 16).all(|v| clean[v] == table[(v as u16).swap_bytes() as usize]));
 //! ```
 
 #![deny(rustdoc::broken_intra_doc_links)]

@@ -427,19 +427,23 @@ impl Netlist {
         }
     }
 
-    /// The exhaustive table with `forced` node values (see
-    /// [`forward`](Self::forward)): [`exhaustive`](Self::exhaustive) and
-    /// [`exhaustive_with_faults`](Self::exhaustive_with_faults).
-    pub(crate) fn exhaustive_forced(&self, forced: &[(usize, u64)]) -> Vec<u64> {
-        assert!(self.num_inputs <= 16, "exhaustive limited to 16 inputs");
-        assert!(self.outputs.len() <= 64);
+    /// The exhaustive sweep's table entries with `forced` node values (see
+    /// [`forward`](Self::forward)), eight at a time: `emit(v, run)` hands
+    /// over the entries of input vectors `v..v + run.len()`, with output
+    /// `k` in bit `k` of each. Each run is assembled straight from the
+    /// sweep's node words, so a caller writes it to any layout in one
+    /// pass. Callers check the 16-input and 64-output limits.
+    pub(crate) fn exhaustive_entries(
+        &self,
+        forced: &[(usize, u64)],
+        mut emit: impl FnMut(usize, &[u64]),
+    ) {
         let total = 1usize << self.num_inputs;
-        let mut table = vec![0u64; total.div_ceil(64) * 64];
         self.sweep(forced, |first, n, vals| {
-            for (g, group) in self.outputs.chunks(8).enumerate() {
-                for j in 0..n {
-                    let base = (first + j) * 64;
-                    for (p, entries) in table[base..base + 64].chunks_exact_mut(8).enumerate() {
+            for j in 0..n {
+                for p in 0..8 {
+                    let mut entries = [0u64; 8];
+                    for (g, group) in self.outputs.chunks(8).enumerate() {
                         // Output `8g + k`'s bits of lanes `8p..8p + 8`,
                         // spread to bit `k` of each lane's byte.
                         let mut spread = 0u64;
@@ -451,10 +455,25 @@ impl Netlist {
                             *e |= (b as u64) << (8 * g);
                         }
                     }
+                    let base = (first + j) * 64 + 8 * p;
+                    if base < total {
+                        emit(base, &entries[..(total - base).min(8)]);
+                    }
                 }
             }
         });
-        table.truncate(total);
+    }
+
+    /// The exhaustive table with `forced` node values:
+    /// [`exhaustive`](Self::exhaustive) and
+    /// [`exhaustive_with_faults`](Self::exhaustive_with_faults).
+    pub(crate) fn exhaustive_forced(&self, forced: &[(usize, u64)]) -> Vec<u64> {
+        assert!(self.num_inputs <= 16, "exhaustive limited to 16 inputs");
+        assert!(self.outputs.len() <= 64);
+        let mut table = vec![0u64; 1 << self.num_inputs];
+        self.exhaustive_entries(forced, |v, run| {
+            table[v..v + run.len()].copy_from_slice(run);
+        });
         table
     }
 

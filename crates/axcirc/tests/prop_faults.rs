@@ -129,11 +129,11 @@ proptest! {
 #[test]
 fn output_fault_pins_exactly_that_bit() {
     let nl = ArrayMultiplier::new(8, ApproxSpec::exact()).build();
-    let clean = nl.exhaustive_u16();
+    let clean = nl.exhaustive_u16_swapped_with_faults(&FaultSet::empty());
     for (k, &out) in nl.outputs().iter().enumerate() {
         for stuck in [StuckAt::Zero, StuckAt::One] {
             let faults = FaultSet::single(Fault::new(out, stuck));
-            let faulty = nl.exhaustive_u16_with_faults(&faults);
+            let faulty = nl.exhaustive_u16_swapped_with_faults(&faults);
             let pin = (stuck == StuckAt::One) as u16;
             for (i, (&f, &c)) in faulty.iter().zip(&clean).enumerate() {
                 assert_eq!(
@@ -159,12 +159,12 @@ fn dead_node_faults_are_silent() {
         !dead.is_empty(),
         "expected dangling carry logic in the array multiplier"
     );
-    let clean = nl.exhaustive_u16();
+    let clean = nl.exhaustive_u16_swapped_with_faults(&FaultSet::empty());
     for &i in dead.iter().take(4) {
         for stuck in [StuckAt::Zero, StuckAt::One] {
             let faults = FaultSet::single(Fault::new(nl.node_id(i), stuck));
             assert_eq!(
-                nl.exhaustive_u16_with_faults(&faults),
+                nl.exhaustive_u16_swapped_with_faults(&faults),
                 clean,
                 "dead node n{i} ({stuck}) must not reach an output"
             );

@@ -19,7 +19,6 @@ use axcirc::faults::FaultSet;
 use axcirc::Netlist;
 
 use crate::kernel::MulKernel;
-use crate::lut::transpose_table;
 
 /// An 8x8 multiplier LUT with a stuck-at fault set injected.
 #[derive(Clone, PartialEq, Eq)]
@@ -52,8 +51,10 @@ impl FaultedMul {
     /// targets a node outside it.
     pub fn from_netlist(base_name: &str, nl: &Netlist, faults: FaultSet) -> Self {
         assert_eq!(nl.num_inputs(), 16, "expected an 8x8 multiplier netlist");
-        // Netlist tables are (b << 8) | a; re-index like MulLut does.
-        let table = transpose_table(&nl.exhaustive_u16_with_faults(&faults)).into_boxed_slice();
+        // Netlist tables are (b << 8) | a; the sweep writes (a << 8) | b.
+        let table = nl
+            .exhaustive_u16_swapped_with_faults(&faults)
+            .into_boxed_slice();
         let name = if faults.is_empty() {
             base_name.to_string()
         } else {

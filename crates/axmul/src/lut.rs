@@ -6,7 +6,7 @@
 //! which is also exactly how TFApprox applies EvoApprox multipliers on
 //! GPUs.
 
-use axcirc::Netlist;
+use axcirc::{FaultSet, Netlist};
 
 use crate::kernel::MulKernel;
 
@@ -72,8 +72,10 @@ impl MulLut {
     /// Panics if the netlist does not have 16 inputs.
     pub fn from_netlist(name: impl Into<String>, nl: &Netlist) -> Self {
         assert_eq!(nl.num_inputs(), 16, "expected an 8x8 multiplier netlist");
-        // The netlist is indexed by (b << 8) | a; re-index to (a << 8) | b.
-        let table = transpose_table(&nl.exhaustive_u16()).into_boxed_slice();
+        // The netlist is indexed by (b << 8) | a; the sweep writes (a << 8) | b.
+        let table = nl
+            .exhaustive_u16_swapped_with_faults(&FaultSet::empty())
+            .into_boxed_slice();
         MulLut {
             name: name.into(),
             table,

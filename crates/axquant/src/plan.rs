@@ -22,11 +22,24 @@
 //! computed once and reused by every kernel. Work is split across threads
 //! in contiguous image chunks ([`axutil::parallel::par_map_chunks`]) with
 //! one scratch per chunk, not per image, and each chunk runs block by
-//! block ([`QPlan::predict_range`]): im2col writes the block's patches
-//! back to back and every layer's GEMM sees the block's images as extra
-//! rows, so a dense layer reads each weight's magnitude, sign and LUT
-//! row once per block. [`QPlan::forward_one`] and [`QPlan::forward_multi`]
-//! are blocks of one: there is one quantized forward.
+//! block ([`QPlan::predict_range`]): every layer's GEMM sees the block's
+//! images as extra rows, so a dense layer reads each weight's magnitude,
+//! sign and LUT row once per block. [`QPlan::forward_one`] and
+//! [`QPlan::forward_multi`] are blocks of one: there is one quantized
+//! forward.
+//!
+//! On an AVX2 CPU, a conv step whose block has at least eight GEMM rows
+//! gets a *panel-major* im2col patch. The block's GEMM rows (output
+//! positions, image after image) are cut into panels of eight, and each
+//! panel holds its patch columns one after another, each column as its
+//! eight rows' codes: `[panel][column][8 rows]`. The last panel's unused
+//! rows are zero. Eight codes of one column sit in one 8-byte word, which
+//! is what the AVX2 panel kernel loads per gather (see [`crate::exec`]);
+//! on LeNet-5 every panel lies inside one output row, so im2col copies
+//! eight consecutive input pixels at a time. Other conv steps (LeNet-5's
+//! one-row conv3 at four images, every conv on other CPUs) write each
+//! image's row-major patch after the previous one, and dense steps read
+//! their input codes in place, one row per image.
 //!
 //! The batch entry points ([`QPlan::forward_batch_indexed`],
 //! [`QPlan::predict_batch_indexed`] and their slice wrappers) also run
@@ -125,7 +138,7 @@ pub struct QPlan<'m> {
     pub(crate) steps: Vec<Step<'m>>,
     in_dims: Vec<usize>,
     n_classes: usize,
-    /// Largest im2col patch buffer any conv step needs.
+    /// Largest one-image im2col patch (`rows * cols`) of any conv step.
     pub(crate) max_patch: usize,
     /// Largest weight magnitude of the approximated steps (`None` when
     /// no step is approximated): kernels are read on LUT rows
@@ -142,7 +155,8 @@ pub struct QPlan<'m> {
 #[derive(Debug)]
 pub struct QScratch {
     lanes: usize,
-    /// One block's im2col patches, image after image.
+    /// One conv step's im2col patch for a block, panel-major or
+    /// row-major (see the [module docs](self)).
     patch: Vec<u8>,
     /// `tape[i][lane]` — the input codes of step `i`, image after image;
     /// `tape[i + 1]` holds its output codes (empty after the logits step,
@@ -292,9 +306,13 @@ impl<'m> QPlan<'m> {
             Step::DenseLogits { .. } => 0,
             Step::AvgPool { out_len, .. } => out_len,
         });
+        let patch_len = self.steps.iter().map(|step| match *step {
+            Step::Conv { rows, cols, .. } => exec::panel_patch_len(exec::BLOCK * rows, cols),
+            _ => 0,
+        });
         QScratch {
             lanes,
-            patch: vec![0u8; exec::BLOCK * self.max_patch],
+            patch: vec![0u8; patch_len.max().unwrap_or(0)],
             tape: std::iter::once(in_len)
                 .chain(out_lens)
                 .map(|len| vec![vec![0u8; exec::BLOCK * len]; lanes])
@@ -354,8 +372,9 @@ impl<'m> QPlan<'m> {
     /// otherwise.
     ///
     /// Each layer runs once per lane for the whole block: im2col writes
-    /// the block's patches back to back, and the GEMM sees the block's
-    /// images as extra rows.
+    /// the block's patch (panel-major or row-major, see the
+    /// [module docs](self)), and the GEMM sees the block's images as
+    /// extra rows.
     pub(crate) fn run_block<'a, K, F>(
         &self,
         scratch: &mut QScratch,
@@ -427,8 +446,14 @@ impl<'m> QPlan<'m> {
                     cols,
                     ..
                 } => {
-                    let len: usize = in_dims.iter().product();
+                    let shape = [nb, rows, cols];
+                    let panels = exec::use_panels(nb * rows);
                     let im2col_block = |src: &[u8], patch: &mut [u8]| {
+                        if panels {
+                            exec::im2col_panels(src, in_dims, k, stride, pad, shape, patch);
+                            return;
+                        }
+                        let len: usize = in_dims.iter().product();
                         for (x, p) in src
                             .chunks_exact(len)
                             .zip(patch.chunks_exact_mut(rows * cols))
@@ -437,17 +462,26 @@ impl<'m> QPlan<'m> {
                             fexec::im2col(x, in_dims, k, stride, pad, rows, cols, p);
                         }
                     };
+                    let gemm = |lane: usize, patch: &[u8], dst: &mut [u8]| {
+                        let backend = backend_for(lane);
+                        if panels {
+                            exec::gemm_requant::<{ exec::PANEL }, K>(backend, w, patch, shape, dst);
+                        } else {
+                            exec::gemm_requant::<{ exec::ROW_MAJOR }, K>(
+                                backend, w, patch, shape, dst,
+                            );
+                        }
+                    };
                     if in_lanes == 1 {
                         // One im2col feeds every kernel lane.
                         im2col_block(&src_bufs[0], patch);
                         for (lane, dst) in dst_bufs.iter_mut().enumerate().take(out_lanes) {
-                            exec::gemm_requant(backend_for(lane), w, patch, [nb, rows, cols], dst);
+                            gemm(lane, patch, dst);
                         }
                     } else {
                         for lane in 0..m {
                             im2col_block(&src_bufs[lane], patch);
-                            let dst = &mut dst_bufs[lane];
-                            exec::gemm_requant(backend_for(lane), w, patch, [nb, rows, cols], dst);
+                            gemm(lane, patch, &mut dst_bufs[lane]);
                         }
                     }
                 }
@@ -455,13 +489,25 @@ impl<'m> QPlan<'m> {
                     // Each image's activation vector is one GEMM patch row.
                     for (lane, dst) in dst_bufs.iter_mut().enumerate().take(out_lanes) {
                         let src = &src_bufs[if in_lanes == 1 { 0 } else { lane }];
-                        exec::gemm_requant(backend_for(lane), w, src, [nb, 1, in_dim], dst);
+                        exec::gemm_requant::<{ exec::ROW_MAJOR }, K>(
+                            backend_for(lane),
+                            w,
+                            src,
+                            [nb, 1, in_dim],
+                            dst,
+                        );
                     }
                 }
                 Step::DenseLogits { w, in_dim, .. } => {
                     for (lane, out) in logits.iter_mut().enumerate().take(out_lanes) {
                         let src = &src_bufs[if in_lanes == 1 { 0 } else { lane }];
-                        exec::gemm_logits(backend_for(lane), w, src, [nb, 1, in_dim], out);
+                        exec::gemm_logits::<{ exec::ROW_MAJOR }, K>(
+                            backend_for(lane),
+                            w,
+                            src,
+                            [nb, 1, in_dim],
+                            out,
+                        );
                     }
                     logit_lanes = out_lanes;
                 }
@@ -669,7 +715,8 @@ mod tests {
     use crate::placement::Placement;
     use crate::qlevel::QLevel;
     use axmul::{ExactMul, MulLut, Registry};
-    use axnn::zoo;
+    use axnn::layer::{Conv2d, Dense, Layer};
+    use axnn::{zoo, Sequential};
     use axutil::rng::Rng;
 
     fn calib_images(n: usize, dims: &[usize], seed: u64) -> Vec<Tensor> {
@@ -841,6 +888,73 @@ mod tests {
         let qf = QuantModel::from_float(&ffnn, &calib, Placement::ConvOnly).unwrap();
         let (d, c) = qf.plan(&[1, 28, 28]).distinct_kernels(&[&l40, &l40]);
         assert_eq!((d.len(), c), (2, vec![0, 1]));
+    }
+
+    /// The AVX2 panel kernel against `gemm_core`, bit for bit, through
+    /// whole plans: every kernel runs next to an opaque wrapper of itself
+    /// (no `lut_table`, not exact, so a `Generic` backend that always
+    /// takes `gemm_core`). LeNet-5 covers panels inside one output row;
+    /// a stride-2, pad-1 conv with 25 rows per image covers panels that
+    /// straddle output rows and images, and a zero-filled tail. On an
+    /// AVX2 host the L40 table must have gone through the panel kernel.
+    #[test]
+    fn panel_kernel_logits_match_gemm_core() {
+        struct Opaque<'a>(&'a dyn MulKernel);
+        impl MulKernel for Opaque<'_> {
+            fn mul(&self, a: u8, b: u8) -> u16 {
+                self.0.mul(a, b)
+            }
+            fn name(&self) -> &str {
+                "opaque"
+            }
+        }
+        let rng = &mut Rng::seed_from_u64(70);
+        let strided = Sequential::new(
+            "strided",
+            vec![
+                Layer::Conv2d(Conv2d::new(2, 3, 3, 2, 1, rng)),
+                Layer::Relu,
+                Layer::Conv2d(Conv2d::new(3, 4, 3, 1, 1, rng)),
+                Layer::Relu,
+                Layer::Flatten,
+                Layer::Dense(Dense::new(4 * 5 * 5, 10, rng)),
+            ],
+        );
+        let lenet = zoo::lenet5(rng);
+        let l40 = Registry::standard().build_lut("L40").unwrap();
+        let address = l40.table().as_ptr() as usize;
+        exec::PANEL_TABLES.lock().unwrap().remove(&address);
+        for (model, dims, placement) in [
+            (&lenet, [1, 28, 28], Placement::ConvOnly),
+            (&strided, [2, 9, 9], Placement::All),
+        ] {
+            let calib = calib_images(4, &dims, 71);
+            let qm = QuantModel::from_float(model, &calib, placement).unwrap();
+            let plan = qm.plan(&dims);
+            let images = calib_images(7, &dims, 72);
+            let kernels: [&dyn MulKernel; 4] = [&l40, &Opaque(&l40), &ExactMul, &Opaque(&ExactMul)];
+            for n in [1, 2, 7] {
+                for (i, row) in plan
+                    .forward_batch_with(&images[..n], &kernels)
+                    .iter()
+                    .enumerate()
+                {
+                    let bits: Vec<Vec<u32>> = row
+                        .iter()
+                        .map(|t| t.data().iter().map(|v| v.to_bits()).collect())
+                        .collect();
+                    assert_eq!(bits[0], bits[1], "{}: L40, image {i} of {n}", model.name());
+                    assert_eq!(
+                        bits[2],
+                        bits[3],
+                        "{}: exact, image {i} of {n}",
+                        model.name()
+                    );
+                }
+            }
+        }
+        let ran = exec::PANEL_TABLES.lock().unwrap().contains(&address);
+        assert_eq!(ran, exec::use_panels(exec::PANEL));
     }
 
     #[test]

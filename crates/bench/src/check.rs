@@ -580,7 +580,9 @@ const ADAPTIVE_LE_STATIC: Op = LeMetric {
 /// so this ceiling fails a batch that stops blocking.
 const BATCH_NEVER_LOSES: Op = AtMost(-0.1);
 /// A block of images through the LUT GEMM is never slower per MAC than
-/// the same images one call each.
+/// the same images one call each: on a dense layer the block reads each
+/// weight and LUT row once for four images, and on LeNet-5's conv layers
+/// it runs four images' panels per call and conv3 as one 4-row block.
 const BLOCK_NEVER_LOSES: Op = LeMetric {
     other: "block_macs_per_s",
     slack: 0.0,
@@ -606,7 +608,9 @@ const ALL_COMPLETED: Op = SumEq {
 /// crafting at or under per-image crafting (median paired difference) and
 /// record its absolute rate, as the `lenet5-input-grad` rows record the
 /// one-thread input gradient's time and MAC rate, one image per call and
-/// as a 4-image block, the block never the slower per MAC; the
+/// as a 4-image block, the block never the slower per MAC, and the
+/// one-thread LUT-GEMM rows of a dense layer and of LeNet-5's conv
+/// layers hold the same block-never-loses rule; the
 /// `ffnn-1x28` train step holds the rank-n gradient fold's win over one
 /// gradient buffer per image (measured 3.8–4.5x at
 /// `AXDNN_BENCH_IMAGES=4`). Accuracy rules are
@@ -629,6 +633,12 @@ pub const RULES: &[Rule] = &[
     rule(
         GEMM,
         "ffnn-dense1-300x784-lut",
+        "one_image_macs_per_s",
+        BLOCK_NEVER_LOSES,
+    ),
+    rule(
+        GEMM,
+        "lenet5-conv-lut",
         "one_image_macs_per_s",
         BLOCK_NEVER_LOSES,
     ),
@@ -830,6 +840,7 @@ mod tests {
         BENCH_gemm.json lenet5-conv2-16x64x150 speedup=1.9
         BENCH_gemm.json ffnn-dense1-300x784 speedup=2.1
         BENCH_gemm.json ffnn-dense1-300x784-lut one_image_macs_per_s=1.0e9 block_macs_per_s=1.4e9
+        BENCH_gemm.json lenet5-conv-lut one_image_macs_per_s=1.5e9 block_macs_per_s=1.7e9
         BENCH_gemm.json lenet5-input-grad us=190 macs_per_s=2.9e9 block_us=140 block_macs_per_s=4.0e9
         BENCH_finetune.json finetune_grad_batch speedup=2.0
         BENCH_finetune.json clean_accuracy ptq=0.795 finetuned=0.925
@@ -967,6 +978,24 @@ mod tests {
             "ffnn-dense1-300x784-lut one_image_macs_per_s",
         );
         fails(f, &without(f, w), "one_image_macs_per_s missing");
+    }
+
+    #[test]
+    fn conv_lut_block_must_not_lose_to_one_image_calls() {
+        let f = GEMM;
+        let w = "lenet5-conv-lut";
+        // Equal rates pass; a slower block fails.
+        assert!(check_rows(f, &with(f, w, "block_macs_per_s", 1.5e9)).is_empty());
+        fails(
+            f,
+            &with(f, w, "block_macs_per_s", 1.4e9),
+            "lenet5-conv-lut one_image_macs_per_s",
+        );
+        fails(
+            f,
+            &without(f, w),
+            "lenet5-conv-lut/one_image_macs_per_s missing",
+        );
     }
 
     #[test]
