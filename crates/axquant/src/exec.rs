@@ -18,7 +18,8 @@
 //! column's eight codes next to each other, `[panel][column][row]`. The
 //! rows of a block run image after image, so a panel may span two
 //! images; the tail of the last panel is zero-filled. Any other conv step
-//! reads row-major patches, image after image.
+//! (fewer rows, such as LeNet-5's one-row conv3 at one to four images,
+//! or another CPU) reads row-major patches, image after image.
 //!
 //! # Kernel tiers
 //!
@@ -31,27 +32,37 @@
 //! - foreign kernels pay a trait call per MAC.
 //!
 //! All three run in `gemm_core`, four rows at a time (half a panel on a
-//! panel-major patch). A table or exact GEMM over a panel-major patch
-//! runs the AVX2 panel kernel instead. Per output channel, pair of panels
-//! and patch column it loads each panel's eight activation codes; a table
-//! GEMM adds `mag << 8`, fetches the eight products with one `vpgatherdd`
-//! (scale 2, masked to 16 bits) and applies the weight's sign, an exact
-//! one multiplies by the signed weight; both accumulate in eight i32
-//! lanes. Row-major steps (dense layers, a one-row conv at four images,
-//! every conv on other CPUs) keep `gemm_core` as it was, and so do
-//! `Generic` backends, which read panels through `gemm_core` too. The
-//! exact product joins the panel tier because `gemm_core`'s exact loop,
-//! which vectorizes along a row-major patch row, is about half as fast
-//! over panels.
+//! panel-major patch). On an AVX2 CPU two kernels take over, one per
+//! layout, and both fetch eight table products with one `vpgatherdd` at
+//! indices `(mag << 8) | a` (scale 2, masked to 16 bits), then apply the
+//! weights' signs and accumulate in eight i32 lanes:
 //!
-//! The two tiers are bit-identical: both sum the same i32 products in
-//! i32, where addition is exact, and hand each row's accumulator to the
-//! same sink in the same order. The gather fetches 32 bits at byte
-//! offset `2 * idx` and keeps the low 16, so it also reads entry
-//! `idx + 1`. With `idx = (mag << 8) | a` that stays inside the 2^16-entry
-//! table whenever `mag < 255`; quantized weight magnitudes are at most
-//! 127 ([`QLevel::weight_qmax`](crate::QLevel::weight_qmax)), and the
-//! kernel is not used on a layer whose largest magnitude is 255.
+//! - The *panel kernel* runs table and exact GEMMs over a panel-major
+//!   patch. Per output channel, pair of panels and patch column it loads
+//!   each panel's eight activation codes (eight rows) against one
+//!   broadcast weight; an exact GEMM multiplies by the signed weight
+//!   instead of gathering. The exact product joins this tier because
+//!   `gemm_core`'s exact loop, which vectorizes along a row-major patch
+//!   row, is about half as fast over panels.
+//! - The *row kernel* runs table GEMMs over a row-major patch of at least
+//!   eight columns: every dense step, and the short conv steps. Per
+//!   output channel and block of up to four rows it walks the columns
+//!   eight at a time, widens the eight weight magnitudes and signs once,
+//!   and makes one gather per row into that row's accumulator; a
+//!   horizontal sum, the bias and a scalar tail over the last `cols % 8`
+//!   columns finish each row.
+//!
+//! Exact GEMMs over row-major patches, `Generic` backends (over either
+//! layout), narrower rows and other CPUs keep `gemm_core`.
+//!
+//! The tiers are bit-identical: all sum the same i32 products in i32,
+//! where addition is exact, and hand each row's accumulator to the same
+//! sink in the same order. The gather fetches 32 bits at byte offset
+//! `2 * idx` and keeps the low 16, so it also reads entry `idx + 1`. With
+//! `idx = (mag << 8) | a` that stays inside the 2^16-entry table whenever
+//! `mag < 255`; quantized weight magnitudes are at most 127
+//! ([`QLevel::weight_qmax`](crate::QLevel::weight_qmax)), and neither
+//! AVX2 kernel is used on a layer whose largest magnitude is 255.
 //!
 //! # Padding semantics
 //!
@@ -106,11 +117,16 @@ pub(crate) const PANEL: usize = 8;
 /// dense step (its exact loop vectorizes along a row-major row, and is
 /// about half as fast over panels).
 pub(crate) fn use_panels(total: usize) -> bool {
+    has_avx2() && total >= PANEL
+}
+
+/// Whether the AVX2 kernels can run: on an x86_64 CPU with AVX2.
+fn has_avx2() -> bool {
     #[cfg(target_arch = "x86_64")]
     let avx2 = is_x86_feature_detected!("avx2");
     #[cfg(not(target_arch = "x86_64"))]
     let avx2 = false;
-    avx2 && total >= PANEL
+    avx2
 }
 
 /// Length of the panel-major patch of `total` GEMM rows of `cols` codes:
@@ -301,14 +317,15 @@ impl Destinations {
     }
 }
 
-/// Runs a GEMM over a panel-major patch through the AVX2 panel kernel
-/// when it applies: where [`use_panels`] holds, and every weight
-/// magnitude is below 255 (the gather's over-read bound, see the
-/// [module docs](self)). `table` is the LUT, or `None` for the exact
-/// product. Returns whether it ran; otherwise the caller runs
-/// [`gemm_core`].
+/// Runs a GEMM through an AVX2 kernel when one applies (see the
+/// [module docs](self)): the panel kernel for a table or exact GEMM over
+/// a panel-major patch (where [`use_panels`] holds), the row kernel for a
+/// table GEMM over a row-major patch of at least eight columns. Both need
+/// every weight magnitude below 255, the gather's over-read bound.
+/// `table` is the LUT, or `None` for the exact product. Returns whether
+/// it ran; otherwise the caller runs [`gemm_core`].
 #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-fn panel_gemm<S: FnMut(usize, i32)>(
+fn avx2_gemm<const P: usize, S: FnMut(usize, i32)>(
     w: &QWeights,
     patch: &[u8],
     shape: [usize; 3],
@@ -316,40 +333,73 @@ fn panel_gemm<S: FnMut(usize, i32)>(
     sink: S,
 ) -> bool {
     #[cfg(target_arch = "x86_64")]
-    if use_panels(shape[0] * shape[1]) && w.max_mag < u8::MAX {
-        #[cfg(test)]
-        PANEL_TABLES
-            .lock()
-            .unwrap()
-            .insert(table.map_or(0, |t| t.as_ptr() as usize));
-        // SAFETY: AVX2 is present and every magnitude is below 255, checked
-        // just above.
-        unsafe {
-            match table {
-                Some(t) => avx2::gemm_panels::<true, S>(w, patch, shape, t, sink),
-                None => avx2::gemm_panels::<false, S>(w, patch, shape, &[], sink),
+    {
+        let applies = if P == PANEL {
+            use_panels(shape[0] * shape[1])
+        } else {
+            table.is_some() && shape[2] >= avx2::LANES && has_avx2()
+        };
+        if applies && w.max_mag < u8::MAX {
+            #[cfg(test)]
+            AVX2_RUNS
+                .lock()
+                .unwrap()
+                .insert((P, table.map_or(0, |t| t.as_ptr() as usize)));
+            // SAFETY: AVX2 is present and every magnitude is below 255,
+            // checked just above.
+            unsafe {
+                match (P == PANEL, table) {
+                    (true, Some(t)) => avx2::gemm_panels::<true, S>(w, patch, shape, t, sink),
+                    (true, None) => avx2::gemm_panels::<false, S>(w, patch, shape, &[], sink),
+                    (false, Some(t)) => avx2::gemm_rows(w, patch, shape, t, sink),
+                    (false, None) => unreachable!("the row kernel runs tables only"),
+                }
             }
+            return true;
         }
-        return true;
     }
     false
 }
 
-/// The tables the panel kernel has run with, by address (`0` for the
-/// exact product): tests check that a call they make took the panel path.
+/// The AVX2 kernels that have run, as `(layout, table address)` pairs
+/// (address `0` for the exact product): tests check that a call they make
+/// took the kernel they meant it to.
 #[cfg(test)]
-pub(crate) static PANEL_TABLES: std::sync::Mutex<std::collections::BTreeSet<usize>> =
+pub(crate) static AVX2_RUNS: std::sync::Mutex<std::collections::BTreeSet<(usize, usize)>> =
     std::sync::Mutex::new(std::collections::BTreeSet::new());
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use std::arch::x86_64::*;
 
-    use super::{panel_patch_len, Destinations, QWeights, PANEL};
+    use super::{panel_patch_len, Destinations, QWeights, BLOCK, PANEL};
+
+    /// i32 lanes of one AVX2 register: the columns [`gemm_rows`] takes
+    /// per step.
+    pub(super) const LANES: usize = 8;
+
+    // `gemm_rows` dispatches blocks of one to four rows.
+    const _: () = assert!(BLOCK == 4);
 
     /// Panels per pass of [`gemm_panels`]: two independent accumulator
     /// chains share each weight's broadcasts.
     const PASS: usize = 2;
+
+    /// Eight signed table products: the `u16` entries `idx` of the
+    /// 2^16-entry table at `base`, negated where `sign` is negative. The
+    /// gather fetches 32 bits at byte offset `2 * idx` and keeps the low
+    /// 16.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2, and every `idx + 1` must be below 2^16,
+    /// so the four bytes read (entries `idx` and `idx + 1`) lie inside the
+    /// table.
+    #[inline(always)]
+    unsafe fn lookup(base: *const i32, idx: __m256i, sign: __m256i) -> __m256i {
+        let entries = _mm256_i32gather_epi32::<2>(base, idx);
+        _mm256_sign_epi32(_mm256_and_si256(entries, _mm256_set1_epi32(0xFFFF)), sign)
+    }
 
     /// The panel kernel: [`gemm_core`](super::gemm_core)'s GEMM and sink
     /// order over a panel-major patch, eight rows per vector. With `LUT`
@@ -376,7 +426,6 @@ mod avx2 {
         assert!(w.mag.len() == out_c * cols && w.sign.len() == out_c * cols);
         assert!(patch.len() >= panel_patch_len(total, cols));
         debug_assert!(w.mag.iter().all(|&m| m < u8::MAX));
-        let low16 = _mm256_set1_epi32(0xFFFF);
         let base = table.as_ptr() as *const i32;
         for o in 0..out_c {
             let mags = &w.mag[o * cols..(o + 1) * cols];
@@ -400,12 +449,8 @@ mod avx2 {
                             pass.add((k * cols + j) * PANEL) as *const __m128i,
                         ));
                         let prod = if LUT {
-                            // mg < 255, so idx + 1 < 2^16: the 4 bytes at
-                            // 2 * idx (entries idx and idx + 1) lie inside
-                            // the table.
-                            let idx = _mm256_add_epi32(codes, m);
-                            let entries = _mm256_i32gather_epi32::<2>(base, idx);
-                            _mm256_sign_epi32(_mm256_and_si256(entries, low16), s)
+                            // mg < 255, so every idx + 1 < 2^16.
+                            lookup(base, _mm256_add_epi32(codes, m), s)
                         } else {
                             _mm256_mullo_epi32(codes, m)
                         };
@@ -422,21 +467,113 @@ mod avx2 {
             }
         }
     }
+
+    /// The row kernel: [`gemm_core`](super::gemm_core)'s table GEMM and
+    /// sink order over a row-major patch, eight columns per vector. Per
+    /// output channel and block of up to [`BLOCK`] rows it widens eight
+    /// weight magnitudes (`<< 8`) and signs once, then for each row ORs
+    /// them with the row's eight codes and fetches the products with one
+    /// gather into that row's accumulator. Each row's sum then takes a
+    /// horizontal add, the bias and a scalar tail over the last
+    /// `cols % 8` columns. Sums wrap as `gemm_core`'s do in release
+    /// builds.
+    ///
+    /// # Safety
+    ///
+    /// As for [`gemm_panels`]: AVX2, and every weight magnitude below 255.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn gemm_rows<S: FnMut(usize, i32)>(
+        w: &QWeights,
+        patch: &[u8],
+        [images, rows, cols]: [usize; 3],
+        table: &[u16],
+        mut sink: S,
+    ) {
+        let out_c = w.bias_q.len();
+        let total = images * rows;
+        assert!(table.len() == 1 << 16);
+        assert!(w.mag.len() == out_c * cols && w.sign.len() == out_c * cols);
+        assert!(patch.len() >= total * cols);
+        debug_assert!(w.mag.iter().all(|&m| m < u8::MAX));
+        let base = table.as_ptr() as *const i32;
+        let body = cols / LANES * LANES;
+        for o in 0..out_c {
+            let mags = &w.mag[o * cols..(o + 1) * cols];
+            let signs = &w.sign[o * cols..(o + 1) * cols];
+            let mut next = Destinations::new(o, rows, out_c);
+            for first in (0..total).step_by(BLOCK) {
+                let block = &patch[first * cols..(first + BLOCK).min(total) * cols];
+                let mut sums = [0i32; BLOCK];
+                match block.len() / cols {
+                    1 => dot_rows::<1>(block, mags, signs, base, &mut sums),
+                    2 => dot_rows::<2>(block, mags, signs, base, &mut sums),
+                    3 => dot_rows::<3>(block, mags, signs, base, &mut sums),
+                    4 => dot_rows::<4>(block, mags, signs, base, &mut sums),
+                    _ => unreachable!("a block holds 1 to BLOCK rows"),
+                }
+                for (row, &sum) in block.chunks_exact(cols).zip(&sums) {
+                    let mut acc = w.bias_q[o].wrapping_add(sum);
+                    for ((&mg, &sg), &a) in mags.iter().zip(signs).zip(row).skip(body) {
+                        let prod = table[(usize::from(mg) << 8) | usize::from(a)];
+                        acc = acc.wrapping_add(i32::from(sg) * i32::from(prod));
+                    }
+                    sink(next.next(), acc);
+                }
+            }
+        }
+    }
+
+    /// The sums of `R` rows of `block` (row-major, `mags.len()` codes
+    /// each) against one output channel's weights, over whole groups of
+    /// eight columns, into `sums[..R]`.
+    ///
+    /// # Safety
+    ///
+    /// As for [`gemm_rows`], and `block` holds at least `R` rows.
+    #[inline(always)]
+    unsafe fn dot_rows<const R: usize>(
+        block: &[u8],
+        mags: &[u8],
+        signs: &[i8],
+        base: *const i32,
+        sums: &mut [i32; BLOCK],
+    ) {
+        let cols = mags.len();
+        debug_assert!(block.len() >= R * cols && signs.len() == cols);
+        let load8 = |p: *const u8| _mm_loadl_epi64(p as *const __m128i);
+        let mut acc = [_mm256_setzero_si256(); R];
+        for j in (0..cols / LANES * LANES).step_by(LANES) {
+            // j + 8 <= cols: the eight bytes read from each slice are in it.
+            let m = _mm256_slli_epi32::<8>(_mm256_cvtepu8_epi32(load8(mags.as_ptr().add(j))));
+            let s = _mm256_cvtepi8_epi32(load8(signs.as_ptr().add(j) as *const u8));
+            for (r, acc) in acc.iter_mut().enumerate() {
+                let codes = _mm256_cvtepu8_epi32(load8(block.as_ptr().add(r * cols + j)));
+                // Magnitudes are below 255, so every idx + 1 < 2^16.
+                *acc = _mm256_add_epi32(*acc, lookup(base, _mm256_or_si256(codes, m), s));
+            }
+        }
+        for (sum, &v) in sums.iter_mut().zip(&acc) {
+            let h = _mm_add_epi32(_mm256_castsi256_si128(v), _mm256_extracti128_si256::<1>(v));
+            let h = _mm_add_epi32(h, _mm_shuffle_epi32::<0b01_00_11_10>(h));
+            let h = _mm_add_epi32(h, _mm_shuffle_epi32::<0b10_11_00_01>(h));
+            *sum = _mm_cvtsi128_si32(h);
+        }
+    }
 }
 
 macro_rules! dispatch_gemm {
     ($layout:ident, $backend:expr, $w:expr, $patch:expr, $shape:expr, $sink:expr) => {{
         let mut sink = $sink;
-        // Table and exact GEMMs over panels try the AVX2 panel kernel first.
-        let panels = |table, sink| $layout == PANEL && panel_gemm($w, $patch, $shape, table, sink);
+        // Table GEMMs (and exact ones over panels) try an AVX2 kernel first.
+        let avx2 = |table, sink| avx2_gemm::<$layout, _>($w, $patch, $shape, table, sink);
         match $backend {
             MulBackend::Exact => {
-                if !panels(None, &mut sink) {
+                if !avx2(None, &mut sink) {
                     gemm_core::<$layout, _, _>($w, $patch, $shape, |a, b| a as u16 * b as u16, sink)
                 }
             }
             MulBackend::Table(t) => {
-                if !panels(Some(t), &mut sink) {
+                if !avx2(Some(t), &mut sink) {
                     gemm_core::<$layout, _, _>(
                         $w,
                         $patch,
@@ -735,6 +872,25 @@ mod tests {
         }
     }
 
+    /// Random `out_c x cols` sign/magnitude weights (magnitudes at most
+    /// 127, one forced to 127), biases in ±2^30 and a requant scale, with
+    /// a LUT of random entries.
+    fn random_gemm(rng: &mut Rng, out_c: usize, cols: usize) -> (QWeights, MulLut) {
+        let n = out_c * cols;
+        let mut mags: Vec<u8> = (0..n).map(|_| rng.below(128) as u8).collect();
+        mags[rng.index(n)] = 127;
+        let signs = (0..n)
+            .map(|_| if rng.below(2) == 0 { -1 } else { 1 })
+            .collect();
+        let bias = (0..out_c)
+            .map(|_| rng.below(1 << 31) as i32 - (1 << 30))
+            .collect();
+        let w = qweights(signs, mags, bias, Some(1.0 / 4096.0));
+        let entries: Vec<u16> = (0..1 << 16).map(|_| rng.below(1 << 16) as u16).collect();
+        let lut = MulLut::from_fn("random", |a, b| entries[(a as usize) << 8 | b as usize]);
+        (w, lut)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -754,37 +910,28 @@ mod tests {
             seed in any::<u64>(),
         ) {
             let mut rng = Rng::seed_from_u64(seed);
-            let n = out_c * cols;
-            let mut mags: Vec<u8> = (0..n).map(|_| rng.below(128) as u8).collect();
-            mags[rng.index(n)] = 127;
-            let signs = (0..n).map(|_| if rng.below(2) == 0 { -1 } else { 1 }).collect();
-            let bias = (0..out_c)
-                .map(|_| rng.below(1 << 31) as i32 - (1 << 30))
-                .collect();
-            let w = qweights(signs, mags, bias, Some(1.0 / 4096.0));
+            let (w, lut) = random_gemm(&mut rng, out_c, cols);
             let total = images * rows;
             let mut patch: Vec<u8> = (0..panel_patch_len(total, cols))
                 .map(|_| rng.below(256) as u8)
                 .collect();
             let (p, j) = (rng.index(total), rng.index(cols));
             patch[(p / PANEL * cols + j) * PANEL + p % PANEL] = 255;
-            let entries: Vec<u16> = (0..1 << 16).map(|_| rng.below(1 << 16) as u16).collect();
-            let lut = MulLut::from_fn("random", |a, b| entries[(a as usize) << 8 | b as usize]);
             let t = lut.table();
             let address = t.as_ptr() as usize;
-            PANEL_TABLES.lock().unwrap().remove(&address);
+            AVX2_RUNS.lock().unwrap().remove(&(PANEL, address));
             let shape = [images, rows, cols];
 
             let mut want = vec![0i32; images * out_c * rows];
             gemm_core::<PANEL, _, _>(&w, &patch, shape, |a, b| t[(a as usize) << 8 | b as usize], |i, acc| want[i] = acc);
             let mut got = vec![0i32; want.len()];
-            let ran = panel_gemm(&w, &patch, shape, Some(t), |i, acc| got[i] = acc);
+            let ran = avx2_gemm::<PANEL, _>(&w, &patch, shape, Some(t), |i, acc| got[i] = acc);
             prop_assert_eq!(ran, use_panels(total));
             if ran {
                 prop_assert_eq!(&got, &want);
             }
             gemm_core::<PANEL, _, _>(&w, &patch, shape, |a, b| a as u16 * b as u16, |i, acc| want[i] = acc);
-            prop_assert_eq!(panel_gemm(&w, &patch, shape, None, |i, acc| got[i] = acc), ran);
+            prop_assert_eq!(avx2_gemm::<PANEL, _>(&w, &patch, shape, None, |i, acc| got[i] = acc), ran);
             if ran {
                 prop_assert_eq!(&got, &want);
             }
@@ -803,7 +950,64 @@ mod tests {
             gemm_logits::<PANEL, _>(generic, &wl, &patch, shape, &mut b);
             let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             prop_assert_eq!(bits(&a), bits(&b));
-            prop_assert_eq!(PANEL_TABLES.lock().unwrap().contains(&address), ran);
+            prop_assert_eq!(AVX2_RUNS.lock().unwrap().contains(&(PANEL, address)), ran);
+        }
+        /// The row kernel against `gemm_core` through its table closure,
+        /// bit for bit: 1–7 columns (no whole vector), 784 (the FFNN's
+        /// first layer) and any other count up to 800; one to four blocks
+        /// of rows, the last one possibly partial; random weights
+        /// (magnitude 127 forced), random codes (0 and 255 forced), large
+        /// biases of both signs and a random table, through both sinks
+        /// against the `Generic` backend. On an AVX2 host the row kernel
+        /// must run on every table GEMM of eight columns or more, and never
+        /// on the exact product.
+        #[test]
+        fn row_kernel_matches_gemm_core(
+            out_c in 1usize..=12,
+            kind in 0usize..4,
+            cols in 1usize..=800,
+            images in 1usize..=4,
+            rows in 1usize..=4,
+            seed in any::<u64>(),
+        ) {
+            let cols = match kind {
+                0 => cols % 7 + 1,
+                1 => 784,
+                _ => cols,
+            };
+            let mut rng = Rng::seed_from_u64(seed);
+            let (w, lut) = random_gemm(&mut rng, out_c, cols);
+            let total = images * rows;
+            let mut patch: Vec<u8> = (0..total * cols).map(|_| rng.below(256) as u8).collect();
+            patch[rng.index(total * cols)] = 0;
+            patch[rng.index(total * cols)] = 255;
+            let t = lut.table();
+            let address = t.as_ptr() as usize;
+            AVX2_RUNS.lock().unwrap().remove(&(ROW_MAJOR, address));
+            let shape = [images, rows, cols];
+
+            let mut want = vec![0i32; images * out_c * rows];
+            gemm_core::<ROW_MAJOR, _, _>(&w, &patch, shape, |a, b| t[(a as usize) << 8 | b as usize], |i, acc| want[i] = acc);
+            let mut got = vec![0i32; want.len()];
+            let ran = avx2_gemm::<ROW_MAJOR, _>(&w, &patch, shape, Some(t), |i, acc| got[i] = acc);
+            prop_assert_eq!(ran, has_avx2() && cols >= 8);
+            if ran {
+                prop_assert_eq!(&got, &want);
+            }
+            prop_assert!(!avx2_gemm::<ROW_MAJOR, _>(&w, &patch, shape, None, |_, _| ()));
+
+            let (table, generic) = (MulBackend::of(&lut), MulBackend::Generic(&lut));
+            let (mut a, mut b) = (vec![0u8; want.len()], vec![0u8; want.len()]);
+            gemm_requant::<ROW_MAJOR, _>(table, &w, &patch, shape, &mut a);
+            gemm_requant::<ROW_MAJOR, _>(generic, &w, &patch, shape, &mut b);
+            prop_assert_eq!(a, b);
+            let wl = QWeights { requant: None, dequant: 0.37, ..w };
+            let (mut a, mut b) = (vec![0f32; want.len()], vec![0f32; want.len()]);
+            gemm_logits::<ROW_MAJOR, _>(table, &wl, &patch, shape, &mut a);
+            gemm_logits::<ROW_MAJOR, _>(generic, &wl, &patch, shape, &mut b);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&a), bits(&b));
+            prop_assert_eq!(AVX2_RUNS.lock().unwrap().contains(&(ROW_MAJOR, address)), ran);
         }
     }
 

@@ -37,9 +37,11 @@
 //! is what the AVX2 panel kernel loads per gather (see [`crate::exec`]);
 //! on LeNet-5 every panel lies inside one output row, so im2col copies
 //! eight consecutive input pixels at a time. Other conv steps (LeNet-5's
-//! one-row conv3 at four images, every conv on other CPUs) write each
-//! image's row-major patch after the previous one, and dense steps read
-//! their input codes in place, one row per image.
+//! one-row conv3 at one to four images, every conv on other CPUs) write
+//! each image's row-major patch after the previous one, and dense steps
+//! read their input codes in place, one row per image; on an AVX2 CPU a
+//! table GEMM over rows of eight codes or more runs the row kernel, one
+//! gather per eight codes of a row.
 //!
 //! The batch entry points ([`QPlan::forward_batch_indexed`],
 //! [`QPlan::predict_batch_indexed`] and their slice wrappers) also run
@@ -890,24 +892,57 @@ mod tests {
         assert_eq!((d.len(), c), (2, vec![0, 1]));
     }
 
+    /// A kernel's products behind neither a `lut_table` nor the exact
+    /// flag: a `Generic` backend, which always takes `gemm_core`.
+    struct Opaque<'a>(&'a dyn MulKernel);
+    impl MulKernel for Opaque<'_> {
+        fn mul(&self, a: u8, b: u8) -> u16 {
+            self.0.mul(a, b)
+        }
+        fn name(&self) -> &str {
+            "opaque"
+        }
+    }
+
+    /// Asserts that `model`'s logits under `lut` and under the exact
+    /// product equal, bit for bit, those of [`Opaque`] wrappers of both,
+    /// for blocks of each image count in `counts`.
+    fn assert_logits_match_opaque(
+        model: &Sequential,
+        dims: [usize; 3],
+        placement: Placement,
+        lut: &MulLut,
+        counts: &[usize],
+    ) {
+        let calib = calib_images(4, &dims, 71);
+        let qm = QuantModel::from_float(model, &calib, placement).unwrap();
+        let plan = qm.plan(&dims);
+        let images = calib_images(7, &dims, 72);
+        let kernels: [&dyn MulKernel; 4] = [lut, &Opaque(lut), &ExactMul, &Opaque(&ExactMul)];
+        for &n in counts {
+            for (i, row) in plan
+                .forward_batch_with(&images[..n], &kernels)
+                .iter()
+                .enumerate()
+            {
+                let bits: Vec<Vec<u32>> = row
+                    .iter()
+                    .map(|t| t.data().iter().map(|v| v.to_bits()).collect())
+                    .collect();
+                let name = model.name();
+                assert_eq!(bits[0], bits[1], "{name}: {}, image {i} of {n}", lut.name());
+                assert_eq!(bits[2], bits[3], "{name}: exact, image {i} of {n}");
+            }
+        }
+    }
+
     /// The AVX2 panel kernel against `gemm_core`, bit for bit, through
-    /// whole plans: every kernel runs next to an opaque wrapper of itself
-    /// (no `lut_table`, not exact, so a `Generic` backend that always
-    /// takes `gemm_core`). LeNet-5 covers panels inside one output row;
-    /// a stride-2, pad-1 conv with 25 rows per image covers panels that
+    /// whole plans. LeNet-5 covers panels inside one output row; a
+    /// stride-2, pad-1 conv with 25 rows per image covers panels that
     /// straddle output rows and images, and a zero-filled tail. On an
     /// AVX2 host the L40 table must have gone through the panel kernel.
     #[test]
     fn panel_kernel_logits_match_gemm_core() {
-        struct Opaque<'a>(&'a dyn MulKernel);
-        impl MulKernel for Opaque<'_> {
-            fn mul(&self, a: u8, b: u8) -> u16 {
-                self.0.mul(a, b)
-            }
-            fn name(&self) -> &str {
-                "opaque"
-            }
-        }
         let rng = &mut Rng::seed_from_u64(70);
         let strided = Sequential::new(
             "strided",
@@ -922,39 +957,38 @@ mod tests {
         );
         let lenet = zoo::lenet5(rng);
         let l40 = Registry::standard().build_lut("L40").unwrap();
-        let address = l40.table().as_ptr() as usize;
-        exec::PANEL_TABLES.lock().unwrap().remove(&address);
+        let ran = (exec::PANEL, l40.table().as_ptr() as usize);
+        exec::AVX2_RUNS.lock().unwrap().remove(&ran);
         for (model, dims, placement) in [
             (&lenet, [1, 28, 28], Placement::ConvOnly),
             (&strided, [2, 9, 9], Placement::All),
         ] {
-            let calib = calib_images(4, &dims, 71);
-            let qm = QuantModel::from_float(model, &calib, placement).unwrap();
-            let plan = qm.plan(&dims);
-            let images = calib_images(7, &dims, 72);
-            let kernels: [&dyn MulKernel; 4] = [&l40, &Opaque(&l40), &ExactMul, &Opaque(&ExactMul)];
-            for n in [1, 2, 7] {
-                for (i, row) in plan
-                    .forward_batch_with(&images[..n], &kernels)
-                    .iter()
-                    .enumerate()
-                {
-                    let bits: Vec<Vec<u32>> = row
-                        .iter()
-                        .map(|t| t.data().iter().map(|v| v.to_bits()).collect())
-                        .collect();
-                    assert_eq!(bits[0], bits[1], "{}: L40, image {i} of {n}", model.name());
-                    assert_eq!(
-                        bits[2],
-                        bits[3],
-                        "{}: exact, image {i} of {n}",
-                        model.name()
-                    );
-                }
-            }
+            assert_logits_match_opaque(model, dims, placement, &l40, &[1, 2, 7]);
         }
-        let ran = exec::PANEL_TABLES.lock().unwrap().contains(&address);
-        assert_eq!(ran, exec::use_panels(exec::PANEL));
+        let avx2 = exec::use_panels(exec::PANEL);
+        assert_eq!(exec::AVX2_RUNS.lock().unwrap().contains(&ran), avx2);
+    }
+
+    /// The AVX2 row kernel against `gemm_core`, bit for bit, through
+    /// whole plans with approximation in every layer: the FFNN's dense
+    /// layers (784, 300 and 100 columns), and LeNet-5's conv3 (one row per
+    /// image, so 1–4 rows a block) and dense layers, at 1–4 images and
+    /// at 7 (a full block and a 3-image one). On an AVX2 host the L40
+    /// table must have gone through the row kernel.
+    #[test]
+    fn row_kernel_logits_match_gemm_core() {
+        let rng = &mut Rng::seed_from_u64(73);
+        let ffnn = zoo::ffnn(rng);
+        let lenet = zoo::lenet5(rng);
+        let l40 = Registry::standard().build_lut("L40").unwrap();
+        let ran = (exec::ROW_MAJOR, l40.table().as_ptr() as usize);
+        exec::AVX2_RUNS.lock().unwrap().remove(&ran);
+        let counts = [1, 2, 3, 4, 7];
+        for model in [&ffnn, &lenet] {
+            assert_logits_match_opaque(model, [1, 28, 28], Placement::All, &l40, &counts);
+        }
+        let avx2 = exec::use_panels(exec::PANEL);
+        assert_eq!(exec::AVX2_RUNS.lock().unwrap().contains(&ran), avx2);
     }
 
     #[test]

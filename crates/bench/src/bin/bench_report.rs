@@ -82,10 +82,11 @@ const REBUILD_REPS: usize = 15;
 const MIN_LUT_REBUILD: f64 = 545.0;
 /// Kernel calls per timed GEMM measurement.
 const GEMM_ITERS: usize = 200;
-/// Interleaved timings per side of the LUT-GEMM rate rows. Six runs of
-/// the LeNet-5 conv rows as a median of three timings per side put the
-/// block below one-image calls once (ratio 0.79, the others 1.03–1.11);
-/// the best of five interleaved timings read 1.05–1.11.
+/// Interleaved timings per side of the one-image vs block rate rows (the
+/// LUT-GEMM rows and `lenet5-input-grad`). Six runs of the LeNet-5 conv
+/// rows as a median of three timings per side put the block below
+/// one-image calls once (ratio 0.79, the others 1.03–1.11); the best of
+/// five interleaved timings read 1.05–1.11.
 const LUT_REPS: usize = 5;
 /// Evaluation samples of the universal sweep.
 const UNIVERSAL_EVAL: usize = 60;
@@ -112,6 +113,22 @@ fn median(mut times: Vec<f64>) -> f64 {
 /// Median of [`REPS`] wall-clock timings of `f`, in milliseconds.
 fn median_ms<T>(mut f: impl FnMut() -> T) -> f64 {
     median((0..REPS).map(|_| time_ms(&mut f)).collect())
+}
+
+/// The fastest of [`LUT_REPS`] wall-clock timings (ms) of each of `one`
+/// and `block`, both run on `state`. The two sides are timed in turn, so
+/// load that comes and goes on a shared host hits both alike.
+fn best_interleaved_ms<S>(
+    state: &mut S,
+    one: impl Fn(&mut S),
+    block: impl Fn(&mut S),
+) -> (f64, f64) {
+    let (mut one_ms, mut block_ms) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..LUT_REPS {
+        one_ms = one_ms.min(time_ms(|| one(state)));
+        block_ms = block_ms.min(time_ms(|| block(state)));
+    }
+    (one_ms, block_ms)
 }
 
 /// Asserts `scalar` and `batched` agree bit for bit, times both on one
@@ -365,7 +382,8 @@ fn finetune_report() {
 /// each timing repeats the kernel [`GEMM_ITERS`] times, and the MAC
 /// throughput goes to stderr. Then the `ffnn-dense1-300x784-lut` rows:
 /// the same layer's LUT-GEMM rate, one image per call against a 4-image
-/// block. Then the `lenet5-input-grad` rows: the median one-thread time
+/// block, and the `lenet5-conv-lut` rows: the same for LeNet-5's conv
+/// layers. Then the `lenet5-input-grad` rows: the best one-thread time
 /// per image of LeNet-5's input gradient, the crafting hot path, and its
 /// rate in in-range MACs per second, once as one `FPlan::input_gradient`
 /// call per image (`us`, `macs_per_s`) and once as one 4-image block
@@ -488,10 +506,9 @@ fn gemm_report() {
 /// the `L40` LUT, on four random `[1, 28, 28]` images that also calibrate
 /// it: four one-image calls, then one 4-image block, both through
 /// `QPlan::predict_range` (which runs on the calling thread). `macs` is
-/// the LUT MACs per image. The two predictions are asserted equal first.
-/// The two sides are timed in turn, [`LUT_REPS`] times each, and each
-/// side's fastest run is reported: load that comes and goes then hits
-/// both sides alike.
+/// the LUT MACs per image. The two predictions are asserted equal first,
+/// and each side reports its fastest of [`LUT_REPS`] interleaved timings
+/// ([`best_interleaved_ms`]).
 fn lut_rates(model: &Sequential, placement: Placement, macs: usize, seed: u64) -> (f64, f64) {
     let mut rng = Rng::seed_from_u64(seed);
     let images: Vec<Tensor> = (0..4)
@@ -520,18 +537,13 @@ fn lut_rates(model: &Sequential, placement: Placement, macs: usize, seed: u64) -
         "{}: the block diverged from one-image calls",
         model.name()
     );
-    let mut time = |run: &dyn Fn(&mut QScratch) -> Vec<Vec<usize>>| {
-        time_ms(|| {
-            for _ in 0..GEMM_ITERS {
-                std::hint::black_box(run(&mut s));
-            }
-        })
+    let repeat = |run: &dyn Fn(&mut QScratch) -> Vec<Vec<usize>>, s: &mut QScratch| {
+        for _ in 0..GEMM_ITERS {
+            std::hint::black_box(run(s));
+        }
     };
-    let (mut one_image_ms, mut block_ms) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..LUT_REPS {
-        one_image_ms = one_image_ms.min(time(&one_image));
-        block_ms = block_ms.min(time(&block));
-    }
+    let (one_image_ms, block_ms) =
+        best_interleaved_ms(&mut s, |s| repeat(&one_image, s), |s| repeat(&block, s));
     let macs = (images.len() * macs * GEMM_ITERS) as f64;
     (macs / (one_image_ms / 1e3), macs / (block_ms / 1e3))
 }
@@ -557,9 +569,10 @@ fn conv_macs(model: &Sequential) -> usize {
     macs
 }
 
-/// Median one-thread wall times per image of LeNet-5's input gradient
-/// (µs, over [`REPS`] runs of [`GEMM_ITERS`] images): one
-/// `FPlan::input_gradient` call per image, then one 4-image
+/// One-thread wall times per image of LeNet-5's input gradient (µs,
+/// each side the fastest of [`LUT_REPS`] interleaved runs of
+/// [`GEMM_ITERS`] images, see [`best_interleaved_ms`]): one
+/// `FPlan::input_gradient` call per image, and one 4-image
 /// `FPlan::input_gradient_batch_indexed` per block, asserted equal to
 /// the one-image calls first. Also returns the in-range MACs one image
 /// computes: every conv/dense layer's multiply-adds whose input tap lies
@@ -580,11 +593,6 @@ fn input_grad_rates() -> (f64, f64, f64) {
     let x = &block[0];
     let plan = model.plan(x.dims());
     let mut s = plan.scratch();
-    let ms = median_ms(|| {
-        for i in 0..GEMM_ITERS {
-            std::hint::black_box(plan.input_gradient(&mut s, x, i % 10));
-        }
-    });
     let want: Vec<(f32, Tensor)> = (block.iter().enumerate())
         .map(|(i, x)| plan.input_gradient(&mut s, x, i))
         .collect();
@@ -595,11 +603,19 @@ fn input_grad_rates() -> (f64, f64, f64) {
         want,
         "lenet5: the input gradient block diverged from one-image calls"
     );
-    let block_ms = median_ms(|| {
-        for _ in 0..GEMM_ITERS / block.len() {
-            std::hint::black_box(run_block());
-        }
-    });
+    let (ms, block_ms) = best_interleaved_ms(
+        &mut s,
+        |s| {
+            for i in 0..GEMM_ITERS {
+                std::hint::black_box(plan.input_gradient(s, x, i % 10));
+            }
+        },
+        |_| {
+            for _ in 0..GEMM_ITERS / block.len() {
+                std::hint::black_box(run_block());
+            }
+        },
+    );
     std::env::remove_var("AXDNN_THREADS");
     let (inputs, _) = axnn::reference::forward_trace(&model, x);
     let macs: usize = (model.layers().iter().enumerate())

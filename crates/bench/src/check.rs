@@ -580,9 +580,16 @@ const ADAPTIVE_LE_STATIC: Op = LeMetric {
 /// so this ceiling fails a batch that stops blocking.
 const BATCH_NEVER_LOSES: Op = AtMost(-0.1);
 /// A block of images through the LUT GEMM is never slower per MAC than
-/// the same images one call each: on a dense layer the block reads each
-/// weight and LUT row once for four images, and on LeNet-5's conv layers
-/// it runs four images' panels per call and conv3 as one 4-row block.
+/// the same images one call each. Every product is its own gather lane,
+/// so the block no longer reads a LUT row once for four images; what it
+/// shares is the weights and the call. On a dense layer the AVX2 row
+/// kernel loads and widens each group of eight weight magnitudes and
+/// signs once for the block's four rows, whose gathers then run as four
+/// independent chains. On LeNet-5 the block runs four images' conv
+/// panels per call and conv3 as one 4-row block of the row kernel. Both
+/// walk the layers once for four images. Twelve runs on a shared 2-vCPU
+/// host read block/one-image ratios of 1.04–1.21 (dense) and 1.04–1.26
+/// (conv).
 const BLOCK_NEVER_LOSES: Op = LeMetric {
     other: "block_macs_per_s",
     slack: 0.0,
