@@ -20,9 +20,11 @@
 //!
 //! **One craft path.** Each attack defines exactly one block trajectory,
 //! [`Attack::trajectory`], over a [`GradSource`]: anything that answers
-//! `predict` and `input_gradient` for one input shape. The float model's
-//! compiled [`axnn::plan::FPlan`] is one source; a weighted [`Mixture`]
-//! of sources is another. A trajectory crafts a block of up to
+//! `predict` and `input_gradient` for one input shape. The source traits
+//! ([`GradSource`], [`GradHandle`]) and the `FPlan` impl are defined in
+//! [`axnn::source`], below both engines, and re-exported here. The float
+//! model's compiled [`axnn::plan::FPlan`] is one source; a weighted
+//! [`Mixture`] of sources is another. A trajectory crafts a block of up to
 //! [`BLOCK`] images: FGM, BIM and PGD step them in lockstep, so each
 //! step is one [`GradHandle::input_gradient_block`] query (one block
 //! forward and backward on a plan); the decision attacks run their
@@ -70,20 +72,19 @@ pub mod decision;
 pub mod eot;
 pub mod gradient;
 pub mod norms;
-pub mod source;
 pub mod suite;
 pub mod universal;
 
-use std::ops::Range;
-
+#[cfg(doc)]
 use axnn::exec::BLOCK;
+use axnn::source::map_source_blocks;
 use axnn::Sequential;
 use axtensor::Tensor;
-use axutil::{parallel, rng::Rng};
+use axutil::rng::Rng;
 
+pub use axnn::source::{GradHandle, GradSource};
 pub use eot::Mixture;
 pub use norms::Norm;
-pub use source::{GradHandle, GradSource};
 
 /// An adversarial attack: one block trajectory over a gradient source,
 /// with every crafting entry point provided on top of it.
@@ -201,26 +202,6 @@ pub trait Attack: Sync {
             )
         })
     }
-}
-
-/// Runs `per_block` over images `0..n` of `source`, chunked over threads
-/// via [`axutil::parallel::par_map_chunks`] with one
-/// [`GradSource::handle`] per chunk, each chunk walked in blocks of up to
-/// [`BLOCK`] images. `per_block` returns one result per image of its
-/// block; the results come back in image order.
-pub(crate) fn map_source_blocks<T: Send>(
-    source: &dyn GradSource,
-    n: usize,
-    per_block: impl Fn(&mut dyn GradHandle, Range<usize>) -> Vec<T> + Sync,
-) -> Vec<T> {
-    parallel::par_map_chunks(n, |range| {
-        let mut handle = source.handle();
-        let mut out = Vec::with_capacity(range.len());
-        for start in range.clone().step_by(BLOCK) {
-            out.extend(per_block(&mut *handle, start..range.end.min(start + BLOCK)));
-        }
-        out
-    })
 }
 
 /// The checks every batch entry point shares.

@@ -8,9 +8,10 @@
 //! the stochastic-gradient variant of Shafahi's crafter: iterated epochs
 //! of batched input gradients at `clip(x + delta)`, an FGSM-style
 //! sign/l2 ascent step on the *summed* gradient, and a per-epoch
-//! projection of the delta onto the eps-ball — one shared
-//! [`universal_step`], the same delta step the universal adversarial
-//! trainer in `axquant` takes.
+//! projection of the delta onto the eps-ball. Each epoch is one
+//! [`universal_ascent_step`], the same step the universal adversarial
+//! trainer in `axquant` takes per minibatch, so crafting and training
+//! share one ascent.
 //!
 //! The crafter queries any [`GradSource`]: the float surrogate's
 //! compiled plan under the paper's threat model, or a [`crate::Mixture`]
@@ -28,12 +29,12 @@
 //! bit-identical for any `AXDNN_THREADS` setting (pinned by
 //! `tests/prop_universal.rs`).
 
-use axtensor::norms::universal_step;
+use axnn::source::universal_ascent_step;
 use axtensor::Tensor;
 use axutil::rng::Rng;
 
 use crate::norms::{normalized, project_ball, Norm};
-use crate::{map_source_blocks, GradSource};
+use crate::GradSource;
 
 /// Applies a universal delta to one image: `clip(x + delta, 0, 1)`
 /// (re-export of the shared [`axtensor::norms::apply_delta`], under the
@@ -87,8 +88,8 @@ impl UniversalAttack {
     /// Optimizes one shared delta over the whole `(images, labels)` set,
     /// querying `source`.
     ///
-    /// Per epoch: one input-gradient pass at `clip(x + delta)` over every
-    /// image, then one [`universal_step`]: the per-image gradients summed
+    /// Per epoch: one [`universal_ascent_step`], an input-gradient pass at
+    /// `clip(x + delta)` over every image, the per-image gradients summed
     /// in image order, an `alpha` ascent step (Madry's `2.5 * eps /
     /// epochs` step size) and a ball projection. Returns the final delta
     /// (in delta space — apply it with [`apply`]). A zero budget returns
@@ -137,15 +138,11 @@ impl UniversalAttack {
         };
         let alpha = 2.5 * eps / self.epochs as f32;
         for epoch in 0..self.epochs {
-            let perturbed: Vec<Tensor> = images.iter().map(|x| apply(x, &delta)).collect();
+            let examples = images.iter().zip(labels.iter().copied());
             let streams = rng.derive(epoch as u64);
-            let grads = map_source_blocks(source, images.len(), |handle, block| {
-                let mut rngs: Vec<Rng> = block.clone().map(|i| streams.derive(i as u64)).collect();
-                handle.input_gradient_block(&perturbed[block.clone()], &labels[block], &mut rngs)
-            });
-            // The summed set gradient, folded in fixed image order on the
-            // caller thread — the thread-invariance linchpin.
-            universal_step(&mut delta, grads.iter(), alpha, eps, self.norm);
+            universal_ascent_step(
+                source, &mut delta, examples, &streams, alpha, eps, self.norm,
+            );
         }
         delta
     }

@@ -17,6 +17,15 @@
 //!   and the scalar GEMM loops the tiled kernels are pinned to, are kept,
 //!   hidden, as `axnn::reference`: the path the proptests pin the engine
 //!   to, bit for bit.
+//! * [`source`] — the gradient-source contract every attacker and
+//!   hardening loop queries: [`source::GradSource`] (compiled for one
+//!   input shape) and its per-thread [`source::GradHandle`], implemented
+//!   for [`plan::FPlan`]; the chunked block walk over a source
+//!   ([`source::map_source_blocks`]); and the one universal-perturbation
+//!   ascent step ([`source::universal_ascent_step`]) that `axattack`'s
+//!   universal crafter and `axquant`'s universal adversarial trainer both
+//!   take. It lives here, below both engines, so the quantized engine can
+//!   implement it too.
 //! * [`loss`] — numerically stable softmax cross-entropy.
 //! * [`model`] — [`model::Sequential`] composition, prediction
 //!   and accuracy evaluation.
@@ -64,6 +73,7 @@ pub mod plan;
 #[doc(hidden)]
 pub mod reference;
 pub mod serialize;
+pub mod source;
 pub mod train;
 pub mod zoo;
 

@@ -13,22 +13,23 @@
 //! calibration pass in the workspace runs here, bit-compatible with the
 //! seed layer-by-layer loop that `axnn::reference` keeps for the tests
 //! (see [`crate::exec`] for the accumulation-order argument). The batch
-//! entry points ([`FPlan::input_gradient_batch_indexed`],
-//! [`FPlan::count_correct`], [`FPlan::loss_and_param_grads_batch`]) run
-//! `N` images per pass, chunked over threads via
-//! [`axutil::parallel::par_map_chunks`] with one scratch per chunk;
-//! [`FPlan::layer_max_abs`], the calibration pass of post-training
-//! quantization, walks its images on the caller's thread. Each chunk
-//! runs in blocks of up to four images: the scratch's tape holds a
-//! block, the forward runs once per block with
-//! the images as the rows of every dense layer's GEMM
-//! ([`exec::dense_forward_rows`]) and of a conv covering its whole input
-//! ([`exec::conv_forward_rows`]), and the backward walks the block down
-//! the tape once, interleaving the images only inside a conv's input
-//! gradient ([`exec::conv_input_grad`]). [`FPlan::input_gradient_block`]
-//! answers an attack's lockstep query the same way on a caller's
-//! scratch. The one-image entry points ([`FPlan::forward`],
-//! [`FPlan::input_gradient`]) are blocks of one.
+//! entry points ([`FPlan::count_correct`],
+//! [`FPlan::loss_and_param_grads_batch`]) run `N` images per pass,
+//! chunked over threads via [`axutil::parallel::par_map_chunks`] with
+//! one scratch per chunk; [`FPlan::layer_max_abs`], the calibration pass
+//! of post-training quantization, walks its images on the caller's
+//! thread. Each chunk runs in blocks of up to four images: the scratch's
+//! tape holds a block, the forward runs once per block with the images
+//! as the rows of every dense layer's GEMM ([`exec::dense_forward_rows`])
+//! and of a conv covering its whole input ([`exec::conv_forward_rows`]),
+//! and the backward walks the block down the tape once, interleaving the
+//! images only inside a conv's input gradient
+//! ([`exec::conv_input_grad`]). [`FPlan::input_gradient_block`] answers
+//! an attack's lockstep query the same way on a caller's scratch; a
+//! set's input gradients run through the plan's
+//! [`crate::source::GradSource`] handles, one per thread chunk
+//! ([`crate::source::map_source_blocks`]). The one-image entry points
+//! ([`FPlan::forward`], [`FPlan::input_gradient`]) are blocks of one.
 //!
 //! Training rides the same engine through
 //! [`FPlan::loss_and_param_grads_batch`], in two passes. The image pass
@@ -651,29 +652,6 @@ impl<'m> FPlan<'m> {
         }
     }
 
-    /// Input gradients for `n` images in parallel image chunks with one
-    /// scratch per chunk, one forward and one backward walk per block of
-    /// images. `image(i)` / `label(i)` supply the examples;
-    /// returns one `(loss, gradient)` pair per image, in index order and
-    /// bit-identical to per-image [`FPlan::input_gradient`] calls
-    /// regardless of how the work is chunked.
-    pub fn input_gradient_batch_indexed<'a, F, G>(
-        &self,
-        n: usize,
-        image: F,
-        label: G,
-    ) -> Vec<(f32, Tensor)>
-    where
-        F: Fn(usize) -> &'a Tensor + Sync,
-        G: Fn(usize) -> usize + Sync,
-    {
-        parallel::par_map_chunks(n, |range| {
-            self.map_blocks(&mut self.scratch(), range, &image, |s, block| {
-                self.block_input_gradients(s, &block.map(&label).collect::<Vec<_>>())
-            })
-        })
-    }
-
     /// Correct-prediction count over `n` examples in parallel image
     /// chunks with one scratch per chunk, one forward per block of images
     /// — the core behind [`Sequential::accuracy`].
@@ -791,6 +769,7 @@ fn grad_sides(grad: &mut [Vec<f32>; 2], side: usize) -> (&Vec<f32>, &mut Vec<f32
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::source::map_source_blocks;
     use crate::{reference, zoo};
     use axutil::rng::Rng;
 
@@ -882,14 +861,31 @@ mod tests {
 
     #[test]
     fn batched_input_gradients_match_scalar() {
+        // A set's input gradients through the plan's gradient source (one
+        // handle per thread chunk, one block query per block) against
+        // one-image calls, at every chunking.
         let model = zoo::ffnn(&mut Rng::seed_from_u64(31));
-        let images: Vec<Tensor> = (0..7).map(|i| rand_image(&[1, 28, 28], 40 + i)).collect();
-        let labels: Vec<usize> = (0..7).map(|i| (i as usize * 3) % 10).collect();
+        let images: Vec<Tensor> = (0..9).map(|i| rand_image(&[1, 28, 28], 40 + i)).collect();
+        let labels: Vec<usize> = (0..9).map(|i| (i as usize * 3) % 10).collect();
         let plan = model.plan(&[1, 28, 28]);
         let mut s = plan.scratch();
-        let batch = plan.input_gradient_batch_indexed(images.len(), |i| &images[i], |i| labels[i]);
-        for (i, (img, &lbl)) in images.iter().zip(&labels).enumerate() {
-            assert_eq!(batch[i], plan.input_gradient(&mut s, img, lbl), "image {i}");
+        let want: Vec<Tensor> = (images.iter().zip(&labels))
+            .map(|(img, &lbl)| plan.input_gradient(&mut s, img, lbl).1)
+            .collect();
+        let prev = std::env::var("AXDNN_THREADS").ok();
+        for threads in ["1", "2", "3", "7"] {
+            std::env::set_var("AXDNN_THREADS", threads);
+            for n in [1, 2, 3, 4, 5, 7, 9] {
+                let got = map_source_blocks(&plan, n, |handle, block| {
+                    let mut rngs = vec![Rng::seed_from_u64(0); block.len()];
+                    handle.input_gradient_block(&images[block.clone()], &labels[block], &mut rngs)
+                });
+                assert_eq!(got, want[..n], "n {n} threads {threads}");
+            }
+        }
+        match prev {
+            Some(v) => std::env::set_var("AXDNN_THREADS", v),
+            None => std::env::remove_var("AXDNN_THREADS"),
         }
     }
 

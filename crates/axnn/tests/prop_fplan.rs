@@ -12,7 +12,10 @@ use std::sync::Mutex;
 
 use axnn::model::Sequential;
 use axnn::reference;
+use axnn::source::map_source_blocks;
+use axnn::FPlan;
 use axtensor::Tensor;
+use axutil::rng::Rng;
 use proptest::prelude::*;
 
 mod common;
@@ -30,12 +33,24 @@ fn bits(t: &Tensor) -> Vec<u32> {
     t.data().iter().map(|v| v.to_bits()).collect()
 }
 
+/// Every probe's input gradient through the plan's gradient source, as
+/// crafting queries it: one handle per thread chunk, one
+/// `input_gradient_block` per block of images.
+fn source_gradients(plan: &FPlan<'_>, probes: &[Tensor], labels: &[usize]) -> Vec<Vec<u32>> {
+    let grads = map_source_blocks(plan, probes.len(), |handle, block| {
+        let mut rngs = vec![Rng::seed_from_u64(0); block.len()];
+        handle.input_gradient_block(&probes[block.clone()], &labels[block], &mut rngs)
+    });
+    grads.iter().map(bits).collect()
+}
+
 /// Checks one model against the seed paths over a probe set. Returns an
 /// error message on the first mismatch.
 fn check_engine(model: &Sequential, probes: &[Tensor]) -> Result<(), String> {
     let plan = model.plan(&IN_DIMS);
     let mut scratch = plan.scratch();
-    let batch = plan.input_gradient_batch_indexed(probes.len(), |i| &probes[i], |i| i % 4);
+    let labels: Vec<usize> = (0..probes.len()).map(|i| i % 4).collect();
+    let batch = source_gradients(&plan, probes, &labels);
     for (pi, x) in probes.iter().enumerate() {
         let target = pi % 4;
         let y = plan.forward(&mut scratch, x);
@@ -55,9 +70,9 @@ fn check_engine(model: &Sequential, probes: &[Tensor]) -> Result<(), String> {
                 model.name()
             ));
         }
-        if (batch[pi].0.to_bits(), bits(&batch[pi].1)) != (loss.to_bits(), bits(&grad)) {
+        if batch[pi] != bits(&grad) {
             return Err(format!(
-                "batch gradient diverges on {} probe {pi}",
+                "source gradient diverges on {} probe {pi}",
                 model.name()
             ));
         }
@@ -102,9 +117,10 @@ fn fplan_matches_seed_on_every_architecture() {
 /// The block paths against one image per call, for every batch size in
 /// [`BATCH_SIZES`] and every `AXDNN_THREADS` chunking: `count_correct`
 /// counts every image right under labels set to the one-image
-/// predictions, `input_gradient_batch_indexed` and the one-scratch
-/// `input_gradient_block` return every image's `input_gradient` bit for
-/// bit, and `loss_and_param_grads_batch` is the fold of per-image
+/// predictions, the plan's gradient source (`map_source_blocks`, one
+/// handle per chunk) and the one-scratch `input_gradient_block` return
+/// every image's `input_gradient` bit for bit, and
+/// `loss_and_param_grads_batch` is the fold of per-image
 /// `loss_and_grads`. On every fixture shape: the conv ones interleave
 /// the block inside every non-covering conv's input gradient, and
 /// LeNet's shape runs its covering conv image by image above a block
@@ -137,11 +153,13 @@ fn image_blocks_match_one_image_calls_at_every_boundary() {
                 let at = format!("{} n {n} threads {threads}", model.name());
                 let correct = plan.count_correct(n, |i| &probes[i], |i| preds[i]);
                 assert_eq!(correct, n, "count_correct: {at}");
-                let grads = plan.input_gradient_batch_indexed(n, |i| &probes[i], |i| labels[i]);
-                let got: Vec<(u32, Vec<u32>)> = (grads.iter())
-                    .map(|(l, g)| (l.to_bits(), bits(g)))
-                    .collect();
-                assert_eq!(got, want_grads[..n], "input gradients: {at}");
+                let got = source_gradients(&plan, &probes[..n], &labels[..n]);
+                let want: Vec<&Vec<u32>> = want_grads[..n].iter().map(|(_, g)| g).collect();
+                assert_eq!(
+                    got.iter().collect::<Vec<_>>(),
+                    want,
+                    "source gradients: {at}"
+                );
                 let block = plan.input_gradient_block(&mut s, &probes[..n], &labels[..n]);
                 let got: Vec<(u32, Vec<u32>)> = (block.iter())
                     .map(|(l, g)| (l.to_bits(), bits(g)))

@@ -24,9 +24,8 @@
 //! one scratch per chunk, not per image, and each chunk runs block by
 //! block ([`QPlan::predict_range`]): every layer's GEMM sees the block's
 //! images as extra rows, so a dense layer reads each weight's magnitude,
-//! sign and LUT row once per block. [`QPlan::forward_one`] and
-//! [`QPlan::forward_multi`] are blocks of one: there is one quantized
-//! forward.
+//! sign and LUT row once per block. [`QPlan::forward_one`] is a block of
+//! one: there is one quantized forward.
 //!
 //! On an AVX2 CPU, a conv step whose block has at least eight GEMM rows
 //! gets a *panel-major* im2col patch. The block's GEMM rows (output
@@ -53,8 +52,8 @@
 //! its column is copied back to every member. Kernels behind a plain
 //! trait call (`Generic` backends) always run. A stuck-at fault campaign,
 //! whose sampled faults can leave the read rows intact, scores fewer
-//! columns this way; [`QPlan::predict_range`], the per-chunk runner a
-//! server drives, runs every kernel it is given.
+//! columns this way; [`QPlan::predict_range`], the public per-chunk
+//! runner, runs every kernel it is given.
 //!
 //! ```
 //! use axmul::{ExactMul, MulLut};
@@ -339,32 +338,13 @@ impl<'m> QPlan<'m> {
         x: &Tensor,
         kernel: &K,
     ) -> Tensor {
-        self.forward_multi(scratch, x, &[kernel])
-            .pop()
-            .expect("one kernel, one logits tensor")
-    }
-
-    /// Runs one image through `M` kernels, sharing activations (and the
-    /// first approximated layer's im2col patches) up to the point where
-    /// the kernels diverge: a block of one. Returns one logits tensor per
-    /// kernel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kernels` is empty, exceeds the scratch lane count, or
-    /// `x` does not match the planned input shape.
-    pub fn forward_multi<K: MulKernel + ?Sized>(
-        &self,
-        scratch: &mut QScratch,
-        x: &Tensor,
-        kernels: &[&K],
-    ) -> Vec<Tensor> {
         let nc = self.n_classes;
-        self.map_range(scratch, 0..1, &|_| x, kernels, |logits| {
+        let mut rows = self.map_range(scratch, 0..1, &|_| x, &[kernel], |logits| {
             Tensor::from_vec(logits.to_vec(), &[nc])
-        })
-        .pop()
-        .expect("one image, one row")
+        });
+        rows.pop()
+            .and_then(|mut row| row.pop())
+            .expect("one image, one kernel")
     }
 
     /// Runs images `block` (at most [`exec::BLOCK`] of them) through

@@ -9,9 +9,12 @@
 //! against the accurate float surrogate, never the victim AxDNN's
 //! internals), then descends the shadow weights through the
 //! [`QTrainPlan`] straight-through estimator on the batch perturbed by
-//! the freshly updated delta. The delta moves by
-//! [`universal_step`], the same step the `axattack` universal crafter
-//! takes, so training and attack share one ball geometry.
+//! the freshly updated delta. The ascent is one
+//! [`universal_ascent_step`] on the shadow's plan, compiled per
+//! minibatch since the shadow moves every step and passed as a
+//! [`axnn::source::GradSource`]: the step the `axattack` universal
+//! crafter takes per epoch, so training and attack share one ascent and
+//! one ball geometry.
 //!
 //! This is the crate's only hardening loop: [`finetune`] is
 //! [`universal_adversarial_fit`] with a zero ball.
@@ -19,14 +22,15 @@
 //! # Determinism and thread invariance
 //!
 //! Both gradient paths fold per-image results in fixed left-to-right
-//! image order: input gradients from the float shadow's plan
-//! ([`axnn::FPlan::input_gradient_batch_indexed`], compiled per batch
-//! since the shadow moves every step) summed on the caller thread, STE
-//! parameter gradients via
-//! [`QTrainPlan::loss_and_param_grads_batch`]. History, shadow weights,
-//! the returned [`QuantModel`] and the delta are bit-identical for any
-//! `AXDNN_THREADS` setting (pinned against a test-side reference loop by
-//! `tests/prop_universal_train.rs`).
+//! image order: the ascent step sums the shadow's input gradients on the
+//! caller thread, and [`QTrainPlan::loss_and_param_grads_batch`] folds
+//! the STE parameter gradients. Image `k` of minibatch `b` in epoch `e`
+//! queries the source under the stream
+//! `Rng::seed_from_u64(cfg.base.seed).derive(e).derive(b).derive(k)`;
+//! the float shadow reads none, so today's deltas depend on no stream.
+//! History, shadow weights, the returned [`QuantModel`] and the delta
+//! are bit-identical for any `AXDNN_THREADS` setting (pinned against a
+//! test-side reference loop by `tests/prop_universal_train.rs`).
 //!
 //! # The zero ball
 //!
@@ -38,8 +42,10 @@ use axdata::Dataset;
 use axmul::MulKernel;
 use axnn::model::Sequential;
 use axnn::optim::Sgd;
-use axtensor::norms::{apply_delta, universal_step, Norm};
+use axnn::source::universal_ascent_step;
+use axtensor::norms::{apply_delta, Norm};
 use axtensor::Tensor;
+use axutil::rng::Rng;
 use axutil::AxError;
 
 use crate::qmodel::QuantModel;
@@ -113,8 +119,8 @@ fn universal_accuracy<K: MulKernel + ?Sized>(
 /// The shadow is quantized once up front (the PTQ baseline); then per
 /// epoch the current shadow weights compile into a fresh [`QTrainPlan`]
 /// and, per shuffled minibatch: (1) if `eps > 0`, one batched
-/// float-shadow input-gradient pass at `clip(x + delta)` and one
-/// [`universal_step`] of length `eps * delta_step`; (2) one STE weight
+/// [`universal_ascent_step`] of length `eps * delta_step` on the float
+/// shadow's input gradients at `clip(x + delta)`; (2) one STE weight
 /// step ([`Sgd::step_scaled`], fused `1/n` mean scaling) on the batch
 /// perturbed by the updated delta. After the epoch the shadow is
 /// requantized ([`QuantModel::from_float_with_level`], activation scales
@@ -170,26 +176,19 @@ pub fn universal_adversarial_fit<K: MulKernel + ?Sized>(
             // only read at compile time, so the optimizer can mutate it
             // batch by batch while the plan is alive.
             let plan = QTrainPlan::compile(&qm, shadow, &in_dims);
-            for batch in &batches {
+            for (b, batch) in batches.iter().enumerate() {
                 let n = batch.len();
-                let perturb = |delta: &Tensor| -> Vec<Tensor> {
-                    batch
-                        .iter()
-                        .map(|&i| apply_delta(data.image(i), delta))
-                        .collect()
-                };
                 if cfg.eps > 0.0 {
                     // Ascent on the float shadow: the adversary's view of
-                    // the victim, per the paper's threat model.
-                    let perturbed = perturb(&delta);
-                    let grads = shadow.plan(&in_dims).input_gradient_batch_indexed(
-                        n,
-                        |k| &perturbed[k],
-                        |k| data.label(batch[k]),
-                    );
-                    universal_step(
+                    // the victim, per the paper's threat model. Its handle
+                    // reads none of the per-image streams (module docs).
+                    universal_ascent_step(
+                        &shadow.plan(&in_dims),
                         &mut delta,
-                        grads.iter().map(|(_, g)| g),
+                        batch.iter().map(|&i| (data.image(i), data.label(i))),
+                        &Rng::seed_from_u64(base.seed)
+                            .derive(epoch as u64)
+                            .derive(b as u64),
                         alpha,
                         cfg.eps,
                         cfg.norm,
@@ -205,7 +204,10 @@ pub fn universal_adversarial_fit<K: MulKernel + ?Sized>(
                         kernel,
                     )
                 } else {
-                    let perturbed = perturb(&delta);
+                    let perturbed: Vec<Tensor> = batch
+                        .iter()
+                        .map(|&i| apply_delta(data.image(i), &delta))
+                        .collect();
                     plan.loss_and_param_grads_batch(
                         n,
                         |k| &perturbed[k],
@@ -255,7 +257,6 @@ mod tests {
     use axmul::ExactMul;
     use axnn::layer::{Dense, Layer};
     use axnn::train::{fit, TrainConfig};
-    use axutil::rng::Rng;
 
     /// A tiny 4-class dataset in the pixel box with a planted class cue.
     fn tiny_dataset(n: usize, seed: u64) -> Dataset {

@@ -5,9 +5,10 @@
 //! pinned against [`reference_fit`], a test-side loop written longhand
 //! from public pieces only: quantization
 //! ([`QuantModel::from_float_with_level`]), the STE parameter gradient
-//! ([`QTrainPlan::loss_and_param_grads_batch`]), the float input gradient
-//! ([`axnn::FPlan::input_gradient_batch_indexed`]), [`Sgd::step_scaled`] and
-//! the ball geometry of [`axtensor::norms`].
+//! ([`QTrainPlan::loss_and_param_grads_batch`]), one-image float input
+//! gradients ([`axnn::FPlan::input_gradient`], one call per image, so the
+//! reference shares no batch or source code with the trainer's ascent),
+//! [`Sgd::step_scaled`] and the ball geometry of [`axtensor::norms`].
 //!
 //! Three contracts:
 //!
@@ -167,13 +168,9 @@ fn reference_fit<K: MulKernel + ?Sized>(
                     .collect();
                 let mut g = Tensor::zeros(&IN_DIMS);
                 let plan = shadow.plan(&IN_DIMS);
-                let grads = plan.input_gradient_batch_indexed(
-                    batch.len(),
-                    |k| &perturbed[k],
-                    |k| labels[k],
-                );
-                for (_, gi) in grads {
-                    g.add_scaled(&gi, 1.0);
+                let mut scratch = plan.scratch();
+                for (x, &label) in perturbed.iter().zip(&labels) {
+                    g.add_scaled(&plan.input_gradient(&mut scratch, x, label).1, 1.0);
                 }
                 delta.add_scaled(&ascent_direction(&g, cfg.norm), cfg.eps * cfg.delta_step);
                 delta = project_ball(&delta, cfg.eps, cfg.norm);
@@ -225,28 +222,34 @@ fn for_each_thread_count(mut check: impl FnMut(&str)) {
 }
 
 /// The quantized universal trainer must reproduce the reference loop bit
-/// for bit for every thread chunking, across topologies and an
-/// approximate kernel.
+/// for bit for every thread chunking, across topologies, both ball norms
+/// and an approximate kernel. The l2 step reads every bit of the summed
+/// gradient, so it also pins the order of the ascent's fold.
 #[test]
 fn universal_fit_is_bit_identical_across_thread_counts() {
     let data = tiny_dataset(24, 177);
     let calib = calib_of(&data, 6);
     let lut = Registry::standard().build_lut("L40").unwrap();
-    let cfg = quick_cfg(0.06);
-    for arch in 0..ARCHS {
-        let seed = 200 + arch as u64;
-        let want = reference_fit(&mut small_model(arch, seed), &data, &calib, &lut, &cfg);
-        assert!(want.delta.iter().any(|&b| f32::from_bits(b) != 0.0));
-        for_each_thread_count(|threads| {
-            let mut shadow = small_model(arch, seed);
-            let (hist, qm, delta) =
-                universal_adversarial_fit(&mut shadow, &data, &calib, &lut, &cfg).unwrap();
-            let got = run_bits(&hist.base, &hist.universal_accuracies, &shadow, &qm, &delta);
-            assert_eq!(
-                got, want,
-                "universal fit diverges from the reference at {threads} threads (arch {arch})"
-            );
-        });
+    for (norm, eps) in [(Norm::Linf, 0.06), (Norm::L2, 0.5)] {
+        let cfg = UniversalFinetuneConfig {
+            norm,
+            ..quick_cfg(eps)
+        };
+        for arch in 0..ARCHS {
+            let seed = 200 + arch as u64;
+            let want = reference_fit(&mut small_model(arch, seed), &data, &calib, &lut, &cfg);
+            assert!(want.delta.iter().any(|&b| f32::from_bits(b) != 0.0));
+            for_each_thread_count(|threads| {
+                let mut shadow = small_model(arch, seed);
+                let (hist, qm, delta) =
+                    universal_adversarial_fit(&mut shadow, &data, &calib, &lut, &cfg).unwrap();
+                let got = run_bits(&hist.base, &hist.universal_accuracies, &shadow, &qm, &delta);
+                assert_eq!(
+                    got, want,
+                    "universal fit diverges from the reference at {threads} threads ({norm}, arch {arch})"
+                );
+            });
+        }
     }
 }
 

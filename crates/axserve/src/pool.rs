@@ -1,20 +1,16 @@
-//! The shared plan/scratch pool: multi-tenant (multi-model) batched
-//! execution solved once, for the server and the offline sweeps alike.
+//! The server's plan/scratch pool: multi-tenant (multi-model) execution
+//! state.
 //!
-//! A [`PlanPool`] hosts any number of [`QuantModel`]s — owned
-//! (`PlanPool<QuantModel>`, as the server uses it) or borrowed
-//! (`PlanPool<&QuantModel>`, as `axrobust::transfer` uses it) — and
-//! hands out execution state keyed by `(model, input shape, lane
-//! count)`:
+//! A [`PlanPool`] owns any number of [`QuantModel`]s and hands out
+//! execution state keyed by `(model, input shape)`:
 //!
 //! * the **plan** ([`QPlan`]) is compiled on demand — it is shape
 //!   arithmetic over a handful of layers, documented cheap, and borrows
 //!   the model, so caching it would only buy a self-referential struct;
-//! * the **scratch** ([`QScratch`]) is the real allocation (im2col patch
-//!   plus the per-lane activation tape of one image block) and *is*
-//!   pooled: a
-//!   checked-in scratch is reused by the next caller with the same key
-//!   instead of reallocated.
+//! * the **scratch** ([`QScratch`], one kernel lane) is the real
+//!   allocation (im2col patch plus the activation tape of one image
+//!   block) and *is* pooled: a checked-in scratch is reused by the next
+//!   caller with the same key instead of reallocated.
 //!
 //! The pool is `Sync`: concurrent callers check out distinct scratches
 //! (the freelist grows to the observed concurrency, then stabilizes).
@@ -25,10 +21,7 @@
 use std::collections::HashMap;
 use std::sync::Mutex;
 
-use axmul::MulKernel;
 use axquant::{QPlan, QScratch, QuantModel};
-use axtensor::Tensor;
-use axutil::parallel;
 
 /// Index of a model hosted by a [`PlanPool`]. Obtained from
 /// [`PlanPool::insert`] or [`PlanPool::id_of`].
@@ -39,21 +32,16 @@ pub struct ModelId(pub(crate) usize);
 struct ScratchKey {
     model: usize,
     shape: Vec<usize>,
-    lanes: usize,
 }
 
 /// A pool of hosted models with reusable execution scratch.
-///
-/// Generic over how models are held: `M` can be `QuantModel` (owned),
-/// `&QuantModel` (borrowed for the lifetime of a sweep), or any other
-/// [`std::borrow::Borrow<QuantModel>`] such as `Arc<QuantModel>`.
 #[derive(Debug)]
-pub struct PlanPool<M> {
-    models: Vec<(String, M)>,
+pub struct PlanPool {
+    models: Vec<(String, QuantModel)>,
     scratches: Mutex<HashMap<ScratchKey, Vec<QScratch>>>,
 }
 
-impl<M: std::borrow::Borrow<QuantModel>> PlanPool<M> {
+impl PlanPool {
     /// An empty pool.
     pub fn new() -> Self {
         PlanPool {
@@ -68,7 +56,7 @@ impl<M: std::borrow::Borrow<QuantModel>> PlanPool<M> {
     ///
     /// Panics if `name` is already hosted — silent shadowing would make
     /// request routing ambiguous.
-    pub fn insert(&mut self, name: impl Into<String>, model: M) -> ModelId {
+    pub fn insert(&mut self, name: impl Into<String>, model: QuantModel) -> ModelId {
         let name = name.into();
         assert!(
             self.models.iter().all(|(n, _)| *n != name),
@@ -89,7 +77,7 @@ impl<M: std::borrow::Borrow<QuantModel>> PlanPool<M> {
     ///
     /// Panics if `id` did not come from this pool.
     pub fn model(&self, id: ModelId) -> &QuantModel {
-        self.models[id.0].1.borrow()
+        &self.models[id.0].1
     }
 
     /// The name a model was hosted under.
@@ -111,9 +99,9 @@ impl<M: std::borrow::Borrow<QuantModel>> PlanPool<M> {
         self.models.is_empty()
     }
 
-    /// Compiles the plan for `(id, shape)`, checks out a pooled scratch
-    /// with `lanes` kernel lanes (reusing a previous one when available),
-    /// runs `f`, and checks the scratch back in.
+    /// Compiles the plan for `(id, shape)`, checks out a pooled
+    /// one-kernel scratch (reusing a previous one when available), runs
+    /// `f`, and checks the scratch back in.
     ///
     /// If `f` panics the scratch is dropped during unwind and the pool
     /// stays consistent (the freelist lock is never held while `f`
@@ -127,20 +115,18 @@ impl<M: std::borrow::Borrow<QuantModel>> PlanPool<M> {
         &self,
         id: ModelId,
         shape: &[usize],
-        lanes: usize,
         f: impl FnOnce(&QPlan<'_>, &mut QScratch) -> R,
     ) -> R {
         let plan = self.model(id).plan(shape);
         let key = ScratchKey {
             model: id.0,
             shape: shape.to_vec(),
-            lanes,
         };
         let mut scratch = {
             let mut map = self.scratches.lock().expect("scratch freelist");
             map.get_mut(&key).and_then(Vec::pop)
         }
-        .unwrap_or_else(|| plan.scratch_for(lanes));
+        .unwrap_or_else(|| plan.scratch_for(1));
         let out = f(&plan, &mut scratch);
         self.scratches
             .lock()
@@ -149,36 +135,6 @@ impl<M: std::borrow::Borrow<QuantModel>> PlanPool<M> {
             .or_default()
             .push(scratch);
         out
-    }
-
-    /// Batched multi-kernel prediction through the pool: the pooled
-    /// equivalent of [`QPlan::predict_batch_indexed`], splitting images
-    /// over threads in contiguous chunks, each run by
-    /// [`QPlan::predict_range`] on one pooled scratch. Returns `[image][kernel]` predicted classes, bit-identical
-    /// to the offline plan API for any thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kernels` is empty or an image does not match `shape`.
-    pub fn predict_batch_indexed<'a, K, F>(
-        &self,
-        id: ModelId,
-        shape: &[usize],
-        kernels: &[&K],
-        n: usize,
-        image: F,
-    ) -> Vec<Vec<usize>>
-    where
-        M: Sync,
-        K: MulKernel + ?Sized,
-        F: Fn(usize) -> &'a Tensor + Sync,
-    {
-        assert!(!kernels.is_empty(), "need at least one kernel");
-        parallel::par_map_chunks(n, |range| {
-            self.with_plan(id, shape, kernels.len(), |plan, scratch| {
-                plan.predict_range(scratch, range, &image, kernels)
-            })
-        })
     }
 
     /// Number of idle scratches currently pooled (all keys). Test and
@@ -193,7 +149,7 @@ impl<M: std::borrow::Borrow<QuantModel>> PlanPool<M> {
     }
 }
 
-impl<M: std::borrow::Borrow<QuantModel>> Default for PlanPool<M> {
+impl Default for PlanPool {
     fn default() -> Self {
         Self::new()
     }
@@ -205,6 +161,7 @@ mod tests {
     use axmul::ExactMul;
     use axnn::zoo;
     use axquant::Placement;
+    use axtensor::Tensor;
     use axutil::rng::Rng;
 
     fn qmodel(seed: u64) -> QuantModel {
@@ -231,21 +188,23 @@ mod tests {
     }
 
     #[test]
-    fn pooled_predictions_match_offline_plan() {
-        let qa = qmodel(1);
-        let qb = qmodel(2);
-        let mut pool: PlanPool<&QuantModel> = PlanPool::new();
-        let a = pool.insert("a", &qa);
-        let b = pool.insert("b", &qb);
-        let imgs = images(7, 3);
-        let kernels: [&ExactMul; 1] = [&ExactMul];
-        for (id, qm) in [(a, &qa), (b, &qb)] {
-            let got =
-                pool.predict_batch_indexed(id, &[1, 28, 28], &kernels, imgs.len(), |i| &imgs[i]);
-            let plan = qm.plan(&[1, 28, 28]);
-            let want = plan.predict_batch_with(&imgs, &kernels);
-            assert_eq!(got, want);
+    fn scratches_are_reused_not_regrown() {
+        let mut pool = PlanPool::new();
+        let a = pool.insert("a", qmodel(5));
+        let b = pool.insert("b", qmodel(6));
+        let img = &images(1, 6)[0];
+        for _ in 0..5 {
+            pool.with_plan(a, &[1, 28, 28], |plan, scratch| {
+                plan.forward_one(scratch, img, &ExactMul)
+            });
         }
+        // Serial reuse: exactly one scratch ever allocated for this key.
+        assert_eq!(pool.idle_scratches(), 1);
+        // A different model is a different key.
+        pool.with_plan(b, &[1, 28, 28], |plan, scratch| {
+            plan.forward_one(scratch, img, &ExactMul)
+        });
+        assert_eq!(pool.idle_scratches(), 2);
         assert_eq!(pool.id_of("a"), Some(a));
         assert_eq!(pool.id_of("missing"), None);
         assert_eq!(pool.name(b), "b");
@@ -254,37 +213,16 @@ mod tests {
     }
 
     #[test]
-    fn scratches_are_reused_not_regrown() {
-        let qm = qmodel(5);
-        let mut pool: PlanPool<&QuantModel> = PlanPool::new();
-        let id = pool.insert("m", &qm);
-        let img = &images(1, 6)[0];
-        for _ in 0..5 {
-            pool.with_plan(id, &[1, 28, 28], 1, |plan, scratch| {
-                plan.forward_one(scratch, img, &ExactMul)
-            });
-        }
-        // Serial reuse: exactly one scratch ever allocated for this key.
-        assert_eq!(pool.idle_scratches(), 1);
-        // A different lane count is a different key.
-        pool.with_plan(id, &[1, 28, 28], 2, |plan, scratch| {
-            plan.forward_multi(scratch, img, &[&ExactMul, &ExactMul])
-        });
-        assert_eq!(pool.idle_scratches(), 2);
-    }
-
-    #[test]
     fn panicking_closure_does_not_poison_the_pool() {
-        let qm = qmodel(7);
-        let mut pool: PlanPool<&QuantModel> = PlanPool::new();
-        let id = pool.insert("m", &qm);
+        let mut pool = PlanPool::new();
+        let id = pool.insert("m", qmodel(7));
         let img = &images(1, 8)[0];
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.with_plan(id, &[1, 28, 28], 1, |_, _| panic!("poisoned request"))
+            pool.with_plan(id, &[1, 28, 28], |_, _| panic!("poisoned request"))
         }));
         assert!(caught.is_err());
         // The pool still works; the panicked checkout was dropped.
-        let logits = pool.with_plan(id, &[1, 28, 28], 1, |plan, scratch| {
+        let logits = pool.with_plan(id, &[1, 28, 28], |plan, scratch| {
             plan.forward_one(scratch, img, &ExactMul)
         });
         assert_eq!(logits.len(), 10);
@@ -294,9 +232,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "already hosted")]
     fn duplicate_names_are_rejected() {
-        let qm = qmodel(9);
-        let mut pool: PlanPool<&QuantModel> = PlanPool::new();
-        pool.insert("m", &qm);
-        pool.insert("m", &qm);
+        let mut pool = PlanPool::new();
+        pool.insert("m", qmodel(9));
+        pool.insert("m", qmodel(9));
     }
 }

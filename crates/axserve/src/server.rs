@@ -170,7 +170,7 @@ struct DegradeState {
 }
 
 struct Inner {
-    pool: PlanPool<QuantModel>,
+    pool: PlanPool,
     kernels: Vec<(String, KernelKind)>,
     config: ServerConfig,
     stats: StatsInner,
@@ -248,7 +248,7 @@ impl Inner {
 /// Builds a [`Server`]: host models, host kernels, then
 /// [`serve`](ServerBuilder::serve).
 pub struct ServerBuilder {
-    pool: PlanPool<QuantModel>,
+    pool: PlanPool,
     kernels: Vec<(String, KernelKind)>,
 }
 
@@ -706,7 +706,7 @@ fn execute_isolated(
     }
 
     let result = catch_unwind(AssertUnwindSafe(|| {
-        inner.pool.with_plan(model, shape, 1, |plan, scratch| {
+        inner.pool.with_plan(model, shape, |plan, scratch| {
             live.iter()
                 .map(|job| {
                     match job.request.hook {

@@ -49,6 +49,7 @@ use axdata::mnist::{MnistConfig, SynthMnist};
 use axdata::Dataset;
 use axmul::Registry;
 use axnn::layer::{Dense, Layer};
+use axnn::source::map_source_blocks;
 use axnn::train::{fit, TrainConfig};
 use axnn::zoo;
 use axnn::Sequential;
@@ -572,12 +573,13 @@ fn conv_macs(model: &Sequential) -> usize {
 /// One-thread wall times per image of LeNet-5's input gradient (µs,
 /// each side the fastest of [`LUT_REPS`] interleaved runs of
 /// [`GEMM_ITERS`] images, see [`best_interleaved_ms`]): one
-/// `FPlan::input_gradient` call per image, and one 4-image
-/// `FPlan::input_gradient_batch_indexed` per block, asserted equal to
-/// the one-image calls first. Also returns the in-range MACs one image
-/// computes: every conv/dense layer's multiply-adds whose input tap lies
-/// inside the input, once forward and once for the input gradient
-/// (563,280 on LeNet-5).
+/// `FPlan::input_gradient` call per image, and one 4-image block
+/// through the plan's gradient source per block (`map_source_blocks`:
+/// one handle, one `input_gradient_block` query, the path crafting
+/// runs), asserted equal to the one-image calls first. Also returns the
+/// in-range MACs one image computes: every conv/dense layer's
+/// multiply-adds whose input tap lies inside the input, once forward and
+/// once for the input gradient (563,280 on LeNet-5).
 fn input_grad_rates() -> (f64, f64, f64) {
     use axnn::Layer;
 
@@ -593,11 +595,19 @@ fn input_grad_rates() -> (f64, f64, f64) {
     let x = &block[0];
     let plan = model.plan(x.dims());
     let mut s = plan.scratch();
-    let want: Vec<(f32, Tensor)> = (block.iter().enumerate())
-        .map(|(i, x)| plan.input_gradient(&mut s, x, i))
+    let labels: Vec<usize> = (0..block.len()).collect();
+    let want: Vec<Tensor> = (block.iter().zip(&labels))
+        .map(|(x, &label)| plan.input_gradient(&mut s, x, label).1)
         .collect();
     std::env::set_var("AXDNN_THREADS", "1");
-    let run_block = || plan.input_gradient_batch_indexed(block.len(), |i| &block[i], |i| i);
+    // The path crafting runs: one handle (one scratch) per call, one
+    // block query.
+    let run_block = || {
+        map_source_blocks(&plan, block.len(), |handle, r| {
+            let mut rngs = vec![Rng::seed_from_u64(0); r.len()];
+            handle.input_gradient_block(&block[r.clone()], &labels[r], &mut rngs)
+        })
+    };
     assert_eq!(
         run_block(),
         want,

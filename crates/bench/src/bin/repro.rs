@@ -90,7 +90,14 @@ fn fig1() -> String {
     let ffnn = store.ffnn_mnist().expect("ffnn");
     let lenet = store.lenet5_mnist().expect("lenet");
     let panels = bench::timed("fig1", || {
-        run_fig1(&ffnn, &lenet, store.mnist_test(), &opts).expect("fig1")
+        run_fig1(
+            &ffnn,
+            &lenet,
+            store.mnist_train(),
+            store.mnist_test(),
+            &opts,
+        )
+        .expect("fig1")
     });
     let titles = [
         "(a) FFNN, PGD-linf",
@@ -159,13 +166,15 @@ fn table2() -> String {
     let alx_mnist = store.alexnet_mnist32().expect("alx-mnist32");
     let l5_cifar = store.lenet5_cifar().expect("l5-cifar");
     let alx_cifar = store.alexnet_cifar().expect("alx-cifar");
-    let (_, mnist32_test) = store.mnist32();
+    let (mnist32_train, mnist32_test) = store.mnist32();
     let models = Table2Models {
         l5_mnist: &l5_mnist,
         alx_mnist: &alx_mnist,
         l5_cifar: &l5_cifar,
         alx_cifar: &alx_cifar,
+        mnist32_train: &mnist32_train,
         mnist32_test: &mnist32_test,
+        cifar_train: store.cifar_train(),
         cifar_test: store.cifar_test(),
     };
     let (mnist, cifar) = bench::timed("table2", || run_table2(&models, &opts).expect("table2"));

@@ -266,7 +266,9 @@ pub fn run_fig8(
 /// Fig 1: the motivational case study. Four panels, each comparing the
 /// accurate and one approximate part: FFNN (signed pair 1JFF/L1G, paper's
 /// `AccSign`/`AxL1G`) and LeNet-5 (unsigned pair 1JFF/17KS,
-/// `AccUnSign`/`Ax17KS`) under PGD-linf and CR-l2.
+/// `AccUnSign`/`Ax17KS`) under PGD-linf and CR-l2. Both victims
+/// calibrate on `calib` (the training set, like the Figs 4–8 victims)
+/// and are scored on `data`.
 ///
 /// # Errors
 ///
@@ -274,6 +276,7 @@ pub fn run_fig8(
 pub fn run_fig1(
     ffnn: &Sequential,
     lenet: &Sequential,
+    calib: &Dataset,
     data: &Dataset,
     opts: &FigureOpts,
 ) -> Result<Vec<RobustnessGrid>, AxError> {
@@ -281,8 +284,8 @@ pub fn run_fig1(
     // The FFNN has no conv layers: approximate its dense layers (the
     // signed multiplier study of Fig 1 applies approximation to the
     // whole inference engine).
-    let q_ffnn = quantize_victim(ffnn, data, Placement::All)?;
-    let q_lenet = quantize_victim(lenet, data, Placement::ConvOnly)?;
+    let q_ffnn = quantize_victim(ffnn, calib, Placement::All)?;
+    let q_lenet = quantize_victim(lenet, calib, Placement::ConvOnly)?;
     let (acc_s, ax_s) = Registry::fig1_signed_pair();
     let ffnn_mults = MulColumns::from_pairs(vec![
         (
@@ -334,8 +337,12 @@ pub struct Table2Models<'a> {
     pub l5_cifar: &'a Sequential,
     /// AlexNet-mini (3-channel) trained on CIFAR.
     pub alx_cifar: &'a Sequential,
+    /// Padded MNIST training set: the MNIST victims' calibration set.
+    pub mnist32_train: &'a Dataset,
     /// Padded MNIST test set.
     pub mnist32_test: &'a Dataset,
+    /// CIFAR training set: the CIFAR victims' calibration set.
+    pub cifar_train: &'a Dataset,
     /// CIFAR test set.
     pub cifar_test: &'a Dataset,
 }
@@ -368,10 +375,10 @@ fn transfer_tables(
     let mnist_lut = columns.payload(0);
     let cifar_lut = columns.payload(1);
 
-    let q_l5_m = quantize_victim(models.l5_mnist, models.mnist32_test, Placement::ConvOnly)?;
-    let q_alx_m = quantize_victim(models.alx_mnist, models.mnist32_test, Placement::ConvOnly)?;
-    let q_l5_c = quantize_victim(models.l5_cifar, models.cifar_test, Placement::ConvOnly)?;
-    let q_alx_c = quantize_victim(models.alx_cifar, models.cifar_test, Placement::ConvOnly)?;
+    let q_l5_m = quantize_victim(models.l5_mnist, models.mnist32_train, Placement::ConvOnly)?;
+    let q_alx_m = quantize_victim(models.alx_mnist, models.mnist32_train, Placement::ConvOnly)?;
+    let q_l5_c = quantize_victim(models.l5_cifar, models.cifar_train, Placement::ConvOnly)?;
+    let q_alx_c = quantize_victim(models.alx_cifar, models.cifar_train, Placement::ConvOnly)?;
 
     let mnist = transferability(
         &[
@@ -520,8 +527,10 @@ mod tests {
         assert_eq!(study.eps, opts.eps_grid);
     }
 
-    #[test]
-    fn fig1_produces_four_two_column_panels() {
+    /// Fig 1's inputs: a briefly trained FFNN, an untrained LeNet (which
+    /// keeps the tests fast; Fig 1 semantics only need the pipeline to
+    /// run end to end), their train/test sets and a two-eps grid.
+    fn fig1_fixture() -> (Sequential, Sequential, Dataset, Dataset, FigureOpts) {
         let train = SynthMnist::generate(&MnistConfig {
             n: 300,
             seed: 61,
@@ -533,15 +542,19 @@ mod tests {
             ..Default::default()
         });
         let ffnn = quick_ffnn(&train);
-        // An untrained LeNet keeps this test fast; Fig 1 semantics only
-        // need the pipeline to run end to end here.
         let lenet = zoo::lenet5(&mut Rng::seed_from_u64(5));
         let opts = FigureOpts {
-            n_eval: 10,
+            n_eval: test.len(),
             seed: 3,
             eps_grid: vec![0.0, 0.1],
         };
-        let panels = run_fig1(&ffnn, &lenet, &test, &opts).unwrap();
+        (ffnn, lenet, train, test, opts)
+    }
+
+    #[test]
+    fn fig1_produces_four_two_column_panels() {
+        let (ffnn, lenet, train, test, opts) = fig1_fixture();
+        let panels = run_fig1(&ffnn, &lenet, &train, &test, &opts).unwrap();
         assert_eq!(panels.len(), 4);
         for p in &panels {
             assert_eq!(p.mults().len(), 2);
@@ -549,6 +562,29 @@ mod tests {
         }
         assert!(panels[0].mults()[0].starts_with("AccSign"));
         assert!(panels[1].mults()[1].starts_with("Ax"));
+    }
+
+    #[test]
+    fn fig1_victims_calibrate_on_the_training_set() {
+        // Every panel's eps-0 row is the clean test accuracy of a victim
+        // calibrated on the training set, as in Figs 4-8, not on the
+        // images it is scored on.
+        let (ffnn, lenet, train, test, opts) = fig1_fixture();
+        let panels = run_fig1(&ffnn, &lenet, &train, &test, &opts).unwrap();
+        let reg = Registry::standard();
+        let q_ffnn = quantize_victim(&ffnn, &train, Placement::All).unwrap();
+        let q_lenet = quantize_victim(&lenet, &train, Placement::ConvOnly).unwrap();
+        let (acc_s, ax_s) = Registry::fig1_signed_pair();
+        let (acc_u, ax_u) = Registry::fig1_unsigned_pair();
+        let victims = [(&q_ffnn, [acc_s, ax_s]), (&q_lenet, [acc_u, ax_u])];
+        for (p, panel) in panels.iter().enumerate() {
+            let (q, names) = victims[p % 2];
+            for (m, name) in names.iter().enumerate() {
+                let lut = reg.build_lut(name).unwrap();
+                let want = q.accuracy_with(&test, &lut, opts.n_eval);
+                assert_eq!(panel.accuracy(0, m), want, "panel {p}, {name}");
+            }
+        }
     }
 
     #[test]

@@ -11,10 +11,9 @@ use axdata::Dataset;
 use axmul::MulLut;
 use axnn::Sequential;
 use axquant::QuantModel;
-use axserve::{ModelId, PlanPool};
 use axtensor::Tensor;
 
-use crate::eval::craft_adversarial_set;
+use crate::eval::{adversarial_accuracy, craft_adversarial_set};
 
 /// One source model for the study.
 #[derive(Debug)]
@@ -100,15 +99,13 @@ impl TransferTable {
 /// model over the *same* examples. Crafting (batched per set) only
 /// depends on the source model and the victim's dataset, so victims
 /// sharing a test set — the paper's Table II layout — share one crafted
-/// set per source instead of re-crafting per cell.
+/// set per source instead of re-crafting per cell. Each cell is scored
+/// by [`QuantModel::accuracy_with`] (clean) and
+/// [`adversarial_accuracy`] (crafted).
 ///
-/// Victim evaluation runs through a shared multi-tenant
-/// [`axserve::PlanPool`]: every distinct victim model is hosted once
-/// (victims may alias the same [`QuantModel`] under different
-/// multipliers) and all clean/adversarial passes check execution scratch
-/// out of the pool instead of reallocating per cell — the same pool type
-/// the serving engine batches over. Results are bit-identical to the
-/// direct [`QuantModel::accuracy_with`] path.
+/// # Panics
+///
+/// Panics if a victim's dataset is empty.
 pub fn transferability(
     sources: &[TransferSource<'_>],
     victims: &[TransferVictim<'_>],
@@ -117,43 +114,15 @@ pub fn transferability(
     n_examples: usize,
     seed: u64,
 ) -> TransferTable {
-    // Host each distinct victim model once, keyed by identity (names in
-    // the table may repeat a model with a different multiplier).
-    let mut pool: PlanPool<&QuantModel> = PlanPool::new();
-    let mut hosted: Vec<(*const QuantModel, ModelId)> = Vec::new();
-    let victim_ids: Vec<ModelId> = victims
-        .iter()
-        .map(|v| {
-            let key = v.qmodel as *const QuantModel;
-            match hosted.iter().find(|(k, _)| *k == key) {
-                Some((_, id)) => *id,
-                None => {
-                    let id = pool.insert(format!("victim-{}", hosted.len()), v.qmodel);
-                    hosted.push((key, id));
-                    id
-                }
-            }
-        })
-        .collect();
-
     let mut cells = Vec::with_capacity(sources.len());
     for source in sources {
         // Crafted sets for this source, keyed by victim dataset identity.
         let mut crafted: Vec<(*const Dataset, Vec<(Tensor, usize)>)> = Vec::new();
         let mut row = Vec::with_capacity(victims.len());
-        for (victim, &id) in victims.iter().zip(&victim_ids) {
+        for victim in victims {
             let n = n_examples.min(victim.data.len());
             assert!(n > 0, "transferability needs a non-empty victim dataset");
-            let shape = victim.data.image(0).dims().to_vec();
-            let kernels = [victim.mult];
-            let clean =
-                pool.predict_batch_indexed(id, &shape, &kernels, n, |i| victim.data.image(i));
-            let correct = clean
-                .iter()
-                .enumerate()
-                .filter(|(i, preds)| preds[0] == victim.data.label(*i))
-                .count();
-            let before = correct as f32 / n as f32;
+            let before = victim.qmodel.accuracy_with(victim.data, victim.mult, n);
 
             let key = victim.data as *const Dataset;
             let idx = match crafted.iter().position(|(k, _)| *k == key) {
@@ -165,19 +134,7 @@ pub fn transferability(
                     crafted.len() - 1
                 }
             };
-            let advs = &crafted[idx].1;
-            let after = if advs.is_empty() {
-                0.0
-            } else {
-                let preds =
-                    pool.predict_batch_indexed(id, &shape, &kernels, advs.len(), |i| &advs[i].0);
-                let correct = preds
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, p)| p[0] == advs[*i].1)
-                    .count();
-                correct as f32 / advs.len() as f32
-            };
+            let after = adversarial_accuracy(victim.qmodel, victim.mult, &crafted[idx].1);
             row.push(TransferCell { before, after });
         }
         cells.push(row);
@@ -251,9 +208,8 @@ mod tests {
 
     #[test]
     fn pooled_routing_matches_direct_evaluation() {
-        // The PlanPool routing is a resource optimization, not a
-        // numerics change: the table must equal what the direct
-        // accuracy_with / adversarial_accuracy path computes.
+        // Each cell means the victim's accuracy_with on the clean set and
+        // its adversarial_accuracy on the set crafted on the source.
         let train = SynthMnist::generate(&MnistConfig {
             n: 200,
             seed: 51,
@@ -287,7 +243,7 @@ mod tests {
             model: &model,
         }];
         // Two victims aliasing ONE quantized model with different
-        // multipliers — the pool hosts the model once.
+        // multipliers.
         let victims: Vec<TransferVictim<'_>> = luts
             .iter()
             .enumerate()
