@@ -27,12 +27,12 @@ use axutil::rng::Rng;
 use crate::{GradHandle, GradSource};
 
 /// A weighted mixture of gradient sources: each gradient query draws
-/// `samples` members with probability proportional to their weights and
-/// averages their input gradients.
+/// `samples` members with probability proportional to their weights
+/// ([`Rng::weighted_index`], the draw the defender's `KernelPolicy`
+/// makes) and averages their input gradients.
 pub struct Mixture<'a> {
     members: Vec<&'a dyn GradSource>,
     weights: Vec<f32>,
-    total: f32,
     samples: usize,
 }
 
@@ -63,40 +63,16 @@ impl<'a> Mixture<'a> {
             weights.iter().all(|w| w.is_finite() && *w >= 0.0),
             "EOT weights must be finite and non-negative: {weights:?}"
         );
-        let total: f32 = weights.iter().sum();
         assert!(
-            total > 0.0,
+            weights.iter().sum::<f32>() > 0.0,
             "EOT weights must carry positive total probability mass"
         );
         assert!(samples > 0, "EOT needs at least one sample per query");
         Mixture {
             members,
             weights,
-            total,
             samples,
         }
-    }
-
-    /// The member whose cumulative-mass interval contains `u * total`
-    /// (`u` uniform in `[0, 1)`), skipping zero-weight members. Mirrors
-    /// `KernelPolicy::sample` in `axquant` so the attacker draws from the
-    /// same distribution the defender samples.
-    fn draw(&self, u: f32) -> usize {
-        let target = u * self.total;
-        let mut acc = 0.0f32;
-        let mut last = 0;
-        for (k, &w) in self.weights.iter().enumerate() {
-            if w > 0.0 {
-                last = k;
-                acc += w;
-                if target < acc {
-                    return k;
-                }
-            }
-        }
-        // Round-off can leave `target == total`; the last positive-mass
-        // member absorbs it.
-        last
     }
 }
 
@@ -139,7 +115,7 @@ impl GradHandle for MixtureHandle<'_> {
 
     fn input_gradient(&mut self, x: &Tensor, label: usize, rng: &mut Rng) -> Tensor {
         let m = self.mixture;
-        let k = m.draw(rng.next_f32());
+        let k = rng.weighted_index(&m.weights);
         let mut grad = self.handles[k].input_gradient(x, label, rng);
         if m.samples == 1 {
             // A single draw is used as-is, which is what makes the
@@ -147,7 +123,7 @@ impl GradHandle for MixtureHandle<'_> {
             return grad;
         }
         for _ in 1..m.samples {
-            let k = m.draw(rng.next_f32());
+            let k = rng.weighted_index(&m.weights);
             grad.add_scaled(&self.handles[k].input_gradient(x, label, rng), 1.0);
         }
         grad.scaled(1.0 / m.samples as f32)

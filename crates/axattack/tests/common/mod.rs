@@ -1,20 +1,15 @@
 //! Shared fixtures for the axattack property suites (`prop_craft_batch`,
 //! `prop_universal`): one random-model factory and a matching image
-//! generator, and the `AXDNN_THREADS` sweep with the lock that
-//! serializes it.
-
-use std::sync::Mutex;
+//! generator, and the `AXDNN_THREADS` sweep.
 
 use axnn::layer::{AvgPool2d, Conv2d, Dense, Layer};
 use axnn::model::Sequential;
 use axtensor::Tensor;
+use axutil::parallel::with_threads;
 use axutil::rng::Rng;
 
-/// Serializes tests that read or write `AXDNN_THREADS`.
-pub static ENV_LOCK: Mutex<()> = Mutex::new(());
-
 /// The thread counts every batch is crafted under.
-const THREADS: [&str; 4] = ["1", "2", "3", "7"];
+const THREADS: [usize; 4] = [1, 2, 3, 7];
 
 /// The input shape every fixture model accepts.
 pub const IN_DIMS: [usize; 3] = [1, 8, 8];
@@ -66,19 +61,10 @@ pub fn images(n: usize, seed: u64) -> Vec<Tensor> {
         .collect()
 }
 
-/// Runs `f(threads)` under every [`THREADS`] count, stopping at the
-/// first error, then restores `AXDNN_THREADS`; callers hold
-/// [`ENV_LOCK`].
-pub fn under_threads(f: impl FnMut(&str) -> Result<(), String>) -> Result<(), String> {
-    let prev = std::env::var("AXDNN_THREADS").ok();
-    let mut f = f;
-    let result = THREADS.into_iter().try_for_each(|threads| {
-        std::env::set_var("AXDNN_THREADS", threads);
-        f(threads)
-    });
-    match prev {
-        Some(v) => std::env::set_var("AXDNN_THREADS", v),
-        None => std::env::remove_var("AXDNN_THREADS"),
-    }
-    result
+/// Runs `f(threads)` under every [`THREADS`] count, each pinned with
+/// [`with_threads`], stopping at the first error.
+pub fn under_threads(mut f: impl FnMut(usize) -> Result<(), String>) -> Result<(), String> {
+    THREADS
+        .into_iter()
+        .try_for_each(|threads| with_threads(threads, || f(threads)))
 }

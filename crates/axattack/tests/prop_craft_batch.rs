@@ -15,8 +15,8 @@
 //! image lands in.
 //!
 //! Chunking is controlled through the `AXDNN_THREADS` environment
-//! variable, so every test that crafts batches serializes on [`ENV_LOCK`]
-//! to keep the sweep race-free within this test binary.
+//! variable; each sweep pins it with `axutil::parallel::with_threads`,
+//! which serializes the sweeps within this test binary.
 
 use axattack::decision::{ContrastReduction, RepeatedAdditiveGaussian, RepeatedAdditiveUniform};
 use axattack::gradient::{Bim, Fgm, Pgd};
@@ -30,7 +30,7 @@ use axutil::rng::Rng;
 use proptest::prelude::*;
 
 mod common;
-use common::{images, small_model, under_threads, ENV_LOCK, IN_DIMS};
+use common::{images, small_model, under_threads, IN_DIMS};
 
 /// Set sizes around the 4-image blocks: partial blocks, one full block,
 /// and one and two full blocks with a remainder.
@@ -208,8 +208,7 @@ fn repeated_noise(
 
 /// Crafts `imgs` with `attack` under every [`THREADS`] count, and each
 /// image alone through `Attack::craft`, and compares all of it with the
-/// seed reference of `(id, steps)`. Restores `AXDNN_THREADS`; callers
-/// hold [`ENV_LOCK`].
+/// seed reference of `(id, steps)`.
 #[allow(clippy::too_many_arguments)]
 fn check(
     id: AttackId,
@@ -266,7 +265,6 @@ proptest! {
         arch in 0usize..3,
         eps_step in 1u32..=8,
     ) {
-        let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let model = small_model(arch, seed);
         let imgs = images(5, seed ^ 0x1111);
         let labels: Vec<usize> = (0..imgs.len()).map(|i| i % 4).collect();
@@ -286,7 +284,6 @@ proptest! {
         arch in 0usize..3,
         eps_step in 1u32..=8,
     ) {
-        let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let model = small_model(arch, seed);
         let imgs = images(5, seed ^ 0xDEC1);
         // Label each image with its own prediction so RAG/RAU actually
@@ -306,7 +303,6 @@ proptest! {
 /// A fixed conv+pool case with more images than the widest chunking.
 #[test]
 fn craft_batch_is_chunking_invariant() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let model = small_model(2, 4242);
     let imgs = images(7, 77);
     let labels: Vec<usize> = (0..imgs.len()).map(|i| (i * 3) % 4).collect();
@@ -330,7 +326,6 @@ fn craft_batch_is_chunking_invariant() {
 /// different number of draws per image.
 #[test]
 fn decision_craft_batch_is_chunking_invariant() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let model = small_model(1, 1717);
     let imgs = images(7, 18);
     let labels: Vec<usize> = imgs.iter().map(|x| model.predict(x)).collect();
@@ -354,7 +349,6 @@ fn decision_craft_batch_is_chunking_invariant() {
 /// boxed) follow the same per-image stream contract.
 #[test]
 fn default_craft_batch_uses_per_image_streams() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let model = small_model(0, 31);
     let imgs = images(4, 32);
     let labels: Vec<usize> = imgs.iter().map(|x| model.predict(x)).collect();
@@ -379,7 +373,6 @@ fn default_craft_batch_uses_per_image_streams() {
 /// a partial block, must still craft each image exactly like the seed.
 #[test]
 fn craft_batch_is_bit_exact_at_block_boundaries() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     for arch in [1, 2] {
         let model = small_model(arch, 0xB10C + arch as u64);
         let imgs = images(9, 0xB10C);
@@ -405,7 +398,6 @@ fn craft_batch_is_bit_exact_at_block_boundaries() {
 /// per-image `input_gradient_block`, which this pins.
 #[test]
 fn mixture_craft_batch_is_bit_exact_at_block_boundaries() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let models = [small_model(1, 61), small_model(2, 62)];
     let plans = [models[0].plan(&IN_DIMS), models[1].plan(&IN_DIMS)];
     let mixture = Mixture::new(vec![&plans[0], &plans[1]], vec![1.0, 2.0], 2);

@@ -6,7 +6,9 @@
 //!    `AXDNN_THREADS` setting (the epoch gradients come from per-chunk
 //!    source handles, folded in fixed image order on the caller thread),
 //!    on a plan and on a randomized 2-sample [`Mixture`]; a 1-member,
-//!    1-sample mixture crafts bitwise the plain plan's delta.
+//!    1-sample mixture crafts bitwise the plain plan's delta, and a
+//!    2-image mixture delta matches a longhand reference that draws each
+//!    image's members from its own stream.
 //! 2. **Ball exactness** — the returned delta respects the eps budget and
 //!    is a fixed point of [`project_ball`] (bitwise for linf, to rounding
 //!    for l2).
@@ -17,7 +19,8 @@
 //!    is rejected loudly.
 //!
 //! Chunking is controlled through the `AXDNN_THREADS` environment
-//! variable, so thread-sweeping tests serialize on [`ENV_LOCK`].
+//! variable; each sweep pins it with `axutil::parallel::with_threads`,
+//! which serializes the sweeps within this test binary.
 
 use axattack::norms::{ascent_direction, project_ball, Norm};
 use axattack::universal::{apply, craft_universal, UniversalAttack};
@@ -28,10 +31,10 @@ use axutil::rng::Rng;
 use proptest::prelude::*;
 
 mod common;
-use common::{images, small_model, under_threads, ENV_LOCK, IN_DIMS};
+use common::{images, small_model, under_threads, IN_DIMS};
 
 /// `attack`'s delta on `source`, required bit-identical under every
-/// `AXDNN_THREADS` chunking; callers hold [`ENV_LOCK`].
+/// `AXDNN_THREADS` chunking.
 fn craft_under_threads(
     attack: &UniversalAttack,
     source: &dyn GradSource,
@@ -56,7 +59,6 @@ fn craft_under_threads(
 /// bitwise the plain plan's delta.
 #[test]
 fn craft_universal_is_chunking_invariant() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     for arch in 0..3usize {
         let model = small_model(arch, 900 + arch as u64);
         let plan = model.plan(&IN_DIMS);
@@ -82,7 +84,6 @@ fn craft_universal_is_chunking_invariant() {
 /// every chunking — and does depend on the seed.
 #[test]
 fn mixture_delta_is_chunking_invariant() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let models = [small_model(1, 931), small_model(2, 932)];
     let plans = [models[0].plan(&IN_DIMS), models[1].plan(&IN_DIMS)];
     let mixture = Mixture::new(vec![&plans[0], &plans[1]], vec![1.0, 2.0], 2);
@@ -93,6 +94,51 @@ fn mixture_delta_is_chunking_invariant() {
         let a = craft_under_threads(&attack, &mixture, &imgs, &labels, &format!("{norm}"));
         let b = attack.craft_universal(&mixture, &imgs, &labels, 0.12, &mut Rng::seed_from_u64(7));
         assert_ne!(a, b, "{norm}: the mixture's draws must follow the stream");
+    }
+}
+
+/// The mixture crafter against a longhand reference: a 2-sample mixture
+/// of a conv and a conv+pool model weighted 1:2, on two images. In epoch
+/// `e`, image `i` draws both samples from its own stream
+/// `rng.derive(e).derive(i)` (`u · 3 < 1` picks the first member), each
+/// gradient comes from the seed layer loop, and the two images' averaged
+/// gradients are summed in image order. A crafter that hands a block's
+/// images one shared stream draws the same members for both and fails.
+#[test]
+fn mixture_delta_matches_a_per_image_stream_reference() {
+    let models = [small_model(1, 941), small_model(2, 942)];
+    let plans = [models[0].plan(&IN_DIMS), models[1].plan(&IN_DIMS)];
+    let mixture = Mixture::new(vec![&plans[0], &plans[1]], vec![1.0, 2.0], 2);
+    let gradient = |x: &Tensor, label, rng: &mut Rng| {
+        let pick = |rng: &mut Rng| &models[usize::from(rng.next_f32() * 3.0 >= 1.0)];
+        let mut grad = reference::backward(pick(rng), x, label, None).1;
+        grad.add_scaled(&reference::backward(pick(rng), x, label, None).1, 1.0);
+        grad.scaled(0.5)
+    };
+    let imgs = images(2, 943);
+    let labels = [1usize, 3];
+    let (eps, epochs) = (0.12f32, 4);
+    let alpha = 2.5 * eps / epochs as f32;
+    for norm in [Norm::Linf, Norm::L2] {
+        let rng = Rng::seed_from_u64(944);
+        let got = UniversalAttack::new(norm)
+            .with_epochs(epochs)
+            .craft_universal(&mixture, &imgs, &labels, eps, &mut rng.clone());
+        let mut delta = Tensor::zeros(&IN_DIMS);
+        for e in 0..epochs {
+            let streams = rng.derive(e as u64);
+            let mut g = Tensor::zeros(&IN_DIMS);
+            for (i, (x, &label)) in imgs.iter().zip(&labels).enumerate() {
+                let rng = &mut streams.derive(i as u64);
+                g.add_scaled(&gradient(&apply(x, &delta), label, rng), 1.0);
+            }
+            delta.add_scaled(&ascent_direction(&g, norm), alpha);
+            delta = project_ball(&delta, eps, norm);
+        }
+        assert_eq!(
+            got, delta,
+            "{norm}: mixture delta != per-image stream reference"
+        );
     }
 }
 
@@ -109,7 +155,6 @@ proptest! {
         arch in 0usize..3,
         eps_step in 1u32..=6,
     ) {
-        let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let model = small_model(arch, seed);
         let imgs = images(5, seed ^ 0x2222);
         let labels: Vec<usize> = (0..imgs.len()).map(|i| i % 4).collect();
@@ -149,7 +194,6 @@ proptest! {
         seed in proptest::strategy::any::<u64>(),
         arch in 0usize..3,
     ) {
-        let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let model = small_model(arch, seed ^ 0x77);
         let image = images(1, seed ^ 0x3333).pop().unwrap();
         let label = (seed % 4) as usize;

@@ -36,7 +36,9 @@ pub struct ErrorMetrics {
 
 impl ErrorMetrics {
     /// Computes metrics for an exhaustive `w x w` multiplier table indexed
-    /// by `(b << w) | a`.
+    /// by `(b << w) | a` or by `(a << w) | b`: either operand order gives
+    /// bit-identical metrics, since the exact product is symmetric and
+    /// every sum is of integers below 2^53, so exact in any order.
     ///
     /// # Panics
     ///

@@ -137,11 +137,6 @@ pub fn half_adder(nl: &mut Netlist, a: NodeId, b: NodeId) -> (NodeId, NodeId) {
     (sum, cout)
 }
 
-/// Emits an exact full adder: `sum = a ^ b ^ cin`, `cout = maj(a, b, cin)`.
-pub fn full_adder(nl: &mut Netlist, a: NodeId, b: NodeId, cin: NodeId) -> (NodeId, NodeId) {
-    ApproxCell::Exact.emit(nl, a, b, cin)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

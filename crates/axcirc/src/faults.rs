@@ -279,22 +279,10 @@ impl Netlist {
     /// Panics if `input_words.len() != num_inputs` or a fault targets a
     /// node this netlist does not have.
     pub fn eval_words_with_faults(&self, input_words: &[u64], faults: &FaultSet) -> Vec<u64> {
-        let mut scratch = Vec::new();
-        self.eval_words_into_with_faults(input_words, &mut scratch, faults);
-        self.outputs().iter().map(|o| scratch[o.index()]).collect()
-    }
-
-    /// Like [`eval_words_with_faults`](Netlist::eval_words_with_faults)
-    /// but reuses a scratch buffer and leaves all (faulted) node values
-    /// in it.
-    pub fn eval_words_into_with_faults(
-        &self,
-        input_words: &[u64],
-        scratch: &mut Vec<u64>,
-        faults: &FaultSet,
-    ) {
         faults.check_against(self);
-        self.eval_words_into_forced(input_words, scratch, &faults.forced_words());
+        let mut scratch = Vec::new();
+        self.eval_words_into_forced(input_words, &mut scratch, &faults.forced_words());
+        self.outputs().iter().map(|o| scratch[o.index()]).collect()
     }
 
     /// Single-vector faulted evaluation with the packed-bits convention

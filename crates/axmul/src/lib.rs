@@ -62,7 +62,7 @@ pub mod spec;
 pub use columns::{Columns, MulColumns, NetColumns};
 pub use faulted::FaultedMul;
 pub use kernel::{ExactMul, MulBackend, MulKernel};
-pub use lut::{transpose_table, MulLut};
+pub use lut::MulLut;
 pub use registry::Registry;
 pub use signed::SignedMul;
 pub use spec::{Family, MulSpec};

@@ -10,29 +10,6 @@ use axcirc::{FaultSet, Netlist};
 
 use crate::kernel::MulKernel;
 
-/// Swaps the operand order of a 64Ki multiplier table: entry
-/// `(a << 8) | b` of the result is entry `(b << 8) | a` of `src`.
-///
-/// This is the one re-indexing primitive between the `(a, b)` layout used
-/// by [`MulLut`] and the `(b, a)` layout produced by
-/// [`Netlist::exhaustive_u16`] and consumed by
-/// [`axcirc::ErrorMetrics::from_mul_table`]. It is an involution:
-/// transposing twice returns the original table.
-///
-/// # Panics
-///
-/// Panics if `src` does not have exactly `2^16` entries.
-pub fn transpose_table(src: &[u16]) -> Vec<u16> {
-    assert_eq!(src.len(), 1 << 16, "expected a 64Ki 8x8 multiplier table");
-    let mut out = vec![0u16; 1 << 16];
-    for a in 0..=255usize {
-        for b in 0..=255usize {
-            out[(a << 8) | b] = src[(b << 8) | a];
-        }
-    }
-    out
-}
-
 /// A 64Ki-entry unsigned 8x8 multiplier table, indexed by `(a << 8) | b`.
 #[derive(Clone, PartialEq, Eq)]
 pub struct MulLut {
@@ -91,12 +68,6 @@ impl MulLut {
     pub fn table(&self) -> &[u16] {
         &self.table
     }
-
-    /// Re-indexes into the `(b << 8) | a` layout used by
-    /// [`axcirc::ErrorMetrics::from_mul_table`].
-    pub fn to_ba_table(&self) -> Vec<u16> {
-        transpose_table(&self.table)
-    }
 }
 
 impl MulKernel for MulLut {
@@ -141,35 +112,6 @@ mod tests {
                 assert_eq!(lut.mul(a as u8, b as u8), raw[(b << 8) | a]);
             }
         }
-    }
-
-    #[test]
-    fn ba_table_roundtrip_is_consistent() {
-        let lut = MulLut::from_fn("t", |a, b| (a as u16).wrapping_mul(b as u16) ^ 1);
-        let ba = lut.to_ba_table();
-        for a in (0..=255usize).step_by(5) {
-            for b in (0..=255usize).step_by(11) {
-                assert_eq!(ba[(b << 8) | a], lut.mul(a as u8, b as u8));
-            }
-        }
-    }
-
-    #[test]
-    fn transpose_table_is_involutive_and_swaps_operands() {
-        let lut = MulLut::from_fn("asym", |a, b| (a as u16) << 2 | (b as u16 & 3));
-        let t = transpose_table(lut.table());
-        for a in (0..=255usize).step_by(13) {
-            for b in (0..=255usize).step_by(17) {
-                assert_eq!(t[(a << 8) | b], lut.mul(b as u8, a as u8));
-            }
-        }
-        assert_eq!(transpose_table(&t), lut.table());
-    }
-
-    #[test]
-    #[should_panic(expected = "64Ki")]
-    fn transpose_table_rejects_short_tables() {
-        let _ = transpose_table(&[0u16; 16]);
     }
 
     #[test]

@@ -219,7 +219,7 @@ mod tests {
         let reg = Registry::standard();
         for spec in reg.specs() {
             let lut = spec.build_lut();
-            let m = ErrorMetrics::from_mul_table(&lut.to_ba_table(), 8);
+            let m = ErrorMetrics::from_mul_table(lut.table(), 8);
             if spec.is_exact() {
                 assert!(m.is_exact(), "{} must be exact", spec.name());
                 continue;
@@ -236,6 +236,20 @@ mod tests {
     }
 
     #[test]
+    fn lut_order_metrics_equal_the_netlist_order_datasheet() {
+        // `MulLut` tables are indexed `(a << 8) | b`, the netlist sweep
+        // `(b << 8) | a`; the metrics must not tell them apart.
+        for spec in Registry::standard().specs() {
+            assert_eq!(
+                ErrorMetrics::from_mul_table(spec.build_lut().table(), 8),
+                crate::metrics::Datasheet::of(spec).error,
+                "{}",
+                spec.name()
+            );
+        }
+    }
+
+    #[test]
     fn lenet_set_clean_error_ranking_sane() {
         // The paper's clean accuracies rank 1JFF/96D/12N4 (98) above
         // 17KS/1AGV/JQQ (96) above JV3 (93) above FTA (91) / L40 (90).
@@ -244,7 +258,7 @@ mod tests {
         let reg = Registry::standard();
         let mae = |n: &str| {
             let lut = reg.build_lut(n).unwrap();
-            ErrorMetrics::from_mul_table(&lut.to_ba_table(), 8).mae_pct
+            ErrorMetrics::from_mul_table(lut.table(), 8).mae_pct
         };
         assert!(mae("96D") < 0.001);
         assert!(mae("12N4") < 0.005);
@@ -261,7 +275,7 @@ mod tests {
         let reg = Registry::standard();
         let bias = |n: &str| {
             let lut = reg.build_lut(n).unwrap();
-            ErrorMetrics::from_mul_table(&lut.to_ba_table(), 8).mean_error
+            ErrorMetrics::from_mul_table(lut.table(), 8).mean_error
         };
         assert!(bias("FTA") < bias("17KS"));
         assert!(bias("1AGV") > 0.0, "1AGV is the positive-bias part");

@@ -771,6 +771,7 @@ mod tests {
     use super::*;
     use crate::source::map_source_blocks;
     use crate::{reference, zoo};
+    use axutil::parallel::with_threads;
     use axutil::rng::Rng;
 
     fn rand_image(dims: &[usize], seed: u64) -> Tensor {
@@ -872,20 +873,20 @@ mod tests {
         let want: Vec<Tensor> = (images.iter().zip(&labels))
             .map(|(img, &lbl)| plan.input_gradient(&mut s, img, lbl).1)
             .collect();
-        let prev = std::env::var("AXDNN_THREADS").ok();
-        for threads in ["1", "2", "3", "7"] {
-            std::env::set_var("AXDNN_THREADS", threads);
-            for n in [1, 2, 3, 4, 5, 7, 9] {
-                let got = map_source_blocks(&plan, n, |handle, block| {
-                    let mut rngs = vec![Rng::seed_from_u64(0); block.len()];
-                    handle.input_gradient_block(&images[block.clone()], &labels[block], &mut rngs)
-                });
-                assert_eq!(got, want[..n], "n {n} threads {threads}");
-            }
-        }
-        match prev {
-            Some(v) => std::env::set_var("AXDNN_THREADS", v),
-            None => std::env::remove_var("AXDNN_THREADS"),
+        for threads in [1, 2, 3, 7] {
+            with_threads(threads, || {
+                for n in [1, 2, 3, 4, 5, 7, 9] {
+                    let got = map_source_blocks(&plan, n, |handle, block| {
+                        let mut rngs = vec![Rng::seed_from_u64(0); block.len()];
+                        handle.input_gradient_block(
+                            &images[block.clone()],
+                            &labels[block],
+                            &mut rngs,
+                        )
+                    });
+                    assert_eq!(got, want[..n], "n {n} threads {threads}");
+                }
+            });
         }
     }
 

@@ -8,21 +8,17 @@
 //! `FPlan::layer_max_abs`, is pinned to the seed trace where it is used,
 //! in `axquant::qmodel`'s tests.)
 
-use std::sync::Mutex;
-
 use axnn::model::Sequential;
 use axnn::reference;
 use axnn::source::map_source_blocks;
 use axnn::FPlan;
 use axtensor::Tensor;
+use axutil::parallel::with_threads;
 use axutil::rng::Rng;
 use proptest::prelude::*;
 
 mod common;
 use common::{grad_bits, images, small_model, ARCHS, IN_DIMS};
-
-/// Serializes tests that read or write `AXDNN_THREADS`.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 /// Batch sizes around the plan's 4-image blocks: partial blocks, one
 /// full block, and one and two full blocks with a remainder.
@@ -127,8 +123,6 @@ fn fplan_matches_seed_on_every_architecture() {
 /// conv.
 #[test]
 fn image_blocks_match_one_image_calls_at_every_boundary() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let prev = std::env::var("AXDNN_THREADS").ok();
     for arch in 0..ARCHS {
         let model = small_model(arch, 0xB10C + arch as u64);
         let plan = model.plan(&IN_DIMS);
@@ -147,36 +141,33 @@ fn image_blocks_match_one_image_calls_at_every_boundary() {
             sum.1.accumulate(&g);
             want_folds.push((sum.0.to_bits(), grad_bits(&sum.1)));
         }
-        for threads in ["1", "2", "3", "7"] {
-            std::env::set_var("AXDNN_THREADS", threads);
-            for n in BATCH_SIZES {
-                let at = format!("{} n {n} threads {threads}", model.name());
-                let correct = plan.count_correct(n, |i| &probes[i], |i| preds[i]);
-                assert_eq!(correct, n, "count_correct: {at}");
-                let got = source_gradients(&plan, &probes[..n], &labels[..n]);
-                let want: Vec<&Vec<u32>> = want_grads[..n].iter().map(|(_, g)| g).collect();
-                assert_eq!(
-                    got.iter().collect::<Vec<_>>(),
-                    want,
-                    "source gradients: {at}"
-                );
-                let block = plan.input_gradient_block(&mut s, &probes[..n], &labels[..n]);
-                let got: Vec<(u32, Vec<u32>)> = (block.iter())
-                    .map(|(l, g)| (l.to_bits(), bits(g)))
-                    .collect();
-                assert_eq!(got, want_grads[..n], "input_gradient_block: {at}");
-                let (loss, fold) =
-                    plan.loss_and_param_grads_batch(n, |i| &probes[i], |i| labels[i]);
-                assert_eq!(
-                    (loss.to_bits(), grad_bits(&fold)),
-                    want_folds[n - 1],
-                    "parameter gradients: {at}"
-                );
-            }
+        for threads in [1, 2, 3, 7] {
+            with_threads(threads, || {
+                for n in BATCH_SIZES {
+                    let at = format!("{} n {n} threads {threads}", model.name());
+                    let correct = plan.count_correct(n, |i| &probes[i], |i| preds[i]);
+                    assert_eq!(correct, n, "count_correct: {at}");
+                    let got = source_gradients(&plan, &probes[..n], &labels[..n]);
+                    let want: Vec<&Vec<u32>> = want_grads[..n].iter().map(|(_, g)| g).collect();
+                    assert_eq!(
+                        got.iter().collect::<Vec<_>>(),
+                        want,
+                        "source gradients: {at}"
+                    );
+                    let block = plan.input_gradient_block(&mut s, &probes[..n], &labels[..n]);
+                    let got: Vec<(u32, Vec<u32>)> = (block.iter())
+                        .map(|(l, g)| (l.to_bits(), bits(g)))
+                        .collect();
+                    assert_eq!(got, want_grads[..n], "input_gradient_block: {at}");
+                    let (loss, fold) =
+                        plan.loss_and_param_grads_batch(n, |i| &probes[i], |i| labels[i]);
+                    assert_eq!(
+                        (loss.to_bits(), grad_bits(&fold)),
+                        want_folds[n - 1],
+                        "parameter gradients: {at}"
+                    );
+                }
+            });
         }
-    }
-    match prev {
-        Some(v) => std::env::set_var("AXDNN_THREADS", v),
-        None => std::env::remove_var("AXDNN_THREADS"),
     }
 }

@@ -14,22 +14,19 @@
 //! every fixture model (the conv geometries k ∈ {1, 3, 5} with
 //! stride/pad combinations included).
 //!
-//! Tests that touch `AXDNN_THREADS` serialize on [`ENV_LOCK`].
-
-use std::sync::Mutex;
+//! Each thread sweep pins `AXDNN_THREADS` with
+//! `axutil::parallel::with_threads`, which serializes the sweeps.
 
 use axnn::exec::{self, GradFold, ParamRecord};
 use axnn::layer::{Conv2d, Layer};
 use axnn::model::{GradBuffer, Sequential};
 use axnn::reference;
 use axtensor::Tensor;
+use axutil::parallel::with_threads;
 use axutil::rng::Rng;
 use proptest::prelude::*;
 
 mod common;
-
-/// Serializes tests that read or write `AXDNN_THREADS`.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 /// Odd and prime edge lengths: every value here leaves a non-trivial
 /// remainder against the 4-wide tiles, so the 2×4 / 4×1 / 1×4 / scalar
@@ -264,8 +261,6 @@ proptest! {
 /// layers.
 #[test]
 fn grad_fold_is_bit_exact_with_per_image_accumulate() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let prev = std::env::var("AXDNN_THREADS").ok();
     let (out_dim, in_dim, summed) = (7, 5, 9);
     let fold = GradFold::new([
         ParamRecord::Dense { out_dim, in_dim },
@@ -332,20 +327,15 @@ fn grad_fold_is_bit_exact_with_per_image_accumulate() {
             want.layers[0][0].data().iter().all(|v| !v.is_nan()),
             "the reference skips zero rows, so it has no 0 * inf"
         );
-        for threads in ["1", "2", "3", "7"] {
-            std::env::set_var("AXDNN_THREADS", threads);
+        for threads in [1, 2, 3, 7] {
             let mut got = zeros();
-            fold.fold_into(&records, &mut got);
+            with_threads(threads, || fold.fold_into(&records, &mut got));
             assert_eq!(
                 common::grad_bits(&got),
                 common::grad_bits(&want),
                 "fold diverges (n {n}, {threads} threads)"
             );
         }
-    }
-    match prev {
-        Some(v) => std::env::set_var("AXDNN_THREADS", v),
-        None => std::env::remove_var("AXDNN_THREADS"),
     }
 }
 
@@ -369,17 +359,13 @@ fn probe(model: &Sequential, imgs: &[Tensor], labels: &[usize]) -> (Vec<Tensor>,
 /// outputs and gradient signature bit-for-bit at every thread chunking.
 #[test]
 fn kernel_matrix_is_bit_exact_across_geometries_and_threads() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let prev_threads = std::env::var("AXDNN_THREADS").ok();
     for arch in 0..common::ARCHS {
         let model = common::small_model(arch, 0xFACE + arch as u64);
         let imgs = common::images(5, 0x51EE + arch as u64);
         let labels: Vec<usize> = (0..imgs.len()).map(|i| i % 4).collect();
-        std::env::set_var("AXDNN_THREADS", "1");
-        let (want_outs, want_sig) = probe(&model, &imgs, &labels);
-        for threads in ["1", "2", "3", "7"] {
-            std::env::set_var("AXDNN_THREADS", threads);
-            let (outs, sig) = probe(&model, &imgs, &labels);
+        let (want_outs, want_sig) = with_threads(1, || probe(&model, &imgs, &labels));
+        for threads in [1, 2, 3, 7] {
+            let (outs, sig) = with_threads(threads, || probe(&model, &imgs, &labels));
             assert_eq!(
                 outs, want_outs,
                 "forward diverges (arch {arch}, {threads} threads)"
@@ -390,9 +376,5 @@ fn kernel_matrix_is_bit_exact_across_geometries_and_threads() {
                 "gradients diverge (arch {arch}, {threads} threads)"
             );
         }
-    }
-    match prev_threads {
-        Some(v) => std::env::set_var("AXDNN_THREADS", v),
-        None => std::env::remove_var("AXDNN_THREADS"),
     }
 }

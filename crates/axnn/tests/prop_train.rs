@@ -10,23 +10,21 @@
 //! trained weights bit-for-bit — under every `AXDNN_THREADS` setting.
 //!
 //! Chunking is controlled through the `AXDNN_THREADS` environment
-//! variable, so every test that sweeps it serializes on [`ENV_LOCK`].
-
-use std::sync::Mutex;
+//! variable; each sweep pins it with `axutil::parallel::with_threads`,
+//! which serializes the sweeps and restores the variable even when a
+//! `prop_assert!` returns early.
 
 use axdata::Dataset;
 use axnn::model::{GradBuffer, Sequential};
 use axnn::optim::Sgd;
 use axnn::train::{fit, TrainConfig, TrainHistory};
 use axtensor::Tensor;
+use axutil::parallel::with_threads;
 use axutil::rng::Rng;
 use proptest::prelude::*;
 
 mod common;
 use common::{grad_bits, images, small_model, ARCHS, IN_DIMS};
-
-/// Serializes tests that read or write `AXDNN_THREADS`.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 /// Batch sizes around the plan's 4-image blocks: partial blocks, one
 /// full block, and one and two full blocks with a remainder.
@@ -55,32 +53,30 @@ proptest! {
         seed in proptest::strategy::any::<u64>(),
         arch in 0usize..ARCHS,
     ) {
-        let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let prev = std::env::var("AXDNN_THREADS").ok();
         let model = small_model(arch, seed);
         let imgs = images(9, seed ^ 0x7A17);
         let labels: Vec<usize> = (0..imgs.len()).map(|i| (i * 3) % 4).collect();
-        std::env::set_var("AXDNN_THREADS", "1");
-        let want: Vec<(u32, Vec<u32>)> = (1..=imgs.len())
-            .map(|n| {
-                let (loss, grads) = seed_grad_sum(&model, &imgs[..n], &labels[..n]);
-                (loss.to_bits(), grad_bits(&grads))
-            })
-            .collect();
-        for threads in ["1", "2", "3", "7"] {
-            std::env::set_var("AXDNN_THREADS", threads);
-            for n in BATCH_SIZES {
-                let (loss, grads) = model.loss_and_param_grads_batch(&imgs[..n], &labels[..n]);
-                prop_assert!(
-                    (loss.to_bits(), grad_bits(&grads)) == want[n - 1],
-                    "batched sum diverges from seed fold (arch {arch}, seed {seed}, \
-                     n {n}, threads {threads})"
-                );
-            }
-        }
-        match prev {
-            Some(v) => std::env::set_var("AXDNN_THREADS", v),
-            None => std::env::remove_var("AXDNN_THREADS"),
+        let want: Vec<(u32, Vec<u32>)> = with_threads(1, || {
+            (1..=imgs.len())
+                .map(|n| {
+                    let (loss, grads) = seed_grad_sum(&model, &imgs[..n], &labels[..n]);
+                    (loss.to_bits(), grad_bits(&grads))
+                })
+                .collect()
+        });
+        for threads in [1, 2, 3, 7] {
+            with_threads(threads, || {
+                for n in BATCH_SIZES {
+                    let (loss, grads) =
+                        model.loss_and_param_grads_batch(&imgs[..n], &labels[..n]);
+                    prop_assert!(
+                        (loss.to_bits(), grad_bits(&grads)) == want[n - 1],
+                        "batched sum diverges from seed fold (arch {arch}, seed {seed}, \
+                         n {n}, threads {threads})"
+                    );
+                }
+                Ok(())
+            })?;
         }
     }
 }
@@ -144,8 +140,6 @@ fn seed_fit(model: &mut Sequential, data: &Dataset, cfg: &TrainConfig) -> TrainH
 /// thread chunking.
 #[test]
 fn fit_reproduces_seed_history_bit_for_bit() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let prev = std::env::var("AXDNN_THREADS").ok();
     let data = tiny_dataset(40, 11);
     let cfg = TrainConfig {
         epochs: 2,
@@ -155,10 +149,9 @@ fn fit_reproduces_seed_history_bit_for_bit() {
     for arch in 0..ARCHS {
         let mut reference = small_model(arch, 5);
         let golden = seed_fit(&mut reference, &data, &cfg);
-        for threads in ["1", "2", "3", "7"] {
-            std::env::set_var("AXDNN_THREADS", threads);
+        for threads in [1, 2, 3, 7] {
             let mut model = small_model(arch, 5);
-            let history = fit(&mut model, &data, &cfg);
+            let history = with_threads(threads, || fit(&mut model, &data, &cfg));
             assert_eq!(
                 history, golden,
                 "TrainHistory diverges from the seed loop (arch {arch}, {threads} threads)"
@@ -168,9 +161,5 @@ fn fit_reproduces_seed_history_bit_for_bit() {
                 "trained weights diverge from the seed loop (arch {arch}, {threads} threads)"
             );
         }
-    }
-    match prev {
-        Some(v) => std::env::set_var("AXDNN_THREADS", v),
-        None => std::env::remove_var("AXDNN_THREADS"),
     }
 }

@@ -93,22 +93,9 @@ impl KernelPolicy {
     /// The kernel column answering query `query`: a pure function of
     /// `(seed, query)` via a derived [`Rng`] stream.
     pub fn sample(&self, query: u64) -> usize {
-        let total: f32 = self.weights.iter().sum();
-        let u = Rng::seed_from_u64(self.seed).derive(query).next_f32() * total;
-        let mut acc = 0.0f32;
-        let mut last = 0;
-        for (i, &w) in self.weights.iter().enumerate() {
-            if w > 0.0 {
-                last = i;
-                acc += w;
-                if u < acc {
-                    return i;
-                }
-            }
-        }
-        // Float round-off can leave `u == total`; the last positive-mass
-        // column absorbs it.
-        last
+        Rng::seed_from_u64(self.seed)
+            .derive(query)
+            .weighted_index(&self.weights)
     }
 }
 

@@ -1,18 +1,12 @@
 //! Shared fixtures for the axquant hardening suites (`prop_finetune`,
 //! `prop_universal_train`): one random-model factory in the quantizable
-//! topology, the calibration sample, and the lock that serializes
-//! `AXDNN_THREADS` sweeps.
-
-use std::sync::Mutex;
+//! topology and the calibration sample.
 
 use axdata::Dataset;
 use axnn::layer::{AvgPool2d, Conv2d, Dense, Layer};
 use axnn::model::Sequential;
 use axtensor::Tensor;
 use axutil::rng::Rng;
-
-/// Serializes tests that read or write `AXDNN_THREADS`.
-pub static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 /// The input shape every fixture model accepts.
 pub const IN_DIMS: [usize; 3] = [1, 8, 8];

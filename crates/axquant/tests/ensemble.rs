@@ -11,15 +11,11 @@
 //! 4. A batch whose images disagree in shape panics, even when the
 //!    lengths agree.
 
-use std::sync::Mutex;
-
 use axmul::{MulColumns, Registry};
 use axquant::{EnsembleModel, KernelPolicy, Placement, QuantModel};
 use axtensor::Tensor;
+use axutil::parallel::with_threads;
 use axutil::rng::Rng;
-
-/// Serializes tests that read or write `AXDNN_THREADS`.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 fn images(n: usize, seed: u64) -> Vec<Tensor> {
     let mut rng = Rng::seed_from_u64(seed);
@@ -80,25 +76,18 @@ fn ensemble_matches_per_query_fixed_reference() {
 
 #[test]
 fn ensemble_predictions_are_thread_invariant() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let prev = std::env::var("AXDNN_THREADS").ok();
     let qm = victim();
     let cols = MulColumns::from_registry(&Registry::standard(), &["1JFF", "17KS", "L40"]);
     let ensemble = EnsembleModel::new(&qm, &cols, KernelPolicy::weighted(vec![1.0, 2.0, 1.0], 3));
     let imgs = images(11, 9);
-    std::env::set_var("AXDNN_THREADS", "1");
-    let golden = ensemble.predict_batch(imgs.len(), |i| &imgs[i]);
-    for threads in ["2", "3", "7"] {
-        std::env::set_var("AXDNN_THREADS", threads);
+    let predict = || ensemble.predict_batch(imgs.len(), |i| &imgs[i]);
+    let golden = with_threads(1, predict);
+    for threads in [2, 3, 7] {
         assert_eq!(
-            ensemble.predict_batch(imgs.len(), |i| &imgs[i]),
+            with_threads(threads, predict),
             golden,
             "ensemble predictions diverge at {threads} threads"
         );
-    }
-    match prev {
-        Some(v) => std::env::set_var("AXDNN_THREADS", v),
-        None => std::env::remove_var("AXDNN_THREADS"),
     }
 }
 

@@ -20,7 +20,8 @@
 //!    ([`QuantModel::forward_with`]), bit for bit.
 //!
 //! Chunking is controlled through the `AXDNN_THREADS` environment
-//! variable, so every test that sweeps it serializes on [`ENV_LOCK`].
+//! variable; each sweep pins it with `axutil::parallel::with_threads`,
+//! which serializes the sweeps within this test binary.
 
 use axdata::Dataset;
 use axmul::{ExactMul, MulKernel, Registry};
@@ -30,11 +31,12 @@ use axnn::train::{fit, TrainConfig};
 use axquant::qtrain::{finetune, FinetuneConfig, QTrainPlan};
 use axquant::{Placement, QuantModel};
 use axtensor::Tensor;
+use axutil::parallel::with_threads;
 use axutil::rng::Rng;
 use proptest::prelude::*;
 
 mod common;
-use common::{calib_of, small_model, ARCHS, ENV_LOCK, IN_DIMS};
+use common::{calib_of, small_model, ARCHS, IN_DIMS};
 
 /// A learnable 4-class dataset in the fine-tuning input shape.
 fn tiny_dataset(n: usize, seed: u64) -> Dataset {
@@ -76,8 +78,6 @@ proptest! {
         seed in proptest::strategy::any::<u64>(),
         arch in 0usize..ARCHS,
     ) {
-        let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let prev = std::env::var("AXDNN_THREADS").ok();
         let model = small_model(arch, seed);
         let data = tiny_dataset(9, seed ^ 0x57E);
         let calib = calib_of(&data, 4);
@@ -86,32 +86,33 @@ proptest! {
         let lut = Registry::standard().build_lut("17KS").unwrap();
         // The reference: per-image gradients folded in image order, one
         // prefix per batch size.
-        std::env::set_var("AXDNN_THREADS", "1");
-        let mut s = plan.scratch();
-        let mut want_loss = 0.0f32;
-        let mut want = plan.zero_grads();
-        let mut prefixes = Vec::new();
-        for i in 0..data.len() {
-            let (l, g) = plan.loss_and_param_grads(&mut s, data.image(i), data.label(i), &lut);
-            want_loss += l;
-            want.accumulate(&g);
-            prefixes.push((want_loss.to_bits(), grad_bits(&want)));
-        }
-        for threads in ["1", "2", "3", "7"] {
-            std::env::set_var("AXDNN_THREADS", threads);
-            for n in BATCH_SIZES {
-                let (loss, grads) =
-                    plan.loss_and_param_grads_batch(n, |i| data.image(i), |i| data.label(i), &lut);
-                prop_assert!(
-                    (loss.to_bits(), grad_bits(&grads)) == prefixes[n - 1],
-                    "batched STE gradient diverges from the per-image fold \
-                     (arch {arch}, seed {seed}, n {n}, threads {threads})"
-                );
+        let prefixes = with_threads(1, || {
+            let mut s = plan.scratch();
+            let mut want_loss = 0.0f32;
+            let mut want = plan.zero_grads();
+            let mut prefixes = Vec::new();
+            for i in 0..data.len() {
+                let (l, g) = plan.loss_and_param_grads(&mut s, data.image(i), data.label(i), &lut);
+                want_loss += l;
+                want.accumulate(&g);
+                prefixes.push((want_loss.to_bits(), grad_bits(&want)));
             }
-        }
-        match prev {
-            Some(v) => std::env::set_var("AXDNN_THREADS", v),
-            None => std::env::remove_var("AXDNN_THREADS"),
+            prefixes
+        });
+        for threads in [1, 2, 3, 7] {
+            with_threads(threads, || {
+                for n in BATCH_SIZES {
+                    let (loss, grads) = plan.loss_and_param_grads_batch(
+                        n, |i| data.image(i), |i| data.label(i), &lut,
+                    );
+                    prop_assert!(
+                        (loss.to_bits(), grad_bits(&grads)) == prefixes[n - 1],
+                        "batched STE gradient diverges from the per-image fold \
+                         (arch {arch}, seed {seed}, n {n}, threads {threads})"
+                    );
+                }
+                Ok(())
+            })?;
         }
     }
 }
@@ -150,8 +151,6 @@ fn training_loss_is_the_inference_forward_loss() {
 /// every thread chunking, across topologies and an approximate kernel.
 #[test]
 fn finetune_is_bit_identical_across_thread_counts() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let prev = std::env::var("AXDNN_THREADS").ok();
     let data = tiny_dataset(24, 77);
     let calib = calib_of(&data, 6);
     let lut = Registry::standard().build_lut("L40").unwrap();
@@ -164,12 +163,14 @@ fn finetune_is_bit_identical_across_thread_counts() {
     };
     for arch in 0..ARCHS {
         let mut golden_model = small_model(arch, 100 + arch as u64);
-        std::env::set_var("AXDNN_THREADS", "1");
-        let (golden_hist, _) = finetune(&mut golden_model, &data, &calib, &lut, &cfg).unwrap();
-        for threads in ["2", "3", "7"] {
-            std::env::set_var("AXDNN_THREADS", threads);
+        let (golden_hist, _) = with_threads(1, || {
+            finetune(&mut golden_model, &data, &calib, &lut, &cfg).unwrap()
+        });
+        for threads in [2, 3, 7] {
             let mut model = small_model(arch, 100 + arch as u64);
-            let (hist, _) = finetune(&mut model, &data, &calib, &lut, &cfg).unwrap();
+            let (hist, _) = with_threads(threads, || {
+                finetune(&mut model, &data, &calib, &lut, &cfg).unwrap()
+            });
             assert_eq!(
                 hist, golden_hist,
                 "FinetuneHistory diverges at {threads} threads (arch {arch})"
@@ -180,10 +181,6 @@ fn finetune_is_bit_identical_across_thread_counts() {
             );
         }
     }
-    match prev {
-        Some(v) => std::env::set_var("AXDNN_THREADS", v),
-        None => std::env::remove_var("AXDNN_THREADS"),
-    }
 }
 
 /// Fine-tuning a converged model through the *exact* multiplier must be a
@@ -191,7 +188,6 @@ fn finetune_is_bit_identical_across_thread_counts() {
 /// to rounding, so the STE gradients are those of a converged model.
 #[test]
 fn exact_finetune_of_converged_model_is_near_noop() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     // A high-margin variant of the tiny dataset: the class pixel is a
     // strong 3.0 bump, so "converged" means confidently correct and a
     // tiny weight drift cannot flip borderline samples.

@@ -6,18 +6,14 @@
 //! `forward_with` calls, and the exact LUT must be bit-exact with the
 //! builtin exact multiplier through the GEMM path.
 
-use std::sync::Mutex;
-
 use axmul::{ExactMul, FaultedMul, MulKernel, MulLut};
 use axnn::layer::{AvgPool2d, Conv2d, Dense, Layer};
 use axnn::model::Sequential;
 use axquant::{Placement, QLevel, QuantModel};
 use axtensor::Tensor;
+use axutil::parallel::with_threads;
 use axutil::rng::Rng;
 use proptest::prelude::*;
-
-/// Serializes tests that read or write `AXDNN_THREADS`.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 const IN_DIMS: [usize; 3] = [1, 6, 6];
 
@@ -159,17 +155,12 @@ fn faulted_kernel_batch_forward_is_thread_invariant() {
     let probes = images(3, 43);
     let qm = QuantModel::from_float(&model, &calib, Placement::All).expect("supported topology");
 
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let prev = std::env::var("AXDNN_THREADS").ok();
     let mut per_threads = Vec::new();
-    for threads in ["1", "4"] {
-        std::env::set_var("AXDNN_THREADS", threads);
-        let plan = qm.plan(&IN_DIMS);
-        per_threads.push(plan.forward_batch_with(&probes, &[&fk]));
-    }
-    match prev {
-        Some(v) => std::env::set_var("AXDNN_THREADS", v),
-        None => std::env::remove_var("AXDNN_THREADS"),
+    for threads in [1, 4] {
+        with_threads(threads, || {
+            let plan = qm.plan(&IN_DIMS);
+            per_threads.push(plan.forward_batch_with(&probes, &[&fk]));
+        });
     }
     assert_eq!(
         per_threads[0], per_threads[1],
@@ -249,8 +240,6 @@ fn image_blocks_match_one_image_forwards_at_every_boundary() {
         .collect();
     let calib = &images[..4];
 
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let prev = std::env::var("AXDNN_THREADS").ok();
     for (model, placement) in [(&lenet, Placement::ConvOnly), (&ffnn, Placement::All)] {
         let qm = QuantModel::from_float(model, calib, placement).expect("supported topology");
         let plan = qm.plan(&dims);
@@ -263,32 +252,29 @@ fn image_blocks_match_one_image_forwards_at_every_boundary() {
             })
             .collect();
         assert_ne!(want[0][0], want[0][1], "the kernels must diverge");
-        for threads in ["1", "2", "3", "7"] {
-            std::env::set_var("AXDNN_THREADS", threads);
-            for n in BATCH_SIZES {
-                let got = plan.forward_batch_with(&images[..n], &kernels);
-                assert_eq!(
-                    logit_bits(&got),
-                    logit_bits(&want[..n]),
-                    "{} logits: n {n}, threads {threads}",
-                    qm.name()
-                );
-                let preds = plan.predict_batch_with(&images[..n], &kernels);
-                let want_preds: Vec<Vec<usize>> = (want[..n].iter())
-                    .map(|row| row.iter().map(Tensor::argmax).collect())
-                    .collect();
-                assert_eq!(
-                    preds,
-                    want_preds,
-                    "{} predictions: n {n}, threads {threads}",
-                    qm.name()
-                );
-            }
+        for threads in [1, 2, 3, 7] {
+            with_threads(threads, || {
+                for n in BATCH_SIZES {
+                    let got = plan.forward_batch_with(&images[..n], &kernels);
+                    assert_eq!(
+                        logit_bits(&got),
+                        logit_bits(&want[..n]),
+                        "{} logits: n {n}, threads {threads}",
+                        qm.name()
+                    );
+                    let preds = plan.predict_batch_with(&images[..n], &kernels);
+                    let want_preds: Vec<Vec<usize>> = (want[..n].iter())
+                        .map(|row| row.iter().map(Tensor::argmax).collect())
+                        .collect();
+                    assert_eq!(
+                        preds,
+                        want_preds,
+                        "{} predictions: n {n}, threads {threads}",
+                        qm.name()
+                    );
+                }
+            });
         }
-    }
-    match prev {
-        Some(v) => std::env::set_var("AXDNN_THREADS", v),
-        None => std::env::remove_var("AXDNN_THREADS"),
     }
 }
 
@@ -334,8 +320,6 @@ fn duplicate_columns_match_single_kernel_runs() {
     let calib = images(4, 90);
     let probes = images(9, 91);
 
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let prev = std::env::var("AXDNN_THREADS").ok();
     for (arch, placement) in [
         (1, Placement::ConvOnly),
         (2, Placement::All),
@@ -352,26 +336,23 @@ fn duplicate_columns_match_single_kernel_runs() {
                     .collect()
             })
             .collect();
-        for threads in ["1", "2", "3", "7"] {
-            std::env::set_var("AXDNN_THREADS", threads);
-            for n in [1, 5, 9] {
-                let got = plan.forward_batch_with(&probes[..n], &kernels);
-                assert_eq!(
-                    logit_bits(&got),
-                    logit_bits(&want[..n]),
-                    "{} logits: n {n}, threads {threads}",
-                    qm.name()
-                );
-                let preds = plan.predict_batch_with(&probes[..n], &kernels);
-                let want_preds: Vec<Vec<usize>> = (want[..n].iter())
-                    .map(|row| row.iter().map(Tensor::argmax).collect())
-                    .collect();
-                assert_eq!(preds, want_preds, "{}: n {n}, threads {threads}", qm.name());
-            }
+        for threads in [1, 2, 3, 7] {
+            with_threads(threads, || {
+                for n in [1, 5, 9] {
+                    let got = plan.forward_batch_with(&probes[..n], &kernels);
+                    assert_eq!(
+                        logit_bits(&got),
+                        logit_bits(&want[..n]),
+                        "{} logits: n {n}, threads {threads}",
+                        qm.name()
+                    );
+                    let preds = plan.predict_batch_with(&probes[..n], &kernels);
+                    let want_preds: Vec<Vec<usize>> = (want[..n].iter())
+                        .map(|row| row.iter().map(Tensor::argmax).collect())
+                        .collect();
+                    assert_eq!(preds, want_preds, "{}: n {n}, threads {threads}", qm.name());
+                }
+            });
         }
-    }
-    match prev {
-        Some(v) => std::env::set_var("AXDNN_THREADS", v),
-        None => std::env::remove_var("AXDNN_THREADS"),
     }
 }

@@ -24,7 +24,8 @@
 //!    loudly.
 //!
 //! Chunking is controlled through the `AXDNN_THREADS` environment
-//! variable, so every test that sweeps it serializes on [`ENV_LOCK`].
+//! variable; each sweep pins it with `axutil::parallel::with_threads`,
+//! which serializes the sweeps within this test binary.
 
 use axdata::Dataset;
 use axmul::{ExactMul, MulKernel, Registry};
@@ -36,10 +37,11 @@ use axquant::universal::{universal_adversarial_fit, UniversalFinetuneConfig};
 use axquant::{Placement, QuantModel};
 use axtensor::norms::{apply_delta, ascent_direction, project_ball, Norm};
 use axtensor::Tensor;
+use axutil::parallel::with_threads;
 use axutil::rng::Rng;
 
 mod common;
-use common::{calib_of, small_model, ARCHS, ENV_LOCK, IN_DIMS};
+use common::{calib_of, small_model, ARCHS, IN_DIMS};
 
 /// A learnable 4-class dataset inside the pixel box `[0, 1]`.
 fn tiny_dataset(n: usize, seed: u64) -> Dataset {
@@ -206,18 +208,11 @@ fn reference_fit<K: MulKernel + ?Sized>(
     run_bits(&hist, &universal_accuracies, shadow, &qm, &delta)
 }
 
-/// Runs `check` under every `AXDNN_THREADS` setting in the sweep,
-/// restoring the caller's setting afterwards.
-fn for_each_thread_count(mut check: impl FnMut(&str)) {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let prev = std::env::var("AXDNN_THREADS").ok();
-    for threads in ["1", "2", "3", "7"] {
-        std::env::set_var("AXDNN_THREADS", threads);
-        check(threads);
-    }
-    match prev {
-        Some(v) => std::env::set_var("AXDNN_THREADS", v),
-        None => std::env::remove_var("AXDNN_THREADS"),
+/// Runs `check` under every `AXDNN_THREADS` setting in the sweep, each
+/// pinned with [`with_threads`].
+fn for_each_thread_count(mut check: impl FnMut(usize)) {
+    for threads in [1, 2, 3, 7] {
+        with_threads(threads, || check(threads));
     }
 }
 

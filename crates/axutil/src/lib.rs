@@ -11,7 +11,10 @@
 //!   table the README regenerates reproducible.
 //! * [`parallel`] — [`parallel::par_map_chunks`], the one scoped-thread
 //!   primitive for embarrassingly parallel loops (per-image evaluation,
-//!   batch gradients), sized by [`parallel::num_threads`].
+//!   batch gradients), sized by [`parallel::num_threads`]; and
+//!   [`parallel::with_threads`], the one place that pins
+//!   `AXDNN_THREADS`: under one process-wide lock, restoring the previous
+//!   value on return, early `Err` and unwind alike.
 //! * [`binio`] — a small explicit binary codec (on top of `bytes`) used for
 //!   model-weight artifacts; explicit codecs keep artifacts bit-stable.
 //! * [`time`] — [`time::Deadline`]: latency budgets for the serving engine.

@@ -24,13 +24,41 @@
 //! mid-mutation by the helper itself. This guarantee is pinned by
 //! `panicking_worker_propagates_and_joins_siblings` in this module's
 //! tests.
+//!
+//! # Pinning the thread count
+//!
+//! `AXDNN_THREADS` is the one setting, and [`with_threads`] is the one
+//! place that edits it: it pins the count for the duration of a closure
+//! and restores the previous value (or removes the variable) through a
+//! drop guard, so the restore also happens when the closure returns an
+//! early `Err` or unwinds. Every call holds one process-wide lock while
+//! the count is pinned, so thread sweeps in one test binary never race
+//! each other and no caller keeps a lock of its own. The root
+//! `clippy.toml` disallows `std::env::set_var` and `remove_var`
+//! everywhere else.
+
+use std::cell::Cell;
+use std::ffi::OsStr;
+use std::sync::{Mutex, MutexGuard};
+
+/// The environment variable [`num_threads`] reads.
+const THREADS_VAR: &str = "AXDNN_THREADS";
+
+/// Held by the outermost [`with_threads`] call while its count is pinned.
+static PIN_LOCK: Mutex<()> = Mutex::new(());
+
+thread_local! {
+    /// Whether this thread holds [`PIN_LOCK`]: a nested [`with_threads`]
+    /// re-pins under the outer call's lock instead of deadlocking on it.
+    static HOLDS_PIN: Cell<bool> = const { Cell::new(false) };
+}
 
 /// Returns the number of worker threads to use.
 ///
 /// Honours the `AXDNN_THREADS` environment variable when set to a positive
 /// integer; otherwise uses the machine's available parallelism.
 pub fn num_threads() -> usize {
-    if let Ok(v) = std::env::var("AXDNN_THREADS") {
+    if let Ok(v) = std::env::var(THREADS_VAR) {
         if let Ok(n) = v.trim().parse::<usize>() {
             if n > 0 {
                 return n;
@@ -40,6 +68,66 @@ pub fn num_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
+}
+
+/// Runs `f` with `AXDNN_THREADS` set to `n`, then restores the previous
+/// value, or removes the variable if it was unset.
+///
+/// The restore runs from a drop guard, so it holds whether `f` returns
+/// (an early `Err` included) or unwinds. Calls serialize on one
+/// process-wide lock; a nested call on the same thread runs under the
+/// outer call's lock. A thread that `f` spawns must not call
+/// `with_threads` while `f` waits for it: it would wait on the lock `f`'s
+/// thread holds.
+///
+/// # Examples
+///
+/// ```
+/// use axutil::parallel::{num_threads, with_threads};
+///
+/// assert_eq!(with_threads(3, num_threads), 3);
+/// ```
+pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
+    pinned(Some(OsStr::new(&n.to_string())), f)
+}
+
+/// [`with_threads`] for any value of the variable: `None` runs `f` with it
+/// removed.
+fn pinned<R>(value: Option<&OsStr>, f: impl FnOnce() -> R) -> R {
+    /// Restores the variable, then releases the lock if this pin took it.
+    struct Pin {
+        prev: Option<std::ffi::OsString>,
+        lock: Option<MutexGuard<'static, ()>>,
+    }
+    impl Drop for Pin {
+        fn drop(&mut self) {
+            set_threads_var(self.prev.as_deref());
+            if self.lock.is_some() {
+                HOLDS_PIN.set(false);
+            }
+        }
+    }
+    let lock = (!HOLDS_PIN.get()).then(|| {
+        let guard = PIN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        HOLDS_PIN.set(true);
+        guard
+    });
+    let _pin = Pin {
+        prev: std::env::var_os(THREADS_VAR),
+        lock,
+    };
+    set_threads_var(value);
+    f()
+}
+
+/// Sets `AXDNN_THREADS` to `value`, or removes it for `None`. Only
+/// [`pinned`] calls this, with [`PIN_LOCK`] held.
+#[allow(clippy::disallowed_methods)]
+fn set_threads_var(value: Option<&OsStr>) {
+    match value {
+        Some(v) => std::env::set_var(THREADS_VAR, v),
+        None => std::env::remove_var(THREADS_VAR),
+    }
 }
 
 /// Maps `f` over contiguous index chunks of `0..n` in parallel and
@@ -129,16 +217,45 @@ mod tests {
     #[test]
     fn par_map_chunks_amortizes_setup_per_chunk() {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        let setups = AtomicUsize::new(0);
-        let out = par_map_chunks(64, |range| {
-            setups.fetch_add(1, Ordering::Relaxed); // one "scratch alloc" per chunk
-            range.collect()
+        with_threads(3, || {
+            let setups = AtomicUsize::new(0);
+            let out = par_map_chunks(64, |range| {
+                setups.fetch_add(1, Ordering::Relaxed); // one "scratch alloc" per chunk
+                range.collect()
+            });
+            assert_eq!(out.len(), 64);
+            assert!(
+                setups.load(Ordering::Relaxed) <= num_threads(),
+                "each worker chunk sets up at most once"
+            );
         });
-        assert_eq!(out.len(), 64);
-        assert!(
-            setups.load(Ordering::Relaxed) <= num_threads(),
-            "each worker chunk sets up at most once"
-        );
+    }
+
+    /// `with_threads` restores `AXDNN_THREADS` on return, on an early
+    /// `Err` and on a caught panic, whether the variable was set before
+    /// (to `5`) or unset, and pins the count `num_threads` reads.
+    #[test]
+    fn with_threads_restores_the_previous_value() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        for before in [None, Some("5")] {
+            pinned(before.map(OsStr::new), || {
+                let var = || std::env::var(THREADS_VAR).ok();
+                let want = before.map(String::from);
+                assert_eq!(with_threads(2, num_threads), 2, "pinned count");
+                assert_eq!(var(), want, "after return");
+                let early: Result<(), String> = with_threads(3, || {
+                    Err(format!("early at {}", num_threads()))?;
+                    unreachable!()
+                });
+                assert_eq!(early, Err("early at 3".into()));
+                assert_eq!(var(), want, "after an early Err");
+                let caught = catch_unwind(AssertUnwindSafe(|| {
+                    with_threads(7, || panic!("unwinds at {}", num_threads()))
+                }));
+                assert!(caught.is_err(), "the panic reaches the caller");
+                assert_eq!(var(), want, "after a caught panic");
+            });
+        }
     }
 
     #[test]
@@ -157,36 +274,38 @@ mod tests {
 
         let n = 64usize;
         let completed = AtomicUsize::new(0);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            par_map_chunks(n, |range| {
-                let out: Vec<usize> = range.clone().collect();
-                if range.contains(&0) {
-                    panic!("injected worker panic");
-                }
-                // Siblings record completion only after finishing their
-                // whole chunk.
-                completed.fetch_add(out.len(), Ordering::SeqCst);
-                out
-            })
-        }));
-        let err = result.expect_err("worker panic must propagate to the caller");
-        let msg = err
-            .downcast_ref::<&str>()
-            .copied()
-            .or_else(|| err.downcast_ref::<String>().map(String::as_str))
-            .unwrap_or("");
-        assert!(
-            msg.contains("injected worker panic"),
-            "caller must observe the worker's payload, got {msg:?}"
-        );
-        // Every chunk except the panicking one (which holds index 0)
-        // completed: scope joined the siblings instead of stranding them.
-        let workers = num_threads().min(n);
-        let chunk = n.div_ceil(workers);
-        assert_eq!(
-            completed.load(Ordering::SeqCst),
-            n - chunk,
-            "sibling workers must finish their chunks"
-        );
+        with_threads(3, || {
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                par_map_chunks(n, |range| {
+                    let out: Vec<usize> = range.clone().collect();
+                    if range.contains(&0) {
+                        panic!("injected worker panic");
+                    }
+                    // Siblings record completion only after finishing
+                    // their whole chunk.
+                    completed.fetch_add(out.len(), Ordering::SeqCst);
+                    out
+                })
+            }));
+            let err = result.expect_err("worker panic must propagate to the caller");
+            let msg = err
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| err.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("");
+            assert!(
+                msg.contains("injected worker panic"),
+                "caller must observe the worker's payload, got {msg:?}"
+            );
+            // Every chunk except the panicking one (which holds index 0)
+            // completed: scope joined the siblings instead of stranding them.
+            let workers = num_threads().min(n);
+            let chunk = n.div_ceil(workers);
+            assert_eq!(
+                completed.load(Ordering::SeqCst),
+                n - chunk,
+                "sibling workers must finish their chunks"
+            );
+        });
     }
 }

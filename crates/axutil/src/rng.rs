@@ -183,6 +183,32 @@ impl Rng {
         &xs[self.index(xs.len())]
     }
 
+    /// Draws an index with probability proportional to `weights[i]`: the
+    /// member whose cumulative-mass interval, summed in index order,
+    /// contains `next_f32() * total`. Zero weights are never drawn, and
+    /// a round-off overshoot goes to the last positive weight. One
+    /// `next_f32` per call.
+    ///
+    /// The weights must be finite and non-negative with a positive total;
+    /// callers validate them once, at construction.
+    pub fn weighted_index(&mut self, weights: &[f32]) -> usize {
+        let total: f32 = weights.iter().sum();
+        debug_assert!(total > 0.0, "weighted_index needs positive mass");
+        let target = self.next_f32() * total;
+        let mut acc = 0.0f32;
+        let mut last = 0;
+        for (i, &w) in weights.iter().enumerate() {
+            if w > 0.0 {
+                last = i;
+                acc += w;
+                if target < acc {
+                    return i;
+                }
+            }
+        }
+        last
+    }
+
     /// Fills a slice with uniform `f32` values in `[lo, hi)`.
     pub fn fill_range_f32(&mut self, out: &mut [f32], lo: f32, hi: f32) {
         for v in out {
@@ -309,6 +335,17 @@ mod tests {
             seen[(v / 10 - 1) as usize] = true;
         }
         assert!(seen.iter().all(|&s| s));
+    }
+
+    #[test]
+    fn weighted_index_draws_from_the_cumulative_mass() {
+        let weights = [0.0, 1.0, 0.0, 3.0, 0.0];
+        let mut rng = Rng::seed_from_u64(29);
+        for _ in 0..400 {
+            let u = rng.clone().next_f32() * 4.0;
+            let want = if u < 1.0 { 1 } else { 3 };
+            assert_eq!(rng.weighted_index(&weights), want, "u {u}");
+        }
     }
 
     #[test]

@@ -30,10 +30,12 @@
 //!    ([`axrobust::experiments::run_mtd_sweep`]).
 //!
 //! Parts 1–3 time the per-image path and the batched path pinned to one
-//! thread, so the speedup isolates the batching win from thread scaling,
-//! then re-time the batched path at the machine's parallelism. Every
-//! timed pair is asserted bit-identical first. Parts 5–7 run under the
-//! caller's `AXDNN_THREADS` and are deterministic and thread-invariant:
+//! thread with [`parallel::with_threads`], so the speedup isolates the
+//! batching win from thread scaling, then re-time the batched path under
+//! the caller's `AXDNN_THREADS` (the machine's parallelism when it is
+//! unset). Every timed pair is asserted bit-identical first. Parts 5–7
+//! also run under the caller's setting and are deterministic and
+//! thread-invariant:
 //! their reports carry no timings (wall times go to stderr), only
 //! replayable values and `0`/`1` verdicts, so they are byte-identical
 //! across runs and thread counts.
@@ -133,9 +135,9 @@ fn best_interleaved_ms<S>(
 }
 
 /// Asserts `scalar` and `batched` agree bit for bit, times both on one
-/// thread and then `batched` at the machine's parallelism, and records
-/// all three for `workload`. Returns the one-thread `(scalar_ms,
-/// batched_ms)`. Leaves `AXDNN_THREADS` unset.
+/// thread and then `batched` under the caller's `AXDNN_THREADS`, and
+/// records all three for `workload`. Returns the one-thread
+/// `(scalar_ms, batched_ms)`.
 fn time_batching<T: PartialEq + std::fmt::Debug>(
     report: &mut Report,
     workload: &str,
@@ -143,10 +145,8 @@ fn time_batching<T: PartialEq + std::fmt::Debug>(
     mut batched: impl FnMut() -> T,
 ) -> (f64, f64) {
     assert_eq!(scalar(), batched(), "{workload}: batched path diverged");
-    std::env::set_var("AXDNN_THREADS", "1");
-    let scalar_ms = median_ms(&mut scalar);
-    let batched_ms = median_ms(&mut batched);
-    std::env::remove_var("AXDNN_THREADS");
+    let (scalar_ms, batched_ms) =
+        parallel::with_threads(1, || (median_ms(&mut scalar), median_ms(&mut batched)));
     let batched_parallel_ms = median_ms(&mut batched);
     if batched_ms >= scalar_ms {
         eprintln!("warning: batched path not faster for {workload}");
@@ -162,21 +162,20 @@ fn time_batching<T: PartialEq + std::fmt::Debug>(
 /// of one-thread timings, alternating which side runs first, in
 /// milliseconds. Load that drifts during the run hits both sides of a
 /// pair alike, so this stays steady where two separate medians do not.
-/// Leaves `AXDNN_THREADS` unset.
 fn paired_delta_ms<T>(mut scalar: impl FnMut() -> T, mut batched: impl FnMut() -> T) -> f64 {
-    std::env::set_var("AXDNN_THREADS", "1");
-    let deltas = (0..PAIRS)
-        .map(|pair| {
-            if pair % 2 == 0 {
-                let s = time_ms(&mut scalar);
-                time_ms(&mut batched) - s
-            } else {
-                let b = time_ms(&mut batched);
-                b - time_ms(&mut scalar)
-            }
-        })
-        .collect();
-    std::env::remove_var("AXDNN_THREADS");
+    let deltas = parallel::with_threads(1, || {
+        (0..PAIRS)
+            .map(|pair| {
+                if pair % 2 == 0 {
+                    let s = time_ms(&mut scalar);
+                    time_ms(&mut batched) - s
+                } else {
+                    let b = time_ms(&mut batched);
+                    b - time_ms(&mut scalar)
+                }
+            })
+            .collect()
+    });
     median(deltas)
 }
 
@@ -190,10 +189,6 @@ fn add_config(report: &mut Report, images: usize) {
 }
 
 fn main() {
-    // Parts 1-3 pin and unpin AXDNN_THREADS around their timings; parts
-    // 5-7 run under the caller's setting so their thread invariance stays
-    // observable end to end.
-    let orig_threads = std::env::var("AXDNN_THREADS").ok();
     let n_images = std::env::var("AXDNN_BENCH_IMAGES")
         .ok()
         .and_then(|v| v.trim().parse().ok())
@@ -214,10 +209,6 @@ fn main() {
     train_report(&images, &labels);
     finetune_report();
     gemm_report();
-    match &orig_threads {
-        Some(v) => std::env::set_var("AXDNN_THREADS", v),
-        None => std::env::remove_var("AXDNN_THREADS"),
-    }
     faults_report();
     universal_report();
     mtd_report();
@@ -599,34 +590,34 @@ fn input_grad_rates() -> (f64, f64, f64) {
     let want: Vec<Tensor> = (block.iter().zip(&labels))
         .map(|(x, &label)| plan.input_gradient(&mut s, x, label).1)
         .collect();
-    std::env::set_var("AXDNN_THREADS", "1");
-    // The path crafting runs: one handle (one scratch) per call, one
-    // block query.
+    // The path crafting runs, on one thread: one handle (one scratch)
+    // per call, one block query.
     let run_block = || {
         map_source_blocks(&plan, block.len(), |handle, r| {
             let mut rngs = vec![Rng::seed_from_u64(0); r.len()];
             handle.input_gradient_block(&block[r.clone()], &labels[r], &mut rngs)
         })
     };
-    assert_eq!(
-        run_block(),
-        want,
-        "lenet5: the input gradient block diverged from one-image calls"
-    );
-    let (ms, block_ms) = best_interleaved_ms(
-        &mut s,
-        |s| {
-            for i in 0..GEMM_ITERS {
-                std::hint::black_box(plan.input_gradient(s, x, i % 10));
-            }
-        },
-        |_| {
-            for _ in 0..GEMM_ITERS / block.len() {
-                std::hint::black_box(run_block());
-            }
-        },
-    );
-    std::env::remove_var("AXDNN_THREADS");
+    let (ms, block_ms) = parallel::with_threads(1, || {
+        assert_eq!(
+            run_block(),
+            want,
+            "lenet5: the input gradient block diverged from one-image calls"
+        );
+        best_interleaved_ms(
+            &mut s,
+            |s| {
+                for i in 0..GEMM_ITERS {
+                    std::hint::black_box(plan.input_gradient(s, x, i % 10));
+                }
+            },
+            |_| {
+                for _ in 0..GEMM_ITERS / block.len() {
+                    std::hint::black_box(run_block());
+                }
+            },
+        )
+    });
     let (inputs, _) = axnn::reference::forward_trace(&model, x);
     let macs: usize = (model.layers().iter().enumerate())
         .map(|(i, layer)| match layer {

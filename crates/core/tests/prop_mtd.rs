@@ -5,8 +5,6 @@
 //! derived per image, and every evaluation rides the batched engines —
 //! so chunking may never leak into the report.
 
-use std::sync::Mutex;
-
 use axdata::mnist::{MnistConfig, SynthMnist};
 use axdata::Dataset;
 use axmul::{MulColumns, Registry};
@@ -16,10 +14,8 @@ use axnn::Sequential;
 use axquant::{Placement, QuantModel};
 use axrobust::mtd::{mtd_robustness_sweep, MtdSweepOpts};
 use axtensor::Tensor;
+use axutil::parallel::with_threads;
 use axutil::rng::Rng;
-
-/// Serializes tests that read or write `AXDNN_THREADS`.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 fn quick_setup() -> (Sequential, QuantModel, Dataset) {
     let train = SynthMnist::generate(&MnistConfig {
@@ -49,8 +45,6 @@ fn quick_setup() -> (Sequential, QuantModel, Dataset) {
 
 #[test]
 fn mtd_sweep_is_thread_invariant() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let prev = std::env::var("AXDNN_THREADS").ok();
     let (model, q, test) = quick_setup();
     let cols = MulColumns::from_registry(&Registry::standard(), &["1JFF", "17KS", "L40"]);
     let opts = MtdSweepOpts {
@@ -58,19 +52,14 @@ fn mtd_sweep_is_thread_invariant() {
         samples: 2,
         ..Default::default()
     };
-    std::env::set_var("AXDNN_THREADS", "1");
-    let golden = mtd_robustness_sweep(&model, &q, &cols, &test, &opts).unwrap();
+    let sweep = || mtd_robustness_sweep(&model, &q, &cols, &test, &opts).unwrap();
+    let golden = with_threads(1, sweep);
     assert_eq!(golden.rows.len(), 3);
-    for threads in ["2", "3", "7"] {
-        std::env::set_var("AXDNN_THREADS", threads);
-        let report = mtd_robustness_sweep(&model, &q, &cols, &test, &opts).unwrap();
+    for threads in [2, 3, 7] {
         assert_eq!(
-            report, golden,
+            with_threads(threads, sweep),
+            golden,
             "moving-target report diverges at {threads} threads"
         );
-    }
-    match prev {
-        Some(v) => std::env::set_var("AXDNN_THREADS", v),
-        None => std::env::remove_var("AXDNN_THREADS"),
     }
 }
