@@ -1,11 +1,13 @@
 //! Execution kernels for the compiled float engine.
 //!
-//! These are the hot loops behind [`crate::plan::FPlan`]: `im2col` patch
-//! extraction, the GEMM that lowers conv and dense layers to one inner
-//! dot-product shape, the direct conv input gradient
-//! ([`conv_input_grad`]), average pooling and ReLU. Everything works on
-//! flat `f32` scratch slices so the plan can reuse buffers across images
-//! and attack steps.
+//! These are the hot loops behind [`crate::plan::FPlan`]: patch
+//! extraction (column-major [`im2col_cols`] for the conv forward,
+//! row-major [`im2col`] for the conv parameter gradient), the conv
+//! forward over a column-major patch ([`conv_forward_cols`]), the GEMM
+//! that dense layers and a conv covering its input lower to, the direct
+//! conv input gradient ([`conv_input_grad`]), average pooling and ReLU.
+//! Everything works on flat `f32` scratch slices so the plan can reuse
+//! buffers across images and attack steps.
 //!
 //! # Blocks of images
 //!
@@ -43,36 +45,50 @@
 //!   terms in the seed's `(o, oy, ox)` order, visiting only in-range taps;
 //! * the dense backward keeps `matvec_t`'s zero-gradient row skip.
 //!
-//! # Tiled kernels and the scalar reference
+//! # Kernel tiers and the scalar reference
 //!
-//! Every kernel here is one the plans run. The four GEMM-shaped loops
-//! are register-tiled ([`conv_forward_tiled`], [`dense_forward_rows`],
-//! [`dense_backward_tiled`], [`conv_backward_params_tiled`]): they
-//! process 4×4 output blocks (or 4-row groups) with independent
-//! accumulators sharing operand loads. Conv forward and
-//! [`dense_forward_rows`] share one tile kernel: a conv's tile is
-//! (output channel, patch row), a dense layer's is (image, output
-//! neuron) over a block of up to four images, so the plans' batch paths
-//! load every dense weight once per block. A one-image call is a block
-//! of one. The conv input gradient is one direct kernel. The scalar
-//! loops the tiled kernels are pinned to (`conv_forward`,
+//! Every kernel here is one the plans run.
+//!
+//! * The conv forward runs over a column-major patch: patch column `t`
+//!   is one contiguous run over the output positions, so the kernel
+//!   vectorizes across positions and broadcasts the weights. On an
+//!   x86_64 CPU with AVX2 (detected at run time) [`conv_forward_cols`]
+//!   runs 4-channel × 16-position tiles of AVX2 accumulators; elsewhere
+//!   a portable kernel, one axpy per patch column, runs on the same
+//!   patch.
+//! * A block's conv input gradient ([`conv_input_grad`] with `nb > 1`)
+//!   runs its tap loop with AVX2 axpys along the `(ox, image)` axis on
+//!   such a CPU, and with the compiler's default vectors elsewhere.
+//! * The GEMM-shaped loops over row-major operands are register-tiled
+//!   ([`dense_forward_rows`], [`conv_forward_rows`],
+//!   [`dense_backward_tiled`], [`conv_backward_params_tiled`]): they
+//!   process 4×4 output blocks (or 4-row groups) with independent
+//!   accumulators sharing operand loads. A dense layer's tile is (image,
+//!   output neuron) over a block of up to four images, so the plans'
+//!   batch paths load every dense weight once per block.
+//!
+//! The scalar loops these kernels are pinned to (`conv_forward`,
 //! `dense_forward`, `dense_backward`, `conv_backward_params`) live in
 //! `axnn::reference`, with the seed layer loops; the property tests and
-//! the `gemm` bench suite compare the tiled kernels against them.
+//! the `gemm` bench suite compare the kernels against them.
 //!
-//! The tiled kernels are **bit-identical** to the reference, not merely
-//! close: tiling here never reassociates a floating-point sum. Each
-//! output element keeps its own accumulator whose additions run in the
-//! exact reference order — a 4×4 tile is sixteen *independent* sequential
-//! chains advanced in lockstep, and the fused multi-row backward passes
-//! append to each destination element in the same ascending-row order as
-//! the reference's sequential passes (including `dense_backward`'s
-//! zero-gradient row skip, which is applied *before* grouping rows). The
-//! speedup comes from instruction-level parallelism (many independent
-//! FP dependency chains instead of one latency-bound chain) and 4× reuse
-//! of every loaded operand, not from vectorizing a single dot product —
-//! which is why no ULP tolerance and no thread-invariance caveat is
-//! needed anywhere, and why the plans never need the scalar loops.
+//! Every kernel is **bit-identical** to the reference, not merely close:
+//! none reassociates a floating-point sum. Each output element keeps its
+//! own accumulator whose additions run in the exact reference order. A
+//! 4×4 register tile is sixteen *independent* sequential chains advanced
+//! in lockstep, and the fused multi-row backward passes append to each
+//! destination element in the same ascending-row order as the
+//! reference's sequential passes (including `dense_backward`'s
+//! zero-gradient row skip, which is applied *before* grouping rows). In
+//! a vector kernel every lane is one output's own chain, and each step is
+//! one multiply and then one add (`_mm256_mul_ps`, `_mm256_add_ps`):
+//! the scalar `acc += a * b` for eight outputs at once. No sum runs
+//! across lanes, and no kernel uses a fused multiply-add, which rounds
+//! once where the reference rounds twice. The speedup comes from
+//! independent chains, operand reuse and eight outputs per instruction,
+//! never from splitting one dot product — which is why no ULP tolerance
+//! and no thread or CPU caveat is needed anywhere, and why the plans
+//! never need the scalar loops.
 //!
 //! # Batched parameter gradients
 //!
@@ -140,6 +156,58 @@ pub fn im2col<T: Copy + Default>(
                         } else {
                             zero
                         };
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Extracts conv patches column-major, the transpose of [`im2col`]'s
+/// layout: row `t = (ci * k + ky) * k + kx` of `out` holds patch column
+/// `t` of every output position, `out[t * rows + p]` for `p = oy * ow +
+/// ox`, zero where the window overhangs the (zero-)padded input. The
+/// in-range output columns of each tap are clamped once (`tap_range`), so
+/// at stride 1 an output row's run of a column is one copy of an input
+/// row segment.
+#[allow(clippy::too_many_arguments)]
+pub fn im2col_cols(
+    x: &[f32],
+    dims: [usize; 3],
+    k: usize,
+    stride: usize,
+    pad: usize,
+    rows: usize,
+    cols: usize,
+    out: &mut [f32],
+) {
+    let [c, h, w] = dims;
+    debug_assert_eq!(x.len(), c * h * w);
+    debug_assert_eq!(cols, c * k * k);
+    let ow = (w + 2 * pad - k) / stride + 1;
+    let oh = rows / ow;
+    let mut columns = out[..rows * cols].chunks_exact_mut(rows);
+    for ci in 0..c {
+        for ky in 0..k {
+            let ys = tap_range(ky, stride, pad, h, oh);
+            for (kx, col) in (0..k).zip(&mut columns) {
+                let xs = tap_range(kx, stride, pad, w, ow);
+                if ys.len() < oh || xs.len() < ow {
+                    col.fill(0.0);
+                }
+                if xs.is_empty() {
+                    continue;
+                }
+                let ix0 = xs.start * stride + kx - pad;
+                for oy in ys.clone() {
+                    let at = (ci * h + oy * stride + ky - pad) * w + ix0;
+                    let dst = &mut col[oy * ow + xs.start..oy * ow + xs.end];
+                    if stride == 1 {
+                        dst.copy_from_slice(&x[at..at + dst.len()]);
+                    } else {
+                        for (d, &v) in dst.iter_mut().zip(x[at..].iter().step_by(stride)) {
+                            *d = v;
+                        }
                     }
                 }
             }
@@ -371,9 +439,12 @@ pub fn conv_covers_input(in_dims: [usize; 3], k: usize, pad: usize) -> bool {
 /// each `(o, c, ky, kx)` the output rows and columns whose tap lands
 /// inside the input are clamped once (`tap_range`), so padded and
 /// strided geometry costs no per-element test, and the innermost loop is
-/// an `(ox, image)` axpy the compiler vectorizes (contiguous in `dx` at
-/// stride 1): `nb` times wider than one image's `ox` run, which is what
-/// makes a block pay for its interleave on a small feature map. A conv
+/// an `(ox, image)` axpy (contiguous in `dx` at stride 1): `nb` times
+/// wider than one image's `ox` run, which is what makes a block pay for
+/// its interleave on a small feature map. For a block (`nb > 1`) on an
+/// x86_64 CPU with AVX2 that axpy runs eight lanes per AVX2 multiply and
+/// add, each lane one `dx` element; elsewhere the compiler vectorizes it
+/// for its default target. A conv
 /// whose window covers its whole input ([`conv_covers_input`]) is one
 /// `Wᵀ g` row sweep per image; the plans run it one image at a time,
 /// since its sweep is already wide and interleaving would only add
@@ -413,6 +484,42 @@ pub fn conv_input_grad(
         }
         return;
     }
+    if nb > 1 && has_avx2() {
+        #[cfg(test)]
+        AVX2_RUNS
+            .lock()
+            .unwrap()
+            .insert((INPUT_GRAD, dx.as_ptr() as usize));
+        // SAFETY: AVX2 is present, checked just above.
+        #[cfg(target_arch = "x86_64")]
+        return unsafe { avx2::conv_input_grad(w, g, g_dims, in_dims, k, stride, pad, nb, dx) };
+    }
+    scatter_taps(w, g, g_dims, in_dims, k, stride, pad, nb, dx, |d, g, wv| {
+        for (d, &gv) in d.iter_mut().zip(g) {
+            *d += gv * wv;
+        }
+    });
+}
+
+/// The tap loop of [`conv_input_grad`] over a zeroed `dx`, `axpy(d, g,
+/// wv)` adding `g[j] · wv` to `d[j]` for every `j < g.len()` (`d` may be
+/// longer): a stride-1 conv's contiguous `(ox, image)` run. Always
+/// inlined, so the AVX2 caller compiles the whole loop nest for AVX2.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn scatter_taps(
+    w: &[f32],
+    g: &[f32],
+    [oc, oh, ow]: [usize; 3],
+    [ic, h, wd]: [usize; 3],
+    k: usize,
+    stride: usize,
+    pad: usize,
+    nb: usize,
+    dx: &mut [f32],
+    axpy: impl Fn(&mut [f32], &[f32], f32),
+) {
+    debug_assert_eq!(g.len(), oc * oh * ow * nb);
     for (o, g_o) in g.chunks_exact(oh * ow * nb).enumerate() {
         for (c, dx_c) in dx.chunks_exact_mut(h * wd * nb).enumerate() {
             let w_oc = &w[(o * ic + c) * k * k..][..k * k];
@@ -430,9 +537,7 @@ pub fn conv_input_grad(
                         let grow = &g_o[(oy * ow + xs.start) * nb..(oy * ow + xs.end) * nb];
                         let drow = &mut dx_c[(iy * wd + ix0) * nb..];
                         if stride == 1 {
-                            for (d, &gv) in drow.iter_mut().zip(grow) {
-                                *d += gv * wv;
-                            }
+                            axpy(drow, grow, wv);
                         } else {
                             strided_axpy(drow, grow, stride, nb, wv);
                         }
@@ -475,15 +580,15 @@ const TILE: usize = 4;
 /// width of a block [`conv_input_grad`].
 pub const BLOCK: usize = TILE;
 
-/// Register-tiled kernel behind [`conv_forward_tiled`],
-/// [`conv_forward_rows`] and [`dense_forward_rows`]:
+/// Register-tiled kernel behind [`conv_forward_rows`] and
+/// [`dense_forward_rows`]:
 /// `out[i * n + j] = seed(i, j) + a[i] · b[j]` over the `m` rows of `a`
 /// and `n` rows of `b` (both `k` wide, row-major).
 ///
 /// Full 4×4 blocks advance sixteen independent accumulators per `t`
 /// step, sharing four `a` and four `b` loads; a leftover *pair* of rows
-/// runs as 2×4 blocks (shapes like LeNet-5's conv1 with `m = 6` would
-/// otherwise push a third of the work through single-row strips), and
+/// runs as 2×4 blocks (a block of two or three images would otherwise
+/// push its second row through a single-row strip), and
 /// the remaining edges fall back to 4×1 / 1×4 strips and finally the
 /// scalar reference loop. Every accumulator's addition chain over `t` is
 /// sequential and ascending — identical to the reference.
@@ -602,9 +707,38 @@ fn gemm_nt_tiled(
     }
 }
 
-/// Register-tiled scalar `conv_forward`: 4×4 `(out_channel, position)` blocks,
-/// accumulators seeded with the bias. Bit-identical to the reference.
-pub fn conv_forward_tiled(
+/// Conv forward over a column-major patch ([`im2col_cols`]):
+/// `out[o * rows + p] = bias[o] + Σ_t w[o * cols + t] · patch[t * rows +
+/// p]`, each sum starting at the bias and adding its products in
+/// ascending `t`, bit-identical to the reference `conv_forward` over the
+/// transposed (row-major) patch. Runs the AVX2 kernel on an x86_64 CPU
+/// with AVX2, a portable kernel over the same patch elsewhere.
+pub fn conv_forward_cols(
+    w: &[f32],
+    bias: &[f32],
+    patch: &[f32],
+    rows: usize,
+    cols: usize,
+    out: &mut [f32],
+) {
+    if has_avx2() {
+        #[cfg(test)]
+        AVX2_RUNS
+            .lock()
+            .unwrap()
+            .insert((FORWARD, out.as_ptr() as usize));
+        // SAFETY: AVX2 is present, checked just above.
+        #[cfg(target_arch = "x86_64")]
+        return unsafe { avx2::conv_forward_cols(w, bias, patch, rows, cols, out) };
+    }
+    conv_forward_cols_portable(w, bias, patch, rows, cols, out);
+}
+
+/// The portable [`conv_forward_cols`]: one output channel at a time, its
+/// row of `rows` sums seeded with the bias, then one axpy per patch
+/// column in ascending order. Every sum is its own chain, so the compiler
+/// vectorizes the axpy across output positions without reassociating.
+fn conv_forward_cols_portable(
     w: &[f32],
     bias: &[f32],
     patch: &[f32],
@@ -614,7 +748,200 @@ pub fn conv_forward_tiled(
 ) {
     let out_c = bias.len();
     debug_assert_eq!(w.len(), out_c * cols);
-    gemm_nt_tiled(w, |o, _| bias[o], patch, out_c, rows, cols, out);
+    let rows_out = out[..out_c * rows].chunks_exact_mut(rows);
+    for ((y, wrow), &b) in rows_out.zip(w.chunks_exact(cols)).zip(bias) {
+        y.fill(b);
+        for (&wv, col) in wrow.iter().zip(patch[..rows * cols].chunks_exact(rows)) {
+            for (acc, &a) in y.iter_mut().zip(col) {
+                *acc += wv * a;
+            }
+        }
+    }
+}
+
+/// Whether the AVX2 kernels can run: on an x86_64 CPU with AVX2.
+fn has_avx2() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    let avx2 = is_x86_feature_detected!("avx2");
+    #[cfg(not(target_arch = "x86_64"))]
+    let avx2 = false;
+    avx2
+}
+
+/// [`AVX2_RUNS`] tag of [`conv_forward_cols`].
+#[cfg(test)]
+const FORWARD: usize = 0;
+/// [`AVX2_RUNS`] tag of [`conv_input_grad`].
+#[cfg(test)]
+const INPUT_GRAD: usize = 1;
+
+/// The AVX2 kernels that have run, as `(kernel tag, output address)`
+/// pairs: tests check that a call they make took the kernel they meant
+/// it to.
+#[cfg(test)]
+static AVX2_RUNS: Mutex<std::collections::BTreeSet<(usize, usize)>> =
+    Mutex::new(std::collections::BTreeSet::new());
+
+/// The AVX2 kernels. Every vector lane is one output's own chain, and
+/// each step is one `_mm256_mul_ps` and then one `_mm256_add_ps`, the
+/// scalar `acc += a * b` done eight outputs at a time. No FMA: a fused
+/// multiply-add rounds once where the reference rounds twice.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use std::arch::x86_64::*;
+
+    /// f32 lanes of one AVX2 register.
+    const LANES: usize = 8;
+    /// Output channels per forward tile.
+    const CHANNELS: usize = 4;
+
+    /// [`conv_forward_cols`](super::conv_forward_cols) in tiles of
+    /// [`CHANNELS`] output channels by sixteen output positions: eight
+    /// accumulators seeded with the biases, then for every patch column
+    /// in ascending order two loads of the column, a broadcast weight per
+    /// channel and one multiply and add per accumulator. A leftover eight
+    /// positions run as one vector, and the last `rows % 8` as scalar
+    /// chains in the same order.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn conv_forward_cols(
+        w: &[f32],
+        bias: &[f32],
+        patch: &[f32],
+        rows: usize,
+        cols: usize,
+        out: &mut [f32],
+    ) {
+        let out_c = bias.len();
+        assert!(w.len() == out_c * cols && patch.len() >= rows * cols);
+        let out = &mut out[..out_c * rows];
+        for o in (0..out_c).step_by(CHANNELS) {
+            match CHANNELS.min(out_c - o) {
+                4 => channels::<4>(w, bias, patch, [rows, cols, o], out),
+                3 => channels::<3>(w, bias, patch, [rows, cols, o], out),
+                2 => channels::<2>(w, bias, patch, [rows, cols, o], out),
+                _ => channels::<1>(w, bias, patch, [rows, cols, o], out),
+            }
+        }
+    }
+
+    /// Output channels `o..o + C`, every position.
+    ///
+    /// # Safety
+    ///
+    /// As for [`conv_forward_cols`], and the slices hold what it checks.
+    #[inline(always)]
+    unsafe fn channels<const C: usize>(
+        w: &[f32],
+        bias: &[f32],
+        patch: &[f32],
+        [rows, cols, o]: [usize; 3],
+        out: &mut [f32],
+    ) {
+        let mut p = 0;
+        while p + 2 * LANES <= rows {
+            tile::<C, 2>(w, bias, patch, [rows, cols, o, p], out);
+            p += 2 * LANES;
+        }
+        if p + LANES <= rows {
+            tile::<C, 1>(w, bias, patch, [rows, cols, o, p], out);
+            p += LANES;
+        }
+        for c in o..o + C {
+            let wrow = &w[c * cols..(c + 1) * cols];
+            for q in p..rows {
+                let mut acc = bias[c];
+                for (&wv, col) in wrow.iter().zip(patch.chunks_exact(rows)) {
+                    acc += wv * col[q];
+                }
+                out[c * rows + q] = acc;
+            }
+        }
+    }
+
+    /// Output channels `o..o + C` at positions `p..p + V * 8`.
+    ///
+    /// # Safety
+    ///
+    /// As for [`channels`], and `p + V * 8 <= rows`.
+    #[inline(always)]
+    unsafe fn tile<const C: usize, const V: usize>(
+        w: &[f32],
+        bias: &[f32],
+        patch: &[f32],
+        [rows, cols, o, p]: [usize; 4],
+        out: &mut [f32],
+    ) {
+        let mut acc = [[_mm256_setzero_ps(); V]; C];
+        for (acc, &b) in acc.iter_mut().zip(&bias[o..o + C]) {
+            *acc = [_mm256_set1_ps(b); V];
+        }
+        let weights = w.as_ptr().add(o * cols);
+        for t in 0..cols {
+            // Positions p..p + V * 8 of column t: inside the patch, since
+            // p + V * 8 <= rows and t < cols.
+            let col = patch.as_ptr().add(t * rows + p);
+            let mut x = [_mm256_setzero_ps(); V];
+            for (v, x) in x.iter_mut().enumerate() {
+                *x = _mm256_loadu_ps(col.add(v * LANES));
+            }
+            for (c, acc) in acc.iter_mut().enumerate() {
+                // Weight t of channel o + c < out_c: inside `w`, whose
+                // length is out_c * cols.
+                let wv = _mm256_set1_ps(*weights.add(c * cols + t));
+                for (a, &x) in acc.iter_mut().zip(&x) {
+                    *a = _mm256_add_ps(*a, _mm256_mul_ps(wv, x));
+                }
+            }
+        }
+        for (c, acc) in acc.iter().enumerate() {
+            // Positions p..p + V * 8 <= rows of channel o + c < out_c:
+            // inside `out`, sliced to out_c * rows.
+            let dst = out.as_mut_ptr().add((o + c) * rows + p);
+            for (v, &a) in acc.iter().enumerate() {
+                _mm256_storeu_ps(dst.add(v * LANES), a);
+            }
+        }
+    }
+
+    /// [`conv_input_grad`](super::conv_input_grad)'s tap loop with each
+    /// stride-1 `(ox, image)` run eight lanes at a time, its last
+    /// `len % 8` elements scalar.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn conv_input_grad(
+        w: &[f32],
+        g: &[f32],
+        g_dims: [usize; 3],
+        in_dims: [usize; 3],
+        k: usize,
+        stride: usize,
+        pad: usize,
+        nb: usize,
+        dx: &mut [f32],
+    ) {
+        super::scatter_taps(w, g, g_dims, in_dims, k, stride, pad, nb, dx, |d, g, wv| {
+            let d = &mut d[..g.len()];
+            let body = g.len() / LANES * LANES;
+            let w8 = _mm256_set1_ps(wv);
+            for j in (0..body).step_by(LANES) {
+                // j + 8 <= body <= len of both slices.
+                let dst = d.as_mut_ptr().add(j);
+                let prod = _mm256_mul_ps(_mm256_loadu_ps(g.as_ptr().add(j)), w8);
+                _mm256_storeu_ps(dst, _mm256_add_ps(_mm256_loadu_ps(dst), prod));
+            }
+            for (d, &gv) in d[body..].iter_mut().zip(&g[body..]) {
+                *d += gv * wv;
+            }
+        });
+    }
 }
 
 /// The forward of a conv whose window covers its whole input
@@ -634,11 +961,11 @@ pub fn conv_forward_rows(w: &[f32], bias: &[f32], x: &[f32], out: &mut [f32]) {
 
 /// Dense forward of a block of images, `x` holding them back to back and
 /// `out` receiving their outputs the same way: the images are one side of
-/// the tile kernel behind [`conv_forward_tiled`] and the weight rows the
-/// other, so 4×4 tiles of (image, output) share every `x` and `w` load. Accumulators
-/// start at zero and the bias is added last, per image exactly
-/// the scalar `dense_forward`'s order, so one image or many, the result is
-/// bit-identical to the reference.
+/// the tile kernel behind [`conv_forward_rows`] and the weight rows the
+/// other, so 4×4 tiles of (image, output) share every `x` and `w` load.
+/// Accumulators start at zero and the bias is added last, per image
+/// exactly the scalar `dense_forward`'s order, so one image or many, the
+/// result is bit-identical to the reference.
 pub fn dense_forward_rows(w: &[f32], bias: &[f32], x: &[f32], out: &mut [f32]) {
     let out_dim = bias.len();
     let in_dim = w.len() / out_dim;
@@ -874,6 +1201,8 @@ pub fn avgpool_backward(g: &[f32], in_dims: [usize; 3], k: usize, dx: &mut [f32]
 mod tests {
     use super::*;
     use crate::reference::{conv_backward_params, conv_forward, dense_backward, dense_forward};
+    use axutil::rng::Rng;
+    use proptest::prelude::*;
 
     #[test]
     fn im2col_identity_for_1x1_kernel() {
@@ -969,18 +1298,125 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn tiled_conv_forward_is_bit_exact() {
-        // Odd sizes on purpose: full tiles plus row and column edges.
-        let (out_c, rows, cols) = (6, 7, 13);
-        let w = fill(1, out_c * cols);
-        let bias = fill(2, out_c);
-        let patch = fill(3, rows * cols);
-        let mut reference = vec![0.0f32; out_c * rows];
-        let mut tiled = vec![0.0f32; out_c * rows];
-        conv_forward(&w, &bias, &patch, rows, cols, &mut reference);
-        conv_forward_tiled(&w, &bias, &patch, rows, cols, &mut tiled);
-        assert_eq!(reference, tiled);
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `n` values in `[-1, 1)`, a quarter of them forced to `+0.0` or
+    /// `-0.0`.
+    fn signed_zeros(rng: &mut Rng, n: usize) -> Vec<f32> {
+        (0..n)
+            .map(|_| match rng.below(8) {
+                0 => 0.0,
+                1 => -0.0,
+                _ => rng.range_f32(-1.0, 1.0),
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `im2col_cols` is the transpose of the row-major `im2col`, bit
+        /// for bit, at every kernel size 1–5, stride 1–3 and pad 0–2 on
+        /// 1–4 channels and a random input size, over a patch prefilled
+        /// with NaN.
+        #[test]
+        fn im2col_cols_is_transposed_im2col(
+            c in 1usize..=4,
+            k in 1usize..=5,
+            stride in 1usize..=3,
+            pad in 0usize..=2,
+            extra_h in 0usize..6,
+            extra_w in 0usize..6,
+            seed in any::<u64>(),
+        ) {
+            let lo = k.saturating_sub(2 * pad).max(1);
+            let (h, w) = (lo + extra_h, lo + extra_w);
+            let x = signed_zeros(&mut Rng::seed_from_u64(seed), c * h * w);
+            let out = |n: usize| (n + 2 * pad - k) / stride + 1;
+            let (rows, cols) = (out(h) * out(w), c * k * k);
+            let mut want = vec![f32::NAN; rows * cols];
+            im2col(&x, [c, h, w], k, stride, pad, rows, cols, &mut want);
+            let mut got = vec![f32::NAN; rows * cols];
+            im2col_cols(&x, [c, h, w], k, stride, pad, rows, cols, &mut got);
+            let transposed: Vec<f32> = (0..rows * cols)
+                .map(|i| want[i % rows * cols + i / rows])
+                .collect();
+            prop_assert_eq!(bits(&got), bits(&transposed));
+        }
+
+        /// The dispatched conv forward over a column-major patch, and the
+        /// portable kernel, against the reference `conv_forward` over the
+        /// row-major patch, bit for bit. `rows` runs past whole 16- and
+        /// 8-position tiles and `out_c` past whole 4-channel tiles, and
+        /// weights, biases and patch values include `+0.0` and `-0.0`. On
+        /// an AVX2 host the dispatched call must take the AVX2 kernel.
+        #[test]
+        fn conv_forward_cols_matches_reference(
+            out_c in 1usize..=9,
+            rows in 1usize..=70,
+            cols in 1usize..=40,
+            seed in any::<u64>(),
+        ) {
+            let rng = &mut Rng::seed_from_u64(seed);
+            let w = signed_zeros(rng, out_c * cols);
+            let bias = signed_zeros(rng, out_c);
+            let patch = signed_zeros(rng, rows * cols);
+            let columns: Vec<f32> = (0..rows * cols)
+                .map(|i| patch[i % rows * cols + i / rows])
+                .collect();
+            let mut want = vec![0.0f32; out_c * rows];
+            conv_forward(&w, &bias, &patch, rows, cols, &mut want);
+            let mut got = vec![f32::NAN; out_c * rows];
+            let address = got.as_ptr() as usize;
+            AVX2_RUNS.lock().unwrap().remove(&(FORWARD, address));
+            conv_forward_cols(&w, &bias, &columns, rows, cols, &mut got);
+            prop_assert_eq!(bits(&got), bits(&want));
+            prop_assert_eq!(AVX2_RUNS.lock().unwrap().contains(&(FORWARD, address)), has_avx2());
+            let mut got = vec![f32::NAN; out_c * rows];
+            conv_forward_cols_portable(&w, &bias, &columns, rows, cols, &mut got);
+            prop_assert_eq!(bits(&got), bits(&want));
+        }
+
+        /// A block's conv input gradient (images innermost) against one
+        /// call per image, bit for bit, at block widths 2–4 over kernel
+        /// sizes 1–5, stride 1–2 and pad 0–2, with upstream gradients and
+        /// weights holding `+0.0` and `-0.0`. On an AVX2 host every block
+        /// call must take the AVX2 kernel.
+        #[test]
+        fn block_conv_input_grad_matches_one_image_calls(
+            ic in 1usize..=3,
+            oc in 1usize..=5,
+            k in 1usize..=5,
+            stride in 1usize..=2,
+            pad in 0usize..=2,
+            extra_h in 0usize..6,
+            extra_w in 0usize..6,
+            nb in 2usize..=4,
+            seed in any::<u64>(),
+        ) {
+            let lo = k.saturating_sub(2 * pad).max(1);
+            let (h, wd) = (lo + extra_h, lo + extra_w);
+            let out = |n: usize| (n + 2 * pad - k) / stride + 1;
+            let g_dims = [oc, out(h), out(wd)];
+            let (g_len, dx_len) = (g_dims.iter().product::<usize>(), ic * h * wd);
+            let rng = &mut Rng::seed_from_u64(seed);
+            let w = signed_zeros(rng, oc * ic * k * k);
+            let g = signed_zeros(rng, nb * g_len);
+            let mut dx = vec![f32::NAN; nb * dx_len];
+            let address = dx.as_ptr() as usize;
+            AVX2_RUNS.lock().unwrap().remove(&(INPUT_GRAD, address));
+            conv_input_grad(&w, &g, g_dims, [ic, h, wd], k, stride, pad, nb, &mut dx);
+            prop_assert_eq!(AVX2_RUNS.lock().unwrap().contains(&(INPUT_GRAD, address)), has_avx2());
+            for b in 0..nb {
+                let g_b: Vec<f32> = (0..g_len).map(|t| g[t * nb + b]).collect();
+                let mut want = vec![f32::NAN; dx_len];
+                conv_input_grad(&w, &g_b, g_dims, [ic, h, wd], k, stride, pad, 1, &mut want);
+                let got: Vec<f32> = (0..dx_len).map(|t| dx[t * nb + b]).collect();
+                prop_assert!(bits(&got) == bits(&want), "image {b}");
+            }
+        }
     }
 
     #[test]

@@ -34,10 +34,10 @@
 //! Training rides the same engine through
 //! [`FPlan::loss_and_param_grads_batch`], in two passes. The image pass
 //! runs a whole minibatch on one plan with one scratch per thread chunk
-//! (each conv layer's parameter gradient re-extracts its im2col patches
-//! from the tape); each image leaves a small
-//! record — a dense layer's upstream gradient and input, the two factors
-//! of its rank-one gradient, and a conv layer's own gradient. The fold
+//! (each conv layer's parameter gradient re-extracts its row-major
+//! im2col patches from the tape); each image leaves a small record — a
+//! dense layer's upstream gradient and input, the two factors of its
+//! rank-one gradient, and a conv layer's own gradient. The fold
 //! pass ([`exec::GradFold`]) then sums the records in image order over
 //! the parameters of all layers, chunked over threads. Each parameter
 //! adds its images in order `k = 0..n` and the fold is exact, so the
@@ -92,8 +92,10 @@ use crate::model::{GradBuffer, Sequential};
 /// One resolved layer of a compiled plan.
 #[derive(Debug)]
 enum FStep<'m> {
-    /// im2col + GEMM forward; direct input gradient
-    /// ([`exec::conv_input_grad`]).
+    /// Column-major im2col + [`exec::conv_forward_cols`] forward (a
+    /// covering conv: [`exec::conv_forward_rows`]); direct input gradient
+    /// ([`exec::conv_input_grad`]); row-major im2col for the parameter
+    /// gradient.
     Conv {
         w: &'m Tensor,
         b: &'m Tensor,
@@ -142,7 +144,9 @@ pub struct FPlan<'m> {
     /// Largest activation any step reads or writes (gradient ping-pong
     /// buffers are sized to this).
     max_act: usize,
-    /// Largest forward im2col patch any conv step needs.
+    /// Largest one-image patch (`rows * cols`) of any non-covering conv
+    /// step: the forward's column-major patch and the parameter
+    /// gradient's row-major one reuse the same buffer.
     max_patch: usize,
     /// Largest input of a conv whose input gradient interleaves a block
     /// (every conv but a covering one, see [`exec::conv_covers_input`]).
@@ -161,6 +165,13 @@ pub struct FPlan<'m> {
 /// patch, and the interleaved block a conv input gradient writes. Build
 /// one per thread with [`FPlan::scratch`] and reuse it across images and
 /// attack steps.
+///
+/// The patch holds `rows × cols` values (output positions × `in_c · k ·
+/// k` taps) in one of two layouts: the forward writes it column-major
+/// ([`exec::im2col_cols`], tap `t` of position `p` at `t * rows + p`),
+/// the layout of [`exec::conv_forward_cols`] on every CPU; a conv's
+/// parameter gradient rewrites it row-major ([`exec::im2col`], at `p *
+/// cols + t`) for [`exec::conv_backward_params_tiled`].
 #[derive(Debug)]
 pub struct FScratch {
     /// `acts[i]` is the input to step `i`, image after image;
@@ -326,7 +337,8 @@ impl<'m> FPlan<'m> {
     /// the logits in the tape's final buffer. Dense layers and a conv
     /// covering its whole input see the block's images as GEMM rows
     /// ([`exec::dense_forward_rows`], [`exec::conv_forward_rows`]); every
-    /// other conv runs one im2col patch per image.
+    /// other conv extracts one column-major patch per image
+    /// ([`exec::im2col_cols`]) for [`exec::conv_forward_cols`].
     fn run_forward<'a, F>(&self, s: &mut FScratch, block: Range<usize>, image: &F)
     where
         F: Fn(usize) -> &'a Tensor,
@@ -365,8 +377,8 @@ impl<'m> FPlan<'m> {
                         exec::conv_forward_rows(w.data(), b.data(), src, dst);
                     } else {
                         for (x, y) in images {
-                            exec::im2col(x, in_dims, k, stride, pad, rows, cols, patch);
-                            exec::conv_forward_tiled(w.data(), b.data(), patch, rows, cols, y);
+                            exec::im2col_cols(x, in_dims, k, stride, pad, rows, cols, patch);
+                            exec::conv_forward_cols(w.data(), b.data(), patch, rows, cols, y);
                         }
                     }
                 }

@@ -89,8 +89,11 @@ const GEMM_ITERS: usize = 200;
 /// LUT-GEMM rows and `lenet5-input-grad`). Six runs of the LeNet-5 conv
 /// rows as a median of three timings per side put the block below
 /// one-image calls once (ratio 0.79, the others 1.03–1.11); the best of
-/// five interleaved timings read 1.05–1.11.
-const LUT_REPS: usize = 5;
+/// five interleaved timings read 1.05–1.11 there, but later 0.97 in one
+/// of eight quiet runs once both sides ran the AVX2 LUT kernels. The best
+/// of fifteen takes each side's minimum over more runs of the same
+/// quantity.
+const LUT_REPS: usize = 30;
 /// Evaluation samples of the universal sweep.
 const UNIVERSAL_EVAL: usize = 60;
 /// Crafting samples of the universal delta.
@@ -368,11 +371,15 @@ fn finetune_report() {
 
 /// Part 4: the raw GEMM kernel tiers on LeNet-5's conv1 (6×576×25) and
 /// conv2 (16×64×150) im2col products and the FFNN's first dense layer
-/// (300×784, one image through `dense_forward_rows`, the call a block of
-/// one runs). The tiled tier keeps every per-element accumulation
-/// chain, so both outputs are asserted bit-identical before timing;
-/// each timing repeats the kernel [`GEMM_ITERS`] times, and the MAC
-/// throughput goes to stderr. Then the `ffnn-dense1-300x784-lut` rows:
+/// (300×784), each against the scalar reference loop (`reference_ms`).
+/// `tiled_ms` times the kernel the plan runs: for the convs
+/// `conv_forward_cols` over the column-major (transposed) patch, which
+/// dispatches to the AVX2 tile kernel on an AVX2 CPU; for the dense
+/// layer one image through `dense_forward_rows`, the call a block of one
+/// runs. Every kernel keeps every per-element accumulation chain, so its
+/// output is asserted bit-identical (`to_bits`) to the reference before
+/// timing; each timing repeats the kernel [`GEMM_ITERS`] times, and the
+/// MAC throughput goes to stderr. Then the `ffnn-dense1-300x784-lut` rows:
 /// the same layer's LUT-GEMM rate, one image per call against a 4-image
 /// block, and the `lenet5-conv-lut` rows: the same for LeNet-5's conv
 /// layers. Then the `lenet5-input-grad` rows: the best one-thread time
@@ -401,19 +408,28 @@ fn gemm_report() {
         let w = fill(oc * cols);
         let bias = fill(oc);
         let x = fill(rows * cols);
+        // The plan's conv forward reads its patch column-major.
+        let x_cols: Vec<f32> = (0..rows * cols)
+            .map(|i| x[i % rows * cols + i / rows])
+            .collect();
         let reference = |out: &mut [f32]| match rows {
             1 => reference::dense_forward(&w, &bias, &x, out),
             _ => reference::conv_forward(&w, &bias, &x, rows, cols, out),
         };
         let tiled = |out: &mut [f32]| match rows {
             1 => exec::dense_forward_rows(&w, &bias, &x, out),
-            _ => exec::conv_forward_tiled(&w, &bias, &x, rows, cols, out),
+            _ => exec::conv_forward_cols(&w, &bias, &x_cols, rows, cols, out),
         };
         let mut want = vec![0.0f32; oc * rows];
         let mut got = vec![0.0f32; oc * rows];
         reference(&mut want);
         tiled(&mut got);
-        assert_eq!(want, got, "{name}: tiled kernel diverged from reference");
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&want),
+            bits(&got),
+            "{name}: tiled kernel diverged from reference"
+        );
         let reference_ms = median_ms(|| {
             for _ in 0..GEMM_ITERS {
                 reference(&mut want);
