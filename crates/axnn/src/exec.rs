@@ -510,7 +510,7 @@ pub fn conv_input_grad(
 fn scatter_taps(
     w: &[f32],
     g: &[f32],
-    [oc, oh, ow]: [usize; 3],
+    [_, oh, ow]: [usize; 3],
     [ic, h, wd]: [usize; 3],
     k: usize,
     stride: usize,
@@ -519,7 +519,6 @@ fn scatter_taps(
     dx: &mut [f32],
     axpy: impl Fn(&mut [f32], &[f32], f32),
 ) {
-    debug_assert_eq!(g.len(), oc * oh * ow * nb);
     for (o, g_o) in g.chunks_exact(oh * ow * nb).enumerate() {
         for (c, dx_c) in dx.chunks_exact_mut(h * wd * nb).enumerate() {
             let w_oc = &w[(o * ic + c) * k * k..][..k * k];
