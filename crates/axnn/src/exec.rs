@@ -1419,6 +1419,24 @@ mod tests {
     }
 
     #[test]
+    fn tiled_conv_forward_is_bit_exact() {
+        // Odd sizes on purpose: whole 4×16 tiles plus channel and
+        // position edges.
+        let (out_c, rows, cols) = (6, 37, 13);
+        let w = fill(1, out_c * cols);
+        let bias = fill(2, out_c);
+        let patch = fill(3, rows * cols);
+        let columns: Vec<f32> = (0..rows * cols)
+            .map(|i| patch[i % rows * cols + i / rows])
+            .collect();
+        let mut reference = vec![0.0f32; out_c * rows];
+        let mut tiled = vec![f32::NAN; out_c * rows];
+        conv_forward(&w, &bias, &patch, rows, cols, &mut reference);
+        conv_forward_cols(&w, &bias, &columns, rows, cols, &mut tiled);
+        assert_eq!(bits(&reference), bits(&tiled));
+    }
+
+    #[test]
     fn tiled_dense_pair_is_bit_exact() {
         let (out_dim, in_dim) = (11, 17);
         let w = fill(4, out_dim * in_dim);

@@ -1,16 +1,16 @@
 //! Property tests pinning the register-tiled GEMM kernels to the scalar
 //! reference kernels — **bit-exact**, not within tolerance.
 //!
-//! The tiled kernels ([`axnn::exec`]: `*_tiled`, `dense_forward_rows`)
-//! only regroup which output elements advance together; every element's
-//! addition chain over
-//! the dot-product dimension stays sequential and ascending, so for any
-//! shape (including odd/prime edges that exercise every remainder path)
-//! the two forms must agree to the last bit. The direct conv input
+//! The tiled kernels ([`axnn::exec`]: `*_tiled`, `dense_forward_rows`,
+//! and `conv_forward_cols` over a column-major patch) only regroup
+//! which output elements advance together; every element's addition
+//! chain over the dot-product dimension stays sequential and ascending,
+//! so for any shape (including odd/prime edges that exercise every
+//! remainder path) the two forms must agree to the last bit. The direct conv input
 //! gradient, which has no tiled form, is pinned to the seed conv
-//! backward the same way, at every block width. (The conv forward over
-//! column-major patches is pinned in `axnn::exec`'s own tests, which can
-//! also see whether its AVX2 kernel ran.) On top of the raw
+//! backward the same way, at every block width. (`axnn::exec`'s own
+//! tests pin the conv forward's portable kernel too, with signed zeros,
+//! and see whether its AVX2 kernel ran.) On top of the raw
 //! kernels, a whole compiled plan must reproduce its one-thread forward,
 //! loss and gradients exactly at every `AXDNN_THREADS` chunking, for
 //! every fixture model (the conv geometries k ∈ {1, 3, 5} with
@@ -43,6 +43,30 @@ fn filled(rng: &mut Rng, n: usize) -> Vec<f32> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// `conv_forward_cols` over the column-major patch == `conv_forward`
+    /// over the row-major patch, for any (oc, rows, cols).
+    #[test]
+    fn tiled_conv_forward_matches_reference(
+        seed in proptest::strategy::any::<u64>(),
+        oc_i in 0usize..EDGES.len(),
+        rows_i in 0usize..EDGES.len(),
+        cols_i in 0usize..EDGES.len(),
+    ) {
+        let (oc, rows, cols) = (EDGES[oc_i], EDGES[rows_i], EDGES[cols_i]);
+        let rng = &mut Rng::seed_from_u64(seed);
+        let w = filled(rng, oc * cols);
+        let bias = filled(rng, oc);
+        let patch = filled(rng, rows * cols);
+        let columns: Vec<f32> = (0..rows * cols)
+            .map(|i| patch[i % rows * cols + i / rows])
+            .collect();
+        let mut want = vec![0.0f32; oc * rows];
+        let mut got = vec![f32::NAN; oc * rows];
+        reference::conv_forward(&w, &bias, &patch, rows, cols, &mut want);
+        exec::conv_forward_cols(&w, &bias, &columns, rows, cols, &mut got);
+        prop_assert_eq!(want, got);
+    }
 
     /// `im2col` against a per-element reference over every
     /// `k ∈ {1, 2, 3, 5}`, stride `{1, 2}` and pad `{0, 1, 2, 3}` (pads
