@@ -3,6 +3,7 @@
 //! ([`crate::plan::FPlan`]), which each compile a fresh plan.
 
 use axdata::Dataset;
+use axtensor::stats::Outcomes;
 use axtensor::Tensor;
 
 use crate::layer::Layer;
@@ -158,22 +159,19 @@ impl Sequential {
     /// Classification accuracy over (up to `max_n` examples of) a dataset,
     /// evaluated on the batched plan engine: one compiled plan, threads
     /// work contiguous image chunks with one scratch each instead of
-    /// paying a per-image `predict` (plan + scratch) setup.
+    /// paying a per-image `predict` (plan + scratch) setup. The
+    /// predictions are scored through [`Outcomes`].
     ///
     /// # Panics
     ///
-    /// Panics on an empty sample (empty dataset or `max_n == 0`) — an
-    /// accuracy of "0.0" there would silently read as a model failure.
+    /// Panics on an empty sample (empty dataset or `max_n == 0`): the one
+    /// empty-set rule of [`Outcomes`].
     pub fn accuracy(&self, data: &Dataset, max_n: usize) -> f32 {
         let n = data.len().min(max_n);
-        assert!(
-            n > 0,
-            "accuracy needs a non-empty sample (dataset len {}, max_n {max_n})",
-            data.len()
-        );
+        Outcomes::assert_sample(n);
         let plan = self.plan(data.image(0).dims());
-        let correct = plan.count_correct(n, |i| data.image(i), |i| data.label(i));
-        correct as f32 / n as f32
+        let preds = plan.predict_batch(n, |i| data.image(i));
+        Outcomes::new(n, 1, |i, _| preds[i], |i| data.label(i)).accuracy(0)
     }
 
     /// A one-line-per-layer summary with parameter counts.
@@ -305,6 +303,14 @@ mod tests {
         // silently running image 1 under image 0's geometry.
         let images = vec![Tensor::zeros(&[4]), Tensor::zeros(&[2, 2])];
         let _ = m.loss_and_param_grads_batch(&images, &[0, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-empty sample")]
+    fn accuracy_rejects_an_empty_sample() {
+        let m = tiny_model(12);
+        let data = Dataset::new("one", vec![random_input(13)], vec![0], 3);
+        let _ = m.accuracy(&data, 0);
     }
 
     #[test]

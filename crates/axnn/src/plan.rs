@@ -13,7 +13,7 @@
 //! calibration pass in the workspace runs here, bit-compatible with the
 //! seed layer-by-layer loop that `axnn::reference` keeps for the tests
 //! (see [`crate::exec`] for the accumulation-order argument). The batch
-//! entry points ([`FPlan::count_correct`],
+//! entry points ([`FPlan::predict_batch`],
 //! [`FPlan::loss_and_param_grads_batch`]) run `N` images per pass,
 //! chunked over threads via [`axutil::parallel::par_map_chunks`] with
 //! one scratch per chunk; [`FPlan::layer_max_abs`], the calibration pass
@@ -664,23 +664,20 @@ impl<'m> FPlan<'m> {
         }
     }
 
-    /// Correct-prediction count over `n` examples in parallel image
-    /// chunks with one scratch per chunk, one forward per block of images
-    /// — the core behind [`Sequential::accuracy`].
-    pub fn count_correct<'a, F, G>(&self, n: usize, image: F, label: G) -> usize
+    /// Predicted classes of images `0..n` in parallel image chunks with
+    /// one scratch per chunk, one forward per block of images — the
+    /// predictions [`Sequential::accuracy`] scores.
+    pub fn predict_batch<'a, F>(&self, n: usize, image: F) -> Vec<usize>
     where
         F: Fn(usize) -> &'a Tensor + Sync,
-        G: Fn(usize) -> usize + Sync,
     {
         parallel::par_map_chunks(n, |range| {
             self.map_blocks(&mut self.scratch(), range, &image, |s, block| {
-                (block.enumerate())
-                    .map(|(b, i)| usize::from(argmax(self.logits(s, b)) == label(i)))
+                (0..block.len())
+                    .map(|b| argmax(self.logits(s, b)))
                     .collect()
             })
         })
-        .into_iter()
-        .sum()
     }
 
     /// Summed cross-entropy loss and parameter gradients over a whole
@@ -929,7 +926,7 @@ mod tests {
         let plan = model.plan(&[1, 28, 28]);
         let mut images: Vec<Tensor> = (0..5).map(|i| rand_image(&[1, 28, 28], i)).collect();
         images[2] = Tensor::zeros(&[28, 28, 1]);
-        let _ = plan.count_correct(images.len(), |i| &images[i], |_| 0);
+        let _ = plan.predict_batch(images.len(), |i| &images[i]);
     }
 
     #[test]

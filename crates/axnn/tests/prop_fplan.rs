@@ -12,6 +12,7 @@ use axnn::model::Sequential;
 use axnn::reference;
 use axnn::source::map_source_blocks;
 use axnn::FPlan;
+use axtensor::stats::Outcomes;
 use axtensor::Tensor;
 use axutil::parallel::with_threads;
 use axutil::rng::Rng;
@@ -111,12 +112,12 @@ fn fplan_matches_seed_on_every_architecture() {
 }
 
 /// The block paths against one image per call, for every batch size in
-/// [`BATCH_SIZES`] and every `AXDNN_THREADS` chunking: `count_correct`
-/// counts every image right under labels set to the one-image
-/// predictions, the plan's gradient source (`map_source_blocks`, one
-/// handle per chunk) and the one-scratch `input_gradient_block` return
-/// every image's `input_gradient` bit for bit, and
-/// `loss_and_param_grads_batch` is the fold of per-image
+/// [`BATCH_SIZES`] and every `AXDNN_THREADS` chunking: `predict_batch`
+/// scores the same images right and wrong as the one-image predictions
+/// (as [`Outcomes`], image by image), the plan's gradient source
+/// (`map_source_blocks`, one handle per chunk) and the one-scratch
+/// `input_gradient_block` return every image's `input_gradient` bit for
+/// bit, and `loss_and_param_grads_batch` is the fold of per-image
 /// `loss_and_grads`. On every fixture shape: the conv ones interleave
 /// the block inside every non-covering conv's input gradient, and
 /// LeNet's shape runs its covering conv image by image above a block
@@ -130,6 +131,14 @@ fn image_blocks_match_one_image_calls_at_every_boundary() {
         let probes = images(9, 0xB10C);
         let preds: Vec<usize> = probes.iter().map(|x| plan.predict(&mut s, x)).collect();
         let labels: Vec<usize> = (0..probes.len()).map(|i| i % 4).collect();
+        // Every other image is labelled with its own prediction: a block
+        // path that moved one image's prediction to another image changes
+        // the hits even where it keeps their count.
+        let hit_labels: Vec<usize> = (preds.iter().enumerate())
+            .map(|(i, &p)| p + i % 2)
+            .collect();
+        let outcomes =
+            |n: usize, preds: &[usize]| Outcomes::new(n, 1, |i, _| preds[i], |i| hit_labels[i]);
         let mut sum = (0.0f32, model.zero_grads());
         let mut want_grads = Vec::new();
         let mut want_folds = Vec::new();
@@ -145,8 +154,12 @@ fn image_blocks_match_one_image_calls_at_every_boundary() {
             with_threads(threads, || {
                 for n in BATCH_SIZES {
                     let at = format!("{} n {n} threads {threads}", model.name());
-                    let correct = plan.count_correct(n, |i| &probes[i], |i| preds[i]);
-                    assert_eq!(correct, n, "count_correct: {at}");
+                    let got = plan.predict_batch(n, |i| &probes[i]);
+                    assert_eq!(
+                        outcomes(n, &got),
+                        outcomes(n, &preds),
+                        "predict_batch: {at}"
+                    );
                     let got = source_gradients(&plan, &probes[..n], &labels[..n]);
                     let want: Vec<&Vec<u32>> = want_grads[..n].iter().map(|(_, g)| g).collect();
                     assert_eq!(

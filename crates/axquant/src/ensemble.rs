@@ -20,6 +20,7 @@
 //! pass `accuracy_with` uses.
 
 use axmul::{MulColumns, MulLut};
+use axtensor::stats::Outcomes;
 use axtensor::Tensor;
 use axutil::rng::Rng;
 
@@ -188,18 +189,15 @@ impl<'a> EnsembleModel<'a> {
     }
 
     /// Ensemble accuracy on a labelled `(image, label)` set; query `i`
-    /// is the set's `i`-th entry. Empty sets score `0.0`.
+    /// is the set's `i`-th entry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `set` is empty: the one empty-set rule of [`Outcomes`].
     pub fn accuracy_on(&self, set: &[(Tensor, usize)]) -> f32 {
-        if set.is_empty() {
-            return 0.0;
-        }
+        Outcomes::assert_sample(set.len());
         let preds = self.predict_batch(set.len(), |i| &set[i].0);
-        let correct = preds
-            .iter()
-            .zip(set.iter())
-            .filter(|(p, (_, y))| *p == y)
-            .count();
-        correct as f32 / set.len() as f32
+        Outcomes::new(set.len(), 1, |i, _| preds[i], |i| set[i].1).accuracy(0)
     }
 }
 

@@ -42,18 +42,18 @@
 //! table GEMM over rows of eight codes or more runs the row kernel, one
 //! gather per eight codes of a row.
 //!
-//! The batch entry points ([`QPlan::forward_batch_indexed`],
-//! [`QPlan::predict_batch_indexed`] and their slice wrappers) also run
-//! each *distinct* kernel once. Weight magnitudes index LUT rows, so the
-//! engine reads only rows `0..=max |w|` of a table (128 of 256 at INT8,
-//! with `max |w|` taken over the approximated layers when the plan is
-//! compiled). Tables equal on those rows give bit-identical logits, and
-//! so do two builtin exact kernels: each such group runs as one lane and
-//! its column is copied back to every member. Kernels behind a plain
-//! trait call (`Generic` backends) always run. A stuck-at fault campaign,
-//! whose sampled faults can leave the read rows intact, scores fewer
-//! columns this way; [`QPlan::predict_range`], the public per-chunk
-//! runner, runs every kernel it is given.
+//! The batch entry points ([`QPlan::forward_batch_with`] and
+//! [`QPlan::predict_batch_indexed`]) also run each *distinct* kernel
+//! once. Weight magnitudes index LUT rows, so the engine reads only rows
+//! `0..=max |w|` of a table (128 of 256 at INT8, with `max |w|` taken
+//! over the approximated layers when the plan is compiled). Tables equal
+//! on those rows give bit-identical logits, and so do two builtin exact
+//! kernels: each such group runs as one lane and its column is copied
+//! back to every member. Kernels behind a plain trait call (`Generic`
+//! backends) always run. A stuck-at fault campaign, whose sampled faults
+//! can leave the read rows intact, scores fewer columns this way;
+//! [`QPlan::predict_range`], the public per-chunk runner, runs every
+//! kernel it is given.
 //!
 //! ```
 //! use axmul::{ExactMul, MulLut};
@@ -554,39 +554,19 @@ impl<'m> QPlan<'m> {
         images: &[Tensor],
         kernels: &[&K],
     ) -> Vec<Vec<Tensor>> {
-        self.forward_batch_indexed(images.len(), |i| &images[i], kernels)
-    }
-
-    /// [`QPlan::forward_batch_with`] over any indexable image source —
-    /// lets callers batch over borrowed or interleaved storage (e.g.
-    /// `(Tensor, label)` pairs) without cloning.
-    pub fn forward_batch_indexed<'a, K, F>(
-        &self,
-        n: usize,
-        image: F,
-        kernels: &[&K],
-    ) -> Vec<Vec<Tensor>>
-    where
-        K: MulKernel + ?Sized,
-        F: Fn(usize) -> &'a Tensor + Sync,
-    {
         let nc = self.n_classes;
-        self.map_distinct(n, image, kernels, |logits| {
-            Tensor::from_vec(logits.to_vec(), &[nc])
-        })
+        self.map_distinct(
+            images.len(),
+            |i| &images[i],
+            kernels,
+            |logits| Tensor::from_vec(logits.to_vec(), &[nc]),
+        )
     }
 
-    /// Predicted classes for `N` images under `M` kernels:
-    /// `[image][kernel]`.
-    pub fn predict_batch_with<K: MulKernel + ?Sized>(
-        &self,
-        images: &[Tensor],
-        kernels: &[&K],
-    ) -> Vec<Vec<usize>> {
-        self.predict_batch_indexed(images.len(), |i| &images[i], kernels)
-    }
-
-    /// [`QPlan::predict_batch_with`] over any indexable image source.
+    /// Predicted classes for images `0..n` under `M` kernels,
+    /// `[image][kernel]`, over any indexable image source — callers batch
+    /// over borrowed or interleaved storage (e.g. `(Tensor, label)`
+    /// pairs) without cloning.
     pub fn predict_batch_indexed<'a, K, F>(
         &self,
         n: usize,
@@ -600,7 +580,7 @@ impl<'m> QPlan<'m> {
         self.map_distinct(n, image, kernels, argmax)
     }
 
-    /// The batch runner behind [`QPlan::forward_batch_indexed`] and
+    /// The batch runner behind [`QPlan::forward_batch_with`] and
     /// [`QPlan::predict_batch_indexed`]: runs images `0..n` in parallel
     /// image chunks, one scratch per chunk, under the distinct kernels
     /// only (see [`QPlan::distinct_kernels`]), and copies each distinct
@@ -779,7 +759,7 @@ mod tests {
             assert_eq!(row[1], qm.forward_with(img, &approx));
         }
 
-        let preds = plan.predict_batch_with(&images, &kernels);
+        let preds = plan.predict_batch_indexed(images.len(), |i| &images[i], &kernels);
         for (row, lrow) in preds.iter().zip(&batch) {
             assert_eq!(row[0], lrow[0].argmax());
             assert_eq!(row[1], lrow[1].argmax());

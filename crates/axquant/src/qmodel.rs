@@ -10,6 +10,7 @@ use axdata::Dataset;
 use axmul::kernel::MulKernel;
 use axnn::layer::Layer;
 use axnn::model::Sequential;
+use axtensor::stats::Outcomes;
 use axtensor::Tensor;
 use axutil::AxError;
 
@@ -318,14 +319,13 @@ impl QuantModel {
     }
 
     /// Accuracy over (up to `max_n` examples of) a dataset, evaluated by
-    /// the batched engine in parallel image chunks.
+    /// the batched engine in parallel image chunks and scored through
+    /// [`Outcomes`].
     ///
     /// # Panics
     ///
     /// Panics if the evaluated sample is empty (`data` has no examples or
-    /// `max_n == 0`) — an empty sample has no meaningful accuracy, and
-    /// silently returning `0.0` used to masquerade as "every prediction
-    /// wrong".
+    /// `max_n == 0`): the one empty-set rule of [`Outcomes`].
     pub fn accuracy_with<K: MulKernel + ?Sized>(
         &self,
         data: &Dataset,
@@ -333,19 +333,10 @@ impl QuantModel {
         max_n: usize,
     ) -> f32 {
         let n = data.len().min(max_n);
-        assert!(
-            n > 0,
-            "accuracy_with needs a non-empty sample (dataset len {}, max_n {max_n})",
-            data.len()
-        );
+        Outcomes::assert_sample(n);
         let plan = self.plan(data.image(0).dims());
         let preds = plan.predict_batch_indexed(n, |i| data.image(i), &[kernel]);
-        let correct = preds
-            .iter()
-            .enumerate()
-            .filter(|(i, p)| p[0] == data.label(*i))
-            .count();
-        correct as f32 / n as f32
+        Outcomes::new(n, 1, |i, _| preds[i][0], |i| data.label(i)).accuracy(0)
     }
 }
 

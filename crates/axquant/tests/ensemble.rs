@@ -102,7 +102,15 @@ fn accuracy_on_scores_the_sampled_schedule() {
     // Label every image with its own prediction: accuracy must be 1.0.
     let set: Vec<(Tensor, usize)> = imgs.iter().cloned().zip(preds.iter().copied()).collect();
     assert_eq!(ensemble.accuracy_on(&set), 1.0);
-    assert_eq!(ensemble.accuracy_on(&[]), 0.0);
+}
+
+#[test]
+#[should_panic(expected = "non-empty sample")]
+fn accuracy_on_rejects_an_empty_set() {
+    let qm = victim();
+    let cols = MulColumns::from_registry(&Registry::standard(), &["1JFF", "L40"]);
+    let ensemble = EnsembleModel::new(&qm, &cols, KernelPolicy::uniform(2, 17));
+    let _ = ensemble.accuracy_on(&[]);
 }
 
 #[test]

@@ -216,7 +216,7 @@ fn logit_bits(rows: &[Vec<Tensor>]) -> Vec<Vec<Vec<u32>>> {
 /// The block paths against one image per call: for every batch size
 /// across the 4-image block boundaries and every `AXDNN_THREADS`
 /// chunking, each `[image][kernel]` logit of `forward_batch_with` is
-/// `forward_one`'s bit for bit, and `predict_batch_with` is its argmax.
+/// `forward_one`'s bit for bit, and `predict_batch_indexed` is its argmax.
 /// Two zoo models with two approximate kernels each: LeNet-5 under
 /// `ConvOnly` (the lanes diverge at the first conv) and the FFNN under
 /// `Placement::All` (they diverge at the first dense layer).
@@ -262,7 +262,7 @@ fn image_blocks_match_one_image_forwards_at_every_boundary() {
                         "{} logits: n {n}, threads {threads}",
                         qm.name()
                     );
-                    let preds = plan.predict_batch_with(&images[..n], &kernels);
+                    let preds = plan.predict_batch_indexed(n, |i| &images[i], &kernels);
                     let want_preds: Vec<Vec<usize>> = (want[..n].iter())
                         .map(|row| row.iter().map(Tensor::argmax).collect())
                         .collect();
@@ -346,7 +346,7 @@ fn duplicate_columns_match_single_kernel_runs() {
                         "{} logits: n {n}, threads {threads}",
                         qm.name()
                     );
-                    let preds = plan.predict_batch_with(&probes[..n], &kernels);
+                    let preds = plan.predict_batch_indexed(n, |i| &probes[i], &kernels);
                     let want_preds: Vec<Vec<usize>> = (want[..n].iter())
                         .map(|row| row.iter().map(Tensor::argmax).collect())
                         .collect();

@@ -9,9 +9,11 @@
 //! Evaluation runs on the compiled batch engine
 //! ([`axquant::plan::QPlan`]): each crafted adversarial set is pushed
 //! through *all* multiplier columns of a figure in one multi-kernel pass
-//! ([`multi_kernel_adversarial_accuracy`]), sharing input quantization
-//! and first-layer im2col work across the victims instead of re-running
-//! one scalar forward pass per (image, multiplier) cell.
+//! ([`outcomes`]), sharing input quantization and first-layer im2col
+//! work across the victims instead of re-running one scalar forward pass
+//! per (image, multiplier) cell. The pass keeps which images each column
+//! got right ([`Outcomes`]); every accuracy here is read from it, and
+//! scoring an empty set panics.
 //!
 //! # Plan caching
 //!
@@ -19,16 +21,17 @@
 //! **once** and reuses it for every epsilon row (every crafted set shares
 //! the dataset's input shape), rather than re-deriving the quantized
 //! layer panels per `(attack, eps)` cell. The standalone entry points
-//! ([`adversarial_accuracy`], [`multi_kernel_adversarial_accuracy`])
-//! still compile per call for callers that only evaluate one set; sweep
-//! drivers looping over budgets should go through [`robustness_grid`] to
-//! get the cached plan.
+//! ([`outcomes`], [`adversarial_accuracy`],
+//! [`multi_kernel_adversarial_accuracy`]) still compile per call for
+//! callers that only evaluate one set; sweep drivers looping over
+//! budgets should go through [`robustness_grid`] to get the cached plan.
 
 use axattack::suite::AttackId;
 use axdata::Dataset;
 use axmul::{MulColumns, MulKernel, MulLut};
 use axnn::Sequential;
 use axquant::{QPlan, QuantModel};
+use axtensor::stats::Outcomes;
 use axtensor::Tensor;
 use axutil::rng::Rng;
 
@@ -89,53 +92,53 @@ pub fn craft_adversarial_set(
 }
 
 /// Accuracy of one victim/kernel pair on a crafted adversarial set.
+/// Panics like [`outcomes`].
 pub fn adversarial_accuracy(victim: &QuantModel, kernel: &MulLut, advs: &[(Tensor, usize)]) -> f32 {
     multi_kernel_adversarial_accuracy(victim, &[kernel], advs)[0]
 }
 
 /// Accuracy of one victim under *every* kernel column on a crafted
-/// adversarial set, in a single batched multi-kernel pass.
-///
-/// This is the engine behind [`robustness_grid`]: one compiled plan, and
-/// per image the kernels share the quantized input and the first
-/// approximated layer's im2col patches. Returns one accuracy per kernel;
-/// an empty `advs` yields `0.0` columns (no example survived).
-///
-/// # Panics
-///
-/// Panics if `kernels` is empty.
+/// adversarial set, in a single batched multi-kernel pass: the
+/// [`Outcomes::accuracies`] of [`outcomes`], one per kernel. Panics like
+/// [`outcomes`].
 pub fn multi_kernel_adversarial_accuracy<K: MulKernel + ?Sized>(
     victim: &QuantModel,
     kernels: &[&K],
     advs: &[(Tensor, usize)],
 ) -> Vec<f32> {
-    assert!(!kernels.is_empty(), "need at least one kernel column");
-    if advs.is_empty() {
-        return vec![0.0; kernels.len()];
-    }
-    let plan = victim.plan(advs[0].0.dims());
-    column_accuracy(&plan, kernels, advs)
+    outcomes(victim, kernels, advs).accuracies()
 }
 
-/// The multi-kernel accuracy core on an already-compiled plan: one
-/// prediction matrix, one correct-count per kernel column. `advs` must
-/// be non-empty and share the plan's input shape.
-fn column_accuracy<K: MulKernel + ?Sized>(
+/// Which crafted examples one victim still classifies correctly under
+/// each kernel column, in a single batched multi-kernel pass.
+///
+/// This is the engine behind [`robustness_grid`]: one compiled plan, and
+/// per image the kernels share the quantized input and the first
+/// approximated layer's im2col patches. Column `c` of the result is
+/// `kernels[c]`, image `i` is `advs[i]`.
+///
+/// # Panics
+///
+/// Panics if `kernels` is empty, or if `advs` is empty (the one
+/// empty-set rule of [`Outcomes`]).
+pub fn outcomes<K: MulKernel + ?Sized>(
+    victim: &QuantModel,
+    kernels: &[&K],
+    advs: &[(Tensor, usize)],
+) -> Outcomes {
+    Outcomes::assert_sample(advs.len());
+    plan_outcomes(&victim.plan(advs[0].0.dims()), kernels, advs)
+}
+
+/// [`outcomes`] on an already-compiled plan; `advs` shares the plan's
+/// input shape.
+fn plan_outcomes<K: MulKernel + ?Sized>(
     plan: &QPlan<'_>,
     kernels: &[&K],
     advs: &[(Tensor, usize)],
-) -> Vec<f32> {
+) -> Outcomes {
     let preds = plan.predict_batch_indexed(advs.len(), |i| &advs[i].0, kernels);
-    let mut correct = vec![0usize; kernels.len()];
-    for (row, &(_, label)) in preds.iter().zip(advs) {
-        for (c, &p) in correct.iter_mut().zip(row) {
-            *c += usize::from(p == label);
-        }
-    }
-    correct
-        .into_iter()
-        .map(|c| c as f32 / advs.len() as f32)
-        .collect()
+    Outcomes::new(advs.len(), kernels.len(), |i, c| preds[i][c], |i| advs[i].1)
 }
 
 /// Runs the full grid for one attack: every epsilon × every multiplier.
@@ -147,6 +150,11 @@ fn column_accuracy<K: MulKernel + ?Sized>(
 /// multiplier columns in one batched multi-kernel pass, and the
 /// victim's plan is compiled once for the whole epsilon sweep (see the
 /// [module docs](self)).
+///
+/// # Panics
+///
+/// Panics if the sample is empty (`data` has no examples or
+/// `opts.n_examples == 0`): the one empty-set rule of [`Outcomes`].
 pub fn robustness_grid(
     source: &Sequential,
     victim: &QuantModel,
@@ -156,19 +164,16 @@ pub fn robustness_grid(
     opts: &EvalOpts,
 ) -> RobustnessGrid {
     let kernels: Vec<&MulLut> = mults.payloads();
-    let mut acc = Vec::with_capacity(opts.eps_grid.len());
-    // One compiled plan for the whole sweep; lazily keyed off the first
-    // non-empty crafted set so an empty dataset never compiles anything.
-    let mut plan: Option<QPlan<'_>> = None;
-    for &eps in &opts.eps_grid {
-        let advs = craft_adversarial_set(source, attack_id, data, eps, opts.n_examples, opts.seed);
-        if advs.is_empty() {
-            acc.push(vec![0.0; kernels.len()]);
-            continue;
-        }
-        let plan = plan.get_or_insert_with(|| victim.plan(advs[0].0.dims()));
-        acc.push(column_accuracy(plan, &kernels, &advs));
-    }
+    Outcomes::assert_sample(opts.n_examples.min(data.len()));
+    // One compiled plan for the whole sweep: crafting keeps the image shape.
+    let plan = victim.plan(data.image(0).dims());
+    let acc = (opts.eps_grid.iter())
+        .map(|&eps| {
+            let advs =
+                craft_adversarial_set(source, attack_id, data, eps, opts.n_examples, opts.seed);
+            plan_outcomes(&plan, &kernels, &advs).accuracies()
+        })
+        .collect();
     RobustnessGrid::new(
         attack_id.name(),
         data.name(),
@@ -260,14 +265,19 @@ mod tests {
     }
 
     #[test]
-    fn adversarial_accuracy_empty_is_zero() {
+    #[should_panic(expected = "non-empty sample")]
+    fn adversarial_accuracy_rejects_an_empty_set() {
         let (_, q, _) = quick_setup();
         let lut = Registry::standard().build_lut("1JFF").unwrap();
-        assert_eq!(adversarial_accuracy(&q, &lut, &[]), 0.0);
-        assert_eq!(
-            multi_kernel_adversarial_accuracy(&q, &[&lut, &lut], &[]),
-            vec![0.0, 0.0]
-        );
+        let _ = adversarial_accuracy(&q, &lut, &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-empty sample")]
+    fn multi_kernel_adversarial_accuracy_rejects_an_empty_set() {
+        let (_, q, _) = quick_setup();
+        let lut = Registry::standard().build_lut("1JFF").unwrap();
+        let _ = multi_kernel_adversarial_accuracy(&q, &[&lut, &lut], &[]);
     }
 
     #[test]
@@ -280,13 +290,20 @@ mod tests {
             .collect();
         let advs = craft_adversarial_set(&model, AttackId::FgmLinf, &test, 0.1, 20, 4);
         let kernels: Vec<&MulLut> = luts.iter().collect();
-        let multi = multi_kernel_adversarial_accuracy(&q, &kernels, &advs);
+        let multi = outcomes(&q, &kernels, &advs);
+        assert_eq!(
+            multi.accuracies(),
+            multi_kernel_adversarial_accuracy(&q, &kernels, &advs)
+        );
         for (k, lut) in luts.iter().enumerate() {
+            // Image by image, not only the count: a pass that swapped two
+            // images' predictions would keep every accuracy.
             assert_eq!(
-                multi[k],
-                adversarial_accuracy(&q, lut, &advs),
+                multi.column(k),
+                outcomes(&q, &[lut], &advs),
                 "column {k} diverges from its scalar evaluation"
             );
+            assert_eq!(multi.accuracy(k), adversarial_accuracy(&q, lut, &advs));
         }
     }
 }

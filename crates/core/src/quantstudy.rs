@@ -12,6 +12,7 @@ use axdata::Dataset;
 use axmul::MulLut;
 use axnn::Sequential;
 use axquant::QuantModel;
+use axtensor::stats::Outcomes;
 
 use crate::eval::{adversarial_accuracy, craft_adversarial_set};
 
@@ -103,17 +104,13 @@ pub fn quantization_study(
         let mut quant_acc = Vec::with_capacity(eps_grid.len());
         for &eps in eps_grid {
             let advs = craft_adversarial_set(model, attack, data, eps, n_examples, seed);
-            // Both lanes run on the batched plan engines.
-            let fl = advs.first().map_or(0.0, |(img, _)| {
-                let correct =
-                    model
-                        .plan(img.dims())
-                        .count_correct(advs.len(), |i| &advs[i].0, |i| advs[i].1);
-                correct as f32 / advs.len() as f32
-            });
-            let ql = adversarial_accuracy(qmodel, &exact_lut, &advs);
-            float_acc.push(fl);
-            quant_acc.push(ql);
+            // Both lanes run on the batched plan engines and score through
+            // `Outcomes`; the quantized lane rejects an empty set first.
+            quant_acc.push(adversarial_accuracy(qmodel, &exact_lut, &advs));
+            let plan = model.plan(advs[0].0.dims());
+            let preds = plan.predict_batch(advs.len(), |i| &advs[i].0);
+            let float = Outcomes::new(advs.len(), 1, |i, _| preds[i], |i| advs[i].1);
+            float_acc.push(float.accuracy(0));
         }
         pairs.push(CurvePair {
             attack: attack.name().to_owned(),

@@ -19,8 +19,9 @@ use axdnn::mul::{MulLut, Registry};
 use axdnn::nn::train::{fit, TrainConfig};
 use axdnn::nn::zoo;
 use axdnn::quant::Placement;
-use axdnn::robust::eval::craft_adversarial_set;
+use axdnn::robust::eval::{craft_adversarial_set, outcomes};
 use axdnn::robust::experiments::quantize_victim;
+use axdnn::tensor::stats::Outcomes;
 use axdnn::util::rng::Rng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -55,23 +56,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for eps in [0.0f32, 0.05, 0.1, 0.15, 0.2, 0.3] {
         let advs = craft_adversarial_set(&lenet, AttackId::PgdLinf, &test, eps, 100, 77);
-        let acc_float =
-            advs.iter().filter(|(x, y)| lenet.predict(x) == *y).count() as f32 / advs.len() as f32;
-        let acc_quant = advs
-            .iter()
-            .filter(|(x, y)| q.predict_with(x, &exact) == *y)
-            .count() as f32
-            / advs.len() as f32;
-        let acc_ax = advs
-            .iter()
-            .filter(|(x, y)| q.predict_with(x, &l40) == *y)
-            .count() as f32
-            / advs.len() as f32;
+        let float = Outcomes::new(
+            advs.len(),
+            1,
+            |i, _| lenet.predict(&advs[i].0),
+            |i| advs[i].1,
+        );
+        let quant = outcomes(&q, &[&exact, &l40], &advs);
         println!(
             "{eps:>6.2} {:>10.1} {:>10.1} {:>10.1}",
-            100.0 * acc_float,
-            100.0 * acc_quant,
-            100.0 * acc_ax
+            100.0 * float.accuracy(0),
+            100.0 * quant.accuracy(0),
+            100.0 * quant.accuracy(1)
         );
     }
     println!("\nExpect: quant >= float at small-mid eps; AxL40 below quant (antagonistic).");
