@@ -920,8 +920,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "planned shape")]
     fn mixed_shape_set_is_rejected_by_count_correct() {
-        // The odd image sits in the middle of the first block: every
-        // image of a block is checked, not just its first.
+        // Named after the `count_correct` walk that `predict_batch`
+        // replaced; it runs `predict_batch`. The odd image sits in the
+        // middle of the first block: every image of a block is checked,
+        // not just its first.
         let model = zoo::lenet5(&mut Rng::seed_from_u64(3));
         let plan = model.plan(&[1, 28, 28]);
         let mut images: Vec<Tensor> = (0..5).map(|i| rand_image(&[1, 28, 28], i)).collect();

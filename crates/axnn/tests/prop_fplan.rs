@@ -113,8 +113,8 @@ fn fplan_matches_seed_on_every_architecture() {
 
 /// The block paths against one image per call, for every batch size in
 /// [`BATCH_SIZES`] and every `AXDNN_THREADS` chunking: `predict_batch`
-/// scores the same images right and wrong as the one-image predictions
-/// (as [`Outcomes`], image by image), the plan's gradient source
+/// scores every image right (as [`Outcomes`], image by image) under labels
+/// set to the one-image predictions, the plan's gradient source
 /// (`map_source_blocks`, one handle per chunk) and the one-scratch
 /// `input_gradient_block` return every image's `input_gradient` bit for
 /// bit, and `loss_and_param_grads_batch` is the fold of per-image
@@ -131,14 +131,9 @@ fn image_blocks_match_one_image_calls_at_every_boundary() {
         let probes = images(9, 0xB10C);
         let preds: Vec<usize> = probes.iter().map(|x| plan.predict(&mut s, x)).collect();
         let labels: Vec<usize> = (0..probes.len()).map(|i| i % 4).collect();
-        // Every other image is labelled with its own prediction: a block
-        // path that moved one image's prediction to another image changes
-        // the hits even where it keeps their count.
-        let hit_labels: Vec<usize> = (preds.iter().enumerate())
-            .map(|(i, &p)| p + i % 2)
-            .collect();
-        let outcomes =
-            |n: usize, preds: &[usize]| Outcomes::new(n, 1, |i, _| preds[i], |i| hit_labels[i]);
+        // Labelled with its own one-image prediction, every image is a hit
+        // only where `predict_batch` gives it that same class.
+        let outcomes = |n: usize, got: &[usize]| Outcomes::new(n, 1, |i, _| got[i], |i| preds[i]);
         let mut sum = (0.0f32, model.zero_grads());
         let mut want_grads = Vec::new();
         let mut want_folds = Vec::new();
