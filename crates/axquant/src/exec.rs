@@ -32,9 +32,10 @@
 //! - foreign kernels pay a trait call per MAC.
 //!
 //! All three run in `gemm_core`, four rows at a time (half a panel on a
-//! panel-major patch). On an AVX2 CPU two kernels take over, one per
-//! layout, and both fetch eight table products with one `vpgatherdd` at
-//! indices `(mag << 8) | a` (scale 2, masked to 16 bits), then apply the
+//! panel-major patch). On x86_64 CPUs SIMD kernels take over, chosen at
+//! run time (`simd_gemm`, one `Tier` each). Two AVX2 kernels, one per
+//! layout, fetch eight table products with one `vpgatherdd` at indices
+//! `(mag << 8) | a` (scale 2, masked to 16 bits), then apply the
 //! weights' signs and accumulate in eight i32 lanes:
 //!
 //! - The *panel kernel* runs table and exact GEMMs over a panel-major
@@ -52,15 +53,40 @@
 //!   horizontal sum, the bias and a scalar tail over the last `cols % 8`
 //!   columns finish each row.
 //!
+//! On a CPU with AVX-512F, AVX-512BW and AVX-512VBMI the *VBMI kernel*
+//! runs the table GEMMs over a panel-major patch instead of the panel
+//! kernel (LeNet-5's conv1 and conv2), and looks the products up in
+//! registers rather than gathering them from the table:
+//!
+//! - Once per GEMM call, `vpermt2b` splits the table rows
+//!   `0..=max_mag` into a low-byte and a high-byte plane of 256 bytes
+//!   each: 64 KB at the 8-bit weight range's 128 rows. The buffer is
+//!   allocated per call, not kept in a [`QScratch`](crate::QScratch):
+//!   a server pools one scratch per concurrent caller, and each would
+//!   hold it for good.
+//! - Rows go in groups of 64, eight consecutive panels of the same
+//!   panel-major patch. Per group, one `vpgatherqq` per patch column
+//!   loads its 64 codes (masked for a last group of fewer than eight
+//!   panels) into a staging area behind the planes, which every output
+//!   channel then reads.
+//! - Per weight and plane, two 128-entry `vpermt2b` lookups and a blend
+//!   on code bit 7 give 64 product bytes. A negative weight complements
+//!   them; 16-bit lanes sum them over runs of up to 256 columns, and each
+//!   run folds into i32 lanes with the complements' offset taken off.
+//!
 //! Exact GEMMs over row-major patches, `Generic` backends (over either
 //! layout), narrower rows and other CPUs keep `gemm_core`.
 //!
-//! The tiers are bit-identical: all sum the same i32 products in i32,
-//! where addition is exact, and hand each row's accumulator to the same
-//! sink in the same order. The gather fetches 32 bits at byte offset
-//! `2 * idx` and keeps the low 16, so it also reads entry `idx + 1`. With
-//! `idx = (mag << 8) | a` that stays inside the 2^16-entry table whenever
-//! `mag < 255`; quantized weight magnitudes are at most 127
+//! The tiers are bit-identical: all compute each row's exact integer sum
+//! of the same i32 products, wrapping in i32 (where addition is exact
+//! modulo 2^32), and hand it to the same sink at the same destination.
+//! The VBMI kernel's lanes hold a group's rows out of order and reach the
+//! sink group by group; the sink undoes the lane order, and the sinks
+//! only store, so the order of their calls does not matter. The AVX2
+//! gather fetches 32 bits at byte offset `2 * idx` and keeps the low 16,
+//! so it also reads entry `idx + 1`. With `idx = (mag << 8) | a` that
+//! stays inside the 2^16-entry table whenever `mag < 255`; quantized
+//! weight magnitudes are at most 127
 //! ([`QLevel::weight_qmax`](crate::QLevel::weight_qmax)), and neither
 //! AVX2 kernel is used on a layer whose largest magnitude is 255.
 //!
@@ -110,12 +136,16 @@ pub(crate) const ROW_MAJOR: usize = 1;
 /// [module docs](self)): one AVX2 register of i32 accumulators.
 pub(crate) const PANEL: usize = 8;
 
+/// i32 lanes of one AVX2 register: the columns the row kernel takes per
+/// step, and the fewest it runs on.
+const LANES: usize = 8;
+
 /// Whether a conv step whose block has `total` GEMM rows gets a
-/// panel-major patch: only where the AVX2 panel kernel runs it, on an
-/// x86_64 CPU with AVX2 and at least one full panel. Shorter steps and
-/// other CPUs keep the row-major patch, on which `gemm_core` runs as on a
-/// dense step (its exact loop vectorizes along a row-major row, and is
-/// about half as fast over panels).
+/// panel-major patch: only where a panel kernel (AVX2 or VBMI) runs it,
+/// on an x86_64 CPU with AVX2 and at least one full panel. Shorter steps
+/// and other CPUs keep the row-major patch, on which `gemm_core` runs as
+/// on a dense step (its exact loop vectorizes along a row-major row, and
+/// is about half as fast over panels).
 pub(crate) fn use_panels(total: usize) -> bool {
     has_avx2() && total >= PANEL
 }
@@ -297,9 +327,14 @@ struct Destinations {
 
 impl Destinations {
     fn new(o: usize, rows: usize, out_c: usize) -> Self {
+        Destinations::from_row(o, 0, rows, out_c)
+    }
+
+    /// The destinations from GEMM row `p` on.
+    fn from_row(o: usize, p: usize, rows: usize, out_c: usize) -> Self {
         Destinations {
-            dst: o * rows,
-            q: 0,
+            dst: (p / rows * out_c + o) * rows + p % rows,
+            q: p % rows,
             rows,
             skip: (out_c - 1) * rows,
         }
@@ -317,66 +352,125 @@ impl Destinations {
     }
 }
 
-/// Runs a GEMM through an AVX2 kernel when one applies (see the
-/// [module docs](self)): the panel kernel for a table or exact GEMM over
-/// a panel-major patch (where [`use_panels`] holds), the row kernel for a
-/// table GEMM over a row-major patch of at least eight columns. Both need
-/// every weight magnitude below 255, the gather's over-read bound.
-/// `table` is the LUT, or `None` for the exact product. Returns whether
-/// it ran; otherwise the caller runs [`gemm_core`].
-#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-fn avx2_gemm<const P: usize, S: FnMut(usize, i32)>(
+/// The SIMD kernel tiers of the [module docs](self), one per kernel.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Tier {
+    /// The AVX2 row kernel: table GEMMs over a row-major patch.
+    Rows,
+    /// The AVX2 panel kernel: table GEMMs (one gather per eight
+    /// products) and exact ones over a panel-major patch.
+    Panels,
+    /// The VBMI panel kernel: table GEMMs over a panel-major patch, the
+    /// products looked up in registers.
+    VbmiPanels,
+}
+
+impl Tier {
+    /// Whether this CPU can run the tier on weights `w`: the AVX2 tiers
+    /// need every magnitude below 255, the gather's over-read bound.
+    fn can_run(self, w: &QWeights) -> bool {
+        match self {
+            Tier::Rows | Tier::Panels => has_avx2() && w.max_mag < u8::MAX,
+            Tier::VbmiPanels => has_vbmi(),
+        }
+    }
+}
+
+/// Whether the VBMI kernel can run: on an x86_64 CPU with AVX-512F,
+/// AVX-512BW and AVX-512VBMI.
+pub(crate) fn has_vbmi() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    let vbmi = is_x86_feature_detected!("avx512f")
+        && is_x86_feature_detected!("avx512bw")
+        && is_x86_feature_detected!("avx512vbmi");
+    #[cfg(not(target_arch = "x86_64"))]
+    let vbmi = false;
+    vbmi
+}
+
+/// Runs a GEMM through a SIMD kernel when one applies (see the
+/// [module docs](self)): over a panel-major patch (where [`use_panels`]
+/// holds) the VBMI kernel for a table GEMM, or else the AVX2 panel
+/// kernel; over a row-major patch of at least eight columns the row
+/// kernel for a table GEMM. `table` is the LUT, or `None` for the exact
+/// product. Returns whether it ran; otherwise the caller runs
+/// [`gemm_core`].
+fn simd_gemm<const P: usize, S: FnMut(usize, i32)>(
     w: &QWeights,
     patch: &[u8],
     shape: [usize; 3],
     table: Option<&[u16]>,
     sink: S,
 ) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        let applies = if P == PANEL {
-            use_panels(shape[0] * shape[1])
-        } else {
-            table.is_some() && shape[2] >= avx2::LANES && has_avx2()
-        };
-        if applies && w.max_mag < u8::MAX {
-            #[cfg(test)]
-            AVX2_RUNS
-                .lock()
-                .unwrap()
-                .insert((P, table.map_or(0, |t| t.as_ptr() as usize)));
-            // SAFETY: AVX2 is present and every magnitude is below 255,
-            // checked just above.
-            unsafe {
-                match (P == PANEL, table) {
-                    (true, Some(t)) => avx2::gemm_panels::<true, S>(w, patch, shape, t, sink),
-                    (true, None) => avx2::gemm_panels::<false, S>(w, patch, shape, &[], sink),
-                    (false, Some(t)) => avx2::gemm_rows(w, patch, shape, t, sink),
-                    (false, None) => unreachable!("the row kernel runs tables only"),
-                }
-            }
-            return true;
+    let tier = if P == PANEL {
+        if !use_panels(shape[0] * shape[1]) {
+            return false;
         }
+        match table {
+            Some(_) if Tier::VbmiPanels.can_run(w) => Tier::VbmiPanels,
+            _ => Tier::Panels,
+        }
+    } else if table.is_some() && shape[2] >= LANES {
+        Tier::Rows
+    } else {
+        return false;
+    };
+    if !tier.can_run(w) {
+        return false;
     }
-    false
+    run_tier(tier, w, patch, shape, table, sink);
+    true
 }
 
-/// The AVX2 kernels that have run, as `(layout, table address)` pairs
+/// Runs a GEMM through `tier`, which must be able to run on this CPU
+/// ([`Tier::can_run`]); the patch is row-major for [`Tier::Rows`] and
+/// panel-major otherwise.
+///
+/// # Panics
+///
+/// Panics if the tier cannot run here, or if it takes tables only
+/// ([`Tier::Rows`], [`Tier::VbmiPanels`]) and `table` is `None`.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+fn run_tier<S: FnMut(usize, i32)>(
+    tier: Tier,
+    w: &QWeights,
+    patch: &[u8],
+    shape: [usize; 3],
+    table: Option<&[u16]>,
+    sink: S,
+) {
+    assert!(tier.can_run(w), "{tier:?} cannot run on this CPU");
+    #[cfg(test)]
+    AVX2_RUNS
+        .lock()
+        .unwrap()
+        .insert((tier, table.map_or(0, |t| t.as_ptr() as usize)));
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: the CPU has the tier's features, and for the AVX2 tiers
+    // every magnitude is below 255, checked by `can_run` just above.
+    unsafe {
+        match (tier, table) {
+            (Tier::Panels, Some(t)) => avx2::gemm_panels::<true, S>(w, patch, shape, t, sink),
+            (Tier::Panels, None) => avx2::gemm_panels::<false, S>(w, patch, shape, &[], sink),
+            (Tier::Rows, Some(t)) => avx2::gemm_rows(w, patch, shape, t, sink),
+            (Tier::VbmiPanels, Some(t)) => vbmi::gemm_panels(w, patch, shape, t, sink),
+            (_, None) => panic!("{tier:?} runs tables only"),
+        }
+    }
+}
+
+/// The SIMD kernels that have run, as `(tier, table address)` pairs
 /// (address `0` for the exact product): tests check that a call they make
 /// took the kernel they meant it to.
 #[cfg(test)]
-pub(crate) static AVX2_RUNS: std::sync::Mutex<std::collections::BTreeSet<(usize, usize)>> =
+pub(crate) static AVX2_RUNS: std::sync::Mutex<std::collections::BTreeSet<(Tier, usize)>> =
     std::sync::Mutex::new(std::collections::BTreeSet::new());
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use std::arch::x86_64::*;
 
-    use super::{panel_patch_len, Destinations, QWeights, BLOCK, PANEL};
-
-    /// i32 lanes of one AVX2 register: the columns [`gemm_rows`] takes
-    /// per step.
-    pub(super) const LANES: usize = 8;
+    use super::{panel_patch_len, Destinations, QWeights, BLOCK, LANES, PANEL};
 
     // `gemm_rows` dispatches blocks of one to four rows.
     const _: () = assert!(BLOCK == 4);
@@ -561,19 +655,194 @@ mod avx2 {
     }
 }
 
+#[cfg(target_arch = "x86_64")]
+mod vbmi {
+    use std::arch::x86_64::*;
+
+    use super::{panel_patch_len, Destinations, QWeights, PANEL};
+
+    /// Rows per group: one byte lane of a 512-bit register per row, eight
+    /// consecutive panels.
+    const GROUP: usize = 64;
+
+    /// Bytes of one table row's two planes: its 256 products' low bytes,
+    /// then their high bytes.
+    const ROW: usize = 512;
+
+    /// Columns per run of 16-bit sums: a column adds at most 255 to each
+    /// byte's sum, and `RUN * 255 < 2^16`.
+    const RUN: usize = 256;
+
+    /// Splits table rows `0..rows` into `planes`: row `m`'s low product
+    /// bytes at `m * ROW`, its high bytes 256 bytes on.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512BW and AVX-512VBMI, and `planes` must
+    /// be valid for `rows * ROW` bytes of writes.
+    #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
+    unsafe fn split_rows(table: &[u16], rows: usize, planes: *mut u8) {
+        assert!(rows << 8 <= table.len());
+        let pick = |odd: u8| {
+            let idx: [u8; 64] = core::array::from_fn(|i| 2 * i as u8 + odd);
+            _mm512_loadu_epi8(idx.as_ptr() as *const i8)
+        };
+        let (low, high) = (pick(0), pick(1));
+        for (m, row) in table.chunks_exact(256).take(rows).enumerate() {
+            // 64 entries (two registers) at a time.
+            for (q, pair) in row.chunks_exact(64).enumerate() {
+                let a = _mm512_loadu_epi16(pair.as_ptr() as *const i16);
+                let b = _mm512_loadu_epi16(pair.as_ptr().add(32) as *const i16);
+                let at = planes.add(m * ROW + q * 64) as *mut i8;
+                _mm512_storeu_epi8(at, _mm512_permutex2var_epi8(a, low, b));
+                _mm512_storeu_epi8(at.add(256), _mm512_permutex2var_epi8(a, high, b));
+            }
+        }
+    }
+
+    /// The VBMI kernel: [`gemm_core`](super::gemm_core)'s table GEMM over
+    /// a panel-major patch, 64 rows (a group of eight panels) per
+    /// register. Per group, one gather per patch column stages the
+    /// column's 64 codes behind the table planes; every output channel
+    /// then reads them back. Each byte plane of a weight's table row gives
+    /// 64 product bytes through two 128-entry `vpermt2b` lookups and a
+    /// blend on code bit 7. A negative weight complements the bytes
+    /// (`255 - b`). Per plane, over runs of at most [`RUN`] columns, the
+    /// bytes add as 16-bit lanes (`even + 256 * odd`, wrapping) and the
+    /// odd bytes once more on their own; an even row's sum, below 2^16, is
+    /// the lane sum less 256 times the odd sum. Each run then folds into
+    /// i32 lanes as `low + (high << 8) - 255 * 257 * negatives`: the exact
+    /// sum of the signed products, wrapping as `gemm_core`'s does in
+    /// release builds. The lanes hold rows in the order `4k + t` → lane
+    /// `16 t + k`, which the sink undoes; rows reach the sink group by
+    /// group, each at its `gemm_core` destination.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F, AVX-512BW and AVX-512VBMI.
+    #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
+    pub(super) unsafe fn gemm_panels<S: FnMut(usize, i32)>(
+        w: &QWeights,
+        patch: &[u8],
+        [images, rows, cols]: [usize; 3],
+        table: &[u16],
+        mut sink: S,
+    ) {
+        let out_c = w.bias_q.len();
+        let total = images * rows;
+        let panels = total.div_ceil(PANEL);
+        assert!(table.len() == 1 << 16);
+        assert!(w.mag.len() == out_c * cols && w.sign.len() == out_c * cols);
+        assert!(patch.len() >= panel_patch_len(total, cols));
+        // Every plane read below lies in rows `0..=max_mag`.
+        assert!(w.mag.iter().all(|&m| m <= w.max_mag));
+        debug_assert!(w.sign.iter().all(|&s| s == 1 || s == -1));
+        // The planes, then one group's staged codes, from a 64-byte
+        // boundary (every register load then stays inside one cache
+        // line): written before they are read, through raw pointers only.
+        let rows_split = usize::from(w.max_mag) + 1;
+        let mut buf = Vec::<u8>::with_capacity(rows_split * ROW + cols * GROUP + GROUP);
+        let planes = buf.as_mut_ptr();
+        let planes = planes.add(planes.align_offset(GROUP));
+        let stage = planes.add(rows_split * ROW);
+        split_rows(table, rows_split, planes);
+        // Byte offsets of a group's eight panels from its first.
+        let offsets: [i64; 8] = core::array::from_fn(|k| (k * PANEL * cols) as i64);
+        let offsets = _mm512_loadu_epi64(offsets.as_ptr());
+        let low_half = _mm512_set1_epi32(0xFFFF);
+        let ones = _mm512_set1_epi8(-1);
+        let mut out = [0i32; GROUP];
+        for first in (0..panels).step_by(GROUP / PANEL) {
+            let live = ((1u32 << (GROUP / PANEL).min(panels - first)) - 1) as __mmask8;
+            let group = patch.as_ptr().add(first * PANEL * cols);
+            for j in 0..cols {
+                // Column j of the group's live panels, inside the patch by
+                // the length check above.
+                let codes = _mm512_mask_i64gather_epi64::<1>(
+                    _mm512_setzero_si512(),
+                    live,
+                    offsets,
+                    group.add(j * PANEL) as *const i64,
+                );
+                _mm512_storeu_epi8(stage.add(j * GROUP) as *mut i8, codes);
+            }
+            for o in 0..out_c {
+                let mags = &w.mag[o * cols..(o + 1) * cols];
+                let signs = &w.sign[o * cols..(o + 1) * cols];
+                let mut acc = [_mm512_set1_epi32(w.bias_q[o]); 4];
+                for run in (0..cols).step_by(RUN) {
+                    // Per plane (low bytes, then high): the 16-bit lane
+                    // sums, then the odd bytes' sums.
+                    let [mut s0, mut s1, mut s2, mut s3] = [_mm512_setzero_si512(); 4];
+                    let mut negatives = 0;
+                    for j in run..cols.min(run + RUN) {
+                        let codes = _mm512_loadu_epi8(stage.add(j * GROUP) as *const i8);
+                        let top = _mm512_movepi8_mask(codes);
+                        let negative = signs[j] < 0;
+                        negatives += i32::from(negative);
+                        let flip = 0u8.wrapping_sub(u8::from(negative)) as __mmask8;
+                        let row = planes.add(usize::from(mags[j]) * ROW);
+                        let lookup = |plane: *const u8| {
+                            let t = |q: usize| _mm512_loadu_epi8(plane.add(q * 64) as *const i8);
+                            let bytes = _mm512_mask_blend_epi8(
+                                top,
+                                _mm512_permutex2var_epi8(t(0), codes, t(1)),
+                                _mm512_permutex2var_epi8(t(2), codes, t(3)),
+                            );
+                            _mm512_mask_xor_epi64(bytes, flip, bytes, ones)
+                        };
+                        let (lo, hi) = (lookup(row), lookup(row.add(256)));
+                        s0 = _mm512_add_epi16(s0, lo);
+                        s1 = _mm512_add_epi16(s1, _mm512_srli_epi16::<8>(lo));
+                        s2 = _mm512_add_epi16(s2, hi);
+                        s3 = _mm512_add_epi16(s3, _mm512_srli_epi16::<8>(hi));
+                    }
+                    // Per plane, 16-bit lane i of even row 2i (the lane sum
+                    // less 256 times the odd sum) and of odd row 2i + 1.
+                    let unmix =
+                        |full, odd| [_mm512_sub_epi16(full, _mm512_slli_epi16::<8>(odd)), odd];
+                    let (low, high) = (unmix(s0, s1), unmix(s2, s3));
+                    // Rows 4k + t: the low (t < 2) or high 16 bits of the
+                    // even (t even) or odd row sums' 32-bit lane k.
+                    let fix = _mm512_set1_epi32(255 * 257 * negatives);
+                    for (t, acc) in acc.iter_mut().enumerate() {
+                        let half = |v: __m512i| {
+                            if t < 2 {
+                                _mm512_and_si512(v, low_half)
+                            } else {
+                                _mm512_srli_epi32::<16>(v)
+                            }
+                        };
+                        let (lo, hi) = (half(low[t % 2]), half(high[t % 2]));
+                        let sum = _mm512_add_epi32(lo, _mm512_slli_epi32::<8>(hi));
+                        *acc = _mm512_add_epi32(*acc, _mm512_sub_epi32(sum, fix));
+                    }
+                }
+                for (t, &a) in acc.iter().enumerate() {
+                    _mm512_storeu_epi32(out.as_mut_ptr().add(t * 16), a);
+                }
+                let mut next = Destinations::from_row(o, first * PANEL, rows, out_c);
+                for r in 0..GROUP.min(total - first * PANEL) {
+                    sink(next.next(), out[r % 4 * 16 + r / 4]);
+                }
+            }
+        }
+    }
+}
+
 macro_rules! dispatch_gemm {
     ($layout:ident, $backend:expr, $w:expr, $patch:expr, $shape:expr, $sink:expr) => {{
         let mut sink = $sink;
-        // Table GEMMs (and exact ones over panels) try an AVX2 kernel first.
-        let avx2 = |table, sink| avx2_gemm::<$layout, _>($w, $patch, $shape, table, sink);
+        // Table GEMMs (and exact ones over panels) try a SIMD kernel first.
+        let simd = |table, sink| simd_gemm::<$layout, _>($w, $patch, $shape, table, sink);
         match $backend {
             MulBackend::Exact => {
-                if !avx2(None, &mut sink) {
+                if !simd(None, &mut sink) {
                     gemm_core::<$layout, _, _>($w, $patch, $shape, |a, b| a as u16 * b as u16, sink)
                 }
             }
             MulBackend::Table(t) => {
-                if !avx2(Some(t), &mut sink) {
+                if !simd(Some(t), &mut sink) {
                     gemm_core::<$layout, _, _>(
                         $w,
                         $patch,
@@ -894,48 +1163,64 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// The panel kernel against `gemm_core` through its table closure
-        /// and through the exact product, bit for bit, on random weights
-        /// (magnitude 127 forced), random codes (255 forced, random codes
-        /// in the dead tail of the last panel), large biases of both signs
-        /// and a random table, through both sinks. On an AVX2 host the
-        /// panel kernel must actually run for every block of eight rows or
-        /// more.
+        /// Each panel tier this CPU has — the AVX2 gather kernel (table
+        /// and exact product) and the VBMI kernel — called directly
+        /// against `gemm_core` through its table closure and through the
+        /// exact product, bit for bit. Totals span up to three 64-row
+        /// groups of the VBMI kernel, the last one holding 1–8 panels and
+        /// its last panel 1–8 rows, split over one to four images; up to
+        /// 600 columns, more than one 256-column run of the VBMI kernel's
+        /// 16-bit sums. Random weights (magnitude 127 forced), random codes
+        /// (0, 127, 128 and 255 forced, random codes in the dead tail of
+        /// the last panel), large biases of both signs and a random table;
+        /// then the dispatch through both sinks against the `Generic`
+        /// backend. On an AVX2 host the dispatch must take a panel tier
+        /// for every block of eight rows or more: the VBMI kernel for the
+        /// table where the CPU has it, the gather kernel otherwise.
         #[test]
         fn panel_kernel_matches_gemm_core(
             out_c in 1usize..=20,
-            cols in 1usize..=300,
-            images in 1usize..=4,
-            rows in 1usize..=10,
+            cols in 1usize..=600,
+            groups in 0usize..=2,
+            last_panels in 1usize..=8,
+            last_rows in 1usize..=8,
             seed in any::<u64>(),
         ) {
             let mut rng = Rng::seed_from_u64(seed);
             let (w, lut) = random_gemm(&mut rng, out_c, cols);
-            let total = images * rows;
+            let total = groups * 64 + (last_panels - 1) * PANEL + last_rows;
+            let images = (1..=BLOCK).rev().find(|&i| total.is_multiple_of(i)).unwrap();
+            let (rows, shape) = (total / images, [images, total / images, cols]);
             let mut patch: Vec<u8> = (0..panel_patch_len(total, cols))
                 .map(|_| rng.below(256) as u8)
                 .collect();
-            let (p, j) = (rng.index(total), rng.index(cols));
-            patch[(p / PANEL * cols + j) * PANEL + p % PANEL] = 255;
+            for code in [0, 127, 128, 255] {
+                let (p, j) = (rng.index(total), rng.index(cols));
+                patch[(p / PANEL * cols + j) * PANEL + p % PANEL] = code;
+            }
             let t = lut.table();
             let address = t.as_ptr() as usize;
-            AVX2_RUNS.lock().unwrap().remove(&(PANEL, address));
-            let shape = [images, rows, cols];
-
             let mut want = vec![0i32; images * out_c * rows];
-            gemm_core::<PANEL, _, _>(&w, &patch, shape, |a, b| t[(a as usize) << 8 | b as usize], |i, acc| want[i] = acc);
             let mut got = vec![0i32; want.len()];
-            let ran = avx2_gemm::<PANEL, _>(&w, &patch, shape, Some(t), |i, acc| got[i] = acc);
-            prop_assert_eq!(ran, use_panels(total));
-            if ran {
-                prop_assert_eq!(&got, &want);
-            }
-            gemm_core::<PANEL, _, _>(&w, &patch, shape, |a, b| a as u16 * b as u16, |i, acc| want[i] = acc);
-            prop_assert_eq!(avx2_gemm::<PANEL, _>(&w, &patch, shape, None, |i, acc| got[i] = acc), ran);
-            if ran {
-                prop_assert_eq!(&got, &want);
+            let mut exact = vec![0i32; want.len()];
+            gemm_core::<PANEL, _, _>(&w, &patch, shape, |a, b| t[(a as usize) << 8 | b as usize], |i, acc| want[i] = acc);
+            gemm_core::<PANEL, _, _>(&w, &patch, shape, |a, b| a as u16 * b as u16, |i, acc| exact[i] = acc);
+            for tier in [Tier::Panels, Tier::VbmiPanels] {
+                if !tier.can_run(&w) {
+                    continue;
+                }
+                got.fill(0);
+                run_tier(tier, &w, &patch, shape, Some(t), |i, acc| got[i] = acc);
+                prop_assert!(got == want, "{tier:?} differs from gemm_core");
+                if tier == Tier::Panels {
+                    got.fill(0);
+                    run_tier(tier, &w, &patch, shape, None, |i, acc| got[i] = acc);
+                    prop_assert_eq!(&got, &exact);
+                }
             }
 
+            let runs = [(Tier::Panels, address), (Tier::VbmiPanels, address), (Tier::Panels, 0)];
+            AVX2_RUNS.lock().unwrap().retain(|r| !runs.contains(r));
             let (table, generic) = (MulBackend::of(&lut), MulBackend::Generic(&lut));
             let (mut a, mut b) = (vec![0u8; want.len()], vec![0u8; want.len()]);
             gemm_requant::<PANEL, _>(table, &w, &patch, shape, &mut a);
@@ -950,7 +1235,13 @@ mod tests {
             gemm_logits::<PANEL, _>(generic, &wl, &patch, shape, &mut b);
             let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             prop_assert_eq!(bits(&a), bits(&b));
-            prop_assert_eq!(AVX2_RUNS.lock().unwrap().contains(&(PANEL, address)), ran);
+            let panels = use_panels(total);
+            let vbmi = panels && Tier::VbmiPanels.can_run(&wl);
+            let ran = AVX2_RUNS.lock().unwrap().clone();
+            prop_assert_eq!(ran.contains(&(Tier::VbmiPanels, address)), vbmi);
+            prop_assert_eq!(ran.contains(&(Tier::Panels, address)), panels && !vbmi);
+            // Other tests run exact panels too: only a missing run shows.
+            prop_assert!(!panels || ran.contains(&(Tier::Panels, 0)));
         }
         /// The row kernel against `gemm_core` through its table closure,
         /// bit for bit: 1–7 columns (no whole vector), 784 (the FFNN's
@@ -983,18 +1274,18 @@ mod tests {
             patch[rng.index(total * cols)] = 255;
             let t = lut.table();
             let address = t.as_ptr() as usize;
-            AVX2_RUNS.lock().unwrap().remove(&(ROW_MAJOR, address));
+            AVX2_RUNS.lock().unwrap().remove(&(Tier::Rows, address));
             let shape = [images, rows, cols];
 
             let mut want = vec![0i32; images * out_c * rows];
             gemm_core::<ROW_MAJOR, _, _>(&w, &patch, shape, |a, b| t[(a as usize) << 8 | b as usize], |i, acc| want[i] = acc);
             let mut got = vec![0i32; want.len()];
-            let ran = avx2_gemm::<ROW_MAJOR, _>(&w, &patch, shape, Some(t), |i, acc| got[i] = acc);
+            let ran = simd_gemm::<ROW_MAJOR, _>(&w, &patch, shape, Some(t), |i, acc| got[i] = acc);
             prop_assert_eq!(ran, has_avx2() && cols >= 8);
             if ran {
                 prop_assert_eq!(&got, &want);
             }
-            prop_assert!(!avx2_gemm::<ROW_MAJOR, _>(&w, &patch, shape, None, |_, _| ()));
+            prop_assert!(!simd_gemm::<ROW_MAJOR, _>(&w, &patch, shape, None, |_, _| ()));
 
             let (table, generic) = (MulBackend::of(&lut), MulBackend::Generic(&lut));
             let (mut a, mut b) = (vec![0u8; want.len()], vec![0u8; want.len()]);
@@ -1007,7 +1298,7 @@ mod tests {
             gemm_logits::<ROW_MAJOR, _>(generic, &wl, &patch, shape, &mut b);
             let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             prop_assert_eq!(bits(&a), bits(&b));
-            prop_assert_eq!(AVX2_RUNS.lock().unwrap().contains(&(ROW_MAJOR, address)), ran);
+            prop_assert_eq!(AVX2_RUNS.lock().unwrap().contains(&(Tier::Rows, address)), ran);
         }
     }
 

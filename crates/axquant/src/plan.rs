@@ -4,7 +4,9 @@
 //! A [`QPlan`] is compiled once per `(model, input shape)` pair: every
 //! layer's output geometry, im2col patch size and activation footprint is
 //! resolved up front, so running an image does no shape math and no
-//! allocation — all intermediate state lives in a reusable [`QScratch`].
+//! allocation — all intermediate state lives in a reusable [`QScratch`] —
+//! except the VBMI kernel's table planes, allocated per GEMM call (see
+//! [`exec`]).
 //! Flatten layers need no step: activations are flat buffers already.
 //!
 //! The scratch keeps every step's `u8` input codes in an activation
@@ -674,6 +676,7 @@ impl<'m> QPlan<'m> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::Tier;
     use crate::placement::Placement;
     use crate::qlevel::QLevel;
     use axmul::{ExactMul, MulLut, Registry};
@@ -896,11 +899,12 @@ mod tests {
         }
     }
 
-    /// The AVX2 panel kernel against `gemm_core`, bit for bit, through
+    /// The panel kernels against `gemm_core`, bit for bit, through
     /// whole plans. LeNet-5 covers panels inside one output row; a
     /// stride-2, pad-1 conv with 25 rows per image covers panels that
     /// straddle output rows and images, and a zero-filled tail. On an
-    /// AVX2 host the L40 table must have gone through the panel kernel.
+    /// AVX2 host the L40 table must have gone through a panel kernel: the
+    /// VBMI one where the CPU has it, the gather one otherwise.
     #[test]
     fn panel_kernel_logits_match_gemm_core() {
         let rng = &mut Rng::seed_from_u64(70);
@@ -917,8 +921,12 @@ mod tests {
         );
         let lenet = zoo::lenet5(rng);
         let l40 = Registry::standard().build_lut("L40").unwrap();
-        let ran = (exec::PANEL, l40.table().as_ptr() as usize);
-        exec::AVX2_RUNS.lock().unwrap().remove(&ran);
+        let address = l40.table().as_ptr() as usize;
+        let runs = [(Tier::Panels, address), (Tier::VbmiPanels, address)];
+        exec::AVX2_RUNS
+            .lock()
+            .unwrap()
+            .retain(|r| !runs.contains(r));
         for (model, dims, placement) in [
             (&lenet, [1, 28, 28], Placement::ConvOnly),
             (&strided, [2, 9, 9], Placement::All),
@@ -926,7 +934,10 @@ mod tests {
             assert_logits_match_opaque(model, dims, placement, &l40, &[1, 2, 7]);
         }
         let avx2 = exec::use_panels(exec::PANEL);
-        assert_eq!(exec::AVX2_RUNS.lock().unwrap().contains(&ran), avx2);
+        let vbmi = exec::has_vbmi();
+        let ran = exec::AVX2_RUNS.lock().unwrap().clone();
+        assert_eq!(ran.contains(&runs[1]), avx2 && vbmi, "VBMI kernel");
+        assert_eq!(ran.contains(&runs[0]), avx2 && !vbmi, "gather kernel");
     }
 
     /// The AVX2 row kernel against `gemm_core`, bit for bit, through
@@ -941,7 +952,7 @@ mod tests {
         let ffnn = zoo::ffnn(rng);
         let lenet = zoo::lenet5(rng);
         let l40 = Registry::standard().build_lut("L40").unwrap();
-        let ran = (exec::ROW_MAJOR, l40.table().as_ptr() as usize);
+        let ran = (Tier::Rows, l40.table().as_ptr() as usize);
         exec::AVX2_RUNS.lock().unwrap().remove(&ran);
         let counts = [1, 2, 3, 4, 7];
         for model in [&ffnn, &lenet] {

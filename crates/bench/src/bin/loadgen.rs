@@ -136,7 +136,7 @@ fn main() {
         .build_lut("L40")
         .expect("registry kernel");
     let image = |i: usize| data.image(i % data.len()).clone();
-    let kernel = |i: usize| if i % 2 == 0 { "exact" } else { "L40" };
+    let kernel = |i: usize| if i.is_multiple_of(2) { "exact" } else { "L40" };
 
     let mut rows = Vec::new();
 

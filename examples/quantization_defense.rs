@@ -56,12 +56,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for eps in [0.0f32, 0.05, 0.1, 0.15, 0.2, 0.3] {
         let advs = craft_adversarial_set(&lenet, AttackId::PgdLinf, &test, eps, 100, 77);
-        let float = Outcomes::new(
-            advs.len(),
-            1,
-            |i, _| lenet.predict(&advs[i].0),
-            |i| advs[i].1,
-        );
+        let preds = lenet
+            .plan(advs[0].0.dims())
+            .predict_batch(advs.len(), |i| &advs[i].0);
+        let float = Outcomes::new(advs.len(), 1, |i, _| preds[i], |i| advs[i].1);
         let quant = outcomes(&q, &[&exact, &l40], &advs);
         println!(
             "{eps:>6.2} {:>10.1} {:>10.1} {:>10.1}",
