@@ -400,36 +400,22 @@ fn simd_gemm<const P: usize, S: FnMut(usize, i32)>(
     patch: &[u8],
     shape: [usize; 3],
     table: Option<&[u16]>,
-    sink: S,
+    mut sink: S,
 ) -> bool {
-    let tier = if P == PANEL {
-        if !use_panels(shape[0] * shape[1]) {
-            return false;
-        }
-        match table {
-            Some(_) if Tier::VbmiPanels.can_run(w) => Tier::VbmiPanels,
-            _ => Tier::Panels,
-        }
-    } else if table.is_some() && shape[2] >= LANES {
-        Tier::Rows
+    if P == PANEL {
+        use_panels(shape[0] * shape[1])
+            && (run_tier(Tier::VbmiPanels, w, patch, shape, table, &mut sink)
+                || run_tier(Tier::Panels, w, patch, shape, table, sink))
     } else {
-        return false;
-    };
-    if !tier.can_run(w) {
-        return false;
+        shape[2] >= LANES && run_tier(Tier::Rows, w, patch, shape, table, sink)
     }
-    run_tier(tier, w, patch, shape, table, sink);
-    true
 }
 
-/// Runs a GEMM through `tier`, which must be able to run on this CPU
-/// ([`Tier::can_run`]); the patch is row-major for [`Tier::Rows`] and
-/// panel-major otherwise.
-///
-/// # Panics
-///
-/// Panics if the tier cannot run here, or if it takes tables only
-/// ([`Tier::Rows`], [`Tier::VbmiPanels`]) and `table` is `None`.
+/// Runs a GEMM through `tier` where it can run: the CPU has the tier's
+/// features ([`Tier::can_run`]), and `table` is `Some` unless the tier
+/// is [`Tier::Panels`], the one that also runs the exact product. The
+/// patch is row-major for [`Tier::Rows`] and panel-major otherwise.
+/// Returns whether it ran.
 #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 fn run_tier<S: FnMut(usize, i32)>(
     tier: Tier,
@@ -438,13 +424,10 @@ fn run_tier<S: FnMut(usize, i32)>(
     shape: [usize; 3],
     table: Option<&[u16]>,
     sink: S,
-) {
-    assert!(tier.can_run(w), "{tier:?} cannot run on this CPU");
-    #[cfg(test)]
-    AVX2_RUNS
-        .lock()
-        .unwrap()
-        .insert((tier, table.map_or(0, |t| t.as_ptr() as usize)));
+) -> bool {
+    if !tier.can_run(w) {
+        return false;
+    }
     #[cfg(target_arch = "x86_64")]
     // SAFETY: the CPU has the tier's features, and for the AVX2 tiers
     // every magnitude is below 255, checked by `can_run` just above.
@@ -454,9 +437,15 @@ fn run_tier<S: FnMut(usize, i32)>(
             (Tier::Panels, None) => avx2::gemm_panels::<false, S>(w, patch, shape, &[], sink),
             (Tier::Rows, Some(t)) => avx2::gemm_rows(w, patch, shape, t, sink),
             (Tier::VbmiPanels, Some(t)) => vbmi::gemm_panels(w, patch, shape, t, sink),
-            (_, None) => panic!("{tier:?} runs tables only"),
+            (Tier::Rows | Tier::VbmiPanels, None) => return false,
         }
     }
+    #[cfg(test)]
+    AVX2_RUNS
+        .lock()
+        .unwrap()
+        .insert((tier, table.map_or(0, |t| t.as_ptr() as usize)));
+    true
 }
 
 /// The SIMD kernels that have run, as `(tier, table address)` pairs
@@ -1174,9 +1163,11 @@ mod tests {
         /// (0, 127, 128 and 255 forced, random codes in the dead tail of
         /// the last panel), large biases of both signs and a random table;
         /// then the dispatch through both sinks against the `Generic`
-        /// backend. On an AVX2 host the dispatch must take a panel tier
-        /// for every block of eight rows or more: the VBMI kernel for the
-        /// table where the CPU has it, the gather kernel otherwise.
+        /// backend. A tier runs exactly where `Tier::can_run` holds, and
+        /// the VBMI kernel never runs the exact product. On an AVX2 host
+        /// the dispatch must take a panel tier for every block of eight
+        /// rows or more and none for fewer: for the table the VBMI kernel
+        /// where the CPU has it, the gather kernel otherwise.
         #[test]
         fn panel_kernel_matches_gemm_core(
             out_c in 1usize..=20,
@@ -1206,20 +1197,23 @@ mod tests {
             gemm_core::<PANEL, _, _>(&w, &patch, shape, |a, b| t[(a as usize) << 8 | b as usize], |i, acc| want[i] = acc);
             gemm_core::<PANEL, _, _>(&w, &patch, shape, |a, b| a as u16 * b as u16, |i, acc| exact[i] = acc);
             for tier in [Tier::Panels, Tier::VbmiPanels] {
-                if !tier.can_run(&w) {
-                    continue;
-                }
                 got.fill(0);
-                run_tier(tier, &w, &patch, shape, Some(t), |i, acc| got[i] = acc);
-                prop_assert!(got == want, "{tier:?} differs from gemm_core");
-                if tier == Tier::Panels {
-                    got.fill(0);
-                    run_tier(tier, &w, &patch, shape, None, |i, acc| got[i] = acc);
-                    prop_assert_eq!(&got, &exact);
+                let ran = run_tier(tier, &w, &patch, shape, Some(t), |i, acc| got[i] = acc);
+                prop_assert_eq!(ran, tier.can_run(&w));
+                if ran {
+                    prop_assert!(got == want, "{tier:?} differs from gemm_core");
                 }
             }
+            got.fill(0);
+            let ran = run_tier(Tier::Panels, &w, &patch, shape, None, |i, acc| got[i] = acc);
+            prop_assert_eq!(ran, Tier::Panels.can_run(&w));
+            if ran {
+                prop_assert_eq!(&got, &exact);
+            }
+            prop_assert!(!run_tier(Tier::VbmiPanels, &w, &patch, shape, None, |_, _| ()));
+            prop_assert_eq!(simd_gemm::<PANEL, _>(&w, &patch, shape, None, |_, _| ()), use_panels(total));
 
-            let runs = [(Tier::Panels, address), (Tier::VbmiPanels, address), (Tier::Panels, 0)];
+            let runs = [(Tier::Panels, address), (Tier::VbmiPanels, address)];
             AVX2_RUNS.lock().unwrap().retain(|r| !runs.contains(r));
             let (table, generic) = (MulBackend::of(&lut), MulBackend::Generic(&lut));
             let (mut a, mut b) = (vec![0u8; want.len()], vec![0u8; want.len()]);
@@ -1240,8 +1234,6 @@ mod tests {
             let ran = AVX2_RUNS.lock().unwrap().clone();
             prop_assert_eq!(ran.contains(&(Tier::VbmiPanels, address)), vbmi);
             prop_assert_eq!(ran.contains(&(Tier::Panels, address)), panels && !vbmi);
-            // Other tests run exact panels too: only a missing run shows.
-            prop_assert!(!panels || ran.contains(&(Tier::Panels, 0)));
         }
         /// The row kernel against `gemm_core` through its table closure,
         /// bit for bit: 1–7 columns (no whole vector), 784 (the FFNN's
